@@ -4,18 +4,20 @@
 Runs the core engine/detector scenarios from ``benchmarks/`` in a quick,
 seed-fixed mode and records:
 
-* **cycles/sec** for each engine scenario across all four engines
-  (legacy, fast path, vectorized, kernels), reps interleaved across
-  engines so a background-load transient slows every engine's
-  same-numbered rep instead of skewing one engine's whole measurement,
-* the fast/vectorized/kernels-vs-legacy **speedups** on the saturated
+* **cycles/sec** for each engine scenario across all three engines
+  (legacy, production, kernels), reps interleaved across engines so a
+  background-load transient slows every engine's same-numbered rep
+  instead of skewing one engine's whole measurement,
+* the production/kernels-vs-legacy **speedups** on the saturated
   acceptance scenario (16-ary 2-cube, TFAR, load 0.9 — the
-  configuration every figure sweep spends its time in); the kernel
-  engine is gated at ≥ 10×, the vectorized engine at ≥ 5×, the fast
-  path keeps its ≥ 2× bar,
+  configuration every figure sweep spends its time in); the default
+  (production) engine is gated at ≥ 5×, the kernel engine at ≥ 10×,
+* per scenario, the frozen cycles/sec of the **superseded fast path**
+  (the default engine before the vectorized loops were promoted); the
+  production engine may never be slower than it,
 * the **cumulative ablation** of the same scenario (``--ablation``
   prints it standalone and merges the record into the baseline):
-  legacy → +fast-path → +detector-caching → +vectorized → +kernels,
+  legacy → +production → +detector-caching → +kernels,
 * **detector µs/pass** with and without the blocked-epoch short-circuit,
 * **detector-census µs/pass** (the same saturated 16-ary with
   ``count_cycles=True``, passes driven by the engine itself so dirty sets
@@ -98,11 +100,37 @@ ACCEPTANCE_SCENARIO = "engine_saturated_16ary"
 
 #: engine name -> config flag overrides
 ENGINE_FLAGS = {
-    "legacy": dict(engine_fast_path=False, engine_vectorized=False),
-    "fast": dict(engine_fast_path=True, engine_vectorized=False),
-    "vectorized": dict(engine_fast_path=True, engine_vectorized=True),
-    "kernels": dict(
-        engine_fast_path=True, engine_vectorized=True, engine_kernels=True
+    "legacy": dict(engine_fast_path=False),
+    "production": dict(engine_fast_path=True),
+    "kernels": dict(engine_fast_path=True, engine_kernels=True),
+}
+
+#: cycles/sec of the scalar fast path — the default engine until the
+#: vectorized loops replaced it — last measured at the parent commit, in
+#: the same session and on the same machine as the committed baseline.
+#: The code is gone, so the figures are frozen: every baseline records
+#: them and ``--check`` fails when the production engine reads below them.
+SUPERSEDED_FAST_PATH = {
+    "engine_saturated_16ary": 2947.0,
+    "engine_moderate_8ary": 6583.9,
+    "engine_four_vcs_8ary": 4539.8,
+}
+
+#: written into the baseline verbatim; explains the rows where the ladder
+#: is not monotone (ROADMAP item 1 called them a ledger bug until explained)
+LEDGER_NOTES = {
+    "kernels_below_production_on_8ary": (
+        "engine_moderate_8ary and engine_four_vcs_8ary: the kernel tier "
+        "reads below the production engine by design.  Its wins are "
+        "whole-phase quiescence skips, which need a network where nearly "
+        "every request is parked and every worm immobile; at load 0.4 and "
+        "with 4 VCs almost nothing parks, so the skips never fire and the "
+        "tier only pays for what feeds them: a mirror write per state "
+        "transition (SoAState), numpy gathers over ~10-60 element arrays "
+        "whose fixed call overhead exceeds the Python loop they replace, "
+        "and a call frame per served request.  That is why the mirrors "
+        "moved into the kernel tier instead of the default engine, and why "
+        "engine_kernels stays opt-in for deep-saturation sweeps only."
     ),
 }
 
@@ -152,36 +180,18 @@ def _ablation() -> dict:
     """Cumulative optimization ablation on the acceptance scenario.
 
     Each level adds one optimization layer on top of the previous:
-    plain legacy engine, + fast-path activity tracking, + detector
-    caching (dirty-region/knot tracking), + the vectorized SoA core,
-    + the batched array kernels on top of it.
+    plain legacy engine, + the production engine's activity tracking and
+    inline arbitration stream, + detector caching (dirty-region/knot
+    tracking), + the batched array kernels over SoA mirrors.
     """
     levels = {
-        "legacy": dict(
-            engine_fast_path=False,
-            engine_vectorized=False,
-            detector_caching=False,
-        ),
-        "+fast-path": dict(
-            engine_fast_path=True,
-            engine_vectorized=False,
-            detector_caching=False,
-        ),
+        "legacy": dict(engine_fast_path=False, detector_caching=False),
+        "+production": dict(engine_fast_path=True, detector_caching=False),
         "+detector-caching": dict(
-            engine_fast_path=True,
-            engine_vectorized=False,
-            detector_caching=True,
-        ),
-        "+vectorized": dict(
-            engine_fast_path=True,
-            engine_vectorized=True,
-            detector_caching=True,
+            engine_fast_path=True, detector_caching=True
         ),
         "+kernels": dict(
-            engine_fast_path=True,
-            engine_vectorized=True,
-            engine_kernels=True,
-            detector_caching=True,
+            engine_fast_path=True, engine_kernels=True, detector_caching=True
         ),
     }
     spec = ENGINE_SCENARIOS[ACCEPTANCE_SCENARIO]
@@ -475,18 +485,17 @@ def format_phase_breakdown(breakdown: dict) -> str:
 
 
 def measure() -> dict:
-    results: dict = {"scenarios": {}}
+    results: dict = {"notes": LEDGER_NOTES, "scenarios": {}}
     for name, spec in ENGINE_SCENARIOS.items():
         rates = _timed_engines(spec)
         legacy = rates["legacy"]
         results["scenarios"][name] = {
-            "cycles_per_sec_fast": round(rates["fast"], 1),
             "cycles_per_sec_kernels": round(rates["kernels"], 1),
             "cycles_per_sec_legacy": round(legacy, 1),
-            "cycles_per_sec_vectorized": round(rates["vectorized"], 1),
-            "speedup": round(rates["fast"] / legacy, 3),
+            "cycles_per_sec_production": round(rates["production"], 1),
+            "cycles_per_sec_superseded_fast_path": SUPERSEDED_FAST_PATH[name],
+            "speedup": round(rates["production"] / legacy, 3),
             "speedup_kernels": round(rates["kernels"] / legacy, 3),
-            "speedup_vectorized": round(rates["vectorized"] / legacy, 3),
         }
     results["detector_us_per_pass_fast"] = round(
         _detector_us_per_pass(engine_fast_path=True), 1
@@ -504,15 +513,8 @@ def measure() -> dict:
     }
     results["acceptance"] = {
         "scenario": ACCEPTANCE_SCENARIO,
-        "required_speedup": 2.0,
-        "speedup": results["scenarios"][ACCEPTANCE_SCENARIO]["speedup"],
-    }
-    results["acceptance_vectorized"] = {
-        "scenario": ACCEPTANCE_SCENARIO,
         "required_speedup": 5.0,
-        "speedup": results["scenarios"][ACCEPTANCE_SCENARIO][
-            "speedup_vectorized"
-        ],
+        "speedup": results["scenarios"][ACCEPTANCE_SCENARIO]["speedup"],
     }
     results["acceptance_kernels"] = {
         "scenario": ACCEPTANCE_SCENARIO,
@@ -540,23 +542,24 @@ def check(baseline: dict, fresh: dict, tolerance: float = 0.20) -> list[str]:
         if now is None:
             problems.append(f"{name}: scenario missing from fresh run")
             continue
-        floor = base["cycles_per_sec_fast"] * (1.0 - tolerance)
-        if now["cycles_per_sec_fast"] < floor:
+        floor = base["cycles_per_sec_production"] * (1.0 - tolerance)
+        if now["cycles_per_sec_production"] < floor:
             problems.append(
-                f"{name}: fast path regressed to "
-                f"{now['cycles_per_sec_fast']:.0f} cycles/sec "
-                f"(baseline {base['cycles_per_sec_fast']:.0f}, "
+                f"{name}: production engine regressed to "
+                f"{now['cycles_per_sec_production']:.0f} cycles/sec "
+                f"(baseline {base['cycles_per_sec_production']:.0f}, "
                 f"floor {floor:.0f})"
             )
-        base_vec = base.get("cycles_per_sec_vectorized")
-        if base_vec is not None:
-            floor = base_vec * (1.0 - tolerance)
-            if now["cycles_per_sec_vectorized"] < floor:
-                problems.append(
-                    f"{name}: vectorized engine regressed to "
-                    f"{now['cycles_per_sec_vectorized']:.0f} cycles/sec "
-                    f"(baseline {base_vec:.0f}, floor {floor:.0f})"
-                )
+        superseded = base.get("cycles_per_sec_superseded_fast_path")
+        if (
+            superseded is not None
+            and now["cycles_per_sec_production"] < superseded
+        ):
+            problems.append(
+                f"{name}: production engine at "
+                f"{now['cycles_per_sec_production']:.0f} cycles/sec is "
+                f"slower than the fast path it replaced ({superseded:.0f})"
+            )
         base_kern = base.get("cycles_per_sec_kernels")
         if base_kern is not None:
             floor = base_kern * (1.0 - tolerance)
@@ -578,21 +581,12 @@ def check(baseline: dict, fresh: dict, tolerance: float = 0.20) -> list[str]:
                 f"(baseline {base_census['us_per_pass_cached']:.0f}, "
                 f"ceiling {ceiling:.0f})"
             )
-    req = baseline.get("acceptance", {}).get("required_speedup", 2.0)
+    req = baseline.get("acceptance", {}).get("required_speedup", 5.0)
     got = fresh["acceptance"]["speedup"]
     if got < req:
         problems.append(
-            f"acceptance speedup {got:.2f}x below required {req:.1f}x "
+            f"default-engine speedup {got:.2f}x below required {req:.1f}x "
             f"on {fresh['acceptance']['scenario']}"
-        )
-    req = baseline.get("acceptance_vectorized", {}).get(
-        "required_speedup", 5.0
-    )
-    got = fresh.get("acceptance_vectorized", {}).get("speedup")
-    if got is not None and got < req:
-        problems.append(
-            f"vectorized speedup {got:.2f}x below required {req:.1f}x "
-            f"on {fresh['acceptance_vectorized']['scenario']}"
         )
     req = baseline.get("acceptance_kernels", {}).get("required_speedup", 10.0)
     got = fresh.get("acceptance_kernels", {}).get("speedup")
@@ -642,8 +636,8 @@ def main() -> int:
         "--ablation",
         action="store_true",
         help="re-measure only the cumulative optimization ablation "
-        "(legacy / +fast-path / +detector-caching / +vectorized / "
-        "+kernels) on the acceptance scenario, print the table and merge "
+        "(legacy / +production / +detector-caching / +kernels) on the "
+        "acceptance scenario, print the table and merge "
         "the record into the existing baseline",
     )
     parser.add_argument(
@@ -688,11 +682,9 @@ def main() -> int:
     for name, row in fresh["scenarios"].items():
         print(
             f"{name}: legacy={row['cycles_per_sec_legacy']:.0f} "
-            f"fast={row['cycles_per_sec_fast']:.0f} "
-            f"vec={row['cycles_per_sec_vectorized']:.0f} "
+            f"production={row['cycles_per_sec_production']:.0f} "
             f"kern={row['cycles_per_sec_kernels']:.0f} cycles/sec "
-            f"(fast {row['speedup']:.2f}x, "
-            f"vec {row['speedup_vectorized']:.2f}x, "
+            f"(production {row['speedup']:.2f}x, "
             f"kern {row['speedup_kernels']:.2f}x)"
         )
     print(format_ablation(fresh["ablation"]))
@@ -737,12 +729,7 @@ def main() -> int:
     args.out.write_text(json.dumps(fresh, indent=2, sort_keys=True) + "\n")
     print(f"wrote {args.out}")
     failed = False
-    for key in (
-        "acceptance",
-        "acceptance_vectorized",
-        "acceptance_kernels",
-        "acceptance_detector",
-    ):
+    for key in ("acceptance", "acceptance_kernels", "acceptance_detector"):
         if fresh[key]["speedup"] < fresh[key]["required_speedup"]:
             print(
                 f"WARNING: {fresh[key]['scenario']} speedup below "

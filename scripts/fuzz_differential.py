@@ -3,9 +3,8 @@
 
 Draws seeded random configurations and verifies, for each one, that
 
-* the engine fast path is bit-identical to the legacy engine,
-* the vectorized SoA core is bit-identical to the legacy engine,
-* the batched kernel engine is bit-identical to the vectorized core,
+* the production engine is bit-identical to the legacy engine,
+* the batched kernel engine is bit-identical to the production engine,
 * dirty-region cached detection is bit-identical to uncached detection,
 * the incrementally-maintained CWG equals a from-scratch rebuild at every
   detection instant.
@@ -57,7 +56,7 @@ def _artifact_name(axis: str, seed: int, index: int) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        description="differential fuzzing of engine/vectorized/detector/CWG equivalence"
+        description="differential fuzzing of engine/kernels/detector/CWG equivalence"
     )
     parser.add_argument("--configs", type=int, default=50, help="configs to draw")
     parser.add_argument("--seed", type=int, default=1, help="fuzz RNG seed")

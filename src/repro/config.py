@@ -104,28 +104,24 @@ class SimulationConfig:
     #: definition at each detection, before recovery acts on it.
     validation_level: int = 0
     validation_interval: int = 100  #: sampling period for validation_level=1
-    #: incremental activity tracking in the engine hot path plus detection
-    #: short-circuiting.  Bit-identical to the legacy full-rescan path (same
-    #: seed -> same RunResult); off selects the legacy path for A/B tests.
+    #: the production engine
+    #: (:class:`repro.network.production.ProductionEngine`): activity
+    #: tracking in the hot loops, an inline C-backed arbitration stream and
+    #: detection short-circuiting, on every topology.  Bit-identical to the
+    #: legacy full-rescan reference (same seed -> same RunResult and
+    #: deadlock-event stream); off selects the reference for A/B tests and
+    #: the model-checking oracle.
     engine_fast_path: bool = True
-    #: vectorized structure-of-arrays engine core
-    #: (:class:`repro.network.vectorized.VectorizedEngine`): index-mapped
-    #: numpy/array mirrors of channel and message state, precomputed batch
-    #: candidate tables, and an inline C-backed arbitration stream.  Builds
-    #: on the fast path's activity flags, so it requires
-    #: ``engine_fast_path=True``.  Bit-identical to both other engines
-    #: (same seed -> same RunResult and deadlock-event stream); off selects
-    #: the object-model engines for A/B/C tests.
+    #: deprecated no-op alias, kept one round so stored campaign digests
+    #: still load: the loops it used to select are now the default engine.
     engine_vectorized: bool = False
     #: NumPy array-kernel engine tier
     #: (:class:`repro.network.kernels.KernelEngine`): batch head-of-line
     #: eligibility, free-slot availability and phase order construction as
-    #: masked array ops over the SoA mirrors, with a word-buffered traffic
-    #: stream for the generate phase.  Builds on the vectorized engine's
-    #: SoA state, so it requires ``engine_vectorized=True`` (and numpy).
-    #: Bit-identical to the other three engines (same seed -> same
-    #: RunResult and deadlock-event stream); off selects the vectorized
-    #: engine for A/B/C/D tests.
+    #: masked array ops over structure-of-arrays mirrors it maintains, with
+    #: a word-buffered traffic stream for the generate phase.  Needs numpy,
+    #: ``engine_fast_path=True`` and a unit-latency k-ary n-cube ('torus'
+    #: family).  Bit-identical to the other two engines.
     engine_kernels: bool = False
     #: observability (:mod:`repro.obs`): 0 = off (the default — instrumented
     #: call sites cost one attribute lookup against a no-op singleton),
@@ -260,17 +256,14 @@ class SimulationConfig:
             raise ConfigurationError(
                 f"obs_trace_capacity must be >= 1, got {self.obs_trace_capacity}"
             )
-        if self.engine_vectorized and not self.engine_fast_path:
+        if (self.engine_vectorized or self.engine_kernels) and not (
+            self.engine_fast_path
+        ):
             raise ConfigurationError(
-                "engine_vectorized builds on the fast path's activity "
-                "flags; it requires engine_fast_path=True"
+                "engine_vectorized / engine_kernels build on the production "
+                "engine's activity flags; they require engine_fast_path=True"
             )
         if self.engine_kernels:
-            if not self.engine_vectorized:
-                raise ConfigurationError(
-                    "engine_kernels batches over the vectorized engine's "
-                    "SoA arrays; it requires engine_vectorized=True"
-                )
             try:
                 import numpy  # noqa: F401
             except ImportError as exc:
@@ -279,15 +272,15 @@ class SimulationConfig:
                     "pyproject.toml as numpy>=1.23); install it or drop "
                     "the engine_kernels flag"
                 ) from exc
-        if self.engine_vectorized and (
-            self.topology != "torus" or any(l != 1 for l in self.link_latencies)
-        ):
-            raise ConfigurationError(
-                "the vectorized/kernel engine tiers currently support "
-                "unit-latency k-ary n-cube ('torus' family) configs only; "
-                "run topology-zoo or heterogeneous-latency configs on the "
-                "legacy or fast-path engine (engine_vectorized=False)"
-            )
+            if self.topology != "torus" or any(
+                l != 1 for l in self.link_latencies
+            ):
+                raise ConfigurationError(
+                    "the kernel engine tier supports unit-latency k-ary "
+                    "n-cube ('torus' family) configs only; run topology-zoo "
+                    "or heterogeneous-latency configs on the default engine "
+                    "(engine_kernels=False)"
+                )
         if self.mesh and not self.bidirectional:
             raise ConfigurationError("meshes are always bidirectional")
         if self.mesh and self.failed_links:

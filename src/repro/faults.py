@@ -34,7 +34,7 @@ Known fault names:
     maintained ``_all_immobile`` move fast-path flag — once a cycle
     verifies every active message immobile, later wake-ups (resource
     acquisitions, victim removal) are ignored and the kernel engine keeps
-    skipping the move loop, freezing the network while the vectorized
+    skipping the move loop, freezing the network while the production
     engine drains it.
 
 ``crash-point``

@@ -183,7 +183,7 @@ class ChannelPool:
         """Index-mapped numpy views of the immutable per-VC attributes.
 
         One row per global VC index: ``capacity``, ``link_index``, ``src``,
-        ``dst`` and ``dim`` — the structural columns the vectorized engine's
+        ``dst`` and ``dim`` — the structural columns the kernel engine's
         candidate tables and the SoA state mirrors are built over.  Computed
         on first use and cached (the pool's structure never changes).
         """

@@ -1,10 +1,13 @@
 """The NumPy array-kernel engine tier.
 
-:class:`KernelEngine` is the fourth engine variant
-(``config.engine_kernels``, requires ``engine_vectorized``).  Where the
-vectorized engine still *walks* every queue and every active message per
+:class:`KernelEngine` is the opt-in third engine
+(``config.engine_kernels``; unit-latency k-ary n-cubes only).  Where the
+production engine still *walks* every queue and every active message per
 cycle in Python to build phase orders and skip parked work, this tier
-derives those decisions from the SoA mirrors with masked array kernels:
+push-maintains structure-of-arrays mirrors of the live state
+(:class:`~repro.network.soa.SoAState` — it is their only reader, so their
+upkeep lives here and the production engine pays nothing for them) and
+derives those decisions from the mirrors with masked array kernels:
 
 * **request construction** — the allocate-phase request list is a cached
   queue-head list (maintained ``head_slot`` array, node order, rebuilt
@@ -35,20 +38,22 @@ link arbitration is order-dependent and a gathered mobility mask costs
 more than the flag check it replaces at realistic active counts.
 
 **Bit-identical by construction.**  The RNG word stream is unchanged:
-arbitration reuses the inline MT19937-compatible Fisher-Yates of the
-vectorized tier verbatim, the serve/move bodies are the vectorized
-bodies applied to exactly the messages the scalar loops would have
-served, and the traffic stream reproduces CPython's ``Random.random`` /
-``_randbelow`` word consumption bit for bit (``random()`` is
-``((a >> 5) * 2**26 + (b >> 6)) * 2**-53`` over two consecutive raw
-words — exact in float64).  Equivalence is enforced by the A/B/C/D
-suite (``tests/integration/test_fast_path_equivalence.py``), the golden
-trace digests and the differential fuzzer's ``kernels`` axis.
+arbitration reuses the production engine's inline MT19937-compatible
+Fisher-Yates verbatim, the serve/move bodies are the production bodies
+(plus mirror writes) applied to exactly the messages the scalar loops
+would have served, and the traffic stream reproduces CPython's
+``Random.random`` / ``_randbelow`` word consumption bit for bit
+(``random()`` is ``((a >> 5) * 2**26 + (b >> 6)) * 2**-53`` over two
+consecutive raw words — exact in float64).  Equivalence is enforced by
+the legacy / production / kernels suite
+(``tests/integration/test_fast_path_equivalence.py``), the golden trace
+digests and the differential fuzzer's ``kernels`` axis.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from typing import Optional
 
 import numpy as np
 
@@ -56,8 +61,9 @@ from repro.config import SimulationConfig
 from repro.errors import ConfigurationError, SimulationError
 from repro.faults import active_faults
 from repro.network.message import Message, MessageStatus
+from repro.network.production import _NO_QLENS, ProductionEngine, _by_index
 from repro.network.simulator import _PHASE_ALLOC, _PHASE_MOVE
-from repro.network.vectorized import _NO_QLENS, VectorizedEngine, _by_index
+from repro.network.soa import SoAState
 from repro.traffic.injection import MessageGenerator
 from repro.traffic.lengths import FixedLength
 from repro.traffic.patterns import UniformTraffic
@@ -208,16 +214,17 @@ class _TrafficStream:
         return seq[self._randbelow(len(seq))]
 
 
-class KernelEngine(VectorizedEngine):
+class KernelEngine(ProductionEngine):
     """Masked-batch engine over SoA state; see the module docstring."""
 
     def __init__(self, config: SimulationConfig, trace=None) -> None:
         super().__init__(config, trace)
-        if not config.engine_kernels or not config.engine_vectorized:
+        if not config.engine_kernels:
             raise ConfigurationError(
-                "KernelEngine requires engine_kernels=True and "
-                "engine_vectorized=True"
+                "KernelEngine requires engine_kernels=True"
             )
+        self.soa = SoAState(self.pool)
+        self._vec_reg = self.obs.registry if self.obs.enabled else None
         n = self.topology.num_nodes
         self._num_nodes = n
         #: slot of each source queue's head iff that head is QUEUED, else -1
@@ -339,9 +346,72 @@ class KernelEngine(VectorizedEngine):
             self._act_cache = acts = acts[acts >= 0]
         return acts
 
-    # -- victim removal ---------------------------------------------------------------
+    def vec_stats(self) -> dict[str, int]:
+        """The engine counters plus SoA slot-allocator accounting."""
+        stats = super().vec_stats()
+        stats.update(
+            slots_total=len(self.soa.slot_msgs),
+            slots_recycled=self.soa.slots_recycled,
+            slots_high_water=self.soa.high_water,
+        )
+        return stats
+
+    # -- activity bookkeeping overrides (flag mirrors) ---------------------------------
+    def _begin_wait(self, msg: Message, keys: Optional[tuple]) -> None:
+        super()._begin_wait(msg, keys)
+        slot = msg.slot
+        if slot is not None and msg.stalled:
+            self.soa.stalled[slot] = 1
+
+    def _drop_wait_keys(self, msg: Message) -> None:
+        super()._drop_wait_keys(msg)
+        slot = msg.slot
+        if slot is not None:
+            self.soa.stalled[slot] = 0
+
+    def _wake(self, key) -> None:
+        if self._fault_skip_wake:
+            return
+        waiters = self._wake_index.get(key)
+        if waiters:
+            live = self._live
+            stalled = self.soa.stalled
+            for mid in waiters:
+                m = live.get(mid)
+                if m is not None:
+                    m.stalled = False
+                    if m.slot is not None:
+                        stalled[m.slot] = 0
+
+    def _release_due_headers(self) -> None:
+        due = self._delay_due
+        cycle = self.cycle
+        routable = self.soa.routable
+        while due and due[0][0] <= cycle:
+            _, msg = due.popleft()
+            if (
+                msg.is_done
+                or msg.recovering
+                or msg.is_draining
+                or msg.head_arrival is None
+            ):
+                continue
+            msg.routable = True
+            routable[msg.slot] = 1
+
     def _remove_victim(self, victim: Message) -> None:
+        owned = tuple(vc.index for vc in victim.vcs)
+        held_rx = victim.reception
         super()._remove_victim(victim)
+        soa = self.soa
+        if held_rx is not None:
+            soa.rx_owner[soa.rx_index(held_rx.node, held_rx.index)] = -1
+        if victim.is_done:
+            soa.on_done(victim, owned)
+        else:
+            # flit-by-flit teardown: the slot stays live while the worm
+            # drains through the recovery lane
+            soa.sync_message(victim)
         if not self._fault_skip_immobile_clear:
             self._all_immobile = False
         self._alloc_quiescent = False
@@ -574,7 +644,8 @@ class KernelEngine(VectorizedEngine):
     def _alloc_serve_one(
         self, msg, soa, tracker, tracer, cycle, getrandbits
     ) -> None:
-        """Serve one eligible request: the vectorized serve body verbatim."""
+        """Serve one eligible request: the production serve body plus
+        mirror writes."""
         vcs = msg.vcs
         if vcs and vcs[-1].dst == msg.dest:
             # -- reception branch (routable active at destination) --------
@@ -620,7 +691,7 @@ class KernelEngine(VectorizedEngine):
             cands = routing.candidates(msg, node, self.topology, self.pool)
             idxs = None
         else:
-            cand_table = self._cands._table
+            cand_table = self._cands.table
             entry = cand_table.get(key)
             if entry is None:
                 cands = routing.candidates(
@@ -711,13 +782,7 @@ class KernelEngine(VectorizedEngine):
                 msg.stalled = True
                 soa.stalled[msg.slot] = 1
             elif idxs is not None and not self._uncacheable_routing:
-                msg.wait_keys = idxs
-                wake_index = self._wake_index
-                for wkey in idxs:
-                    waiters = wake_index.get(wkey)
-                    if waiters is None:
-                        wake_index[wkey] = waiters = set()
-                    waiters.add(msg.id)
+                self._register_wait_keys(msg, idxs)
                 msg.stalled = True
                 soa.stalled[msg.slot] = 1
 
@@ -727,7 +792,7 @@ class KernelEngine(VectorizedEngine):
         # immobile mask measures slower than the maintained flag check
         # (the gather + index round-trip costs more than it saves).  The
         # kernel tier's contribution here is the head-dirty feed for the
-        # allocate scan and the candidate-table detect feed.
+        # allocate scan.
         link_used = self._link_used
         link_used[:] = self._zero_links
         if self._all_immobile:
@@ -769,8 +834,6 @@ class KernelEngine(VectorizedEngine):
         eject = soa.ejected
         routable_arr = soa.routable
         head_dirty = self._head_dirty
-        cand_table = self._cands._table
-        cache_key = self.routing.cache_key
         # the loop below can set `routable`, release buffers and wake
         # parked messages — all of which change the next allocate cycle
         self._alloc_quiescent = False
@@ -849,28 +912,8 @@ class KernelEngine(VectorizedEngine):
                     # hop count (misrouting budgets) may now differ, so the
                     # next attempt must re-derive the awaited set
                     self._drop_wait_keys(msg)
-                if (
-                    tracker is not None
-                    and msg.blocked_since is not None
-                    and msg.needs_next_vc
-                    and tracker.requests.get(msg.id) is not None
-                ):
-                    # keep the maintained CWG equal to a rebuild; the
-                    # batch candidate table already holds the re-derived
-                    # request set, so feed it from there instead of
-                    # re-running the routing query
-                    node = vcs[-1].dst if vcs else msg.src
-                    key = cache_key(msg, node)
-                    entry = (
-                        cand_table.get(key) if key is not None else None
-                    )
-                    if entry is not None:
-                        tracker.on_block(msg.id, entry[1])
-                    else:
-                        tracker.on_block(
-                            msg.id,
-                            [vc.index for vc in self.route_candidates(msg)],
-                        )
+                if tracker is not None:
+                    self._refresh_requests(msg)
             if msg.recovering:
                 if msg.teardown_complete and not msg.vcs:
                     torn_down.append(msg)
@@ -967,6 +1010,7 @@ class KernelEngine(VectorizedEngine):
     # -- invariants --------------------------------------------------------------------
     def check_invariants(self) -> None:
         super().check_invariants()
+        self.soa.verify(self)
         queued = MessageStatus.QUEUED
         head_slot = self._head_slot
         busy = self._busy_heads

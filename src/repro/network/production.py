@@ -1,28 +1,46 @@
-"""The vectorized structure-of-arrays engine core.
+"""The production engine: activity-tracked hot loops on every topology.
 
-:class:`VectorizedEngine` replaces the per-message dict/object traversal
-of the scalar engine's hot phases with work over index-mapped
-structure-of-arrays state (:class:`~repro.network.soa.SoAState`),
-precomputed batch candidate tables
-(:class:`~repro.routing.batch.CandidateTable`) and an inline arbitration
-stream that drives the C-backed ``Random.getrandbits`` directly.  It is
-selected by ``config.engine_vectorized`` (dispatched inside
-``NetworkSimulator.__new__``, so call sites construct
-:class:`~repro.network.simulator.NetworkSimulator` as always).
+:class:`ProductionEngine` is what ``NetworkSimulator(config)`` builds by
+default (``engine_fast_path=True``).  It replaces the reference engine's
+per-cycle full rescans with live activity state maintained at resource
+transitions, and its interpreter-bound arbitration with an inline stream
+over the C-backed ``Random.getrandbits``:
 
-**Bit-identical by construction.**  Every RNG draw, service order,
-tie-break, wake transition and detector interleaving matches the other
-two engines exactly:
+* every message carries a ``routable`` flag mirroring
+  :meth:`routing_eligible`, updated when its header crosses into a new VC,
+  when it acquires a resource, and when recovery touches it — the
+  allocation phase builds its request list from the flag instead of
+  re-deriving eligibility per message per cycle;
+* a blocked header whose candidate set is position-pure registers in a
+  *wake index* (resource key → waiting message ids) and is marked
+  ``stalled``; its allocation attempt is skipped entirely until one of the
+  awaited resources is released, which provably cannot change the outcome
+  (an all-owned candidate set yields no free VC and consumes no RNG).  A
+  *queue head* whose candidate VCs are all owned parks the same way —
+  ``blocked_since`` and the waiting set stay untouched, since those belong
+  to active messages and the reference engine never sets them for queued
+  heads;
+* a fully-compressed worm (every owned edge buffer full, header blocked)
+  is marked ``immobile`` and skipped by the movement phase until it
+  acquires a new resource — no flit of such a worm can move;
+* queue depths feed the traffic generator from maintained counters
+  (``+1`` on append, ``-1`` on dequeue) instead of a per-cycle list
+  comprehension, and the dequeue scan pops on ``at_source == 0`` alone —
+  every completion path zeroes ``at_source``, making the ``is_done``
+  check redundant;
+* the serve loop reads the shared position-keyed candidate table
+  (:class:`~repro.routing.batch.CandidateTable`) directly, whose entries
+  carry the candidate indices as a ready-made tuple for wait-key
+  registration and the incremental tracker's dashed arcs.
 
-* ``_shuffle_inline`` replays CPython's ``Random.shuffle``
-  (Fisher-Yates over ``_randbelow_with_getrandbits``, including the
-  rejection loop and its word-consumption pattern) while hoisting the
-  per-step ``bit_length`` behind a descending power-of-two boundary —
-  the bound drops by one per step, so it crosses at most one boundary
-  per iteration;
-* the flattened serve loop preserves the scalar phase order: queue heads
-  by node, then routable actives in ``active``-dict insertion order,
-  then one shuffle of the whole request list;
+**Bit-identical by construction.**  Messages skipped by a flag are still
+placed in the per-phase service-order lists, so arbitration consumes an
+identical RNG stream, and every inlined draw replays CPython's own:
+
+* ``_shuffle_inline`` is ``Random.shuffle`` (Fisher–Yates over
+  ``_randbelow_with_getrandbits``, including the rejection loop and its
+  word-consumption pattern) with the per-step ``bit_length`` hoisted
+  behind a descending power-of-two boundary;
 * the inlined selection replays ``StraightThroughFirst`` /
   ``RandomSelection`` draw for draw (``rng.choice`` =
   ``seq[_randbelow(len(seq))]``, whose ``n == 1`` case still consumes
@@ -30,62 +48,65 @@ two engines exactly:
 * for a *routable* active message, ``needs_reception`` reduces to
   ``vcs[-1].dst == dest`` (the routable invariant rules out draining,
   recovering and done states and guarantees the header has arrived), and
-  a queue head always takes the VC branch — so the per-message property
-  cascade disappears from the loop;
-* a queue head whose candidate VCs are all owned consumes **no** RNG and
-  mutates nothing, so it is parked in the wake index (``stalled``) and
-  skipped verbatim until an awaited VC frees — ``blocked_since`` and the
-  waiting set stay untouched, since those belong to *active* messages
-  and the legacy engine never sets them for queued heads;
-* queue depths feed the traffic generator from maintained counters
-  (``+1`` on append, ``-1`` on dequeue) instead of a per-cycle list
-  comprehension, and the dequeue scan pops on ``at_source == 0`` alone —
-  every completion path zeroes ``at_source``, making the ``is_done``
-  check redundant.
+  a queue head always takes the VC branch.
 
-Equivalence is enforced three ways: the A/B/C suite
-(``tests/integration/test_fast_path_equivalence.py``), the golden trace
-digests (``tests/golden``) and the differential fuzzer's ``vectorized``
-axis (``repro.validation.differential``).
+The inline draws are taken only when ``type(self.rng) is random.Random``.
+Any other RNG — the model-checking oracle swaps in a scripted
+``ChoiceRandom`` per step — goes through ``rng.shuffle`` and
+``selection.choose`` unchanged, so scripted choice streams replay on this
+engine exactly as on the reference.
+
+The engine keeps no structure-of-arrays mirrors: nothing here reads them.
+They belong to the kernel tier (:mod:`repro.network.kernels`), their only
+reader.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import random
+from collections import deque
+from typing import Iterable, Optional
 
 from repro.config import SimulationConfig
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
+from repro.faults import active_faults
 from repro.network.message import Message, MessageStatus
 from repro.network.simulator import (
     _PHASE_ALLOC,
     _PHASE_MOVE,
     NetworkSimulator,
 )
-from repro.network.soa import SoAState
-from repro.routing.batch import CandidateTable
 from repro.routing.selection import (
     LowestIndexFirst,
     RandomSelection,
     StraightThroughFirst,
 )
+from repro.traffic.injection import MessageGenerator
 
-__all__ = ["VectorizedEngine"]
+__all__ = ["ProductionEngine"]
 
 #: shared empty snapshot handed to generators that never read queue depths
 _NO_QLENS: list[int] = []
 
 
-class VectorizedEngine(NetworkSimulator):
-    """Structure-of-arrays engine; see the module docstring."""
+def _by_index(vc) -> int:
+    return vc.index
+
+
+class ProductionEngine(NetworkSimulator):
+    """Activity-tracked default engine; see the module docstring."""
 
     def __init__(self, config: SimulationConfig, trace=None) -> None:
         super().__init__(config, trace)
         if not self.fast_path:
             raise ConfigurationError(
-                "VectorizedEngine requires engine_fast_path=True"
+                f"{type(self).__name__} requires engine_fast_path=True"
             )
-        self.soa = SoAState(self.pool)
-        self._cands = CandidateTable(self.routing, self.topology, self.pool)
+        # test-only fault injection (repro.faults), sampled once
+        self._fault_skip_wake = "skip-wake" in active_faults()
+        self._waiting: dict[int, Message] = {}  # blocked_since set, by id
+        self._wake_index: dict = {}  # resource key -> set of waiting ids
+        self._delay_due: deque[tuple[int, Message]] = deque()  # router_delay
         self._vc_dim = self._cands.vc_dim
         self._arb_random = config.arbitration == "random"
         # exact-type checks: the inlined draws replay these specific
@@ -94,18 +115,14 @@ class VectorizedEngine(NetworkSimulator):
         self._sel_straight = type(self.selection) is StraightThroughFirst
         self._sel_random = type(self.selection) is RandomSelection
         self._sel_lowest = type(self.selection) is LowestIndexFirst
-        reg = self.obs.registry if self.obs.enabled else None
-        self._vec_reg = reg
         # generate-phase qlens snapshot is only read by capped generators
-        from repro.traffic.injection import MessageGenerator
-
         self._gen_needs_qlens = not (
             type(self.generator) is MessageGenerator
             and self.generator.max_queued_per_node is None
         )
         # maintained queue-depth snapshot: every read happens inside
         # generator.tick() before any queue mutation of the cycle, so a
-        # live-maintained copy equals the scalar engines' per-cycle listcomp
+        # live-maintained copy equals the reference's per-cycle listcomp
         self._qlens = [0] * len(self.queues)
         # cumulative phase counters (cheap ints; see vec_stats())
         self.vec_alloc_requests = 0
@@ -115,7 +132,7 @@ class VectorizedEngine(NetworkSimulator):
         self.vec_immobile_skips = 0
 
     def vec_stats(self) -> dict[str, int]:
-        """Cumulative engine counters plus SoA slot-allocator accounting."""
+        """Cumulative engine counters."""
         return {
             "alloc_requests": self.vec_alloc_requests,
             "alloc_serves": self.vec_alloc_serves,
@@ -123,10 +140,20 @@ class VectorizedEngine(NetworkSimulator):
             "move_mobile": self.vec_move_mobile,
             "immobile_skips": self.vec_immobile_skips,
             "candidate_table_entries": len(self._cands),
-            "slots_total": len(self.soa.slot_msgs),
-            "slots_recycled": self.soa.slots_recycled,
-            "slots_high_water": self.soa.high_water,
         }
+
+    # -- queries ------------------------------------------------------------------------
+    def cwg_view(self):
+        """The live :class:`~repro.core.incremental.IncrementalCWG` itself
+        under incremental maintenance — it answers every query the detector
+        needs (adjacency, ownership, blocked set) without materializing a
+        snapshot graph — else :meth:`cwg_snapshot`."""
+        if self.tracker is not None:
+            return self.tracker
+        return self.cwg_snapshot()
+
+    def waiting_messages(self) -> Iterable[Message]:
+        return self._waiting.values()
 
     # -- inline arbitration stream ---------------------------------------------------
     def _shuffle_inline(self, x: list) -> None:
@@ -157,37 +184,71 @@ class VectorizedEngine(NetworkSimulator):
             hi = lo - 1
             k -= 1
 
-    # -- fast-path bookkeeping overrides (flag mirrors) -------------------------------
+    # -- activity bookkeeping ----------------------------------------------------------
     def _begin_wait(self, msg: Message, keys: Optional[tuple]) -> None:
-        super()._begin_wait(msg, keys)
-        slot = msg.slot
-        if slot is not None and msg.stalled:
-            self.soa.stalled[slot] = 1
+        """Record a failed allocation attempt in the activity state.
+
+        ``keys`` carries the awaited resource keys on the *first* failure at
+        this position (None when the candidate set is not position-pure);
+        later failures find the registration already in place.  A message
+        with registered keys is marked ``stalled`` and skipped by the
+        allocation phase until one of them is released.
+        """
+        self._waiting[msg.id] = msg
+        if keys is not None and msg.wait_keys is None:
+            self._register_wait_keys(msg, keys)
+        if msg.wait_keys is not None:
+            msg.stalled = True
+
+    def _register_wait_keys(self, msg: Message, keys: tuple) -> None:
+        msg.wait_keys = keys
+        index = self._wake_index
+        for key in keys:
+            waiters = index.get(key)
+            if waiters is None:
+                index[key] = waiters = set()
+            waiters.add(msg.id)
+
+    def _end_wait(self, msg: Message) -> None:
+        """Drop the message from the waiting set and the wake index."""
+        self._waiting.pop(msg.id, None)
+        self._drop_wait_keys(msg)
 
     def _drop_wait_keys(self, msg: Message) -> None:
-        super()._drop_wait_keys(msg)
-        slot = msg.slot
-        if slot is not None:
-            self.soa.stalled[slot] = 0
+        """Invalidate the stall registration (the message stays blocked).
+
+        Used on its own when a blocked message's *tail* releases a VC: the
+        chain length enters some relations' candidate keys (misrouting
+        budgets), so the awaited set must be recomputed at the next attempt.
+        """
+        keys = msg.wait_keys
+        if keys is not None:
+            index = self._wake_index
+            for key in keys:
+                waiters = index.get(key)
+                if waiters is not None:
+                    waiters.discard(msg.id)
+                    if not waiters:
+                        del index[key]
+            msg.wait_keys = None
+        msg.stalled = False
 
     def _wake(self, key) -> None:
+        """A resource was released: unstall every message waiting on it."""
         if self._fault_skip_wake:
             return
         waiters = self._wake_index.get(key)
         if waiters:
             live = self._live
-            stalled = self.soa.stalled
             for mid in waiters:
                 m = live.get(mid)
                 if m is not None:
                     m.stalled = False
-                    if m.slot is not None:
-                        stalled[m.slot] = 0
 
     def _release_due_headers(self) -> None:
+        """Mark headers routable once their router pipeline delay is served."""
         due = self._delay_due
         cycle = self.cycle
-        routable = self.soa.routable
         while due and due[0][0] <= cycle:
             _, msg = due.popleft()
             if (
@@ -198,25 +259,22 @@ class VectorizedEngine(NetworkSimulator):
             ):
                 continue
             msg.routable = True
-            routable[msg.slot] = 1
 
     def _remove_victim(self, victim: Message) -> None:
-        owned = tuple(vc.index for vc in victim.vcs)
+        owned = [vc.index for vc in victim.vcs]
         held_rx = victim.reception
         super()._remove_victim(victim)
-        soa = self.soa
+        victim.routable = False
+        victim.immobile = False
+        self._end_wait(victim)
+        if victim.is_done:  # instant teardown released the whole chain
+            for index in owned:
+                self._wake(index)
         if held_rx is not None:
-            soa.rx_owner[soa.rx_index(held_rx.node, held_rx.index)] = -1
-        if victim.is_done:
-            soa.on_done(victim, owned)
-        else:
-            # flit-by-flit teardown: the slot stays live while the worm
-            # drains through the recovery lane
-            soa.sync_message(victim)
+            self._wake(("rx", held_rx.node))
 
-    # -- the four phases ---------------------------------------------------------------
+    # -- the hot phases ----------------------------------------------------------------
     def _phase_generate(self) -> None:
-        on_created = self.soa.on_created
         qlens = self._qlens
         # an uncapped MessageGenerator never reads queue_lengths, so hand
         # it the shared empty snapshot instead of the maintained one
@@ -225,7 +283,6 @@ class VectorizedEngine(NetworkSimulator):
             self.queues[msg.src].append(msg)
             qlens[msg.src] += 1
             self._live[msg.id] = msg
-            on_created(msg)
             self.stats.on_generated(self.cycle)
 
     def _phase_allocate(self) -> None:
@@ -256,7 +313,11 @@ class VectorizedEngine(NetworkSimulator):
         for m in self.active.values():
             if m.routable:
                 append(m)
-        if self._arb_random:
+        # the inline draws replay random.Random's word stream; a scripted
+        # stand-in (the oracle's ChoiceRandom) takes the generic calls
+        rng = self.rng
+        inline = type(rng) is random.Random
+        if inline and self._arb_random:
             self._shuffle_inline(requests)
         else:
             requests = self._service_order(requests, _PHASE_ALLOC)
@@ -264,31 +325,23 @@ class VectorizedEngine(NetworkSimulator):
         tracker = self.tracker
         tracer = self._obs_tracer
         cycle = self.cycle
-        soa = self.soa
-        blocked_arr = soa.blocked
-        routable_arr = soa.routable
-        immobile_arr = soa.immobile
-        stalled_arr = soa.stalled
-        wake_index = self._wake_index
-        vc_owner = soa.vc_owner
-        head_vc = soa.head_vc
-        tail_vc = soa.tail_vc
-        rx_owner = soa.rx_owner
-        rx_width = soa.rx_channels
         pool = self.pool
         routing = self.routing
         topology = self.topology
-        cand_table = self._cands._table
+        cand_table = self._cands.table
         cache_key = routing.cache_key
         vc_dim = self._vc_dim
-        sel_straight = self._sel_straight
-        sel_inline_random = self._sel_random
+        sel_straight = inline and self._sel_straight
+        sel_random = inline and self._sel_random
         sel_lowest = self._sel_lowest
-        getrandbits = self.rng.getrandbits
+        getrandbits = rng.getrandbits if inline else None
         waiting_pop = self._waiting.pop
         serves = 0
         for msg in requests:
             if msg.stalled:
+                # nothing this header waits on has freed since it last
+                # failed: the attempt would fail identically (and consume
+                # no RNG), so skip it
                 continue
             serves += 1
             vcs = msg.vcs
@@ -303,19 +356,14 @@ class VectorizedEngine(NetworkSimulator):
                     self.blocked_epoch += 1
                     if tracker is not None:
                         tracker.on_acquire(msg.id, ("rx", dest, rx.index))
-                    slot = msg.slot
-                    rx_owner[dest * rx_width + rx.index] = msg.id
-                    blocked_arr[slot] = 0
-                    routable_arr[slot] = 0
-                    immobile_arr[slot] = 0
                     msg.routable = False
                     msg.immobile = False
                     waiting_pop(msg.id, None)
-                    self._drop_wait_keys(msg)
+                    if msg.wait_keys is not None:
+                        self._drop_wait_keys(msg)
                 else:
                     if msg.blocked_since is None:
                         msg.blocked_since = cycle
-                        blocked_arr[msg.slot] = 1
                         self.blocked_epoch += 1
                         if tracer is not None:
                             tracer.instant("block", msg=msg.id, node=dest)
@@ -356,7 +404,7 @@ class VectorizedEngine(NetworkSimulator):
                 while r >= n:
                     r = getrandbits(k)
                 choice = pick[r]
-            elif sel_inline_random:
+            elif sel_random:
                 n = len(free)
                 k = n.bit_length()
                 r = getrandbits(k)
@@ -366,7 +414,7 @@ class VectorizedEngine(NetworkSimulator):
             elif sel_lowest:
                 choice = min(free, key=_by_index)
             else:
-                choice = self.selection.choose(msg, free, self.rng)
+                choice = self.selection.choose(msg, free, rng)
             if choice is not None:
                 was_queued = msg.status is queued
                 if tracer is not None and msg.blocked_since is not None:
@@ -375,26 +423,17 @@ class VectorizedEngine(NetworkSimulator):
                 self.blocked_epoch += 1
                 if tracker is not None:
                     tracker.on_acquire(msg.id, choice.index)
-                slot = msg.slot
-                ci = choice.index
-                vc_owner[ci] = msg.id
-                head_vc[slot] = ci
-                if tail_vc[slot] < 0:
-                    tail_vc[slot] = ci
-                blocked_arr[slot] = 0
-                routable_arr[slot] = 0
-                immobile_arr[slot] = 0
                 msg.routable = False
                 msg.immobile = False
                 waiting_pop(msg.id, None)
-                self._drop_wait_keys(msg)
+                if msg.wait_keys is not None:
+                    self._drop_wait_keys(msg)
                 if was_queued:
                     self.active[msg.id] = msg
                     self.stats.on_injected(cycle)
             elif vcs:
                 if msg.blocked_since is None:
                     msg.blocked_since = cycle
-                    blocked_arr[msg.slot] = 1
                     self.blocked_epoch += 1
                     if tracer is not None:
                         tracer.instant("block", msg=msg.id, node=node)
@@ -415,43 +454,27 @@ class VectorizedEngine(NetworkSimulator):
                 # nothing, so it is skippable verbatim until one awaited VC
                 # frees — register the head in the wake index only
                 # (blocked_since and the waiting set stay untouched: those
-                # are active-message state the scalar engines never set for
+                # are active-message state the reference never sets for
                 # queue heads).
                 if msg.wait_keys is not None:
                     msg.stalled = True
-                    stalled_arr[msg.slot] = 1
                 elif idxs is not None and not self._uncacheable_routing:
-                    msg.wait_keys = idxs
-                    for wkey in idxs:
-                        waiters = wake_index.get(wkey)
-                        if waiters is None:
-                            wake_index[wkey] = waiters = set()
-                        waiters.add(msg.id)
+                    self._register_wait_keys(msg, idxs)
                     msg.stalled = True
-                    stalled_arr[msg.slot] = 1
         self.vec_alloc_requests += len(requests)
         self.vec_alloc_serves += serves
         self.vec_stall_skips += len(requests) - serves
-        if self._vec_reg is not None:
-            self._vec_reg.histogram("engine/alloc_requests").observe(
-                len(requests)
-            )
-            self._vec_reg.histogram("engine/alloc_serves").observe(serves)
 
     def _phase_move(self) -> None:
         link_used = self._link_used
         link_used[:] = self._zero_links
+        free_at = self._link_free_at  # None on uniform unit-latency topologies
+        latency = self._link_latency
         tracker = self.tracker
         cycle = self.cycle
         delay = self._router_delay
-        soa = self.soa
-        occ = soa.vc_occupancy
-        at_src = soa.at_source
-        eject = soa.ejected
-        routable_arr = soa.routable
-        immobile_arr = soa.immobile
         order = list(self.active.values())
-        if self._arb_random:
+        if self._arb_random and type(self.rng) is random.Random:
             self._shuffle_inline(order)
         else:
             order = self._service_order(order, _PHASE_MOVE)
@@ -460,22 +483,17 @@ class VectorizedEngine(NetworkSimulator):
         mobile = 0
         for msg in order:
             if msg.immobile:
+                # fully-compressed blocked worm: every owned buffer is full,
+                # so no boundary can advance until a new resource is acquired
                 continue
             mobile += 1
             vcs = msg.vcs
-            slot = msg.slot
             moved = False
             if msg.recovering:
-                if msg.teardown_step():  # one flit into the recovery lane
-                    head = vcs[-1]
-                    occ[head.index] = head.occupancy
-                    eject[slot] += 1
+                msg.teardown_step()  # one flit into the recovery lane
             elif msg.is_draining and vcs and vcs[-1].occupancy > 0:
-                head = vcs[-1]
-                head.occupancy -= 1
-                occ[head.index] -= 1
+                vcs[-1].occupancy -= 1
                 msg.ejected += 1
-                eject[slot] += 1
                 moved = True
             # Head-to-tail boundary pass: each flit advances at most one hop.
             for i in range(len(vcs) - 1, -1, -1):
@@ -485,33 +503,33 @@ class VectorizedEngine(NetworkSimulator):
                 li = dst.link_index
                 if link_used[li]:
                     continue
+                if free_at is not None and free_at[li] > cycle:
+                    # latency-L channel still busy with an earlier flit
+                    continue
                 if i > 0:
                     src = vcs[i - 1]
                     if src.occupancy == 0:
                         continue
                     src.occupancy -= 1
-                    occ[src.index] -= 1
                 else:
                     if msg.at_source == 0:
                         continue
                     msg.at_source -= 1
-                    at_src[slot] -= 1
                 dst.occupancy += 1
-                occ[dst.index] += 1
                 link_used[li] = 1
+                if free_at is not None:
+                    free_at[li] = cycle + latency[li]
                 moved = True
                 if i == len(vcs) - 1 and msg.head_arrival is None:
                     msg.head_arrival = cycle  # header reached a new node
                     if not msg.recovering:
                         if delay == 0:
                             msg.routable = True
-                            routable_arr[slot] = 1
                         else:
                             self._delay_due.append((cycle + delay, msg))
             released = msg.release_drained_tail()
             if released:
                 self.blocked_epoch += 1
-                soa.on_released(msg, [vc.index for vc in released])
                 for vc in released:
                     if tracker is not None:
                         tracker.on_release(msg.id, vc.index)
@@ -521,39 +539,24 @@ class VectorizedEngine(NetworkSimulator):
                     # hop count (misrouting budgets) may now differ, so the
                     # next attempt must re-derive the awaited set
                     self._drop_wait_keys(msg)
-                if (
-                    tracker is not None
-                    and msg.blocked_since is not None
-                    and msg.needs_next_vc
-                    and tracker.requests.get(msg.id) is not None
-                ):
-                    # keep the maintained CWG equal to a rebuild: relations
-                    # with chain-length-dependent candidates may offer a
-                    # different set now that the tail drained
-                    tracker.on_block(
-                        msg.id,
-                        [vc.index for vc in self.route_candidates(msg)],
-                    )
+                if tracker is not None:
+                    self._refresh_requests(msg)
             if msg.recovering:
                 if msg.teardown_complete and not msg.vcs:
                     torn_down.append(msg)
             elif msg.ejected == msg.length and msg.is_draining:
                 finished.append(msg)
             elif not moved and not msg.is_draining and vcs:
-                # Nothing moved: if every owned buffer is also full, the
-                # worm is fully compressed and provably immobile until it
-                # acquires a new resource (which clears the flag).
+                # Nothing moved: if every owned buffer is also full, the worm
+                # is fully compressed and provably immobile until it acquires
+                # a new resource (which clears the flag).
                 for vc in vcs:
                     if vc.occupancy < vc.capacity:
                         break
                 else:
                     msg.immobile = True
-                    immobile_arr[slot] = 1
-        rx_width = soa.rx_channels
         for msg in finished:
             rx_node = msg.dest
-            rx = msg.reception
-            soa.rx_owner[rx_node * rx_width + rx.index] = -1
             msg.finish_delivery(cycle)
             self.active.pop(msg.id)
             self._live.pop(msg.id, None)
@@ -562,7 +565,6 @@ class VectorizedEngine(NetworkSimulator):
                 tracker.on_done(msg.id)
             self._end_wait(msg)
             self._wake(("rx", rx_node))
-            soa.on_done(msg)
             self.stats.on_delivered(msg, cycle)
         for msg in torn_down:
             msg.remove_from_network(
@@ -574,18 +576,58 @@ class VectorizedEngine(NetworkSimulator):
             if tracker is not None:
                 tracker.on_done(msg.id)
             self._end_wait(msg)
-            soa.on_done(msg)
             self.stats.on_recovered(msg, cycle)
         self.vec_move_mobile += mobile
         self.vec_immobile_skips += len(order) - mobile
-        if self._vec_reg is not None:
-            self._vec_reg.histogram("engine/move_mobile").observe(mobile)
 
-    # -- invariants ------------------------------------------------------------------
+    # -- invariants --------------------------------------------------------------------
     def check_invariants(self) -> None:
         super().check_invariants()
-        self.soa.verify(self)
+        self._check_activity_state()
 
-
-def _by_index(vc) -> int:
-    return vc.index
+    def _check_activity_state(self) -> None:
+        """Maintained flags must agree with the predicates they cache."""
+        for msg in self.active.values():
+            if msg.routable != self.routing_eligible(msg):
+                raise SimulationError(
+                    f"message {msg.id}: routable flag {msg.routable} "
+                    f"disagrees with routing_eligible"
+                )
+            if (msg.blocked_since is not None) != (msg.id in self._waiting):
+                raise SimulationError(
+                    f"message {msg.id}: waiting-set membership disagrees "
+                    f"with blocked_since={msg.blocked_since}"
+                )
+            if msg.stalled:
+                keys = msg.wait_keys
+                if keys is None:
+                    raise SimulationError(
+                        f"message {msg.id} stalled without wait keys"
+                    )
+                for key in keys:
+                    if isinstance(key, tuple):  # ("rx", node)
+                        if self.pool.free_reception(key[1]) is not None:
+                            raise SimulationError(
+                                f"message {msg.id} stalled on free "
+                                f"reception at node {key[1]}"
+                            )
+                    elif self.pool.vcs[key].owner is None:
+                        raise SimulationError(
+                            f"message {msg.id} stalled on free VC {key}"
+                        )
+            if msg.immobile:
+                if msg.is_draining or msg.recovering:
+                    raise SimulationError(
+                        f"message {msg.id} immobile while draining/recovering"
+                    )
+                for vc in msg.vcs:
+                    if vc.occupancy < vc.capacity:
+                        raise SimulationError(
+                            f"message {msg.id} immobile with slack in "
+                            f"VC {vc.index}"
+                        )
+        for mid in self._waiting:
+            if mid not in self.active:
+                raise SimulationError(
+                    f"waiting set retains non-active message {mid}"
+                )

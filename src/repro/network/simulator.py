@@ -19,43 +19,37 @@ four phases:
 The engine enforces exclusive VC ownership and flit conservation; with
 ``check_invariants`` enabled these are asserted every cycle.
 
-Activity-tracked hot path
--------------------------
+Engines
+-------
 
-With ``engine_fast_path`` (the default) the engine maintains live activity
-state at resource transitions instead of rescanning ``self.active`` every
-cycle:
+This module holds what every engine shares — construction, queries, the
+detection phase and recovery — plus the **legacy reference** phase loops:
+a full rescan of ``self.active`` every cycle, no maintained activity
+state, ``rng.shuffle`` / ``selection.choose`` for every draw.  It is the
+ground truth the other engines are specified against and the engine the
+model-checking oracle enumerates on (``engine_fast_path=False``).
 
-* every message carries a ``routable`` flag mirroring
-  :meth:`routing_eligible`, updated when its header crosses into a new VC,
-  when it acquires a resource, and when recovery touches it — the
-  allocation phase builds its request list from the flag instead of
-  re-deriving eligibility per message per cycle;
-* a blocked header whose candidate set is position-pure registers in a
-  *wake index* (resource key → waiting message ids) and is marked
-  ``stalled``; its allocation attempt is skipped entirely until one of the
-  awaited resources is released, which provably cannot change the outcome
-  (an all-owned candidate set yields no free VC and consumes no RNG);
-* a fully-compressed worm (every owned edge buffer full, header blocked)
-  is marked ``immobile`` and skipped by the movement phase until it
-  acquires a new resource — no flit of such a worm can move;
-* a monotone ``blocked_epoch`` counts ownership and blocked-set
-  transitions, letting :class:`~repro.core.detector.DeadlockDetector`
-  short-circuit a detection pass when nothing the CWG depends on changed.
+``NetworkSimulator(config)`` dispatches on the config, so call sites
+never name an engine class:
 
-With ``cwg_maintenance="incremental"`` the engine additionally drives an
-:class:`~repro.core.incremental.IncrementalCWG` tracker from the same
-resource events; its dirty-vertex feed powers the detector's dirty-region
-caching (``detector_caching``, see :mod:`repro.core.detector`), which
-re-analyzes only the weakly-connected CWG regions touched since the
-previous pass.
+* ``engine_fast_path`` (the default) →
+  :class:`~repro.network.production.ProductionEngine`, the
+  activity-tracked hot loops, on every topology;
+* ``engine_kernels`` → :class:`~repro.network.kernels.KernelEngine`, the
+  numpy array-kernel tier over structure-of-arrays mirrors (unit-latency
+  k-ary n-cubes only);
+* neither → this class, the reference.
 
-The fast path is bit-identical to the legacy path: the same seed produces
-the same :class:`~repro.metrics.stats.RunResult` and the same deadlock
-event sequence (asserted by ``tests/integration/
-test_fast_path_equivalence.py``).  Messages skipped by either flag are
-still placed in the per-phase service-order lists, so arbitration consumes
-an identical RNG stream.
+All three are bit-identical: the same seed produces the same
+:class:`~repro.metrics.stats.RunResult` and the same deadlock event
+sequence (asserted by ``tests/integration/test_fast_path_equivalence.py``,
+the golden digests and the differential fuzzer).
+
+With ``cwg_maintenance="incremental"`` every engine additionally drives an
+:class:`~repro.core.incremental.IncrementalCWG` tracker from its resource
+events; its dirty-vertex feed powers the detector's dirty-region caching
+(``detector_caching``, see :mod:`repro.core.detector`), which re-analyzes
+only the weakly-connected CWG regions touched since the previous pass.
 """
 
 from __future__ import annotations
@@ -69,7 +63,6 @@ from repro.core.detector import DeadlockDetector, DeadlockEvent, DetectionRecord
 from repro.core.incremental import IncrementalCWG
 from repro.core.recovery import RecoveryPolicy, make_recovery
 from repro.errors import SimulationError
-from repro.faults import active_faults
 from repro.metrics.stats import RunResult, StatsCollector
 from repro.network.channels import ChannelPool, VirtualChannel
 from repro.obs import Observer
@@ -85,6 +78,7 @@ from repro.network.topology import (
     Torus3D,
 )
 from repro.routing import make_routing, make_selection
+from repro.routing.batch import CandidateTable
 from repro.traffic import LengthMix, MessageGenerator, make_pattern
 
 __all__ = ["NetworkSimulator", "build_topology"]
@@ -126,11 +120,11 @@ class NetworkSimulator:
     paper's "program-driven simulation" extension); ``config.load`` and
     ``config.traffic`` are then ignored.
 
-    With ``config.engine_vectorized`` construction dispatches to
-    :class:`~repro.network.vectorized.VectorizedEngine` (a subclass
-    working over structure-of-arrays state mirrors), so call sites keep
-    instantiating ``NetworkSimulator`` regardless of engine choice.  All
-    three engine variants are bit-identical given the same seed.
+    Construction dispatches on the config's engine flags (see the module
+    docstring), so call sites keep instantiating ``NetworkSimulator``
+    regardless of engine choice; instantiated as itself
+    (``engine_fast_path=False``) this class is the legacy reference.  All
+    engines are bit-identical given the same seed.
     """
 
     def __new__(cls, config: SimulationConfig = None, trace=None):
@@ -139,10 +133,10 @@ class NetworkSimulator:
                 from repro.network.kernels import KernelEngine
 
                 return object.__new__(KernelEngine)
-            if getattr(config, "engine_vectorized", False):
-                from repro.network.vectorized import VectorizedEngine
+            if getattr(config, "engine_fast_path", False):
+                from repro.network.production import ProductionEngine
 
-                return object.__new__(VectorizedEngine)
+                return object.__new__(ProductionEngine)
         return object.__new__(cls)
 
     def __init__(self, config: SimulationConfig, trace=None) -> None:
@@ -216,9 +210,6 @@ class NetworkSimulator:
         else:
             self._t_generate = None
             self._t_recover = None
-        # test-only fault injection (repro.faults), sampled once
-        self._fault_skip_wake = "skip-wake" in active_faults()
-
         self.cycle = 0
         self.queues: list[deque[Message]] = [
             deque() for _ in range(self.topology.num_nodes)
@@ -240,17 +231,17 @@ class NetworkSimulator:
             self._link_latency = [link.latency for link in self.topology.links]
         # per-phase monotone round-robin counters (allocation, movement)
         self._rr_counters = [0, 0]
-        self._candidate_cache: dict = {}
+        #: the one candidate memo: the allocate loops, route_candidates and
+        #: (through it) the detector's CWG rebuild all share it
+        self._cands = CandidateTable(self.routing, self.topology, self.pool)
         self._router_delay = config.router_delay
-
-        # -- fast-path activity state -----------------------------------------
+        #: True on the activity-tracked engines (production, kernels); the
+        #: detector and the invariant checker key their fast-path-only
+        #: reasoning off it
         self.fast_path = bool(config.engine_fast_path)
         #: monotone counter of ownership / blocked-set transitions; the
         #: detector short-circuits a pass when it has not advanced
         self.blocked_epoch = 0
-        self._waiting: dict[int, Message] = {}  # blocked_since set, by id
-        self._wake_index: dict = {}  # resource key -> set of waiting ids
-        self._delay_due: deque[tuple[int, Message]] = deque()  # router_delay
         #: set True the first time the routing relation declines memoization
         #: (cache_key None); disables stall-skipping and detector
         #: short-circuiting, whose proofs rely on position-pure candidates
@@ -277,36 +268,26 @@ class NetworkSimulator:
     def cwg_view(self):
         """Wait-graph *queries* for the detector.
 
-        With the fast path and incremental maintenance this returns the
-        live :class:`~repro.core.incremental.IncrementalCWG` itself — it
-        answers every query the detector needs (adjacency, ownership,
-        blocked set) without materializing a snapshot graph.  Otherwise it
-        falls back to :meth:`cwg_snapshot`.
+        The reference engine always materializes :meth:`cwg_snapshot`; the
+        production engine hands out the live incremental tracker instead.
         """
-        if self.tracker is not None and self.fast_path:
-            return self.tracker
         return self.cwg_snapshot()
 
     def route_candidates(self, message: Message) -> list[VirtualChannel]:
         """The routing relation's candidate VCs for a message's next hop.
 
-        Memoized by the relation's :meth:`cache_key`: a blocked header
+        Memoized by the relation's :meth:`cache_key` in the shared
+        :class:`~repro.routing.batch.CandidateTable`: a blocked header
         requests the same set every cycle, and the candidate set is a pure
         function of position for every built-in relation (the profile
         showed candidate recomputation dominating saturated runs).
         """
         node = message.head_node
-        key = self.routing.cache_key(message, node)
-        if key is None:
+        entry = self._cands.lookup(message, node)
+        if entry is None:
             self._uncacheable_routing = True
             return self.routing.candidates(message, node, self.topology, self.pool)
-        cached = self._candidate_cache.get(key)
-        if cached is None:
-            cached = self.routing.candidates(
-                message, node, self.topology, self.pool
-            )
-            self._candidate_cache[key] = cached
-        return cached
+        return entry[0]
 
     @property
     def messages_in_network(self) -> int:
@@ -349,13 +330,10 @@ class NetworkSimulator:
     def waiting_messages(self) -> Iterable[Message]:
         """Active messages with a failed allocation outstanding.
 
-        Exactly the messages whose ``blocked_since`` is set.  The fast path
-        maintains this set at state transitions; the legacy path derives it
-        by scanning.  Used by statistics (starvation tracking) so the
-        per-detection full-population scan disappears from the fast path.
+        Exactly the messages whose ``blocked_since`` is set.  The reference
+        engine derives it by scanning; the production engine maintains the
+        set at state transitions.  Used by statistics (starvation tracking).
         """
-        if self.fast_path:
-            return self._waiting.values()
         return [m for m in self.active.values() if m.blocked_since is not None]
 
     def _service_order(
@@ -384,86 +362,7 @@ class NetworkSimulator:
         self.rng.shuffle(messages)
         return messages
 
-    # -- fast-path bookkeeping -----------------------------------------------------
-    def _begin_wait(self, msg: Message, keys: Optional[tuple]) -> None:
-        """Record a failed allocation attempt in the activity state.
-
-        ``keys`` carries the awaited resource keys on the *first* failure at
-        this position (None when the candidate set is not position-pure);
-        later failures find the registration already in place.  A message
-        with registered keys is marked ``stalled`` and skipped by the
-        allocation phase until one of them is released.
-        """
-        self._waiting[msg.id] = msg
-        if keys is not None and msg.wait_keys is None:
-            msg.wait_keys = keys
-            index = self._wake_index
-            for key in keys:
-                waiters = index.get(key)
-                if waiters is None:
-                    index[key] = waiters = set()
-                waiters.add(msg.id)
-        if msg.wait_keys is not None:
-            msg.stalled = True
-
-    def _end_wait(self, msg: Message) -> None:
-        """Drop the message from the waiting set and the wake index."""
-        self._waiting.pop(msg.id, None)
-        self._drop_wait_keys(msg)
-
-    def _drop_wait_keys(self, msg: Message) -> None:
-        """Invalidate the stall registration (the message stays blocked).
-
-        Used on its own when a blocked message's *tail* releases a VC: the
-        chain length enters some relations' candidate keys (misrouting
-        budgets), so the awaited set must be recomputed at the next attempt.
-        """
-        keys = msg.wait_keys
-        if keys is not None:
-            index = self._wake_index
-            for key in keys:
-                waiters = index.get(key)
-                if waiters is not None:
-                    waiters.discard(msg.id)
-                    if not waiters:
-                        del index[key]
-            msg.wait_keys = None
-        msg.stalled = False
-
-    def _wake(self, key) -> None:
-        """A resource was released: unstall every message waiting on it."""
-        if self._fault_skip_wake:
-            return
-        waiters = self._wake_index.get(key)
-        if waiters:
-            live = self._live
-            for mid in waiters:
-                m = live.get(mid)
-                if m is not None:
-                    m.stalled = False
-
-    def _on_acquired(self, msg: Message) -> None:
-        """Common fast-path bookkeeping after any resource acquisition."""
-        msg.routable = False
-        msg.immobile = False
-        self._end_wait(msg)
-
-    def _release_due_headers(self) -> None:
-        """Mark headers routable once their router pipeline delay is served."""
-        due = self._delay_due
-        cycle = self.cycle
-        while due and due[0][0] <= cycle:
-            _, msg = due.popleft()
-            if (
-                msg.is_done
-                or msg.recovering
-                or msg.is_draining
-                or msg.head_arrival is None
-            ):
-                continue
-            msg.routable = True
-
-    # -- the four phases -------------------------------------------------------------
+    # -- the four phases (legacy reference loops) ---------------------------------------
     def _phase_generate(self) -> None:
         qlens = [len(q) for q in self.queues]
         for msg in self.generator.tick(self.cycle, qlens):
@@ -472,7 +371,6 @@ class NetworkSimulator:
             self.stats.on_generated(self.cycle)
 
     def _phase_allocate(self) -> None:
-        fast = self.fast_path
         queued = MessageStatus.QUEUED
         requests: list[Message] = []
         for q in self.queues:
@@ -492,26 +390,14 @@ class NetworkSimulator:
                     self._live.pop(done.id, None)
             if q and q[0].status is queued:
                 requests.append(q[0])
-        if fast:
-            if self._delay_due:
-                self._release_due_headers()
-            for m in self.active.values():
-                if m.routable:
-                    requests.append(m)
-        else:
-            for m in self.active.values():
-                if self.routing_eligible(m):
-                    requests.append(m)
+        for m in self.active.values():
+            if self.routing_eligible(m):
+                requests.append(m)
         requests = self._service_order(requests, _PHASE_ALLOC)
         tracker = self.tracker
         tracer = self._obs_tracer
         cycle = self.cycle
         for msg in requests:
-            if msg.stalled:
-                # nothing this header waits on has freed since it last
-                # failed: the attempt would fail identically (and consume
-                # no RNG), so skip it
-                continue
             if msg.needs_reception:
                 rx = self.pool.free_reception(msg.dest)
                 if rx is not None:
@@ -521,8 +407,6 @@ class NetworkSimulator:
                     self.blocked_epoch += 1
                     if tracker is not None:
                         tracker.on_acquire(msg.id, ("rx", msg.dest, rx.index))
-                    if fast:
-                        self._on_acquired(msg)
                 else:
                     if msg.blocked_since is None:
                         msg.blocked_since = cycle
@@ -533,8 +417,6 @@ class NetworkSimulator:
                         tracker.on_block(
                             msg.id, self.pool.reception_request_keys(msg.dest)
                         )
-                    if fast:
-                        self._begin_wait(msg, (("rx", msg.dest),))
                 continue
             candidates = self.route_candidates(msg)
             free = [vc for vc in candidates if vc.owner is None]
@@ -547,8 +429,6 @@ class NetworkSimulator:
                 self.blocked_epoch += 1
                 if tracker is not None:
                     tracker.on_acquire(msg.id, choice.index)
-                if fast:
-                    self._on_acquired(msg)
                 if was_queued:
                     self.active[msg.id] = msg
                     self.stats.on_injected(cycle)
@@ -562,37 +442,24 @@ class NetworkSimulator:
                         )
                 if tracker is not None:
                     tracker.on_block(msg.id, [vc.index for vc in candidates])
-                if fast:
-                    keys = None
-                    if msg.wait_keys is None and not self._uncacheable_routing:
-                        keys = tuple(vc.index for vc in candidates)
-                    self._begin_wait(msg, keys)
 
     def _phase_move(self) -> None:
         link_used = self._link_used
         link_used[:] = self._zero_links
         free_at = self._link_free_at  # None on uniform unit-latency topologies
         latency = self._link_latency
-        fast = self.fast_path
         tracker = self.tracker
         cycle = self.cycle
-        delay = self._router_delay
         order = self._service_order(list(self.active.values()), _PHASE_MOVE)
         finished: list[Message] = []
         torn_down: list[Message] = []
         for msg in order:
-            if msg.immobile:
-                # fully-compressed blocked worm: every owned buffer is full,
-                # so no boundary can advance until a new resource is acquired
-                continue
             vcs = msg.vcs
-            moved = False
             if msg.recovering:
                 msg.teardown_step()  # one flit into the recovery lane
             elif msg.is_draining and vcs and vcs[-1].occupancy > 0:
                 vcs[-1].occupancy -= 1
                 msg.ejected += 1
-                moved = True
             # Head-to-tail boundary pass: each flit advances at most one hop.
             for i in range(len(vcs) - 1, -1, -1):
                 dst = vcs[i]
@@ -617,68 +484,27 @@ class NetworkSimulator:
                 link_used[li] = 1
                 if free_at is not None:
                     free_at[li] = cycle + latency[li]
-                moved = True
                 if i == len(vcs) - 1 and msg.head_arrival is None:
                     msg.head_arrival = cycle  # header reached a new node
-                    if fast and not msg.recovering:
-                        if delay == 0:
-                            msg.routable = True
-                        else:
-                            self._delay_due.append((cycle + delay, msg))
             released = msg.release_drained_tail()
             if released:
                 self.blocked_epoch += 1
-                for vc in released:
-                    if tracker is not None:
+                if tracker is not None:
+                    for vc in released:
                         tracker.on_release(msg.id, vc.index)
-                    if fast:
-                        self._wake(vc.index)
-                if fast and msg.wait_keys is not None:
-                    # the chain shortened: candidate keys that include the
-                    # hop count (misrouting budgets) may now differ, so the
-                    # next attempt must re-derive the awaited set
-                    self._drop_wait_keys(msg)
-                if (
-                    tracker is not None
-                    and msg.blocked_since is not None
-                    and msg.needs_next_vc
-                    and tracker.requests.get(msg.id) is not None
-                ):
-                    # same staleness on the maintained CWG: relations whose
-                    # candidates depend on chain length (misrouting budgets)
-                    # may offer a different set now that the tail drained;
-                    # refresh the dashed arcs so the tracker stays equal to
-                    # a from-scratch rebuild (position-pure relations hit
-                    # the memoized set and the tracker dedupes the no-op)
-                    tracker.on_block(
-                        msg.id,
-                        [vc.index for vc in self.route_candidates(msg)],
-                    )
+                    self._refresh_requests(msg)
             if msg.recovering:
                 if msg.teardown_complete and not msg.vcs:
                     torn_down.append(msg)
             elif msg.ejected == msg.length and msg.is_draining:
                 finished.append(msg)
-            elif fast and not moved and not msg.is_draining and vcs:
-                # Nothing moved: if every owned buffer is also full, the worm
-                # is fully compressed and provably immobile until it acquires
-                # a new resource (which clears the flag).
-                for vc in vcs:
-                    if vc.occupancy < vc.capacity:
-                        break
-                else:
-                    msg.immobile = True
         for msg in finished:
-            rx_node = msg.dest
             msg.finish_delivery(cycle)
             self.active.pop(msg.id)
             self._live.pop(msg.id, None)
             self.blocked_epoch += 1
             if tracker is not None:
                 tracker.on_done(msg.id)
-            if fast:
-                self._end_wait(msg)
-                self._wake(("rx", rx_node))
             self.stats.on_delivered(msg, cycle)
         for msg in torn_down:
             msg.remove_from_network(
@@ -689,9 +515,26 @@ class NetworkSimulator:
             self.blocked_epoch += 1
             if tracker is not None:
                 tracker.on_done(msg.id)
-            if fast:
-                self._end_wait(msg)
             self.stats.on_recovered(msg, cycle)
+
+    def _refresh_requests(self, msg: Message) -> None:
+        """Re-feed a blocked message's dashed arcs after its tail drained.
+
+        Relations whose candidates depend on chain length (misrouting
+        budgets) may offer a different set now that the chain shortened;
+        refreshing keeps the maintained CWG equal to a from-scratch
+        rebuild (position-pure relations hit the memoized set and the
+        tracker dedupes the no-op).  Only called with a tracker present.
+        """
+        tracker = self.tracker
+        if (
+            msg.blocked_since is not None
+            and msg.needs_next_vc
+            and tracker.requests.get(msg.id) is not None
+        ):
+            tracker.on_block(
+                msg.id, [vc.index for vc in self.route_candidates(msg)]
+            )
 
     def _phase_detect(self) -> Optional[DetectionRecord]:
         if self.cycle % self.config.detection_interval != 0:
@@ -780,7 +623,6 @@ class NetworkSimulator:
         self._remove_victim(victim)
 
     def _remove_victim(self, victim: Message) -> None:
-        fast = self.fast_path
         if self._obs_tracer is not None:
             self._obs_tracer.instant(
                 "recovery",
@@ -788,24 +630,15 @@ class NetworkSimulator:
                 teardown=self.config.recovery_teardown,
             )
         if self.config.recovery_teardown == "flit-by-flit":
-            held_rx = victim.reception  # released inside begin_teardown
             victim.begin_teardown()
             self.blocked_epoch += 1
             if self.tracker is not None:
                 # a draining victim no longer requests anything; its owned
                 # channels release progressively via the movement phase
                 self.tracker.on_unblock(victim.id)
-            if fast:
-                victim.routable = False
-                victim.immobile = False
-                self._end_wait(victim)
-                if held_rx is not None:
-                    self._wake(("rx", held_rx.node))
             # completion (and stats) happen in the movement phase as the
             # message drains through the recovery lane
             return
-        owned = [vc.index for vc in victim.vcs]
-        held_rx = victim.reception
         victim.remove_from_network(
             self.cycle, delivered=self.recovery.delivers_victim
         )
@@ -814,12 +647,6 @@ class NetworkSimulator:
         self.blocked_epoch += 1
         if self.tracker is not None:
             self.tracker.on_done(victim.id)
-        if fast:
-            self._end_wait(victim)
-            for index in owned:
-                self._wake(index)
-            if held_rx is not None:
-                self._wake(("rx", held_rx.node))
         self.stats.on_recovered(victim, self.cycle)
 
     # -- driving ------------------------------------------------------------------------
@@ -906,53 +733,4 @@ class NetworkSimulator:
             if vc.owner is not None and vc.owner not in self.active:
                 raise SimulationError(
                     f"VC {vc.index} owned by non-active message {vc.owner}"
-                )
-        if self.fast_path:
-            self._check_activity_state()
-
-    def _check_activity_state(self) -> None:
-        """Fast-path flags must agree with the predicates they cache."""
-        for msg in self.active.values():
-            if msg.routable != self.routing_eligible(msg):
-                raise SimulationError(
-                    f"message {msg.id}: routable flag {msg.routable} "
-                    f"disagrees with routing_eligible"
-                )
-            if (msg.blocked_since is not None) != (msg.id in self._waiting):
-                raise SimulationError(
-                    f"message {msg.id}: waiting-set membership disagrees "
-                    f"with blocked_since={msg.blocked_since}"
-                )
-            if msg.stalled:
-                keys = msg.wait_keys
-                if keys is None:
-                    raise SimulationError(
-                        f"message {msg.id} stalled without wait keys"
-                    )
-                for key in keys:
-                    if isinstance(key, tuple):  # ("rx", node)
-                        if self.pool.free_reception(key[1]) is not None:
-                            raise SimulationError(
-                                f"message {msg.id} stalled on free "
-                                f"reception at node {key[1]}"
-                            )
-                    elif self.pool.vcs[key].owner is None:
-                        raise SimulationError(
-                            f"message {msg.id} stalled on free VC {key}"
-                        )
-            if msg.immobile:
-                if msg.is_draining or msg.recovering:
-                    raise SimulationError(
-                        f"message {msg.id} immobile while draining/recovering"
-                    )
-                for vc in msg.vcs:
-                    if vc.occupancy < vc.capacity:
-                        raise SimulationError(
-                            f"message {msg.id} immobile with slack in "
-                            f"VC {vc.index}"
-                        )
-        for mid in self._waiting:
-            if mid not in self.active:
-                raise SimulationError(
-                    f"waiting set retains non-active message {mid}"
                 )

@@ -1,7 +1,7 @@
 """Structure-of-arrays mirrors of the live network state.
 
 :class:`SoAState` keeps index-mapped array mirrors of the object-model
-state the vectorized engine (:mod:`repro.network.vectorized`) works over:
+state the kernel engine (:mod:`repro.network.kernels`) works over:
 
 * **per-VC columns** — ``vc_owner`` (owning message id, -1 free) and
   ``vc_occupancy`` (buffered flits), parallel to the static columns of

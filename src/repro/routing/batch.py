@@ -1,29 +1,31 @@
-"""Batch candidate lookup tables for position-pure routing relations.
+"""The engine's candidate memo for position-pure routing relations.
 
 Every built-in relation (DOR, TFAR and friends) exposes a
 :meth:`~repro.routing.base.RoutingRelation.cache_key` making its candidate
-set a pure function of message position; the engine memoizes the candidate
-*list* per key.  The vectorized engine additionally needs, per key:
+set a pure function of message position.  :class:`CandidateTable` is the
+one memo every consumer shares — the allocate loops,
+:meth:`NetworkSimulator.route_candidates` and through it the detector's
+CWG rebuild — so a position is routed once per run, not once per reader.
+Per key it holds:
 
-* the candidate VC objects (for the serve loop),
+* the candidate VC objects (for the serve loop), and
 * their global indices as a ready-made tuple (the wait-key registration
   and the incremental tracker's dashed arcs consume exactly this tuple, so
-  neither rebuilds it per blocked attempt), and
-* their link dimensions (the straight-through selection collapse).
+  neither rebuilds it per blocked attempt).
 
-:class:`CandidateTable` builds those entries lazily through the same
-relation calls the scalar path makes — contents are identical by
-construction — and can export the whole table as padded numpy index
-matrices for offline analysis.
+Entries are built lazily through the relation's own ``candidates`` call,
+so contents equal an unmemoized query by construction.  The table can be
+exported as a padded numpy index matrix for offline analysis; numpy is
+imported only there, keeping it out of the default engine's process.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    import numpy as np
+
     from repro.network.channels import ChannelPool
     from repro.network.message import Message
     from repro.network.topology import Topology
@@ -33,7 +35,7 @@ __all__ = ["CandidateTable"]
 
 
 class CandidateTable:
-    """Lazily-built ``cache_key -> (candidates, indices, dims)`` table."""
+    """Lazily-built ``cache_key -> (candidates, indices)`` table."""
 
     def __init__(
         self,
@@ -44,45 +46,47 @@ class CandidateTable:
         self.routing = routing
         self.topology = topology
         self.pool = pool
-        #: per-VC link dimension, plain list for scalar hot-path reads
+        #: per-VC link dimension (the straight-through selection collapse),
+        #: plain list for scalar hot-path reads
         self.vc_dim: list[int] = [vc.link.dim for vc in pool.vcs]
-        self._table: dict = {}
+        #: the memo itself; the engines' serve loops read and fill it
+        #: directly to spare a call per request
+        self.table: dict = {}
 
     def __len__(self) -> int:
-        return len(self._table)
+        return len(self.table)
 
     def lookup(self, message: "Message", node: int) -> Optional[tuple]:
         """``(candidates, index_tuple)`` for the message's position.
 
         Returns None when the relation declines memoization (``cache_key``
-        None) — the caller falls back to a direct relation call, exactly
-        like the scalar engine's ``route_candidates``.
+        None) — the caller falls back to a direct relation call.
         """
         key = self.routing.cache_key(message, node)
         if key is None:
             return None
-        entry = self._table.get(key)
+        entry = self.table.get(key)
         if entry is None:
             cands = self.routing.candidates(
                 message, node, self.topology, self.pool
             )
             entry = (cands, tuple(vc.index for vc in cands))
-            self._table[key] = entry
+            self.table[key] = entry
         return entry
 
-    def as_index_matrix(self) -> tuple[list, np.ndarray]:
+    def as_index_matrix(self) -> "tuple[list, np.ndarray]":
         """The built table as ``(keys, padded index matrix)``.
 
         Row *i* lists the candidate VC indices of ``keys[i]``, right-padded
         with -1.  Offline analysis / observability export; the serve loop
         never touches it.
         """
-        keys = list(self._table)
-        width = max(
-            (len(self._table[k][1]) for k in keys), default=0
-        )
+        import numpy as np
+
+        keys = list(self.table)
+        width = max((len(self.table[k][1]) for k in keys), default=0)
         mat = np.full((len(keys), width), -1, dtype=np.int32)
         for i, k in enumerate(keys):
-            idxs = self._table[k][1]
+            idxs = self.table[k][1]
             mat[i, : len(idxs)] = idxs
         return keys, mat

@@ -1,22 +1,21 @@
 """Deterministic differential fuzzing of the simulator's optimized paths.
 
-The repo carries five pairs of independently-implemented equivalents:
+The repo carries four pairs of independently-implemented equivalents:
 
-* **engine** — the activity-tracked fast path vs the legacy full-rescan
-  engine (``engine_fast_path``),
-* **vectorized** — the structure-of-arrays vectorized core vs the legacy
-  engine (``engine_vectorized``; legacy is the ground truth, so this axis
-  is independent of the fast path's own bookkeeping),
-* **kernels** — the batched array-kernel engine vs the vectorized core
-  (``engine_kernels``; the vectorized engine is the reference here so the
-  axis isolates exactly what the kernel tier adds — its RNG replay,
-  maintained quiescence flags, and batch generate/allocate/move paths),
+* **engine** — the production engine (activity tracking, inline
+  arbitration stream) vs the legacy full-rescan reference
+  (``engine_fast_path``),
+* **kernels** — the batched array-kernel engine vs the production engine
+  (``engine_kernels``; production is the reference here so the axis
+  isolates exactly what the kernel tier adds — its SoA mirrors, RNG
+  replay, maintained quiescence flags, and batch generate/allocate/move
+  paths),
 * **detector** — dirty-region cached detection vs the per-pass global
   analysis (``detector_caching``),
 * **cwg** — the event-maintained :class:`IncrementalCWG` vs a from-scratch
   :meth:`DeadlockDetector.build_cwg` rebuild.
 
-Each pair is documented bit-identical; the hand-written A/B/C suites cover
+Each pair is documented bit-identical; the hand-written equivalence suites cover
 a fixed case matrix.  This module covers the space *between* the hand-picked
 cases: :func:`random_config` draws a seeded random configuration across
 topology / routing / VC / buffer / traffic / detection / recovery space,
@@ -57,15 +56,15 @@ __all__ = [
     "load_artifact",
 ]
 
-#: the five differential axes, in checking order
-AXES = ("engine", "vectorized", "kernels", "detector", "cwg")
+#: the four differential axes, in checking order
+AXES = ("engine", "kernels", "detector", "cwg")
 
 
 @dataclass(frozen=True)
 class FuzzMismatch:
     """One confirmed divergence between paired implementations."""
 
-    axis: str  #: "engine" | "vectorized" | "kernels" | "detector" | "cwg"
+    axis: str  #: "engine" | "kernels" | "detector" | "cwg"
     config: SimulationConfig  #: a configuration reproducing the divergence
     detail: str  #: human-readable description of the first difference
 
@@ -78,7 +77,7 @@ def random_config(rng: random.Random) -> SimulationConfig:
     """One valid random configuration, drawn deterministically from ``rng``.
 
     The draw favours small, saturated, deadlock-prone networks (the
-    interesting regime for all three axes) while sweeping every behavioural
+    interesting regime for every axis) while sweeping every behavioural
     knob the engine and detector branch on.  Every returned configuration
     validates, constructs, and runs in well under a second; draws that hit
     an invalid combination are discarded and redrawn (deterministically —
@@ -182,96 +181,51 @@ def _first_diff(a: dict, b: dict) -> str:
     return "fingerprints differ"
 
 
-# -- the three axes ------------------------------------------------------------------
-def compare_engine(config: SimulationConfig) -> Optional[str]:
-    """Fast-path vs legacy engine; None when bit-identical."""
-    outcomes = {}
-    for fast in (True, False):
-        sim = NetworkSimulator(config.replace(engine_fast_path=fast))
-        result = sim.run()
-        outcomes[fast] = (
-            _result_fingerprint(result),
-            _event_fingerprint(sim.detector.events),
-        )
-    if outcomes[True] == outcomes[False]:
-        return None
-    fast_res, fast_ev = outcomes[True]
-    legacy_res, legacy_ev = outcomes[False]
-    if fast_res != legacy_res:
-        return f"engine fast path diverges: {_first_diff(fast_res, legacy_res)}"
-    return (
-        f"engine fast path deadlock events diverge: "
-        f"{len(fast_ev)} fast vs {len(legacy_ev)} legacy events"
-    )
-
-
-def compare_vectorized(config: SimulationConfig) -> Optional[str]:
-    """SoA vectorized engine vs the legacy engine; None when bit-identical.
-
-    Legacy — not the fast path — is the reference: the vectorized core
-    inherits the fast path's activity flags, so comparing against legacy
-    keeps the implementations maximally independent (and a fault injected
-    into the shared fast-path bookkeeping still diverges here).
-    """
-    outcomes = {}
-    for flags in (
-        dict(engine_fast_path=True, engine_vectorized=True),
-        dict(engine_fast_path=False, engine_vectorized=False),
-    ):
+# -- the axes -------------------------------------------------------------------------
+def _compare_engines(
+    config: SimulationConfig,
+    subject: tuple[str, dict],
+    reference: tuple[str, dict],
+) -> Optional[str]:
+    """Run ``config`` under two ``(name, engine flags)`` selections."""
+    outcomes = []
+    for _name, flags in (subject, reference):
         sim = NetworkSimulator(config.replace(**flags))
         result = sim.run()
-        outcomes[flags["engine_vectorized"]] = (
-            _result_fingerprint(result),
-            _event_fingerprint(sim.detector.events),
+        outcomes.append(
+            (_result_fingerprint(result), _event_fingerprint(sim.detector.events))
         )
-    if outcomes[True] == outcomes[False]:
-        return None
-    vec_res, vec_ev = outcomes[True]
-    legacy_res, legacy_ev = outcomes[False]
-    if vec_res != legacy_res:
+    (sub_res, sub_ev), (ref_res, ref_ev) = outcomes
+    if sub_res != ref_res:
+        return f"{subject[0]} engine diverges: {_first_diff(sub_res, ref_res)}"
+    if sub_ev != ref_ev:
         return (
-            f"vectorized engine diverges: {_first_diff(vec_res, legacy_res)}"
+            f"{subject[0]} engine deadlock events diverge: "
+            f"{len(sub_ev)} {subject[0]} vs {len(ref_ev)} {reference[0]} events"
         )
-    return (
-        f"vectorized engine deadlock events diverge: "
-        f"{len(vec_ev)} vectorized vs {len(legacy_ev)} legacy events"
-    )
+    return None
+
+
+_LEGACY = ("legacy", dict(engine_fast_path=False, engine_kernels=False))
+_PRODUCTION = ("production", dict(engine_fast_path=True, engine_kernels=False))
+_KERNELS = ("kernel", dict(engine_fast_path=True, engine_kernels=True))
+
+
+def compare_engine(config: SimulationConfig) -> Optional[str]:
+    """Production vs legacy engine; None when bit-identical."""
+    return _compare_engines(config, _PRODUCTION, _LEGACY)
 
 
 def compare_kernels(config: SimulationConfig) -> Optional[str]:
-    """Batched kernel engine vs the vectorized core; None when bit-identical.
+    """Batched kernel engine vs production; None when bit-identical.
 
-    The vectorized engine — not legacy — is the reference: the kernel tier
-    stacks on top of the SoA core, and comparing one tier down isolates
-    exactly what the kernels change (batch generate / allocate / move,
-    inline RNG replay, maintained quiescence flags) from everything the
-    vectorized axis already covers.  Legacy coverage is transitive:
-    vectorized ≡ legacy is checked by :func:`compare_vectorized`.
+    Production — not legacy — is the reference: the kernel tier stacks on
+    the production engine's bookkeeping, and comparing one tier down
+    isolates exactly what the kernels change (SoA mirrors, batch generate /
+    allocate / move, maintained quiescence flags) from everything the
+    engine axis already covers.  Legacy coverage is transitive.
     """
-    outcomes = {}
-    for kernels in (True, False):
-        sim = NetworkSimulator(
-            config.replace(
-                engine_fast_path=True,
-                engine_vectorized=True,
-                engine_kernels=kernels,
-            )
-        )
-        result = sim.run()
-        outcomes[kernels] = (
-            _result_fingerprint(result),
-            _event_fingerprint(sim.detector.events),
-        )
-    if outcomes[True] == outcomes[False]:
-        return None
-    kern_res, kern_ev = outcomes[True]
-    vec_res, vec_ev = outcomes[False]
-    if kern_res != vec_res:
-        return f"kernel engine diverges: {_first_diff(kern_res, vec_res)}"
-    return (
-        f"kernel engine deadlock events diverge: "
-        f"{len(kern_ev)} kernels vs {len(vec_ev)} vectorized events"
-    )
+    return _compare_engines(config, _KERNELS, _PRODUCTION)
 
 
 def compare_detector(config: SimulationConfig) -> Optional[str]:
@@ -317,7 +271,6 @@ def compare_cwg(config: SimulationConfig) -> Optional[str]:
 
 _AXIS_CHECKS: dict[str, Callable[[SimulationConfig], Optional[str]]] = {
     "engine": compare_engine,
-    "vectorized": compare_vectorized,
     "kernels": compare_kernels,
     "detector": compare_detector,
     "cwg": compare_cwg,

@@ -1,7 +1,7 @@
 """Exhaustive small-config model-checking oracle for the knot detector.
 
 The differential fuzzer (:mod:`repro.validation.differential`) checks that
-the four engine tiers agree with *each other*; nothing yet checks that what
+the three engines agree with *each other*; nothing yet checks that what
 they agree on is *correct*.  This module closes that gap for configurations
 small enough to enumerate completely: it explores **every reachable state**
 of a generation-capped simulation across **all nondeterministic branches**
@@ -688,13 +688,15 @@ def load_witness(path: Path | str) -> dict:
     return payload
 
 
-#: production-shape overrides for witness replay: the fast scalar engine
+#: production-shape overrides for witness replay: the production engine
 #: with incremental CWG maintenance and dirty-region detector caching —
 #: the exact machinery the oracle pins *out* of enumeration, exercised
-#: here against recorded oracle truth.  (The vectorized/kernel tiers
-#: reproduce raw RNG word streams inline and cannot follow a scripted
-#: choice stream; their equivalence is covered by the differential
-#: fuzzer.)
+#: here against recorded oracle truth.  The production loops inline
+#: ``random.Random``'s word stream only when the RNG is exactly that
+#: type, so under the scripted ``ChoiceRandom`` they follow the recorded
+#: choice stream through ``rng.shuffle`` / ``selection.choose``.  (The
+#: kernel tier draws raw words unconditionally and cannot; its
+#: equivalence is covered by the differential fuzzer.)
 _PRODUCTION_OVERRIDES = dict(
     engine_fast_path=True,
     cwg_maintenance="incremental",
@@ -718,9 +720,9 @@ def replay_witness(payload: dict, production: bool = False) -> ReplayResult:
 
     ``production=False`` replays on the oracle's pinned legacy engine —
     this must reproduce the recorded digests exactly (it is the engine the
-    witness was derived on).  ``production=True`` replays on the fast-path
-    scalar engine with incremental CWG maintenance and detector caching:
-    the state digests must still match cycle-for-cycle (the tiers are
+    witness was derived on).  ``production=True`` replays on the production
+    engine with incremental CWG maintenance and detector caching:
+    the state digests must still match cycle-for-cycle (the engines are
     bit-identical) and the replay engine's *own* detector verdict must
     match the recorded full-pass reference at every step — this is the
     teeth-mode subject, where an armed bookkeeping fault surfaces as a

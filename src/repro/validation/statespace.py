@@ -26,8 +26,8 @@ state space of a generation-capped configuration is finite.
 Restoration always targets the legacy engine (``engine_fast_path=False``):
 it derives eligibility and waiting state by scanning, so a restored
 simulator needs no reconstruction of the fast path's wake index or
-activity flags.  Because all four engine tiers are bit-identical, successor
-sets enumerated on the legacy engine are ground truth for every tier.
+activity flags.  Because all three engines are bit-identical, successor
+sets enumerated on the legacy engine are ground truth for every engine.
 """
 
 from __future__ import annotations

@@ -144,27 +144,6 @@ def test_golden_trace(name):
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_golden_trace_vectorized_engine(name):
-    """The vectorized engine reproduces the committed digests verbatim.
-
-    Same scenarios, same goldens, no separate blessing: the SoA core is
-    required to be bit-identical, so it must hash to the exact digests
-    the scalar engine committed.
-    """
-    goldens = load_goldens()
-    if os.environ.get(BLESS_ENV) == "1" or name not in goldens:
-        pytest.skip("no committed golden (blessing runs the default engine)")
-    cfg = SCENARIOS[name].replace(engine_vectorized=True)
-    sim = NetworkSimulator(cfg)
-    result = sim.run()
-    digest = digest_of(canonical_trace(sim, result))
-    assert digest == goldens[name]["digest"], (
-        f"vectorized engine diverged from golden trace {name!r}: "
-        f"{digest[:16]}… != committed {goldens[name]['digest'][:16]}…"
-    )
-
-
-@pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_golden_trace_kernel_engine(name):
     """The kernel engine reproduces the committed digests verbatim.
 
@@ -175,9 +154,7 @@ def test_golden_trace_kernel_engine(name):
     goldens = load_goldens()
     if os.environ.get(BLESS_ENV) == "1" or name not in goldens:
         pytest.skip("no committed golden (blessing runs the default engine)")
-    cfg = SCENARIOS[name].replace(
-        engine_vectorized=True, engine_kernels=True
-    )
+    cfg = SCENARIOS[name].replace(engine_kernels=True)
     sim = NetworkSimulator(cfg)
     result = sim.run()
     digest = digest_of(canonical_trace(sim, result))

@@ -4,10 +4,9 @@ One pinned, fully deterministic scenario per new topology class —
 torus3d with a slow TSV dimension, mesh3d, dragonfly under minimal
 routing, full mesh under 2-hop misrouting — digested exactly like the
 k-ary n-cube goldens in :mod:`tests.golden.test_golden_traces` and
-compared against ``topology_golden_digests.json``.  The zoo runs on the
-legacy/fast-path engines only (the vectorized tiers are config-gated),
-so there are no per-engine variants here; the fast path IS the default
-engine and is what these digests pin.
+compared against ``topology_golden_digests.json``.  Every digest is
+asserted on the default (production) engine and on the legacy reference;
+only the kernel tier is config-gated off the zoo.
 
 Re-bless after an intentional, reviewed semantic change with:
 
@@ -73,8 +72,8 @@ SCENARIOS = {
 }
 
 
-def run_scenario(name: str) -> tuple[str, dict]:
-    sim = NetworkSimulator(SCENARIOS[name])
+def run_scenario(name: str, **flags) -> tuple[str, dict]:
+    sim = NetworkSimulator(SCENARIOS[name].replace(**flags))
     result = sim.run()
     trace = canonical_trace(sim, result)
     return digest_of(trace), trace
@@ -113,6 +112,20 @@ def test_topology_golden_trace(name):
         f"committed deadlocks={expected['deadlocks']} "
         f"delivered={expected['delivered']} events={expected['events']}). "
         f"Re-bless only for an intentional, reviewed semantic change."
+    )
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_topology_golden_trace_legacy_engine(name):
+    """The legacy reference hashes to the digests the default engine
+    committed: the zoo is bit-identical across both."""
+    goldens = load_goldens()
+    if os.environ.get(BLESS_ENV) == "1" or name not in goldens:
+        pytest.skip("no committed golden (blessing runs the default engine)")
+    digest, _ = run_scenario(name, engine_fast_path=False)
+    assert digest == goldens[name]["digest"], (
+        f"legacy engine diverged from topology golden {name!r}: "
+        f"{digest[:16]}… != committed {goldens[name]['digest'][:16]}…"
     )
 
 

@@ -1,35 +1,41 @@
-"""A/B/C/D equivalence: all four engine cores are bit-identical.
+"""Legacy / production / kernels equivalence: all three engines are
+bit-identical.
 
-``engine_fast_path`` restructures the engine's hot loops around
-incrementally-maintained activity state (routable flags, a stalled-message
-wake index, immobile-worm skipping, detection short-circuiting on the
-blocked epoch); ``engine_vectorized`` additionally rebuilds the hot phases
-over structure-of-arrays mirrors, batch candidate tables and an inline
-arbitration RNG stream.  All of it is pure optimization: with the same
-seed, the legacy, fast-path and vectorized engines must produce the
-**same** :class:`RunResult` fields and the **same** sequence of
-:class:`DeadlockEvent`\\ s.
+The production engine (``engine_fast_path``, the default) restructures the
+hot loops around incrementally-maintained activity state (routable flags, a
+stalled-message wake index, immobile-worm skipping, detection
+short-circuiting on the blocked epoch), a position-keyed candidate table
+and an inline arbitration RNG stream; the kernel tier (``engine_kernels``)
+additionally batches phase construction over structure-of-arrays mirrors.
+All of it is pure optimization: with the same seed, every engine must
+produce the **same** :class:`RunResult` fields and the **same** sequence of
+:class:`DeadlockEvent`\\ s as the legacy reference.
 
-Every case runs the identical configuration three times — legacy, fast
-path, vectorized — and compares everything except the config object
-itself.  Cases cover the
-matrix the engine branches on: DOR/TFAR (plus the misrouting variant whose
-candidate sets change as a blocked message's tail drains), uni- and
+Every case runs the identical configuration once per engine that accepts
+it and compares everything except the config object itself.  Cases cover
+the matrix the engine branches on: DOR/TFAR (plus the misrouting variant
+whose candidate sets change as a blocked message's tail drains), uni- and
 bidirectional tori, 1–4 VCs, wormhole and virtual cut-through switching,
 knot and timeout detection, both CWG maintenance modes, both recovery
 teardown styles, router pipeline delay, multiple reception channels, and
-all three arbitration policies.
+all three arbitration policies — plus the topology zoo (3D torus with a
+slow TSV dimension, 3D mesh, dragonfly, full mesh), which the production
+engine runs and the kernel tier rejects.
 
 Several cases run with ``check_invariants=True``: the simulator then also
 asserts every cycle that the maintained flags (``routable``, ``stalled``,
-``immobile``, the waiting set) agree with the predicates they cache.
+``immobile``, the waiting set) agree with the predicates they cache.  The
+zoo cases run at ``validation_level=2``, the full runtime battery (flit
+conservation, channel exclusivity, worm contiguity, activity coherence
+incl. the wake index, incremental CWG) every cycle.
 """
 
 import dataclasses
 
 import pytest
 
-from repro.config import tiny_default
+from repro.config import SimulationConfig, tiny_default
+from repro.errors import ConfigurationError
 from repro.network.simulator import NetworkSimulator
 
 
@@ -56,32 +62,32 @@ def _event_keys(sim):
 
 
 ENGINES = {
-    "legacy": dict(engine_fast_path=False, engine_vectorized=False),
-    "fast": dict(engine_fast_path=True, engine_vectorized=False),
-    "vectorized": dict(engine_fast_path=True, engine_vectorized=True),
-    "kernels": dict(
-        engine_fast_path=True, engine_vectorized=True, engine_kernels=True
-    ),
+    "legacy": dict(engine_fast_path=False),
+    "production": dict(engine_fast_path=True),
+    "kernels": dict(engine_fast_path=True, engine_kernels=True),
 }
+
+
+def _run_engines(cfg, engines=tuple(ENGINES)):
+    out = {}
+    for name in engines:
+        sim = NetworkSimulator(cfg.replace(**ENGINES[name]))
+        result = sim.run()
+        out[name] = (sim, result)
+    return out
 
 
 def _run_pair(**overrides):
     params = dict(measure_cycles=1500, warmup_cycles=100, seed=7)
     params.update(overrides)
-    cfg = tiny_default(**params)
-    out = {}
-    for name, flags in ENGINES.items():
-        sim = NetworkSimulator(cfg.replace(**flags))
-        result = sim.run()
-        out[name] = (sim, result)
-    return out
+    return _run_engines(tiny_default(**params))
 
 
 def _assert_identical(runs):
     legacy_sim, legacy_result = runs["legacy"]
     legacy_fields = _result_fields(legacy_result)
     legacy_events = _event_keys(legacy_sim)
-    for name in ("fast", "vectorized", "kernels"):
+    for name in runs:
         sim, result = runs[name]
         assert _result_fields(result) == legacy_fields, name
         assert _event_keys(sim) == legacy_events, name
@@ -171,6 +177,73 @@ def test_fast_path_bit_identical(name):
     _assert_identical(_run_pair(**overrides))
 
 
+_ZOO_COMMON = dict(
+    num_vcs=1,
+    message_length=8,
+    detection_interval=25,
+    max_cycles_counted=2_000,
+    warmup_cycles=50,
+    measure_cycles=500,
+    seed=11,
+    validation_level=2,
+)
+
+#: topology-zoo rows: legacy vs production (the kernel tier rejects them)
+ZOO_CASES = {
+    "torus3d_tsv": dict(
+        topology="torus3d",
+        dims=(4, 3, 2),
+        link_latencies=(1, 1, 4),
+        routing="dor",
+        load=2.0,
+    ),
+    "mesh3d": dict(topology="mesh3d", dims=(3, 3, 2), routing="dor", load=1.5),
+    "dragonfly_min": dict(
+        topology="dragonfly", dims=(3, 1, 1), routing="df-min", load=2.0
+    ),
+    "dragonfly_valiant": dict(
+        topology="dragonfly",
+        dims=(3, 1, 1),
+        routing="df-val",
+        num_vcs=2,
+        load=1.5,
+        cwg_maintenance="incremental",
+    ),
+    "fullmesh_2hop": dict(
+        topology="fullmesh", dims=(8,), routing="fm-2hop", load=1.5
+    ),
+    "torus3d_tsv_router_delay": dict(
+        topology="torus3d",
+        dims=(4, 2, 2),
+        link_latencies=(1, 1, 3),
+        routing="dor",
+        load=2.0,
+        router_delay=2,
+        recovery_teardown="flit-by-flit",
+    ),
+    "dragonfly_round_robin": dict(
+        topology="dragonfly",
+        dims=(3, 1, 1),
+        link_latencies=(1, 2),
+        routing="df-min",
+        load=2.0,
+        arbitration="round-robin",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ZOO_CASES))
+def test_zoo_production_bit_identical(name):
+    cfg = SimulationConfig(**{**_ZOO_COMMON, **ZOO_CASES[name]})
+    runs = _run_engines(cfg, ("legacy", "production"))
+    _assert_identical(runs)
+    # the maintained activity state was actually in play
+    stats = runs["production"][0].vec_stats()
+    assert stats["stall_skips"] > 0 and stats["immobile_skips"] > 0
+    with pytest.raises(ConfigurationError):
+        cfg.replace(**ENGINES["kernels"]).validate()
+
+
 def test_fast_path_identical_across_seeds():
     """Sweep seeds on the most deadlock-prone configuration."""
     for seed in (1, 2, 3):
@@ -190,7 +263,7 @@ def test_detection_records_match():
     pair = _run_pair(
         routing="tfar", load=0.9, cwg_maintenance="incremental"
     )
-    fast_records = pair["vectorized"][0].detector.records
+    fast_records = pair["production"][0].detector.records
     legacy_records = pair["legacy"][0].detector.records
     assert len(fast_records) == len(legacy_records)
     for fr, lr in zip(fast_records, legacy_records):
@@ -203,51 +276,49 @@ def test_detection_records_match():
 
 
 def test_fast_path_is_default():
+    from repro.network.production import ProductionEngine
+
     cfg = tiny_default()
     assert cfg.engine_fast_path is True
     sim = NetworkSimulator(cfg)
+    assert type(sim) is ProductionEngine
     assert sim.fast_path is True
+    legacy = NetworkSimulator(cfg.replace(engine_fast_path=False))
+    assert type(legacy) is NetworkSimulator
 
 
 def test_vectorized_is_opt_in():
-    """The vectorized core is flag-gated and dispatched transparently."""
-    from repro.network.vectorized import VectorizedEngine
-
-    cfg = tiny_default()
+    """``engine_vectorized`` is a deprecated no-op alias: still off by
+    default, still accepted, and it selects the same production engine."""
+    cfg = tiny_default(measure_cycles=300)
     assert cfg.engine_vectorized is False
-    assert type(NetworkSimulator(cfg)) is NetworkSimulator
-
-    vec = NetworkSimulator(cfg.replace(engine_vectorized=True))
-    assert type(vec) is VectorizedEngine
-    assert isinstance(vec, NetworkSimulator)
+    plain = NetworkSimulator(cfg)
+    aliased = NetworkSimulator(cfg.replace(engine_vectorized=True))
+    assert type(aliased) is type(plain)
+    assert _result_fields(aliased.run()) == _result_fields(plain.run())
 
 
 def test_vectorized_requires_fast_path():
-    from repro.errors import ConfigurationError
-
     cfg = tiny_default(engine_vectorized=True, engine_fast_path=False)
     with pytest.raises(ConfigurationError):
         NetworkSimulator(cfg)
 
 
 def test_kernels_is_opt_in():
-    """The kernel tier is flag-gated and dispatched transparently."""
+    """The kernel tier is flag-gated — ``engine_kernels`` alone selects
+    it — and dispatched transparently."""
     from repro.network.kernels import KernelEngine
-    from repro.network.vectorized import VectorizedEngine
+    from repro.network.production import ProductionEngine
 
     cfg = tiny_default()
     assert cfg.engine_kernels is False
 
-    kern = NetworkSimulator(
-        cfg.replace(engine_vectorized=True, engine_kernels=True)
-    )
+    kern = NetworkSimulator(cfg.replace(engine_kernels=True))
     assert type(kern) is KernelEngine
-    assert isinstance(kern, VectorizedEngine)
+    assert isinstance(kern, ProductionEngine)
 
 
-def test_kernels_requires_vectorized():
-    from repro.errors import ConfigurationError
-
-    cfg = tiny_default(engine_kernels=True, engine_vectorized=False)
+def test_kernels_requires_fast_path():
+    cfg = tiny_default(engine_kernels=True, engine_fast_path=False)
     with pytest.raises(ConfigurationError):
         NetworkSimulator(cfg)

@@ -1,6 +1,6 @@
 """SoAState mirror round-trips: as_arrays() projections and verify().
 
-The vectorized/kernel engines trust the SoA mirrors completely — a stale
+The kernel engine trusts its SoA mirrors completely — a stale
 row silently changes arbitration, so these tests pin (a) that
 ``as_arrays()`` is a faithful, uniformly-numpy projection of the live
 state, (b) that ``verify()`` passes against the object model throughout a
@@ -24,8 +24,7 @@ def _saturated_sim():
         warmup_cycles=0,
         measure_cycles=300,
         seed=11,
-        engine_fast_path=True,
-        engine_vectorized=True,
+        engine_kernels=True,
     )
     return NetworkSimulator(cfg)
 

@@ -1,6 +1,6 @@
 """Property tests: the SoA mirrors always agree with the object model.
 
-The vectorized engine *push*-maintains :class:`repro.network.soa.SoAState`
+The kernel engine *push*-maintains :class:`repro.network.soa.SoAState`
 inline at every state transition instead of deriving it per cycle, so the
 mirrors are exactly as correct as the transition coverage.  These tests
 drive randomized simulations through every transition class — generation,
@@ -16,15 +16,15 @@ import pytest
 
 from repro.config import tiny_default
 from repro.network.simulator import NetworkSimulator
-from repro.network.vectorized import VectorizedEngine
+from repro.network.kernels import KernelEngine
 
 
-def _vec(**overrides):
+def _kern(**overrides):
     params = dict(
         measure_cycles=400,
         warmup_cycles=0,
         cwg_maintenance="incremental",
-        engine_vectorized=True,
+        engine_kernels=True,
     )
     params.update(overrides)
     return NetworkSimulator(tiny_default(**params))
@@ -69,8 +69,8 @@ SCENARIOS = {
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_mirrors_agree_every_cycle(name):
-    sim = _vec(**SCENARIOS[name])
-    assert type(sim) is VectorizedEngine
+    sim = _kern(**SCENARIOS[name])
+    assert type(sim) is KernelEngine
     _drive_verified(sim, 400)
     # the run exercised the transitions the mirrors shadow
     assert sim.stats._result.delivered > 0
@@ -78,7 +78,7 @@ def test_mirrors_agree_every_cycle(name):
 
 def test_victim_removal_recycles_slots():
     """Recovery compaction goes through the free list, not row shifts."""
-    sim = _vec(routing="dor", load=1.0, num_vcs=1, seed=3)
+    sim = _kern(routing="dor", load=1.0, num_vcs=1, seed=3)
     _drive_verified(sim, 500)
     soa = sim.soa
     assert sim.stats._result.recovered + sim.stats._result.aborted > 0, \
@@ -92,7 +92,7 @@ def test_victim_removal_recycles_slots():
 
 def test_slot_stable_for_message_lifetime():
     """A message keeps one slot from creation to completion."""
-    sim = _vec(routing="tfar", load=0.8, num_vcs=2, seed=7)
+    sim = _kern(routing="tfar", load=0.8, num_vcs=2, seed=7)
     pinned: dict[int, int] = {}
     for _ in range(300):
         sim.step()
@@ -106,7 +106,7 @@ def test_slot_stable_for_message_lifetime():
 
 def test_as_arrays_matches_object_model():
     """The uniform numpy export equals a from-scratch object-model scan."""
-    sim = _vec(routing="tfar", load=1.0, num_vcs=1, seed=19)
+    sim = _kern(routing="tfar", load=1.0, num_vcs=1, seed=19)
     for _ in range(250):
         sim.step()
     arrays = sim.soa.as_arrays()
@@ -137,5 +137,5 @@ def test_randomized_config_sweep():
             recovery_teardown=rng.choice(["instant", "flit-by-flit"]),
             seed=rng.randrange(1, 10_000),
         )
-        sim = _vec(**overrides)
+        sim = _kern(**overrides)
         _drive_verified(sim, 250)

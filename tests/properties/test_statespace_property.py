@@ -5,12 +5,14 @@ the enumerated successor relation actually contains real trajectories:
 every cycle a genuinely-seeded simulator executes must step between two
 states the enumerator connects.  This property closes the loop between the
 scripted branch points of :mod:`repro.validation.statespace` (which claim
-to cover *all* RNG draws) and the unmodified engines — on all four tiers,
+to cover *all* RNG draws) and the unmodified engines — on all three tiers,
 since a tier whose trajectory ever left the graph would be making a draw
 the oracle's branch model does not know about.
 """
 
 from __future__ import annotations
+
+import random
 
 import pytest
 
@@ -20,23 +22,15 @@ from repro.validation.statespace import (
     CanonicalState,
     oracle_config,
     snapshot_state,
+    step_with_script,
     successors,
 )
 
-#: engine-tier flag sets, mirroring the differential fuzzer's axes
+#: engine flag sets, mirroring the differential fuzzer's axes
 TIERS = {
-    "legacy": dict(
-        engine_fast_path=False, engine_vectorized=False, engine_kernels=False
-    ),
-    "fast-path": dict(
-        engine_fast_path=True, engine_vectorized=False, engine_kernels=False
-    ),
-    "vectorized": dict(
-        engine_fast_path=True, engine_vectorized=True, engine_kernels=False
-    ),
-    "kernels": dict(
-        engine_fast_path=True, engine_vectorized=True, engine_kernels=True
-    ),
+    "legacy": dict(engine_fast_path=False, engine_kernels=False),
+    "fast-path": dict(engine_fast_path=True, engine_kernels=False),
+    "kernels": dict(engine_fast_path=True, engine_kernels=True),
 }
 
 #: tiny configurations with distinct branch-point mixes: deterministic
@@ -102,7 +96,7 @@ def test_all_tiers_agree_on_the_trajectory(tier):
     The oracle enumerates on the legacy engine only; this pins that a
     capped-generation tiny config follows the *same* canonical state
     sequence on every tier (the property that makes legacy-enumerated
-    graphs ground truth for all four).
+    graphs ground truth for all three).
     """
     base = CONFIGS["ring"].replace(seed=11)
     run_config = oracle_config(base).replace(**TIERS[tier])
@@ -117,6 +111,44 @@ def test_all_tiers_agree_on_the_trajectory(tier):
         legacy.step()
     reference = snapshot_state(legacy)
     assert trajectory[-1] == reference
+
+
+@pytest.mark.parametrize("selection", ["lowest", "random", "straight"])
+def test_scripted_trajectory_on_production_matches_legacy(selection):
+    """A scripted choice stream drives the production engine through the
+    same states as the legacy reference, digest for digest.
+
+    The production loops inline ``random.Random``'s word stream only when
+    the RNG *is* a ``random.Random``; under the oracle's ``ChoiceRandom``
+    they must take ``rng.shuffle`` / ``selection.choose`` and hit the same
+    decision points in the same order (equal trails), or witness replay on
+    the production engine would follow a different branch than recorded.
+    """
+    from repro.network.production import ProductionEngine
+
+    base = oracle_config(
+        CONFIGS["ring-random-arb"].replace(
+            num_vcs=2, selection=selection, max_messages=8
+        )
+    )
+    legacy = NetworkSimulator(base)
+    production = NetworkSimulator(base.replace(engine_fast_path=True))
+    assert type(legacy) is NetworkSimulator
+    assert type(production) is ProductionEngine
+    script_rng = random.Random(5)
+    decisions = 0
+    for _ in range(40):
+        # every recorded decision has >= 2 options, so {0, 1} always fits
+        script = [script_rng.randrange(2) for _ in range(64)]
+        legacy_trail = step_with_script(legacy, script).trail
+        production_trail = step_with_script(production, script).trail
+        assert production_trail == legacy_trail
+        assert (
+            snapshot_state(production).digest()
+            == snapshot_state(legacy).digest()
+        ), f"state diverged at cycle {legacy.cycle}"
+        decisions += len(legacy_trail)
+    assert decisions > 30, "scripts never reached a real branch point"
 
 
 def test_successor_sets_are_path_independent():

@@ -159,19 +159,8 @@ def test_artifact_roundtrip(tmp_path):
     assert dataclasses.asdict(config) == dataclasses.asdict(SATURATED)
 
 
-def test_axes_are_the_documented_five():
-    assert AXES == ("engine", "vectorized", "kernels", "detector", "cwg")
-
-
-def test_skip_wake_is_caught_by_vectorized_axis(monkeypatch):
-    """The vectorized axis compares against legacy, so a fast-path fault
-    shared by both optimized engines still diverges here."""
-    monkeypatch.setenv(ENV_VAR, "skip-wake")
-    mismatches = check_config(SATURATED, axes=("vectorized",))
-    assert mismatches, (
-        "skip-wake fault was not detected by the vectorized axis"
-    )
-    assert mismatches[0].axis == "vectorized"
+def test_axes_are_the_documented_four():
+    assert AXES == ("engine", "kernels", "detector", "cwg")
 
 
 def test_skip_immobile_clear_is_caught_by_kernels_axis(monkeypatch):
@@ -179,7 +168,7 @@ def test_skip_immobile_clear_is_caught_by_kernels_axis(monkeypatch):
 
     The fault leaves ``KernelEngine._all_immobile`` raised after the
     wake-up events that should lower it, so once the ring wedges globally
-    the faulty engine never moves another flit while the vectorized
+    the faulty engine never moves another flit while the production
     reference drains the recovery — the kernels axis must report that
     divergence.
     """
@@ -198,7 +187,7 @@ def test_skip_immobile_clear_does_not_trip_other_axes(monkeypatch):
     axis is the *necessary* net for this class of bug, not a redundant
     one."""
     monkeypatch.setenv(ENV_VAR, "skip-immobile-clear")
-    mismatches = check_config(RING, axes=("engine", "vectorized"))
+    mismatches = check_config(RING, axes=("engine", "detector", "cwg"))
     assert mismatches == [], (
         "skip-immobile-clear leaked into non-kernel axes: "
         f"{[m.axis for m in mismatches]}"
