@@ -9,12 +9,17 @@
 #    cycles/sec regressed >20% against the committed BENCH_core.json
 #    (or when the default engine's speedup fell below its 5x acceptance
 #    bar or the kernel engine below its 10x bar on the saturated scenario,
-#    or the default engine reads slower than the fast path it replaced);
+#    or the default engine reads slower than the fast path it replaced, or
+#    the as-shipped census pass is not >=1.5x faster than the frozen cost
+#    it had before the detector's contracted pipeline became the default);
 #    on failure the per-phase time breakdown is printed alongside the
 #    committed one so the regressing phase is visible at a glance;
 # 4. runs the observability smoke gate: a pinned traced scenario whose
 #    exported Chrome/JSONL traces must parse with the expected span names,
-#    plus the <=10% overhead bound for obs_level=1 (scripts/obs_smoke.py);
+#    plus the <=10% overhead bound for obs_level=1 and the <=100% phase
+#    share check, which also requires the default config's profile to carry
+#    the detector's detect/knots + detect/census phases
+#    (scripts/obs_smoke.py);
 # 5. runs the engine equivalence gate: the legacy / production / kernels
 #    bit-identity suite (k-ary n-cubes on all three, the topology zoo on
 #    legacy vs production), the kernel tier's SoA mirror property and

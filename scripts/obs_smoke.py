@@ -22,6 +22,9 @@ Two checks, both deterministic apart from wall-clock noise:
    nests the detector's ``detect/*`` accounting inside ``engine/detect``,
    so a naive (inclusive) share split double-counts that time — this check
    pins the exclusive-self-time accounting that keeps the rollup honest.
+   The same check runs on the pinned scenario's *default-config* profile
+   (rebuild maintenance + detector caching), which must carry the
+   contracted pipeline's ``detect/knots`` and ``detect/census`` phases.
 
 Exit status 0 = all checks pass.
 """
@@ -50,6 +53,9 @@ REQUIRED_SPANS = {
 }
 #: instant names the saturated pinned scenario must produce
 REQUIRED_INSTANTS = {"block", "wake"}
+#: profiler phases the as-shipped detector pass must book (self-timed, so
+#: they appear in the phase profile, not as trace spans)
+REQUIRED_DETECT_PHASES = {"detect/knots", "detect/census"}
 
 OVERHEAD_LIMIT = 0.10  #: max fractional slowdown allowed for obs_level=1
 
@@ -184,28 +190,43 @@ def check_phase_shares(verbose: bool = True) -> list[str]:
     that "sums to 122%" reads as free speedup hiding somewhere).
     """
     sys.path.insert(0, str(REPO_ROOT / "scripts"))
-    from bench_baseline import _phase_breakdown
+    from bench_baseline import _phase_breakdown, _phase_rows
 
-    breakdown = _phase_breakdown()
-    phases = breakdown["phases"]
-    total = sum(rec["share_pct"] for rec in phases.values())
-    if verbose:
-        print(
-            f"phase-share check: {len(phases)} phases, "
-            f"shares sum to {total:.1f}%"
+    default_sim = NetworkSimulator(_trace_scenario().replace(obs_level=1))
+    default_sim.run()
+    profiles = {
+        "phase_breakdown": _phase_breakdown()["phases"],
+        "default-config profile": _phase_rows(
+            default_sim.obs.profiler.snapshot()
+        ),
+    }
+    problems: list[str] = []
+    missing = REQUIRED_DETECT_PHASES - set(profiles["default-config profile"])
+    if missing:
+        problems.append(
+            f"default-config profile is missing detector phases "
+            f"{sorted(missing)}: the as-shipped pass no longer runs the "
+            "contracted pipeline"
         )
-    # each share_pct row is rounded to 1 decimal, so the sum can honestly
-    # exceed 100 by up to 0.05 per row — anything beyond that is real
-    # double-counting
-    if total > 100.0 + 0.05 * len(phases):
-        return [
-            f"phase_breakdown shares sum to {total:.1f}% (> 100%): "
-            "nested phases are being double-counted instead of reported "
-            "as exclusive self-time"
-        ]
-    if not any(rec["share_pct"] for rec in phases.values()):
-        return ["phase_breakdown recorded no nonzero phase shares"]
-    return []
+    for label, phases in profiles.items():
+        total = sum(rec["share_pct"] for rec in phases.values())
+        if verbose:
+            print(
+                f"phase-share check ({label}): {len(phases)} phases, "
+                f"shares sum to {total:.1f}%"
+            )
+        # each share_pct row is rounded to 1 decimal, so the sum can
+        # honestly exceed 100 by up to 0.05 per row — anything beyond that
+        # is real double-counting
+        if total > 100.0 + 0.05 * len(phases):
+            problems.append(
+                f"{label} shares sum to {total:.1f}% (> 100%): "
+                "nested phases are being double-counted instead of reported "
+                "as exclusive self-time"
+            )
+        if not any(rec["share_pct"] for rec in phases.values()):
+            problems.append(f"{label} recorded no nonzero phase shares")
+    return problems
 
 
 def main() -> int:

@@ -83,11 +83,14 @@ class SimulationConfig:
     recovery_teardown: str = "instant"  #: "instant" or "flit-by-flit"
     count_cycles: bool = True  #: enumerate CWG cycles at each detection?
     max_cycles_counted: int = 50_000  #: cap on cycle enumeration per detection
-    #: dirty-region detector caching: partition the CWG into weakly-connected
-    #: regions and re-run SCC/knot/census analysis only on regions touched
-    #: since the last pass (needs ``cwg_maintenance="incremental"``; a no-op
-    #: otherwise).  Bit-identical records to the uncached full pass; off
-    #: selects the legacy per-pass global analysis for A/B tests.
+    #: the detector's contracted analysis pipeline: chain-contract the CWG,
+    #: one SCC decomposition shared by the knot test and the cycle census,
+    #: each SCC re-contracted before enumeration.  Under
+    #: ``cwg_maintenance="incremental"`` it additionally runs per
+    #: weakly-connected region and re-analyses only regions touched since
+    #: the last pass; under ``"rebuild"`` it runs once over the whole CWG.
+    #: Bit-identical records to the uncached pass; off selects the plain
+    #: global Tarjan + uncontracted Johnson reference for A/B tests.
     detector_caching: bool = True
     record_blocked_durations: bool = False  #: keep per-message blocked times
 

@@ -27,15 +27,23 @@ summing yields the exact same ``CycleCount`` as one global enumeration.
 The dirty-region detector relies on this to merge cached per-region
 censuses.
 
-For the detector's cached path, :func:`contract_graph` collapses
-*pass-through* vertices — in-degree 1, out-degree 1, no self-loop — into
-multigraph arcs between the remaining branch vertices.  A CWG is mostly
-unbranched ownership chains, so this shrinks the graph several-fold while
-preserving the simple-cycle count exactly: every original simple cycle
-corresponds 1:1 to either a contracted-multigraph cycle (parallel arcs
-counting separately) or a *ring* of pure pass-through vertices.
-:func:`count_cycles_contracted` exploits that for an identical-but-faster
-census.
+For the detector's pipeline (every pass of the default configuration),
+:func:`contract_graph` collapses *pass-through* vertices — in-degree 1,
+out-degree 1, no self-loop — into multigraph arcs between the remaining
+branch vertices.  A CWG is mostly unbranched ownership chains, so this
+shrinks the graph several-fold while preserving the simple-cycle count
+exactly: every original simple cycle corresponds 1:1 to either a
+contracted-multigraph cycle (parallel arcs counting separately) or a
+*ring* of pure pass-through vertices.  :func:`count_cycles_contracted`
+exploits that for an identical-but-faster census, and applies the same
+contraction once more inside each non-trivial SCC: with the arcs that
+leave the component gone, most of its members are pass-through again.
+
+:func:`count_simple_cycles` / :func:`enumerate_simple_cycles` stay plain
+and uncontracted on purpose — they are the from-scratch reference the
+pipeline is checked against (property tests, the differential fuzzer's
+``detector`` axis, the oracle's per-state census check) and share only the
+Johnson kernel with it.
 """
 
 from __future__ import annotations
@@ -76,37 +84,36 @@ class _Budget:
 
 
 def _johnson_scc(
-    adj: Mapping[int, Sequence[int]],
-    vertices: list[int],
+    adj: Mapping[Vertex, Sequence[Vertex]],
+    vertices: Sequence[Vertex],
     budget: _Budget,
-    collect: list[list[int]] | None,
+    collect: list[list[Vertex]] | None,
 ) -> int:
     """Count simple cycles within one SCC (vertices already pre-restricted).
 
     Iterative Johnson: each explicit frame is ``[vertex, successor index,
     found-a-cycle flag]``, mirroring the recursive formulation exactly —
-    the enumeration order (and therefore any ``collect`` output and any
-    budget-capped count) is identical to the recursive algorithm's.
+    the enumeration order (and therefore any ``collect`` output) is
+    identical to the recursive algorithm's.  ``vertices`` is the order
+    start vertices are processed in; the *count* does not depend on it.
 
     ``adj`` may be a multigraph (duplicate successors): parallel arcs into
     the start vertex each close a distinct cycle, and parallel arcs
     elsewhere re-explore their target, which is exactly the per-arc cycle
     multiplicity the contraction path needs.
     """
-    vset = set(vertices)
-    order = {v: i for i, v in enumerate(sorted(vertices))}
+    # Johnson processes each vertex s in turn, finding the cycles through s
+    # within the subgraph of vertices not yet processed: ``allowed`` shrinks
+    # by one start vertex per round.
+    allowed = set(vertices)
     count = 0
 
-    # Johnson processes each vertex s in turn, finding cycles whose minimum
-    # vertex (by ``order``) is s, within the subgraph of vertices >= s.
-    for s in sorted(vertices, key=order.__getitem__):
+    for s in vertices:
         if budget.left <= 0:
             break
-        allowed = {v for v in vset if order[v] >= order[s]}
-        blocked: set[int] = set()
-        blist: dict[int, set[int]] = {v: set() for v in allowed}
-        path: list[int] = [s]
-        blocked.add(s)
+        blocked = {s}
+        blist: dict[Vertex, set[Vertex]] = {}
+        path: list[Vertex] = [s]
         stack: list[list] = [[s, 0, False]]
 
         while stack:
@@ -142,17 +149,22 @@ def _johnson_scc(
                     u = unstack.pop()
                     if u in blocked:
                         blocked.discard(u)
-                        unstack.extend(blist[u])
-                        blist[u].clear()
+                        waiting = blist.pop(u, None)
+                        if waiting:
+                            unstack.extend(waiting)
             else:
                 for w in succs:
                     if w in allowed:
-                        blist[w].add(v)
+                        waiting = blist.get(w)
+                        if waiting is None:
+                            blist[w] = {v}
+                        else:
+                            waiting.add(v)
             path.pop()
             stack.pop()
             if stack and frame[2]:
                 stack[-1][2] = True
-        vset.discard(s)
+        allowed.discard(s)
     return count
 
 
@@ -160,15 +172,13 @@ def _count(
     adjacency: Mapping[Vertex, Sequence[Vertex]],
     limit: int,
     collect: list[list[Vertex]] | None,
-    self_loop_multiplicity: bool = False,
 ) -> CycleCount:
-    """Bounded cycle count.
+    """Bounded cycle count of a simple digraph, plain and uncontracted.
 
-    ``self_loop_multiplicity`` selects multigraph semantics for self-loops
-    (each parallel self-loop arc is a distinct cycle); the default treats a
-    self-loop as a single 1-cycle, which is the right reading for the
-    simple-digraph adjacency a CWG produces.  Non-self parallel arcs are
-    handled per-arc by :func:`_johnson_scc` in both modes.
+    A self-loop is a single 1-cycle, which is the right reading for the
+    simple-digraph adjacency a CWG produces.  This is the from-scratch
+    reference the contracted pipeline is checked against, so it shares
+    only :func:`_johnson_scc` with it.
     """
     # Map vertices to dense ints for speed and a stable vertex order.
     ids = {v: i for i, v in enumerate(adjacency)}
@@ -188,12 +198,10 @@ def _count(
         if budget.left <= 0:
             break
         if v in succs:
-            loops = succs.count(v) if self_loop_multiplicity else 1
-            take = min(loops, budget.left)
-            total += take
-            budget.left -= take
+            total += 1
+            budget.left -= 1
             if collect is not None:
-                collect.extend([rev[v]] for _ in range(take))
+                collect.append([rev[v]])
 
     for comp in strongly_connected_components(adj):
         if len(comp) < 2:
@@ -201,7 +209,7 @@ def _count(
         if budget.left <= 0:
             break
         raw: list[list[int]] | None = [] if collect is not None else None
-        total += _johnson_scc(adj, comp, budget, raw)
+        total += _johnson_scc(adj, sorted(comp), budget, raw)
         if collect is not None and raw:
             collect.extend([[rev[u] for u in cyc] for cyc in raw])
     return CycleCount(count=total, saturated=budget.left <= 0)
@@ -306,20 +314,60 @@ def contract_graph(
     return out
 
 
+def _charge_whole_cycles(graph: ContractedGraph, budget: _Budget) -> None:
+    """Charge the cycles a contracted graph holds without any search:
+    one per ring, one per self-loop arc (parallel self-loops are distinct
+    original cycles through different interiors)."""
+    budget.left -= min(len(graph.rings), budget.left)
+    for v, succs in graph.succ.items():
+        if budget.left <= 0:
+            return
+        if v in succs:
+            budget.left -= min(succs.count(v), budget.left)
+
+
 def count_cycles_contracted(
-    contracted: ContractedGraph, limit: int
+    contracted: ContractedGraph,
+    limit: int,
+    sccs: Sequence[Sequence[Vertex]] | None = None,
 ) -> CycleCount:
     """Bounded cycle count over a contracted graph.
 
     Produces the exact ``CycleCount`` that :func:`count_simple_cycles`
     returns on the uncontracted adjacency (counts are order-independent
-    under the budget; see the module docstring).
+    under the budget; see the module docstring).  ``sccs`` is the SCC
+    decomposition of ``contracted.succ`` when the caller already holds it
+    (the detector shares one Tarjan pass with the knot test).
+
+    Rings and self-loop arcs are whole cycles and are charged first.
+    Every other cycle lies inside one non-trivial SCC; restricting the
+    adjacency to that component deletes the arcs leaving it, which turns
+    most members back into pass-through vertices, so the component is
+    contracted *again* and Johnson walks only what still branches.
     """
     if limit < 1:
         return CycleCount(0, True)
-    rings = min(len(contracted.rings), limit)
-    inner = _count(
-        contracted.succ, limit - rings, None, self_loop_multiplicity=True
-    )
-    total = rings + inner.count
-    return CycleCount(min(total, limit), total >= limit)
+    budget = _Budget(limit)
+    _charge_whole_cycles(contracted, budget)
+    succ = contracted.succ
+    if sccs is None:
+        sccs = strongly_connected_components(succ)
+    for comp in sccs:
+        if len(comp) < 2:
+            continue
+        if budget.left <= 0:
+            break
+        members = set(comp)
+        # self-loops were charged above: drop them with the leaving arcs
+        sub = {
+            v: [w for w in succ[v] if w in members and w != v] for v in comp
+        }
+        if all(len(sub[v]) == len(succ[v]) for v in comp):
+            # nothing removed: ``sub`` is as contracted as it gets
+            _johnson_scc(sub, comp, budget, None)
+            continue
+        inner = contract_graph(sub)
+        _charge_whole_cycles(inner, budget)
+        if len(inner.succ) > 1:
+            _johnson_scc(inner.succ, list(inner.succ), budget, None)
+    return CycleCount(limit - budget.left, budget.left <= 0)

@@ -11,14 +11,31 @@ The detector is pure observation plus classification; breaking the deadlock
 is delegated to a :class:`~repro.core.recovery.RecoveryPolicy` by the
 simulation engine.
 
+The contracted pipeline
+-----------------------
+
+With ``detector_caching`` on (the default) every analysis runs through
+:meth:`DeadlockDetector._analyze_region` on the *chain-contracted* graph
+(:func:`~repro.core.cycles.contract_graph`): CWGs are mostly unbranched
+ownership chains, so contraction shrinks the graph several-fold with
+provably identical results.  One Tarjan decomposition of the contracted
+multigraph serves both the knot test and the cycle census, and the census
+contracts each non-trivial SCC a second time before Johnson enumerates
+(see :func:`~repro.core.cycles.count_cycles_contracted`) — a pass costs in
+proportion to the *branching* structure of the wait-for graph, not the
+length of its ownership chains.
+
+Without an incremental tracker (``cwg_maintenance="rebuild"``, the
+default) the pipeline runs once per pass over the whole CWG.
+
 Dirty-region caching
 --------------------
 
-With ``detector_caching`` on (the default) and incremental CWG maintenance
-active, a pass scales with *what changed since the last pass* instead of
-with CWG size.  The CWG is partitioned into weakly-connected regions;
-knots, deadlock events and the bounded cycle census are computed **per
-region** and cached two ways:
+With incremental CWG maintenance a pass additionally scales with *what
+changed since the last pass* instead of with CWG size.  The CWG is
+partitioned into weakly-connected regions; knots, deadlock events and the
+bounded cycle census are computed **per region** by the same pipeline and
+cached two ways:
 
 * by the region's exact vertex set, reused when no member vertex is in the
   tracker's dirty set (ownership and adjacency provably unchanged — region
@@ -29,16 +46,16 @@ region** and cached two ways:
   traffic cycles through configurations) skips re-analysis even after its
   vertices went dirty.
 
-Fresh region analysis runs on the *chain-contracted* graph
-(:func:`~repro.core.cycles.contract_graph`): CWGs are mostly unbranched
-ownership chains, so Tarjan, the knot test and Johnson's enumeration all
-run on a several-fold smaller multigraph with provably identical results.
 Per-region censuses merge exactly because bounded cycle counts are
 enumeration-order independent (see :mod:`repro.core.cycles`).
 
-Both detector modes emit deadlock events in one canonical order (knots
-sorted by their least vertex), making cached passes **bit-identical** to
-full passes — asserted over randomized runs by
+``detector_caching=False`` selects the from-scratch reference instead —
+global Tarjan in :func:`~repro.core.knots.find_knots`, then uncontracted
+Johnson in :func:`~repro.core.cycles.count_simple_cycles` — which the
+differential fuzzer and the oracle compare the pipeline against.  All
+modes emit deadlock events in one canonical order (knots sorted by their
+least vertex), making pipeline passes **bit-identical** to reference
+passes — asserted over randomized runs by
 ``tests/integration/test_detector_caching_equivalence.py``.
 """
 
@@ -56,7 +73,11 @@ from repro.core.cycles import (
     count_cycles_contracted,
     count_simple_cycles,
 )
-from repro.core.knots import find_knots, find_knots_contracted
+from repro.core.knots import (
+    find_knots,
+    find_knots_contracted,
+    strongly_connected_components,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.incremental import IncrementalCWG
@@ -179,9 +200,9 @@ class DeadlockDetector:
         self.knot_density_cap = knot_density_cap
         self.knot_size_enumeration_limit = knot_size_enumeration_limit
         self.record_blocked_durations = record_blocked_durations
-        #: enables the dirty-region cached pass (needs an incremental
-        #: tracker on the simulator; silently falls back to full passes
-        #: otherwise, so the flag is safe to leave on everywhere)
+        #: enables the contracted pipeline (per dirty region when the
+        #: simulator carries an incremental tracker, over the whole CWG
+        #: otherwise); off selects the from-scratch reference pass
         self.caching = caching
         self.records: list[DetectionRecord] = []
         self.events: list[DeadlockEvent] = []
@@ -224,7 +245,8 @@ class DeadlockDetector:
         regions that matched a previously-analyzed canonical signature in
         the LRU; ``region_misses`` are fresh analyses; ``signature_evictions``
         counts LRU entries dropped at capacity.  Pass counters split
-        detector invocations into full (global analysis), cached
+        detector invocations into full (whole-CWG analysis: the pipeline
+        without a tracker, or the uncached reference), cached
         (dirty-region), tracked (incremental knot tracking) and
         short-circuited (stale blocked epoch) passes; ``tracked_rescans``
         counts tracked passes that chose the global-Tarjan fallback, and
@@ -303,10 +325,12 @@ class DeadlockDetector:
         knot must be re-reported every interval, exactly as the full pass
         would.
 
-        Otherwise the pass runs **cached** (dirty regions only, see the
-        module docstring) when ``caching`` is set and the simulator carries
-        an incremental tracker, or **full** (global Tarjan + Johnson) when
-        not.  The two produce identical records.
+        Otherwise, with ``caching`` set, the pass runs the contracted
+        pipeline (see the module docstring): over dirty regions only when
+        the simulator carries an incremental tracker (a **cached** pass),
+        over the whole CWG when not (a **full** pass).  With ``caching``
+        off it runs the from-scratch reference, also a full pass.  All
+        produce identical records.
         """
         cycle = sim.cycle
         if (
@@ -325,8 +349,14 @@ class DeadlockDetector:
 
         g = sim.cwg_view() if hasattr(sim, "cwg_view") else sim.cwg_snapshot()
         tracker = getattr(sim, "tracker", None)
-        if self.caching and tracker is not None:
-            if self.count_cycles:
+        if self.caching:
+            if tracker is None:
+                # no dirty set to partition by: the whole CWG is one region
+                self.full_passes += 1
+                analysis = self._analyze_region(g, g.adjacency(), cycle)
+                events = list(analysis.events)
+                cycle_count = analysis.census
+            elif self.count_cycles:
                 self.cached_passes += 1
                 events, cycle_count = self._analyze_cached(sim, g, tracker, cycle)
             else:
@@ -337,6 +367,8 @@ class DeadlockDetector:
                 events = self._analyze_tracked(sim, g, tracker, cycle)
                 cycle_count = None
         else:
+            # The from-scratch reference the fuzzer and the oracle compare
+            # against: global Tarjan + uncontracted Johnson.
             self.full_passes += 1
             adjacency = g.adjacency()
             knots = sorted(find_knots(adjacency), key=_knot_key)
@@ -536,7 +568,9 @@ class DeadlockDetector:
                     self._sig_cache.move_to_end(sig)
                 else:
                     self.region_misses += 1
-                    analysis = self._analyze_region(g, members, adjacency, cycle)
+                    analysis = self._analyze_region(
+                        g, {v: adjacency[v] for v in members}, cycle
+                    )
                     self._sig_cache[sig] = analysis
                     if len(self._sig_cache) > _SIG_CACHE_CAP:
                         self._sig_cache.popitem(last=False)
@@ -583,17 +617,21 @@ class DeadlockDetector:
     def _analyze_region(
         self,
         g: WaitGraphQueries,
-        members: list[Vertex],
-        adjacency: Mapping[Vertex, Sequence[Vertex]],
+        region_adj: Mapping[Vertex, Sequence[Vertex]],
         cycle: int,
     ) -> _RegionAnalysis:
-        """Fresh analysis of one region, on its chain-contracted form."""
+        """Fresh analysis of one region (or of the whole CWG).
+
+        The one pipeline of every caching pass: chain-contract, one Tarjan
+        decomposition shared by the knot test and the census, knots in
+        canonical order, then the per-SCC re-contracted census.
+        """
         obs = self._obs
         prof = obs.profiler if obs is not None else None
         t0 = perf_counter() if prof is not None else 0.0
-        region_adj = {v: adjacency[v] for v in members}
         contracted = contract_graph(region_adj)
-        knots = sorted(find_knots_contracted(contracted), key=_knot_key)
+        sccs = strongly_connected_components(contracted.succ)
+        knots = sorted(find_knots_contracted(contracted, sccs), key=_knot_key)
         events = tuple(
             self._knot_event(g, region_adj, knot, cycle) for knot in knots
         )
@@ -602,7 +640,7 @@ class DeadlockDetector:
             prof.add("detect/knots", now - t0)
             t0 = now
         census = (
-            count_cycles_contracted(contracted, self.max_cycles_counted)
+            count_cycles_contracted(contracted, self.max_cycles_counted, sccs)
             if self.count_cycles
             else None
         )
@@ -848,8 +886,10 @@ class DeadlockDetector:
             return CycleCount(1, False)
         if vertices > self.knot_size_enumeration_limit:
             return CycleCount(max(2, arcs - vertices + 1), True)
+        contracted = contract_graph(sub)
+        # a knot is strongly connected, so its kept vertices are one SCC
         return count_cycles_contracted(
-            contract_graph(sub), limit=self.knot_density_cap
+            contracted, self.knot_density_cap, sccs=[list(contracted.succ)]
         )
 
     @staticmethod

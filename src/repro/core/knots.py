@@ -124,7 +124,10 @@ def find_knots(
     return knots
 
 
-def find_knots_contracted(contracted: "ContractedGraph") -> list[frozenset[Vertex]]:
+def find_knots_contracted(
+    contracted: "ContractedGraph",
+    sccs: Sequence[Sequence[Vertex]] | None = None,
+) -> list[frozenset[Vertex]]:
     """All knots of a chain-contracted graph, expanded to original vertices.
 
     Knot structure survives the contraction of
@@ -138,11 +141,14 @@ def find_knots_contracted(contracted: "ContractedGraph") -> list[frozenset[Verte
 
     Returns the same knot *sets* as :func:`find_knots` on the uncontracted
     adjacency, in an unspecified order — callers needing a stable order
-    sort canonically (the detector does).
+    sort canonically (the detector does).  ``sccs`` is the SCC
+    decomposition of ``contracted.succ`` when the caller already holds it
+    (the detector shares one Tarjan pass with the cycle census).
     """
     succ = contracted.succ
     paths = contracted.paths
-    sccs = strongly_connected_components(succ)
+    if sccs is None:
+        sccs = strongly_connected_components(succ)
     comp_of: dict[Vertex, int] = {}
     for i, comp in enumerate(sccs):
         for v in comp:

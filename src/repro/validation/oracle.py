@@ -46,6 +46,7 @@ from typing import Callable, Optional, Sequence
 
 from repro.config import SimulationConfig
 from repro.core.cwg import ChannelWaitForGraph
+from repro.core.cycles import count_simple_cycles
 from repro.core.detector import DeadlockDetector, DetectionRecord
 from repro.core.knots import knot_of_vertex
 from repro.errors import SimulationError
@@ -396,7 +397,7 @@ class OracleViolation:
     """One disagreement between the detector and reachability ground truth."""
 
     kind: str  #: "false-positive" | "missed-deadlock" | "uncovered-terminal"
-    #: | "knot-definition" | "state-count"
+    #: | "knot-definition" | "pipeline-census" | "state-count"
     state_index: int
     detail: str
 
@@ -442,6 +443,47 @@ def _fresh_detector() -> DeadlockDetector:
     return DeadlockDetector(count_cycles=False, caching=False)
 
 
+def _pipeline_census_mismatch(
+    sim: NetworkSimulator,
+    record: DetectionRecord,
+    adjacency: dict,
+) -> Optional[str]:
+    """The as-shipped contracted pipeline against from-scratch counts.
+
+    Runs a fresh caching detector with the census on (no tracker on the
+    oracle's engine, so one whole-CWG pipeline pass) and compares its
+    events to the reference pass's, its census to plain
+    :func:`count_simple_cycles` over the CWG, and every knot's cycle
+    density to plain :func:`count_simple_cycles` over the knot's induced
+    subgraph.  Returns a description of the first disagreement, or None.
+    """
+    pipeline = DeadlockDetector(count_cycles=True, caching=True)
+    got = pipeline.detect(sim)
+    if got.events != record.events:
+        return (
+            f"pipeline events {[sorted(map(repr, e.knot)) for e in got.events]} "
+            f"differ from the reference pass's "
+            f"{[sorted(map(repr, e.knot)) for e in record.events]}"
+        )
+    census = count_simple_cycles(adjacency, limit=pipeline.max_cycles_counted)
+    if got.cycle_count != census:
+        return f"pipeline census {got.cycle_count} vs from-scratch {census}"
+    for event in got.events:
+        knot = event.knot
+        sub = {v: [w for w in adjacency[v] if w in knot] for v in knot}
+        density = count_simple_cycles(sub, limit=pipeline.knot_density_cap)
+        if (event.knot_cycle_density, event.density_saturated) != (
+            density.count,
+            density.saturated,
+        ):
+            return (
+                f"knot {sorted(map(repr, knot))} density "
+                f"{event.knot_cycle_density} (saturated="
+                f"{event.density_saturated}) vs from-scratch {density}"
+            )
+    return None
+
+
 def _flagged_sets(record: DetectionRecord) -> tuple[set[int], set[int]]:
     """(deadlocked ∪ dependent, transient-dependent) over a record's events."""
     hard: set[int] = set()
@@ -464,8 +506,11 @@ def check_case(
     verifies, per state: soundness of the deadlock and dependent sets
     against the reachability-doomed set, the knot *definition* for every
     reported knot (each knot vertex's reachable set must be exactly the
-    knot and every member must have an out-arc), and — at terminal states
-    with active messages — completeness of the reported event coverage.
+    knot and every member must have an out-arc), the contracted pipeline's
+    events, cycle census and knot densities against the reference pass and
+    from-scratch :func:`~repro.core.cycles.count_simple_cycles`, and — at
+    terminal states with active messages — completeness of the reported
+    event coverage.
     """
     started = time.perf_counter()
     graph = explore(case.config, log=log)
@@ -492,11 +537,12 @@ def check_case(
                     f"delivered (doomed set: {sorted(doomed)})",
                 )
             )
+        adjacency = DeadlockDetector.build_cwg(sim).adjacency()
+        mismatch = _pipeline_census_mismatch(sim, record, adjacency)
+        if mismatch:
+            violations.append(OracleViolation("pipeline-census", idx, mismatch))
         # the reported knots must satisfy the knot definition on the CWG
-        adjacency = None
         for event in record.events:
-            if adjacency is None:
-                adjacency = DeadlockDetector.build_cwg(sim).adjacency()
             probe = min(event.knot, key=repr)
             definitional = knot_of_vertex(adjacency, probe)
             if definitional != event.knot:

@@ -109,6 +109,43 @@ class TestDetect:
             assert in_deadlock
 
 
+class TestDefaultPipeline:
+    """The as-shipped config (``cwg_maintenance="rebuild"`` + caching) runs
+    the contracted pipeline once over the whole CWG."""
+
+    def test_default_pass_runs_tarjan_once(self, monkeypatch):
+        import repro.core.cycles as cycles
+        import repro.core.detector as detector
+        import repro.core.knots as knots
+
+        calls = []
+        real = knots.strongly_connected_components
+
+        def counting(adjacency):
+            calls.append(len(adjacency))
+            return real(adjacency)
+
+        for module in (cycles, detector, knots):
+            monkeypatch.setattr(module, "strongly_connected_components", counting)
+        sim = make_sim(routing="dor", recovery="none")
+        assert sim.tracker is None and sim.detector.caching
+        force_cycle_deadlock(sim)
+        record = sim.detector.detect(sim)
+        assert record.has_deadlock and record.cycle_count.count == 1
+        assert len(calls) == 1
+
+    def test_default_run_counts_full_passes_only(self):
+        sim = make_sim(
+            routing="tfar", load=1.0, warmup_cycles=100, measure_cycles=200
+        )
+        sim.run()
+        stats = sim.detector.cache_stats()
+        passes = len(sim.detector.records)
+        assert passes > 0
+        assert stats.pop("full_passes") + stats.pop("shortcircuit_passes") == passes
+        assert set(stats.values()) == {0}, stats
+
+
 class TestDependentClassification:
     def test_dependent_vs_transient(self):
         from repro.core.cwg import ChannelWaitForGraph

@@ -17,8 +17,9 @@ on and off — over the matrix the detector branches on: DOR/TFAR (plus
 misrouting, whose request sets churn as tails drain), 1–4 VCs, wormhole
 and virtual cut-through switching, saturated and moderate loads, knot and
 timeout detection, persistent knots (``recovery="none"``), both engine
-paths, and the rebuild-maintenance fallback (no tracker → cached mode
-must silently take the full path).
+paths, and rebuild maintenance — the as-shipped default, where there is
+no tracker and the cached detector runs the same contracted pipeline once
+over the whole CWG.
 """
 
 import dataclasses
@@ -128,6 +129,33 @@ CASES = {
     "legacy_engine": dict(routing="tfar", load=1.0, engine_fast_path=False),
     "rebuild_fallback": dict(
         routing="tfar", load=1.0, cwg_maintenance="rebuild"
+    ),
+    "rebuild_unrecovered_knots": dict(
+        routing="dor",
+        load=0.95,
+        num_vcs=1,
+        recovery="none",
+        cwg_maintenance="rebuild",
+    ),
+    # the census16_tfar1 benchmark shape: a persistent saturated 16-ary CWG
+    # whose census exhausts a small budget on most passes
+    "rebuild_saturated_16ary_census": dict(
+        k=16,
+        message_length=32,
+        routing="tfar",
+        load=1.0,
+        max_cycles_counted=30,
+        detection_interval=8,
+        warmup_cycles=300,
+        measure_cycles=200,
+        cwg_maintenance="rebuild",
+    ),
+    "rebuild_legacy_engine_4vc": dict(
+        routing="tfar",
+        load=1.0,
+        num_vcs=4,
+        engine_fast_path=False,
+        cwg_maintenance="rebuild",
     ),
 }
 

@@ -103,6 +103,15 @@ def test_skip_dirty_block_is_caught_by_detector_axis(monkeypatch):
     assert mismatches[0].axis == "detector"
 
 
+def test_as_shipped_pipeline_is_a_detector_axis_leg(miscounting_census):
+    """The default config (rebuild maintenance + caching) is fuzzed: a
+    contracted census that miscounts is caught on its own leg, before the
+    tracker-driven one runs."""
+    mismatches = check_config(SATURATED, axes=("detector",))
+    assert mismatches and mismatches[0].axis == "detector"
+    assert "as-shipped rebuild" in mismatches[0].detail
+
+
 def test_skip_dirty_acquire_knob_skips_marks(monkeypatch):
     """The remaining fault knob really injects its lie at the event level.
 

@@ -227,3 +227,10 @@ def test_state_count_drift_is_a_violation():
     report = check_case(tampered)
     assert not report.ok
     assert any(v.kind == "state-count" for v in report.violations)
+
+
+def test_pipeline_census_drift_is_a_violation(miscounting_census):
+    """The per-state census cross-check has teeth: a contracted count that
+    is off by one anywhere shows up as a ``pipeline-census`` violation."""
+    report = check_case(get_case("ring-deadlock"))
+    assert any(v.kind == "pipeline-census" for v in report.violations)
