@@ -4,20 +4,21 @@
 Runs the core engine/detector scenarios from ``benchmarks/`` in a quick,
 seed-fixed mode and records:
 
-* **cycles/sec** for each engine scenario across all three engines
-  (legacy, production, kernels), reps interleaved across engines so a
-  background-load transient slows every engine's same-numbered rep
-  instead of skewing one engine's whole measurement,
-* the production/kernels-vs-legacy **speedups** on the saturated
-  acceptance scenario (16-ary 2-cube, TFAR, load 0.9 — the
-  configuration every figure sweep spends its time in); the default
-  (production) engine is gated at ≥ 5×, the kernel engine at ≥ 10×,
-* per scenario, the frozen cycles/sec of the **superseded fast path**
-  (the default engine before the vectorized loops were promoted); the
-  production engine may never be slower than it,
+* **cycles/sec** for each engine scenario on both engines (legacy,
+  production), reps interleaved across engines so a background-load
+  transient slows every engine's same-numbered rep instead of skewing
+  one engine's whole measurement,
+* the production-vs-legacy **speedup** of each, gated at ≥ 9× on the
+  saturated acceptance scenario (16-ary 2-cube, TFAR, load 0.9 — the
+  configuration every figure sweep spends its time in): 0.9 × the ≥ 10×
+  bar of the kernel tier whose whole-phase skips the engine absorbed,
+* per scenario, the frozen cycles/sec and speedup of the two **superseded
+  tiers** (the scalar fast path and the numpy kernel engine, each timed at
+  its last commit beside that session's legacy rate); the production
+  engine's speedup may never fall below the fast path's,
 * the **cumulative ablation** of the same scenario (``--ablation``
   prints it standalone and merges the record into the baseline):
-  legacy → +production → +detector-caching → +kernels,
+  legacy → +production → +detector-caching,
 * **detector µs/pass** with and without the blocked-epoch short-circuit,
 * **detector-census µs/pass** (the same saturated 16-ary with
   ``count_cycles=True``, passes driven by the engine itself so dirty sets
@@ -38,11 +39,13 @@ seed-fixed mode and records:
 The committed ``BENCH_core.json`` is this repo's perf trajectory: regenerate
 it with ``python scripts/bench_baseline.py`` after engine work, and gate
 regressions with ``python scripts/bench_baseline.py --check`` (used by
-``scripts/ci_check.sh``), which re-times the scenarios and fails on a >20%
-cycles/sec drop against the committed numbers.
+``scripts/ci_check.sh``), which re-times the scenarios and fails when a
+production/legacy speedup drops >20% below the committed one.
 
 Timings are wall-clock and machine-dependent; *speedups* and the check
-tolerance are ratios, so they transfer across machines.
+tolerance are ratios, so they transfer across machines — and across the
+whole-machine slowdowns a shared host shows from one run to the next,
+which is why ``--check`` gates the engine rows on ratios only.
 """
 
 from __future__ import annotations
@@ -105,35 +108,40 @@ ACCEPTANCE_SCENARIO = "engine_saturated_16ary"
 ENGINE_FLAGS = {
     "legacy": dict(engine_fast_path=False),
     "production": dict(engine_fast_path=True),
-    "kernels": dict(engine_fast_path=True, engine_kernels=True),
 }
 
-#: cycles/sec of the scalar fast path — the default engine until the
-#: vectorized loops replaced it — last measured at the parent commit, in
-#: the same session and on the same machine as the committed baseline.
-#: The code is gone, so the figures are frozen: every baseline records
-#: them and ``--check`` fails when the production engine reads below them.
-SUPERSEDED_FAST_PATH = {
-    "engine_saturated_16ary": 2947.0,
-    "engine_moderate_8ary": 6583.9,
-    "engine_four_vcs_8ary": 4539.8,
+#: the engine tiers the production engine replaced: tier -> scenario ->
+#: (cycles/sec, legacy cycles/sec of the same session), each last measured
+#: at the tier's final commit on the machine of the baseline committed with
+#: it.  The code is gone, so the figures are frozen; every baseline records
+#: them, as a rate and as a speedup over that session's legacy rate.
+SUPERSEDED = {
+    # the scalar fast path, the default engine until PR 12
+    "fast_path": {
+        "engine_saturated_16ary": (2947.0, 958.8),
+        "engine_moderate_8ary": (6583.9, 3996.1),
+        "engine_four_vcs_8ary": (4539.8, 3048.5),
+    },
+    # the numpy KernelEngine (engine_kernels=True), deleted in PR 19
+    "kernels": {
+        "engine_saturated_16ary": (10451.3, 859.2),
+        "engine_moderate_8ary": (6632.7, 3666.3),
+        "engine_four_vcs_8ary": (3660.1, 3134.4),
+    },
 }
 
-#: written into the baseline verbatim; explains the rows where the ladder
-#: is not monotone (ROADMAP item 1 called them a ledger bug until explained)
+#: written into the baseline verbatim
 LEDGER_NOTES = {
-    "kernels_below_production_on_8ary": (
-        "engine_moderate_8ary and engine_four_vcs_8ary: the kernel tier "
-        "reads below the production engine by design.  Its wins are "
-        "whole-phase quiescence skips, which need a network where nearly "
-        "every request is parked and every worm immobile; at load 0.4 and "
-        "with 4 VCs almost nothing parks, so the skips never fire and the "
-        "tier only pays for what feeds them: a mirror write per state "
-        "transition (SoAState), numpy gathers over ~10-60 element arrays "
-        "whose fixed call overhead exceeds the Python loop they replace, "
-        "and a call frame per served request.  That is why the mirrors "
-        "moved into the kernel tier instead of the default engine, and why "
-        "engine_kernels stays opt-in for deep-saturation sweeps only."
+    "superseded_kernels": (
+        "cycles_per_sec_superseded_kernels is the deleted numpy KernelEngine "
+        "at its last commit, timed in the same session as this file's "
+        "scenarios.  Its one paying idea — whole-phase quiescence skips with "
+        "word-exact RNG replay — now lives in the production engine, which "
+        "is why production reads >= 0.9x that figure on "
+        "engine_saturated_16ary (the >= 9x legacy gate is the same bar as a "
+        "ratio) and well above it on the two 8-ary rows, where nothing "
+        "parks, the skips never fire and the tier only paid for its "
+        "structure-of-arrays mirrors."
     ),
 }
 
@@ -183,18 +191,15 @@ def _ablation() -> dict:
     """Cumulative optimization ablation on the acceptance scenario.
 
     Each level adds one optimization layer on top of the previous:
-    plain legacy engine, + the production engine's activity tracking and
-    inline arbitration stream, + detector caching (dirty-region/knot
-    tracking), + the batched array kernels over SoA mirrors.
+    plain legacy engine, + the production engine's activity tracking,
+    inline arbitration stream and whole-phase skips, + detector caching
+    (dirty-region/knot tracking).
     """
     levels = {
         "legacy": dict(engine_fast_path=False, detector_caching=False),
         "+production": dict(engine_fast_path=True, detector_caching=False),
         "+detector-caching": dict(
             engine_fast_path=True, detector_caching=True
-        ),
-        "+kernels": dict(
-            engine_fast_path=True, engine_kernels=True, detector_caching=True
         ),
     }
     spec = ENGINE_SCENARIOS[ACCEPTANCE_SCENARIO]
@@ -510,19 +515,25 @@ def format_phase_breakdown(breakdown: dict) -> str:
     return "\n".join(lines)
 
 
+def _scenario_row(name: str, rates: dict[str, float]) -> dict:
+    """One ``scenarios`` row: the timed engines plus the frozen tiers."""
+    legacy = rates["legacy"]
+    row = {
+        "cycles_per_sec_legacy": round(legacy, 1),
+        "cycles_per_sec_production": round(rates["production"], 1),
+        "speedup": round(rates["production"] / legacy, 3),
+    }
+    for tier, frozen in SUPERSEDED.items():
+        rate, legacy_then = frozen[name]
+        row[f"cycles_per_sec_superseded_{tier}"] = rate
+        row[f"speedup_superseded_{tier}"] = round(rate / legacy_then, 3)
+    return row
+
+
 def measure() -> dict:
     results: dict = {"notes": LEDGER_NOTES, "scenarios": {}}
     for name, spec in ENGINE_SCENARIOS.items():
-        rates = _timed_engines(spec)
-        legacy = rates["legacy"]
-        results["scenarios"][name] = {
-            "cycles_per_sec_kernels": round(rates["kernels"], 1),
-            "cycles_per_sec_legacy": round(legacy, 1),
-            "cycles_per_sec_production": round(rates["production"], 1),
-            "cycles_per_sec_superseded_fast_path": SUPERSEDED_FAST_PATH[name],
-            "speedup": round(rates["production"] / legacy, 3),
-            "speedup_kernels": round(rates["kernels"] / legacy, 3),
-        }
+        results["scenarios"][name] = _scenario_row(name, _timed_engines(spec))
     results["detector_us_per_pass_fast"] = round(
         _detector_us_per_pass(engine_fast_path=True), 1
     )
@@ -545,15 +556,8 @@ def measure() -> dict:
     }
     results["acceptance"] = {
         "scenario": ACCEPTANCE_SCENARIO,
-        "required_speedup": 5.0,
+        "required_speedup": 9.0,
         "speedup": results["scenarios"][ACCEPTANCE_SCENARIO]["speedup"],
-    }
-    results["acceptance_kernels"] = {
-        "scenario": ACCEPTANCE_SCENARIO,
-        "required_speedup": 10.0,
-        "speedup": results["scenarios"][ACCEPTANCE_SCENARIO][
-            "speedup_kernels"
-        ],
     }
     results["acceptance_detector"] = {
         "scenario": "detector_census_16ary",
@@ -572,65 +576,52 @@ def measure() -> dict:
 
 
 def check(baseline: dict, fresh: dict, tolerance: float = 0.20) -> list[str]:
-    """Regression messages comparing a fresh run against the baseline."""
+    """Regression messages comparing a fresh run against the baseline.
+
+    The engine rows are compared as production/legacy *speedups*, never as
+    raw cycles/sec: both engines of a scenario are timed interleaved in one
+    session, so a whole-machine slowdown (a shared host reads up to ~30%
+    slow from one run to the next) cancels out of the ratio instead of
+    failing the gate.
+    """
     problems = []
     for name, base in baseline.get("scenarios", {}).items():
         now = fresh["scenarios"].get(name)
         if now is None:
             problems.append(f"{name}: scenario missing from fresh run")
             continue
-        floor = base["cycles_per_sec_production"] * (1.0 - tolerance)
-        if now["cycles_per_sec_production"] < floor:
+        floor = base["speedup"] * (1.0 - tolerance)
+        if now["speedup"] < floor:
             problems.append(
                 f"{name}: production engine regressed to "
-                f"{now['cycles_per_sec_production']:.0f} cycles/sec "
-                f"(baseline {base['cycles_per_sec_production']:.0f}, "
-                f"floor {floor:.0f})"
+                f"{now['speedup']:.2f}x legacy "
+                f"(baseline {base['speedup']:.2f}x, floor {floor:.2f}x)"
             )
-        superseded = base.get("cycles_per_sec_superseded_fast_path")
-        if (
-            superseded is not None
-            and now["cycles_per_sec_production"] < superseded
-        ):
+        superseded = base.get("speedup_superseded_fast_path")
+        if superseded is not None and now["speedup"] < superseded:
             problems.append(
-                f"{name}: production engine at "
-                f"{now['cycles_per_sec_production']:.0f} cycles/sec is "
-                f"slower than the fast path it replaced ({superseded:.0f})"
+                f"{name}: production engine at {now['speedup']:.2f}x legacy "
+                f"is slower than the fast path it replaced "
+                f"({superseded:.2f}x)"
             )
-        base_kern = base.get("cycles_per_sec_kernels")
-        if base_kern is not None:
-            floor = base_kern * (1.0 - tolerance)
-            if now["cycles_per_sec_kernels"] < floor:
-                problems.append(
-                    f"{name}: kernel engine regressed to "
-                    f"{now['cycles_per_sec_kernels']:.0f} cycles/sec "
-                    f"(baseline {base_kern:.0f}, floor {floor:.0f})"
-                )
     base_census = baseline.get("detector_census")
     if base_census is not None:
+        # same reasoning: the cached pass against the uncached pass of the
+        # same session, not against a µs/pass figure of another session
         now_census = fresh["detector_census"]
-        # µs/pass is an inverse metric: regression means growing, not shrinking
-        ceiling = base_census["us_per_pass_cached"] * (1.0 + tolerance)
-        if now_census["us_per_pass_cached"] > ceiling:
+        floor = base_census["speedup"] * (1.0 - tolerance)
+        if now_census["speedup"] < floor:
             problems.append(
                 "detector_census_16ary: cached pass regressed to "
-                f"{now_census['us_per_pass_cached']:.0f} us "
-                f"(baseline {base_census['us_per_pass_cached']:.0f}, "
-                f"ceiling {ceiling:.0f})"
+                f"{now_census['speedup']:.2f}x the uncached pass "
+                f"(baseline {base_census['speedup']:.2f}x, floor {floor:.2f}x)"
             )
-    req = baseline.get("acceptance", {}).get("required_speedup", 5.0)
+    req = baseline.get("acceptance", {}).get("required_speedup", 9.0)
     got = fresh["acceptance"]["speedup"]
     if got < req:
         problems.append(
             f"default-engine speedup {got:.2f}x below required {req:.1f}x "
             f"on {fresh['acceptance']['scenario']}"
-        )
-    req = baseline.get("acceptance_kernels", {}).get("required_speedup", 10.0)
-    got = fresh.get("acceptance_kernels", {}).get("speedup")
-    if got is not None and got < req:
-        problems.append(
-            f"kernel speedup {got:.2f}x below required {req:.1f}x "
-            f"on {fresh['acceptance_kernels']['scenario']}"
         )
     req = baseline.get("acceptance_detector", {}).get("required_speedup", 2.0)
     got = fresh.get("acceptance_detector", {}).get("speedup")
@@ -670,7 +661,7 @@ def main() -> int:
         "--check",
         action="store_true",
         help="compare a fresh quick run against the committed baseline "
-        "instead of rewriting it; exit 1 on a >20%% regression",
+        "instead of rewriting it; exit 1 on a >20%% speedup regression",
     )
     parser.add_argument(
         "--campaign-only",
@@ -683,7 +674,7 @@ def main() -> int:
         "--ablation",
         action="store_true",
         help="re-measure only the cumulative optimization ablation "
-        "(legacy / +production / +detector-caching / +kernels) on the "
+        "(legacy / +production / +detector-caching) on the "
         "acceptance scenario, print the table and merge "
         "the record into the existing baseline",
     )
@@ -729,10 +720,8 @@ def main() -> int:
     for name, row in fresh["scenarios"].items():
         print(
             f"{name}: legacy={row['cycles_per_sec_legacy']:.0f} "
-            f"production={row['cycles_per_sec_production']:.0f} "
-            f"kern={row['cycles_per_sec_kernels']:.0f} cycles/sec "
-            f"(production {row['speedup']:.2f}x, "
-            f"kern {row['speedup_kernels']:.2f}x)"
+            f"production={row['cycles_per_sec_production']:.0f} cycles/sec "
+            f"({row['speedup']:.2f}x)"
         )
     print(format_ablation(fresh["ablation"]))
     print(
@@ -779,7 +768,7 @@ def main() -> int:
     args.out.write_text(json.dumps(fresh, indent=2, sort_keys=True) + "\n")
     print(f"wrote {args.out}")
     failed = False
-    for key in ("acceptance", "acceptance_kernels", "acceptance_detector"):
+    for key in ("acceptance", "acceptance_detector"):
         if fresh[key]["speedup"] < fresh[key]["required_speedup"]:
             print(
                 f"WARNING: {fresh[key]['scenario']} speedup below "

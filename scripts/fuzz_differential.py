@@ -4,7 +4,6 @@
 Draws seeded random configurations and verifies, for each one, that
 
 * the production engine is bit-identical to the legacy engine,
-* the batched kernel engine is bit-identical to the production engine,
 * dirty-region cached detection is bit-identical to uncached detection,
 * the incrementally-maintained CWG equals a from-scratch rebuild at every
   detection instant.
@@ -20,7 +19,7 @@ Usage:
     python scripts/fuzz_differential.py --replay fuzz_artifacts/<file>.json
 
 ``--smoke`` runs the fixed CI sweep: 25 configs from a pinned seed under a
-60-second budget — deterministic, so a CI failure replays locally with the
+90-second budget — deterministic, so a CI failure replays locally with the
 same command.  Exit status is non-zero when any mismatch was found.
 
 See ``docs/TESTING.md`` for where this sits in the test pyramid and how to
@@ -56,7 +55,7 @@ def _artifact_name(axis: str, seed: int, index: int) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        description="differential fuzzing of engine/kernels/detector/CWG equivalence"
+        description="differential fuzzing of engine/detector/CWG equivalence"
     )
     parser.add_argument("--configs", type=int, default=50, help="configs to draw")
     parser.add_argument("--seed", type=int, default=1, help="fuzz RNG seed")

@@ -115,16 +115,13 @@ class SimulationConfig:
     #: deadlock-event stream); off selects the reference for A/B tests and
     #: the model-checking oracle.
     engine_fast_path: bool = True
-    #: deprecated no-op alias, kept one round so stored campaign digests
-    #: still load: the loops it used to select are now the default engine.
+    #: deprecated and inert: the engine tiers these two selected are gone
+    #: (their loops and whole-phase skips live in the production engine) and
+    #: every engine was bit-identical, so ignoring them changes no result.
+    #: They stay only because stored result digests embed every config
+    #: field (``benchmarks/e2e/expected_digests.json``, campaign stores);
+    #: the PR that next re-pins those deletes them.
     engine_vectorized: bool = False
-    #: NumPy array-kernel engine tier
-    #: (:class:`repro.network.kernels.KernelEngine`): batch head-of-line
-    #: eligibility, free-slot availability and phase order construction as
-    #: masked array ops over structure-of-arrays mirrors it maintains, with
-    #: a word-buffered traffic stream for the generate phase.  Needs numpy,
-    #: ``engine_fast_path=True`` and a unit-latency k-ary n-cube ('torus'
-    #: family).  Bit-identical to the other two engines.
     engine_kernels: bool = False
     #: observability (:mod:`repro.obs`): 0 = off (the default — instrumented
     #: call sites cost one attribute lookup against a no-op singleton),
@@ -259,31 +256,6 @@ class SimulationConfig:
             raise ConfigurationError(
                 f"obs_trace_capacity must be >= 1, got {self.obs_trace_capacity}"
             )
-        if (self.engine_vectorized or self.engine_kernels) and not (
-            self.engine_fast_path
-        ):
-            raise ConfigurationError(
-                "engine_vectorized / engine_kernels build on the production "
-                "engine's activity flags; they require engine_fast_path=True"
-            )
-        if self.engine_kernels:
-            try:
-                import numpy  # noqa: F401
-            except ImportError as exc:
-                raise ConfigurationError(
-                    "engine_kernels requires numpy (declared in "
-                    "pyproject.toml as numpy>=1.23); install it or drop "
-                    "the engine_kernels flag"
-                ) from exc
-            if self.topology != "torus" or any(
-                l != 1 for l in self.link_latencies
-            ):
-                raise ConfigurationError(
-                    "the kernel engine tier supports unit-latency k-ary "
-                    "n-cube ('torus' family) configs only; run topology-zoo "
-                    "or heterogeneous-latency configs on the default engine "
-                    "(engine_kernels=False)"
-                )
         if self.mesh and not self.bidirectional:
             raise ConfigurationError("meshes are always bidirectional")
         if self.mesh and self.failed_links:

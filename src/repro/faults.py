@@ -30,12 +30,12 @@ Known fault names:
     sleep forever on the engine fast path, diverging from the legacy path.
 
 ``skip-immobile-clear``
-    :class:`~repro.network.kernels.KernelEngine` never lowers its
-    maintained ``_all_immobile`` move fast-path flag — once a cycle
-    verifies every active message immobile, later wake-ups (resource
-    acquisitions, victim removal) are ignored and the kernel engine keeps
-    skipping the move loop, freezing the network while the production
-    engine drains it.
+    :class:`~repro.network.production.ProductionEngine` never lowers its
+    maintained ``_all_immobile`` whole-phase move skip — once a move pass
+    finds every active message immobile, later wake-ups (resource
+    acquisitions, victim removal) are ignored and the engine keeps
+    skipping the move loop, freezing the network while the legacy
+    reference drains it.
 
 ``crash-point``
     A campaign worker (:mod:`repro.campaign.runner`) raises before running

@@ -177,30 +177,6 @@ class ChannelPool:
             [("rx", node, i) for i in range(rx_channels)]
             for node in range(topology.num_nodes)
         ]
-        self._static_arrays = None
-
-    def static_arrays(self):
-        """Index-mapped numpy views of the immutable per-VC attributes.
-
-        One row per global VC index: ``capacity``, ``link_index``, ``src``,
-        ``dst`` and ``dim`` — the structural columns the kernel engine's
-        candidate tables and the SoA state mirrors are built over.  Computed
-        on first use and cached (the pool's structure never changes).
-        """
-        if self._static_arrays is None:
-            import numpy as np
-
-            vcs = self.vcs
-            self._static_arrays = {
-                "capacity": np.array([vc.capacity for vc in vcs], dtype=np.int32),
-                "link_index": np.array(
-                    [vc.link_index for vc in vcs], dtype=np.int32
-                ),
-                "src": np.array([vc.src for vc in vcs], dtype=np.int32),
-                "dst": np.array([vc.dst for vc in vcs], dtype=np.int32),
-                "dim": np.array([vc.link.dim for vc in vcs], dtype=np.int32),
-            }
-        return self._static_arrays
 
     @property
     def reception(self) -> list[ReceptionChannel]:

@@ -58,7 +58,6 @@ class Message:
         "stalled",
         "immobile",
         "wait_keys",
-        "slot",
     )
 
     def __init__(
@@ -95,12 +94,6 @@ class Message:
         self.stalled = False
         self.immobile = False
         self.wait_keys: Optional[tuple] = None
-        # -- kernel-engine index mapping ----------------------------------------
-        # dense row index into the structure-of-arrays state mirrors
-        # (:class:`repro.network.soa.SoAState`); None outside the kernel
-        # engine.  Slots are recycled through a free list when messages leave
-        # the system (delivery, recovery, abort), so the arrays stay compact.
-        self.slot: Optional[int] = None
 
     # -- position & status queries ------------------------------------------------
     @property

@@ -31,7 +31,18 @@ over the C-backed ``Random.getrandbits``:
 * the serve loop reads the shared position-keyed candidate table
   (:class:`~repro.routing.batch.CandidateTable`) directly, whose entries
   carry the candidate indices as a ready-made tuple for wait-key
-  registration and the incremental tracker's dashed arcs.
+  registration and the incremental tracker's dashed arcs;
+* two maintained facts skip a whole phase of a frozen network, the state
+  a deadlocked run sits in between detections: ``_all_immobile`` (the last
+  move pass skipped every worm; lowered by any acquisition or victim
+  removal) returns from the move phase, and ``_alloc_quiet`` (the request
+  count of the last allocate pass that served nothing; dropped by any
+  move pass that runs, a victim removal or a message generated into an
+  empty queue, ignored while a ``router_delay`` header is pending) from
+  the allocate phase — each after replaying only the *ordering* side
+  effects of the service list nobody would have read: Fisher–Yates word
+  consumption (a function of the list length alone), one round-robin
+  counter bump, nothing for oldest-first.
 
 **Bit-identical by construction.**  Messages skipped by a flag are still
 placed in the per-phase service-order lists, so arbitration consumes an
@@ -50,15 +61,11 @@ identical RNG stream, and every inlined draw replays CPython's own:
   recovering and done states and guarantees the header has arrived), and
   a queue head always takes the VC branch.
 
-The inline draws are taken only when ``type(self.rng) is random.Random``.
-Any other RNG — the model-checking oracle swaps in a scripted
-``ChoiceRandom`` per step — goes through ``rng.shuffle`` and
-``selection.choose`` unchanged, so scripted choice streams replay on this
-engine exactly as on the reference.
-
-The engine keeps no structure-of-arrays mirrors: nothing here reads them.
-They belong to the kernel tier (:mod:`repro.network.kernels`), their only
-reader.
+The inline draws — and, under random arbitration, the whole-phase skips —
+are taken only when ``type(self.rng) is random.Random``.  Any other RNG —
+the model-checking oracle swaps in a scripted ``ChoiceRandom`` per step —
+goes through ``rng.shuffle`` and ``selection.choose`` unchanged, so
+scripted choice streams replay on this engine exactly as on the reference.
 """
 
 from __future__ import annotations
@@ -103,12 +110,18 @@ class ProductionEngine(NetworkSimulator):
                 f"{type(self).__name__} requires engine_fast_path=True"
             )
         # test-only fault injection (repro.faults), sampled once
-        self._fault_skip_wake = "skip-wake" in active_faults()
+        faults = active_faults()
+        self._fault_skip_wake = "skip-wake" in faults
+        self._fault_skip_immobile_clear = "skip-immobile-clear" in faults
         self._waiting: dict[int, Message] = {}  # blocked_since set, by id
         self._wake_index: dict = {}  # resource key -> set of waiting ids
         self._delay_due: deque[tuple[int, Message]] = deque()  # router_delay
         self._vc_dim = self._cands.vc_dim
         self._arb_random = config.arbitration == "random"
+        self._arb_rr = config.arbitration == "round-robin"
+        # whole-phase skips (module docstring); -1 = allocate not quiet
+        self._all_immobile = False
+        self._alloc_quiet = -1
         # exact-type checks: the inlined draws replay these specific
         # policies; any other (or subclassed) policy goes through its own
         # choose() unmodified
@@ -183,6 +196,26 @@ class ProductionEngine(NetworkSimulator):
                 x[i], x[r] = x[r], x[i]
             hi = lo - 1
             k -= 1
+
+    def _skip_order(self, n: int, phase: int) -> None:
+        """The side effects of ordering an ``n``-long service list that no
+        one will read: ``_shuffle_inline``'s draws minus the swaps (widths
+        and rejection redraws depend on ``n`` alone), or the round-robin
+        bump of a non-empty phase."""
+        if self._arb_random:
+            hi = n
+            k = n.bit_length()
+            getrandbits = self.rng.getrandbits
+            while hi > 1:
+                lo = 1 << (k - 1)
+                for m in range(hi, lo - 1, -1):
+                    r = getrandbits(k)
+                    while r >= m:
+                        r = getrandbits(k)
+                hi = lo - 1
+                k -= 1
+        elif n and self._arb_rr:
+            self._rr_counters[phase] += 1
 
     # -- activity bookkeeping ----------------------------------------------------------
     def _begin_wait(self, msg: Message, keys: Optional[tuple]) -> None:
@@ -266,6 +299,9 @@ class ProductionEngine(NetworkSimulator):
         super()._remove_victim(victim)
         victim.routable = False
         victim.immobile = False
+        if not self._fault_skip_immobile_clear:
+            self._all_immobile = False
+        self._alloc_quiet = -1
         self._end_wait(victim)
         if victim.is_done:  # instant teardown released the whole chain
             for index in owned:
@@ -280,12 +316,29 @@ class ProductionEngine(NetworkSimulator):
         # it the shared empty snapshot instead of the maintained one
         snapshot = qlens if self._gen_needs_qlens else _NO_QLENS
         for msg in self.generator.tick(self.cycle, snapshot):
-            self.queues[msg.src].append(msg)
+            q = self.queues[msg.src]
+            if not q:
+                self._alloc_quiet = -1  # a new queue head: a new request
+            q.append(msg)
             qlens[msg.src] += 1
             self._live[msg.id] = msg
             self.stats.on_generated(self.cycle)
 
     def _phase_allocate(self) -> None:
+        # the inline draws replay random.Random's word stream; a scripted
+        # stand-in (the oracle's ChoiceRandom) takes the generic calls
+        rng = self.rng
+        inline = type(rng) is random.Random
+        quiet = self._alloc_quiet
+        if quiet >= 0 and not self._delay_due and (
+            inline or not self._arb_random
+        ):
+            # same requests as last pass, every one still parked: no pop,
+            # no serve — only the ordering of the list would be observable
+            self._skip_order(quiet, _PHASE_ALLOC)
+            self.vec_alloc_requests += quiet
+            self.vec_stall_skips += quiet
+            return
         queued = MessageStatus.QUEUED
         requests: list[Message] = []
         append = requests.append
@@ -313,10 +366,6 @@ class ProductionEngine(NetworkSimulator):
         for m in self.active.values():
             if m.routable:
                 append(m)
-        # the inline draws replay random.Random's word stream; a scripted
-        # stand-in (the oracle's ChoiceRandom) takes the generic calls
-        rng = self.rng
-        inline = type(rng) is random.Random
         if inline and self._arb_random:
             self._shuffle_inline(requests)
         else:
@@ -336,6 +385,9 @@ class ProductionEngine(NetworkSimulator):
         sel_lowest = self._sel_lowest
         getrandbits = rng.getrandbits if inline else None
         waiting_pop = self._waiting.pop
+        # what an acquisition leaves in _all_immobile: False, unless the
+        # skip-immobile-clear fault keeps a raised flag up
+        still_immobile = self._fault_skip_immobile_clear and self._all_immobile
         serves = 0
         for msg in requests:
             if msg.stalled:
@@ -358,6 +410,7 @@ class ProductionEngine(NetworkSimulator):
                         tracker.on_acquire(msg.id, ("rx", dest, rx.index))
                     msg.routable = False
                     msg.immobile = False
+                    self._all_immobile = still_immobile
                     waiting_pop(msg.id, None)
                     if msg.wait_keys is not None:
                         self._drop_wait_keys(msg)
@@ -425,6 +478,7 @@ class ProductionEngine(NetworkSimulator):
                     tracker.on_acquire(msg.id, choice.index)
                 msg.routable = False
                 msg.immobile = False
+                self._all_immobile = still_immobile
                 waiting_pop(msg.id, None)
                 if msg.wait_keys is not None:
                     self._drop_wait_keys(msg)
@@ -461,11 +515,23 @@ class ProductionEngine(NetworkSimulator):
                 elif idxs is not None and not self._uncacheable_routing:
                     self._register_wait_keys(msg, idxs)
                     msg.stalled = True
+        self._alloc_quiet = -1 if serves else len(requests)
         self.vec_alloc_requests += len(requests)
         self.vec_alloc_serves += serves
         self.vec_stall_skips += len(requests) - serves
 
     def _phase_move(self) -> None:
+        inline = type(self.rng) is random.Random
+        if self._all_immobile and (inline or not self._arb_random):
+            # no worm can move a flit, and active cannot have changed,
+            # until an acquisition or a victim removal lowers the flag
+            n = len(self.active)
+            self._skip_order(n, _PHASE_MOVE)
+            self.vec_immobile_skips += n
+            return
+        # the loop can set routable, release buffers and wake parked
+        # headers: the next allocate pass must look again
+        self._alloc_quiet = -1
         link_used = self._link_used
         link_used[:] = self._zero_links
         free_at = self._link_free_at  # None on uniform unit-latency topologies
@@ -474,7 +540,7 @@ class ProductionEngine(NetworkSimulator):
         cycle = self.cycle
         delay = self._router_delay
         order = list(self.active.values())
-        if self._arb_random and type(self.rng) is random.Random:
+        if self._arb_random and inline:
             self._shuffle_inline(order)
         else:
             order = self._service_order(order, _PHASE_MOVE)
@@ -577,6 +643,8 @@ class ProductionEngine(NetworkSimulator):
                 tracker.on_done(msg.id)
             self._end_wait(msg)
             self.stats.on_recovered(msg, cycle)
+        if order and not mobile:
+            self._all_immobile = True
         self.vec_move_mobile += mobile
         self.vec_immobile_skips += len(order) - mobile
 
@@ -630,4 +698,23 @@ class ProductionEngine(NetworkSimulator):
             if mid not in self.active:
                 raise SimulationError(
                     f"waiting set retains non-active message {mid}"
+                )
+        if self._all_immobile and not all(
+            m.immobile for m in self.active.values()
+        ):
+            raise SimulationError("_all_immobile raised over a mobile worm")
+        if self._alloc_quiet >= 0:
+            # what the skipped pass would have built: no head to pop, the
+            # same number of requests, every one parked
+            heads = [q[0] for q in self.queues if q]
+            requests = [m for m in heads if m.status is MessageStatus.QUEUED]
+            requests += [m for m in self.active.values() if m.routable]
+            if (
+                len(requests) != self._alloc_quiet
+                or not all(m.stalled for m in requests)
+                or any(m.at_source == 0 for m in heads)
+            ):
+                raise SimulationError(
+                    f"_alloc_quiet={self._alloc_quiet} but the request list "
+                    f"rebuilds to {len(requests)} entries, not all parked"
                 )

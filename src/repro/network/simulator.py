@@ -30,17 +30,11 @@ ground truth the other engines are specified against and the engine the
 model-checking oracle enumerates on (``engine_fast_path=False``).
 
 ``NetworkSimulator(config)`` dispatches on the config, so call sites
-never name an engine class:
+never name an engine class: ``engine_fast_path`` (the default) builds
+:class:`~repro.network.production.ProductionEngine`, the activity-tracked
+hot loops, on every topology; off, this class, the reference.
 
-* ``engine_fast_path`` (the default) →
-  :class:`~repro.network.production.ProductionEngine`, the
-  activity-tracked hot loops, on every topology;
-* ``engine_kernels`` → :class:`~repro.network.kernels.KernelEngine`, the
-  numpy array-kernel tier over structure-of-arrays mirrors (unit-latency
-  k-ary n-cubes only);
-* neither → this class, the reference.
-
-All three are bit-identical: the same seed produces the same
+The two are bit-identical: the same seed produces the same
 :class:`~repro.metrics.stats.RunResult` and the same deadlock event
 sequence (asserted by ``tests/integration/test_fast_path_equivalence.py``,
 the golden digests and the differential fuzzer).
@@ -120,23 +114,18 @@ class NetworkSimulator:
     paper's "program-driven simulation" extension); ``config.load`` and
     ``config.traffic`` are then ignored.
 
-    Construction dispatches on the config's engine flags (see the module
+    Construction dispatches on ``config.engine_fast_path`` (see the module
     docstring), so call sites keep instantiating ``NetworkSimulator``
     regardless of engine choice; instantiated as itself
-    (``engine_fast_path=False``) this class is the legacy reference.  All
+    (``engine_fast_path=False``) this class is the legacy reference.  Both
     engines are bit-identical given the same seed.
     """
 
     def __new__(cls, config: SimulationConfig = None, trace=None):
-        if cls is NetworkSimulator:
-            if getattr(config, "engine_kernels", False):
-                from repro.network.kernels import KernelEngine
+        if cls is NetworkSimulator and getattr(config, "engine_fast_path", False):
+            from repro.network.production import ProductionEngine
 
-                return object.__new__(KernelEngine)
-            if getattr(config, "engine_fast_path", False):
-                from repro.network.production import ProductionEngine
-
-                return object.__new__(ProductionEngine)
+            return object.__new__(ProductionEngine)
         return object.__new__(cls)
 
     def __init__(self, config: SimulationConfig, trace=None) -> None:
@@ -235,9 +224,8 @@ class NetworkSimulator:
         #: (through it) the detector's CWG rebuild all share it
         self._cands = CandidateTable(self.routing, self.topology, self.pool)
         self._router_delay = config.router_delay
-        #: True on the activity-tracked engines (production, kernels); the
-        #: detector and the invariant checker key their fast-path-only
-        #: reasoning off it
+        #: True on the activity-tracked production engine; the detector and
+        #: the invariant checker key their fast-path-only reasoning off it
         self.fast_path = bool(config.engine_fast_path)
         #: monotone counter of ownership / blocked-set transitions; the
         #: detector short-circuits a pass when it has not advanced

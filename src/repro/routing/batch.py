@@ -14,9 +14,7 @@ Per key it holds:
   neither rebuilds it per blocked attempt).
 
 Entries are built lazily through the relation's own ``candidates`` call,
-so contents equal an unmemoized query by construction.  The table can be
-exported as a padded numpy index matrix for offline analysis; numpy is
-imported only there, keeping it out of the default engine's process.
+so contents equal an unmemoized query by construction.
 """
 
 from __future__ import annotations
@@ -24,8 +22,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    import numpy as np
-
     from repro.network.channels import ChannelPool
     from repro.network.message import Message
     from repro.network.topology import Topology
@@ -73,20 +69,3 @@ class CandidateTable:
             entry = (cands, tuple(vc.index for vc in cands))
             self.table[key] = entry
         return entry
-
-    def as_index_matrix(self) -> "tuple[list, np.ndarray]":
-        """The built table as ``(keys, padded index matrix)``.
-
-        Row *i* lists the candidate VC indices of ``keys[i]``, right-padded
-        with -1.  Offline analysis / observability export; the serve loop
-        never touches it.
-        """
-        import numpy as np
-
-        keys = list(self.table)
-        width = max((len(self.table[k][1]) for k in keys), default=0)
-        mat = np.full((len(keys), width), -1, dtype=np.int32)
-        for i, k in enumerate(keys):
-            idxs = self.table[k][1]
-            mat[i, : len(idxs)] = idxs
-        return keys, mat

@@ -1,15 +1,10 @@
 """Deterministic differential fuzzing of the simulator's optimized paths.
 
-The repo carries four pairs of independently-implemented equivalents:
+The repo carries three pairs of independently-implemented equivalents:
 
 * **engine** — the production engine (activity tracking, inline
-  arbitration stream) vs the legacy full-rescan reference
-  (``engine_fast_path``),
-* **kernels** — the batched array-kernel engine vs the production engine
-  (``engine_kernels``; production is the reference here so the axis
-  isolates exactly what the kernel tier adds — its SoA mirrors, RNG
-  replay, maintained quiescence flags, and batch generate/allocate/move
-  paths),
+  arbitration stream, whole-phase quiescence skips) vs the legacy
+  full-rescan reference (``engine_fast_path``),
 * **detector** — dirty-region cached detection vs the per-pass global
   analysis (``detector_caching``),
 * **cwg** — the event-maintained :class:`IncrementalCWG` vs a from-scratch
@@ -56,15 +51,15 @@ __all__ = [
     "load_artifact",
 ]
 
-#: the four differential axes, in checking order
-AXES = ("engine", "kernels", "detector", "cwg")
+#: the three differential axes, in checking order
+AXES = ("engine", "detector", "cwg")
 
 
 @dataclass(frozen=True)
 class FuzzMismatch:
     """One confirmed divergence between paired implementations."""
 
-    axis: str  #: "engine" | "kernels" | "detector" | "cwg"
+    axis: str  #: "engine" | "detector" | "cwg"
     config: SimulationConfig  #: a configuration reproducing the divergence
     detail: str  #: human-readable description of the first difference
 
@@ -182,50 +177,24 @@ def _first_diff(a: dict, b: dict) -> str:
 
 
 # -- the axes -------------------------------------------------------------------------
-def _compare_engines(
-    config: SimulationConfig,
-    subject: tuple[str, dict],
-    reference: tuple[str, dict],
-) -> Optional[str]:
-    """Run ``config`` under two ``(name, engine flags)`` selections."""
+def compare_engine(config: SimulationConfig) -> Optional[str]:
+    """Production vs legacy engine; None when bit-identical."""
     outcomes = []
-    for _name, flags in (subject, reference):
-        sim = NetworkSimulator(config.replace(**flags))
+    for fast_path in (True, False):
+        sim = NetworkSimulator(config.replace(engine_fast_path=fast_path))
         result = sim.run()
         outcomes.append(
             (_result_fingerprint(result), _event_fingerprint(sim.detector.events))
         )
-    (sub_res, sub_ev), (ref_res, ref_ev) = outcomes
-    if sub_res != ref_res:
-        return f"{subject[0]} engine diverges: {_first_diff(sub_res, ref_res)}"
-    if sub_ev != ref_ev:
+    (prod_res, prod_ev), (ref_res, ref_ev) = outcomes
+    if prod_res != ref_res:
+        return f"production engine diverges: {_first_diff(prod_res, ref_res)}"
+    if prod_ev != ref_ev:
         return (
-            f"{subject[0]} engine deadlock events diverge: "
-            f"{len(sub_ev)} {subject[0]} vs {len(ref_ev)} {reference[0]} events"
+            "production engine deadlock events diverge: "
+            f"{len(prod_ev)} production vs {len(ref_ev)} legacy events"
         )
     return None
-
-
-_LEGACY = ("legacy", dict(engine_fast_path=False, engine_kernels=False))
-_PRODUCTION = ("production", dict(engine_fast_path=True, engine_kernels=False))
-_KERNELS = ("kernel", dict(engine_fast_path=True, engine_kernels=True))
-
-
-def compare_engine(config: SimulationConfig) -> Optional[str]:
-    """Production vs legacy engine; None when bit-identical."""
-    return _compare_engines(config, _PRODUCTION, _LEGACY)
-
-
-def compare_kernels(config: SimulationConfig) -> Optional[str]:
-    """Batched kernel engine vs production; None when bit-identical.
-
-    Production — not legacy — is the reference: the kernel tier stacks on
-    the production engine's bookkeeping, and comparing one tier down
-    isolates exactly what the kernels change (SoA mirrors, batch generate /
-    allocate / move, maintained quiescence flags) from everything the
-    engine axis already covers.  Legacy coverage is transitive.
-    """
-    return _compare_engines(config, _KERNELS, _PRODUCTION)
 
 
 def _detector_records(config: SimulationConfig, **overrides) -> list:
@@ -308,7 +277,6 @@ def compare_cwg(config: SimulationConfig) -> Optional[str]:
 
 _AXIS_CHECKS: dict[str, Callable[[SimulationConfig], Optional[str]]] = {
     "engine": compare_engine,
-    "kernels": compare_kernels,
     "detector": compare_detector,
     "cwg": compare_cwg,
 }

@@ -26,8 +26,8 @@ state space of a generation-capped configuration is finite.
 Restoration always targets the legacy engine (``engine_fast_path=False``):
 it derives eligibility and waiting state by scanning, so a restored
 simulator needs no reconstruction of the fast path's wake index or
-activity flags.  Because all three engines are bit-identical, successor
-sets enumerated on the legacy engine are ground truth for every engine.
+activity flags.  Because the two engines are bit-identical, successor
+sets enumerated on the legacy engine are ground truth for both.
 """
 
 from __future__ import annotations
@@ -74,8 +74,6 @@ __all__ = [
 #: * ``router_delay=0`` — ``head_arrival`` reduces to a boolean.
 ORACLE_PINS = dict(
     engine_fast_path=False,
-    engine_vectorized=False,
-    engine_kernels=False,
     cwg_maintenance="rebuild",
     detector_caching=False,
     recovery="none",
@@ -302,8 +300,7 @@ class CanonicalState:
 def snapshot_state(sim: NetworkSimulator) -> CanonicalState:
     """Snapshot a live simulator into a :class:`CanonicalState`.
 
-    Works on any engine tier — it reads only the object model, which the
-    structure-of-arrays engines maintain alongside their mirrors.  Raises
+    Works on either engine — it reads only the object model.  Raises
     when the state falls outside the oracle's pinned semantics (a message
     mid-teardown can only exist under flit-by-flit recovery).
     """
@@ -421,9 +418,9 @@ def restore_sim(
 ) -> NetworkSimulator:
     """Build a live legacy-engine simulator in exactly ``state``.
 
-    ``config`` is pinned through :func:`oracle_config` first, so any
-    engine-tier configuration restores onto the (bit-identical) legacy
-    scalar engine.  The restored simulator passes ``check_invariants`` and
+    ``config`` is pinned through :func:`oracle_config` first, so a
+    production-engine configuration restores onto the (bit-identical)
+    legacy scalar engine.  The restored simulator passes ``check_invariants`` and
     satisfies ``snapshot_state(restore_sim(c, s)) == s``.
     """
     sim = NetworkSimulator(oracle_config(config))

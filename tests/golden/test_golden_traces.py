@@ -144,22 +144,22 @@ def test_golden_trace(name):
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_golden_trace_kernel_engine(name):
-    """The kernel engine reproduces the committed digests verbatim.
+def test_golden_trace_legacy_engine(name):
+    """The legacy reference reproduces the committed digests verbatim.
 
-    Same scenarios, same goldens, no separate blessing: the batched
-    kernels are required to be bit-identical, so they must hash to the
-    exact digests the scalar engine committed.
+    Same scenarios, same goldens, no separate blessing: the two engines
+    are required to be bit-identical, so the reference must hash to the
+    exact digests the default engine committed.
     """
     goldens = load_goldens()
     if os.environ.get(BLESS_ENV) == "1" or name not in goldens:
         pytest.skip("no committed golden (blessing runs the default engine)")
-    cfg = SCENARIOS[name].replace(engine_kernels=True)
+    cfg = SCENARIOS[name].replace(engine_fast_path=False)
     sim = NetworkSimulator(cfg)
     result = sim.run()
     digest = digest_of(canonical_trace(sim, result))
     assert digest == goldens[name]["digest"], (
-        f"kernel engine diverged from golden trace {name!r}: "
+        f"legacy engine diverged from golden trace {name!r}: "
         f"{digest[:16]}… != committed {goldens[name]['digest'][:16]}…"
     )
 

@@ -5,8 +5,7 @@ torus3d with a slow TSV dimension, mesh3d, dragonfly under minimal
 routing, full mesh under 2-hop misrouting — digested exactly like the
 k-ary n-cube goldens in :mod:`tests.golden.test_golden_traces` and
 compared against ``topology_golden_digests.json``.  Every digest is
-asserted on the default (production) engine and on the legacy reference;
-only the kernel tier is config-gated off the zoo.
+asserted on the default (production) engine and on the legacy reference.
 
 Re-bless after an intentional, reviewed semantic change with:
 

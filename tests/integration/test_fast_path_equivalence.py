@@ -1,30 +1,29 @@
-"""Legacy / production / kernels equivalence: all three engines are
-bit-identical.
+"""Legacy / production equivalence: the two engines are bit-identical.
 
 The production engine (``engine_fast_path``, the default) restructures the
 hot loops around incrementally-maintained activity state (routable flags, a
-stalled-message wake index, immobile-worm skipping, detection
-short-circuiting on the blocked epoch), a position-keyed candidate table
-and an inline arbitration RNG stream; the kernel tier (``engine_kernels``)
-additionally batches phase construction over structure-of-arrays mirrors.
-All of it is pure optimization: with the same seed, every engine must
-produce the **same** :class:`RunResult` fields and the **same** sequence of
-:class:`DeadlockEvent`\\ s as the legacy reference.
+stalled-message wake index, immobile-worm skipping, whole-phase quiescence
+skips, detection short-circuiting on the blocked epoch), a position-keyed
+candidate table and an inline arbitration RNG stream.  All of it is pure
+optimization: with the same seed it must produce the **same**
+:class:`RunResult` fields and the **same** sequence of
+:class:`DeadlockEvent`\\ s as the legacy reference, and leave the shared
+arbitration RNG in the same state.
 
-Every case runs the identical configuration once per engine that accepts
-it and compares everything except the config object itself.  Cases cover
+Every case runs the identical configuration once per engine and compares
+everything except the config object itself.  Cases cover
 the matrix the engine branches on: DOR/TFAR (plus the misrouting variant
 whose candidate sets change as a blocked message's tail drains), uni- and
 bidirectional tori, 1–4 VCs, wormhole and virtual cut-through switching,
 knot and timeout detection, both CWG maintenance modes, both recovery
 teardown styles, router pipeline delay, multiple reception channels, and
 all three arbitration policies — plus the topology zoo (3D torus with a
-slow TSV dimension, 3D mesh, dragonfly, full mesh), which the production
-engine runs and the kernel tier rejects.
+slow TSV dimension, 3D mesh, dragonfly, full mesh).
 
 Several cases run with ``check_invariants=True``: the simulator then also
 asserts every cycle that the maintained flags (``routable``, ``stalled``,
-``immobile``, the waiting set) agree with the predicates they cache.  The
+``immobile``, the waiting set, ``_all_immobile`` and ``_alloc_quiet``)
+agree with the predicates they cache.  The
 zoo cases run at ``validation_level=2``, the full runtime battery (flit
 conservation, channel exclusivity, worm contiguity, activity coherence
 incl. the wake index, incremental CWG) every cycle.
@@ -35,7 +34,6 @@ import dataclasses
 import pytest
 
 from repro.config import SimulationConfig, tiny_default
-from repro.errors import ConfigurationError
 from repro.network.simulator import NetworkSimulator
 
 
@@ -64,14 +62,13 @@ def _event_keys(sim):
 ENGINES = {
     "legacy": dict(engine_fast_path=False),
     "production": dict(engine_fast_path=True),
-    "kernels": dict(engine_fast_path=True, engine_kernels=True),
 }
 
 
-def _run_engines(cfg, engines=tuple(ENGINES)):
+def _run_engines(cfg):
     out = {}
-    for name in engines:
-        sim = NetworkSimulator(cfg.replace(**ENGINES[name]))
+    for name, flags in ENGINES.items():
+        sim = NetworkSimulator(cfg.replace(**flags))
         result = sim.run()
         out[name] = (sim, result)
     return out
@@ -91,6 +88,10 @@ def _assert_identical(runs):
         sim, result = runs[name]
         assert _result_fields(result) == legacy_fields, name
         assert _event_keys(sim) == legacy_events, name
+    # every draw — served, inlined or replayed by a whole-phase skip —
+    # came off the shared RNG word for word
+    draws = {name: sim.rng.getrandbits(64) for name, (sim, _) in runs.items()}
+    assert len(set(draws.values())) == 1, draws
     # the workload actually exercised the engine
     assert legacy_result.delivered > 0
 
@@ -188,7 +189,7 @@ _ZOO_COMMON = dict(
     validation_level=2,
 )
 
-#: topology-zoo rows: legacy vs production (the kernel tier rejects them)
+#: topology-zoo rows
 ZOO_CASES = {
     "torus3d_tsv": dict(
         topology="torus3d",
@@ -235,13 +236,11 @@ ZOO_CASES = {
 @pytest.mark.parametrize("name", sorted(ZOO_CASES))
 def test_zoo_production_bit_identical(name):
     cfg = SimulationConfig(**{**_ZOO_COMMON, **ZOO_CASES[name]})
-    runs = _run_engines(cfg, ("legacy", "production"))
+    runs = _run_engines(cfg)
     _assert_identical(runs)
     # the maintained activity state was actually in play
     stats = runs["production"][0].vec_stats()
     assert stats["stall_skips"] > 0 and stats["immobile_skips"] > 0
-    with pytest.raises(ConfigurationError):
-        cfg.replace(**ENGINES["kernels"]).validate()
 
 
 def test_fast_path_identical_across_seeds():
@@ -298,27 +297,23 @@ def test_vectorized_is_opt_in():
     assert _result_fields(aliased.run()) == _result_fields(plain.run())
 
 
-def test_vectorized_requires_fast_path():
-    cfg = tiny_default(engine_vectorized=True, engine_fast_path=False)
-    with pytest.raises(ConfigurationError):
-        NetworkSimulator(cfg)
-
-
-def test_kernels_is_opt_in():
-    """The kernel tier is flag-gated — ``engine_kernels`` alone selects
-    it — and dispatched transparently."""
-    from repro.network.kernels import KernelEngine
+def test_deprecated_engine_flags_are_inert():
+    """``engine_kernels`` / ``engine_vectorized`` select nothing and reject
+    nothing: the tiers they named are gone, and the fields survive only
+    inside stored result digests."""
+    from repro.campaign.store import config_digest
     from repro.network.production import ProductionEngine
 
-    cfg = tiny_default()
-    assert cfg.engine_kernels is False
-
-    kern = NetworkSimulator(cfg.replace(engine_kernels=True))
-    assert type(kern) is KernelEngine
-    assert isinstance(kern, ProductionEngine)
-
-
-def test_kernels_requires_fast_path():
-    cfg = tiny_default(engine_kernels=True, engine_fast_path=False)
-    with pytest.raises(ConfigurationError):
-        NetworkSimulator(cfg)
+    flags = dict(engine_kernels=True, engine_vectorized=True)
+    assert type(NetworkSimulator(tiny_default(**flags))) is ProductionEngine
+    legacy = NetworkSimulator(tiny_default(engine_fast_path=False, **flags))
+    assert type(legacy) is NetworkSimulator
+    # a zoo / non-unit-latency config, which the kernel tier used to reject
+    zoo = SimulationConfig(**{**_ZOO_COMMON, **ZOO_CASES["torus3d_tsv"]})
+    flagged = zoo.replace(engine_kernels=True)
+    flagged.validate()
+    assert _result_fields(NetworkSimulator(flagged).run()) == _result_fields(
+        NetworkSimulator(zoo).run()
+    )
+    # the field list (and so every stored digest) is the parent commit's
+    assert config_digest(tiny_default()) == "90949b61107460f2ef9a510d"

@@ -1,13 +1,13 @@
-"""Real runs live inside the enumerated state graph — on every engine tier.
+"""Real runs live inside the enumerated state graph — on both engines.
 
 The model-checking oracle's guarantees transfer to production runs only if
 the enumerated successor relation actually contains real trajectories:
 every cycle a genuinely-seeded simulator executes must step between two
 states the enumerator connects.  This property closes the loop between the
 scripted branch points of :mod:`repro.validation.statespace` (which claim
-to cover *all* RNG draws) and the unmodified engines — on all three tiers,
-since a tier whose trajectory ever left the graph would be making a draw
-the oracle's branch model does not know about.
+to cover *all* RNG draws) and the unmodified engines — legacy and
+production, since an engine whose trajectory ever left the graph would be
+making a draw the oracle's branch model does not know about.
 """
 
 from __future__ import annotations
@@ -26,11 +26,10 @@ from repro.validation.statespace import (
     successors,
 )
 
-#: engine flag sets, mirroring the differential fuzzer's axes
+#: engine flag sets, mirroring the differential fuzzer's engine axis
 TIERS = {
-    "legacy": dict(engine_fast_path=False, engine_kernels=False),
-    "fast-path": dict(engine_fast_path=True, engine_kernels=False),
-    "kernels": dict(engine_fast_path=True, engine_kernels=True),
+    "legacy": dict(engine_fast_path=False),
+    "fast-path": dict(engine_fast_path=True),  # the production engine
 }
 
 #: tiny configurations with distinct branch-point mixes: deterministic
@@ -95,8 +94,8 @@ def test_all_tiers_agree_on_the_trajectory(tier):
 
     The oracle enumerates on the legacy engine only; this pins that a
     capped-generation tiny config follows the *same* canonical state
-    sequence on every tier (the property that makes legacy-enumerated
-    graphs ground truth for all three).
+    sequence on both engines (the property that makes legacy-enumerated
+    graphs ground truth for production).
     """
     base = CONFIGS["ring"].replace(seed=11)
     run_config = oracle_config(base).replace(**TIERS[tier])
@@ -149,6 +148,35 @@ def test_scripted_trajectory_on_production_matches_legacy(selection):
         ), f"state diverged at cycle {legacy.cycle}"
         decisions += len(legacy_trail)
     assert decisions > 30, "scripts never reached a real branch point"
+
+
+def test_scripted_steps_never_take_a_whole_phase_skip():
+    """Under random arbitration a scripted ``ChoiceRandom`` keeps walking
+    ``rng.shuffle`` on a frozen network: the production engine's
+    whole-phase skips replay ``random.Random``'s word stream, which a
+    scripted RNG does not have — skipping would drop the shuffles' branch
+    points from the trail."""
+    # seed 0 deadlocks the ring (3 worms, generation budget spent) by cycle 13
+    base = oracle_config(CONFIGS["ring-random-arb"].replace(max_messages=8))
+    legacy = NetworkSimulator(base)
+    production = NetworkSimulator(base.replace(engine_fast_path=True))
+    skips = []
+    skip_order = production._skip_order
+    production._skip_order = lambda n, phase: (
+        skips.append(phase), skip_order(n, phase)
+    )
+    for _ in range(20):
+        legacy.step()
+        production.step()
+    assert production._all_immobile and production._alloc_quiet == 3
+    assert skips[-2:] == [0, 1]  # the seeded random.Random takes both skips
+    del skips[:]
+    for _ in range(5):
+        trail = step_with_script(legacy).trail
+        assert len(trail) == 4  # two Fisher-Yates walks over three messages
+        assert step_with_script(production).trail == trail
+        assert snapshot_state(production) == snapshot_state(legacy)
+    assert skips == []
 
 
 def test_successor_sets_are_path_independent():

@@ -50,10 +50,10 @@ HOTSPOT = SATURATED.replace(
 )
 
 #: a unidirectional ring wedges *globally* (every in-flight message blocked
-#: at once), which is what raises the kernel engine's maintained
+#: at once), which is what raises the production engine's maintained
 #: all-immobile flag — the torus scenarios above always keep some traffic
-#: mobile, so they never exercise that fast path (the kernels-axis teeth
-#: scenario)
+#: mobile, so they never take that whole-phase skip (the second
+#: engine-axis teeth scenario)
 RING = SATURATED.replace(
     k=4, n=1, bidirectional=False, buffer_depth=1, message_length=4
 )
@@ -168,36 +168,35 @@ def test_artifact_roundtrip(tmp_path):
     assert dataclasses.asdict(config) == dataclasses.asdict(SATURATED)
 
 
-def test_axes_are_the_documented_four():
-    assert AXES == ("engine", "kernels", "detector", "cwg")
+def test_axes_are_the_documented_three():
+    assert AXES == ("engine", "detector", "cwg")
 
 
-def test_skip_immobile_clear_is_caught_by_kernels_axis(monkeypatch):
-    """A kernel engine whose all-immobile flag lies stays frozen forever.
+def test_skip_immobile_clear_is_caught_by_engine_axis(monkeypatch):
+    """A production engine whose all-immobile flag lies stays frozen forever.
 
-    The fault leaves ``KernelEngine._all_immobile`` raised after the
+    The fault leaves ``ProductionEngine._all_immobile`` raised after the
     wake-up events that should lower it, so once the ring wedges globally
-    the faulty engine never moves another flit while the production
-    reference drains the recovery — the kernels axis must report that
-    divergence.
+    the faulty engine never moves another flit while the legacy reference
+    drains the recovery — the engine axis must report that divergence.
     """
     monkeypatch.setenv(ENV_VAR, "skip-immobile-clear")
-    mismatches = check_config(RING, axes=("kernels",))
+    mismatches = check_config(RING, axes=("engine",))
     assert mismatches, (
-        "skip-immobile-clear fault was not detected: the kernels axis "
-        "has no teeth"
+        "skip-immobile-clear fault was not detected: the engine axis "
+        "has no teeth for the whole-phase skips"
     )
-    assert mismatches[0].axis == "kernels"
+    assert mismatches[0].axis == "engine"
 
 
 def test_skip_immobile_clear_does_not_trip_other_axes(monkeypatch):
-    """The fault lives only in the kernel tier, so the axes that never
-    construct a KernelEngine must stay clean — pinning that the kernels
+    """Both legs of the detector and CWG axes run the same (faulty)
+    production engine, so they must stay clean — pinning that the engine
     axis is the *necessary* net for this class of bug, not a redundant
     one."""
     monkeypatch.setenv(ENV_VAR, "skip-immobile-clear")
-    mismatches = check_config(RING, axes=("engine", "detector", "cwg"))
+    mismatches = check_config(RING, axes=("detector", "cwg"))
     assert mismatches == [], (
-        "skip-immobile-clear leaked into non-kernel axes: "
+        "skip-immobile-clear leaked into the non-engine axes: "
         f"{[m.axis for m in mismatches]}"
     )
