@@ -10,7 +10,9 @@ The end-to-end resumability contract, run as part of
 3. re-invoke the campaign: the completed point must be *resumed* (loaded
    from the store, not re-run) and the remaining point executed;
 4. the merged sweep must be bit-identical to an uninterrupted serial
-   sweep of the same configs — resumption may not perturb results.
+   sweep of the same configs — resumption may not perturb results;
+5. neither clean run may have forked more slot processes than it had
+   workers (``slot_forks`` — slots are reused across points).
 
 Everything is seeded and deterministic: a CI failure replays locally with
 ``python scripts/campaign_smoke.py``.
@@ -37,6 +39,13 @@ def fail(message: str) -> "NoReturn":  # noqa: F821 - py3.10 typing literal
     raise SystemExit(1)
 
 
+def check_slot_forks(runner: CampaignRunner, workers: int) -> None:
+    forks = runner.registry.snapshot()["counters"].get("campaign/slot_forks", 0)
+    print(f"campaign_smoke: slot_forks={forks} at {workers} worker(s)")
+    if not 1 <= forks <= workers:
+        fail(f"a clean run at {workers} worker(s) forked {forks} slot(s)")
+
+
 def main() -> int:
     cfg = tiny_default(measure_cycles=400, warmup_cycles=50)
     with tempfile.TemporaryDirectory(prefix="campaign_smoke_") as tmp:
@@ -55,6 +64,7 @@ def main() -> int:
         ]
         if len(done) != 1 or manifest["counters"].get("executed") != 1:
             fail(f"manifest after interruption: {manifest}")
+        check_slot_forks(interrupted, workers=1)
         print(
             f"campaign_smoke: interrupted after 1/{len(LOADS)} points, "
             f"manifest consistent"
@@ -70,6 +80,7 @@ def main() -> int:
         stats = resumed.registry.snapshot()["counters"]
         if stats.get("campaign/points_resumed") != 1:
             fail(f"resume counters: {stats}")
+        check_slot_forks(resumed, workers=2)
         manifest = store.load_manifest()
         done = [
             d for d, p in manifest["points"].items() if p["status"] == "done"

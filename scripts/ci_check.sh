@@ -11,7 +11,10 @@
 #    below its 9x acceptance bar on the saturated scenario, or below the
 #    speedup of the fast path it replaced, or the as-shipped census pass
 #    is not >=1.5x faster than the frozen cost it had before the
-#    detector's contracted pipeline became the default); on failure the
+#    detector's contracted pipeline became the default, or the campaign
+#    layer's fan-out regime — 48 tiny points — reads a cold drain at one
+#    worker above 1.35x the direct serial run or a service drain on two
+#    slots above 1.5x the cold drain at two workers); on failure the
 #    per-phase time breakdown is printed alongside the committed one so
 #    the regressing phase is visible at a glance;
 # 4. runs the observability smoke gate: a pinned traced scenario whose
@@ -41,12 +44,14 @@
 #    teeth battery proven to bite (scripts/oracle_smoke.py);
 # 10. runs the campaign smoke gate: a 2-point campaign interrupted after one
 #    point, resumed, and checked bit-identical against a direct sweep with
-#    a consistent store manifest (scripts/campaign_smoke.py);
+#    a consistent store manifest, neither run forking more slot processes
+#    than it has workers (scripts/campaign_smoke.py);
 # 11. runs the distributed campaign smoke gate: a localhost scheduler, two
 #    TCP worker subprocesses, one SIGKILLed mid-point — the lease must be
 #    requeued and finished by the survivor, the manifest must stay
-#    consistent and rebuildable, and the drained store must be
-#    bit-identical to a single-host run (scripts/serve_smoke.py);
+#    consistent and rebuildable, the drained store must be bit-identical
+#    to a single-host run, and slot_forks must stay <= workers on both
+#    (scripts/serve_smoke.py);
 # 12. runs the documentation drift gate: every repro.* symbol named in
 #    docs/API.md must resolve against the live package, every relative
 #    markdown link in the repo must point at an existing file, and every

@@ -18,7 +18,12 @@ The end-to-end contract of the campaign service, run as part of
 5. verify the drained store is **bit-identical**, artifact for artifact,
    to the same campaign run by the single-host ``CampaignRunner``, and
    that a resumed single-host sweep over the store equals the plain
-   serial sweep.
+   serial sweep;
+6. verify no run forked more slot processes than it had workers: the
+   clean single-host reference by its ``slot_forks`` counter, the
+   distributed drain by the ``slot_forks`` its workers reported with
+   their results (the SIGKILLed victim never reported, so this counts
+   the survivor's slots).
 
 Everything is deterministic modulo scheduling interleave; the budget is
 well under the 90 s CI bound.  A failure replays locally with
@@ -93,6 +98,13 @@ def artifact_bytes(store: ResultStore) -> dict[str, bytes]:
     }
 
 
+def check_slot_forks(store: ResultStore, what: str, workers: int) -> None:
+    forks = store.load_manifest()["counters"].get("slot_forks", 0)
+    print(f"serve_smoke: {what}: slot_forks={forks} at {workers} workers")
+    if not 1 <= forks <= workers:
+        fail(f"{what} forked {forks} slot(s) at {workers} workers")
+
+
 def main() -> int:
     started = time.monotonic()
     cfg = tiny_default(**FAST)
@@ -100,6 +112,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="serve_smoke_") as tmp:
         reference = ResultStore(Path(tmp) / "reference")
         CampaignRunner(reference, max_workers=2).run_points(configs)
+        check_slot_forks(reference, "single-host reference", workers=2)
 
         store_root = Path(tmp) / "store"
         victim = survivor = None
@@ -175,6 +188,7 @@ def main() -> int:
         workers_used = {manifest["points"][d].get("worker") for d in done}
         if not workers_used <= {"victim", "survivor"}:
             fail(f"unattributed workers in manifest: {workers_used}")
+        check_slot_forks(store, "distributed drain", workers=2)
         rebuilt = store.manifest_rebuild()
         if set(rebuilt["points"]) != set(manifest["points"]):
             fail("manifest_rebuild lost or invented points")

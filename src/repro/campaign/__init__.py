@@ -6,7 +6,7 @@ ResultStore` is a content-addressed on-disk store (one atomic JSON
 artifact per completed :class:`~repro.config.SimulationConfig`, keyed by a
 stable config digest + schema version, indexed by a manifest), and
 :class:`~repro.campaign.runner.CampaignRunner` drives sweep points through
-killable worker processes with retry/backoff, per-point wall-clock
+killable, reused slot processes with retry/backoff, per-point wall-clock
 timeouts, graceful degradation (a point that exhausts its retries becomes
 a recorded :class:`~repro.campaign.store.PointFailure`, not an abort) and
 resume (points already in the store are never re-run; determinism makes

@@ -6,9 +6,14 @@ the durability a multi-hundred-point figure regeneration needs:
 * every completed point is persisted to a :class:`~repro.campaign.store.
   ResultStore` the moment it finishes (written atomically *by the worker
   process itself*, so a parent crash loses nothing);
-* each point runs in its own killable worker process with a configurable
-  **wall-clock timeout** — a hung simulation is terminated and respawned
-  instead of wedging the whole sweep;
+* each point runs in a killable **slot** process with a configurable
+  **wall-clock timeout** — a hung simulation is terminated and its slot
+  replaced instead of wedging the whole sweep.  Slots are persistent
+  (:class:`SlotPool`): forked lazily on the first job, then fed point
+  after point over a pipe, so a campaign pays one fork and one process
+  teardown per worker rather than per point; a slot is retired by kill
+  only on a timeout or when its process dies, which costs that one
+  attempt and nothing else;
 * failures **retry with exponential backoff**, and a point that exhausts
   its retries degrades to a structured
   :class:`~repro.campaign.store.PointFailure` in the manifest while every
@@ -20,41 +25,67 @@ the durability a multi-hundred-point figure regeneration needs:
   uninterrupted run's.
 
 Both fresh and resumed points are materialized *through the store* (the
-worker writes the artifact, the parent loads it back), so the merged sweep
+slot writes the artifact, the parent loads it back), so the merged sweep
 never depends on which side of an interruption a point ran on.
 
-Retry/timeout/resume activity is counted on a live
+Retry/timeout/resume activity and the number of slot processes started
+(``campaign/slot_forks``) are counted on a live
 :class:`~repro.obs.registry.MetricsRegistry` (``campaign/*`` counters) and
 mirrored into the manifest, where ``repro campaign status`` reads it.
+
+The one slot implementation serves every backend: :meth:`CampaignRunner.
+run_points` owns a pool for the call, and the campaign service's local
+slots and TCP workers (:mod:`repro.campaign.service`) each hold one for
+their lifetime and lend it to ``run_points(..., pool=...)``.
 """
 
 from __future__ import annotations
 
-import sys
+import os
+import threading
 import time
 import traceback
 from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing import get_context
-from multiprocessing.connection import wait as _sentinel_wait
+from multiprocessing.connection import wait as _connection_wait
 from typing import Callable, Optional, Sequence
 
 from repro.config import SimulationConfig
 from repro.campaign.store import PointFailure, ResultStore, StoredPoint
-from repro.faults import active_faults, first_trigger, point_fault_matches
+from repro.faults import (
+    DIR_ENV_VAR,
+    ENV_VAR,
+    MATCH_ENV_VAR,
+    active_faults,
+    first_trigger,
+    point_fault_matches,
+)
 from repro.metrics.stats import RunResult
 from repro.metrics.sweep import SweepResult, obs_rollup
 from repro.obs.registry import MetricsRegistry
 
-__all__ = ["CampaignRunner", "CampaignSweep"]
+__all__ = ["CampaignRunner", "CampaignSweep", "SlotPool"]
 
 #: how long a hang-point fault sleeps — far past any sane per-point timeout
 _HANG_SECONDS = 3600.0
 
-#: upper bound on one scheduler wait; the real wake signal is the worker
-#: process sentinels (zero-CPU blocking wait, instant wake on child exit),
+#: upper bound on one scheduler wait; the real wake signal is the slot pipes
+#: (zero-CPU blocking wait, instant wake on a verdict or a slot's death),
 #: this only caps how stale a timeout/backoff deadline check can get
 _MAX_WAIT_SECONDS = 0.25
+
+#: every job carries these, so a slot forked before a test armed a fault
+#: still honours it
+_FAULT_ENV = (ENV_VAR, MATCH_ENV_VAR, DIR_ENV_VAR)
+
+#: the parent-side pipe end of every live slot of this process, whichever
+#: pool owns it: a forked slot copies them all and must close them all, or
+#: it keeps a sibling's pipe open and hides this process's death (EOF) from
+#: that sibling.  The lock serializes pipe creation + fork across pools, so
+#: no slot is forked while a sibling's pipe is half set up.
+_PARENT_ENDS: set = set()
+_FORK_LOCK = threading.Lock()
 
 
 def _apply_point_faults(config: SimulationConfig) -> None:
@@ -75,12 +106,13 @@ def _apply_point_faults(config: SimulationConfig) -> None:
 
 def _point_worker(
     store_root: str, schema_version: int, config: SimulationConfig
-) -> None:
-    """Run one point to completion and persist it (child-process entry).
+) -> bool:
+    """Run one point to completion and persist it (slot-process side).
 
-    The worker writes the artifact itself — atomically — so the result is
+    The slot writes the artifact itself — atomically — so the result is
     durable even if the parent dies before collecting it.  Failures land in
-    a sidecar error file the parent consumes to label the retry.
+    a sidecar error file the parent consumes to label the retry.  Returns
+    whether the artifact was written.
     """
     store = ResultStore(store_root, schema_version=schema_version)
     digest = store.digest(config)
@@ -91,11 +123,177 @@ def _point_worker(
         sim = NetworkSimulator(config)
         result = sim.run()
         store.write(config, result, sim.obs.snapshot())
-    except BaseException as exc:  # noqa: BLE001 - shipped to the parent
+    except Exception as exc:  # noqa: BLE001 - shipped to the parent
         store.write_error(
             digest, f"{type(exc).__name__}: {exc}", traceback.format_exc()
         )
-        sys.exit(1)
+        return False
+    return True
+
+
+def _slot_main(conn, inherited) -> None:
+    """Slot-process entry: recv job → run the point → send the verdict.
+
+    ``inherited`` are the parent-side pipe ends this fork copied (its own
+    and every sibling's).  Closing them first means a SIGKILLed parent
+    reads as EOF on every slot's pipe, so none outlives the campaign.
+    """
+    for end in inherited:
+        end.close()
+    try:
+        while True:
+            try:
+                store_root, schema_version, config, fault_env = conn.recv()
+            except EOFError:  # pool closed, or the parent is gone
+                return
+            for name, value in fault_env.items():
+                if value is None:
+                    os.environ.pop(name, None)
+                else:
+                    os.environ[name] = value
+            verdict = _point_worker(store_root, schema_version, config)
+            try:
+                conn.send(verdict)
+            except OSError:  # the parent died while the point ran
+                return
+    except KeyboardInterrupt:
+        return  # ^C reaches the whole process group; the parent reports it
+
+
+class _Slot:
+    """One long-lived point process and the parent's end of its pipe."""
+
+    def __init__(self, ctx) -> None:
+        with _FORK_LOCK:
+            self.conn, child_end = ctx.Pipe()
+            _PARENT_ENDS.add(self.conn)
+            inherited = (
+                list(_PARENT_ENDS) if ctx.get_start_method() == "fork" else []
+            )
+            self.process = ctx.Process(
+                target=_slot_main, args=(child_end, inherited), daemon=True
+            )
+            self.process.start()
+            child_end.close()
+
+    def submit(self, store: ResultStore, config: SimulationConfig) -> None:
+        fault_env = {name: os.environ.get(name) for name in _FAULT_ENV}
+        try:
+            self.conn.send(
+                (str(store.root), store.schema_version, config, fault_env)
+            )
+        except OSError:
+            pass  # died while idle: poll() reports it
+
+    def poll(self) -> Optional[bool]:
+        """``None`` while the point runs, ``True`` once the slot reported a
+        verdict, ``False`` when its process died without one."""
+        try:
+            if self.conn.poll():
+                self.conn.recv()
+                return True
+        except (EOFError, OSError):
+            return False
+        return None if self.process.is_alive() else False
+
+    def reap(self) -> Optional[int]:
+        """Close the pipe (an idle slot exits on the EOF), make sure the
+        process is gone, and return its exit code."""
+        self.conn.close()
+        with _FORK_LOCK:
+            _PARENT_ENDS.discard(self.conn)
+        self.process.join(0.5)
+        if self.process.is_alive():
+            self.process.kill()
+            self.process.join()
+        return self.process.exitcode
+
+
+class SlotPool:
+    """Persistent point-worker processes, reused across points.
+
+    A slot is forked lazily — on the first :meth:`acquire` that finds no
+    idle live slot — and then loops over jobs, so a campaign pays one fork
+    and one process teardown per *worker*, not per point.  A slot stays
+    individually killable: :meth:`retire` terminates one that overran its
+    timeout (or collects one that died) without touching its siblings.
+    ``forks`` counts the processes started so far.
+
+    Like any fork, a slot also copies every other descriptor its parent
+    has open and keeps it until the slot exits — now for the pool's
+    lifetime, not one point's — so close the pool before a socket whose
+    peer should see it closed (:class:`~repro.campaign.service.worker.
+    WorkerSession` does).
+
+    Thread-safe: the campaign service closes a pool from its event loop
+    while an executor thread may still be driving a point through it;
+    :meth:`close` then kills the busy slot, and the thread's next
+    :meth:`acquire` raises instead of forking into a closed pool.
+    """
+
+    def __init__(self) -> None:
+        # fork keeps slot start cheap; spawn is the portable fallback
+        try:
+            self._ctx = get_context("fork")
+        except ValueError:  # pragma: no cover - non-POSIX fallback
+            self._ctx = get_context()
+        self._lock = threading.Lock()
+        self._idle: list[_Slot] = []
+        self._busy: set[_Slot] = set()
+        self._closed = False
+        self.forks = 0
+
+    def __enter__(self) -> "SlotPool":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def acquire(self) -> _Slot:
+        """An idle live slot, or a freshly forked one."""
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("slot pool is closed")
+            while self._idle:
+                slot = self._idle.pop()
+                if slot.process.is_alive():
+                    break
+                slot.reap()  # died while idle
+            else:
+                slot = _Slot(self._ctx)
+                self.forks += 1
+            self._busy.add(slot)
+            return slot
+
+    def release(self, slot: _Slot) -> None:
+        """Hand back a slot whose point reported; it idles for the next job."""
+        with self._lock:
+            self._busy.discard(slot)
+            if not self._closed:
+                self._idle.append(slot)
+                return
+        slot.reap()
+
+    def retire(self, slot: _Slot) -> Optional[int]:
+        """Kill a slot past its timeout, or collect one that died; returns
+        the exit code.  The next :meth:`acquire` forks its replacement."""
+        with self._lock:
+            self._busy.discard(slot)
+        slot.process.terminate()
+        return slot.reap()
+
+    def close(self) -> None:
+        """Stop every slot: idle ones exit on EOF, busy ones are killed."""
+        with self._lock:
+            self._closed = True
+            idle, busy = self._idle, list(self._busy)
+            self._idle, self._busy = [], set()
+        for slot in idle:
+            slot.conn.close()  # all at once, so they exit in parallel
+        for slot in busy:
+            slot.process.terminate()
+        for slot in (*idle, *busy):
+            slot.reap()
 
 
 @dataclass
@@ -110,7 +308,7 @@ class _Task:
 @dataclass
 class _Running:
     task: _Task
-    process: object
+    slot: _Slot
     deadline: Optional[float]
 
 
@@ -131,7 +329,7 @@ class CampaignSweep:
 
 
 class CampaignRunner:
-    """Drives configs through killable workers against a result store.
+    """Drives configs through killable slot processes against a result store.
 
     Parameters
     ----------
@@ -143,10 +341,10 @@ class CampaignRunner:
         Base of the exponential retry backoff: attempt *n* waits
         ``backoff_s * 2**(n-1)`` before respawning (default 0.25 s).
     timeout_s:
-        Per-point wall-clock budget; a worker past it is killed and the
+        Per-point wall-clock budget; a slot past it is killed and the
         attempt counts as a (retryable) timeout.  ``None`` disables.
     max_workers:
-        Concurrent worker processes (default: cores - 1).
+        Concurrent slot processes (default: cores - 1).
     max_points:
         Stop scheduling after this many fresh point executions — an
         explicit interruption hook used by the resume tests and the
@@ -177,11 +375,6 @@ class CampaignRunner:
         self.workers = _resolve_workers(max_workers)
         self.max_points = max_points
         self.registry = registry if registry is not None else MetricsRegistry()
-        # fork keeps per-point spawns cheap; spawn is the portable fallback
-        try:
-            self._ctx = get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX fallback
-            self._ctx = get_context()
 
     # -- public API --------------------------------------------------------------
     def run_sweep(
@@ -227,12 +420,28 @@ class CampaignRunner:
         configs: Sequence[SimulationConfig],
         *,
         progress: Callable[[SimulationConfig, RunResult], None] | None = None,
+        pool: Optional[SlotPool] = None,
     ) -> dict:
         """Run an arbitrary batch of configs through the store.
+
+        Points run on ``pool``'s slots when the caller brings one (it stays
+        open, so the next call reuses the processes); otherwise on a pool
+        that lives for this call.
 
         Returns ``{"completed": {index: StoredPoint}, "failures": [...],
         "resumed": n, "executed": n, "remaining": n}``.
         """
+        if pool is not None:
+            return self._drain(configs, pool, progress)
+        with SlotPool() as own:
+            return self._drain(configs, own, progress)
+
+    def _drain(
+        self,
+        configs: Sequence[SimulationConfig],
+        pool: SlotPool,
+        progress: Callable[[SimulationConfig, RunResult], None] | None,
+    ) -> dict:
         manifest = self.store.load_manifest()  # schema-checked
         points = manifest.setdefault("points", {})
         counters = manifest.setdefault("counters", {})
@@ -261,8 +470,18 @@ class CampaignRunner:
         waiting: list[_Task] = []
         skipped: list[_Task] = []  # fresh points beyond the max_points budget
 
-        def budget_left() -> bool:
-            return self.max_points is None or started < self.max_points
+        def dispatch() -> None:
+            nonlocal started
+            while tasks and len(running) < self.workers:
+                task = tasks.popleft()
+                if task.attempts == 0:
+                    # retries always finish; only *fresh* points consume the
+                    # interruption budget
+                    if self.max_points is not None and started >= self.max_points:
+                        skipped.append(task)
+                        continue
+                    started += 1
+                running.append(self._spawn(task, pool, counters))
 
         while tasks or waiting or running:
             now = time.monotonic()
@@ -274,16 +493,7 @@ class CampaignRunner:
                     still_waiting.append(task)
             waiting = still_waiting
 
-            while tasks and len(running) < self.workers:
-                task = tasks.popleft()
-                if task.attempts == 0:
-                    # retries always finish; only *fresh* points consume the
-                    # interruption budget
-                    if not budget_left():
-                        skipped.append(task)
-                        continue
-                    started += 1
-                running.append(self._spawn(task))
+            dispatch()
 
             if not running:
                 if waiting:
@@ -297,10 +507,11 @@ class CampaignRunner:
             progressed = False
             now = time.monotonic()
             for entry in list(running):
-                task, process = entry.task, entry.process
-                if process.is_alive():
+                task, slot = entry.task, entry.slot
+                reported = slot.poll()
+                if reported is None:
                     if entry.deadline is not None and now >= entry.deadline:
-                        self._kill(process)
+                        pool.retire(slot)
                         running.remove(entry)
                         progressed = True
                         self.store.read_error(task.digest)  # drop stale sidecar
@@ -316,9 +527,16 @@ class CampaignRunner:
                             failures=failures,
                         )
                     continue
-                process.join()
+                exitcode = None
+                if reported:
+                    pool.release(slot)
+                else:
+                    exitcode = pool.retire(slot)
                 running.remove(entry)
                 progressed = True
+                # the freed slot starts its next point before this one is
+                # loaded back and recorded, so the two overlap
+                dispatch()
                 if self.store.has(task.config):
                     self.store.read_error(task.digest)  # drop stale sidecar
                     point = self.store.load(task.config)
@@ -340,7 +558,7 @@ class CampaignRunner:
                     err = self.store.read_error(task.digest) or {}
                     message = err.get(
                         "error",
-                        f"worker exited with code {process.exitcode} "
+                        f"worker exited with code {exitcode} "
                         f"without writing a result",
                     )
                     self._record_attempt_failure(
@@ -352,9 +570,10 @@ class CampaignRunner:
                         failures=failures,
                     )
             if not progressed:
-                # block until a worker exits (sentinel fires) or the next
-                # deadline — timeout or backoff eligibility — comes due;
-                # no polling, so an idle parent costs no worker CPU
+                # block until a slot reports (pipe readable) or dies (EOF /
+                # sentinel), or the next deadline — timeout or backoff
+                # eligibility — comes due; no polling, so an idle parent
+                # costs no worker CPU
                 now = time.monotonic()
                 due = [_MAX_WAIT_SECONDS]
                 due.extend(
@@ -363,8 +582,9 @@ class CampaignRunner:
                     if e.deadline is not None
                 )
                 due.extend(t.eligible_at - now for t in waiting)
-                _sentinel_wait(
-                    [e.process.sentinel for e in running],
+                _connection_wait(
+                    [e.slot.conn for e in running]
+                    + [e.slot.process.sentinel for e in running],
                     timeout=max(0.0, min(due)),
                 )
 
@@ -379,28 +599,20 @@ class CampaignRunner:
         }
 
     # -- internals ---------------------------------------------------------------
-    def _spawn(self, task: _Task) -> _Running:
+    def _spawn(self, task: _Task, pool: SlotPool, counters: dict) -> _Running:
         task.attempts += 1
-        process = self._ctx.Process(
-            target=_point_worker,
-            args=(str(self.store.root), self.store.schema_version, task.config),
-            daemon=True,
-        )
-        process.start()
+        forks = pool.forks
+        slot = pool.acquire()
+        if pool.forks != forks:
+            self.registry.counter("campaign/slot_forks").inc()
+            counters["slot_forks"] = counters.get("slot_forks", 0) + 1
+        slot.submit(self.store, task.config)
         deadline = (
             time.monotonic() + self.timeout_s
             if self.timeout_s is not None
             else None
         )
-        return _Running(task=task, process=process, deadline=deadline)
-
-    @staticmethod
-    def _kill(process) -> None:
-        process.terminate()
-        process.join(0.5)
-        if process.is_alive():  # pragma: no cover - stubborn worker
-            process.kill()
-            process.join()
+        return _Running(task=task, slot=slot, deadline=deadline)
 
     def _record_attempt_failure(
         self,

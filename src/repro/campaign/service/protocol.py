@@ -18,9 +18,10 @@ worker →   ``claim`` {}                     ``lease`` {digest, config,
                                             ``done`` {}
 worker →   ``heartbeat`` {digest}           *(no reply — see below)*
 worker →   ``result`` {digest, artifact,    ``ack`` {status}
-           attempts}
+           attempts, slot_forks}
 worker →   ``point-failed`` {digest,        ``ack`` {status}
-           error, kind, attempts}
+           error, kind, attempts,
+           slot_forks}
 worker →   ``bye`` {}                       *(connection closes)*
 ========== =============================== ===========================
 

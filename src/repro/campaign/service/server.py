@@ -13,6 +13,9 @@ On the loop live:
 * the **local fork executor** (:class:`~repro.campaign.service.executor.
   LocalForkExecutor`) — N in-process slots claiming from the same
   scheduler, so one box can drain a campaign with zero network setup;
+  each keeps one persistent point process, forked on its first lease
+  (never in :meth:`CampaignService.start`), and idles on the
+  ``work_ready`` event rather than polling;
 * the **reaper**, which expires silent leases and requeues their points
   (work stealing's liveness half);
 * the **compactor**, the store's single manifest writer: every completed
@@ -26,7 +29,7 @@ The core invariant — a campaign drained by any mix of local slots and
 remote workers is bit-identical (artifact-for-artifact, digest-for-digest)
 to a single-host :class:`~repro.campaign.runner.CampaignRunner` run — is
 enforced by construction: every backend runs points through the same
-forked-worker machinery and ships the canonical artifact JSON, and the
+slot-process machinery and ships the canonical artifact JSON, and the
 service writes artifacts through the same atomic store path.
 """
 
@@ -76,7 +79,7 @@ class CampaignService:
     local_workers:
         Local fork-executor slots (0 = rely on remote workers entirely).
     retries / backoff_s / timeout_s:
-        Per-point fork machinery knobs applied by the *local* executor
+        Per-point slot machinery knobs applied by the *local* executor
         (remote workers bring their own).
     compact_interval_s:
         How often the journal is folded into the manifest.
@@ -128,6 +131,9 @@ class CampaignService:
         self._executor: Optional[LocalForkExecutor] = None
         self._tasks: list[asyncio.Task] = []
         self._change: Optional[asyncio.Event] = None
+        #: set whenever a point may have become claimable; idle local slots
+        #: wait on it instead of polling the scheduler
+        self.work_ready: Optional[asyncio.Event] = None
         self._connections = 0
 
     # -- lifecycle ---------------------------------------------------------------
@@ -168,6 +174,7 @@ class CampaignService:
 
     async def _a_start(self) -> None:
         self._change = asyncio.Event()
+        self.work_ready = asyncio.Event()
         self._server = await asyncio.start_server(
             self._handle_conn,
             self.host,
@@ -294,6 +301,7 @@ class CampaignService:
                 {"op": "count", "name": "resumed", "amount": len(resumed)},
             )
         self._change.set()
+        self.work_ready.set()
         return {"digests": digests, "submitted": submitted, "resumed": resumed}
 
     def wait_points(
@@ -376,6 +384,15 @@ class CampaignService:
         ``failed`` record.  Returns the scheduler verdict.
         """
         point = self.scheduler.points.get(digest)
+        if outcome.get("slot_forks"):
+            self.store.journal_append(
+                self.writer_id,
+                {
+                    "op": "count",
+                    "name": "slot_forks",
+                    "amount": outcome["slot_forks"],
+                },
+            )
         if outcome.get("ok"):
             verdict = self.scheduler.complete(worker, digest)
             if verdict in ("ok", "stale") and point is not None:
@@ -418,6 +435,7 @@ class CampaignService:
                     },
                 )
         self._change.set()
+        self.work_ready.set()  # a finished lease frees its tenant's quota
         return verdict
 
     # -- background tasks --------------------------------------------------------
@@ -433,6 +451,7 @@ class CampaignService:
                     {"op": "count", "name": "reclaims", "amount": len(reclaimed)},
                 )
                 self._change.set()
+                self.work_ready.set()
 
     async def _compactor(self) -> None:
         """Fold the journal into the manifest — the single index writer."""
@@ -513,6 +532,7 @@ class CampaignService:
                                 "ok": True,
                                 "artifact": message["artifact"],
                                 "attempts": message.get("attempts", 1),
+                                "slot_forks": message.get("slot_forks", 0),
                             },
                         )
                     except (StoreSchemaError, KeyError) as exc:
@@ -527,6 +547,7 @@ class CampaignService:
                             "error": message.get("error", ""),
                             "kind": message.get("kind", "error"),
                             "attempts": message.get("attempts", 1),
+                            "slot_forks": message.get("slot_forks", 0),
                         },
                     )
                     reply({"type": "ack", "status": status})
@@ -543,6 +564,7 @@ class CampaignService:
                 requeued = self.scheduler.disconnect_worker(worker_id)
                 if requeued:
                     self._change.set()
+                    self.work_ready.set()
             writer.close()
             try:
                 await writer.wait_closed()

@@ -3,10 +3,13 @@
 ``repro campaign worker --connect HOST:PORT`` runs :func:`run_worker`,
 which connects a :class:`WorkerSession` to a campaign service and drains
 points until the service says ``done``.  Points execute through the exact
-same forked-worker / retry / timeout machinery a single-host campaign
+same slot-process / retry / timeout machinery a single-host campaign
 uses (:func:`~repro.campaign.service.executor.execute_point`), so the
 artifact a remote worker ships back is byte-identical to what the
-service's host would have written itself.
+service's host would have written itself.  The session holds one
+:class:`~repro.campaign.runner.SlotPool` from connect to disconnect: every
+lease runs on the same reused point process unless a timeout or a crash
+retires it.
 
 While the main thread is blocked inside a point, a side thread heartbeats
 the lease so the scheduler knows the worker is alive (heartbeats are
@@ -25,6 +28,7 @@ import threading
 import time
 from typing import Optional
 
+from repro.campaign.runner import SlotPool
 from repro.campaign.service import protocol
 from repro.campaign.service.executor import execute_point
 from repro.campaign.store import SCHEMA_VERSION
@@ -49,7 +53,7 @@ class WorkerSession:
         Stable identity reported to the scheduler; defaults to
         ``hostname/pid``.
     retries / backoff_s / timeout_s:
-        Per-point fork machinery knobs (worker-side retries are internal
+        Per-point slot machinery knobs (worker-side retries are internal
         to a lease — the scheduler only sees the final outcome).
     max_points:
         Stop after executing this many points (``None`` = until drained);
@@ -86,6 +90,7 @@ class WorkerSession:
         self._sock: Optional[socket.socket] = None
         self._fh = None
         self._send_lock = threading.Lock()
+        self._pool: Optional[SlotPool] = None
 
     # -- wire helpers ------------------------------------------------------------
     def _send(self, message: dict) -> None:
@@ -106,6 +111,7 @@ class WorkerSession:
         self._sock = socket.create_connection((self.host, self.port), timeout=30.0)
         self._sock.settimeout(None)
         self._fh = self._sock.makefile("rb")
+        self._pool = SlotPool()  # one slot process for the whole session
         try:
             self._send(
                 {
@@ -145,6 +151,7 @@ class WorkerSession:
             except OSError:
                 pass
         finally:
+            self._pool.close()
             try:
                 self._fh.close()
                 self._sock.close()
@@ -170,6 +177,7 @@ class WorkerSession:
         try:
             outcome = execute_point(
                 lease["config"],
+                self._pool,
                 schema_version=self.schema_version,
                 retries=self.retries,
                 backoff_s=self.backoff_s,
@@ -185,6 +193,7 @@ class WorkerSession:
                     "digest": digest,
                     "artifact": outcome["artifact"],
                     "attempts": outcome["attempts"],
+                    "slot_forks": outcome["slot_forks"],
                 }
             )
             self._recv()  # ack; stale/duplicate verdicts are fine to ignore
@@ -197,6 +206,7 @@ class WorkerSession:
                     "error": outcome["error"],
                     "kind": outcome["kind"],
                     "attempts": outcome["attempts"],
+                    "slot_forks": outcome["slot_forks"],
                 }
             )
             self._recv()
