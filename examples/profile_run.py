@@ -7,9 +7,8 @@ subsystem collects:
 
 * the per-phase wall-clock table — where a simulated cycle's time goes
   (generate / allocate / move / detect / recover, plus the detector's
-  region pipeline when dirty-region caching is active);
-* the detector's cache counters (region/signature hits, misses,
-  short-circuited passes) and the incremental CWG's dirty-vertex stats;
+  knot and census stages);
+* the detector's pass counters (full and short-circuited passes);
 * per-pass histograms (blocked messages and knots per detection);
 * a Chrome-trace export — open it at https://ui.perfetto.dev or in
   ``chrome://tracing`` to see phase lanes and block/wake/deadlock/recovery
@@ -49,7 +48,6 @@ def main() -> None:
         num_vcs=1,
         message_length=16,
         load=0.8,
-        cwg_maintenance="incremental",  # exercise the region pipeline timers
         count_cycles=True,
         warmup_cycles=300,
         measure_cycles=2_000,
@@ -68,21 +66,10 @@ def main() -> None:
     print(sim.obs.phase_table("phase profile (whole run)"))
 
     print()
-    print("detector cache counters")
-    print("-----------------------")
+    print("detector pass counters")
+    print("----------------------")
     for name, value in sorted(sim.detector.cache_stats().items()):
         print(f"  {name:<22} {value}")
-
-    if sim.tracker is not None:
-        print()
-        print("incremental CWG dirty-vertex stats")
-        print("----------------------------------")
-        stats = sim.tracker.stats()
-        for name, value in sorted(stats.items()):
-            print(f"  {name:<22} {value}")
-        if stats["dirty_consumptions"]:
-            avg = stats["dirty_consumed"] / stats["dirty_consumptions"]
-            print(f"  (avg {avg:.1f} dirty vertices per detection pass)")
 
     print()
     print("per-pass histograms")

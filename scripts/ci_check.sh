@@ -8,7 +8,7 @@
 # 3. regenerates the benchmark numbers in quick mode and fails when a
 #    scenario's production/legacy speedup regressed >20% against the
 #    committed BENCH_core.json (or when the default engine's speedup fell
-#    below its 9x acceptance bar on the saturated scenario, or below the
+#    below its 5x acceptance bar on the saturated scenario, or below the
 #    speedup of the fast path it replaced, or the as-shipped census pass
 #    is not >=1.5x faster than the frozen cost it had before the
 #    detector's contracted pipeline became the default, or the campaign
@@ -32,10 +32,11 @@
 #    against the seed-1 digests pinned in benchmarks/e2e;
 # 7. runs the benchmark harness's own tests (benchmarks/e2e is outside
 #    pytest's testpaths): among them the one that reads the
-#    implementation-selection config fields by name — the reason the two
-#    inert engine_kernels / engine_vectorized fields still exist;
+#    implementation-selection config fields by name — the reason the three
+#    inert engine_kernels / engine_vectorized / cwg_maintenance fields
+#    still exist;
 # 8. runs the differential fuzz smoke sweep: 25 seeded random configs
-#    cross-checked on the engine/detector/CWG axes under a 90 s budget
+#    cross-checked on the engine/detector axes under a 90 s budget
 #    (deterministic — a CI failure replays locally with the same command);
 # 9. runs the model-checking oracle smoke gate: every configuration class
 #    of the oracle grid enumerated to full closure, the knot detector

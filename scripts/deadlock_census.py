@@ -62,7 +62,6 @@ def main() -> None:
         seed=args.seed,
         warmup_cycles=0,
         measure_cycles=1,  # unused: we drive step() ourselves
-        cwg_maintenance="incremental",
     )
     sim = NetworkSimulator(config)
     sim.stats.measure_start = 0

@@ -4,9 +4,8 @@
 Draws seeded random configurations and verifies, for each one, that
 
 * the production engine is bit-identical to the legacy engine,
-* dirty-region cached detection is bit-identical to uncached detection,
-* the incrementally-maintained CWG equals a from-scratch rebuild at every
-  detection instant.
+* the detector's contracted pipeline is bit-identical to the uncached
+  reference pass.
 
 Any mismatch is shrunk to a minimal reproducing configuration and dumped
 as a replayable JSON artifact under ``fuzz_artifacts/``.
@@ -55,7 +54,7 @@ def _artifact_name(axis: str, seed: int, index: int) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        description="differential fuzzing of engine/detector/CWG equivalence"
+        description="differential fuzzing of engine/detector equivalence"
     )
     parser.add_argument("--configs", type=int, default=50, help="configs to draw")
     parser.add_argument("--seed", type=int, default=1, help="fuzz RNG seed")

@@ -5,9 +5,9 @@ Enumerates every configuration class of the oracle grid
 (:data:`repro.validation.oracle.ORACLE_GRID`) to full closure, derives
 ground-truth deadlock labels by reachability, and cross-checks the knot
 detector's verdict at **every reachable state**; then runs the teeth
-battery, which arms the ``skip-wake`` and ``skip-dirty-block`` bookkeeping
+battery, which arms the ``skip-wake`` and ``skip-block-epoch`` bookkeeping
 faults and demands each produces a replayable counterexample on the
-production (fast-path + incremental + cached) engine.
+production engine with the detector's contracted pipeline.
 
 The gate fails when:
 

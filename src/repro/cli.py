@@ -243,8 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
     orep = orc_sub.add_parser("replay", help="re-run a witness artifact")
     orep.add_argument("artifact", metavar="PATH")
     orep.add_argument("--production", action="store_true",
-                      help="replay on the fast-path engine with incremental "
-                           "CWG maintenance and detector caching")
+                      help="replay on the production engine with the "
+                           "detector's contracted pipeline")
     oteeth = orc_sub.add_parser(
         "teeth", help="prove armed faults are caught with counterexamples"
     )

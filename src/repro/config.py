@@ -77,7 +77,10 @@ class SimulationConfig:
     # -- deadlock handling --------------------------------------------------------
     detection_interval: int = 50  #: cycles between detector invocations
     detection_mode: str = "knot"  #: "knot" (true detection) or "timeout"
-    cwg_maintenance: str = "rebuild"  #: "rebuild" per detection or "incremental"
+    #: deprecated and inert: "rebuild" and "incremental" both run the
+    #: detector's per-pass CWG rebuild.  Kept, and still validated, only
+    #: because stored result digests embed every config field.
+    cwg_maintenance: str = "rebuild"
     timeout_threshold: int = 500  #: blocked-cycles threshold for timeout mode
     recovery: str = "disha"  #: recovery policy short name
     recovery_teardown: str = "instant"  #: "instant" or "flit-by-flit"
@@ -85,12 +88,9 @@ class SimulationConfig:
     max_cycles_counted: int = 50_000  #: cap on cycle enumeration per detection
     #: the detector's contracted analysis pipeline: chain-contract the CWG,
     #: one SCC decomposition shared by the knot test and the cycle census,
-    #: each SCC re-contracted before enumeration.  Under
-    #: ``cwg_maintenance="incremental"`` it additionally runs per
-    #: weakly-connected region and re-analyses only regions touched since
-    #: the last pass; under ``"rebuild"`` it runs once over the whole CWG.
-    #: Bit-identical records to the uncached pass; off selects the plain
-    #: global Tarjan + uncontracted Johnson reference for A/B tests.
+    #: each SCC re-contracted before enumeration, once per pass over the
+    #: whole CWG.  Bit-identical records to the uncached pass; off selects
+    #: the plain global Tarjan + uncontracted Johnson reference for A/B tests.
     detector_caching: bool = True
     record_blocked_durations: bool = False  #: keep per-message blocked times
 

@@ -1,7 +1,6 @@
 """The paper's contribution: CWGs, knots, cycles, detection, recovery."""
 
 from repro.core.cwg import ChannelWaitForGraph
-from repro.core.incremental import IncrementalCWG
 from repro.core.gallery import figure1_cwg, figure2_cwg, figure3_cwg, figure4_cwg
 from repro.core.cycles import (
     ContractedGraph,
@@ -39,7 +38,6 @@ from repro.core.recovery import (
 
 __all__ = [
     "ChannelWaitForGraph",
-    "IncrementalCWG",
     "figure1_cwg",
     "figure2_cwg",
     "figure3_cwg",

@@ -23,68 +23,16 @@ live network state.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Iterable
 
 from repro.errors import SimulationError
 
-__all__ = ["WaitGraphQueries", "ChannelWaitForGraph"]
+__all__ = ["ChannelWaitForGraph"]
 
 Vertex = Hashable
 
 
-class WaitGraphQueries:
-    """Read-only wait-graph queries shared by snapshot and live graphs.
-
-    Everything here is defined purely in terms of the ``owner`` /
-    ``chains`` / ``requests`` mappings, so :class:`ChannelWaitForGraph`
-    (an immutable snapshot) and
-    :class:`~repro.core.incremental.IncrementalCWG` (the event-maintained
-    live state) answer them identically — which is what lets the detector
-    query the live tracker directly instead of materializing a snapshot.
-    """
-
-    owner: Mapping[Vertex, int | None]
-    #: any ordered, sized, iterable chain works — the snapshot stores lists,
-    #: the live tracker deques (O(1) head pops on release)
-    chains: Mapping[int, Sequence[Vertex]]
-    requests: Mapping[int, Sequence[Vertex]]
-
-    @property
-    def num_arcs(self) -> int:
-        solid = sum(len(c) - 1 for c in self.chains.values())
-        dashed = sum(len(t) for t in self.requests.values())
-        return solid + dashed
-
-    def blocked_messages(self) -> list[int]:
-        """Messages with outstanding dashed arcs."""
-        return list(self.requests)
-
-    def fan_out(self, message: int) -> int:
-        """Number of alternatives a blocked message waits on (dashed arcs).
-
-        The paper observes that vertex fan-out — set by routing adaptivity
-        and the VC count — governs how many unique cycles can form.
-        """
-        return len(self.requests.get(message, ()))
-
-    def messages_owning(self, vertices: Iterable[Vertex]) -> set[int]:
-        """Distinct owners of the given vertices (ignoring free vertices)."""
-        out = set()
-        for v in vertices:
-            o = self.owner.get(v)
-            if o is not None:
-                out.add(o)
-        return out
-
-    def resources_of(self, messages: Iterable[int]) -> set[Vertex]:
-        """Every vertex owned by any of the given messages."""
-        out: set[Vertex] = set()
-        for m in messages:
-            out.update(self.chains.get(m, ()))
-        return out
-
-
-class ChannelWaitForGraph(WaitGraphQueries):
+class ChannelWaitForGraph:
     """A snapshot wait-for graph over channel resources."""
 
     def __init__(self) -> None:
@@ -154,6 +102,40 @@ class ChannelWaitForGraph(WaitGraphQueries):
     @property
     def num_vertices(self) -> int:
         return len(self.owner)
+
+    @property
+    def num_arcs(self) -> int:
+        solid = sum(len(c) - 1 for c in self.chains.values())
+        dashed = sum(len(t) for t in self.requests.values())
+        return solid + dashed
+
+    def blocked_messages(self) -> list[int]:
+        """Messages with outstanding dashed arcs."""
+        return list(self.requests)
+
+    def fan_out(self, message: int) -> int:
+        """Number of alternatives a blocked message waits on (dashed arcs).
+
+        The paper observes that vertex fan-out — set by routing adaptivity
+        and the VC count — governs how many unique cycles can form.
+        """
+        return len(self.requests.get(message, ()))
+
+    def messages_owning(self, vertices: Iterable[Vertex]) -> set[int]:
+        """Distinct owners of the given vertices (ignoring free vertices)."""
+        out = set()
+        for v in vertices:
+            o = self.owner.get(v)
+            if o is not None:
+                out.add(o)
+        return out
+
+    def resources_of(self, messages: Iterable[int]) -> set[Vertex]:
+        """Every vertex owned by any of the given messages."""
+        out: set[Vertex] = set()
+        for m in messages:
+            out.update(self.chains.get(m, ()))
+        return out
 
     def adjacency(self) -> dict[Vertex, list[Vertex]]:
         """Successor lists combining solid and dashed arcs."""

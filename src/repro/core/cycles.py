@@ -24,8 +24,8 @@ true_total >= limit)`` regardless of the order cycles are discovered in
 stops the instant it empties), bounded counts compose: counting a graph's
 weakly-connected regions independently, each with the full budget, and
 summing yields the exact same ``CycleCount`` as one global enumeration.
-The dirty-region detector relies on this to merge cached per-region
-censuses.
+The same order independence lets :func:`count_cycles_contracted` visit
+SCCs in its own order and still return the identical ``CycleCount``.
 
 For the detector's pipeline (every pass of the default configuration),
 :func:`contract_graph` collapses *pass-through* vertices — in-degree 1,

@@ -15,7 +15,7 @@ The contracted pipeline
 -----------------------
 
 With ``detector_caching`` on (the default) every analysis runs through
-:meth:`DeadlockDetector._analyze_region` on the *chain-contracted* graph
+:meth:`DeadlockDetector._analyze_pipeline` on the *chain-contracted* graph
 (:func:`~repro.core.cycles.contract_graph`): CWGs are mostly unbranched
 ownership chains, so contraction shrinks the graph several-fold with
 provably identical results.  One Tarjan decomposition of the contracted
@@ -23,50 +23,27 @@ multigraph serves both the knot test and the cycle census, and the census
 contracts each non-trivial SCC a second time before Johnson enumerates
 (see :func:`~repro.core.cycles.count_cycles_contracted`) — a pass costs in
 proportion to the *branching* structure of the wait-for graph, not the
-length of its ownership chains.
-
-Without an incremental tracker (``cwg_maintenance="rebuild"``, the
-default) the pipeline runs once per pass over the whole CWG.
-
-Dirty-region caching
---------------------
-
-With incremental CWG maintenance a pass additionally scales with *what
-changed since the last pass* instead of with CWG size.  The CWG is
-partitioned into weakly-connected regions; knots, deadlock events and the
-bounded cycle census are computed **per region** by the same pipeline and
-cached two ways:
-
-* by the region's exact vertex set, reused when no member vertex is in the
-  tracker's dirty set (ownership and adjacency provably unchanged — region
-  merges and splits always change the vertex set);
-* by a canonical region *signature* — the sorted ``(message, chain,
-  targets)`` tuples composing the region — in a bounded LRU, so a region
-  that returns to a previously-seen shape (common while knots persist or
-  traffic cycles through configurations) skips re-analysis even after its
-  vertices went dirty.
-
-Per-region censuses merge exactly because bounded cycle counts are
-enumeration-order independent (see :mod:`repro.core.cycles`).
+length of its ownership chains.  The CWG is rebuilt from live network
+state for every pass (:meth:`DeadlockDetector.build_cwg`) and the pipeline
+runs once over all of it.
 
 ``detector_caching=False`` selects the from-scratch reference instead —
 global Tarjan in :func:`~repro.core.knots.find_knots`, then uncontracted
 Johnson in :func:`~repro.core.cycles.count_simple_cycles` — which the
-differential fuzzer and the oracle compare the pipeline against.  All
-modes emit deadlock events in one canonical order (knots sorted by their
-least vertex), making pipeline passes **bit-identical** to reference
-passes — asserted over randomized runs by
+differential fuzzer and the oracle compare the pipeline against.  Both
+emit deadlock events in one canonical order (knots sorted by their least
+vertex), making pipeline passes **bit-identical** to reference passes —
+asserted over randomized runs by
 ``tests/integration/test_detector_caching_equivalence.py``.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from time import perf_counter
 from typing import TYPE_CHECKING, Hashable, Mapping, Optional, Sequence
 
-from repro.core.cwg import ChannelWaitForGraph, WaitGraphQueries
+from repro.core.cwg import ChannelWaitForGraph
 from repro.core.cycles import (
     CycleCount,
     contract_graph,
@@ -80,7 +57,6 @@ from repro.core.knots import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.incremental import IncrementalCWG
     from repro.network.simulator import NetworkSimulator
 
 __all__ = ["DeadlockEvent", "DetectionRecord", "DeadlockDetector", "classify_event"]
@@ -165,24 +141,6 @@ class DetectionRecord:
         return bool(self.events)
 
 
-@dataclass
-class _RegionAnalysis:
-    """Cached analysis of one weakly-connected CWG region.
-
-    ``events`` carry the cycle stamp of the pass that computed them and are
-    restamped on reuse; everything else is purely structural.
-    """
-
-    events: tuple[DeadlockEvent, ...]
-    census: Optional[CycleCount]  #: bounded count with the detector's full cap
-
-
-#: regions kept in the signature LRU; each entry is a handful of frozensets
-#: and a CycleCount, so the cap bounds memory without evicting the working
-#: set of a steady-state network (regions per pass ≪ this)
-_SIG_CACHE_CAP = 512
-
-
 class DeadlockDetector:
     """Builds CWGs from a live simulation and identifies knots."""
 
@@ -200,9 +158,8 @@ class DeadlockDetector:
         self.knot_density_cap = knot_density_cap
         self.knot_size_enumeration_limit = knot_size_enumeration_limit
         self.record_blocked_durations = record_blocked_durations
-        #: enables the contracted pipeline (per dirty region when the
-        #: simulator carries an incremental tracker, over the whole CWG
-        #: otherwise); off selects the from-scratch reference pass
+        #: enables the contracted pipeline; off selects the from-scratch
+        #: reference pass
         self.caching = caching
         self.records: list[DetectionRecord] = []
         self.events: list[DeadlockEvent] = []
@@ -211,62 +168,23 @@ class DeadlockDetector:
         self._sc_epoch = -1
         self._sc_record: Optional[DetectionRecord] = None
         self._sc_blocked: list[int] = []
-        # dirty-region caches (cached mode only)
-        self._cache_sim: Optional["NetworkSimulator"] = None
-        self._prev_regions: dict[frozenset, _RegionAnalysis] = {}
-        self._sig_cache: OrderedDict[tuple, _RegionAnalysis] = OrderedDict()
-        # incremental knot tracking (cached mode without the cycle census):
-        # the knots of the previous pass and their densities, keyed by
-        # vertex set — see _analyze_tracked
-        self._kt_sim: Optional["NetworkSimulator"] = None
-        self._kt_knots: dict[frozenset, CycleCount] = {}
-        # cache accounting (always maintained — a handful of integer
-        # increments per pass; surfaced by cache_stats() and repro.obs)
-        self.region_hits = 0  #: regions reused clean via exact vertex set
-        self.signature_hits = 0  #: dirty regions reused via the LRU
-        self.region_misses = 0  #: fresh region analyses
-        self.signature_evictions = 0  #: LRU entries dropped at capacity
-        self.full_passes = 0  #: global (uncached) analysis passes
-        self.cached_passes = 0  #: dirty-region analysis passes
+        # pass accounting (surfaced by cache_stats() and repro.obs)
+        self.full_passes = 0  #: passes that analysed the CWG
         self.shortcircuit_passes = 0  #: passes skipped on a stale epoch
-        self.tracked_passes = 0  #: incremental knot-tracking passes
-        self.tracked_rescans = 0  #: tracked passes that fell back to Tarjan
-        self.knots_reused = 0  #: persisting knots reused without re-analysis
-        self.knots_discovered = 0  #: knots found by dirty-vertex closure walks
         # observability session of the sim under detection (None or the
         # process-global null observer when obs is off)
         self._obs = None
 
     def cache_stats(self) -> dict[str, int]:
-        """Cache and pass accounting for the dirty-region pipeline.
+        """Pass accounting, cumulative over the detector's lifetime.
 
-        ``region_hits`` are regions reused because no member vertex went
-        dirty (exact vertex-set match); ``signature_hits`` are dirty
-        regions that matched a previously-analyzed canonical signature in
-        the LRU; ``region_misses`` are fresh analyses; ``signature_evictions``
-        counts LRU entries dropped at capacity.  Pass counters split
-        detector invocations into full (whole-CWG analysis: the pipeline
-        without a tracker, or the uncached reference), cached
-        (dirty-region), tracked (incremental knot tracking) and
-        short-circuited (stale blocked epoch) passes; ``tracked_rescans``
-        counts tracked passes that chose the global-Tarjan fallback, and
-        ``knots_reused`` / ``knots_discovered`` split the knots reported by
-        tracked passes into persisting (density reused) and new (closure
-        walk or rescan).  Counters are cumulative over the detector's
-        lifetime.
+        ``full_passes`` analysed the CWG (the pipeline or the uncached
+        reference); ``shortcircuit_passes`` reused the previous record
+        because the blocked epoch had not advanced (see :meth:`detect`).
         """
         return {
-            "region_hits": self.region_hits,
-            "signature_hits": self.signature_hits,
-            "region_misses": self.region_misses,
-            "signature_evictions": self.signature_evictions,
             "full_passes": self.full_passes,
-            "cached_passes": self.cached_passes,
             "shortcircuit_passes": self.shortcircuit_passes,
-            "tracked_passes": self.tracked_passes,
-            "tracked_rescans": self.tracked_rescans,
-            "knots_reused": self.knots_reused,
-            "knots_discovered": self.knots_discovered,
         }
 
     # -- CWG construction ------------------------------------------------------------
@@ -325,12 +243,10 @@ class DeadlockDetector:
         knot must be re-reported every interval, exactly as the full pass
         would.
 
-        Otherwise, with ``caching`` set, the pass runs the contracted
-        pipeline (see the module docstring): over dirty regions only when
-        the simulator carries an incremental tracker (a **cached** pass),
-        over the whole CWG when not (a **full** pass).  With ``caching``
-        off it runs the from-scratch reference, also a full pass.  All
-        produce identical records.
+        Otherwise the pass rebuilds the CWG and analyses all of it (a
+        **full** pass): with ``caching`` set through the contracted
+        pipeline (see the module docstring), with ``caching`` off through
+        the from-scratch reference.  Both produce identical records.
         """
         cycle = sim.cycle
         if (
@@ -347,30 +263,14 @@ class DeadlockDetector:
         obs = getattr(sim, "obs", None)
         self._obs = obs if obs is not None and obs.enabled else None
 
-        g = sim.cwg_view() if hasattr(sim, "cwg_view") else sim.cwg_snapshot()
-        tracker = getattr(sim, "tracker", None)
+        self.full_passes += 1
+        g = self.build_cwg(sim)
+        adjacency = g.adjacency()
         if self.caching:
-            if tracker is None:
-                # no dirty set to partition by: the whole CWG is one region
-                self.full_passes += 1
-                analysis = self._analyze_region(g, g.adjacency(), cycle)
-                events = list(analysis.events)
-                cycle_count = analysis.census
-            elif self.count_cycles:
-                self.cached_passes += 1
-                events, cycle_count = self._analyze_cached(sim, g, tracker, cycle)
-            else:
-                # No census wanted: knots are all that matters, and they
-                # can be maintained incrementally across passes instead of
-                # recomputed per region (see _analyze_tracked).
-                self.tracked_passes += 1
-                events = self._analyze_tracked(sim, g, tracker, cycle)
-                cycle_count = None
+            events, cycle_count = self._analyze_pipeline(g, adjacency, cycle)
         else:
             # The from-scratch reference the fuzzer and the oracle compare
             # against: global Tarjan + uncontracted Johnson.
-            self.full_passes += 1
-            adjacency = g.adjacency()
             knots = sorted(find_knots(adjacency), key=_knot_key)
             events = [
                 self._knot_event(g, adjacency, knot, cycle) for knot in knots
@@ -471,17 +371,12 @@ class DeadlockDetector:
     # -- per-knot event construction --------------------------------------------------
     def _knot_event(
         self,
-        g: WaitGraphQueries,
+        g: ChannelWaitForGraph,
         adjacency: Mapping[Vertex, Sequence[Vertex]],
         knot: frozenset[Vertex],
         cycle: int,
     ) -> DeadlockEvent:
-        """Classify one knot into a :class:`DeadlockEvent`.
-
-        ``adjacency`` only needs to cover the knot's own region — deadlock,
-        resource, dependent and transient sets never reach outside the
-        knot's weakly-connected component.
-        """
+        """Classify one knot into a :class:`DeadlockEvent`."""
         deadlock_set = frozenset(g.messages_owning(knot))
         resource_set = frozenset(g.resources_of(deadlock_set))
         sub = {v: [w for w in adjacency[v] if w in knot] for v in knot}
@@ -498,143 +393,25 @@ class DeadlockDetector:
             transient_dependent=transients,
         )
 
-    # -- dirty-region cached pass -----------------------------------------------------
-    def _analyze_cached(
+    def _analyze_pipeline(
         self,
-        sim: "NetworkSimulator",
-        g: WaitGraphQueries,
-        tracker: "IncrementalCWG",
+        g: ChannelWaitForGraph,
+        adjacency: Mapping[Vertex, Sequence[Vertex]],
         cycle: int,
     ) -> tuple[list[DeadlockEvent], Optional[CycleCount]]:
-        """Events + census via the region partition, reusing cached regions."""
-        if self._cache_sim is not sim:
-            self._cache_sim = sim
-            self._prev_regions = {}
-            self._sig_cache = OrderedDict()
-        obs = self._obs
-        prof = obs.profiler if obs is not None else None
-        t0 = perf_counter() if prof is not None else 0.0
-        dirty = tracker.consume_dirty()
-        adjacency = tracker.adjacency()
+        """Events and census of the contracted pipeline.
 
-        # Weakly-connected regions by union-find over the arcs.
-        parent: dict[Vertex, Vertex] = {v: v for v in adjacency}
-
-        def find(v: Vertex) -> Vertex:
-            root = v
-            while parent[root] != root:
-                root = parent[root]
-            while parent[v] != root:
-                parent[v], v = root, parent[v]
-            return root
-
-        for v, succs in adjacency.items():
-            for w in succs:
-                rv, rw = find(v), find(w)
-                if rv != rw:
-                    parent[rw] = rv
-        components: dict[Vertex, list[Vertex]] = {}
-        for v in adjacency:
-            components.setdefault(find(v), []).append(v)
-        if prof is not None:
-            now = perf_counter()
-            prof.add("detect/partition", now - t0)
-            t0 = now
-            obs.registry.histogram("detector/regions_per_pass").observe(
-                len(components)
-            )
-            obs.registry.histogram("detector/dirty_per_pass").observe(
-                len(dirty)
-            )
-
-        buckets: Optional[dict[Vertex, list[tuple]]] = None
-        new_regions: dict[frozenset, _RegionAnalysis] = {}
-        events: list[DeadlockEvent] = []
-        census_total = 0
-        for root, members in components.items():
-            vertex_set = frozenset(members)
-            analysis = self._prev_regions.get(vertex_set)
-            if analysis is not None and dirty.isdisjoint(vertex_set):
-                self.region_hits += 1
-            else:
-                if buckets is None:
-                    buckets = self._bucket_messages(tracker, find)
-                sig = tuple(
-                    sorted(buckets.get(root, ()), key=lambda t: t[0])
-                )
-                analysis = self._sig_cache.get(sig)
-                if analysis is not None:
-                    self.signature_hits += 1
-                    self._sig_cache.move_to_end(sig)
-                else:
-                    self.region_misses += 1
-                    analysis = self._analyze_region(
-                        g, {v: adjacency[v] for v in members}, cycle
-                    )
-                    self._sig_cache[sig] = analysis
-                    if len(self._sig_cache) > _SIG_CACHE_CAP:
-                        self._sig_cache.popitem(last=False)
-                        self.signature_evictions += 1
-            new_regions[vertex_set] = analysis
-            events.extend(analysis.events)
-            if analysis.census is not None:
-                census_total += analysis.census.count
-        self._prev_regions = new_regions
-        if prof is not None:
-            prof.add("detect/regions", perf_counter() - t0)
-
-        events.sort(key=lambda e: _knot_key(e.knot))
-        events = [e if e.cycle == cycle else replace(e, cycle=cycle) for e in events]
-
-        cycle_count: Optional[CycleCount] = None
-        if self.count_cycles:
-            limit = self.max_cycles_counted
-            if limit < 1:
-                cycle_count = CycleCount(0, True)
-            else:
-                # Exact merge: bounded counts are enumeration-order
-                # independent, so full-budget per-region counts sum to the
-                # global census (see repro.core.cycles).
-                cycle_count = CycleCount(
-                    min(census_total, limit), census_total >= limit
-                )
-        return events, cycle_count
-
-    @staticmethod
-    def _bucket_messages(tracker: "IncrementalCWG", find) -> dict:
-        """Region signatures' raw material: (mid, chain, targets) per region.
-
-        A message's whole chain (and its request targets) lie in one region
-        by construction, so bucketing by the chain head's root is exact.
-        """
-        buckets: dict[Vertex, list[tuple]] = {}
-        for mid, chain in tracker.chains.items():
-            targets = tracker.requests.get(mid)
-            entry = (mid, tuple(chain), tuple(targets) if targets else ())
-            buckets.setdefault(find(chain[0]), []).append(entry)
-        return buckets
-
-    def _analyze_region(
-        self,
-        g: WaitGraphQueries,
-        region_adj: Mapping[Vertex, Sequence[Vertex]],
-        cycle: int,
-    ) -> _RegionAnalysis:
-        """Fresh analysis of one region (or of the whole CWG).
-
-        The one pipeline of every caching pass: chain-contract, one Tarjan
-        decomposition shared by the knot test and the census, knots in
-        canonical order, then the per-SCC re-contracted census.
+        Chain-contract, one Tarjan decomposition shared by the knot test
+        and the census, knots in canonical order, then the per-SCC
+        re-contracted census.
         """
         obs = self._obs
         prof = obs.profiler if obs is not None else None
         t0 = perf_counter() if prof is not None else 0.0
-        contracted = contract_graph(region_adj)
+        contracted = contract_graph(adjacency)
         sccs = strongly_connected_components(contracted.succ)
         knots = sorted(find_knots_contracted(contracted, sccs), key=_knot_key)
-        events = tuple(
-            self._knot_event(g, region_adj, knot, cycle) for knot in knots
-        )
+        events = [self._knot_event(g, adjacency, knot, cycle) for knot in knots]
         if prof is not None:
             now = perf_counter()
             prof.add("detect/knots", now - t0)
@@ -646,219 +423,7 @@ class DeadlockDetector:
         )
         if prof is not None:
             prof.add("detect/census", perf_counter() - t0)
-        return _RegionAnalysis(events=events, census=census)
-
-    # -- incremental knot tracking ----------------------------------------------------
-    def _analyze_tracked(
-        self,
-        sim: "NetworkSimulator",
-        g: WaitGraphQueries,
-        tracker: "IncrementalCWG",
-        cycle: int,
-    ) -> list[DeadlockEvent]:
-        """Events via knot persistence + dirty-vertex discovery (no census).
-
-        The pass maintains the invariant that ``self._kt_knots`` holds
-        exactly the knots of the previous pass (vertex set -> density).
-        Correctness rests on three facts about the tracker's dirty
-        contract (every arc-source mutation and ownership change marks the
-        vertex dirty):
-
-        * **Persistence.**  A previous knot none of whose vertices went
-          dirty is still exactly a knot: sink-ness and strong connectivity
-          depend only on arcs *sourced inside* the knot, all of which are
-          unchanged.  Its internal arc structure is unchanged too, so its
-          cycle density is reused verbatim.
-        * **Locality.**  Every *new* knot contains at least one dirty
-          vertex: a knot made only of clean vertices had the same
-          out-arcs last pass, hence was already a knot then (and so
-          persisted).  On the very first pass the dirty set contains every
-          owned vertex (acquisition dirties), so nothing is missed.
-        * **Discovery.**  For a dirty vertex ``v``, a forward closure walk
-          either (a) completes, yielding ``R = reach(v)`` — ``v`` lies in
-          a knot iff ``R`` is strongly connected (checked by one reverse
-          traversal inside ``R``) and, for ``|R| == 1``, carries a
-          self-loop; ``R`` strongly connected and forward-closed is
-          automatically a *maximal* SCC — or (b) touches a vertex already
-          known to be in a (surviving or just-found) knot or already
-          cleared, which proves ``v`` itself is in no knot (its reach
-          strictly contains another knot, or escapes through a knot-free
-          vertex).  Only ``v`` is cleared on abort: other visited vertices
-          sit on branches that need not reach the abort trigger.
-
-        Worst-case discovery is O(|dirty| x region size), dangerous in the
-        churny pre-knot regime, so a pass falls back to one global
-        chain-contracted Tarjan scan — still reusing densities of clean
-        persisting knots — whenever the dirty set is large relative to the
-        graph or a closure walk blows a step budget.  Both paths emit
-        identical events, so the heuristic never affects results.
-
-        Event construction matches :meth:`_knot_event` field by field;
-        deadlock/resource/dependent sets are recomputed fresh every pass
-        (a clean knot's *owners* and chain prefixes outside the knot can
-        change without dirtying knot vertices), while densities — a
-        function of knot-internal arcs only — persist.
-        """
-        if self._kt_sim is not sim:
-            self._kt_sim = sim
-            self._kt_knots = {}
-        obs = self._obs
-        prof = obs.profiler if obs is not None else None
-        t0 = perf_counter() if prof is not None else 0.0
-        dirty = tracker.consume_dirty()
-        persist = self._kt_knots
-        surviving: dict[frozenset, CycleCount] = {}
-        for knot, density in persist.items():
-            if dirty.isdisjoint(knot):
-                surviving[knot] = density
-        self.knots_reused += len(surviving)
-
-        owned = len(tracker.owner)
-        found = self._discover_incremental(tracker, dirty, surviving)
-        if found is None:
-            self.tracked_rescans += 1
-            found = self._discover_rescan(tracker, surviving)
-        new_knots = dict(surviving)
-        new_knots.update(found)
-        self.knots_discovered += len(found)
-
-        events = []
-        for knot in sorted(new_knots, key=_knot_key):
-            density = new_knots[knot]
-            deadlock_set = frozenset(g.messages_owning(knot))
-            deps, transients = self._dependents(g, deadlock_set)
-            events.append(
-                DeadlockEvent(
-                    cycle=cycle,
-                    knot=knot,
-                    deadlock_set=deadlock_set,
-                    resource_set=frozenset(g.resources_of(deadlock_set)),
-                    knot_cycle_density=density.count,
-                    density_saturated=density.saturated,
-                    dependent=deps,
-                    transient_dependent=transients,
-                )
-            )
-        self._kt_knots = new_knots
-        if prof is not None:
-            prof.add("detect/knot_track", perf_counter() - t0)
-            reg = obs.registry
-            reg.histogram("detector/dirty_per_pass").observe(len(dirty))
-            reg.histogram("detector/tracked_vertices").observe(owned)
-        return events
-
-    def _discover_incremental(
-        self,
-        tracker: "IncrementalCWG",
-        dirty: set,
-        surviving: dict,
-    ) -> Optional[dict]:
-        """New knots by closure walks from dirty vertices, or None to bail.
-
-        Returns ``None`` when the dirty set is too large a fraction of the
-        graph for per-vertex walks to beat one global Tarjan scan, or when
-        the walks exceed their collective step budget mid-pass (partial
-        finds are discarded; the rescan recomputes everything).
-        """
-        owned = len(tracker.owner)
-        if len(dirty) * 8 > owned:
-            return None
-        # the tracker's successors() inlined: one dict-get cascade per
-        # vertex, and each vertex's successor list is computed exactly once
-        # per walk (cached in ``succ_of``) — the reverse-reachability check
-        # and the knot-subgraph build below reuse it instead of re-querying
-        next_in_chain = tracker.next_in_chain
-        owner = tracker.owner
-        requests = tracker.requests
-        in_known: set = set()
-        for knot in surviving:
-            in_known.update(knot)
-        cleared: set = set()
-        found: dict[frozenset, CycleCount] = {}
-        budget = 4 * owned + 256
-        for v in dirty:
-            if v in cleared or v in in_known:
-                continue
-            # forward closure walk, aborting on contact with known state
-            visited = {v}
-            stack = [v]
-            succ_of: dict = {}
-            aborted = False
-            while stack:
-                u = stack.pop()
-                nxt = next_in_chain.get(u)
-                if nxt is not None:
-                    succs = (nxt,)
-                else:
-                    m = owner.get(u)
-                    succs = (
-                        () if m is None else (requests.get(m) or ())
-                    )
-                succ_of[u] = succs
-                for w in succs:
-                    if w in visited:
-                        continue
-                    if w in in_known or w in cleared:
-                        aborted = True
-                        break
-                    visited.add(w)
-                    stack.append(w)
-                budget -= 1
-                if aborted or budget <= 0:
-                    break
-            if not aborted and stack:
-                return None  # budget exhausted mid-walk: bail to the rescan
-            if aborted:
-                cleared.add(v)
-                continue
-            # visited == reach(v); knot iff strongly connected (+ self-loop
-            # for singletons).  The completed walk popped every visited
-            # vertex, so ``succ_of`` covers the closure exactly.
-            if len(visited) == 1:
-                if v not in succ_of[v]:
-                    cleared.add(v)
-                    continue
-            else:
-                preds: dict = {u: [] for u in visited}
-                for u, succs in succ_of.items():
-                    for w in succs:
-                        preds[w].append(u)
-                seen = {v}
-                rstack = [v]
-                while rstack:
-                    u = rstack.pop()
-                    for p in preds[u]:
-                        if p not in seen:
-                            seen.add(p)
-                            rstack.append(p)
-                if len(seen) != len(visited):
-                    cleared.add(v)
-                    continue
-            knot = frozenset(visited)
-            # succ_of IS the knot's internal adjacency: the walk closed
-            # without abort, so every successor of a visited vertex is
-            # visited.  Density analysis only reads it, so no copy.
-            found[knot] = self._knot_density(succ_of)
-            in_known.update(knot)
-        return found
-
-    def _discover_rescan(
-        self, tracker: "IncrementalCWG", surviving: dict
-    ) -> dict:
-        """All current knots by one global chain-contracted Tarjan scan.
-
-        Clean persisting knots keep their cached densities (a rescan finds
-        the same vertex sets); only genuinely new knots are enumerated.
-        """
-        adjacency = tracker.adjacency()
-        contracted = contract_graph(adjacency)
-        found: dict[frozenset, CycleCount] = {}
-        for knot in find_knots_contracted(contracted):
-            if knot in surviving:
-                continue
-            sub = {v: [w for w in adjacency[v] if w in knot] for v in knot}
-            found[knot] = self._knot_density(sub)
-        return found
+        return events, census
 
     def _knot_density(self, sub: dict) -> CycleCount:
         """Simple-cycle count within a knot, with structural shortcuts.
@@ -877,8 +442,8 @@ class DeadlockDetector:
           on the chain-contracted multigraph: knots are mostly unbranched
           ownership chains, so contraction shrinks the enumeration graph
           several-fold with provably identical bounded counts (cycle
-          counts are enumeration-order independent, the same fact that
-          lets :meth:`_analyze_region` merge per-region censuses).
+          counts are enumeration-order independent, see
+          :mod:`repro.core.cycles`).
         """
         vertices = len(sub)
         arcs = sum(len(v) for v in sub.values())
@@ -894,7 +459,7 @@ class DeadlockDetector:
 
     @staticmethod
     def _dependents(
-        g: WaitGraphQueries, deadlock_set: frozenset[int]
+        g: ChannelWaitForGraph, deadlock_set: frozenset[int]
     ) -> tuple[frozenset[int], frozenset[int]]:
         """Dependent and transient-dependent messages for one deadlock.
 

@@ -2,27 +2,17 @@
 
 The differential fuzz harness (:mod:`repro.validation.differential`) and
 the runtime invariant checker (:mod:`repro.validation.invariants`) exist to
-catch exactly the class of bug where an incrementally-maintained structure
+catch exactly the class of bug where maintained engine or detector state
 silently drifts from the ground truth it caches.  To *prove* the net has
 teeth, the test-suite must be able to introduce such a drift on demand.
 
 Setting the ``REPRO_INJECT_FAULT`` environment variable to a
 comma-separated list of fault names arms the corresponding injection
-points.  Faults are sampled **once per object construction** (simulator /
-tracker), so tests set the variable, build a simulation, and restore the
-environment afterwards; production code paths never read the variable in
-a hot loop.
+points.  Faults are sampled **once per simulator construction**, so tests
+set the variable, build a simulation, and restore the environment
+afterwards; production code paths never read the variable in a hot loop.
 
 Known fault names:
-
-``skip-dirty-acquire``
-    :class:`~repro.core.incremental.IncrementalCWG` omits the dirty-vertex
-    marks of ``on_acquire`` — the region-cached detector may then reuse a
-    stale analysis for a region whose internal arcs changed.
-
-``skip-dirty-block``
-    ``on_block`` omits its dirty mark when a blocked message's request-set
-    changes, hiding dashed-arc churn from the dirty-region detector.
 
 ``skip-wake``
     :class:`~repro.network.simulator.NetworkSimulator` never clears the
@@ -36,6 +26,13 @@ Known fault names:
     acquisitions, victim removal) are ignored and the engine keeps
     skipping the move loop, freezing the network while the legacy
     reference drains it.
+
+``skip-block-epoch``
+    :class:`~repro.network.production.ProductionEngine` omits its
+    ``blocked_epoch`` bump when a header first blocks (VC or reception
+    wait).  The CWG gains dashed arcs the epoch does not record, so the
+    detector's short-circuit reuses a stale "no deadlock" record and
+    reports a knot late, diverging from the legacy reference.
 
 ``crash-point``
     A campaign worker (:mod:`repro.campaign.runner`) raises before running
@@ -82,10 +79,9 @@ DIR_ENV_VAR = "REPRO_FAULT_DIR"
 
 KNOWN_FAULTS = frozenset(
     {
-        "skip-dirty-acquire",
-        "skip-dirty-block",
         "skip-wake",
         "skip-immobile-clear",
+        "skip-block-epoch",
         "crash-point",
         "flaky-point",
         "hang-point",

@@ -171,12 +171,6 @@ class ChannelPool:
             [ReceptionChannel(node, i) for i in range(rx_channels)]
             for node in range(topology.num_nodes)
         ]
-        # CWG vertex keys of each node's reception channels, precomputed so
-        # the engine and detector do not rebuild them on every blocked wait.
-        self._rx_request_keys: list[list[tuple]] = [
-            [("rx", node, i) for i in range(rx_channels)]
-            for node in range(topology.num_nodes)
-        ]
 
     @property
     def reception(self) -> list[ReceptionChannel]:
@@ -189,13 +183,6 @@ class ChannelPool:
             if rx.owner is None:
                 return rx
         return None
-
-    def reception_request_keys(self, node: int) -> list[tuple]:
-        """CWG request targets for a message waiting on ``node``'s reception.
-
-        The returned list is shared — callers must not mutate it.
-        """
-        return self._rx_request_keys[node]
 
     def vcs_of_link(self, link: PhysicalLink) -> list[VirtualChannel]:
         return self._link_vcs[link.index]

@@ -185,7 +185,7 @@ class Message:
         it are gone (``at_source == 0``) and its buffer is empty.  Interior
         bubbles (an empty VC with flits still upstream) are *not* released —
         the worm still needs them.  Returns the released VCs (oldest first)
-        so callers maintaining incremental state can observe them.
+        so the production engine can wake the messages waiting on them.
         """
         released: list[VirtualChannel] = []
         if self.at_source > 0:

@@ -31,7 +31,7 @@ over the C-backed ``Random.getrandbits``:
 * the serve loop reads the shared position-keyed candidate table
   (:class:`~repro.routing.batch.CandidateTable`) directly, whose entries
   carry the candidate indices as a ready-made tuple for wait-key
-  registration and the incremental tracker's dashed arcs;
+  registration;
 * two maintained facts skip a whole phase of a frozen network, the state
   a deadlocked run sits in between detections: ``_all_immobile`` (the last
   move pass skipped every worm; lowered by any acquisition or victim
@@ -113,6 +113,7 @@ class ProductionEngine(NetworkSimulator):
         faults = active_faults()
         self._fault_skip_wake = "skip-wake" in faults
         self._fault_skip_immobile_clear = "skip-immobile-clear" in faults
+        self._fault_skip_block_epoch = "skip-block-epoch" in faults
         self._waiting: dict[int, Message] = {}  # blocked_since set, by id
         self._wake_index: dict = {}  # resource key -> set of waiting ids
         self._delay_due: deque[tuple[int, Message]] = deque()  # router_delay
@@ -156,15 +157,6 @@ class ProductionEngine(NetworkSimulator):
         }
 
     # -- queries ------------------------------------------------------------------------
-    def cwg_view(self):
-        """The live :class:`~repro.core.incremental.IncrementalCWG` itself
-        under incremental maintenance — it answers every query the detector
-        needs (adjacency, ownership, blocked set) without materializing a
-        snapshot graph — else :meth:`cwg_snapshot`."""
-        if self.tracker is not None:
-            return self.tracker
-        return self.cwg_snapshot()
-
     def waiting_messages(self) -> Iterable[Message]:
         return self._waiting.values()
 
@@ -371,7 +363,6 @@ class ProductionEngine(NetworkSimulator):
         else:
             requests = self._service_order(requests, _PHASE_ALLOC)
 
-        tracker = self.tracker
         tracer = self._obs_tracer
         cycle = self.cycle
         pool = self.pool
@@ -388,6 +379,7 @@ class ProductionEngine(NetworkSimulator):
         # what an acquisition leaves in _all_immobile: False, unless the
         # skip-immobile-clear fault keeps a raised flag up
         still_immobile = self._fault_skip_immobile_clear and self._all_immobile
+        skip_block_epoch = self._fault_skip_block_epoch
         serves = 0
         for msg in requests:
             if msg.stalled:
@@ -406,8 +398,6 @@ class ProductionEngine(NetworkSimulator):
                         tracer.instant("wake", msg=msg.id)
                     msg.acquire_reception(rx)
                     self.blocked_epoch += 1
-                    if tracker is not None:
-                        tracker.on_acquire(msg.id, ("rx", dest, rx.index))
                     msg.routable = False
                     msg.immobile = False
                     self._all_immobile = still_immobile
@@ -417,13 +407,10 @@ class ProductionEngine(NetworkSimulator):
                 else:
                     if msg.blocked_since is None:
                         msg.blocked_since = cycle
-                        self.blocked_epoch += 1
+                        if not skip_block_epoch:
+                            self.blocked_epoch += 1
                         if tracer is not None:
                             tracer.instant("block", msg=msg.id, node=dest)
-                    if tracker is not None:
-                        tracker.on_block(
-                            msg.id, pool.reception_request_keys(dest)
-                        )
                     self._begin_wait(msg, (("rx", dest),))
                 continue
             # -- VC branch (routable active mid-route, or queue head) -----
@@ -474,8 +461,6 @@ class ProductionEngine(NetworkSimulator):
                     tracer.instant("wake", msg=msg.id)
                 msg.acquire_vc(choice, cycle)
                 self.blocked_epoch += 1
-                if tracker is not None:
-                    tracker.on_acquire(msg.id, choice.index)
                 msg.routable = False
                 msg.immobile = False
                 self._all_immobile = still_immobile
@@ -488,16 +473,10 @@ class ProductionEngine(NetworkSimulator):
             elif vcs:
                 if msg.blocked_since is None:
                     msg.blocked_since = cycle
-                    self.blocked_epoch += 1
+                    if not skip_block_epoch:
+                        self.blocked_epoch += 1
                     if tracer is not None:
                         tracer.instant("block", msg=msg.id, node=node)
-                if tracker is not None:
-                    tracker.on_block(
-                        msg.id,
-                        idxs
-                        if idxs is not None
-                        else [vc.index for vc in cands],
-                    )
                 keys = None
                 if msg.wait_keys is None and not self._uncacheable_routing:
                     keys = idxs
@@ -536,7 +515,6 @@ class ProductionEngine(NetworkSimulator):
         link_used[:] = self._zero_links
         free_at = self._link_free_at  # None on uniform unit-latency topologies
         latency = self._link_latency
-        tracker = self.tracker
         cycle = self.cycle
         delay = self._router_delay
         order = list(self.active.values())
@@ -597,16 +575,12 @@ class ProductionEngine(NetworkSimulator):
             if released:
                 self.blocked_epoch += 1
                 for vc in released:
-                    if tracker is not None:
-                        tracker.on_release(msg.id, vc.index)
                     self._wake(vc.index)
                 if msg.wait_keys is not None:
                     # the chain shortened: candidate keys that include the
                     # hop count (misrouting budgets) may now differ, so the
                     # next attempt must re-derive the awaited set
                     self._drop_wait_keys(msg)
-                if tracker is not None:
-                    self._refresh_requests(msg)
             if msg.recovering:
                 if msg.teardown_complete and not msg.vcs:
                     torn_down.append(msg)
@@ -627,8 +601,6 @@ class ProductionEngine(NetworkSimulator):
             self.active.pop(msg.id)
             self._live.pop(msg.id, None)
             self.blocked_epoch += 1
-            if tracker is not None:
-                tracker.on_done(msg.id)
             self._end_wait(msg)
             self._wake(("rx", rx_node))
             self.stats.on_delivered(msg, cycle)
@@ -639,8 +611,6 @@ class ProductionEngine(NetworkSimulator):
             self.active.pop(msg.id)
             self._live.pop(msg.id, None)
             self.blocked_epoch += 1
-            if tracker is not None:
-                tracker.on_done(msg.id)
             self._end_wait(msg)
             self.stats.on_recovered(msg, cycle)
         if order and not mobile:

@@ -39,11 +39,10 @@ The two are bit-identical: the same seed produces the same
 sequence (asserted by ``tests/integration/test_fast_path_equivalence.py``,
 the golden digests and the differential fuzzer).
 
-With ``cwg_maintenance="incremental"`` every engine additionally drives an
-:class:`~repro.core.incremental.IncrementalCWG` tracker from its resource
-events; its dirty-vertex feed powers the detector's dirty-region caching
-(``detector_caching``, see :mod:`repro.core.detector`), which re-analyzes
-only the weakly-connected CWG regions touched since the previous pass.
+Neither engine maintains a wait-for graph: the detector rebuilds the CWG
+from live state at each pass (:meth:`DeadlockDetector.build_cwg`).
+``cwg_maintenance`` is an inert field kept for stored-result digests;
+both of its values run this same code.
 """
 
 from __future__ import annotations
@@ -54,7 +53,6 @@ from typing import Iterable, Optional
 
 from repro.config import SimulationConfig
 from repro.core.detector import DeadlockDetector, DeadlockEvent, DetectionRecord
-from repro.core.incremental import IncrementalCWG
 from repro.core.recovery import RecoveryPolicy, make_recovery
 from repro.errors import SimulationError
 from repro.metrics.stats import RunResult, StatsCollector
@@ -178,9 +176,6 @@ class NetworkSimulator:
             caching=config.detector_caching,
         )
         self.stats = StatsCollector(config, self.topology)
-        self.tracker = (
-            IncrementalCWG() if config.cwg_maintenance == "incremental" else None
-        )
         # runtime invariant checker (repro.validation); None at level 0
         from repro.validation.invariants import InvariantChecker
 
@@ -243,23 +238,9 @@ class NetworkSimulator:
         return self._live[message_id]
 
     def cwg_snapshot(self):
-        """The current channel wait-for graph.
-
-        With incremental maintenance this is an O(state) materialization of
-        the event-maintained graph; otherwise it is rebuilt from scratch by
-        :meth:`DeadlockDetector.build_cwg`.
-        """
-        if self.tracker is not None:
-            return self.tracker.snapshot()
+        """The current channel wait-for graph, rebuilt from live state by
+        :meth:`DeadlockDetector.build_cwg`."""
         return DeadlockDetector.build_cwg(self)
-
-    def cwg_view(self):
-        """Wait-graph *queries* for the detector.
-
-        The reference engine always materializes :meth:`cwg_snapshot`; the
-        production engine hands out the live incremental tracker instead.
-        """
-        return self.cwg_snapshot()
 
     def route_candidates(self, message: Message) -> list[VirtualChannel]:
         """The routing relation's candidate VCs for a message's next hop.
@@ -382,7 +363,6 @@ class NetworkSimulator:
             if self.routing_eligible(m):
                 requests.append(m)
         requests = self._service_order(requests, _PHASE_ALLOC)
-        tracker = self.tracker
         tracer = self._obs_tracer
         cycle = self.cycle
         for msg in requests:
@@ -393,18 +373,12 @@ class NetworkSimulator:
                         tracer.instant("wake", msg=msg.id)
                     msg.acquire_reception(rx)
                     self.blocked_epoch += 1
-                    if tracker is not None:
-                        tracker.on_acquire(msg.id, ("rx", msg.dest, rx.index))
                 else:
                     if msg.blocked_since is None:
                         msg.blocked_since = cycle
                         self.blocked_epoch += 1
                         if tracer is not None:
                             tracer.instant("block", msg=msg.id, node=msg.dest)
-                    if tracker is not None:
-                        tracker.on_block(
-                            msg.id, self.pool.reception_request_keys(msg.dest)
-                        )
                 continue
             candidates = self.route_candidates(msg)
             free = [vc for vc in candidates if vc.owner is None]
@@ -415,8 +389,6 @@ class NetworkSimulator:
                     tracer.instant("wake", msg=msg.id)
                 msg.acquire_vc(choice, cycle)
                 self.blocked_epoch += 1
-                if tracker is not None:
-                    tracker.on_acquire(msg.id, choice.index)
                 if was_queued:
                     self.active[msg.id] = msg
                     self.stats.on_injected(cycle)
@@ -428,15 +400,12 @@ class NetworkSimulator:
                         tracer.instant(
                             "block", msg=msg.id, node=msg.head_node
                         )
-                if tracker is not None:
-                    tracker.on_block(msg.id, [vc.index for vc in candidates])
 
     def _phase_move(self) -> None:
         link_used = self._link_used
         link_used[:] = self._zero_links
         free_at = self._link_free_at  # None on uniform unit-latency topologies
         latency = self._link_latency
-        tracker = self.tracker
         cycle = self.cycle
         order = self._service_order(list(self.active.values()), _PHASE_MOVE)
         finished: list[Message] = []
@@ -474,13 +443,8 @@ class NetworkSimulator:
                     free_at[li] = cycle + latency[li]
                 if i == len(vcs) - 1 and msg.head_arrival is None:
                     msg.head_arrival = cycle  # header reached a new node
-            released = msg.release_drained_tail()
-            if released:
+            if msg.release_drained_tail():
                 self.blocked_epoch += 1
-                if tracker is not None:
-                    for vc in released:
-                        tracker.on_release(msg.id, vc.index)
-                    self._refresh_requests(msg)
             if msg.recovering:
                 if msg.teardown_complete and not msg.vcs:
                     torn_down.append(msg)
@@ -491,8 +455,6 @@ class NetworkSimulator:
             self.active.pop(msg.id)
             self._live.pop(msg.id, None)
             self.blocked_epoch += 1
-            if tracker is not None:
-                tracker.on_done(msg.id)
             self.stats.on_delivered(msg, cycle)
         for msg in torn_down:
             msg.remove_from_network(
@@ -501,28 +463,7 @@ class NetworkSimulator:
             self.active.pop(msg.id)
             self._live.pop(msg.id, None)
             self.blocked_epoch += 1
-            if tracker is not None:
-                tracker.on_done(msg.id)
             self.stats.on_recovered(msg, cycle)
-
-    def _refresh_requests(self, msg: Message) -> None:
-        """Re-feed a blocked message's dashed arcs after its tail drained.
-
-        Relations whose candidates depend on chain length (misrouting
-        budgets) may offer a different set now that the chain shortened;
-        refreshing keeps the maintained CWG equal to a from-scratch
-        rebuild (position-pure relations hit the memoized set and the
-        tracker dedupes the no-op).  Only called with a tracker present.
-        """
-        tracker = self.tracker
-        if (
-            msg.blocked_since is not None
-            and msg.needs_next_vc
-            and tracker.requests.get(msg.id) is not None
-        ):
-            tracker.on_block(
-                msg.id, [vc.index for vc in self.route_candidates(msg)]
-            )
 
     def _phase_detect(self) -> Optional[DetectionRecord]:
         if self.cycle % self.config.detection_interval != 0:
@@ -620,10 +561,6 @@ class NetworkSimulator:
         if self.config.recovery_teardown == "flit-by-flit":
             victim.begin_teardown()
             self.blocked_epoch += 1
-            if self.tracker is not None:
-                # a draining victim no longer requests anything; its owned
-                # channels release progressively via the movement phase
-                self.tracker.on_unblock(victim.id)
             # completion (and stats) happen in the movement phase as the
             # message drains through the recovery lane
             return
@@ -633,8 +570,6 @@ class NetworkSimulator:
         self.active.pop(victim.id)
         self._live.pop(victim.id, None)
         self.blocked_epoch += 1
-        if self.tracker is not None:
-            self.tracker.on_done(victim.id)
         self.stats.on_recovered(victim, self.cycle)
 
     # -- driving ------------------------------------------------------------------------

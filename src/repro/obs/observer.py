@@ -11,7 +11,7 @@ Levels:
 
 * ``0`` — off: ``NULL_OBSERVER`` (no registry, no profiler, no tracer);
 * ``1`` — metrics + phase profiler (per-phase wall-clock accounting,
-  detector/CWG cache counters, per-pass histograms);
+  detector pass counters, per-pass histograms);
 * ``2`` — level 1 plus the cycle-level trace ring buffer
   (:class:`~repro.obs.trace.TraceRecorder`).
 
@@ -70,9 +70,6 @@ class Observer:
         reg.gauge("engine/blocked_epoch").set(sim.blocked_epoch)
         reg.gauge("engine/messages_in_network").set(sim.messages_in_network)
         reg.set_counters(sim.detector.cache_stats(), prefix="detector/")
-        tracker = sim.tracker
-        if tracker is not None:
-            reg.set_counters(tracker.stats(), prefix="cwg/")
 
     def snapshot(self) -> dict:
         """A JSON-able rollup of everything this observer accumulated.

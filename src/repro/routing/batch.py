@@ -9,9 +9,9 @@ CWG rebuild — so a position is routed once per run, not once per reader.
 Per key it holds:
 
 * the candidate VC objects (for the serve loop), and
-* their global indices as a ready-made tuple (the wait-key registration
-  and the incremental tracker's dashed arcs consume exactly this tuple, so
-  neither rebuilds it per blocked attempt).
+* their global indices as a ready-made tuple (the production engine's
+  wait-key registration consumes exactly this tuple, so it is not rebuilt
+  per blocked attempt).
 
 Entries are built lazily through the relation's own ``candidates`` call,
 so contents equal an unmemoized query by construction.

@@ -1,18 +1,17 @@
 """Correctness net: invariants, differential fuzzing, model checking.
 
 Three layers defend the simulator's optimized paths (the activity-tracked
-engine fast path, dirty-region detector caching, incremental CWG
-maintenance) against silent drift from their ground-truth equivalents:
+production engine and the detector's contracted pipeline) against silent
+drift from their ground-truth equivalents:
 
 * :mod:`repro.validation.invariants` — a pluggable runtime checker a
   ``validation_level`` config flag attaches to the engine, asserting flit
   conservation, channel exclusivity, worm contiguity, activity-flag
-  coherence, incremental-vs-rebuilt CWG equality and knot soundness on a
-  sampling schedule;
+  coherence and knot soundness on a sampling schedule;
 * :mod:`repro.validation.differential` — a deterministic fuzz harness that
-  draws seeded random configurations and cross-checks fast vs legacy
-  engine, cached vs uncached detector and incremental vs rebuilt CWG,
-  shrinking any mismatch to a minimal reproducing configuration;
+  draws seeded random configurations and cross-checks production vs
+  legacy engine and pipeline vs uncached detector, shrinking any mismatch
+  to a minimal reproducing configuration;
 * :mod:`repro.validation.oracle` (with
   :mod:`repro.validation.statespace`) — an exhaustive model checker that
   enumerates **every reachable state** of tiny generation-capped

@@ -1,14 +1,13 @@
 """Deterministic differential fuzzing of the simulator's optimized paths.
 
-The repo carries three pairs of independently-implemented equivalents:
+The repo carries two pairs of independently-implemented equivalents:
 
 * **engine** — the production engine (activity tracking, inline
-  arbitration stream, whole-phase quiescence skips) vs the legacy
-  full-rescan reference (``engine_fast_path``),
-* **detector** — dirty-region cached detection vs the per-pass global
-  analysis (``detector_caching``),
-* **cwg** — the event-maintained :class:`IncrementalCWG` vs a from-scratch
-  :meth:`DeadlockDetector.build_cwg` rebuild.
+  arbitration stream, whole-phase quiescence skips, detection
+  short-circuiting) vs the legacy full-rescan reference
+  (``engine_fast_path``),
+* **detector** — the contracted pipeline vs the plain global Tarjan +
+  uncontracted Johnson reference pass (``detector_caching``).
 
 Each pair is documented bit-identical; the hand-written equivalence suites cover
 a fixed case matrix.  This module covers the space *between* the hand-picked
@@ -36,7 +35,6 @@ from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
 from repro.config import SimulationConfig
-from repro.core.detector import DeadlockDetector
 from repro.errors import SimulationError
 from repro.network.simulator import NetworkSimulator
 
@@ -51,15 +49,15 @@ __all__ = [
     "load_artifact",
 ]
 
-#: the three differential axes, in checking order
-AXES = ("engine", "detector", "cwg")
+#: the two differential axes, in checking order
+AXES = ("engine", "detector")
 
 
 @dataclass(frozen=True)
 class FuzzMismatch:
     """One confirmed divergence between paired implementations."""
 
-    axis: str  #: "engine" | "detector" | "cwg"
+    axis: str  #: "engine" | "detector"
     config: SimulationConfig  #: a configuration reproducing the divergence
     detail: str  #: human-readable description of the first difference
 
@@ -126,11 +124,10 @@ def _draw_config(rng: random.Random) -> SimulationConfig:
         timeout_threshold=100,
         recovery=rng.choice(["disha", "disha", "abort-all", "none"]),
         recovery_teardown=rng.choice(["instant", "instant", "flit-by-flit"]),
-        # keep the census mostly on (it exercises the per-region cache
-        # merge paths) but cap it low: saturated misrouting nets otherwise
+        # keep the census mostly on (it exercises the per-SCC contracted
+        # census) but cap it low: saturated misrouting nets otherwise
         # spend tens of seconds enumerating cycles per detection, blowing
-        # the smoke budget; census-off draws fuzz the incremental
-        # knot-tracking detector path instead
+        # the smoke budget
         count_cycles=rng.random() < 0.75,
         max_cycles_counted=1_000,
         record_blocked_durations=rng.random() < 0.3,
@@ -203,82 +200,31 @@ def _detector_records(config: SimulationConfig, **overrides) -> list:
     return sim.detector.records
 
 
-def _blocked_order_free(records: list) -> list:
-    """Records with their two blocked-message listings sorted.
-
-    Both follow the CWG's request insertion order, on which the live
-    tracker (block-event order) and a rebuilt snapshot (active-message
-    order) legitimately disagree; nothing downstream reads the order.
-    """
-    return [
-        dataclasses.replace(
-            r,
-            blocked_durations=sorted(r.blocked_durations),
-            blocked_ids=r.blocked_ids and tuple(sorted(r.blocked_ids)),
-        )
-        for r in records
-    ]
-
-
 def compare_detector(config: SimulationConfig) -> Optional[str]:
-    """Caching detector vs the uncached from-scratch pass, three legs.
+    """Contracted pipeline vs the uncached from-scratch pass.
 
-    Rebuild + caching — the as-shipped default: no tracker, one contracted
-    pipeline pass over the whole CWG — must equal rebuild + uncached record
-    for record; incremental + caching (the tracker-driven dirty-region and
-    knot-tracking passes) must equal it up to blocked-listing order.
+    The as-shipped default (``detector_caching=True``) must equal the
+    reference pass record for record, blocked-listing order included.
     """
-    reference = _detector_records(
-        config, cwg_maintenance="rebuild", detector_caching=False
-    )
-    legs = (
-        ("as-shipped rebuild", "rebuild", list),
-        ("incremental", "incremental", _blocked_order_free),
-    )
-    for label, maintenance, view in legs:
-        rec_u = view(reference)
-        rec_c = view(
-            _detector_records(
-                config, cwg_maintenance=maintenance, detector_caching=True
-            )
+    rec_c = _detector_records(config, detector_caching=True)
+    rec_u = _detector_records(config, detector_caching=False)
+    if len(rec_c) != len(rec_u):
+        return (
+            f"detector pipeline diverges: {len(rec_c)} pipeline vs "
+            f"{len(rec_u)} reference detection records"
         )
-        if rec_c == rec_u:
-            continue
-        if len(rec_c) != len(rec_u):
+    for i, (a, b) in enumerate(zip(rec_c, rec_u)):
+        if a != b:
             return (
-                f"detector caching ({label}) diverges: {len(rec_c)} cached "
-                f"vs {len(rec_u)} uncached detection records"
+                f"detector pipeline diverges at record {i} (cycle {a.cycle}): "
+                f"{_first_diff(dataclasses.asdict(a), dataclasses.asdict(b))}"
             )
-        for i, (a, b) in enumerate(zip(rec_c, rec_u)):
-            if a != b:
-                return (
-                    f"detector caching ({label}) diverges at record {i} "
-                    f"(cycle {a.cycle}): "
-                    f"{_first_diff(dataclasses.asdict(a), dataclasses.asdict(b))}"
-                )
-    return None
-
-
-def compare_cwg(config: SimulationConfig) -> Optional[str]:
-    """Incrementally-maintained CWG vs from-scratch rebuild, per detection."""
-    cfg = config.replace(cwg_maintenance="incremental")
-    sim = NetworkSimulator(cfg)
-    total = cfg.warmup_cycles + cfg.measure_cycles
-    interval = cfg.detection_interval
-    while sim.cycle < total:
-        sim.step()
-        if sim.cycle % interval == 0:
-            try:
-                sim.tracker.assert_matches(DeadlockDetector.build_cwg(sim))
-            except SimulationError as exc:
-                return f"incremental CWG diverges at cycle {sim.cycle}: {exc}"
     return None
 
 
 _AXIS_CHECKS: dict[str, Callable[[SimulationConfig], Optional[str]]] = {
     "engine": compare_engine,
     "detector": compare_detector,
-    "cwg": compare_cwg,
 }
 
 

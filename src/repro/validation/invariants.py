@@ -1,7 +1,7 @@
 """Runtime invariant checker for live simulations.
 
 The engine's optimized paths cache derived state (activity flags, the wake
-index, the incrementally-maintained CWG, per-region detector analyses).
+index, the whole-phase skip flags).
 Each cache has a ground truth it must agree with; this module re-derives
 those ground truths from scratch and asserts agreement, on a sampling
 schedule controlled by ``SimulationConfig.validation_level``:
@@ -199,27 +199,12 @@ def check_activity_coherence(sim: "NetworkSimulator") -> None:
                 )
 
 
-def check_incremental_cwg(sim: "NetworkSimulator") -> None:
-    """The event-maintained CWG equals a from-scratch rebuild.
-
-    Runs :meth:`IncrementalCWG.assert_consistent` (internal coherence) and
-    :meth:`IncrementalCWG.assert_matches` against
-    :meth:`DeadlockDetector.build_cwg` (external ground truth).  A no-op
-    under ``cwg_maintenance="rebuild"``.
-    """
-    tracker = sim.tracker
-    if tracker is None:
-        return
-    tracker.assert_matches(DeadlockDetector.build_cwg(sim))
-
-
 #: the default battery, in execution order (cheap structural checks first)
 DEFAULT_CHECKS: dict[str, Check] = {
     "flit-conservation": check_flit_conservation,
     "channel-exclusivity": check_channel_exclusivity,
     "worm-contiguity": check_worm_contiguity,
     "activity-coherence": check_activity_coherence,
-    "incremental-cwg": check_incremental_cwg,
 }
 
 

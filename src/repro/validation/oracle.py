@@ -450,9 +450,8 @@ def _pipeline_census_mismatch(
 ) -> Optional[str]:
     """The as-shipped contracted pipeline against from-scratch counts.
 
-    Runs a fresh caching detector with the census on (no tracker on the
-    oracle's engine, so one whole-CWG pipeline pass) and compares its
-    events to the reference pass's, its census to plain
+    Runs a fresh caching detector with the census on (one whole-CWG
+    pipeline pass) and compares its events to the reference pass's, its census to plain
     :func:`count_simple_cycles` over the CWG, and every knot's cycle
     density to plain :func:`count_simple_cycles` over the knot's induced
     subgraph.  Returns a description of the first disagreement, or None.
@@ -735,17 +734,15 @@ def load_witness(path: Path | str) -> dict:
 
 
 #: production-shape overrides for witness replay: the production engine
-#: with incremental CWG maintenance and dirty-region detector caching —
-#: the exact machinery the oracle pins *out* of enumeration, exercised
-#: here against recorded oracle truth.  The production loops inline
-#: ``random.Random``'s word stream only when the RNG is exactly that
-#: type, so under the scripted ``ChoiceRandom`` they follow the recorded
-#: choice stream through ``rng.shuffle`` / ``selection.choose``.  (The
-#: kernel tier draws raw words unconditionally and cannot; its
-#: equivalence is covered by the differential fuzzer.)
+#: (wake index, detection short-circuit on the blocked epoch) with the
+#: detector's contracted pipeline — the exact machinery the oracle pins
+#: *out* of enumeration, exercised here against recorded oracle truth.
+#: The production loops inline ``random.Random``'s word stream only when
+#: the RNG is exactly that type, so under the scripted ``ChoiceRandom``
+#: they follow the recorded choice stream through ``rng.shuffle`` /
+#: ``selection.choose``.
 _PRODUCTION_OVERRIDES = dict(
     engine_fast_path=True,
-    cwg_maintenance="incremental",
     detector_caching=True,
 )
 
@@ -767,7 +764,7 @@ def replay_witness(payload: dict, production: bool = False) -> ReplayResult:
     ``production=False`` replays on the oracle's pinned legacy engine —
     this must reproduce the recorded digests exactly (it is the engine the
     witness was derived on).  ``production=True`` replays on the production
-    engine with incremental CWG maintenance and detector caching:
+    engine with the detector's contracted pipeline:
     the state digests must still match cycle-for-cycle (the engines are
     bit-identical) and the replay engine's *own* detector verdict must
     match the recorded full-pass reference at every step — this is the
@@ -811,8 +808,8 @@ def replay_witness(payload: dict, production: bool = False) -> ReplayResult:
                 ),
                 final_digest=digest,
             )
-        # verdict from the replay engine's own detector (the cached /
-        # incremental machinery in production mode) vs the recorded
+        # verdict from the replay engine's own detector (the pipeline and
+        # its epoch short-circuit in production mode) vs the recorded
         # uncached full-pass reference
         record = sim.detector.records[-1] if sim.detector.records else None
         has_deadlock = bool(record.events) if record is not None else False
@@ -919,17 +916,13 @@ def make_wake_witness(case: OracleCase, graph: Optional[StateGraph] = None) -> d
 #: the bookkeeping faults the oracle must catch via production replay.
 #: ``skip-wake`` breaks the fast path's wake index (stalled messages sleep
 #: forever → the replayed trajectory leaves the recorded one at the first
-#: wake) and ``skip-dirty-block`` hides dashed-arc churn from the
-#: dirty-region detector cache (states still match, the cached verdict
-#: goes stale at the knot-forming step).  Two known faults are *not*
-#: end-to-end catchable here and are deliberately excluded:
-#: ``skip-dirty-acquire`` is masked because an acquire almost always
-#: changes the region's vertex set, forcing a recompute regardless of
-#: dirty marks (its event-level contract is pinned by the teeth tests,
-#: mirroring the fuzz harness); ``skip-immobile-clear`` lives in the
-#: kernel engine, which reproduces raw RNG word streams inline and cannot
-#: replay choice scripts — the differential fuzzer covers it.
-TEETH_FAULTS = ("skip-wake", "skip-dirty-block")
+#: wake) and ``skip-block-epoch`` hides a header's first block from the
+#: blocked epoch (states still match, the detector's short-circuit reuses
+#: a stale "no deadlock" verdict).  ``skip-immobile-clear`` is *not*
+#: caught here: replaying the witnesses of every ``ORACLE_GRID`` case
+#: with it armed diverges nowhere (measured), so the differential
+#: fuzzer's engine axis covers it.
+TEETH_FAULTS = ("skip-wake", "skip-block-epoch")
 
 
 @dataclass
@@ -950,10 +943,10 @@ def teeth_candidates(
 ) -> list[dict]:
     """The witness battery teeth mode replays under each armed fault.
 
-    Different faults manifest on different trajectories: a stale dirty
-    mark needs a path whose *verdict* the cache can get wrong (the
-    deadlock witness), a severed wake index needs a path where a blocked
-    message actually wakes (the wake witness).  The battery holds every
+    Different faults manifest on different trajectories: a stale blocked
+    epoch needs a path whose *verdict* the short-circuit can get wrong
+    (the deadlock witness), a severed wake index needs a path where a
+    blocked message actually wakes (the wake witness).  The battery holds every
     witness shape the case supports.
     """
     if graph is None:

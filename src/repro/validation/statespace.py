@@ -74,7 +74,6 @@ __all__ = [
 #: * ``router_delay=0`` — ``head_arrival`` reduces to a boolean.
 ORACLE_PINS = dict(
     engine_fast_path=False,
-    cwg_maintenance="rebuild",
     detector_caching=False,
     recovery="none",
     recovery_teardown="instant",

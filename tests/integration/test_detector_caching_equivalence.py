@@ -1,25 +1,21 @@
-"""A/B equivalence: dirty-region detector caching is bit-identical.
+"""A/B equivalence: the detector's contracted pipeline is bit-identical.
 
-``detector_caching`` replaces the detector's per-pass global analysis
-(Tarjan + knot test + Johnson census over the whole CWG) with a
-partition into weakly-connected regions re-analyzed only when touched by
-the tracker's dirty-vertex set, with per-region results cached by exact
-vertex set and by canonical region signature, fresh analyses running on
-the chain-contracted graph.  All of it is pure optimization: with the
-same seed, cached and uncached detection must produce the **same**
-sequence of :class:`DetectionRecord`\\ s — knots, deadlock/resource/
-dependent sets, cycle-census counts *and* saturation flags, blocked
-durations, everything — and, since recovery acts on those records, the
-same :class:`RunResult`.
+``detector_caching`` (the default) runs every pass through the contracted
+pipeline — chain contraction, one Tarjan decomposition shared by the knot
+test and the cycle census, each SCC re-contracted before Johnson
+enumerates — instead of the plain reference (global Tarjan + knot test +
+uncontracted Johnson over the whole CWG).  All of it is pure
+optimization: with the same seed, both must produce the **same** sequence
+of :class:`DetectionRecord`\\ s — knots, deadlock/resource/dependent sets,
+cycle-census counts *and* saturation flags, blocked durations, everything
+— and, since recovery acts on those records, the same :class:`RunResult`.
 
 Every case runs the identical configuration twice — ``detector_caching``
 on and off — over the matrix the detector branches on: DOR/TFAR (plus
 misrouting, whose request sets churn as tails drain), 1–4 VCs, wormhole
 and virtual cut-through switching, saturated and moderate loads, knot and
-timeout detection, persistent knots (``recovery="none"``), both engine
-paths, and rebuild maintenance — the as-shipped default, where there is
-no tracker and the cached detector runs the same contracted pipeline once
-over the whole CWG.
+timeout detection, persistent knots (``recovery="none"``), the census on
+and off, and both engine paths.
 """
 
 import dataclasses
@@ -41,7 +37,6 @@ def _run_pair(**overrides):
         measure_cycles=1500,
         warmup_cycles=100,
         seed=7,
-        cwg_maintenance="incremental",
         count_cycles=True,
     )
     params.update(overrides)
@@ -103,40 +98,30 @@ CASES = {
         routing="tfar", load=1.0, max_cycles_counted=10
     ),
     "census_disabled": dict(routing="tfar", load=1.0, count_cycles=False),
-    # -- incremental knot tracking (census off selects _analyze_tracked) ------------
-    "tracked_persistent_knots": dict(
+    # -- census off: knots only ------------------------------------------------------
+    "no_census_unrecovered_knots": dict(
         routing="dor",
         load=0.95,
         num_vcs=1,
         recovery="none",
         count_cycles=False,
     ),
-    "tracked_legacy_engine": dict(
+    "no_census_legacy_engine": dict(
         routing="dor",
         load=1.0,
         num_vcs=1,
         count_cycles=False,
         engine_fast_path=False,
     ),
-    "tracked_timeout_mode": dict(
+    "no_census_timeout_mode": dict(
         routing="tfar",
         load=1.0,
         count_cycles=False,
         detection_mode="timeout",
         timeout_threshold=100,
     ),
-    # -- engine / maintenance interaction --------------------------------------------
+    # -- engine paths -----------------------------------------------------------------
     "legacy_engine": dict(routing="tfar", load=1.0, engine_fast_path=False),
-    "rebuild_fallback": dict(
-        routing="tfar", load=1.0, cwg_maintenance="rebuild"
-    ),
-    "rebuild_unrecovered_knots": dict(
-        routing="dor",
-        load=0.95,
-        num_vcs=1,
-        recovery="none",
-        cwg_maintenance="rebuild",
-    ),
     # the census16_tfar1 benchmark shape: a persistent saturated 16-ary CWG
     # whose census exhausts a small budget on most passes
     "rebuild_saturated_16ary_census": dict(
@@ -148,14 +133,12 @@ CASES = {
         detection_interval=8,
         warmup_cycles=300,
         measure_cycles=200,
-        cwg_maintenance="rebuild",
     ),
     "rebuild_legacy_engine_4vc": dict(
         routing="tfar",
         load=1.0,
         num_vcs=4,
         engine_fast_path=False,
-        cwg_maintenance="rebuild",
     ),
 }
 
@@ -187,37 +170,21 @@ def test_detector_caching_is_default():
     assert sim.detector.caching is True
 
 
-CACHE_STAT_KEYS = {
-    "region_hits",
-    "signature_hits",
-    "region_misses",
-    "signature_evictions",
-    "full_passes",
-    "cached_passes",
-    "shortcircuit_passes",
-    "tracked_passes",
-    "tracked_rescans",
-    "knots_reused",
-    "knots_discovered",
-}
-
-
 def test_cache_stats_accessor_and_repeat_pass_hits():
-    """``cache_stats()`` exposes live counters; a repeated pass is a hit.
+    """``cache_stats()`` exposes the two pass counters; an unchanged
+    network short-circuits the repeated pass.
 
-    After a saturated no-recovery run the network holds persistent knots.
-    Two manual back-to-back detector passes with no intervening network
-    change (the blocked-epoch bump only defeats the short-circuit) must
-    replay every region from cache: at least one region hit, zero new
-    misses.
+    After a saturated no-recovery run the network holds persistent knots,
+    and a pass that finds a knot is never short-circuited: two manual
+    passes re-analyse and re-report it identically.  With the knots gone
+    (a fresh network) a repeated pass over an unchanged blocked epoch is a
+    hit.
     """
     cfg = tiny_default(
         routing="dor",
         load=0.95,
         num_vcs=1,
         recovery="none",
-        cwg_maintenance="incremental",
-        count_cycles=True,
         measure_cycles=1200,
         warmup_cycles=100,
         seed=7,
@@ -225,22 +192,26 @@ def test_cache_stats_accessor_and_repeat_pass_hits():
     sim = NetworkSimulator(cfg)
     sim.run()
     stats = sim.detector.cache_stats()
-    assert set(stats) == CACHE_STAT_KEYS
-    assert all(isinstance(v, int) and v >= 0 for v in stats.values())
-    assert stats["cached_passes"] > 0
+    assert set(stats) == {"full_passes", "shortcircuit_passes"}
+    assert stats["full_passes"] + stats["shortcircuit_passes"] == len(
+        sim.detector.records
+    )
 
-    # first manual pass consumes any dirt accumulated since the run's last
-    # detection and caches the (wedged, stable) regions ...
-    sim.blocked_epoch += 1
-    sim.detector.detect(sim)
-    mid = sim.detector.cache_stats()
-    # ... so the identical repeated pass reuses every region verbatim
-    sim.blocked_epoch += 1
-    sim.detector.detect(sim)
+    first = sim.detector.detect(sim)
+    second = sim.detector.detect(sim)
+    assert first.has_deadlock and second.events == first.events
     after = sim.detector.cache_stats()
-    assert after["cached_passes"] == mid["cached_passes"] + 1
-    assert after["region_hits"] >= mid["region_hits"] + 1
-    assert after["region_misses"] == mid["region_misses"]
+    assert after["full_passes"] == stats["full_passes"] + 2
+    assert after["shortcircuit_passes"] == stats["shortcircuit_passes"]
+
+    fresh = NetworkSimulator(cfg)
+    fresh.detector.detect(fresh)
+    repeat = fresh.detector.detect(fresh)
+    assert fresh.detector.cache_stats() == {
+        "full_passes": 1,
+        "shortcircuit_passes": 1,
+    }
+    assert repeat.cycle_count == fresh.detector.records[0].cycle_count
 
 
 def test_cache_stats_uncached_detector_counts_full_passes():
@@ -257,5 +228,6 @@ def test_cache_stats_uncached_detector_counts_full_passes():
     sim.run()
     stats = sim.detector.cache_stats()
     assert stats["full_passes"] > 0
-    assert stats["cached_passes"] == 0
-    assert stats["region_hits"] == stats["region_misses"] == 0
+    assert stats["full_passes"] + stats["shortcircuit_passes"] == len(
+        sim.detector.records
+    )

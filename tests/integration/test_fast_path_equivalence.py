@@ -15,8 +15,7 @@ everything except the config object itself.  Cases cover
 the matrix the engine branches on: DOR/TFAR (plus the misrouting variant
 whose candidate sets change as a blocked message's tail drains), uni- and
 bidirectional tori, 1–4 VCs, wormhole and virtual cut-through switching,
-knot and timeout detection, both CWG maintenance modes, both recovery
-teardown styles, router pipeline delay, multiple reception channels, and
+knot and timeout detection, both recovery teardown styles, router pipeline delay, multiple reception channels, and
 all three arbitration policies — plus the topology zoo (3D torus with a
 slow TSV dimension, 3D mesh, dragonfly, full mesh).
 
@@ -26,7 +25,7 @@ asserts every cycle that the maintained flags (``routable``, ``stalled``,
 agree with the predicates they cache.  The
 zoo cases run at ``validation_level=2``, the full runtime battery (flit
 conservation, channel exclusivity, worm contiguity, activity coherence
-incl. the wake index, incremental CWG) every cycle.
+incl. the wake index) every cycle.
 """
 
 import dataclasses
@@ -123,13 +122,9 @@ CASES = {
         detection_mode="timeout",
         timeout_threshold=100,
     ),
-    "incremental_cwg": dict(
-        routing="tfar", load=1.0, cwg_maintenance="incremental"
-    ),
-    "incremental_timeout_teardown": dict(
+    "timeout_teardown": dict(
         routing="tfar",
         load=1.0,
-        cwg_maintenance="incremental",
         detection_mode="timeout",
         timeout_threshold=100,
         recovery_teardown="flit-by-flit",
@@ -146,7 +141,6 @@ CASES = {
         record_blocked_durations=True,
         detection_mode="timeout",
         timeout_threshold=100,
-        cwg_maintenance="incremental",
     ),
     # -- router / node structure ----------------------------------------------------
     "router_delay": dict(routing="tfar", load=1.0, router_delay=2),
@@ -164,7 +158,7 @@ CASES = {
 CHECKED_CASES = {
     "tfar_saturated",
     "tfar_misrouting",
-    "incremental_timeout_teardown",
+    "timeout_teardown",
     "router_delay",
     "cut_through",
 }
@@ -208,7 +202,6 @@ ZOO_CASES = {
         routing="df-val",
         num_vcs=2,
         load=1.5,
-        cwg_maintenance="incremental",
     ),
     "fullmesh_2hop": dict(
         topology="fullmesh", dims=(8,), routing="fm-2hop", load=1.5
@@ -259,9 +252,7 @@ def test_fast_path_identical_across_seeds():
 
 def test_detection_records_match():
     """Per-pass structural fields survive the detector short-circuit."""
-    pair = _run_pair(
-        routing="tfar", load=0.9, cwg_maintenance="incremental"
-    )
+    pair = _run_pair(routing="tfar", load=0.9)
     fast_records = pair["production"][0].detector.records
     legacy_records = pair["legacy"][0].detector.records
     assert len(fast_records) == len(legacy_records)
@@ -298,10 +289,12 @@ def test_vectorized_is_opt_in():
 
 
 def test_deprecated_engine_flags_are_inert():
-    """``engine_kernels`` / ``engine_vectorized`` select nothing and reject
-    nothing: the tiers they named are gone, and the fields survive only
-    inside stored result digests."""
+    """``engine_kernels`` / ``engine_vectorized`` / ``cwg_maintenance``
+    select nothing: the engine tiers and the incremental CWG tracker they
+    named are gone, and the fields survive only inside stored result
+    digests.  ``cwg_maintenance`` is still validated."""
     from repro.campaign.store import config_digest
+    from repro.errors import ConfigurationError
     from repro.network.production import ProductionEngine
 
     flags = dict(engine_kernels=True, engine_vectorized=True)
@@ -315,5 +308,30 @@ def test_deprecated_engine_flags_are_inert():
     assert _result_fields(NetworkSimulator(flagged).run()) == _result_fields(
         NetworkSimulator(zoo).run()
     )
+    # "incremental" runs the rebuild path: same result, same event stream
+    # and the same detector records, blocked-listing order included
+    for fast_path in (True, False):
+        cfg = tiny_default(
+            routing="tfar",
+            load=1.0,
+            detection_mode="timeout",
+            timeout_threshold=100,
+            record_blocked_durations=True,
+            engine_fast_path=fast_path,
+            measure_cycles=800,
+            seed=7,
+        )
+        runs = []
+        for maintenance in ("rebuild", "incremental"):
+            sim = NetworkSimulator(cfg.replace(cwg_maintenance=maintenance))
+            runs.append((sim, _result_fields(sim.run())))
+            assert not hasattr(sim, "tracker")
+        (rebuild, rebuild_result), (incremental, incremental_result) = runs
+        assert incremental_result == rebuild_result
+        assert _event_keys(incremental) == _event_keys(rebuild)
+        assert incremental.detector.records == rebuild.detector.records
+        assert rebuild.detector.records and rebuild_result["delivered"] > 0
+    with pytest.raises(ConfigurationError):
+        tiny_default(cwg_maintenance="bogus").validate()
     # the field list (and so every stored digest) is the parent commit's
     assert config_digest(tiny_default()) == "90949b61107460f2ef9a510d"

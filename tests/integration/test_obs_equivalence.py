@@ -74,11 +74,12 @@ def _assert_identical(pair_and_level):
 CASES = {
     "dor_saturated": dict(routing="dor", load=1.0, num_vcs=1),
     "tfar_saturated": dict(routing="tfar", load=1.0, num_vcs=1),
+    # the pipeline's detect/knots + detect/census timers over a branching
+    # multi-VC CWG
     "cached_detector": dict(
-        routing="dor",
+        routing="tfar",
         load=1.0,
-        num_vcs=1,
-        cwg_maintenance="incremental",
+        num_vcs=2,
         count_cycles=True,
     ),
     "legacy_engine": dict(routing="tfar", load=1.0, engine_fast_path=False),

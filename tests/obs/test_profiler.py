@@ -51,7 +51,7 @@ def test_timer_exit_emits_trace_span():
 def test_add_does_not_emit_span():
     tracer = TraceRecorder(capacity=16)
     prof = PhaseProfiler(tracer)
-    prof.add("detect/partition", 0.1)
+    prof.add("detect/knots", 0.1)
     assert len(tracer) == 0
 
 

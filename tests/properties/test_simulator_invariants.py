@@ -25,7 +25,6 @@ configs = st.fixed_dictionaries(
         "load": st.sampled_from([0.1, 0.5, 1.0]),
         "recovery": st.sampled_from(["disha", "abort-all"]),
         "recovery_teardown": st.sampled_from(["instant", "flit-by-flit"]),
-        "cwg_maintenance": st.sampled_from(["rebuild", "incremental"]),
         "router_delay": st.sampled_from([0, 1, 3]),
         "rx_channels": st.sampled_from([1, 2]),
         "seed": st.integers(min_value=0, max_value=2**16),

@@ -64,7 +64,7 @@ def test_profile_run(capsys, tmp_path):
     out = capsys.readouterr().out
     assert "phase profile" in out
     assert "engine/allocate" in out
-    assert "detector cache counters" in out
+    assert "detector pass counters" in out
     assert "trace ring buffer" in out
     doc = json.loads(trace_path.read_text())
     assert {ev["name"] for ev in doc["traceEvents"]} >= {

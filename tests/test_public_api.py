@@ -44,7 +44,7 @@ def test_headline_names_importable():
 
 
 def test_subpackage_api():
-    from repro.core import IncrementalCWG, packet_wait_for_graph  # noqa: F401
+    from repro.core import ChannelWaitForGraph, packet_wait_for_graph  # noqa: F401
     from repro.experiments import ALL_EXPERIMENTS
     from repro.metrics import analyze_records, replicate  # noqa: F401
     from repro.obs import Observer, TraceRecorder, merge_snapshots  # noqa: F401

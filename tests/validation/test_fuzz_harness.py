@@ -12,7 +12,6 @@ import random
 import pytest
 
 from repro.config import SimulationConfig
-from repro.core.incremental import IncrementalCWG
 from repro.faults import ENV_VAR, KNOWN_FAULTS, active_faults
 from repro.validation.differential import (
     AXES,
@@ -39,14 +38,6 @@ SATURATED = SimulationConfig(
     measure_cycles=400,
     max_cycles_counted=2_000,
     seed=97,
-)
-
-#: hot-spot traffic makes many small independent congestion regions, so a
-#: region whose only change is a request-arc rewrite keeps its vertex set —
-#: exactly the situation where a skipped dirty mark lets the cached detector
-#: reuse a stale analysis (the detector-axis teeth scenario)
-HOTSPOT = SATURATED.replace(
-    buffer_depth=1, load=0.6, traffic="hot-spot", detection_interval=5
 )
 
 #: a unidirectional ring wedges *globally* (every in-flight message blocked
@@ -93,41 +84,29 @@ def test_skip_wake_is_caught_by_engine_axis(monkeypatch):
     assert mismatches[0].axis == "engine"
 
 
-def test_skip_dirty_block_is_caught_by_detector_axis(monkeypatch):
-    """A tracker that forgets a dirty mark poisons the region cache."""
-    monkeypatch.setenv(ENV_VAR, "skip-dirty-block")
-    mismatches = check_config(HOTSPOT, axes=("detector",))
-    assert mismatches, (
-        "skip-dirty-block fault was not detected: the net has no teeth"
+def test_skip_block_epoch_is_caught_by_engine_axis(monkeypatch):
+    """A blocked epoch that misses a header's first block lets the
+    detector's short-circuit reuse a stale "no deadlock" record, so the
+    production engine reports knots later than the legacy reference."""
+    monkeypatch.setenv(ENV_VAR, "skip-block-epoch")
+    # the stale record only matters when a detection lands between a
+    # knot's last acquisition and its last first-block, so detect often on
+    # the ring that wedges globally
+    mismatches = check_config(
+        RING.replace(detection_interval=5), axes=("engine",)
     )
-    assert mismatches[0].axis == "detector"
+    assert mismatches, (
+        "skip-block-epoch fault was not detected: the net has no teeth"
+    )
+    assert mismatches[0].axis == "engine"
 
 
 def test_as_shipped_pipeline_is_a_detector_axis_leg(miscounting_census):
-    """The default config (rebuild maintenance + caching) is fuzzed: a
-    contracted census that miscounts is caught on its own leg, before the
-    tracker-driven one runs."""
+    """The default config (the contracted pipeline) is fuzzed: a
+    contracted census that miscounts is caught by the detector axis."""
     mismatches = check_config(SATURATED, axes=("detector",))
     assert mismatches and mismatches[0].axis == "detector"
-    assert "as-shipped rebuild" in mismatches[0].detail
-
-
-def test_skip_dirty_acquire_knob_skips_marks(monkeypatch):
-    """The remaining fault knob really injects its lie at the event level.
-
-    End-to-end this fault is usually masked: an acquire almost always
-    changes the region's vertex set, which forces a recompute regardless
-    of dirty marks.  The unit-level contract is still worth pinning.
-    """
-    monkeypatch.setenv(ENV_VAR, "skip-dirty-acquire")
-    tracker = IncrementalCWG()
-    tracker.on_acquire(1, 10)
-    assert 10 not in tracker.consume_dirty()
-    assert tracker.owner[10] == 1, "fault must only skip marks, not content"
-    monkeypatch.delenv(ENV_VAR)
-    honest = IncrementalCWG()
-    honest.on_acquire(1, 10)
-    assert 10 in honest.consume_dirty()
+    assert "detector pipeline diverges" in mismatches[0].detail
 
 
 def test_unknown_fault_name_rejected(monkeypatch):
@@ -138,8 +117,7 @@ def test_unknown_fault_name_rejected(monkeypatch):
 
 def test_known_faults_registry():
     assert KNOWN_FAULTS == {
-        "skip-dirty-acquire", "skip-dirty-block", "skip-wake",
-        "skip-immobile-clear",
+        "skip-wake", "skip-immobile-clear", "skip-block-epoch",
         "crash-point", "flaky-point", "hang-point",
         "drop-lease-heartbeat",
     }
@@ -168,8 +146,8 @@ def test_artifact_roundtrip(tmp_path):
     assert dataclasses.asdict(config) == dataclasses.asdict(SATURATED)
 
 
-def test_axes_are_the_documented_three():
-    assert AXES == ("engine", "detector", "cwg")
+def test_axes_are_the_documented_two():
+    assert AXES == ("engine", "detector")
 
 
 def test_skip_immobile_clear_is_caught_by_engine_axis(monkeypatch):
@@ -190,12 +168,11 @@ def test_skip_immobile_clear_is_caught_by_engine_axis(monkeypatch):
 
 
 def test_skip_immobile_clear_does_not_trip_other_axes(monkeypatch):
-    """Both legs of the detector and CWG axes run the same (faulty)
-    production engine, so they must stay clean — pinning that the engine
-    axis is the *necessary* net for this class of bug, not a redundant
-    one."""
+    """Both legs of the detector axis run the same (faulty) production
+    engine, so they must stay clean — pinning that the engine axis is the
+    *necessary* net for this class of bug, not a redundant one."""
     monkeypatch.setenv(ENV_VAR, "skip-immobile-clear")
-    mismatches = check_config(RING, axes=("detector", "cwg"))
+    mismatches = check_config(RING, axes=("detector",))
     assert mismatches == [], (
         "skip-immobile-clear leaked into the non-engine axes: "
         f"{[m.axis for m in mismatches]}"

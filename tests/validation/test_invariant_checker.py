@@ -120,25 +120,16 @@ def corrupt_wake_index(sim):
     sim._wake_index[msg.wait_keys[0]].discard(msg.id)
 
 
-def corrupt_tracker_owner(sim):
-    vertex = next(
-        v for v, o in sim.tracker.owner.items() if o is not None
-    )
-    sim.tracker.owner[vertex] = None
-
-
 @pytest.mark.parametrize(
     "corrupt, expected_check",
     [
         (corrupt_flit_count, "flit-conservation"),
         (corrupt_worm_order, "worm-contiguity"),
         (corrupt_wake_index, "activity-coherence"),
-        (corrupt_tracker_owner, "incremental-cwg"),
     ],
 )
 def test_corruption_is_caught(corrupt, expected_check):
-    cfg = DEADLOCKING.replace(cwg_maintenance="incremental")
-    sim = run_steps(cfg, 80)
+    sim = run_steps(DEADLOCKING, 80)
     checker = InvariantChecker()
     checker.check_now(sim)  # sanity: honest state passes
     try:
@@ -190,5 +181,4 @@ def test_default_battery_is_complete():
         "channel-exclusivity",
         "worm-contiguity",
         "activity-coherence",
-        "incremental-cwg",
     }

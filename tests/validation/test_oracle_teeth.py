@@ -3,8 +3,8 @@
 A verification oracle that has never flagged anything proves nothing — it
 might be vacuously agreeing with whatever the detector says.  These tests
 arm the ``REPRO_INJECT_FAULT`` bookkeeping faults and demand that witness
-replay on the production engine (fast path + incremental CWG + detector
-caching) produces a concrete, step-localized counterexample for each; and
+replay on the production engine (fast path + the detector's contracted
+pipeline) produces a concrete, step-localized counterexample for each; and
 that on a clean build the very same witnesses replay without a single
 disagreement.
 """
@@ -107,6 +107,10 @@ def test_run_teeth_catches_every_armed_fault():
         assert outcome.diverged_at is not None
         assert outcome.witness is not None, "catch must be replayable"
         assert outcome.witness_kind in ("deadlock", "wake")
+    # a stale blocked epoch leaves every state intact: only the
+    # short-circuited detector's verdict can go wrong
+    by_fault = {o.fault: o for o in outcomes}
+    assert by_fault["skip-block-epoch"].divergence == "verdict"
 
 
 def test_armed_fault_diverges_and_unarmed_replay_stays_clean(
@@ -124,11 +128,13 @@ def test_armed_fault_diverges_and_unarmed_replay_stays_clean(
 
 def test_faults_only_bite_the_production_machinery(monkeypatch):
     """Oracle-engine replay pins the legacy path: the wake-index and
-    dirty-region faults live in machinery the pinned engine never runs,
+    blocked-epoch faults live in machinery the pinned engine never runs,
     so the same armed fault must NOT diverge there."""
-    witness = make_wake_witness(CASE)
-    monkeypatch.setenv(ENV_VAR, "skip-wake")
-    assert replay_witness(witness, production=False).ok
+    witnesses = (make_wake_witness(CASE), make_deadlock_witness(CASE))
+    for fault in TEETH_FAULTS:
+        monkeypatch.setenv(ENV_VAR, fault)
+        for witness in witnesses:
+            assert replay_witness(witness, production=False).ok, fault
 
 
 def test_witness_round_trips_through_disk(candidates, tmp_path):
@@ -142,22 +148,6 @@ def test_witness_round_trips_through_disk(candidates, tmp_path):
         assert replay_witness(loaded, production=True).ok
 
 
-# -- the excluded faults: masking doctrine, pinned -----------------------------------
+# -- the battery ---------------------------------------------------------------------
 def test_teeth_faults_are_the_two_catchable_bookkeeping_lies():
-    assert TEETH_FAULTS == ("skip-wake", "skip-dirty-block")
-
-
-def test_skip_dirty_acquire_is_masked_but_real_at_unit_level(monkeypatch):
-    """``skip-dirty-acquire`` is excluded from the battery because an
-    acquire almost always changes the region's vertex set, forcing a
-    recompute that masks the missing dirty mark end-to-end (the fuzz
-    harness documents the same).  Pin that the knob nevertheless injects
-    its lie at the event level, so the exclusion stays a masking fact and
-    not a dead knob."""
-    from repro.core.incremental import IncrementalCWG
-
-    monkeypatch.setenv(ENV_VAR, "skip-dirty-acquire")
-    tracker = IncrementalCWG()
-    tracker.on_acquire(1, 10)
-    assert 10 not in tracker.consume_dirty()
-    assert tracker.owner[10] == 1
+    assert TEETH_FAULTS == ("skip-wake", "skip-block-epoch")
