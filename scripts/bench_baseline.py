@@ -33,13 +33,13 @@ records:
   profiler): where the engine's time goes, recorded for diagnosis and
   printed by ``--check`` when the gate fails,
 * the **campaign overhead**: wall-clock of a checkpointed
-  :class:`repro.campaign.CampaignRunner` sweep vs the direct parallel
-  sweep it wraps, gated at <5% — durability must be close to free — and
-  its **fan-out regime**, where the layer dominates: 48 points of ~20 ms
-  run direct-serial, cold-drained at 1 and 2 workers and service-drained
-  on 1 and 2 local slots in one session, ``overhead_ms_per_point`` each,
-  gated on two same-session ratios (cold W=1 ≤ 1.35× direct, service
-  W=2 ≤ 1.5× cold W=2)
+  :class:`repro.campaign.CampaignRunner` sweep on one worker vs the
+  serial sweep it wraps, gated at <5% — durability must be close to
+  free — and its **fan-out regime**, where the layer dominates: 48
+  points of ~20 ms run direct-serial, cold-drained at 1 and 2 workers
+  and service-drained on 1 and 2 local slots in one session,
+  ``overhead_ms_per_point`` each, gated on two same-session ratios
+  (cold W=1 ≤ 1.35× direct, service W=2 ≤ 1.5× cold W=2)
   (``--campaign-only`` re-measures just this record and merges it into
   the committed baseline).
 
@@ -338,20 +338,22 @@ def _detector_census_us_per_pass(mode: str) -> float:
 
 
 def _campaign_overhead(reps: int = 3) -> dict:
-    """Campaign wrapper cost vs the direct parallel sweep it wraps.
+    """Campaign wrapper cost vs the serial sweep it wraps.
 
-    Runs the same seeded 4-point tiny sweep through
-    :func:`~repro.metrics.parallel.run_load_sweep_parallel` and through a
-    fresh-store :class:`~repro.campaign.CampaignRunner` (slot
-    processes + atomic artifact writes + manifest updates), best-of-``reps``
-    each.  The overhead is a ratio and transfers across machines; the
-    acceptance bar is <5% — durability must be close to free.
+    Runs the same seeded 4-point tiny sweep through the in-process
+    :func:`~repro.metrics.sweep.run_load_sweep` and through a fresh-store
+    :class:`~repro.campaign.CampaignRunner` on one worker (a slot process
+    + atomic artifact writes + manifest updates), best-of-``reps`` each.
+    One worker on both sides means the ratio measures durability alone,
+    not a concurrency delta.  The overhead is a ratio and transfers across
+    machines; the acceptance bar is <5% — durability must be close to
+    free.
     """
     import tempfile
 
     from repro.campaign import CampaignRunner
     from repro.config import tiny_default
-    from repro.metrics.parallel import run_load_sweep_parallel
+    from repro.metrics.sweep import run_load_sweep
 
     # points must be long enough to be representative: real sweep points run
     # seconds-to-minutes, so per-point fixed costs (worker spawn, artifact
@@ -361,22 +363,16 @@ def _campaign_overhead(reps: int = 3) -> dict:
     cfg = tiny_default(
         warmup_cycles=200, measure_cycles=12_000, seed=1, validation_level=0
     )
-    # both paths resolve workers the same way (cores - 1, floor 1), so the
-    # comparison measures the durability wrapper, not a concurrency delta
-    from repro.metrics.parallel import _resolve_workers
-
-    workers = _resolve_workers(None)
-
     # interleave the reps: a background-load transient then slows a
     # direct/campaign pair together instead of skewing one phase
     pairs: list[tuple[float, float]] = []
     for _ in range(reps):
         t0 = time.perf_counter()
-        direct = run_load_sweep_parallel(cfg, loads, max_workers=workers)
+        direct = run_load_sweep(cfg, loads)
         rep_direct = time.perf_counter() - t0
 
         with tempfile.TemporaryDirectory(prefix="bench_campaign_") as tmp:
-            runner = CampaignRunner(tmp, max_workers=workers)
+            runner = CampaignRunner(tmp, max_workers=1)
             t0 = time.perf_counter()
             out = runner.run_sweep(cfg, loads)
             pairs.append((rep_direct, time.perf_counter() - t0))
@@ -396,9 +392,9 @@ def _campaign_overhead(reps: int = 3) -> dict:
     )
 
     return {
-        "scenario": "campaign_tiny_parallel_sweep",
+        "scenario": "campaign_tiny_serial_sweep",
         "points": len(loads),
-        "workers": workers,
+        "workers": 1,
         "direct_s": round(direct_s, 3),
         "campaign_s": round(campaign_s, 3),
         "overhead_pct": round(100.0 * (ratio - 1.0), 1),

@@ -65,7 +65,7 @@ from repro.metrics.stats import RunResult
 from repro.metrics.sweep import SweepResult, obs_rollup
 from repro.obs.registry import MetricsRegistry
 
-__all__ = ["CampaignRunner", "CampaignSweep", "SlotPool"]
+__all__ = ["CampaignRunner", "CampaignSweep", "SlotPool", "run_sweep"]
 
 #: how long a hang-point fault sleeps — far past any sane per-point timeout
 _HANG_SECONDS = 3600.0
@@ -328,6 +328,46 @@ class CampaignSweep:
     remaining: int = 0  #: points not attempted (interrupted via max_points)
 
 
+def run_sweep(
+    runner,
+    base: SimulationConfig,
+    loads: Sequence[float],
+    label: str = "",
+    *,
+    progress: Callable[[SimulationConfig, RunResult], None] | None = None,
+) -> CampaignSweep:
+    """One load sweep through ``runner.run_points``, merged in load order.
+
+    Returns the merged sweep over every completed point; raises only on
+    store-level problems (schema mismatch), never on point failures.
+    """
+    from repro.network.simulator import build_topology
+
+    capacity = build_topology(base).capacity_flits_per_node_cycle
+    configs = [base.replace(load=load) for load in loads]
+    out = runner.run_points(configs, progress=progress)
+    completed: dict[int, StoredPoint] = out["completed"]
+    done_loads = [loads[i] for i in sorted(completed)]
+    done = [completed[i] for i in sorted(completed)]
+    sweep = SweepResult(
+        label=label or base.label(),
+        loads=done_loads,
+        results=[point.result for point in done],
+        capacity=capacity,
+        obs=obs_rollup(done_loads, [point.obs for point in done]),
+        failures=list(out["failures"]),
+    )
+    return CampaignSweep(
+        sweep, out["failures"], out["resumed"], out["executed"], out["remaining"]
+    )
+
+
+def _resolve_workers(max_workers: Optional[int]) -> int:
+    if max_workers is not None:
+        return max(1, max_workers)
+    return max(1, (os.cpu_count() or 2) - 1)
+
+
 class CampaignRunner:
     """Drives configs through killable slot processes against a result store.
 
@@ -366,8 +406,6 @@ class CampaignRunner:
         max_points: Optional[int] = None,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
-        from repro.metrics.parallel import _resolve_workers
-
         self.store = store if isinstance(store, ResultStore) else ResultStore(store)
         self.retries = max(0, retries)
         self.backoff_s = backoff_s
@@ -377,43 +415,9 @@ class CampaignRunner:
         self.registry = registry if registry is not None else MetricsRegistry()
 
     # -- public API --------------------------------------------------------------
-    def run_sweep(
-        self,
-        base: SimulationConfig,
-        loads: Sequence[float],
-        label: str = "",
-        *,
-        progress: Callable[[SimulationConfig, RunResult], None] | None = None,
-    ) -> CampaignSweep:
-        """Checkpointed drop-in for ``run_load_sweep[_parallel]``.
-
-        Returns the merged sweep over every completed point; raises only on
-        store-level problems (schema mismatch), never on point failures.
-        """
-        from repro.network.simulator import build_topology
-
-        capacity = build_topology(base).capacity_flits_per_node_cycle
-        configs = [base.replace(load=load) for load in loads]
-        out = self.run_points(configs, progress=progress)
-        completed: dict[int, StoredPoint] = out["completed"]
-        done_loads = [loads[i] for i in sorted(completed)]
-        results = [completed[i].result for i in sorted(completed)]
-        snapshots = [completed[i].obs for i in sorted(completed)]
-        sweep = SweepResult(
-            label=label or base.label(),
-            loads=done_loads,
-            results=results,
-            capacity=capacity,
-            obs=obs_rollup(done_loads, snapshots),
-            failures=list(out["failures"]),
-        )
-        return CampaignSweep(
-            sweep=sweep,
-            failures=out["failures"],
-            resumed=out["resumed"],
-            executed=out["executed"],
-            remaining=out["remaining"],
-        )
+    def run_sweep(self, base, loads, label="", *, progress=None) -> CampaignSweep:
+        """Checkpointed drop-in for ``run_load_sweep``; see :func:`run_sweep`."""
+        return run_sweep(self, base, loads, label, progress=progress)
 
     def run_points(
         self,

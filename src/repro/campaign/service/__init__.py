@@ -7,8 +7,8 @@ networked workers is **bit-identical** (artifact-for-artifact) to the
 same sweep run locally:
 
 * :mod:`~repro.campaign.service.scheduler` — work-stealing lease
-  scheduler: pending-point queue, lease TTL + heartbeats, reaping and
-  requeueing, priority classes, per-tenant quotas;
+  scheduler: FIFO pending-point queue, lease TTL + heartbeats, reaping
+  and requeueing;
 * :mod:`~repro.campaign.service.server` — :class:`CampaignService`, the
   asyncio facade tying scheduler + executors + store together, including
   journal-fed single-writer manifest compaction;

@@ -17,8 +17,8 @@ canonical).
 
 Local slots do not poll: an idle one waits on the service's
 ``work_ready`` event, set whenever a point may have become claimable
-(submission, a reaped or disconnected lease, a finished lease freeing its
-tenant's quota), with ``idle_poll_s`` only as the fallback timeout.
+(submission, or a reaped or disconnected lease), with ``idle_poll_s``
+only as the fallback timeout.
 """
 
 from __future__ import annotations

@@ -10,8 +10,9 @@ point of view, with exactly one exception:
 ========== =============================== ===========================
 direction  message                          reply
 ========== =============================== ===========================
-worker →   ``hello`` {worker, tenant,       ``welcome`` {lease_ttl,
-           schema_version}                  heartbeat_s, schema_version}
+worker →   ``hello`` {worker,               ``welcome`` {lease_ttl,
+           schema_version,                  heartbeat_s, schema_version}
+           protocol_version}
 worker →   ``claim`` {}                     ``lease`` {digest, config,
                                             label, attempt} |
                                             ``idle`` {retry_after_s} |

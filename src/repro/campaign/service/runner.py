@@ -19,11 +19,10 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Sequence
 
-from repro.campaign.runner import CampaignSweep
+from repro.campaign.runner import CampaignSweep, run_sweep
 from repro.campaign.store import PointFailure, StoredPoint
 from repro.config import SimulationConfig
 from repro.metrics.stats import RunResult
-from repro.metrics.sweep import SweepResult, obs_rollup
 from repro.obs.registry import MetricsRegistry
 
 __all__ = ["ServiceRunner"]
@@ -36,10 +35,6 @@ class ServiceRunner:
     ----------
     service:
         A started :class:`~repro.campaign.service.server.CampaignService`.
-    tenant / priority:
-        Scheduling identity for every point this runner submits — two
-        runners sharing one service can carry different tenants, and the
-        scheduler's quotas keep either from starving the other.
     wait_timeout_s:
         Upper bound on one batch drain (``None`` = wait forever).
     """
@@ -48,51 +43,17 @@ class ServiceRunner:
         self,
         service,
         *,
-        tenant: str = "default",
-        priority: int = 0,
         wait_timeout_s: Optional[float] = None,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
         self.service = service
         self.store = service.store
-        self.tenant = tenant
-        self.priority = priority
         self.wait_timeout_s = wait_timeout_s
         self.registry = registry if registry is not None else MetricsRegistry()
 
-    def run_sweep(
-        self,
-        base: SimulationConfig,
-        loads: Sequence[float],
-        label: str = "",
-        *,
-        progress: Callable[[SimulationConfig, RunResult], None] | None = None,
-    ) -> CampaignSweep:
+    def run_sweep(self, base, loads, label="", *, progress=None) -> CampaignSweep:
         """Submit a load sweep, wait for the drain, merge from the store."""
-        from repro.network.simulator import build_topology
-
-        capacity = build_topology(base).capacity_flits_per_node_cycle
-        configs = [base.replace(load=load) for load in loads]
-        out = self.run_points(configs, progress=progress)
-        completed: dict[int, StoredPoint] = out["completed"]
-        done_loads = [loads[i] for i in sorted(completed)]
-        results = [completed[i].result for i in sorted(completed)]
-        snapshots = [completed[i].obs for i in sorted(completed)]
-        sweep = SweepResult(
-            label=label or base.label(),
-            loads=done_loads,
-            results=results,
-            capacity=capacity,
-            obs=obs_rollup(done_loads, snapshots),
-            failures=list(out["failures"]),
-        )
-        return CampaignSweep(
-            sweep=sweep,
-            failures=out["failures"],
-            resumed=out["resumed"],
-            executed=out["executed"],
-            remaining=out["remaining"],
-        )
+        return run_sweep(self, base, loads, label, progress=progress)
 
     def run_points(
         self,
@@ -107,9 +68,7 @@ class ServiceRunner:
         at once; per-point streaming lives on the status endpoint).
         """
         self.registry.counter("campaign/points_total").inc(len(configs))
-        submitted = self.service.submit_points(
-            configs, tenant=self.tenant, priority=self.priority
-        )
+        submitted = self.service.submit_points(configs)
         statuses = self.service.wait_points(
             submitted["digests"], timeout=self.wait_timeout_s
         )

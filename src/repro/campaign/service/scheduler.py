@@ -17,10 +17,8 @@ a *stale* result arriving later (the original worker was slow, not dead)
 is either accepted (point still open) or dropped (point already done)
 without ever corrupting the store.
 
-Scheduling order is **priority class first** (higher int wins), FIFO
-within a class.  **Per-tenant quotas** cap how many leases a tenant may
-hold concurrently, so a bulk sweep cannot starve an interactive one
-sharing the service.
+Scheduling order is FIFO: points are claimed in submission order, and a
+requeued point goes to the back of the queue.
 
 The scheduler is a plain single-threaded state machine: the campaign
 service calls it only from its asyncio event-loop thread, tests drive it
@@ -30,8 +28,8 @@ writes are the service's job.
 
 from __future__ import annotations
 
-import heapq
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -50,8 +48,6 @@ class SchedulerPoint:
     label: str
     load: float
     seed: int
-    tenant: str
-    priority: int
     status: str = "pending"  #: pending | leased | done | failed
     lease_attempts: int = 0  #: lease grants so far (worker retries are internal)
     worker: Optional[str] = None  #: current or last lease holder
@@ -65,7 +61,6 @@ class Lease:
 
     digest: str
     worker: str
-    tenant: str
     granted_at: float
     expires_at: float
 
@@ -78,7 +73,7 @@ class _WorkerInfo:
 
 
 class LeaseScheduler:
-    """Pending-point queue with leases, priorities and tenant quotas.
+    """FIFO pending-point queue with leases, heartbeats and requeue.
 
     Parameters
     ----------
@@ -89,9 +84,6 @@ class LeaseScheduler:
         Maximum lease grants per point.  A point whose leases keep dying
         past this bound degrades to a terminal ``lease-expired`` failure
         instead of cycling forever through crashing workers.
-    quotas:
-        ``{tenant: max_concurrent_leases}``; tenants not listed fall back
-        to ``default_quota`` (``None`` = unlimited).
     clock:
         Monotonic time source; injectable for deterministic tests.
     """
@@ -101,57 +93,36 @@ class LeaseScheduler:
         *,
         lease_ttl: float = 15.0,
         requeue_limit: int = 3,
-        quotas: Optional[dict[str, int]] = None,
-        default_quota: Optional[int] = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if lease_ttl <= 0:
             raise ValueError(f"lease_ttl must be positive, got {lease_ttl}")
         self.lease_ttl = lease_ttl
         self.requeue_limit = max(1, requeue_limit)
-        self.quotas = dict(quotas or {})
-        self.default_quota = default_quota
         self._clock = clock
         self.points: dict[str, SchedulerPoint] = {}
         self.leases: dict[str, Lease] = {}
         self.workers: dict[str, _WorkerInfo] = {}
         self.counters: dict[str, int] = {}
-        #: heap of (-priority, submit_seq, digest); entries for points no
-        #: longer pending are dropped lazily on pop
-        self._heap: list[tuple[int, int, str]] = []
-        self._seq = 0
+        #: digests in claim order; entries for points no longer pending
+        #: are dropped lazily on pop
+        self._queue: deque[str] = deque()
 
     # -- bookkeeping helpers -----------------------------------------------------
     def _count(self, name: str, amount: int = 1) -> None:
         self.counters[name] = self.counters.get(name, 0) + amount
 
-    def _quota(self, tenant: str) -> Optional[int]:
-        return self.quotas.get(tenant, self.default_quota)
-
-    def _tenant_leases(self, tenant: str) -> int:
-        return sum(1 for lease in self.leases.values() if lease.tenant == tenant)
-
     # -- submission --------------------------------------------------------------
     def submit(
-        self,
-        digest: str,
-        config: dict,
-        label: str,
-        load: float,
-        seed: int,
-        *,
-        tenant: str = "default",
-        priority: int = 0,
+        self, digest: str, config: dict, label: str, load: float, seed: int
     ) -> bool:
         """Queue a point; returns ``False`` if the digest is already known."""
         if digest in self.points:
             return False
         self.points[digest] = SchedulerPoint(
-            digest=digest, config=config, label=label, load=load, seed=seed,
-            tenant=tenant, priority=priority,
+            digest=digest, config=config, label=label, load=load, seed=seed
         )
-        heapq.heappush(self._heap, (-priority, self._seq, digest))
-        self._seq += 1
+        self._queue.append(digest)
         self._count("submitted")
         return True
 
@@ -180,47 +151,32 @@ class LeaseScheduler:
 
     # -- the lease lifecycle -----------------------------------------------------
     def claim(self, worker: str) -> Optional[dict]:
-        """Grant the best eligible pending point to ``worker``, or ``None``.
-
-        Best = highest priority class, oldest submission within it, whose
-        tenant is under quota.  Quota-blocked entries are put back intact.
-        """
+        """Grant the oldest pending point to ``worker``, or ``None``."""
         if worker not in self.workers:
             self.connect_worker(worker)
         info = self.workers[worker]
         info.last_seen = self._clock()
-        blocked: list[tuple[int, int, str]] = []
-        granted: Optional[SchedulerPoint] = None
-        while self._heap:
-            entry = heapq.heappop(self._heap)
-            point = self.points.get(entry[2])
-            if point is None or point.status != "pending":
-                continue  # lazy deletion of stale heap entries
-            quota = self._quota(point.tenant)
-            if quota is not None and self._tenant_leases(point.tenant) >= quota:
-                blocked.append(entry)
-                continue
-            granted = point
-            break
-        for entry in blocked:
-            heapq.heappush(self._heap, entry)
-        if granted is None:
+        while self._queue:
+            point = self.points[self._queue.popleft()]
+            if point.status == "pending":  # else it completed after a requeue
+                break
+        else:
             return None
         now = self._clock()
-        granted.status = "leased"
-        granted.worker = worker
-        granted.lease_attempts += 1
-        self.leases[granted.digest] = Lease(
-            digest=granted.digest, worker=worker, tenant=granted.tenant,
+        point.status = "leased"
+        point.worker = worker
+        point.lease_attempts += 1
+        self.leases[point.digest] = Lease(
+            digest=point.digest, worker=worker,
             granted_at=now, expires_at=now + self.lease_ttl,
         )
-        info.leases.add(granted.digest)
+        info.leases.add(point.digest)
         self._count("leases_granted")
         return {
-            "digest": granted.digest,
-            "config": granted.config,
-            "label": granted.label,
-            "attempt": granted.lease_attempts,
+            "digest": point.digest,
+            "config": point.config,
+            "label": point.label,
+            "attempt": point.lease_attempts,
         }
 
     def heartbeat(self, worker: str, digest: str) -> bool:
@@ -334,8 +290,7 @@ class LeaseScheduler:
             self._count("failed")
             return False
         point.status = "pending"
-        heapq.heappush(self._heap, (-point.priority, self._seq, digest))
-        self._seq += 1
+        self._queue.append(digest)
         self._count("points_requeued")
         return True
 
@@ -353,18 +308,8 @@ class LeaseScheduler:
         """JSON-able snapshot for the live status endpoint."""
         now = self._clock()
         by_status: dict[str, int] = {}
-        tenants: dict[str, dict[str, int]] = {}
         for point in self.points.values():
             by_status[point.status] = by_status.get(point.status, 0) + 1
-            t = tenants.setdefault(
-                point.tenant,
-                {"pending": 0, "leased": 0, "done": 0, "failed": 0},
-            )
-            t[point.status] += 1
-        for tenant, counts in tenants.items():
-            quota = self._quota(tenant)
-            if quota is not None:
-                counts["quota"] = quota
         return {
             "points": {
                 "total": len(self.points),
@@ -373,7 +318,6 @@ class LeaseScheduler:
                 "done": by_status.get("done", 0),
                 "failed": by_status.get("failed", 0),
             },
-            "tenants": tenants,
             "workers": {
                 worker: {
                     "leases": sorted(info.leases),
@@ -385,7 +329,6 @@ class LeaseScheduler:
             "leases": {
                 digest: {
                     "worker": lease.worker,
-                    "tenant": lease.tenant,
                     "expires_in_s": round(lease.expires_at - now, 3),
                 }
                 for digest, lease in sorted(self.leases.items())

@@ -73,7 +73,7 @@ class CampaignService:
     status_port:
         Bind the polling-JSON/SSE status endpoint here (``0`` =
         ephemeral, ``None`` = no status server).
-    lease_ttl / requeue_limit / quotas / default_quota:
+    lease_ttl / requeue_limit:
         Scheduler knobs — see :class:`~repro.campaign.service.scheduler.
         LeaseScheduler`.
     local_workers:
@@ -94,8 +94,6 @@ class CampaignService:
         status_port: Optional[int] = None,
         lease_ttl: float = 15.0,
         requeue_limit: int = 3,
-        quotas: Optional[dict[str, int]] = None,
-        default_quota: Optional[int] = None,
         local_workers: int = 0,
         retries: int = 2,
         backoff_s: float = 0.25,
@@ -106,10 +104,7 @@ class CampaignService:
         self.store = store if isinstance(store, ResultStore) else ResultStore(store)
         self.store.load_manifest()  # fail fast on schema mismatch
         self.scheduler = LeaseScheduler(
-            lease_ttl=lease_ttl,
-            requeue_limit=requeue_limit,
-            quotas=quotas,
-            default_quota=default_quota,
+            lease_ttl=lease_ttl, requeue_limit=requeue_limit
         )
         self.host = host
         self.port = port
@@ -256,13 +251,7 @@ class CampaignService:
             raise ServiceError("service is not running (call start() first)")
         return asyncio.run_coroutine_threadsafe(coro, self._loop).result(timeout)
 
-    def submit_points(
-        self,
-        configs: Sequence[SimulationConfig],
-        *,
-        tenant: str = "default",
-        priority: int = 0,
-    ) -> dict:
+    def submit_points(self, configs: Sequence[SimulationConfig]) -> dict:
         """Queue fresh points; stored points are resumed, not re-run.
 
         Returns ``{"digests": [...], "submitted": [...], "resumed": [...]}``
@@ -281,19 +270,16 @@ class CampaignService:
                     self.store.has(config),
                 )
             )
-        return self._run(self._a_submit(prepared, tenant, priority))
+        return self._run(self._a_submit(prepared))
 
-    async def _a_submit(self, prepared, tenant: str, priority: int) -> dict:
+    async def _a_submit(self, prepared) -> dict:
         digests, submitted, resumed = [], [], []
         for digest, config_json, label, load, seed, stored in prepared:
             digests.append(digest)
             if stored:
                 resumed.append(digest)
                 continue
-            if self.scheduler.submit(
-                digest, config_json, label, load, seed,
-                tenant=tenant, priority=priority,
-            ):
+            if self.scheduler.submit(digest, config_json, label, load, seed):
                 submitted.append(digest)
         if resumed:
             self.store.journal_append(
@@ -435,7 +421,6 @@ class CampaignService:
                     },
                 )
         self._change.set()
-        self.work_ready.set()  # a finished lease frees its tenant's quota
         return verdict
 
     # -- background tasks --------------------------------------------------------

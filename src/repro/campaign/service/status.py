@@ -6,7 +6,7 @@ frameworks, and two fixed routes do not justify one:
 
 ``GET /status``
     One JSON snapshot: service metadata, full scheduler state (points,
-    tenants, workers, leases, counters) and the live merged obs-registry
+    workers, leases, counters) and the live merged obs-registry
     rollup of every completed point.
 ``GET /events``
     The same snapshot as a ``text/event-stream`` (SSE): one ``status``
@@ -190,13 +190,6 @@ def render_service_status(snapshot: dict) -> str:
             f" {points.get('failed', 0)} failed"
         ),
     ]
-    for tenant, counts in sorted(scheduler.get("tenants", {}).items()):
-        quota = f" (quota {counts['quota']})" if "quota" in counts else ""
-        lines.append(
-            f"  tenant {tenant}: {counts.get('done', 0)} done,"
-            f" {counts.get('leased', 0)} leased,"
-            f" {counts.get('pending', 0)} pending{quota}"
-        )
     for worker, info in sorted(scheduler.get("workers", {}).items()):
         leases = ", ".join(d[:8] for d in info.get("leases", [])) or "idle"
         lines.append(f"  worker {worker}: {leases}")

@@ -1,4 +1,4 @@
-"""Statistics, run results, load sweeps, parallel execution, replication."""
+"""Statistics, run results, load sweeps, multi-seed replication."""
 
 from repro.metrics.analysis import (
     DeadlockAnalysis,
@@ -6,11 +6,6 @@ from repro.metrics.analysis import (
     blocked_vs_cycles_series,
     deadlock_probability_given_cycles,
     interarrival_times,
-)
-from repro.metrics.parallel import (
-    run_load_sweep_parallel,
-    run_matrix_parallel,
-    run_point,
 )
 from repro.metrics.replication import MetricEstimate, ReplicatedResult, replicate
 from repro.metrics.stats import RunResult, StatsCollector
@@ -22,9 +17,6 @@ __all__ = [
     "SweepResult",
     "default_loads",
     "run_load_sweep",
-    "run_load_sweep_parallel",
-    "run_matrix_parallel",
-    "run_point",
     "MetricEstimate",
     "ReplicatedResult",
     "replicate",

@@ -115,15 +115,19 @@ def replicate(
     Seeds replace ``base.seed``; all other fields (including the traffic
     stream derivation) follow each run's own seed, so replicas are fully
     independent.
+
+    With ``parallel=True`` the seeds run on ``max_workers`` campaign slot
+    processes (:class:`~repro.campaign.runner.CampaignRunner` over a
+    throwaway store, no retries); the runs are identical to the serial
+    path's.  If any seed fails, one :class:`~repro.errors.SimulationError`
+    names every failed seed and its error; no partial result is returned.
     """
     seeds = list(seeds)
     if not seeds:
         raise ValueError("at least one seed is required")
     configs = [base.replace(seed=s) for s in seeds]
     if parallel:
-        from repro.metrics.parallel import run_matrix_parallel
-
-        runs = run_matrix_parallel(configs, max_workers=max_workers)
+        runs = _run_on_slots(configs, max_workers)
     else:
         from repro.network.simulator import NetworkSimulator
 
@@ -134,3 +138,24 @@ def replicate(
         for name, fn in metrics.items()
     }
     return ReplicatedResult(config=base, runs=tuple(runs), estimates=estimates)
+
+
+def _run_on_slots(
+    configs: list[SimulationConfig], max_workers: Optional[int]
+) -> list[RunResult]:
+    import tempfile
+
+    from repro.campaign.runner import CampaignRunner
+    from repro.errors import SimulationError
+
+    with tempfile.TemporaryDirectory(prefix="repro-replicate-") as tmp:
+        runner = CampaignRunner(tmp, max_workers=max_workers, retries=0)
+        out = runner.run_points(configs)
+    if out["failures"]:
+        raise SimulationError(
+            f"{len(out['failures'])} replicated seed(s) failed:\n"
+            + "\n".join(
+                f"  {f.label} seed={f.seed}: {f.error}" for f in out["failures"]
+            )
+        )
+    return [out["completed"][i].result for i in range(len(configs))]

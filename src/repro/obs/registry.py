@@ -7,12 +7,13 @@ branch on a level flag themselves — they hold a reference to either a live
 instruments are shared no-op singletons.  A disabled call site therefore
 costs one attribute lookup and one no-op call, and nothing allocates.
 
-Snapshots are plain JSON-able dicts so worker processes can ship them back
-to a sweep parent over a process pool (:mod:`repro.metrics.parallel`), where
-:func:`merge_snapshots` folds them into a whole-sweep rollup.  Merging is
-associative and commutative — counters and histogram buckets add, gauges
-keep their maximum — so per-config and whole-sweep rollups agree regardless
-of completion order (asserted by ``tests/obs/test_registry.py``).
+Snapshots are plain JSON-able dicts so slot processes can persist them
+beside each point's result (:mod:`repro.campaign.store`), and a sweep
+parent folds them into a whole-sweep rollup with :func:`merge_snapshots`.
+Merging is associative and commutative — counters and histogram buckets
+add, gauges keep their maximum — so per-config and whole-sweep rollups
+agree regardless of completion order (asserted by
+``tests/obs/test_registry.py``).
 """
 
 from __future__ import annotations

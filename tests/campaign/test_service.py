@@ -2,9 +2,9 @@
 
 The scheduler is a pure single-threaded state machine (no I/O, injectable
 clock), so every distributed-failure scenario — dead workers, silent
-workers, slow workers racing their own reclaimed leases, tenants hogging
-the pool — reduces to a deterministic unit test here.  The cross-process
-versions of the same scenarios live in ``test_service_tcp.py``.
+workers, slow workers racing their own reclaimed leases — reduces to a
+deterministic unit test here.  The cross-process versions of the same
+scenarios live in ``test_service_tcp.py``.
 """
 
 import pytest
@@ -34,28 +34,25 @@ def scheduler(clock, **kw):
     return LeaseScheduler(clock=clock, **kw)
 
 
-def submit(sched, digest, *, tenant="default", priority=0, load=0.3):
-    return sched.submit(
-        digest, {"cfg": digest}, f"label-{digest}", load, 1,
-        tenant=tenant, priority=priority,
-    )
+def submit(sched, digest, *, load=0.3):
+    return sched.submit(digest, {"cfg": digest}, f"label-{digest}", load, 1)
 
 
 class TestClaiming:
-    def test_fifo_within_a_priority_class(self, clock):
+    def test_claims_are_fifo(self, clock):
         sched = scheduler(clock)
         for digest in ("d1", "d2", "d3"):
             submit(sched, digest)
+        got = [sched.claim("w")["digest"] for _ in range(2)]
+        assert got == ["d1", "d2"]
+        # d1 is reaped and requeued behind d3, which was queued before it
+        sched.complete("w", "d2")
+        clock.advance(10.1)
+        assert sched.reap() == ["d1"]
+        submit(sched, "d4")
         got = [sched.claim("w")["digest"] for _ in range(3)]
-        assert got == ["d1", "d2", "d3"]
+        assert got == ["d3", "d1", "d4"]
         assert sched.claim("w") is None
-
-    def test_higher_priority_class_wins(self, clock):
-        sched = scheduler(clock)
-        submit(sched, "bulk", priority=0)
-        submit(sched, "urgent", priority=5)
-        assert sched.claim("w")["digest"] == "urgent"
-        assert sched.claim("w")["digest"] == "bulk"
 
     def test_duplicate_submit_is_refused(self, clock):
         sched = scheduler(clock)
@@ -69,36 +66,6 @@ class TestClaiming:
         lease = sched.claim("w")
         assert lease["config"] == {"cfg": "d1"}
         assert lease["attempt"] == 1
-
-
-class TestTenantQuotas:
-    def test_quota_caps_concurrent_leases(self, clock):
-        sched = scheduler(clock, quotas={"bulk": 1})
-        submit(sched, "d1", tenant="bulk")
-        submit(sched, "d2", tenant="bulk")
-        assert sched.claim("w1")["digest"] == "d1"
-        assert sched.claim("w2") is None  # bulk is at quota
-        sched.complete("w1", "d1")
-        assert sched.claim("w2")["digest"] == "d2"
-
-    def test_quota_blocked_tenant_does_not_starve_others(self, clock):
-        sched = scheduler(clock, quotas={"bulk": 1})
-        submit(sched, "b1", tenant="bulk", priority=5)
-        submit(sched, "b2", tenant="bulk", priority=5)
-        submit(sched, "i1", tenant="interactive")
-        assert sched.claim("w1")["digest"] == "b1"
-        # b2 is quota-blocked; the lower-priority interactive point flows
-        assert sched.claim("w2")["digest"] == "i1"
-        # and the blocked entry is restored, not lost
-        sched.complete("w1", "b1")
-        assert sched.claim("w3")["digest"] == "b2"
-
-    def test_default_quota_applies_to_unlisted_tenants(self, clock):
-        sched = scheduler(clock, default_quota=1)
-        submit(sched, "d1", tenant="anyone")
-        submit(sched, "d2", tenant="anyone")
-        assert sched.claim("w1") is not None
-        assert sched.claim("w2") is None
 
 
 class TestLeaseLifecycle:
@@ -211,15 +178,14 @@ class TestStatusSnapshot:
     def test_snapshot_is_json_able_and_complete(self, clock):
         import json
 
-        sched = scheduler(clock, quotas={"bulk": 2})
-        submit(sched, "d1", tenant="bulk")
+        sched = scheduler(clock)
+        submit(sched, "d1")
         submit(sched, "d2")
         sched.claim("w1")
         status = sched.status()
         json.dumps(status)  # must serialize
         assert status["points"]["total"] == 2
         assert status["points"]["leased"] == 1
-        assert status["tenants"]["bulk"]["quota"] == 2
         assert status["leases"]["d1"]["worker"] == "w1"
         assert status["workers"]["w1"]["leases"] == ["d1"]
 

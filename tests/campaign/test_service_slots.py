@@ -85,6 +85,8 @@ class TestWakeUp:
                     {
                         "type": "hello",
                         "worker": "silent",
+                        # an old worker's key; the server ignores it
+                        "tenant": "bulk",
                         "schema_version": svc.store.schema_version,
                         "protocol_version": protocol.PROTOCOL_VERSION,
                     },
