@@ -23,14 +23,20 @@ records:
   blocked-epoch short-circuit,
 * **detector-census µs/pass** (the same saturated 16-ary with
   ``count_cycles=True``, passes driven by the engine itself so the CWGs
-  are realistic) **as shipped** (every flag at its default: the contracted
-  pipeline) and uncached (``detector_caching=False``, the plain
-  reference) — their same-session ratio is an acceptance criterion
+  are realistic) **as shipped** (every flag at its default: the
+  worm-level pipeline) and uncached (``detector_caching=False``, the
+  plain reference) — their same-session ratio is an acceptance criterion
   (≥ 2×) — with the as-shipped row also gated at ≥ 1.5× faster than the
   frozen µs/pass it cost before the contracted pipeline became the
   default pass,
+* **detector µs/pass against CWG size**: full passes, as shipped and
+  reference, census off and on, on frozen saturated snapshots of a tiny
+  4-ary, an 8-ary bench and the 16-ary acceptance network, each with its
+  CWG vertex, worm and blocked counts (the saturated row's
+  shipped/reference ratio is gated like the census row's),
 * the **per-phase breakdown** of the acceptance scenario (``obs_level=1``
-  profiler): where the engine's time goes, recorded for diagnosis and
+  profiler): where the engine's time goes, including the detector's
+  share of a cycle against its ≤ 25% target, recorded for diagnosis and
   printed by ``--check`` when the gate fails,
 * the **campaign overhead**: wall-clock of a checkpointed
   :class:`repro.campaign.CampaignRunner` sweep on one worker vs the
@@ -67,7 +73,8 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.config import bench_default, paper_default  # noqa: E402
+from repro.config import bench_default, paper_default, tiny_default  # noqa: E402
+from repro.core.detector import DeadlockDetector  # noqa: E402
 from repro.network.simulator import NetworkSimulator  # noqa: E402
 
 BASELINE_PATH = REPO_ROOT / "BENCH_core.json"
@@ -212,7 +219,7 @@ def _ablation() -> dict:
     Each level adds one optimization layer on top of the previous:
     plain legacy engine, + the production engine's activity tracking,
     inline arbitration stream and whole-phase skips, + detector caching
-    (the contracted pipeline).
+    (the worm-level pipeline).
     """
     levels = {
         "legacy": dict(engine_fast_path=False, detector_caching=False),
@@ -279,7 +286,7 @@ def _detector_us_per_pass(engine_fast_path: bool) -> float:
 
 
 #: the two detector configurations of the census ledger row.  ``as_shipped``
-#: leaves every flag at its default (the contracted pipeline): it is what a
+#: leaves every flag at its default (the worm-level pipeline): it is what a
 #: user who sets nothing — and every ``benchmarks/e2e`` workload — actually
 #: runs.  ``uncached`` is the plain reference pass.
 CENSUS_MODES = {
@@ -335,6 +342,112 @@ def _detector_census_us_per_pass(mode: str) -> float:
     for _ in range(passes * cfg.detection_interval):
         sim.step()
     return 1e6 * state[0] / state[1]
+
+
+#: detector µs/pass against CWG size: name -> (config factory, overrides,
+#: warm cycles, full passes per timing).  Each network is warmed into
+#: saturation and then frozen, so every mode times the same CWG.
+DETECTOR_SIZES = {
+    "tiny_4ary": dict(
+        factory=tiny_default,
+        overrides=dict(routing="tfar", num_vcs=1, load=1.0),
+        warm=300,
+        passes=200,
+    ),
+    "bench_8ary": dict(
+        factory=bench_default,
+        overrides=dict(routing="tfar", num_vcs=1, load=0.9),
+        warm=1000,
+        passes=100,
+    ),
+    # the acceptance scenario's own snapshot
+    "saturated_16ary": dict(
+        factory=paper_default,
+        overrides=ENGINE_SCENARIOS[ACCEPTANCE_SCENARIO]["overrides"],
+        warm=ENGINE_SCENARIOS[ACCEPTANCE_SCENARIO]["warm"],
+        passes=30,
+    ),
+}
+
+#: detector constructor arguments per timed mode of a size row
+DETECTOR_MODES = {
+    "as_shipped": dict(count_cycles=False),
+    "reference": dict(count_cycles=False, caching=False),
+    "as_shipped_census": dict(count_cycles=True),
+    "reference_census": dict(count_cycles=True, caching=False),
+}
+
+#: µs/pass of the saturated_16ary row (census off, census on) as shipped
+#: at the parent of the worm-level pipeline, when a pass chain-contracted
+#: the vertex-level CWG.  Timed by :func:`_detector_by_size` in the same
+#: session and on the same machine as the committed baseline; that code
+#: is gone, so the figures are frozen and reported beside the live row.
+SATURATED_US_BEFORE_WORM_PIPELINE = {"as_shipped": 2033.3, "as_shipped_census": 2849.4}
+
+
+def _detector_by_size(rounds: int = 3) -> dict:
+    """Full-pass detector cost against CWG size, as shipped vs reference.
+
+    Every pass is full (the blocked epoch is bumped before each, so the
+    short-circuit never fires).  Modes are interleaved per round and the
+    best round per mode is kept, as in :func:`_timed_engines`.
+    """
+    rows = {}
+    for name, spec in DETECTOR_SIZES.items():
+        cfg = spec["factory"](
+            warmup_cycles=0,
+            measure_cycles=1,
+            seed=1,
+            validation_level=0,
+            **spec["overrides"],
+        )
+        sim = NetworkSimulator(cfg)
+        for _ in range(spec["warm"]):
+            sim.step()
+        g = DeadlockDetector.build_cwg(sim)
+        best = {mode: float("inf") for mode in DETECTOR_MODES}
+        for _ in range(rounds):
+            for mode, kwargs in DETECTOR_MODES.items():
+                detector = DeadlockDetector(**kwargs)
+                t0 = time.perf_counter()
+                for _ in range(spec["passes"]):
+                    sim.blocked_epoch += 1
+                    detector.detect(sim)
+                us = 1e6 * (time.perf_counter() - t0) / spec["passes"]
+                best[mode] = min(best[mode], us)
+        rows[name] = {
+            "cwg_vertices": g.num_vertices,
+            "worms": len(g.chains),
+            "blocked": len(g.requests),
+            "us_per_pass": {mode: round(us, 1) for mode, us in best.items()},
+            "speedup": round(best["reference"] / best["as_shipped"], 3),
+            "speedup_census": round(
+                best["reference_census"] / best["as_shipped_census"], 3
+            ),
+        }
+    saturated = rows["saturated_16ary"]
+    saturated["us_per_pass_before_worm_pipeline"] = (
+        SATURATED_US_BEFORE_WORM_PIPELINE
+    )
+    saturated["speedup_vs_before_worm_pipeline"] = {
+        mode: round(us / saturated["us_per_pass"][mode], 3)
+        for mode, us in SATURATED_US_BEFORE_WORM_PIPELINE.items()
+    }
+    return rows
+
+
+def format_detector_by_size(rows: dict) -> str:
+    lines = ["detector us/pass by CWG size (shipped / reference, census off; on):"]
+    for name, row in rows.items():
+        us = row["us_per_pass"]
+        lines.append(
+            f"  {name:<16} {row['cwg_vertices']:>4} vertices "
+            f"{row['worms']:>4} worms  "
+            f"{us['as_shipped']:>8.0f} / {us['reference']:>8.0f}  "
+            f"({row['speedup']:.2f}x);  {us['as_shipped_census']:>8.0f} / "
+            f"{us['reference_census']:>8.0f}  ({row['speedup_census']:.2f}x)"
+        )
+    return "\n".join(lines)
 
 
 def _campaign_overhead(reps: int = 3) -> dict:
@@ -606,6 +719,10 @@ def _phase_rows(snap: dict) -> dict:
     }
 
 
+#: the detector's target share of a saturated cycle (reported, not gated)
+DETECTOR_SHARE_TARGET_PCT = 25.0
+
+
 def _phase_breakdown() -> dict:
     """Per-phase wall-clock split of the acceptance scenario.
 
@@ -634,10 +751,19 @@ def _phase_breakdown() -> dict:
     sim.obs.profiler.reset()
     for _ in range(spec["cycles"]):
         sim.step()
+    snap = sim.obs.profiler.snapshot()
+    engine_s = sum(
+        rec["total_s"] for name, rec in snap.items() if name.startswith("engine/")
+    )
     return {
         "scenario": ACCEPTANCE_SCENARIO,
         "timed_cycles": spec["cycles"],
-        "phases": _phase_rows(sim.obs.profiler.snapshot()),
+        "phases": _phase_rows(snap),
+        # engine/detect is inclusive of the detector's nested stages
+        "detector_share_pct": _share_pct(
+            snap["engine/detect"]["total_s"], engine_s
+        ),
+        "detector_share_target_pct": DETECTOR_SHARE_TARGET_PCT,
     }
 
 
@@ -656,6 +782,11 @@ def format_phase_breakdown(breakdown: dict) -> str:
             f"  {name:<22} {self_ms:>9.2f} ms self  "
             f"({rec['total_ms']:>9.2f} ms incl)  "
             f"{rec['calls']:>7} calls  {rec['share_pct']:>5.1f}%"
+        )
+    if "detector_share_pct" in breakdown:
+        lines.append(
+            f"  detector share of the cycle {breakdown['detector_share_pct']}% "
+            f"(target <= {breakdown['detector_share_target_pct']:.0f}%)"
         )
     return "\n".join(lines)
 
@@ -704,6 +835,7 @@ def measure() -> dict:
             AS_SHIPPED_CENSUS_US_BEFORE_PIPELINE / census["as_shipped"], 3
         ),
     }
+    results["detector_by_size"] = _detector_by_size()
     results["acceptance"] = {
         "scenario": ACCEPTANCE_SCENARIO,
         "required_speedup": ACCEPTANCE_REQUIRED_SPEEDUP,
@@ -765,6 +897,17 @@ def check(baseline: dict, fresh: dict, tolerance: float = 0.20) -> list[str]:
                 "detector_census_16ary: as-shipped pass regressed to "
                 f"{now_census['speedup']:.2f}x the uncached pass "
                 f"(baseline {base_census['speedup']:.2f}x, floor {floor:.2f}x)"
+            )
+    base_sizes = baseline.get("detector_by_size")
+    if base_sizes is not None:
+        base_row = base_sizes["saturated_16ary"]
+        now_row = fresh["detector_by_size"]["saturated_16ary"]
+        floor = base_row["speedup"] * (1.0 - tolerance)
+        if now_row["speedup"] < floor:
+            problems.append(
+                "detector_by_size saturated_16ary: as-shipped pass regressed "
+                f"to {now_row['speedup']:.2f}x the reference pass "
+                f"(baseline {base_row['speedup']:.2f}x, floor {floor:.2f}x)"
             )
     req = baseline.get("acceptance", {}).get(
         "required_speedup", ACCEPTANCE_REQUIRED_SPEEDUP
@@ -911,6 +1054,13 @@ def main() -> int:
         f"({census['speedup']:.2f}x; "
         f"{census['speedup_as_shipped']:.2f}x vs "
         f"{census['us_per_pass_as_shipped_before_pipeline']:.0f} before)"
+    )
+    print(format_detector_by_size(fresh["detector_by_size"]))
+    breakdown = fresh["phase_breakdown"]
+    print(
+        f"detector share of a saturated cycle: "
+        f"{breakdown['detector_share_pct']}% "
+        f"(target <= {breakdown['detector_share_target_pct']:.0f}%)"
     )
     overhead = fresh["campaign_overhead"]
     print(

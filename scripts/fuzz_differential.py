@@ -4,7 +4,7 @@
 Draws seeded random configurations and verifies, for each one, that
 
 * the production engine is bit-identical to the legacy engine,
-* the detector's contracted pipeline is bit-identical to the uncached
+* the detector's worm-level pipeline is bit-identical to the uncached
   reference pass.
 
 Any mismatch is shrunk to a minimal reproducing configuration and dumped

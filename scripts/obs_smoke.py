@@ -24,7 +24,7 @@ Two checks, both deterministic apart from wall-clock noise:
    pins the exclusive-self-time accounting that keeps the rollup honest.
    The same check runs on the pinned scenario's *default-config* profile
    (rebuild maintenance + detector caching), which must carry the
-   contracted pipeline's ``detect/knots`` and ``detect/census`` phases.
+   worm-level pipeline's ``detect/knots`` and ``detect/census`` phases.
 
 Exit status 0 = all checks pass.
 """
@@ -206,7 +206,7 @@ def check_phase_shares(verbose: bool = True) -> list[str]:
         problems.append(
             f"default-config profile is missing detector phases "
             f"{sorted(missing)}: the as-shipped pass no longer runs the "
-            "contracted pipeline"
+            "worm-level pipeline"
         )
     for label, phases in profiles.items():
         total = sum(rec["share_pct"] for rec in phases.values())

@@ -7,7 +7,7 @@ ground-truth deadlock labels by reachability, and cross-checks the knot
 detector's verdict at **every reachable state**; then runs the teeth
 battery, which arms the ``skip-wake`` and ``skip-block-epoch`` bookkeeping
 faults and demands each produces a replayable counterexample on the
-production engine with the detector's contracted pipeline.
+production engine with the detector's worm-level pipeline.
 
 The gate fails when:
 

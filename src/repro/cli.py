@@ -244,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     orep.add_argument("artifact", metavar="PATH")
     orep.add_argument("--production", action="store_true",
                       help="replay on the production engine with the "
-                           "detector's contracted pipeline")
+                           "detector's worm-level pipeline")
     oteeth = orc_sub.add_parser(
         "teeth", help="prove armed faults are caught with counterexamples"
     )

@@ -86,11 +86,12 @@ class SimulationConfig:
     recovery_teardown: str = "instant"  #: "instant" or "flit-by-flit"
     count_cycles: bool = True  #: enumerate CWG cycles at each detection?
     max_cycles_counted: int = 50_000  #: cap on cycle enumeration per detection
-    #: the detector's contracted analysis pipeline: chain-contract the CWG,
+    #: the detector's worm-level pipeline: analyse the CWG's quotient with
+    #: one node per message (requests read from the engine's wait index),
     #: one SCC decomposition shared by the knot test and the cycle census,
-    #: each SCC re-contracted before enumeration, once per pass over the
-    #: whole CWG.  Bit-identical records to the uncached pass; off selects
-    #: the plain global Tarjan + uncontracted Johnson reference for A/B tests.
+    #: once per pass over the whole CWG.  Bit-identical records to the
+    #: uncached pass; off selects the plain vertex-level global Tarjan +
+    #: uncontracted Johnson reference for A/B tests.
     detector_caching: bool = True
     record_blocked_durations: bool = False  #: keep per-message blocked times
 

@@ -18,7 +18,6 @@ from repro.core.detector import (
 )
 from repro.core.knots import (
     find_knots,
-    find_knots_contracted,
     knot_of_vertex,
     strongly_connected_components,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "DetectionRecord",
     "classify_event",
     "find_knots",
-    "find_knots_contracted",
     "knot_of_vertex",
     "strongly_connected_components",
     "packet_wait_for_graph",

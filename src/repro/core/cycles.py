@@ -27,17 +27,17 @@ summing yields the exact same ``CycleCount`` as one global enumeration.
 The same order independence lets :func:`count_cycles_contracted` visit
 SCCs in its own order and still return the identical ``CycleCount``.
 
-For the detector's pipeline (every pass of the default configuration),
-:func:`contract_graph` collapses *pass-through* vertices — in-degree 1,
-out-degree 1, no self-loop — into multigraph arcs between the remaining
-branch vertices.  A CWG is mostly unbranched ownership chains, so this
-shrinks the graph several-fold while preserving the simple-cycle count
-exactly: every original simple cycle corresponds 1:1 to either a
-contracted-multigraph cycle (parallel arcs counting separately) or a
-*ring* of pure pass-through vertices.  :func:`count_cycles_contracted`
-exploits that for an identical-but-faster census, and applies the same
-contraction once more inside each non-trivial SCC: with the arcs that
-leave the component gone, most of its members are pass-through again.
+:func:`count_cycles_contracted` counts the cycles of a multigraph that
+stands for a larger graph (a :class:`ContractedGraph`): every original
+simple cycle corresponds 1:1 to a multigraph cycle (parallel arcs
+counting separately) or to one listed *ring*.  The detector's pipeline
+hands it the CWG's worm multigraph (one node per message; see
+:mod:`repro.core.detector`).  :func:`contract_graph` builds one from any
+digraph by collapsing *pass-through* vertices — in-degree 1, out-degree
+1, no self-loop — into arcs between the remaining branch vertices, and
+:func:`count_cycles_contracted` applies it once more inside each
+non-trivial SCC: with the arcs that leave the component gone, most of its
+members are pass-through again.
 
 :func:`count_simple_cycles` / :func:`enumerate_simple_cycles` stay plain
 and uncontracted on purpose — they are the from-scratch reference the
@@ -238,22 +238,17 @@ def enumerate_simple_cycles(
 
 @dataclass
 class ContractedGraph:
-    """A CWG adjacency with pass-through chain vertices contracted away.
+    """A multigraph whose simple cycles stand for those of a larger graph.
 
-    ``succ``/``paths`` are parallel: ``paths[v][i]`` holds the original
-    pass-through vertices collapsed into the contracted arc
-    ``v -> succ[v][i]``, in traversal order.  ``rings`` are the simple
-    cycles made *entirely* of pass-through vertices — each is exactly one
-    original cycle (and, being a sink SCC with arcs, a knot on its own).
+    ``succ`` is the multigraph (parallel arcs are distinct cycles).
+    ``rings`` are cycles with no vertex in ``succ`` at all — the simple
+    cycles :func:`contract_graph` finds made *entirely* of pass-through
+    vertices, each exactly one original cycle.  The detector's worm
+    multigraph is one too, with no rings.
     """
 
-    succ: dict[Vertex, list[Vertex]] = field(default_factory=dict)
-    paths: dict[Vertex, list[tuple[Vertex, ...]]] = field(default_factory=dict)
+    succ: dict[Vertex, Sequence[Vertex]] = field(default_factory=dict)
     rings: list[list[Vertex]] = field(default_factory=list)
-
-    @property
-    def num_kept(self) -> int:
-        return len(self.succ)
 
 
 def contract_graph(
@@ -264,9 +259,7 @@ def contract_graph(
     Simple-cycle counts are invariant under the contraction: an original
     simple cycle maps 1:1 to a contracted-multigraph simple cycle (each
     parallel arc choice being a distinct original cycle) or to one entry of
-    ``rings``.  SCC/knot structure over the kept vertices is likewise
-    preserved — interior vertices have exactly one outgoing arc, so no
-    escape path can originate inside a contracted arc.
+    ``rings``.
     """
     indeg: dict[Vertex, int] = {v: 0 for v in adjacency}
     for succs in adjacency.values():
@@ -281,23 +274,17 @@ def contract_graph(
 
     out = ContractedGraph()
     succ = out.succ
-    paths = out.paths
     on_path: set[Vertex] = set()
     for v in adjacency:
         if v not in keep:
             continue
         sl: list[Vertex] = []
-        pl: list[tuple[Vertex, ...]] = []
         for w in adjacency.get(v, ()):
-            interior: list[Vertex] = []
             while w not in keep:
-                interior.append(w)
                 on_path.add(w)
                 w = adjacency[w][0]
             sl.append(w)
-            pl.append(tuple(interior))
         succ[v] = sl
-        paths[v] = pl
     # Cycles made purely of pass-through vertices never touch a kept vertex
     # and are missed by the arc walk above: collect them as rings.
     for v in adjacency:
@@ -362,10 +349,6 @@ def count_cycles_contracted(
         sub = {
             v: [w for w in succ[v] if w in members and w != v] for v in comp
         }
-        if all(len(sub[v]) == len(succ[v]) for v in comp):
-            # nothing removed: ``sub`` is as contracted as it gets
-            _johnson_scc(sub, comp, budget, None)
-            continue
         inner = contract_graph(sub)
         _charge_whole_cycles(inner, budget)
         if len(inner.succ) > 1:

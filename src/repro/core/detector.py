@@ -11,50 +11,81 @@ The detector is pure observation plus classification; breaking the deadlock
 is delegated to a :class:`~repro.core.recovery.RecoveryPolicy` by the
 simulation engine.
 
-The contracted pipeline
+The worm-level pipeline
 -----------------------
 
-With ``detector_caching`` on (the default) every analysis runs through
-:meth:`DeadlockDetector._analyze_pipeline` on the *chain-contracted* graph
-(:func:`~repro.core.cycles.contract_graph`): CWGs are mostly unbranched
-ownership chains, so contraction shrinks the graph several-fold with
-provably identical results.  One Tarjan decomposition of the contracted
-multigraph serves both the knot test and the cycle census, and the census
-contracts each non-trivial SCC a second time before Johnson enumerates
-(see :func:`~repro.core.cycles.count_cycles_contracted`) — a pass costs in
-proportion to the *branching* structure of the wait-for graph, not the
-length of its ownership chains.  The CWG is rebuilt from live network
-state for every pass (:meth:`DeadlockDetector.build_cwg`) and the pipeline
-runs once over all of it.
+With ``detector_caching`` on (the default) every pass runs
+:meth:`DeadlockDetector._analyze_pipeline` on the **worm multigraph** of
+the CWG rather than on its vertices.  The graph has one node per message
+that owns resources and one arc ``m -> owner(t)`` per request target ``t``
+of a blocked ``m``; an arc to a free target goes to the sentinel node
+``None``, which has no arcs.  A saturated 16-ary CWG has ~900 vertices
+but only ~210 worms, and its front end (:func:`_pipeline_cwg`) fills the
+CWG in one walk over the active messages, reading each blocked header's
+awaited set from the production engine's wait index instead of asking the
+routing relation again.
+
+Why the quotient is exact.  In a CWG a non-head vertex has exactly one
+arc (the solid arc to the next VC of its chain), and dashed arcs leave
+only chain heads.  So a path that enters a chain — necessarily through a
+dashed arc into some position ``p`` — can leave it only after walking
+``chain[p:]`` to the head.  Hence:
+
+* *Cycles.*  A simple CWG cycle enters each chain at most once (it would
+  otherwise repeat the head), so it is a cyclic sequence of distinct
+  messages, each step naming one dashed arc.  That is exactly a simple
+  cycle of the worm multigraph with one arc chosen per step: simple cycles
+  correspond 1:1, parallel arcs counting as distinct cycles, and a target
+  in the requester's own chain is one self-loop arc.  Bounded counts are
+  order-independent (:mod:`repro.core.cycles`), so the census and every
+  knot density are the same ``CycleCount`` on either graph.
+* *Knots.*  A CWG knot (sink SCC with an arc) holds no free vertex (a free
+  vertex has no arc) and is closed under successors, so it contains the
+  suffix of each member chain from its earliest knot vertex, every member
+  head's targets, and nothing else.  Its owners therefore form a sink SCC
+  of the worm graph with an arc and no arc to the free sentinel.
+  Conversely such an SCC ``S`` expands to the knot
+  ``∪ chain[m][p_m:]`` over ``m`` in ``S``, where ``p_m`` is the earliest
+  position of ``m``'s chain that a member of ``S`` targets: the set is
+  successor-closed by the minimality of each ``p_m``, and strongly
+  connected because any worm path realises as a CWG path from head to
+  head.
+
+One Tarjan decomposition of the worm multigraph serves the knot test and
+the census (:func:`~repro.core.cycles.count_cycles_contracted`, which
+contracts each non-trivial SCC once more before Johnson).  Knot densities
+need no vertex-level adjacency either: fan-out 1 everywhere is one cycle,
+an oversized knot reports its cyclomatic number from counts, and anything
+else is a bounded count on the knot's sub-multigraph.
 
 ``detector_caching=False`` selects the from-scratch reference instead —
-global Tarjan in :func:`~repro.core.knots.find_knots`, then uncontracted
-Johnson in :func:`~repro.core.cycles.count_simple_cycles` — which the
-differential fuzzer and the oracle compare the pipeline against.  Both
-emit deadlock events in one canonical order (knots sorted by their least
-vertex), making pipeline passes **bit-identical** to reference passes —
-asserted over randomized runs by
+:meth:`DeadlockDetector.build_cwg`, global Tarjan in
+:func:`~repro.core.knots.find_knots`, then uncontracted Johnson in
+:func:`~repro.core.cycles.count_simple_cycles` — which the differential
+fuzzer and the oracle compare the pipeline against.  Both emit deadlock
+events in one canonical order (knots sorted by their least vertex),
+making pipeline passes **bit-identical** to reference passes — asserted
+over randomized runs by
 ``tests/integration/test_detector_caching_equivalence.py``.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import TYPE_CHECKING, Hashable, Mapping, Optional, Sequence
 
 from repro.core.cwg import ChannelWaitForGraph
 from repro.core.cycles import (
+    ContractedGraph,
     CycleCount,
     contract_graph,
     count_cycles_contracted,
     count_simple_cycles,
 )
-from repro.core.knots import (
-    find_knots,
-    find_knots_contracted,
-    strongly_connected_components,
-)
+from repro.core.knots import find_knots, strongly_connected_components
+from repro.errors import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.network.simulator import NetworkSimulator
@@ -84,6 +115,67 @@ def _vertex_key(v: Vertex):
 
 def _knot_key(knot: frozenset[Vertex]):
     return min(map(_vertex_key, knot))
+
+
+def _pipeline_cwg(sim: "NetworkSimulator") -> ChannelWaitForGraph:
+    """The pipeline's CWG: :meth:`DeadlockDetector.build_cwg` in one walk.
+
+    Same chains, requests and request order as ``build_cwg``.  A blocked
+    header on the production engine (position-pure routing) already holds
+    its awaited set as ``wait_keys``: the candidate VC indices, or
+    ``("rx", dest)`` for every reception channel of ``dest``.  Everything
+    else — the legacy engine, keys dropped by a tail release — takes
+    ``build_cwg``'s generic derivation.
+    """
+    g = ChannelWaitForGraph()
+    owner = g.owner
+    chains = g.chains
+    requests = g.requests
+    request_from = g.request_from
+    rx_range = range(sim.pool.rx_channels)
+    use_keys = sim.fast_path and not sim._uncacheable_routing
+    owned = 0
+    for msg in sim.active.values():
+        vcs = msg.vcs
+        chain: list[Vertex] = [vc.index for vc in vcs]
+        rx = msg.reception
+        if rx is not None:
+            chain.append(("rx", msg.dest, rx.index))
+        if not chain:
+            continue
+        mid = msg.id
+        owner.update(dict.fromkeys(chain, mid))
+        owned += len(chain)
+        chains[mid] = chain
+        if msg.blocked_since is None or not vcs:
+            continue
+        keys = msg.wait_keys if use_keys else None
+        if keys:
+            if type(keys[0]) is tuple:
+                targets = [("rx", msg.dest, i) for i in rx_range]
+            else:
+                targets = list(keys)
+        elif not sim.routing_eligible(msg):
+            continue
+        elif msg.needs_next_vc:
+            targets = [vc.index for vc in sim.route_candidates(msg)]
+        elif msg.needs_reception:
+            targets = [("rx", msg.dest, i) for i in rx_range]
+        else:
+            continue
+        if not targets:
+            raise SimulationError(f"blocked message {mid} waits on nothing")
+        requests[mid] = targets
+        request_from[mid] = chain[-1]
+    if len(owner) != owned:
+        # two chains share a vertex: build_cwg names the offending pair
+        DeadlockDetector.build_cwg(sim)
+        raise SimulationError("an ownership chain repeats a vertex")
+    for targets in requests.values():
+        for t in targets:
+            if t not in owner:
+                owner[t] = None
+    return g
 
 
 @dataclass(frozen=True)
@@ -158,13 +250,15 @@ class DeadlockDetector:
         self.knot_density_cap = knot_density_cap
         self.knot_size_enumeration_limit = knot_size_enumeration_limit
         self.record_blocked_durations = record_blocked_durations
-        #: enables the contracted pipeline; off selects the from-scratch
+        #: enables the worm-level pipeline; off selects the from-scratch
         #: reference pass
         self.caching = caching
         self.records: list[DetectionRecord] = []
         self.events: list[DeadlockEvent] = []
-        # short-circuit cache: last full pass and the blocked epoch it saw
-        self._sc_sim: Optional["NetworkSimulator"] = None
+        # short-circuit cache: last full pass and the blocked epoch it saw.
+        # The sim is held weakly: it owns this detector, and a strong
+        # back-reference would leave every finished sim to the cyclic GC.
+        self._sc_sim: Optional[weakref.ref] = None
         self._sc_epoch = -1
         self._sc_record: Optional[DetectionRecord] = None
         self._sc_blocked: list[int] = []
@@ -244,7 +338,7 @@ class DeadlockDetector:
         would.
 
         Otherwise the pass rebuilds the CWG and analyses all of it (a
-        **full** pass): with ``caching`` set through the contracted
+        **full** pass): with ``caching`` set through the worm-level
         pipeline (see the module docstring), with ``caching`` off through
         the from-scratch reference.  Both produce identical records.
         """
@@ -252,7 +346,7 @@ class DeadlockDetector:
         if (
             self._sc_record is not None
             and not self._sc_record.events
-            and self._sc_sim is sim
+            and self._sc_sim() is sim
             and getattr(sim, "fast_path", False)
             and not getattr(sim, "_uncacheable_routing", True)
             and sim.blocked_epoch == self._sc_epoch
@@ -264,22 +358,12 @@ class DeadlockDetector:
         self._obs = obs if obs is not None and obs.enabled else None
 
         self.full_passes += 1
-        g = self.build_cwg(sim)
-        adjacency = g.adjacency()
         if self.caching:
-            events, cycle_count = self._analyze_pipeline(g, adjacency, cycle)
+            g = _pipeline_cwg(sim)
+            events, cycle_count = self._analyze_pipeline(g, cycle)
         else:
-            # The from-scratch reference the fuzzer and the oracle compare
-            # against: global Tarjan + uncontracted Johnson.
-            knots = sorted(find_knots(adjacency), key=_knot_key)
-            events = [
-                self._knot_event(g, adjacency, knot, cycle) for knot in knots
-            ]
-            cycle_count = (
-                count_simple_cycles(adjacency, limit=self.max_cycles_counted)
-                if self.count_cycles
-                else None
-            )
+            g = self.build_cwg(sim)
+            events, cycle_count = self._analyze_reference(g, cycle)
 
         all_deadlocked: set[int] = set()
         for event in events:
@@ -329,7 +413,7 @@ class DeadlockDetector:
         )
         self.records.append(record)
         self.events.extend(events)
-        self._sc_sim = sim
+        self._sc_sim = weakref.ref(sim)
         self._sc_epoch = getattr(sim, "blocked_epoch", -1)
         self._sc_record = record
         self._sc_blocked = blocked_list
@@ -368,62 +452,141 @@ class DeadlockDetector:
         self._sc_record = record
         return record
 
-    # -- per-knot event construction --------------------------------------------------
+    # -- analysis ---------------------------------------------------------------------
     def _knot_event(
         self,
         g: ChannelWaitForGraph,
-        adjacency: Mapping[Vertex, Sequence[Vertex]],
         knot: frozenset[Vertex],
+        deadlock_set: frozenset[int],
+        density: CycleCount,
         cycle: int,
     ) -> DeadlockEvent:
         """Classify one knot into a :class:`DeadlockEvent`."""
-        deadlock_set = frozenset(g.messages_owning(knot))
-        resource_set = frozenset(g.resources_of(deadlock_set))
-        sub = {v: [w for w in adjacency[v] if w in knot] for v in knot}
-        density = self._knot_density(sub)
         deps, transients = self._dependents(g, deadlock_set)
         return DeadlockEvent(
             cycle=cycle,
             knot=knot,
             deadlock_set=deadlock_set,
-            resource_set=resource_set,
+            resource_set=frozenset(g.resources_of(deadlock_set)),
             knot_cycle_density=density.count,
             density_saturated=density.saturated,
             dependent=deps,
             transient_dependent=transients,
         )
 
-    def _analyze_pipeline(
-        self,
-        g: ChannelWaitForGraph,
-        adjacency: Mapping[Vertex, Sequence[Vertex]],
-        cycle: int,
+    def _analyze_reference(
+        self, g: ChannelWaitForGraph, cycle: int
     ) -> tuple[list[DeadlockEvent], Optional[CycleCount]]:
-        """Events and census of the contracted pipeline.
+        """Events and census of the from-scratch reference the fuzzer and
+        the oracle compare the pipeline against: vertex-level global Tarjan
+        + uncontracted Johnson."""
+        adjacency = g.adjacency()
+        events = []
+        for knot in sorted(find_knots(adjacency), key=_knot_key):
+            sub = {v: [w for w in adjacency[v] if w in knot] for v in knot}
+            deadlock_set = frozenset(g.messages_owning(knot))
+            events.append(
+                self._knot_event(
+                    g, knot, deadlock_set, self._knot_density(sub), cycle
+                )
+            )
+        census = (
+            count_simple_cycles(adjacency, limit=self.max_cycles_counted)
+            if self.count_cycles
+            else None
+        )
+        return events, census
 
-        Chain-contract, one Tarjan decomposition shared by the knot test
-        and the census, knots in canonical order, then the per-SCC
-        re-contracted census.
+    def _analyze_pipeline(
+        self, g: ChannelWaitForGraph, cycle: int
+    ) -> tuple[list[DeadlockEvent], Optional[CycleCount]]:
+        """Events and census on the worm multigraph (module docstring).
+
+        One Tarjan decomposition shared by the knot test and the census;
+        knots are sink SCCs with an arc (an arc to the free sentinel
+        leaves the SCC), expanded to chain suffixes and emitted in
+        canonical order.
         """
         obs = self._obs
         prof = obs.profiler if obs is not None else None
         t0 = perf_counter() if prof is not None else 0.0
-        contracted = contract_graph(adjacency)
-        sccs = strongly_connected_components(contracted.succ)
-        knots = sorted(find_knots_contracted(contracted, sccs), key=_knot_key)
-        events = [self._knot_event(g, adjacency, knot, cycle) for knot in knots]
+        owner = g.owner
+        chains = g.chains
+        requests = g.requests
+        succ: dict = dict.fromkeys(chains, ())
+        for mid, targets in requests.items():
+            succ[mid] = [owner[t] for t in targets]
+        sccs = strongly_connected_components(succ)
+        knots = []
+        for comp in sccs:
+            if len(comp) == 1:
+                arcs = succ.get(comp[0])
+                if not arcs or arcs.count(comp[0]) != len(arcs):
+                    continue
+                members = {comp[0]}
+            else:
+                members = set(comp)
+                if not all(w in members for m in comp for w in succ[m]):
+                    continue
+            # the knot enters each member chain at its earliest targeted VC
+            first: dict[int, int] = {}
+            for m in comp:
+                for t in requests[m]:
+                    o = owner[t]
+                    p = chains[o].index(t)
+                    if p < first.get(o, p + 1):
+                        first[o] = p
+            knot: set[Vertex] = set()
+            for m, p in first.items():
+                knot.update(chains[m][p:])
+            # frozen from sets: a frozenset copied from a set is sized to
+            # it, and every record keeps its events for the whole run
+            knots.append((frozenset(knot), frozenset(members), comp))
+        knots.sort(key=lambda k: _knot_key(k[0]))
+        events = [
+            self._knot_event(
+                g,
+                knot,
+                deadlock_set,
+                self._worm_density(succ, comp, len(knot)),
+                cycle,
+            )
+            for knot, deadlock_set, comp in knots
+        ]
         if prof is not None:
             now = perf_counter()
             prof.add("detect/knots", now - t0)
             t0 = now
         census = (
-            count_cycles_contracted(contracted, self.max_cycles_counted, sccs)
+            count_cycles_contracted(
+                ContractedGraph(succ=succ), self.max_cycles_counted, sccs
+            )
             if self.count_cycles
             else None
         )
         if prof is not None:
             prof.add("detect/census", perf_counter() - t0)
         return events, census
+
+    def _worm_density(
+        self, succ: Mapping[int, Sequence], members: list[int], knot_size: int
+    ) -> CycleCount:
+        """:meth:`_knot_density` from the knot's worm-level SCC.
+
+        Every member has at least one arc, all inside the SCC, and the
+        knot's arcs are its ``knot_size - len(members)`` solid arcs plus
+        the members' fan-outs — so the same three cases read off counts
+        and the knot's sub-multigraph, never its vertices.
+        """
+        fan_out = sum(len(succ[m]) for m in members)
+        if fan_out == len(members):
+            return CycleCount(1, False)
+        if knot_size > self.knot_size_enumeration_limit:
+            return CycleCount(max(2, fan_out - len(members) + 1), True)
+        sub = ContractedGraph(succ={m: succ[m] for m in members})
+        return count_cycles_contracted(
+            sub, self.knot_density_cap, sccs=[members]
+        )
 
     def _knot_density(self, sub: dict) -> CycleCount:
         """Simple-cycle count within a knot, with structural shortcuts.

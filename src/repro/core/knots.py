@@ -19,15 +19,11 @@ the condensation.  Complexity O(V + E) per detection.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Hashable, Mapping, Sequence
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.cycles import ContractedGraph
+from typing import Hashable, Mapping, Sequence
 
 __all__ = [
     "strongly_connected_components",
     "find_knots",
-    "find_knots_contracted",
     "knot_of_vertex",
 ]
 
@@ -48,48 +44,43 @@ def strongly_connected_components(
     on_stack: set[Vertex] = set()
     stack: list[Vertex] = []
     sccs: list[list[Vertex]] = []
-    counter = 0
+    succs_of = adjacency.get
 
     for root in adjacency:
         if root in index:
             continue
-        # Each work-stack frame: (vertex, iterator position into successors)
-        work: list[tuple[Vertex, int]] = [(root, 0)]
+        index[root] = lowlink[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        # Each work-stack frame: (vertex, iterator over its successors)
+        work = [(root, iter(succs_of(root, ())))]
         while work:
-            v, pos = work[-1]
-            if pos == 0:
-                index[v] = lowlink[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack.add(v)
-            succs = adjacency.get(v, ())
-            advanced = False
-            for i in range(pos, len(succs)):
-                w = succs[i]
+            v, succs = work[-1]
+            for w in succs:
                 if w not in index:
-                    work[-1] = (v, i + 1)
-                    work.append((w, 0))
-                    advanced = True
+                    index[w] = lowlink[w] = len(index)
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(succs_of(w, ()))))
                     break
-                if w in on_stack:
-                    if index[w] < lowlink[v]:
-                        lowlink[v] = index[w]
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                if lowlink[v] < lowlink[parent]:
-                    lowlink[parent] = lowlink[v]
-            if lowlink[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(comp)
+                if w in on_stack and index[w] < lowlink[v]:
+                    lowlink[v] = index[w]
+            else:
+                work.pop()
+                low = lowlink[v]
+                if work:
+                    parent = work[-1][0]
+                    if low < lowlink[parent]:
+                        lowlink[parent] = low
+                if low == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        comp.append(w)
+                        if w == v:
+                            break
+                    sccs.append(comp)
     return sccs
 
 
@@ -121,58 +112,6 @@ def find_knots(
                 break
         if is_sink and has_internal_arc:
             knots.append(frozenset(comp))
-    return knots
-
-
-def find_knots_contracted(
-    contracted: "ContractedGraph",
-    sccs: Sequence[Sequence[Vertex]] | None = None,
-) -> list[frozenset[Vertex]]:
-    """All knots of a chain-contracted graph, expanded to original vertices.
-
-    Knot structure survives the contraction of
-    :func:`~repro.core.cycles.contract_graph` exactly: interior vertices of
-    a contracted arc have out-degree 1, so no escape arc can originate
-    inside one — a sink SCC of the contracted multigraph therefore expands
-    (kept members plus the interiors of their intra-component arcs) to a
-    sink SCC of the original graph, and vice versa.  A *ring* (a cycle of
-    pure pass-through vertices) has no kept member at all and is always a
-    knot: every vertex's single arc stays inside the ring.
-
-    Returns the same knot *sets* as :func:`find_knots` on the uncontracted
-    adjacency, in an unspecified order — callers needing a stable order
-    sort canonically (the detector does).  ``sccs`` is the SCC
-    decomposition of ``contracted.succ`` when the caller already holds it
-    (the detector shares one Tarjan pass with the cycle census).
-    """
-    succ = contracted.succ
-    paths = contracted.paths
-    if sccs is None:
-        sccs = strongly_connected_components(succ)
-    comp_of: dict[Vertex, int] = {}
-    for i, comp in enumerate(sccs):
-        for v in comp:
-            comp_of[v] = i
-    knots: list[frozenset[Vertex]] = [frozenset(ring) for ring in contracted.rings]
-    for i, comp in enumerate(sccs):
-        has_internal_arc = len(comp) > 1
-        is_sink = True
-        for v in comp:
-            for w in succ.get(v, ()):
-                if comp_of[w] != i:
-                    is_sink = False
-                    break
-                if w == v:
-                    has_internal_arc = True  # self-loop
-            if not is_sink:
-                break
-        if not (is_sink and has_internal_arc):
-            continue
-        expanded: set[Vertex] = set(comp)
-        for v in comp:
-            for interior in paths.get(v, ()):
-                expanded.update(interior)
-        knots.append(frozenset(expanded))
     return knots
 
 

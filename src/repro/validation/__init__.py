@@ -1,7 +1,7 @@
 """Correctness net: invariants, differential fuzzing, model checking.
 
 Three layers defend the simulator's optimized paths (the activity-tracked
-production engine and the detector's contracted pipeline) against silent
+production engine and the detector's worm-level pipeline) against silent
 drift from their ground-truth equivalents:
 
 * :mod:`repro.validation.invariants` — a pluggable runtime checker a

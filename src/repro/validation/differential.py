@@ -6,7 +6,7 @@ The repo carries two pairs of independently-implemented equivalents:
   arbitration stream, whole-phase quiescence skips, detection
   short-circuiting) vs the legacy full-rescan reference
   (``engine_fast_path``),
-* **detector** — the contracted pipeline vs the plain global Tarjan +
+* **detector** — the worm-level pipeline vs the plain global Tarjan +
   uncontracted Johnson reference pass (``detector_caching``).
 
 Each pair is documented bit-identical; the hand-written equivalence suites cover

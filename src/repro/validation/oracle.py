@@ -443,21 +443,51 @@ def _fresh_detector() -> DeadlockDetector:
     return DeadlockDetector(count_cycles=False, caching=False)
 
 
+def _load_production_view(prod: NetworkSimulator, state: CanonicalState) -> None:
+    """Restore ``state`` onto a production engine, as its detector sees it.
+
+    Restoration rebuilds the object model only.  The one piece of the
+    production engine's activity state the detector reads is the wait
+    index: each blocked header's ``wait_keys``, registered at its first
+    failed attempt as the candidate VC indices or ``("rx", dest)``.
+    Re-register them, so the pipeline check covers the wait-index read.
+    The engine is never stepped from here.
+    """
+    clear_state(prod)
+    load_state(prod, state)
+    for msg in prod.active.values():
+        if msg.blocked_since is None or not prod.routing_eligible(msg):
+            continue
+        if msg.needs_reception:
+            msg.wait_keys = (("rx", msg.dest),)
+        else:
+            msg.wait_keys = tuple(vc.index for vc in prod.route_candidates(msg))
+
+
 def _pipeline_census_mismatch(
     sim: NetworkSimulator,
     record: DetectionRecord,
     adjacency: dict,
 ) -> Optional[str]:
-    """The as-shipped contracted pipeline against from-scratch counts.
+    """The as-shipped worm-level pipeline against from-scratch counts.
 
-    Runs a fresh caching detector with the census on (one whole-CWG
-    pipeline pass) and compares its events to the reference pass's, its census to plain
+    ``sim`` is the production view of the state (see
+    :func:`_load_production_view`).  Runs a fresh caching detector with
+    the census on (one whole-CWG pipeline pass) and compares its events
+    and CWG size to the reference pass's, its census to plain
     :func:`count_simple_cycles` over the CWG, and every knot's cycle
     density to plain :func:`count_simple_cycles` over the knot's induced
     subgraph.  Returns a description of the first disagreement, or None.
     """
     pipeline = DeadlockDetector(count_cycles=True, caching=True)
     got = pipeline.detect(sim)
+    size = (got.cwg_vertices, got.cwg_arcs, got.blocked_messages)
+    want = (record.cwg_vertices, record.cwg_arcs, record.blocked_messages)
+    if size != want:
+        return (
+            f"pipeline CWG has {size} vertices/arcs/blocked, the reference "
+            f"pass's has {want}"
+        )
     if got.events != record.events:
         return (
             f"pipeline events {[sorted(map(repr, e.knot)) for e in got.events]} "
@@ -505,7 +535,7 @@ def check_case(
     verifies, per state: soundness of the deadlock and dependent sets
     against the reachability-doomed set, the knot *definition* for every
     reported knot (each knot vertex's reachable set must be exactly the
-    knot and every member must have an out-arc), the contracted pipeline's
+    knot and every member must have an out-arc), the worm-level pipeline's
     events, cycle census and knot densities against the reference pass and
     from-scratch :func:`~repro.core.cycles.count_simple_cycles`, and — at
     terminal states with active messages — completeness of the reported
@@ -515,6 +545,7 @@ def check_case(
     graph = explore(case.config, log=log)
     truth = analyze(graph)
     sim = NetworkSimulator(graph.config)
+    prod = NetworkSimulator(graph.config.replace(**_PRODUCTION_OVERRIDES))
     violations: list[OracleViolation] = []
     for idx, state in enumerate(graph.index):
         clear_state(sim)
@@ -537,7 +568,8 @@ def check_case(
                 )
             )
         adjacency = DeadlockDetector.build_cwg(sim).adjacency()
-        mismatch = _pipeline_census_mismatch(sim, record, adjacency)
+        _load_production_view(prod, state)
+        mismatch = _pipeline_census_mismatch(prod, record, adjacency)
         if mismatch:
             violations.append(OracleViolation("pipeline-census", idx, mismatch))
         # the reported knots must satisfy the knot definition on the CWG
@@ -735,7 +767,7 @@ def load_witness(path: Path | str) -> dict:
 
 #: production-shape overrides for witness replay: the production engine
 #: (wake index, detection short-circuit on the blocked epoch) with the
-#: detector's contracted pipeline — the exact machinery the oracle pins
+#: detector's worm-level pipeline — the exact machinery the oracle pins
 #: *out* of enumeration, exercised here against recorded oracle truth.
 #: The production loops inline ``random.Random``'s word stream only when
 #: the RNG is exactly that type, so under the scripted ``ChoiceRandom``
@@ -764,7 +796,7 @@ def replay_witness(payload: dict, production: bool = False) -> ReplayResult:
     ``production=False`` replays on the oracle's pinned legacy engine —
     this must reproduce the recorded digests exactly (it is the engine the
     witness was derived on).  ``production=True`` replays on the production
-    engine with the detector's contracted pipeline:
+    engine with the detector's worm-level pipeline:
     the state digests must still match cycle-for-cycle (the engines are
     bit-identical) and the replay engine's *own* detector verdict must
     match the recorded full-pass reference at every step — this is the

@@ -7,11 +7,10 @@ capped counts, collected cycles and saturation flags must all match the
 recursive reference embedded here verbatim.
 
 The same file also validates the chain-contraction shortcut
-(:func:`contract_graph` / :func:`count_cycles_contracted` /
-:func:`find_knots_contracted`): simple-cycle counts and knot sets are
-invariant under contracting pass-through vertices, including under tight
-budget caps, randomized over simple digraphs and over chain-heavy
-CWG-shaped graphs.
+(:func:`contract_graph` / :func:`count_cycles_contracted`): simple-cycle
+counts are invariant under contracting pass-through vertices, including
+under tight budget caps, randomized over simple digraphs and over
+chain-heavy CWG-shaped graphs.
 """
 
 import random
@@ -26,7 +25,7 @@ from repro.core.cycles import (
     enumerate_simple_cycles,
 )
 from repro.core.gallery import figure1_cwg, figure2_cwg, figure3_cwg, figure4_cwg
-from repro.core.knots import find_knots, find_knots_contracted
+from repro.core.knots import find_knots
 
 
 # -- the pre-rewrite recursive Johnson, kept verbatim as the oracle ------------------
@@ -224,10 +223,6 @@ def _assert_contraction_invariant(adjacency, limit):
     assert count_cycles_contracted(contracted, limit) == count_simple_cycles(
         adjacency, limit=limit
     ), adjacency
-    if limit >= 10_000:  # knot comparison only meaningful uncapped
-        assert sorted(find_knots_contracted(contracted), key=sorted) == sorted(
-            find_knots(adjacency), key=sorted
-        ), adjacency
 
 
 @pytest.mark.parametrize("name", sorted(GALLERY))
@@ -240,9 +235,7 @@ def test_figure1_contracts_to_a_ring():
     adjacency = figure1_cwg().adjacency()
     contracted = contract_graph(adjacency)
     assert len(contracted.rings) == 1
-    [knot] = find_knots_contracted(contracted)
-    assert knot == frozenset(contracted.rings[0])
-    assert [knot] == find_knots(adjacency)
+    assert find_knots(adjacency) == [frozenset(contracted.rings[0])]
 
 
 def test_contraction_invariant_random():

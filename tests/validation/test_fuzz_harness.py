@@ -102,8 +102,17 @@ def test_skip_block_epoch_is_caught_by_engine_axis(monkeypatch):
 
 
 def test_as_shipped_pipeline_is_a_detector_axis_leg(miscounting_census):
-    """The default config (the contracted pipeline) is fuzzed: a
+    """The default config (the worm-level pipeline) is fuzzed: a
     contracted census that miscounts is caught by the detector axis."""
+    mismatches = check_config(SATURATED, axes=("detector",))
+    assert mismatches and mismatches[0].axis == "detector"
+    assert "detector pipeline diverges" in mismatches[0].detail
+
+
+def test_wait_index_read_is_a_detector_axis_leg(dropped_wait_target):
+    """The pipeline reads blocked requests from the production engine's
+    wait index; the reference derives them from the routing relation.  A
+    wait-index read that loses one target is caught by the detector axis."""
     mismatches = check_config(SATURATED, axes=("detector",))
     assert mismatches and mismatches[0].axis == "detector"
     assert "detector pipeline diverges" in mismatches[0].detail

@@ -234,3 +234,31 @@ def test_pipeline_census_drift_is_a_violation(miscounting_census):
     is off by one anywhere shows up as a ``pipeline-census`` violation."""
     report = check_case(get_case("ring-deadlock"))
     assert any(v.kind == "pipeline-census" for v in report.violations)
+
+
+def test_pipeline_wait_index_drift_is_a_violation(dropped_wait_target):
+    """The pipeline check runs on a production-engine view of each state,
+    so a wait-index read that loses a target is a ``pipeline-census``
+    violation too."""
+    report = check_case(get_case("ring-deadlock"))
+    assert any(v.kind == "pipeline-census" for v in report.violations)
+
+
+def test_pipeline_check_reads_the_wait_index():
+    """The production view registers a wait key for every blocked header,
+    and the pipeline reads exactly what ``build_cwg`` derives."""
+    from repro.core.detector import DeadlockDetector, _pipeline_cwg
+    from repro.validation.oracle import (
+        _PRODUCTION_OVERRIDES,
+        _load_production_view,
+    )
+
+    graph = explore(get_case("ring-deadlock").config)
+    prod = NetworkSimulator(graph.config.replace(**_PRODUCTION_OVERRIDES))
+    keyed = 0
+    for state in graph.index:
+        _load_production_view(prod, state)
+        got = _pipeline_cwg(prod)
+        assert got.requests == DeadlockDetector.build_cwg(prod).requests
+        keyed += sum(1 for mid in got.requests if prod._live[mid].wait_keys)
+    assert keyed
