@@ -57,7 +57,8 @@
 #    docs/API.md must resolve against the live package, every relative
 #    markdown link in the repo must point at an existing file, and every
 #    Topology subclass / CLI --topology choice must be documented in
-#    docs/TOPOLOGIES.md.
+#    docs/TOPOLOGIES.md, and docs/API.md's SimulationConfig table must
+#    list every field exactly as rendered from the config's field table.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -96,7 +97,7 @@ python scripts/campaign_smoke.py
 echo "== distributed serve smoke (2 workers, 1 crash, bit-identical drain) =="
 python scripts/serve_smoke.py
 
-echo "== docs drift (API symbols, markdown links, topology coverage) =="
+echo "== docs drift (API symbols, markdown links, topology coverage, config table) =="
 python scripts/docs_check.py
 
 echo "ci_check: OK"

@@ -13,7 +13,10 @@ script does — it is part of ``scripts/ci_check.sh``:
    that exists;
 3. every public ``Topology`` subclass and every CLI ``--topology`` choice
    must be documented in ``docs/TOPOLOGIES.md`` — a new topology class
-   cannot land without its reference entry.
+   cannot land without its reference entry;
+4. the ``SimulationConfig`` table in ``docs/API.md`` must list every field
+   and match what :func:`render_config_table` renders from the config's
+   field table (``--write`` regenerates it in place).
 
 Exit status is the number of problems (0 = clean).
 """
@@ -157,9 +160,71 @@ def check_topology_docs() -> list[str]:
     return problems
 
 
+#: the generated block of docs/API.md
+TABLE_BEGIN = "<!-- config-table: generated by scripts/docs_check.py --write -->"
+TABLE_END = "<!-- config-table: end -->"
+
+
+def render_config_table() -> str:
+    """docs/API.md's ``SimulationConfig`` table, one row per field."""
+    from repro.config import FIELDS
+
+    rows = [
+        "| group | field | kind | default | accepts | `simulate` flag |",
+        "|---|---|---|---|---|---|",
+    ]
+    for f in FIELDS:
+        meta = f.metadata
+        flag = f"`{meta['cli'].name}`" if meta["cli"] else ""
+        rows.append(
+            f"| {meta['group']} | `{f.name}` | {meta['kind']} | "
+            f"`{f.default!r}` | {meta['domain'].describe()} | {flag} |"
+        )
+    return "\n".join([TABLE_BEGIN, *rows, TABLE_END])
+
+
+def _config_table_span(text: str) -> tuple[int, int]:
+    start = text.index(TABLE_BEGIN)
+    return start, text.index(TABLE_END, start) + len(TABLE_END)
+
+
+def check_config_table() -> list[str]:
+    """Every SimulationConfig field must have its row in docs/API.md."""
+    from repro.config import FIELDS
+
+    text = API_DOC.read_text()
+    try:
+        start, end = _config_table_span(text)
+    except ValueError:
+        return ["docs/API.md: the generated SimulationConfig table is missing"]
+    block = text[start:end]
+    problems = [
+        f"docs/API.md: SimulationConfig field `{f.name}` is missing from the "
+        f"config table"
+        for f in FIELDS
+        if f"| `{f.name}` |" not in block
+    ]
+    if not problems and block != render_config_table():
+        problems.append(
+            "docs/API.md: the SimulationConfig table is stale; regenerate "
+            "it with `python scripts/docs_check.py --write`"
+        )
+    print(f"docs_check: {len(FIELDS)} SimulationConfig fields in docs/API.md")
+    return problems
+
+
+def write_config_table() -> None:
+    text = API_DOC.read_text()
+    start, end = _config_table_span(text)
+    API_DOC.write_text(text[:start] + render_config_table() + text[end:])
+
+
 def main() -> int:
+    if sys.argv[1:] == ["--write"]:
+        write_config_table()
     problems = (
         check_api_symbols() + check_markdown_links() + check_topology_docs()
+        + check_config_table()
     )
     for problem in problems:
         print(f"DOCS: {problem}")

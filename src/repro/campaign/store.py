@@ -54,7 +54,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from repro.config import SimulationConfig
+from repro.config import SimulationConfig, config_from_json, config_to_json
 from repro.errors import ReproError
 from repro.metrics.stats import RunResult
 
@@ -75,21 +75,6 @@ __all__ = [
 #: store schema version — bump when the serialized RunResult/config shape
 #: changes meaning; old artifacts then refuse to resume instead of mixing
 SCHEMA_VERSION = 1
-
-#: SimulationConfig fields whose JSON (list) form must be restored to the
-#: nested-tuple form the frozen dataclass uses, so a round-tripped config
-#: compares equal to the original
-_TUPLE_FIELDS = ("failed_links", "length_mix", "traffic_mix")
-
-#: flat tuple-of-int fields (no nesting) restored the same way
-_FLAT_TUPLE_FIELDS = ("dims", "link_latencies")
-
-#: fields elided from the canonical JSON form when they hold their default
-#: value.  These were added after artifacts existed in the wild: dropping
-#: the defaulted keys keeps every pre-existing config digest (and thus the
-#: campaign store's content addressing) byte-stable, while configs that
-#: actually exercise the new knobs get distinct digests.
-_ELIDE_AT_DEFAULT = (("topology", "torus"), ("dims", ()), ("link_latencies", ()))
 
 
 class StoreSchemaError(ReproError):
@@ -129,31 +114,6 @@ class StoredPoint:
     config: SimulationConfig
     result: RunResult
     obs: Optional[dict]
-
-
-def config_to_json(config: SimulationConfig) -> dict:
-    """Canonical JSON-able form of a config (tuples become lists).
-
-    Late-addition fields still holding their defaults are elided (see
-    ``_ELIDE_AT_DEFAULT``) so digests of pre-existing configs never move.
-    """
-    data = dataclasses.asdict(config)
-    for name, default in _ELIDE_AT_DEFAULT:
-        if data.get(name) == default:
-            del data[name]
-    return data
-
-
-def config_from_json(data: dict) -> SimulationConfig:
-    """Rebuild a config, restoring the nested-tuple fields JSON flattened."""
-    data = dict(data)
-    for name in _TUPLE_FIELDS:
-        if name in data:
-            data[name] = tuple(tuple(entry) for entry in data[name])
-    for name in _FLAT_TUPLE_FIELDS:
-        if name in data:
-            data[name] = tuple(data[name])
-    return SimulationConfig(**data)
 
 
 def result_to_json(result: RunResult) -> dict:

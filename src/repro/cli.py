@@ -43,7 +43,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.config import SimulationConfig
+from repro.config import FIELDS, SimulationConfig, bench_default
 
 __all__ = ["main", "build_parser"]
 
@@ -67,64 +67,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser("simulate", help="run one simulation")
-    sim.add_argument("--topology", default="torus",
-                     choices=["torus", "mesh3d", "torus3d", "dragonfly",
-                              "fullmesh"],
-                     help="topology class (default torus: k-ary n-cube)")
-    sim.add_argument("--k", type=int, default=8, help="radix (default 8)")
-    sim.add_argument("--n", type=int, default=2, help="dimensions (default 2)")
-    sim.add_argument("--dims", type=_parse_int_tuple, default=(),
-                     metavar="A,B,...",
-                     help="topology shape: per-dimension radices for "
-                          "mesh3d/torus3d (e.g. 4,4,4), 'a,p,h' for "
-                          "dragonfly, 'N' for fullmesh")
-    sim.add_argument("--link-latencies", type=_parse_int_tuple, default=(),
-                     metavar="L,L,...",
-                     help="per-dimension link latency in cycles (e.g. "
-                          "1,1,4 for a slow TSV dimension; dragonfly "
-                          "takes 'local,global', fullmesh one value)")
-    sim.add_argument("--unidirectional", action="store_true")
-    sim.add_argument("--mesh", action="store_true")
-    sim.add_argument(
-        "--routing",
-        default="dor",
-        choices=["dor", "tfar", "tfar-mis", "dor-dateline", "duato",
-                 "negative-first", "df-min", "df-val", "fm-direct",
-                 "fm-2hop"],
-    )
-    sim.add_argument("--vcs", type=int, default=1, help="virtual channels")
-    sim.add_argument("--buffer", type=int, default=2, help="buffer depth (flits)")
-    sim.add_argument("--length", type=int, default=16, help="message length")
-    sim.add_argument("--traffic", default="uniform")
-    sim.add_argument("--load", type=float, default=0.5, help="normalized load")
-    sim.add_argument("--recovery", default="disha",
-                     choices=["disha", "abort-all", "none"])
-    sim.add_argument("--warmup", type=int, default=500)
-    sim.add_argument("--cycles", type=int, default=3000, help="measured cycles")
-    sim.add_argument("--seed", type=int, default=1)
-    sim.add_argument("--progress", type=int, default=0,
-                     help="print progress every N cycles")
-    sim.add_argument("--obs-level", type=int, default=0, choices=[0, 1, 2],
-                     help="observability: 0 off, 1 metrics+profiler, "
-                          "2 adds cycle-level tracing (default 0)")
-    sim.add_argument("--trace-out", metavar="PATH",
-                     help="write the cycle-level trace (implies --obs-level 2);"
-                          " '.jsonl' suffix selects JSONL, anything else "
-                          "Chrome-trace JSON for chrome://tracing / Perfetto")
-    sim.add_argument("--trace-capacity", type=int, default=65_536,
-                     help="trace ring-buffer bound in events (default 65536)")
+    _add_simulate_args(sub.add_parser("simulate", help="run one simulation"))
 
     exp = sub.add_parser("experiment", help="regenerate a paper figure/table")
-    exp.add_argument("id", choices=EXPERIMENT_IDS)
-    exp.add_argument("--scale", default="bench",
-                     choices=["tiny", "bench", "paper"])
-    exp.add_argument("--csv", metavar="PATH", help="also write CSV rows")
-    exp.add_argument("--chart", action="store_true",
-                     help="render ASCII charts of the figure series")
-    exp.add_argument("--obs-level", type=int, default=0, choices=[0, 1, 2],
-                     help="collect observability metrics in every sweep "
-                          "point and print per-series rollups (default 0)")
+    _add_experiment_args(exp)
     _add_campaign_run_args(exp, store_required=False)
 
     camp = sub.add_parser(
@@ -136,15 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("resume", "re-invoke a campaign: completed points are skipped"),
     ):
         crun = camp_sub.add_parser(verb, help=blurb)
-        crun.add_argument("id", choices=EXPERIMENT_IDS)
-        crun.add_argument("--scale", default="bench",
-                          choices=["tiny", "bench", "paper"])
-        crun.add_argument("--csv", metavar="PATH", help="also write CSV rows")
-        crun.add_argument("--chart", action="store_true",
-                          help="render ASCII charts of the figure series")
-        crun.add_argument("--obs-level", type=int, default=0,
-                          choices=[0, 1, 2],
-                          help="collect observability metrics per point")
+        _add_experiment_args(crun)
         _add_campaign_run_args(crun, store_required=True)
     cstatus = camp_sub.add_parser(
         "status", help="render a store's manifest (done/failed/counters)"
@@ -161,14 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run an experiment as a distributed campaign service "
              "(remote workers attach with `campaign worker --connect`)",
     )
-    cserve.add_argument("id", choices=EXPERIMENT_IDS)
-    cserve.add_argument("--scale", default="bench",
-                        choices=["tiny", "bench", "paper"])
-    cserve.add_argument("--csv", metavar="PATH", help="also write CSV rows")
-    cserve.add_argument("--chart", action="store_true",
-                        help="render ASCII charts of the figure series")
-    cserve.add_argument("--obs-level", type=int, default=0, choices=[0, 1, 2],
-                        help="collect observability metrics per point")
+    _add_experiment_args(cserve)
     cserve.add_argument("--store", required=True, metavar="DIR")
     cserve.add_argument("--host", default="127.0.0.1",
                         help="bind address for both endpoints (default "
@@ -265,6 +196,63 @@ def _parse_int_tuple(value: str) -> tuple[int, ...]:
         ) from None
 
 
+#: the config ``simulate`` starts from; its flags override the fields
+#: that carry a ``cli`` entry in the config's field table
+_SIMULATE_BASE = bench_default(routing="dor", measure_cycles=3000)
+
+#: ``simulate`` flags that are not one field each, keyed by the field whose
+#: flag they follow in ``--help``
+_SIMULATE_EXTRAS = {
+    "bidirectional": ("--unidirectional", dict(action="store_true")),
+    "seed": ("--progress", dict(type=int, default=0,
+                                help="print progress every N cycles")),
+    "obs_level": ("--trace-out", dict(
+        metavar="PATH",
+        help="write the cycle-level trace (implies --obs-level 2); '.jsonl' "
+             "suffix selects JSONL, anything else Chrome-trace JSON for "
+             "chrome://tracing / Perfetto",
+    )),
+}
+
+
+def _add_simulate_args(parser: argparse.ArgumentParser) -> None:
+    """One option per field with a ``cli`` entry, in field order, its
+    default from ``_SIMULATE_BASE`` and its choices from the field's domain."""
+    for field in FIELDS:
+        flag = field.metadata["cli"]
+        if flag is not None:
+            default = getattr(_SIMULATE_BASE, field.name)
+            if isinstance(default, bool):
+                kwargs = dict(action="store_true")
+            else:
+                tuple_flag = isinstance(default, tuple)
+                kwargs = dict(
+                    type=_parse_int_tuple if tuple_flag else type(default),
+                    default=default,
+                    choices=field.metadata["domain"].choices() or None,
+                    metavar=flag.metavar,
+                )
+            parser.add_argument(flag.name, help=flag.help, **kwargs)
+        if field.name in _SIMULATE_EXTRAS:
+            name, kwargs = _SIMULATE_EXTRAS[field.name]
+            parser.add_argument(name, **kwargs)
+
+
+def _add_experiment_args(parser: argparse.ArgumentParser) -> None:
+    """The experiment and report knobs shared by `experiment` and `campaign`."""
+    obs_levels = SimulationConfig.__dataclass_fields__["obs_level"].metadata["domain"]
+    parser.add_argument("id", choices=EXPERIMENT_IDS)
+    parser.add_argument("--scale", default="bench",
+                        choices=["tiny", "bench", "paper"])
+    parser.add_argument("--csv", metavar="PATH", help="also write CSV rows")
+    parser.add_argument("--chart", action="store_true",
+                        help="render ASCII charts of the figure series")
+    parser.add_argument("--obs-level", type=int, default=0,
+                        choices=obs_levels.choices(),
+                        help="collect observability metrics in every sweep "
+                             "point and print per-series rollups (default 0)")
+
+
 def _add_campaign_run_args(
     parser: argparse.ArgumentParser, *, store_required: bool
 ) -> None:
@@ -290,30 +278,13 @@ def _add_campaign_run_args(
 def _run_simulate(args: argparse.Namespace) -> int:
     from repro.network.simulator import NetworkSimulator
 
-    obs_level = args.obs_level
-    if args.trace_out and obs_level < 2:
-        obs_level = 2  # tracing needs the level-2 ring buffer
-    config = SimulationConfig(
-        topology=args.topology,
-        dims=args.dims,
-        link_latencies=args.link_latencies,
-        k=args.k,
-        n=args.n,
+    config = _SIMULATE_BASE.replace(
         bidirectional=not args.unidirectional,
-        mesh=args.mesh,
-        routing=args.routing,
-        num_vcs=args.vcs,
-        buffer_depth=args.buffer,
-        message_length=args.length,
-        traffic=args.traffic,
-        load=args.load,
-        recovery=args.recovery,
-        warmup_cycles=args.warmup,
-        measure_cycles=args.cycles,
-        seed=args.seed,
-        obs_level=obs_level,
-        obs_trace_capacity=args.trace_capacity,
+        **{f.name: getattr(args, f.metadata["cli"].name[2:].replace("-", "_"))
+           for f in FIELDS if f.metadata["cli"]},
     )
+    if args.trace_out and config.obs_level < 2:
+        config = config.replace(obs_level=2)  # tracing needs the ring buffer
     sim = NetworkSimulator(config)
     print(f"simulating {config.label()} ...")
     result = sim.run(progress_every=args.progress)

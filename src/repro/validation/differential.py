@@ -34,8 +34,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
-from repro.config import SimulationConfig
-from repro.errors import SimulationError
+from repro.config import SimulationConfig, config_from_json
+from repro.errors import ConfigurationError, RoutingError
 from repro.network.simulator import NetworkSimulator
 
 __all__ = [
@@ -51,6 +51,11 @@ __all__ = [
 
 #: the two differential axes, in checking order
 AXES = ("engine", "detector")
+
+#: what building a sim raises for a combination the config space does not
+#: support (a routing that needs more VCs, a traffic pattern that needs a
+#: power-of-two node count, ...): a draw or a reduction to skip
+_INVALID_COMBINATION = (ConfigurationError, RoutingError)
 
 
 @dataclass(frozen=True)
@@ -81,7 +86,7 @@ def random_config(rng: random.Random) -> SimulationConfig:
         try:
             config.validate()
             NetworkSimulator(config)  # rejects e.g. routing/VC/topology combos
-        except (SimulationError, ValueError):
+        except _INVALID_COMBINATION:
             continue
         return config
 
@@ -296,11 +301,9 @@ def shrink_config(
                 try:
                     candidate.validate()
                     new_detail = check(candidate)
-                except SimulationError:
-                    # includes RoutingError/ConfigurationError: the reduced
-                    # combination is invalid — not a divergence
-                    continue
-                except ValueError:
+                except _INVALID_COMBINATION:
+                    # the reduced combination is invalid — not a divergence
+                    # (a SimulationError is a real engine failure: it raises)
                     continue
                 finally:
                     checks += 1
@@ -330,22 +333,7 @@ def dump_artifact(mismatch: FuzzMismatch, path: Path | str) -> Path:
 def load_artifact(path: Path | str) -> tuple[str, SimulationConfig]:
     """Load an artifact back into (axis, config) for replay."""
     payload = json.loads(Path(path).read_text())
-    fields = dict(payload["config"])
-    # JSON turns tuples into lists; restore the tuple-typed fields
-    fields["failed_links"] = tuple(
-        tuple(pair) for pair in fields.get("failed_links", ())
-    )
-    fields["length_mix"] = tuple(
-        (int(l), float(w)) for l, w in fields.get("length_mix", ())
-    )
-    fields["traffic_mix"] = tuple(
-        (str(p), float(w)) for p, w in fields.get("traffic_mix", ())
-    )
-    fields["dims"] = tuple(int(d) for d in fields.get("dims", ()))
-    fields["link_latencies"] = tuple(
-        int(l) for l in fields.get("link_latencies", ())
-    )
-    return payload["axis"], SimulationConfig(**fields)
+    return payload["axis"], config_from_json(payload["config"])
 
 
 # -- driving -------------------------------------------------------------------------

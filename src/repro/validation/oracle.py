@@ -44,7 +44,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
-from repro.config import SimulationConfig
+from repro.config import (
+    IMPLEMENTATION,
+    SimulationConfig,
+    config_from_json,
+    defaults_of,
+)
 from repro.core.cwg import ChannelWaitForGraph
 from repro.core.cycles import count_simple_cycles
 from repro.core.detector import DeadlockDetector, DetectionRecord
@@ -746,37 +751,20 @@ def dump_witness(payload: dict, path: Path | str) -> Path:
 
 def load_witness(path: Path | str) -> dict:
     payload = json.loads(Path(path).read_text())
-    fields = dict(payload["config"])
-    # JSON turns tuples into lists; restore the tuple-typed config fields
-    fields["failed_links"] = tuple(
-        tuple(pair) for pair in fields.get("failed_links", ())
-    )
-    fields["length_mix"] = tuple(
-        (int(l), float(w)) for l, w in fields.get("length_mix", ())
-    )
-    fields["traffic_mix"] = tuple(
-        (str(p), float(w)) for p, w in fields.get("traffic_mix", ())
-    )
-    fields["dims"] = tuple(int(d) for d in fields.get("dims", ()))
-    fields["link_latencies"] = tuple(
-        int(l) for l in fields.get("link_latencies", ())
-    )
-    payload["config"] = dataclasses.asdict(SimulationConfig(**fields))
+    payload["config"] = dataclasses.asdict(config_from_json(payload["config"]))
     return payload
 
 
-#: production-shape overrides for witness replay: the production engine
-#: (wake index, detection short-circuit on the blocked epoch) with the
-#: detector's worm-level pipeline — the exact machinery the oracle pins
-#: *out* of enumeration, exercised here against recorded oracle truth.
+#: production-shape overrides for witness replay: every implementation
+#: field at its default, i.e. the production engine (wake index, detection
+#: short-circuit on the blocked epoch) with the detector's worm-level
+#: pipeline — the exact machinery the oracle pins *out* of enumeration,
+#: exercised here against recorded oracle truth.
 #: The production loops inline ``random.Random``'s word stream only when
 #: the RNG is exactly that type, so under the scripted ``ChoiceRandom``
 #: they follow the recorded choice stream through ``rng.shuffle`` /
 #: ``selection.choose``.
-_PRODUCTION_OVERRIDES = dict(
-    engine_fast_path=True,
-    detector_caching=True,
-)
+_PRODUCTION_OVERRIDES = defaults_of(IMPLEMENTATION)
 
 
 @dataclass
@@ -803,13 +791,7 @@ def replay_witness(payload: dict, production: bool = False) -> ReplayResult:
     teeth-mode subject, where an armed bookkeeping fault surfaces as a
     localized state or verdict divergence.
     """
-    fields = dict(payload["config"])
-    fields["failed_links"] = tuple(tuple(p) for p in fields["failed_links"])
-    fields["length_mix"] = tuple(tuple(p) for p in fields["length_mix"])
-    fields["traffic_mix"] = tuple(tuple(p) for p in fields["traffic_mix"])
-    fields["dims"] = tuple(fields.get("dims", ()))
-    fields["link_latencies"] = tuple(fields.get("link_latencies", ()))
-    config = oracle_config(SimulationConfig(**fields))
+    config = oracle_config(config_from_json(payload["config"]))
     if production:
         config = config.replace(**_PRODUCTION_OVERRIDES)
         config.validate()

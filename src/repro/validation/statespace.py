@@ -37,7 +37,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.config import SimulationConfig
+from repro.config import OBSERVATION, SimulationConfig, defaults_of
 from repro.errors import ConfigurationError, SimulationError
 from repro.network.message import Message, MessageStatus
 from repro.network.simulator import NetworkSimulator
@@ -71,7 +71,9 @@ __all__ = [
 #:   pure observer (blocked *durations* never matter, only blockedness) and
 #:   messages leave the system exclusively by delivery, which is what makes
 #:   reachability ground truth well-defined;
-#: * ``router_delay=0`` — ``head_arrival`` reduces to a boolean.
+#: * ``router_delay=0`` — ``head_arrival`` reduces to a boolean;
+#: * every observation field at its default — enumeration runs no invariant
+#:   checker, profiler or trace buffer.
 ORACLE_PINS = dict(
     engine_fast_path=False,
     detector_caching=False,
@@ -82,10 +84,8 @@ ORACLE_PINS = dict(
     router_delay=0,
     count_cycles=False,
     record_blocked_durations=False,
-    validation_level=0,
-    obs_level=0,
-    check_invariants=False,
     warmup_cycles=0,
+    **defaults_of(OBSERVATION),
 )
 
 

@@ -35,6 +35,35 @@ class TestDigest:
         cfg = tiny_default(**FAST)
         assert config_digest(cfg, 1) != config_digest(cfg, 2)
 
+    @pytest.mark.parametrize(
+        "overrides,digest",
+        [
+            ({}, "90949b61107460f2ef9a510d"),
+            (
+                dict(topology="torus3d", dims=(3, 3, 2), link_latencies=(1, 1, 4)),
+                "877a1179fc51772362f6edd1",
+            ),
+            (
+                dict(topology="dragonfly", dims=(4, 2, 2), routing="df-min"),
+                "26e93702c094c19cfb088269",
+            ),
+            (
+                dict(
+                    length_mix=((8, 0.5), (32, 0.5)),
+                    traffic="hybrid",
+                    traffic_mix=(("uniform", 0.7), ("hot-spot", 0.3)),
+                ),
+                "7f0964372c4bb3b747444a64",
+            ),
+            (dict(failed_links=((0, 1),)), "3e1e55d90534c68ae93c242b"),
+        ],
+        ids=["tiny", "torus3d_tsv", "dragonfly", "mixes", "failed_links"],
+    )
+    def test_pinned_digests(self, overrides, digest):
+        """Existing stores stay addressable: these digests were measured
+        before the codec was derived from the config's field table."""
+        assert config_digest(tiny_default(**overrides)) == digest
+
     def test_digest_is_hex_prefix(self):
         digest = config_digest(tiny_default(**FAST))
         assert len(digest) == 24

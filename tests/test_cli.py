@@ -12,6 +12,28 @@ class TestParser:
         assert args.routing == "dor"
         assert args.load == 0.5
 
+    def test_simulate_flags_come_from_the_field_table(self):
+        """Every field with a ``cli`` entry has its flag, with the simulate
+        base config's default and the domain's choices; the only other
+        flags are hand-written."""
+        from repro.cli import _SIMULATE_BASE
+        from repro.config import FIELDS, bench_default
+
+        assert _SIMULATE_BASE == bench_default(routing="dor", measure_cycles=3000)
+        sim = build_parser()._subparsers._group_actions[0].choices["simulate"]
+        actions = {a.option_strings[-1]: a for a in sim._actions}
+        for f in FIELDS:
+            flag = f.metadata["cli"]
+            if flag is None:
+                continue
+            action = actions.pop(flag.name)
+            assert action.default == getattr(_SIMULATE_BASE, f.name), f.name
+            if action.nargs != 0:  # store_true flags take no choices
+                assert action.choices == (f.metadata["domain"].choices() or None)
+        assert set(actions) == {
+            "--help", "--unidirectional", "--progress", "--trace-out"
+        }
+
     def test_experiment_args(self):
         args = build_parser().parse_args(["experiment", "FIG5", "--scale", "tiny"])
         assert args.id == "FIG5"

@@ -11,7 +11,8 @@ import random
 
 import pytest
 
-from repro.config import SimulationConfig
+from repro.config import SimulationConfig, tiny_default
+from repro.errors import SimulationError
 from repro.faults import ENV_VAR, KNOWN_FAULTS, active_faults
 from repro.validation.differential import (
     AXES,
@@ -23,6 +24,7 @@ from repro.validation.differential import (
     run_fuzz,
     shrink_config,
 )
+from repro.network.simulator import NetworkSimulator
 
 #: deadlocks quickly and is cheap — the engine-axis teeth scenario
 SATURATED = SimulationConfig(
@@ -142,6 +144,54 @@ def test_shrink_preserves_mismatch_and_simplifies(monkeypatch):
     assert check_config(small, axes=("engine",)), "shrunk config must still fail"
     assert small.measure_cycles <= big.measure_cycles
     assert small.num_vcs <= big.num_vcs
+
+
+def _building_check(monkeypatch, keep=lambda config: True):
+    """Arm the engine axis with a check that builds the sim and reports a
+    mismatch whenever ``keep(config)`` holds."""
+    from repro.validation import differential
+
+    def check(config):
+        NetworkSimulator(config)
+        return "synthetic mismatch" if keep(config) else None
+
+    monkeypatch.setitem(differential._AXIS_CHECKS, "engine", check)
+
+
+@pytest.mark.parametrize(
+    "config,keep",
+    [
+        # k=3 leaves transpose a 3-node network: ConfigurationError
+        (tiny_default(traffic="transpose"), lambda c: True),
+        # dor-dateline with one VC: RoutingError
+        (
+            tiny_default(routing="dor-dateline", num_vcs=2),
+            lambda c: c.routing == "dor-dateline",
+        ),
+    ],
+    ids=["transpose_power_of_two", "dateline_vcs"],
+)
+def test_shrink_skips_invalid_reductions(monkeypatch, config, keep):
+    _building_check(monkeypatch, keep)
+    small, detail = shrink_config(config, "engine")
+    assert detail == "synthetic mismatch"
+    small.validate()
+    NetworkSimulator(small)  # the minimum is a buildable config
+
+
+def test_shrink_propagates_engine_failures(monkeypatch):
+    """A SimulationError is a broken engine invariant, not an invalid
+    combination: the shrinker must surface it."""
+    base = tiny_default()
+
+    def keep(config):
+        if config != base:
+            raise SimulationError("engine invariant violated")
+        return True
+
+    _building_check(monkeypatch, keep)
+    with pytest.raises(SimulationError, match="engine invariant"):
+        shrink_config(base, "engine")
 
 
 # -- artifacts -----------------------------------------------------------------------
