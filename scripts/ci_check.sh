@@ -5,18 +5,17 @@
 #
 # 1. runs the fast test set (everything not marked `slow`) for quick signal;
 # 2. runs the `slow`-marked tests in a separate pass;
-# 3. regenerates the benchmark numbers in quick mode and fails when a
-#    scenario's production/legacy speedup regressed >20% against the
-#    committed BENCH_core.json (or when the default engine's speedup fell
-#    below its 5x acceptance bar on the saturated scenario, or below the
-#    speedup of the fast path it replaced, or the as-shipped census pass
-#    is not >=1.5x faster than the frozen cost it had before the
-#    detector's contracted pipeline became the default, or the campaign
-#    layer's fan-out regime — 48 tiny points — reads a cold drain at one
-#    worker above 1.35x the direct serial run or a service drain on two
-#    slots above 1.5x the cold drain at two workers); on failure the
-#    per-phase time breakdown is printed alongside the committed one so
-#    the regressing phase is visible at a glance;
+# 3. re-times every row of the committed BENCH_core.json and fails when a
+#    same-session ratio crosses its gate: a scenario's production/legacy
+#    speedup more than 20% below the committed one, or the saturated
+#    scenario's below its 5x acceptance bar; the saturated 16-ary
+#    detector's reference/as-shipped ratio, census off or on, more than
+#    20% below the committed one; or the campaign layer's fan-out regime
+#    (48 tiny points) reading a cold drain at one worker above 1.35x the
+#    direct serial run, or a service drain on two slots above 1.5x the
+#    cold drain at two workers.  On failure the per-phase time breakdown
+#    is printed alongside the committed one so the regressing phase is
+#    visible at a glance;
 # 4. runs the observability smoke gate: a pinned traced scenario whose
 #    exported Chrome/JSONL traces must parse with the expected span names,
 #    plus the <=10% overhead bound for obs_level=1 and the <=100% phase

@@ -4,7 +4,9 @@
 Runs all registered experiments at the chosen scale, prints the tables,
 and writes one consolidated CSV — the reproducible pipeline behind the
 bench-scale numbers quoted in EXPERIMENTS.md.  (The paper-scale rows come
-from ``scripts/paper_scale_spot_checks.py``.)
+from ``scripts/paper_scale_spot_checks.py``: 21 points of 9,000 cycles,
+about 7 minutes on the default engine, most of it one deep-saturation
+virtual cut-through point.)
 
 Usage::
 
