@@ -1,5 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 gate: full test suite, benchmark smoke, differential fuzz smoke.
+# The campaign layer's interrupt / resume and worker-crash scenarios run in
+# the test suite (tests/campaign/test_runner.py, test_service_tcp.py).
 #
 #   scripts/ci_check.sh
 #
@@ -42,17 +44,7 @@
 #    cross-checked against reachability ground truth at every reachable
 #    state, closure sizes pinned against drift, and the fault-injection
 #    teeth battery proven to bite (scripts/oracle_smoke.py);
-# 10. runs the campaign smoke gate: a 2-point campaign interrupted after one
-#    point, resumed, and checked bit-identical against a direct sweep with
-#    a consistent store manifest, neither run forking more slot processes
-#    than it has workers (scripts/campaign_smoke.py);
-# 11. runs the distributed campaign smoke gate: a localhost scheduler, two
-#    TCP worker subprocesses, one SIGKILLed mid-point — the lease must be
-#    requeued and finished by the survivor, the manifest must stay
-#    consistent and rebuildable, the drained store must be bit-identical
-#    to a single-host run, and slot_forks must stay <= workers on both
-#    (scripts/serve_smoke.py);
-# 12. runs the documentation drift gate: every repro.* symbol named in
+# 10. runs the documentation drift gate: every repro.* symbol named in
 #    docs/API.md must resolve against the live package, every relative
 #    markdown link in the repo must point at an existing file, and every
 #    Topology subclass / CLI --topology choice must be documented in
@@ -89,12 +81,6 @@ python scripts/fuzz_differential.py --smoke --quiet
 
 echo "== model-checking oracle smoke (exhaustive detector verification) =="
 python scripts/oracle_smoke.py
-
-echo "== campaign smoke (interrupt / resume / bit-identical merge) =="
-python scripts/campaign_smoke.py
-
-echo "== distributed serve smoke (2 workers, 1 crash, bit-identical drain) =="
-python scripts/serve_smoke.py
 
 echo "== docs drift (API symbols, markdown links, topology coverage, config table) =="
 python scripts/docs_check.py

@@ -31,7 +31,10 @@ never depends on which side of an interruption a point ran on.
 Retry/timeout/resume activity and the number of slot processes started
 (``campaign/slot_forks``) are counted on a live
 :class:`~repro.obs.registry.MetricsRegistry` (``campaign/*`` counters) and
-mirrored into the manifest, where ``repro campaign status`` reads it.
+journaled into the manifest, where ``repro campaign status`` reads it.
+Each drain changes the manifest only by journal records under its own
+writer id, folded with the store's one rule set (:meth:`~repro.campaign.
+store.ResultStore.fold`), so ``manifest_rebuild`` restores all of it.
 
 The one slot implementation serves every backend: :meth:`CampaignRunner.
 run_points` owns a pool for the call, and the campaign service's local
@@ -52,7 +55,10 @@ from multiprocessing.connection import wait as _connection_wait
 from typing import Callable, Optional, Sequence
 
 from repro.config import SimulationConfig
-from repro.campaign.store import PointFailure, ResultStore, StoredPoint
+from repro.campaign.store import (
+    PointFailure, ResultStore, StoredPoint, cleared_record, count_record,
+    done_record, failed_record, new_writer_id,
+)
 from repro.faults import (
     DIR_ENV_VAR,
     ENV_VAR,
@@ -304,6 +310,11 @@ class _Task:
     attempts: int = 0
     eligible_at: float = 0.0  #: monotonic time before which it must not run
 
+    @property
+    def identity(self) -> tuple:
+        """``(digest, label, load, seed)``: how journal records name it."""
+        return self.digest, self.config.label(), self.config.load, self.config.seed
+
 
 @dataclass
 class _Running:
@@ -387,8 +398,8 @@ class CampaignRunner:
         Concurrent slot processes (default: cores - 1).
     max_points:
         Stop scheduling after this many fresh point executions — an
-        explicit interruption hook used by the resume tests and the
-        ``campaign_smoke`` CI stage.  ``None`` runs everything.
+        explicit interruption hook (``repro campaign run --max-points``,
+        the resume tests).  ``None`` runs everything.
     registry:
         Live metrics registry for the ``campaign/*`` counters (a fresh one
         is created when omitted; never the null registry — campaign
@@ -447,25 +458,33 @@ class CampaignRunner:
         progress: Callable[[SimulationConfig, RunResult], None] | None,
     ) -> dict:
         manifest = self.store.load_manifest()  # schema-checked
-        points = manifest.setdefault("points", {})
-        counters = manifest.setdefault("counters", {})
+        writer = new_writer_id()
+
+        def record(entry: dict, save: bool = True) -> None:
+            self.store.fold(writer, manifest, entry)
+            if save:
+                self.store.save_manifest(manifest)
+
         self.registry.counter("campaign/points_total").inc(len(configs))
 
         completed: dict[int, StoredPoint] = {}
         failures: list[PointFailure] = []
         tasks: deque[_Task] = deque()
-        resumed = 0
         for index, config in enumerate(configs):
-            digest = self.store.digest(config)
+            task = _Task(index=index, config=config, digest=self.store.digest(config))
+            listed = manifest["points"].get(task.digest, {}).get("status") == "done"
             if self.store.has(config):
                 completed[index] = self.store.load(config)
-                self._mark(points, digest, config, status="done")
-                resumed += 1
+                if not listed:
+                    record(done_record(*task.identity, resumed=True), save=False)
             else:
-                tasks.append(_Task(index=index, config=config, digest=digest))
+                if listed:  # its artifact is gone: the entry must not stay done
+                    record(cleared_record(task.digest), save=False)
+                tasks.append(task)
+        resumed = len(completed)
         if resumed:
             self.registry.counter("campaign/points_resumed").inc(resumed)
-            counters["resumed"] = counters.get("resumed", 0) + resumed
+            record(count_record("resumed", resumed), save=False)
         self.store.save_manifest(manifest)
 
         executed = 0
@@ -485,7 +504,7 @@ class CampaignRunner:
                         skipped.append(task)
                         continue
                     started += 1
-                running.append(self._spawn(task, pool, counters))
+                running.append(self._spawn(task, pool, record))
 
         while tasks or waiting or running:
             now = time.monotonic()
@@ -526,7 +545,7 @@ class CampaignRunner:
                                 f"wall-clock timeout; worker killed"
                             ),
                             kind="timeout",
-                            manifest=manifest,
+                            record=record,
                             tasks=waiting,
                             failures=failures,
                         )
@@ -547,15 +566,7 @@ class CampaignRunner:
                     completed[task.index] = point
                     executed += 1
                     self.registry.counter("campaign/points_executed").inc()
-                    counters["executed"] = counters.get("executed", 0) + 1
-                    self._mark(
-                        points,
-                        task.digest,
-                        task.config,
-                        status="done",
-                        attempts=task.attempts,
-                    )
-                    self.store.save_manifest(manifest)
+                    record(done_record(*task.identity, attempts=task.attempts))
                     if progress is not None:
                         progress(task.config, point.result)
                 else:
@@ -569,7 +580,7 @@ class CampaignRunner:
                         task,
                         error=message,
                         kind="error",
-                        manifest=manifest,
+                        record=record,
                         tasks=waiting,
                         failures=failures,
                     )
@@ -603,13 +614,15 @@ class CampaignRunner:
         }
 
     # -- internals ---------------------------------------------------------------
-    def _spawn(self, task: _Task, pool: SlotPool, counters: dict) -> _Running:
+    def _spawn(
+        self, task: _Task, pool: SlotPool, record: Callable[..., None]
+    ) -> _Running:
         task.attempts += 1
         forks = pool.forks
         slot = pool.acquire()
         if pool.forks != forks:
             self.registry.counter("campaign/slot_forks").inc()
-            counters["slot_forks"] = counters.get("slot_forks", 0) + 1
+            record(count_record("slot_forks"), save=False)
         slot.submit(self.store, task.config)
         deadline = (
             time.monotonic() + self.timeout_s
@@ -624,23 +637,21 @@ class CampaignRunner:
         *,
         error: str,
         kind: str,
-        manifest: dict,
+        record: Callable[..., None],
         tasks: list[_Task],
         failures: list[PointFailure],
     ) -> None:
         """Route a failed attempt to backoff-retry or terminal degradation."""
-        counters = manifest.setdefault("counters", {})
         if kind == "timeout":
             self.registry.counter("campaign/timeouts").inc()
-            counters["timeouts"] = counters.get("timeouts", 0) + 1
+            record(count_record("timeouts"), save=False)
         if task.attempts <= self.retries:
             self.registry.counter("campaign/retries").inc()
-            counters["retries"] = counters.get("retries", 0) + 1
+            record(count_record("retries"))
             task.eligible_at = time.monotonic() + self.backoff_s * (
                 2 ** (task.attempts - 1)
             )
             tasks.append(task)
-            self.store.save_manifest(manifest)
             return
         failure = PointFailure(
             label=task.config.label(),
@@ -653,40 +664,4 @@ class CampaignRunner:
         )
         failures.append(failure)
         self.registry.counter("campaign/failures").inc()
-        counters["failures"] = counters.get("failures", 0) + 1
-        self._mark(
-            manifest["points"],
-            task.digest,
-            task.config,
-            status="failed",
-            attempts=task.attempts,
-            error=error,
-            kind=kind,
-        )
-        self.store.save_manifest(manifest)
-
-    @staticmethod
-    def _mark(
-        points: dict,
-        digest: str,
-        config: SimulationConfig,
-        *,
-        status: str,
-        attempts: Optional[int] = None,
-        error: Optional[str] = None,
-        kind: Optional[str] = None,
-    ) -> None:
-        entry = points.setdefault(
-            digest,
-            {"label": config.label(), "load": config.load, "seed": config.seed},
-        )
-        entry["status"] = status
-        if attempts is not None:
-            entry["attempts"] = attempts
-        if error is not None:
-            entry["error"] = error
-        if kind is not None:
-            entry["kind"] = kind
-        elif status == "done":
-            entry.pop("error", None)
-            entry.pop("kind", None)
+        record(failed_record(**failure.to_json()))

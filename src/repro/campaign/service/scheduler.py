@@ -259,12 +259,6 @@ class LeaseScheduler:
             self._release_to_pending(digest, why="lease_expired")
         return expired
 
-    def next_deadline(self) -> Optional[float]:
-        """Earliest lease expiry (absolute clock time); reaper wake hint."""
-        if not self.leases:
-            return None
-        return min(lease.expires_at for lease in self.leases.values())
-
     def _drop_lease(self, digest: str) -> None:
         lease = self.leases.pop(digest, None)
         if lease is None:

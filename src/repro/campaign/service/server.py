@@ -47,6 +47,9 @@ from repro.campaign.store import (
     ResultStore,
     StoreSchemaError,
     config_to_json,
+    count_record,
+    done_record,
+    failed_record,
     new_writer_id,
 )
 from repro.config import SimulationConfig
@@ -54,6 +57,12 @@ from repro.errors import ReproError
 from repro.obs.registry import merge_into
 
 __all__ = ["CampaignService", "ServiceError"]
+
+#: how often the compactor folds the journal into the manifest
+_COMPACT_INTERVAL_S = 2.0
+
+#: how long an ``idle`` reply tells a TCP worker to wait before claiming again
+_IDLE_RETRY_S = 0.5
 
 
 class ServiceError(ReproError):
@@ -81,8 +90,6 @@ class CampaignService:
     retries / backoff_s / timeout_s:
         Per-point slot machinery knobs applied by the *local* executor
         (remote workers bring their own).
-    compact_interval_s:
-        How often the journal is folded into the manifest.
     """
 
     def __init__(
@@ -98,8 +105,6 @@ class CampaignService:
         retries: int = 2,
         backoff_s: float = 0.25,
         timeout_s: Optional[float] = None,
-        compact_interval_s: float = 2.0,
-        idle_retry_s: float = 0.5,
     ) -> None:
         self.store = store if isinstance(store, ResultStore) else ResultStore(store)
         self.store.load_manifest()  # fail fast on schema mismatch
@@ -113,8 +118,6 @@ class CampaignService:
         self.retries = retries
         self.backoff_s = backoff_s
         self.timeout_s = timeout_s
-        self.compact_interval_s = compact_interval_s
-        self.idle_retry_s = idle_retry_s
         self.writer_id = new_writer_id()
         self.started_at: Optional[float] = None
         self.obs_merged: Optional[dict] = None  #: live merged point snapshots
@@ -283,8 +286,7 @@ class CampaignService:
                 submitted.append(digest)
         if resumed:
             self.store.journal_append(
-                self.writer_id,
-                {"op": "count", "name": "resumed", "amount": len(resumed)},
+                self.writer_id, count_record("resumed", len(resumed))
             )
         self._change.set()
         self.work_ready.set()
@@ -372,12 +374,7 @@ class CampaignService:
         point = self.scheduler.points.get(digest)
         if outcome.get("slot_forks"):
             self.store.journal_append(
-                self.writer_id,
-                {
-                    "op": "count",
-                    "name": "slot_forks",
-                    "amount": outcome["slot_forks"],
-                },
+                self.writer_id, count_record("slot_forks", outcome["slot_forks"])
             )
         if outcome.get("ok"):
             verdict = self.scheduler.complete(worker, digest)
@@ -385,15 +382,10 @@ class CampaignService:
                 self.store.write_artifact(outcome["artifact"])
                 self.store.journal_append(
                     self.writer_id,
-                    {
-                        "op": "done",
-                        "digest": digest,
-                        "label": point.label,
-                        "load": point.load,
-                        "seed": point.seed,
-                        "attempts": outcome.get("attempts", 1),
-                        "worker": worker,
-                    },
+                    done_record(
+                        digest, point.label, point.load, point.seed,
+                        attempts=outcome.get("attempts", 1), worker=worker,
+                    ),
                 )
                 obs = outcome["artifact"].get("obs")
                 if obs is not None:
@@ -408,17 +400,11 @@ class CampaignService:
             if verdict == "failed" and point is not None:
                 self.store.journal_append(
                     self.writer_id,
-                    {
-                        "op": "failed",
-                        "digest": digest,
-                        "label": point.label,
-                        "load": point.load,
-                        "seed": point.seed,
-                        "error": point.error,
-                        "kind": point.kind,
-                        "attempts": outcome.get("attempts", 1),
-                        "worker": worker,
-                    },
+                    failed_record(
+                        digest, point.label, point.load, point.seed,
+                        error=point.error, kind=point.kind,
+                        attempts=outcome.get("attempts", 1), worker=worker,
+                    ),
                 )
         self._change.set()
         return verdict
@@ -432,8 +418,7 @@ class CampaignService:
             reclaimed = self.scheduler.reap()
             if reclaimed:
                 self.store.journal_append(
-                    self.writer_id,
-                    {"op": "count", "name": "reclaims", "amount": len(reclaimed)},
+                    self.writer_id, count_record("reclaims", len(reclaimed))
                 )
                 self._change.set()
                 self.work_ready.set()
@@ -441,7 +426,7 @@ class CampaignService:
     async def _compactor(self) -> None:
         """Fold the journal into the manifest — the single index writer."""
         while True:
-            await asyncio.sleep(self.compact_interval_s)
+            await asyncio.sleep(_COMPACT_INTERVAL_S)
             try:
                 self.store.compact_manifest()
             except (OSError, StoreSchemaError):  # pragma: no cover - defensive
@@ -504,7 +489,7 @@ class CampaignService:
                     elif self._sealed and self.scheduler.is_drained():
                         reply({"type": "done"})
                     else:
-                        reply({"type": "idle", "retry_after_s": self.idle_retry_s})
+                        reply({"type": "idle", "retry_after_s": _IDLE_RETRY_S})
                 elif kind == "heartbeat":
                     self.scheduler.heartbeat(worker_id, message.get("digest", ""))
                     continue  # deliberately unacknowledged

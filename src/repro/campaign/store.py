@@ -18,21 +18,24 @@ campaign has touched: completed points, their attempt counts, and points
 that exhausted their retries (recorded as structured failures instead of
 aborting the sweep — see :class:`PointFailure`).
 
-**Concurrent writers.**  Artifact writes are already safe under any number
-of writers (digests are disjoint and writes are atomic rename), but the
-manifest is a single mutable index.  Two mechanisms keep it sound when
-more than one process feeds a store (the distributed campaign service,
-:mod:`repro.campaign.service`, with N network workers):
-
-* an **append-only journal** (``journal/<writer>.jsonl``): each writer
-  owns one file and only ever appends whole LDJSON records to it, so
-  writers never contend; a **single compactor**
-  (:meth:`ResultStore.compact_manifest`) folds un-consumed journal
-  records into ``manifest.json`` atomically, tracking per-writer offsets
-  in the manifest so a record is applied exactly once;
-* :meth:`ResultStore.manifest_rebuild` reconstructs the index purely from
-  the on-disk artifacts (plus a journal replay for artifact-less
-  failures) — the recovery path for a torn or lost manifest.
+**One manifest protocol.**  Artifact writes are safe under any number of
+writers (digests are disjoint, writes are atomic rename).  The manifest is
+one mutable index, and a journal record is the only way anything changes
+it.  Every writer — a :class:`~repro.campaign.runner.CampaignRunner`
+drain, a :class:`~repro.campaign.service.server.CampaignService`,
+:meth:`ResultStore.clean` — mints an id with :func:`new_writer_id` and
+appends records (:func:`done_record`, :func:`failed_record`,
+:func:`count_record`, :func:`cleared_record`) to its own
+``journal/<writer>.jsonl``, so writers never contend.  One rule folds a
+record into the manifest: a runner or ``clean`` folds its own records as
+it appends them (:meth:`ResultStore.fold`), the service leaves them to its
+compactor (:meth:`ResultStore.compact_manifest`); either way the writer's
+``journal_offsets`` entry advances with the fold, so each record applies
+exactly once.  One process writes a store's manifest at a time, and writer
+ids sort in creation order, so replaying writers in sorted order replays
+the journal in the order it was written — which is what
+:meth:`ResultStore.manifest_rebuild` does before correcting the index
+against the on-disk artifacts, the recovery path for a lost manifest.
 
 ``SCHEMA_VERSION`` guards resumption across code changes: bump it whenever
 the serialized :class:`~repro.metrics.stats.RunResult` shape (or anything
@@ -70,6 +73,10 @@ __all__ = [
     "result_to_json",
     "result_from_json",
     "new_writer_id",
+    "done_record",
+    "failed_record",
+    "count_record",
+    "cleared_record",
 ]
 
 #: store schema version — bump when the serialized RunResult/config shape
@@ -160,10 +167,81 @@ def new_writer_id() -> str:
 
     Uniqueness matters: a journal file is append-only *per writer*, and the
     compactor tracks a consumed-record offset per writer id — a reused id
-    would replay (or skip) another process's records.
+    would replay (or skip) another process's records.  The id starts with
+    its creation time in zero-padded nanoseconds, so sorted ids are in
+    creation order, which is journal order (one manifest writer at a time).
     """
     host = socket.gethostname().split(".", 1)[0] or "host"
-    return f"{host}-{os.getpid()}-{uuid.uuid4().hex[:8]}"
+    return f"{time.time_ns():020d}-{host}-{os.getpid()}-{uuid.uuid4().hex[:8]}"
+
+
+# -- journal records: the only way a manifest changes -------------------------
+def done_record(
+    digest: str, label: str, load: float, seed: int, *,
+    attempts: Optional[int] = None, worker: Optional[str] = None,
+    resumed: bool = False,
+) -> dict:
+    """The point's artifact is in the store.  A ``resumed`` point was found
+    stored, not executed: it is indexed as done without counting a run."""
+    return {"op": "done", "digest": digest, "label": label, "load": load,
+            "seed": seed, "attempts": attempts, "worker": worker,
+            "resumed": resumed}
+
+
+def failed_record(
+    digest: str, label: str, load: float, seed: int, *,
+    error: str, kind: str, attempts: int, worker: Optional[str] = None,
+) -> dict:
+    """The point exhausted its retries (see :class:`PointFailure`)."""
+    return {"op": "failed", "digest": digest, "label": label, "load": load,
+            "seed": seed, "error": error, "kind": kind, "attempts": attempts,
+            "worker": worker}
+
+
+def count_record(name: str, amount: int = 1) -> dict:
+    """Add ``amount`` to the manifest counter ``name``."""
+    return {"op": "count", "name": name, "amount": amount}
+
+
+def cleared_record(digest: str) -> dict:
+    """Forget the point's entry, so the next campaign reruns it."""
+    return {"op": "cleared", "digest": digest}
+
+
+def _apply_record(manifest: dict, record: dict) -> None:
+    """Fold one journal record into the manifest index.
+
+    ``done`` records are terminal: a later ``failed`` for the same digest
+    (a stale report from a worker whose lease was reclaimed) never
+    downgrades a completed point; only ``cleared`` removes it.
+    """
+    op = record.get("op")
+    points = manifest.setdefault("points", {})
+    counters = manifest.setdefault("counters", {})
+    if op in ("done", "failed"):
+        entry = points.setdefault(
+            record["digest"], {k: record.get(k) for k in ("label", "load", "seed")}
+        )
+        if op == "done":
+            entry["status"] = "done"
+            entry.pop("error", None)
+            entry.pop("kind", None)
+            if not record.get("resumed"):
+                counters["executed"] = counters.get("executed", 0) + 1
+        elif entry.get("status") != "done":
+            entry["status"] = "failed"
+            entry["error"] = record.get("error", "")
+            entry["kind"] = record.get("kind", "error")
+            counters["failures"] = counters.get("failures", 0) + 1
+        if record.get("attempts") is not None:
+            entry["attempts"] = record["attempts"]
+        if record.get("worker") is not None:
+            entry["worker"] = record["worker"]
+    elif op == "count":
+        name = record["name"]
+        counters[name] = counters.get(name, 0) + record.get("amount", 1)
+    elif op == "cleared":
+        points.pop(record["digest"], None)
 
 
 class ResultStore:
@@ -380,43 +458,18 @@ class ResultStore:
                 break
         return records
 
-    @staticmethod
-    def _apply_journal_record(manifest: dict, record: dict) -> None:
-        """Fold one journal event into the manifest index (idempotent ops).
+    def fold(self, writer: str, manifest: dict, record: dict) -> None:
+        """Journal ``record`` under ``writer`` and fold it into ``manifest``.
 
-        ``done`` records are terminal: a later ``failed`` for the same
-        digest (a stale report from a worker whose lease was reclaimed)
-        never downgrades a completed point.
+        For a writer that owns the manifest (one at a time, see the module
+        docstring): the record is applied to the caller's in-memory copy
+        with the compaction rule, and ``writer``'s offset advances with it,
+        so no later compaction applies it again.  The caller saves.
         """
-        op = record.get("op")
-        points = manifest.setdefault("points", {})
-        counters = manifest.setdefault("counters", {})
-        if op in ("done", "failed"):
-            entry = points.setdefault(
-                record["digest"],
-                {
-                    "label": record.get("label"),
-                    "load": record.get("load"),
-                    "seed": record.get("seed"),
-                },
-            )
-            if op == "done":
-                entry["status"] = "done"
-                entry.pop("error", None)
-                entry.pop("kind", None)
-                counters["executed"] = counters.get("executed", 0) + 1
-            elif entry.get("status") != "done":
-                entry["status"] = "failed"
-                entry["error"] = record.get("error", "")
-                entry["kind"] = record.get("kind", "error")
-                counters["failures"] = counters.get("failures", 0) + 1
-            if record.get("attempts") is not None:
-                entry["attempts"] = record["attempts"]
-            if record.get("worker") is not None:
-                entry["worker"] = record["worker"]
-        elif op == "count":
-            name = record["name"]
-            counters[name] = counters.get(name, 0) + record.get("amount", 1)
+        self.journal_append(writer, record)
+        _apply_record(manifest, record)
+        offsets = manifest.setdefault("journal_offsets", {})
+        offsets[writer] = offsets.get(writer, 0) + 1
 
     def compact_manifest(self) -> dict:
         """Fold new journal records into the manifest (single-writer only).
@@ -434,25 +487,33 @@ class ResultStore:
             records = self.journal_records(writer)
             start = offsets.get(writer, 0)
             for record in records[start:]:
-                self._apply_journal_record(manifest, record)
+                _apply_record(manifest, record)
             offsets[writer] = max(start, len(records))
         self.save_manifest(manifest)
         return manifest
 
     def manifest_rebuild(self) -> dict:
-        """Reconstruct the manifest index from the on-disk artifacts.
+        """Reconstruct the manifest from the journal and the artifacts.
 
         The recovery path for a torn, corrupted or deleted manifest: every
-        schema-compatible artifact becomes a ``done`` entry (ground truth —
-        artifacts are atomic, so each is either complete or absent), then
-        the whole journal is replayed on top to restore attempt counts,
-        counters and artifact-less failure entries.  Unreadable artifacts
-        are skipped and counted (``counters["corrupt_artifacts"]``), never
-        fatal.  Replaces ``manifest.json`` atomically and returns it.
+        journal record is replayed through the compaction rule, writers in
+        creation order, which restores failures, attempt counts and
+        counters.  Then the artifact scan corrects the index, because
+        artifacts are ground truth (atomic, so each is either complete or
+        absent): every schema-compatible artifact is a ``done`` entry, and
+        a ``done`` entry without one is cleared so its point reruns.
+        Unreadable artifacts are skipped and counted
+        (``counters["corrupt_artifacts"]``), never fatal.  Replaces
+        ``manifest.json`` atomically and returns it.
         """
         manifest = self._empty_manifest()
-        points = manifest["points"]
-        counters = manifest["counters"]
+        offsets = manifest["journal_offsets"] = {}
+        for writer in self.journal_writers():
+            records = self.journal_records(writer)
+            for record in records:
+                _apply_record(manifest, record)
+            offsets[writer] = len(records)
+        stored = {}
         corrupt = 0
         for path in sorted(self.points_dir.glob("*.json")):
             if path.name.endswith(".err.json"):
@@ -466,34 +527,17 @@ class ResultStore:
             except (json.JSONDecodeError, KeyError, TypeError, OSError):
                 corrupt += 1
                 continue
-            points[digest] = {
-                "label": config.label(),
-                "load": config.load,
-                "seed": config.seed,
-                "status": "done",
-            }
-        offsets = {}
-        for writer in self.journal_writers():
-            records = self.journal_records(writer)
-            for record in records:
-                if record.get("op") == "done":
-                    # completion counters replay; the entry itself came
-                    # from the artifact scan (or the artifact is gone, in
-                    # which case the point must rerun, not appear done)
-                    entry = points.get(record.get("digest"))
-                    if entry is None:
-                        continue
-                    counters["executed"] = counters.get("executed", 0) + 1
-                    if record.get("attempts") is not None:
-                        entry["attempts"] = record["attempts"]
-                    if record.get("worker") is not None:
-                        entry["worker"] = record["worker"]
-                else:
-                    self._apply_journal_record(manifest, record)
-            offsets[writer] = len(records)
-        manifest["journal_offsets"] = offsets
+            stored[digest] = config
+        points = manifest["points"]
+        for digest, entry in list(points.items()):
+            if entry.get("status") == "done" and digest not in stored:
+                _apply_record(manifest, cleared_record(digest))
+        for digest, config in stored.items():
+            _apply_record(manifest, done_record(
+                digest, config.label(), config.load, config.seed, resumed=True
+            ))
         if corrupt:
-            counters["corrupt_artifacts"] = corrupt
+            manifest["counters"]["corrupt_artifacts"] = corrupt
         self.save_manifest(manifest)
         return manifest
 
@@ -501,38 +545,27 @@ class ResultStore:
     def clean(self, *, all_points: bool = False) -> dict:
         """Drop failed entries (and stale tmp/err files) so they rerun.
 
-        With ``all_points=True`` the artifacts and manifest are removed
+        Each dropped entry is a journaled ``cleared`` record, so a later
+        :meth:`manifest_rebuild` does not bring the failure back.  With
+        ``all_points=True`` the artifacts, journal and manifest are removed
         entirely.  Returns ``{"failed_dropped": n, "artifacts_dropped": n}``.
         """
-        dropped_failed = 0
-        dropped_artifacts = 0
         for stale in self.points_dir.glob(".*.tmp"):
             stale.unlink(missing_ok=True)
         for err in self.points_dir.glob("*.err.json"):
             err.unlink(missing_ok=True)
         if all_points:
-            for artifact in self.points_dir.glob("*.json"):
-                artifact.unlink(missing_ok=True)
-                dropped_artifacts += 1
-            if self.journal_dir.is_dir():
-                for journal in self.journal_dir.glob("*.jsonl"):
-                    journal.unlink(missing_ok=True)
+            artifacts = list(self.points_dir.glob("*.json"))
+            for path in artifacts + list(self.journal_dir.glob("*.jsonl")):
+                path.unlink(missing_ok=True)
             self.manifest_path.unlink(missing_ok=True)
-            return {
-                "failed_dropped": 0,
-                "artifacts_dropped": dropped_artifacts,
-            }
-        try:
-            manifest = self.load_manifest()
-        except StoreSchemaError:
-            # incompatible manifest: cleaning failed entries is meaningless
-            raise
-        points = manifest.get("points", {})
-        for digest in [d for d, p in points.items() if p.get("status") == "failed"]:
-            del points[digest]
-            dropped_failed += 1
+            return {"failed_dropped": 0, "artifacts_dropped": len(artifacts)}
+        manifest = self.load_manifest()  # refuses another schema's manifest
+        failed = [
+            d for d, p in manifest["points"].items() if p.get("status") == "failed"
+        ]
+        writer = new_writer_id()
+        for digest in failed:
+            self.fold(writer, manifest, cleared_record(digest))
         self.save_manifest(manifest)
-        return {
-            "failed_dropped": dropped_failed,
-            "artifacts_dropped": dropped_artifacts,
-        }
+        return {"failed_dropped": len(failed), "artifacts_dropped": 0}

@@ -14,6 +14,12 @@ workloads (same traffic RNG stream):
   detection+recovery against timeout-heuristic recovery at several
   thresholds: throughput, recoveries performed, and how many of the
   heuristic's recoveries were unnecessary.
+
+Every point of every runner here goes through
+:func:`~repro.experiments.base.experiment_sweep`, so an installed campaign
+runner checkpoints and resumes it and ``--obs-level`` rolls it up — except
+:func:`run_granularity` (EXT-GRAN), which steps the live simulator and
+reads its detector between cycles.
 """
 
 from __future__ import annotations
@@ -101,21 +107,16 @@ def run_detection_interval(
     sweeps = {}
     obs = {}
     for interval in intervals:
-        cfg = base.replace(detection_interval=interval)
-        sim = NetworkSimulator(cfg)
-        result = sim.run()
         label = f"interval={interval}"
-        sweeps[label] = SweepResult(
-            label=label,
-            loads=[load],
-            results=[result],
-            capacity=sim.topology.capacity_flits_per_node_cycle,
+        sweep = sweeps[label] = experiment_sweep(
+            base.replace(detection_interval=interval), [load], label
         )
-        obs[f"i{interval}_deadlocks"] = float(result.deadlocks)
-        obs[f"i{interval}_throughput"] = result.normalized_throughput(
-            sim.topology.capacity_flits_per_node_cycle
-        )
-        obs[f"i{interval}_latency"] = result.avg_latency
+        for result in sweep.results:  # none when a campaign degraded it
+            obs[f"i{interval}_deadlocks"] = float(result.deadlocks)
+            obs[f"i{interval}_throughput"] = result.normalized_throughput(
+                sweep.capacity
+            )
+            obs[f"i{interval}_latency"] = result.avg_latency
     return ExperimentResult(
         experiment_id="ABL-INT",
         description="Deadlock-detection invocation period (paper: every 50 "
@@ -140,25 +141,25 @@ def run_timeout_mode(
     sweeps = {}
     obs = {}
 
-    sim = NetworkSimulator(base.replace(detection_mode="knot"))
-    truth = sim.run()
-    cap = sim.topology.capacity_flits_per_node_cycle
-    sweeps["true-detection"] = SweepResult(
-        "true-detection", [load], [truth], capacity=cap
+    sweep = sweeps["true-detection"] = experiment_sweep(
+        base.replace(detection_mode="knot"), [load], "true-detection"
     )
-    obs["true_throughput"] = truth.normalized_throughput(cap)
-    obs["true_recoveries"] = float(truth.recovered)
+    for truth in sweep.results:  # none when a campaign degraded it
+        obs["true_throughput"] = truth.normalized_throughput(sweep.capacity)
+        obs["true_recoveries"] = float(truth.recovered)
 
     for t in thresholds:
-        cfg = base.replace(detection_mode="timeout", timeout_threshold=t)
-        sim = NetworkSimulator(cfg)
-        result = sim.run()
         label = f"timeout={t}"
-        sweeps[label] = SweepResult(label, [load], [result], capacity=cap)
-        obs[f"t{t}_throughput"] = result.normalized_throughput(cap)
-        obs[f"t{t}_recoveries"] = float(result.timeout_recoveries)
-        obs[f"t{t}_unnecessary"] = float(result.unnecessary_recoveries)
-        obs[f"t{t}_true_deadlocks_seen"] = float(result.deadlocks)
+        sweep = sweeps[label] = experiment_sweep(
+            base.replace(detection_mode="timeout", timeout_threshold=t),
+            [load],
+            label,
+        )
+        for result in sweep.results:
+            obs[f"t{t}_throughput"] = result.normalized_throughput(sweep.capacity)
+            obs[f"t{t}_recoveries"] = float(result.timeout_recoveries)
+            obs[f"t{t}_unnecessary"] = float(result.unnecessary_recoveries)
+            obs[f"t{t}_true_deadlocks_seen"] = float(result.deadlocks)
     return ExperimentResult(
         experiment_id="ABL-TIMEOUT",
         description="End-to-end: knot-based recovery vs timeout-presumed "
@@ -191,19 +192,14 @@ def run_message_length(
     sweeps = {}
     obs = {}
     for length in lengths:
-        cfg = base.replace(message_length=length)
-        sim = NetworkSimulator(cfg)
-        result = sim.run()
         label = f"len={length}"
-        sweeps[label] = SweepResult(
-            label,
-            [load],
-            [result],
-            capacity=sim.topology.capacity_flits_per_node_cycle,
+        sweep = sweeps[label] = experiment_sweep(
+            base.replace(message_length=length), [load], label
         )
-        obs[f"len{length}_norm_deadlocks"] = result.normalized_deadlocks
-        obs[f"len{length}_avg_resource_set"] = result.avg_resource_set_size
-        obs[f"len{length}_blocked_pct"] = 100 * result.avg_blocked_fraction
+        for result in sweep.results:  # none when a campaign degraded it
+            obs[f"len{length}_norm_deadlocks"] = result.normalized_deadlocks
+            obs[f"len{length}_avg_resource_set"] = result.avg_resource_set_size
+            obs[f"len{length}_blocked_pct"] = 100 * result.avg_blocked_fraction
     return ExperimentResult(
         experiment_id="EXT-LEN",
         description="Message length vs deadlock formation (fixed 2-flit "
@@ -230,6 +226,10 @@ def run_granularity(
     some avoidance schemes reason about.  Counts how often message-level
     analysis sees cycles (or even knots) when no true deadlock exists —
     quantifying the paper's §2.3 "overly restrictive" remark.
+
+    The one runner here that does not go through ``experiment_sweep``: it
+    steps the live simulator and reads its detector between cycles, which
+    a campaign artifact does not carry.
     """
     from repro.core.detector import DeadlockDetector
     from repro.core.knots import find_knots
@@ -321,24 +321,19 @@ def run_faults(
     sweeps = {}
     obs = {}
     for count in fault_counts:
-        failed = tuple(links[:count])
-        cfg = base.replace(failed_links=failed)
         label = f"faults={count}"
         try:
-            sim = NetworkSimulator(cfg)
+            sweep = experiment_sweep(
+                base.replace(failed_links=tuple(links[:count])), [load], label
+            )
         except TopologyError:
             obs[f"f{count}_skipped_disconnected"] = 1.0
             continue
-        result = sim.run()
-        sweeps[label] = SweepResult(
-            label,
-            [load],
-            [result],
-            capacity=sim.topology.capacity_flits_per_node_cycle,
-        )
-        obs[f"f{count}_norm_deadlocks"] = result.normalized_deadlocks
-        obs[f"f{count}_blocked_pct"] = 100 * result.avg_blocked_fraction
-        obs[f"f{count}_latency"] = result.avg_latency
+        sweeps[label] = sweep
+        for result in sweep.results:  # none when a campaign degraded it
+            obs[f"f{count}_norm_deadlocks"] = result.normalized_deadlocks
+            obs[f"f{count}_blocked_pct"] = 100 * result.avg_blocked_fraction
+            obs[f"f{count}_latency"] = result.avg_latency
     return ExperimentResult(
         experiment_id="EXT-FAULT",
         description="Irregular topology: failed links exhaust adaptivity "
@@ -369,21 +364,16 @@ def run_arbitration(
     sweeps = {}
     obs = {}
     for policy in policies:
-        cfg = base.replace(arbitration=policy)
-        sim = NetworkSimulator(cfg)
-        result = sim.run()
-        sweeps[policy] = SweepResult(
-            policy,
-            [load],
-            [result],
-            capacity=sim.topology.capacity_flits_per_node_cycle,
+        sweep = sweeps[policy] = experiment_sweep(
+            base.replace(arbitration=policy), [load], policy
         )
-        obs[f"{policy}_deadlocks"] = float(result.deadlocks)
-        obs[f"{policy}_max_blocked"] = float(result.max_blocked_duration)
-        obs[f"{policy}_max_latency"] = float(result.max_latency)
-        obs[f"{policy}_throughput"] = result.normalized_throughput(
-            sim.topology.capacity_flits_per_node_cycle
-        )
+        for result in sweep.results:  # none when a campaign degraded it
+            obs[f"{policy}_deadlocks"] = float(result.deadlocks)
+            obs[f"{policy}_max_blocked"] = float(result.max_blocked_duration)
+            obs[f"{policy}_max_latency"] = float(result.max_latency)
+            obs[f"{policy}_throughput"] = result.normalized_throughput(
+                sweep.capacity
+            )
     return ExperimentResult(
         experiment_id="ABL-ARB",
         description="Arbitration (service order): random vs oldest-first "

@@ -94,6 +94,12 @@ def run(
     routing: str = "dor",
     **overrides,
 ) -> ExperimentResult:
+    """ABL-DET: replay timeout thresholds over one true-detection run.
+
+    Runs the live simulator directly, not through ``experiment_sweep``:
+    the replay reads the simulator's per-message blocked-duration records,
+    which a campaign artifact does not carry.
+    """
     cfg = scaled_config(
         scale,
         routing=routing,

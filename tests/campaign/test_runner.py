@@ -37,11 +37,18 @@ class TestResume:
         out1 = first.run_sweep(cfg, LOADS)
         assert out1.executed == 1 and out1.remaining == 1
         assert out1.sweep.loads == LOADS[:1]
+        manifest = store.load_manifest()
+        assert [p["status"] for p in manifest["points"].values()] == ["done"]
+        assert manifest["counters"] == {"executed": 1, "slot_forks": 1}
 
         second = CampaignRunner(store, max_workers=2)
         out2 = second.run_sweep(cfg, LOADS)
         assert out2.resumed == 1 and out2.executed == 1
         assert counters(second)["campaign/points_resumed"] == 1
+        # one fresh point: one slot, however many workers are allowed
+        assert counters(second)["campaign/slot_forks"] == 1
+        manifest = store.load_manifest()
+        assert [p["status"] for p in manifest["points"].values()] == ["done"] * 2
         assert out2.sweep == run_load_sweep(cfg, LOADS)
 
     def test_full_resume_runs_nothing(self, tmp_path):

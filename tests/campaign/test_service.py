@@ -189,13 +189,6 @@ class TestStatusSnapshot:
         assert status["leases"]["d1"]["worker"] == "w1"
         assert status["workers"]["w1"]["leases"] == ["d1"]
 
-    def test_next_deadline_tracks_earliest_expiry(self, clock):
-        sched = scheduler(clock)
-        assert sched.next_deadline() is None
-        submit(sched, "d1")
-        sched.claim("w1")
-        assert sched.next_deadline() == pytest.approx(110.0)
-
 
 class TestProtocolFraming:
     def test_encode_decode_round_trip(self):

@@ -236,11 +236,20 @@ class TestWorkerCrash:
             finally:
                 if victim is not None and victim.poll() is None:
                     kill_worker(victim)
-        assert_bit_identical(ResultStore(tmp_path / "store"), reference)
+        # the compacted manifest: every point done, attributed to a worker
+        store = ResultStore(tmp_path / "store")
+        manifest = store.load_manifest()
+        assert {p["status"] for p in manifest["points"].values()} == {"done"}
+        assert len(manifest["points"]) == len(LOADS)
+        assert {p["worker"] for p in manifest["points"].values()} <= {
+            "victim", "sibling"
+        }
+        # only the survivor reported its slot forks: at most one per worker
+        assert 1 <= manifest["counters"]["slot_forks"] <= 2
+        assert set(store.manifest_rebuild()["points"]) == set(manifest["points"])
+        assert_bit_identical(store, reference)
         # and the merged sweep is exactly the single-host one
-        resumed = CampaignRunner(ResultStore(tmp_path / "store")).run_sweep(
-            base, LOADS
-        )
+        resumed = CampaignRunner(store).run_sweep(base, LOADS)
         assert resumed.sweep == run_load_sweep(base, LOADS)
         assert resumed.resumed == 3
 

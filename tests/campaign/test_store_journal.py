@@ -1,37 +1,40 @@
-"""Concurrent-writer store machinery: journal, compaction, rebuild.
+"""The store's one manifest protocol: journal, compaction, rebuild.
 
-The distributed campaign service has N result producers and one manifest.
-The store's answer is an append-only per-writer journal folded in by a
-single compactor (exactly-once via persisted per-writer offsets), plus
-``manifest_rebuild`` as the recovery path when the manifest itself is
-lost or corrupted.  These tests drive that machinery directly — including
-the corruption-teeth case: a deliberately mangled manifest and artifact
-must be survived, detected and counted, not trusted.
+Every writer — a campaign runner, the distributed service, ``clean()`` —
+appends records to its own journal, and one rule folds them into the
+manifest exactly once (persisted per-writer offsets).
+``manifest_rebuild`` replays the journal through that rule as the
+recovery path when the manifest itself is lost or corrupted.  These tests
+drive that machinery directly — including the corruption-teeth case: a
+deliberately mangled manifest and artifact must be survived, detected and
+counted, not trusted.
 """
 
-import json
+import time
 
-import pytest
-
+from repro import faults
 from repro.campaign import ResultStore, new_writer_id
+from repro.campaign import runner as runner_module
 from repro.campaign.runner import CampaignRunner
+from repro.campaign.store import count_record, done_record, failed_record
 from repro.config import tiny_default
 
 FAST = dict(measure_cycles=200, warmup_cycles=50)
 
 
-def done_record(digest, label="pt", load=0.3, seed=1, attempts=1, worker="w0"):
-    return {
-        "op": "done", "digest": digest, "label": label, "load": load,
-        "seed": seed, "attempts": attempts, "worker": worker,
-    }
+def done(digest, label="pt", attempts=1, worker="w0"):
+    return done_record(digest, label, 0.3, 1, attempts=attempts, worker=worker)
+
+
+def failed(digest, error="boom", kind="error", label="pt"):
+    return failed_record(digest, label, 0.9, 1, error=error, kind=kind, attempts=3)
 
 
 class TestJournal:
     def test_append_and_read_round_trip(self, tmp_path):
         store = ResultStore(tmp_path / "s")
         writer = new_writer_id()
-        records = [done_record("d1"), {"op": "count", "name": "resumed"}]
+        records = [done("d1"), count_record("resumed")]
         for record in records:
             store.journal_append(writer, record)
         assert store.journal_writers() == [writer]
@@ -39,8 +42,8 @@ class TestJournal:
 
     def test_torn_tail_is_treated_as_absent(self, tmp_path):
         store = ResultStore(tmp_path / "s")
-        store.journal_append("w1", done_record("d1"))
-        store.journal_append("w1", done_record("d2"))
+        store.journal_append("w1", done("d1"))
+        store.journal_append("w1", done("d2"))
         path = store.journal_dir / "w1.jsonl"
         # crash mid-append: the final line is half-written
         path.write_text(path.read_text() + '{"op": "done", "dig')
@@ -51,9 +54,9 @@ class TestJournal:
         store = ResultStore(tmp_path / "s")
         a, b = new_writer_id(), new_writer_id()
         assert a != b  # uuid suffix keeps same-process writers distinct
-        store.journal_append(a, done_record("d1", worker="a"))
-        store.journal_append(b, done_record("d2", worker="b"))
-        store.journal_append(a, done_record("d3", worker="a"))
+        store.journal_append(a, done("d1", worker="a"))
+        store.journal_append(b, done("d2", worker="b"))
+        store.journal_append(a, done("d3", worker="a"))
         assert [r["digest"] for r in store.journal_records(a)] == ["d1", "d3"]
         assert [r["digest"] for r in store.journal_records(b)] == ["d2"]
 
@@ -61,8 +64,8 @@ class TestJournal:
 class TestCompaction:
     def test_compact_folds_records_into_manifest(self, tmp_path):
         store = ResultStore(tmp_path / "s")
-        store.journal_append("w1", done_record("d1", label="p1", attempts=2))
-        store.journal_append("w1", {"op": "count", "name": "resumed", "amount": 3})
+        store.journal_append("w1", done("d1", label="p1", attempts=2))
+        store.journal_append("w1", count_record("resumed", 3))
         manifest = store.compact_manifest()
         entry = manifest["points"]["d1"]
         assert entry["status"] == "done"
@@ -71,23 +74,19 @@ class TestCompaction:
 
     def test_records_apply_exactly_once_across_compactions(self, tmp_path):
         store = ResultStore(tmp_path / "s")
-        store.journal_append("w1", done_record("d1"))
+        store.journal_append("w1", done("d1"))
         store.compact_manifest()
         store.compact_manifest()  # no new records: counters must not double
-        store.journal_append("w1", done_record("d2"))
+        store.journal_append("w1", done("d2"))
         manifest = store.compact_manifest()
         assert manifest["counters"]["executed"] == 2
         assert manifest["journal_offsets"] == {"w1": 2}
 
     def test_two_writers_merge_into_one_index(self, tmp_path):
         store = ResultStore(tmp_path / "s")
-        store.journal_append("w1", done_record("d1", worker="w1"))
-        store.journal_append("w2", done_record("d2", worker="w2"))
-        store.journal_append(
-            "w2",
-            {"op": "failed", "digest": "d3", "label": "p3", "load": 0.9,
-             "seed": 1, "error": "boom", "kind": "error", "attempts": 3},
-        )
+        store.journal_append("w1", done("d1", worker="w1"))
+        store.journal_append("w2", done("d2", worker="w2"))
+        store.journal_append("w2", failed("d3"))
         manifest = store.compact_manifest()
         assert manifest["points"]["d1"]["worker"] == "w1"
         assert manifest["points"]["d2"]["worker"] == "w2"
@@ -96,12 +95,8 @@ class TestCompaction:
 
     def test_done_is_terminal_over_stale_failed(self, tmp_path):
         store = ResultStore(tmp_path / "s")
-        store.journal_append("w1", done_record("d1"))
-        store.journal_append(
-            "w2",
-            {"op": "failed", "digest": "d1", "error": "stale report",
-             "kind": "error", "attempts": 1},
-        )
+        store.journal_append("w1", done("d1"))
+        store.journal_append("w2", failed("d1", error="stale report"))
         manifest = store.compact_manifest()
         assert manifest["points"]["d1"]["status"] == "done"
         assert "error" not in manifest["points"]["d1"]
@@ -148,13 +143,10 @@ class TestManifestRebuild:
         store, configs = self._campaign(tmp_path)
         digests = [store.digest(c) for c in configs]
         store.journal_append(
-            "svc", done_record(digests[0], attempts=3, worker="remote/1")
+            "svc", done(digests[0], attempts=3, worker="remote/1")
         )
         store.journal_append(
-            "svc",
-            {"op": "failed", "digest": "gone", "label": "lost-pt", "load": 0.9,
-             "seed": 1, "error": "lease expired", "kind": "lease-expired",
-             "attempts": 3},
+            "svc", failed("gone", error="lease expired", kind="lease-expired")
         )
         store.manifest_path.unlink()
         rebuilt = store.manifest_rebuild()
@@ -169,11 +161,68 @@ class TestManifestRebuild:
         assert after["points"][digests[0]]["attempts"] == 3
         assert after["counters"] == rebuilt["counters"]
 
+    def test_rebuild_keeps_a_runner_manifest(self, tmp_path, monkeypatch):
+        """A runner's retries, timeout and failure all survive a rebuild."""
+        (tmp_path / "markers").mkdir()
+        monkeypatch.setenv(faults.DIR_ENV_VAR, str(tmp_path / "markers"))
+
+        def point_faults(config):
+            label = config.label()
+            if config.load == 0.3 and faults.first_trigger("flaky-point", label):
+                raise RuntimeError("flaky first attempt")
+            if config.load == 0.6 and faults.first_trigger("hang-point", label):
+                time.sleep(3600)
+            if config.load == 0.9:
+                raise RuntimeError("crash every attempt")
+
+        monkeypatch.setattr(runner_module, "_apply_point_faults", point_faults)
+        store = ResultStore(tmp_path / "s")
+        configs = [tiny_default(**FAST).replace(load=l) for l in (0.3, 0.6, 0.9)]
+        CampaignRunner(
+            store, retries=1, backoff_s=0.01, timeout_s=1.0, max_workers=2
+        ).run_points(configs)
+        saved = store.load_manifest()
+        flaky, hung, crashed = (store.digest(c) for c in configs)
+        fields = ("status", "attempts", "error", "kind")
+        assert {
+            d: tuple(entry.get(f) for f in fields)
+            for d, entry in saved["points"].items()
+        } == {
+            flaky: ("done", 2, None, None),
+            hung: ("done", 2, None, None),
+            crashed: ("failed", 2, "RuntimeError: crash every attempt", "error"),
+        }
+        assert saved["counters"] == {
+            "executed": 2, "retries": 3, "timeouts": 1, "failures": 1,
+            "slot_forks": 2,
+        }
+        store.manifest_path.unlink()
+        rebuilt = store.manifest_rebuild()
+        assert rebuilt["points"] == saved["points"]
+        assert rebuilt["counters"] == saved["counters"]
+
+    def test_resume_of_listed_points_appends_one_record(self, tmp_path):
+        store, configs = self._campaign(tmp_path)
+        before = sum(len(store.journal_records(w)) for w in store.journal_writers())
+        out = CampaignRunner(store, max_workers=1).run_points(configs)
+        assert out["resumed"] == 2
+        after = sum(len(store.journal_records(w)) for w in store.journal_writers())
+        assert after - before == 1  # the `resumed` count, nothing per point
+        assert store.load_manifest()["counters"]["resumed"] == 2
+
+    def test_cleaned_failure_stays_gone_after_rebuild(self, tmp_path):
+        store = ResultStore(tmp_path / "s")
+        store.journal_append(new_writer_id(), failed("d1"))
+        assert store.compact_manifest()["points"]["d1"]["status"] == "failed"
+        assert store.clean()["failed_dropped"] == 1
+        rebuilt = store.manifest_rebuild()
+        assert not [p for p in rebuilt["points"].values() if p["status"] == "failed"]
+
     def test_rebuild_drops_done_records_without_artifacts(self, tmp_path):
         """A journaled `done` whose artifact vanished must rerun, not lie."""
         store, configs = self._campaign(tmp_path)
         digest = store.digest(configs[0])
-        store.journal_append("svc", done_record(digest))
+        store.journal_append("svc", done(digest))
         store.point_path(digest).unlink()
         rebuilt = store.manifest_rebuild()
         assert digest not in rebuilt["points"]
@@ -183,7 +232,10 @@ class TestManifestRebuild:
 
 class TestWriterIds:
     def test_new_writer_ids_are_unique_and_filename_safe(self):
-        ids = {new_writer_id() for _ in range(50)}
-        assert len(ids) == 50
+        ids = [new_writer_id() for _ in range(50)]
+        assert len(set(ids)) == 50
         for writer in ids:
             assert "/" not in writer and "\\" not in writer
+        # the time prefix sorts ids in creation order: journal order
+        stamps = [writer.split("-", 1)[0] for writer in ids]
+        assert stamps == sorted(stamps)

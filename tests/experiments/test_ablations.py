@@ -1,8 +1,40 @@
 """Smoke + shape tests for the design-choice ablations (tiny scale)."""
 
+import pytest
+
+from repro.campaign import CampaignRunner
 from repro.experiments import ablations
+from repro.experiments.base import set_campaign_runner
 
 SHORT = dict(measure_cycles=1000, warmup_cycles=150)
+
+
+@pytest.mark.parametrize(
+    "run, kwargs, points",
+    [
+        (ablations.run_detection_interval, dict(load=1.0, intervals=(25, 400)), 2),
+        (ablations.run_timeout_mode, dict(load=1.0, thresholds=(75, 600)), 3),
+        (ablations.run_message_length, dict(load=0.9, lengths=(2, 8)), 2),
+        (ablations.run_faults, dict(load=0.8, fault_counts=(0, 2)), 2),
+        (ablations.run_arbitration, dict(load=1.0), 3),
+    ],
+    ids=["interval", "timeout", "length", "faults", "arbitration"],
+)
+def test_fixed_load_points_run_through_an_installed_campaign(
+    tmp_path, run, kwargs, points
+):
+    """Every point is checkpointed by the campaign and merges unchanged."""
+    plain = run(scale="tiny", **kwargs, **SHORT)
+    campaign = CampaignRunner(tmp_path / "store", max_workers=2)
+    set_campaign_runner(campaign)
+    try:
+        stored = run(scale="tiny", **kwargs, **SHORT)
+    finally:
+        set_campaign_runner(None)
+    counters = campaign.registry.snapshot()["counters"]
+    assert counters["campaign/points_executed"] == points
+    assert stored.sweeps == plain.sweeps
+    assert stored.observations == plain.observations
 
 
 class TestTeardownAblation:
