@@ -16,10 +16,9 @@ Usage::
 from __future__ import annotations
 
 from repro import NetworkSimulator, SimulationConfig
-from repro.core.pwfg import is_connected_routing
 from repro.network.channels import ChannelPool
 from repro.network.topology import KAryNCube, Mesh
-from repro.routing import certify_deadlock_free, make_routing
+from repro.routing import certify_deadlock_free, is_connected_routing, make_routing
 
 CASES = [
     # (routing, vcs, mesh?)

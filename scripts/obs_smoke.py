@@ -26,6 +26,12 @@ Two checks, both deterministic apart from wall-clock noise:
    (rebuild maintenance + detector caching), which must carry the
    worm-level pipeline's ``detect/knots`` and ``detect/census`` phases.
 
+4. **Pass accounting** — on that same default-config ``obs_level=1`` run,
+   no ``detector/passes_*`` counter and no per-pass histogram may count
+   more passes than the detector ran (``full_passes +
+   shortcircuit_passes``), and ``detector/passes_cwg_knot`` must equal the
+   number of detection records that hold a deadlock.
+
 Exit status 0 = all checks pass.
 """
 
@@ -181,7 +187,16 @@ def check_overhead(
     return []
 
 
-def check_phase_shares(verbose: bool = True) -> list[str]:
+def _default_sim() -> NetworkSimulator:
+    """The pinned scenario at obs_level=1, every other field as shipped."""
+    sim = NetworkSimulator(_trace_scenario().replace(obs_level=1))
+    sim.run()
+    return sim
+
+
+def check_phase_shares(
+    default_sim: NetworkSimulator, verbose: bool = True
+) -> list[str]:
     """Gate: the benchmark phase rollup's shares must sum to at most 100%.
 
     The detector books its region pipeline under ``detect/*`` while running
@@ -192,8 +207,6 @@ def check_phase_shares(verbose: bool = True) -> list[str]:
     sys.path.insert(0, str(REPO_ROOT / "scripts"))
     from bench_baseline import _phase_breakdown, _phase_rows
 
-    default_sim = NetworkSimulator(_trace_scenario().replace(obs_level=1))
-    default_sim.run()
     profiles = {
         "phase_breakdown": _phase_breakdown()["phases"],
         "default-config profile": _phase_rows(
@@ -229,6 +242,43 @@ def check_phase_shares(verbose: bool = True) -> list[str]:
     return problems
 
 
+def check_pass_accounting(
+    default_sim: NetworkSimulator, verbose: bool = True
+) -> list[str]:
+    """Gate: per-pass instruments count each detector pass at most once."""
+    snap = default_sim.obs.snapshot()
+    stats = default_sim.detector.cache_stats()
+    passes = stats["full_passes"] + stats["shortcircuit_passes"]
+    counts = {
+        name: value
+        for name, value in snap["counters"].items()
+        if name.startswith("detector/passes_")
+    }
+    counts.update(
+        (name, hist["count"])
+        for name, hist in snap["histograms"].items()
+        if name.endswith("_per_pass")
+    )
+    problems = [
+        f"{name} counts {value} passes, more than the detector's {passes}"
+        for name, value in sorted(counts.items())
+        if value > passes
+    ]
+    knotted = sum(1 for r in default_sim.detector.records if r.events)
+    booked = counts.get("detector/passes_cwg_knot")
+    if booked != knotted:
+        problems.append(
+            f"detector/passes_cwg_knot = {booked}, but {knotted} detection "
+            "records hold a deadlock"
+        )
+    if verbose and not problems:
+        print(
+            f"pass-accounting check: {len(counts)} per-pass instruments "
+            f"within {passes} passes, {knotted} knotted"
+        )
+    return problems
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -240,7 +290,9 @@ def main() -> int:
     problems = check_trace()
     if not args.skip_overhead:
         problems += check_overhead()
-    problems += check_phase_shares()
+    default_sim = _default_sim()
+    problems += check_phase_shares(default_sim)
+    problems += check_pass_accounting(default_sim)
     for p in problems:
         print(f"OBS SMOKE FAILURE: {p}")
     if not problems:

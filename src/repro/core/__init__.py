@@ -1,6 +1,6 @@
 """The paper's contribution: CWGs, knots, cycles, detection, recovery."""
 
-from repro.core.cwg import ChannelWaitForGraph
+from repro.core.cwg import ChannelWaitForGraph, packet_wait_for_graph, worm_graph
 from repro.core.gallery import figure1_cwg, figure2_cwg, figure3_cwg, figure4_cwg
 from repro.core.cycles import (
     ContractedGraph,
@@ -21,12 +21,6 @@ from repro.core.knots import (
     knot_of_vertex,
     strongly_connected_components,
 )
-from repro.core.pwfg import (
-    is_connected_routing,
-    packet_wait_for_graph,
-    pwfg_cycle_count,
-    pwfg_knots,
-)
 from repro.core.recovery import (
     AbortAllRecovery,
     DishaRecovery,
@@ -37,6 +31,8 @@ from repro.core.recovery import (
 
 __all__ = [
     "ChannelWaitForGraph",
+    "worm_graph",
+    "packet_wait_for_graph",
     "figure1_cwg",
     "figure2_cwg",
     "figure3_cwg",
@@ -54,10 +50,6 @@ __all__ = [
     "find_knots",
     "knot_of_vertex",
     "strongly_connected_components",
-    "packet_wait_for_graph",
-    "pwfg_cycle_count",
-    "pwfg_knots",
-    "is_connected_routing",
     "RecoveryPolicy",
     "DishaRecovery",
     "AbortAllRecovery",

@@ -18,7 +18,8 @@ be connected.
 
 This class is deliberately decoupled from the simulator: tests build CWGs
 directly from the paper's Figures 1–4, and the detector builds them from
-live network state.
+live network state.  :func:`worm_graph` is the one wait-for graph over
+*messages*; :func:`packet_wait_for_graph` is a projection of it.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Hashable, Iterable
 
 from repro.errors import SimulationError
 
-__all__ = ["ChannelWaitForGraph"]
+__all__ = ["ChannelWaitForGraph", "worm_graph", "packet_wait_for_graph"]
 
 Vertex = Hashable
 
@@ -175,3 +176,34 @@ class ChannelWaitForGraph:
             lines.append(f'  "{u}" -> "{v}" [style=dashed, label="m{m}"];')
         lines.append("}")
         return "\n".join(lines)
+
+
+def worm_graph(cwg: ChannelWaitForGraph) -> dict[int, list]:
+    """The worm multigraph ``W`` of a CWG (THEORY.md §3.1).
+
+    One node per message that owns resources and one arc ``m -> owner(t)``
+    per request target ``t`` of a blocked ``m``, in request order.  An arc
+    to a free target goes to ``None`` — the free sentinel ``⊥``, which has
+    no arcs — and a target in ``m``'s own chain is a self-loop.  Unblocked
+    messages map to ``()``.
+    """
+    owner = cwg.owner  # every request target is a vertex (add_request)
+    succ: dict = dict.fromkeys(cwg.chains, ())
+    for mid, targets in cwg.requests.items():
+        succ[mid] = [owner[t] for t in targets]
+    return succ
+
+
+def packet_wait_for_graph(cwg: ChannelWaitForGraph) -> dict[int, list[int]]:
+    """The message-level wait-for graph of Dally & Aoki (paper §2.3).
+
+    The projection of :func:`worm_graph` that drops exactly what makes
+    ``W`` exact: arcs to ``⊥``, self-waits and parallel arcs (deduplicated
+    in first-seen order).  An arc ``a -> b`` means blocked ``a`` waits on a
+    channel ``b`` owns; messages owning resources but waiting on nothing
+    (the m2/m4 of Figure 1) are arcless vertices.
+    """
+    return {
+        m: [w for w in dict.fromkeys(arcs) if w is not None and w != m]
+        for m, arcs in worm_graph(cwg).items()
+    }

@@ -16,10 +16,10 @@ The worm-level pipeline
 
 With ``detector_caching`` on (the default) every pass runs
 :meth:`DeadlockDetector._analyze_pipeline` on the **worm multigraph** of
-the CWG rather than on its vertices.  The graph has one node per message
-that owns resources and one arc ``m -> owner(t)`` per request target ``t``
-of a blocked ``m``; an arc to a free target goes to the sentinel node
-``None``, which has no arcs.  A saturated 16-ary CWG has ~900 vertices
+the CWG, :func:`~repro.core.cwg.worm_graph`, rather than on its vertices:
+one node per message that owns resources, one arc ``m -> owner(t)`` per
+request target ``t`` of a blocked ``m``, and ``None`` for a free target.
+A saturated 16-ary CWG has ~900 vertices
 but only ~210 worms, and its front end (:func:`_pipeline_cwg`) fills the
 CWG in one walk over the active messages, reading each blocked header's
 awaited set from the production engine's wait index instead of asking the
@@ -56,7 +56,10 @@ the census (:func:`~repro.core.cycles.count_cycles_contracted`, which
 contracts each non-trivial SCC once more before Johnson).  Knot densities
 need no vertex-level adjacency either: fan-out 1 everywhere is one cycle,
 an oversized knot reports its cyclomatic number from counts, and anything
-else is a bounded count on the knot's sub-multigraph.
+else is a bounded count on the knot's sub-multigraph.  With observability
+on, the same decomposition also yields the pass's packet-wait-for-graph
+verdicts (:func:`granularity_verdicts`), booked as ``detector/*``
+counters for EXT-GRAN; the reference pass books identical ones.
 
 ``detector_caching=False`` selects the from-scratch reference instead —
 :meth:`DeadlockDetector.build_cwg`, global Tarjan in
@@ -76,7 +79,7 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import TYPE_CHECKING, Hashable, Mapping, Optional, Sequence
 
-from repro.core.cwg import ChannelWaitForGraph
+from repro.core.cwg import ChannelWaitForGraph, worm_graph
 from repro.core.cycles import (
     ContractedGraph,
     CycleCount,
@@ -90,7 +93,10 @@ from repro.errors import SimulationError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.network.simulator import NetworkSimulator
 
-__all__ = ["DeadlockEvent", "DetectionRecord", "DeadlockDetector", "classify_event"]
+__all__ = [
+    "DeadlockEvent", "DetectionRecord", "DeadlockDetector", "classify_event",
+    "granularity_verdicts",
+]
 
 Vertex = Hashable
 
@@ -176,6 +182,43 @@ def _pipeline_cwg(sim: "NetworkSimulator") -> ChannelWaitForGraph:
             if t not in owner:
                 owner[t] = None
     return g
+
+
+def granularity_verdicts(
+    succ: Mapping[int, Sequence], sccs: list[list], cwg_knots: int
+) -> dict[str, int]:
+    """One pass's packet-wait-for-graph verdicts, as ``detector/*`` counts.
+
+    Read off the SCCs of the worm graph ``succ``.  The PWFG has the same
+    SCCs over messages, so it is cyclic iff an SCC holds two or more
+    messages, and such an SCC is a PWFG knot iff its members' arcs stay
+    inside it or go to ``⊥``.  A PWFG knot with a ``⊥`` arc is no CWG knot
+    (*free wait*); a singleton ``W`` knot, only self-arcs, is a CWG knot
+    the PWFG misses (*self wait*).  See THEORY.md §3.1.
+    """
+    cyclic = pwfg_knots = free_wait = self_wait = 0
+    for comp in sccs:
+        if len(comp) == 1:
+            arcs = succ.get(comp[0])
+            if arcs and arcs.count(comp[0]) == len(arcs):
+                self_wait += 1
+            continue
+        cyclic = 1
+        members = set(comp)
+        exits = [w for m in comp for w in succ[m] if w not in members]
+        if all(w is None for w in exits):
+            pwfg_knots += 1
+            free_wait += bool(exits)
+    knot = cwg_knots > 0
+    return {
+        "detector/passes_cwg_knot": int(knot),
+        "detector/passes_pwfg_knot": int(pwfg_knots > 0),
+        "detector/passes_pwfg_cycle": cyclic,
+        "detector/passes_pwfg_cycle_no_knot": int(cyclic and not knot),
+        "detector/passes_verdicts_differ": int(knot != (pwfg_knots > 0)),
+        "detector/pwfg_knots_free_wait": free_wait,
+        "detector/cwg_knots_self_wait": self_wait,
+    }
 
 
 @dataclass(frozen=True)
@@ -268,6 +311,9 @@ class DeadlockDetector:
         # observability session of the sim under detection (None or the
         # process-global null observer when obs is off)
         self._obs = None
+        # granularity_verdicts of the last full pass (obs on only); a
+        # short-circuited pass books them again
+        self._verdicts: dict[str, int] = {}
 
     def cache_stats(self) -> dict[str, int]:
         """Pass accounting, cumulative over the detector's lifetime.
@@ -331,11 +377,11 @@ class DeadlockDetector:
         pass and that pass found no deadlock: the epoch counts every
         ownership change and blocked-set transition, so an unchanged epoch
         means an unchanged CWG — same (empty) knot set, same vertex/arc/
-        blocked counts, same cycle census.  Only the per-message blocked
-        durations (which depend on the current cycle) are refreshed.  A
-        pass that *found* a deadlock is never short-circuited: a persisting
-        knot must be re-reported every interval, exactly as the full pass
-        would.
+        blocked counts, same cycle census, same granularity verdicts.  Only
+        the per-message blocked durations (which depend on the current
+        cycle) are refreshed.  A pass that *found* a deadlock is never
+        short-circuited: a persisting knot must be re-reported every
+        interval, exactly as the full pass would.
 
         Otherwise the pass rebuilds the CWG and analyses all of it (a
         **full** pass): with ``caching`` set through the worm-level
@@ -371,11 +417,7 @@ class DeadlockDetector:
 
         blocked_list = g.blocked_messages()
         if self._obs is not None:
-            reg = self._obs.registry
-            reg.histogram("detector/blocked_per_pass").observe(
-                len(blocked_list)
-            )
-            reg.histogram("detector/knots_per_pass").observe(len(events))
+            self._observe_pass(len(blocked_list), len(events))
         blocked_durations: list[tuple[int, int, bool]] = []
         if self.record_blocked_durations:
             for mid in blocked_list:
@@ -430,6 +472,8 @@ class DeadlockDetector:
         acquire/release bumps the epoch).
         """
         prev = self._sc_record
+        if self._obs is not None:
+            self._observe_pass(prev.blocked_messages, 0)
         blocked_durations: list[tuple[int, int, bool]] = []
         if self.record_blocked_durations:
             for mid in self._sc_blocked:
@@ -452,17 +496,26 @@ class DeadlockDetector:
         self._sc_record = record
         return record
 
+    def _observe_pass(self, blocked: int, knots: int) -> None:
+        """Book one pass, full or short-circuited, into the registry."""
+        reg = self._obs.registry
+        reg.histogram("detector/blocked_per_pass").observe(blocked)
+        reg.histogram("detector/knots_per_pass").observe(knots)
+        for name, value in self._verdicts.items():
+            reg.counter(name).inc(value)
+
     # -- analysis ---------------------------------------------------------------------
     def _knot_event(
         self,
         g: ChannelWaitForGraph,
+        succ: Mapping[int, Sequence],
         knot: frozenset[Vertex],
         deadlock_set: frozenset[int],
         density: CycleCount,
         cycle: int,
     ) -> DeadlockEvent:
         """Classify one knot into a :class:`DeadlockEvent`."""
-        deps, transients = self._dependents(g, deadlock_set)
+        deps, transients = self._dependents(succ, deadlock_set)
         return DeadlockEvent(
             cycle=cycle,
             knot=knot,
@@ -481,14 +534,19 @@ class DeadlockDetector:
         the oracle compare the pipeline against: vertex-level global Tarjan
         + uncontracted Johnson."""
         adjacency = g.adjacency()
+        succ = worm_graph(g)
         events = []
         for knot in sorted(find_knots(adjacency), key=_knot_key):
             sub = {v: [w for w in adjacency[v] if w in knot] for v in knot}
             deadlock_set = frozenset(g.messages_owning(knot))
             events.append(
                 self._knot_event(
-                    g, knot, deadlock_set, self._knot_density(sub), cycle
+                    g, succ, knot, deadlock_set, self._knot_density(sub), cycle
                 )
+            )
+        if self._obs is not None:
+            self._verdicts = granularity_verdicts(
+                succ, strongly_connected_components(succ), len(events)
             )
         census = (
             count_simple_cycles(adjacency, limit=self.max_cycles_counted)
@@ -510,12 +568,9 @@ class DeadlockDetector:
         obs = self._obs
         prof = obs.profiler if obs is not None else None
         t0 = perf_counter() if prof is not None else 0.0
-        owner = g.owner
         chains = g.chains
         requests = g.requests
-        succ: dict = dict.fromkeys(chains, ())
-        for mid, targets in requests.items():
-            succ[mid] = [owner[t] for t in targets]
+        succ = worm_graph(g)
         sccs = strongly_connected_components(succ)
         knots = []
         for comp in sccs:
@@ -531,8 +586,7 @@ class DeadlockDetector:
             # the knot enters each member chain at its earliest targeted VC
             first: dict[int, int] = {}
             for m in comp:
-                for t in requests[m]:
-                    o = owner[t]
+                for t, o in zip(requests[m], succ[m]):
                     p = chains[o].index(t)
                     if p < first.get(o, p + 1):
                         first[o] = p
@@ -546,6 +600,7 @@ class DeadlockDetector:
         events = [
             self._knot_event(
                 g,
+                succ,
                 knot,
                 deadlock_set,
                 self._worm_density(succ, comp, len(knot)),
@@ -553,6 +608,8 @@ class DeadlockDetector:
             )
             for knot, deadlock_set, comp in knots
         ]
+        if obs is not None:
+            self._verdicts = granularity_verdicts(succ, sccs, len(events))
         if prof is not None:
             now = perf_counter()
             prof.add("detect/knots", now - t0)
@@ -622,7 +679,7 @@ class DeadlockDetector:
 
     @staticmethod
     def _dependents(
-        g: ChannelWaitForGraph, deadlock_set: frozenset[int]
+        succ: Mapping[int, Sequence], deadlock_set: frozenset[int]
     ) -> tuple[frozenset[int], frozenset[int]]:
         """Dependent and transient-dependent messages for one deadlock.
 
@@ -637,8 +694,9 @@ class DeadlockDetector:
         the waited-on owners not yet known to be blocking, and is revisited
         exactly when one of those owners joins the dependent set — O(waits)
         total instead of the naive fixed point's O(blocked²) rescans.
+        ``succ`` is the worm graph, so a wait on a free resource is a
+        ``None`` arc and an unblocked message has no arcs.
         """
-        owner = g.owner
         dependents: set[int] = set()
         # need[mid]: waited-on owners still outside the blocking set; a
         # message waiting on any free resource can never become dependent
@@ -647,12 +705,11 @@ class DeadlockDetector:
         need: dict[int, int] = {}
         waiters_on: dict[int, list[int]] = {}
         ready: list[int] = []
-        for mid, targets in g.requests.items():
-            if mid in deadlock_set:
+        for mid, owners in succ.items():
+            if not owners or mid in deadlock_set:
                 continue
             outside: list[int] = []
-            for t in targets:
-                o = owner.get(t)
+            for o in owners:
                 if o is None:
                     break
                 if o not in deadlock_set:
@@ -676,11 +733,10 @@ class DeadlockDetector:
 
         transients: set[int] = set()
         blocking = deadlock_set | dependents
-        for mid, targets in g.requests.items():
+        for mid, owners in succ.items():
             if mid in deadlock_set or mid in dependents:
                 continue
-            for t in targets:
-                o = owner.get(t)
+            for o in owners:
                 if o is not None and o in blocking:
                     transients.add(mid)
                     break

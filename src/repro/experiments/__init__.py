@@ -23,7 +23,10 @@ TOPO-CMP     deadlock character across topology classes (torus3d,
 ===========  ==========================================================
 
 Each runner is ``run(scale=..., ...) -> ExperimentResult`` and is also
-reachable as ``python -m repro experiment <id>``.
+reachable as ``python -m repro experiment <id>``.  Every runner except
+ABL-DET puts each point through
+:func:`~repro.experiments.base.experiment_sweep`, so ``repro campaign run``
+checkpoints and resumes it.
 """
 
 from repro.experiments import (

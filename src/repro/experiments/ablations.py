@@ -17,9 +17,7 @@ workloads (same traffic RNG stream):
 
 Every point of every runner here goes through
 :func:`~repro.experiments.base.experiment_sweep`, so an installed campaign
-runner checkpoints and resumes it and ``--obs-level`` rolls it up — except
-:func:`run_granularity` (EXT-GRAN), which steps the live simulator and
-reads its detector between cycles.
+runner checkpoints and resumes it and ``--obs-level`` rolls it up.
 """
 
 from __future__ import annotations
@@ -27,8 +25,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.experiments.base import ExperimentResult, experiment_sweep, scaled_config
-from repro.metrics.sweep import SweepResult
-from repro.network.simulator import NetworkSimulator
 
 __all__ = [
     "run_teardown",
@@ -221,64 +217,38 @@ def run_granularity(
 ) -> ExperimentResult:
     """EXT-GRAN: channel- vs message-granularity deadlock analysis.
 
-    At every detection instant, compares the exact CWG-knot verdict with
-    the verdict of the coarser packet wait-for graph (Dally & Aoki), which
-    some avoidance schemes reason about.  Counts how often message-level
-    analysis sees cycles (or even knots) when no true deadlock exists —
-    quantifying the paper's §2.3 "overly restrictive" remark.
-
-    The one runner here that does not go through ``experiment_sweep``: it
-    steps the live simulator and reads its detector between cycles, which
-    a campaign artifact does not carry.
+    At every detection instant, before recovery acts, compares the exact
+    CWG-knot verdict with that of the coarser packet wait-for graph (Dally
+    & Aoki), which some avoidance schemes reason about — quantifying the
+    paper's §2.3 "overly restrictive" remark.  The detector books both
+    verdicts as ``detector/*`` counters at ``obs_level >= 1``
+    (:func:`~repro.core.detector.granularity_verdicts`); they are this
+    sweep point's observations.
     """
-    from repro.core.detector import DeadlockDetector
-    from repro.core.knots import find_knots
-    from repro.core.pwfg import packet_wait_for_graph, pwfg_cycle_count
-
     base = scaled_config(
         scale, routing="tfar", num_vcs=1, load=load, **overrides
     )
-    sim = NetworkSimulator(base)
-    detections = 0
-    pwfg_cyclic = 0
-    pwfg_knotted = 0
-    true_deadlocked = 0
-    agreements = 0
-    total = base.warmup_cycles + base.measure_cycles
-    while sim.cycle < total:
-        sim.step()
-        if sim.cycle % base.detection_interval == 0:
-            g = DeadlockDetector.build_cwg(sim)
-            true_knots = find_knots(g.adjacency())
-            p_adj = packet_wait_for_graph(g)
-            p_cycles = pwfg_cycle_count(g, limit=1_000)
-            p_knots = find_knots(p_adj)
-            detections += 1
-            if p_cycles.count:
-                pwfg_cyclic += 1
-            if p_knots:
-                pwfg_knotted += 1
-            if true_knots:
-                true_deadlocked += 1
-            if bool(true_knots) == bool(p_knots):
-                agreements += 1
-    result = sim.stats.finalize(sim)
-    sweep = SweepResult(
-        "TFAR1 granularity probe",
+    sweep = experiment_sweep(
+        base.replace(obs_level=max(1, base.obs_level)),
         [load],
-        [result],
-        capacity=sim.topology.capacity_flits_per_node_cycle,
+        "TFAR1 granularity probe",
     )
-    obs = {
-        "detections": float(detections),
-        "pwfg_cyclic_detections": float(pwfg_cyclic),
-        "pwfg_knotted_detections": float(pwfg_knotted),
-        "true_deadlocked_detections": float(true_deadlocked),
-        "pwfg_false_alarm_detections": float(pwfg_knotted - true_deadlocked)
-        if pwfg_knotted >= true_deadlocked
-        else 0.0,
-        "verdict_agreement_rate": agreements / detections if detections else 1.0,
-    }
+    obs = {}
+    if sweep.obs is not None:  # none when a campaign degraded the point
+        c = sweep.obs["sweep"]["counters"]
+        passes = c["detector/full_passes"] + c["detector/shortcircuit_passes"]
+        obs["detections"] = float(passes)
+        for name, counter in (
+            ("true_deadlocked_detections", "passes_cwg_knot"),
+            ("pwfg_knotted_detections", "passes_pwfg_knot"),
+            ("pwfg_cyclic_detections", "passes_pwfg_cycle"),
+            ("pwfg_cyclic_no_knot_detections", "passes_pwfg_cycle_no_knot"),
+            ("pwfg_free_wait_knots", "pwfg_knots_free_wait"),
+            ("cwg_self_wait_knots", "cwg_knots_self_wait"),
+        ):
+            obs[name] = float(c.get(f"detector/{counter}", 0))
+        differ = c.get("detector/passes_verdicts_differ", 0)
+        obs["verdict_agreement_rate"] = 1.0 - differ / passes if passes else 1.0
     return ExperimentResult(
         experiment_id="EXT-GRAN",
         description="Exact channel-level (CWG knot) vs message-level "
@@ -286,9 +256,9 @@ def run_granularity(
         sweeps={sweep.label: sweep},
         observations=obs,
         notes=[
-            "message-level cycles routinely appear without true deadlock: "
-            "forbidding them (as some avoidance schemes do) sacrifices "
-            "routing freedom needlessly"
+            "message-level cycles appear without a true deadlock "
+            "(pwfg_cyclic_no_knot_detections): forbidding them, as some "
+            "avoidance schemes do, sacrifices routing freedom needlessly"
         ],
     )
 

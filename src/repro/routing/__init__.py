@@ -28,6 +28,7 @@ from repro.routing.analysis import (
     certify_deadlock_free,
     channel_dependency_graph,
     is_acyclic,
+    is_connected_routing,
 )
 from repro.routing.base import RoutingFunction
 from repro.routing.dateline import DatelineDOR
@@ -55,6 +56,7 @@ __all__ = [
     "certify_deadlock_free",
     "channel_dependency_graph",
     "is_acyclic",
+    "is_connected_routing",
     "DimensionOrderRouting",
     "TrueFullyAdaptiveRouting",
     "MisroutingTFAR",

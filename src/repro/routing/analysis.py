@@ -15,7 +15,10 @@ test-suite audits the built-in baselines:
   (source, destination) pair and following the relation;
 * :func:`dependency_cycles` — the simple cycles of a CDG (bounded);
 * :func:`is_acyclic` / :func:`certify_deadlock_free` — acyclicity check
-  and a human-readable certification report.
+  and a human-readable certification report;
+* :func:`is_connected_routing` — the premise under which the CWG-knot
+  criterion is exact: the relation supplies at least one candidate at
+  every non-destination (node, destination) state.
 
 For adaptive relations the CDG is built over *all* candidate continuations
 at each reachable (node, destination) state, which is exact for the
@@ -30,6 +33,7 @@ from typing import Optional
 
 from repro.core.cycles import CycleCount, count_simple_cycles
 from repro.core.knots import strongly_connected_components
+from repro.errors import RoutingError
 from repro.network.channels import ChannelPool, VirtualChannel
 from repro.network.message import Message
 from repro.network.topology import Topology
@@ -41,6 +45,7 @@ __all__ = [
     "is_acyclic",
     "DeadlockFreedomReport",
     "certify_deadlock_free",
+    "is_connected_routing",
 ]
 
 
@@ -175,3 +180,41 @@ def certify_deadlock_free(
         cycle_count_saturated=count.saturated,
         example_cycle=example,
     )
+
+
+def is_connected_routing(
+    routing: RoutingFunction,
+    topology: Topology,
+    pool: ChannelPool,
+) -> bool:
+    """Verify the connectivity premise of the knot criterion.
+
+    For every ordered (node, destination) pair with ``node != destination``
+    the relation must supply at least one candidate VC whose link makes
+    progress possible (the CWG-knot equivalence assumes blocked messages
+    always have *some* requestable resource).  Routing functions in this
+    package raise :class:`~repro.errors.RoutingError` on empty candidate
+    sets, so this checker doubles as an exhaustive probe of that guard.
+    """
+    probe = Message(0, 0, 1, 2, 0)
+    for src in range(topology.num_nodes):
+        for dest in range(topology.num_nodes):
+            if src == dest:
+                continue
+            probe.src, probe.dest = src, dest
+            # check every node reachable on *some* minimal path
+            frontier = {src}
+            seen = set()
+            while frontier:
+                node = frontier.pop()
+                if node == dest or node in seen:
+                    continue
+                seen.add(node)
+                try:
+                    candidates = routing.candidates(probe, node, topology, pool)
+                except RoutingError:
+                    return False
+                if not candidates:
+                    return False
+                frontier.update(vc.dst for vc in candidates)
+    return True

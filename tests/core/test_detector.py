@@ -7,7 +7,7 @@ classification logic is exercised in isolation from the flit engine.
 import random
 
 from repro.config import tiny_default
-from repro.core.cwg import ChannelWaitForGraph
+from repro.core.cwg import ChannelWaitForGraph, worm_graph
 from repro.core.detector import DeadlockDetector
 from repro.core.gallery import figure2_cwg
 from repro.network.simulator import NetworkSimulator
@@ -139,6 +139,43 @@ class TestDefaultPipeline:
         # one Tarjan, whose nodes are the worms (message ids), not VCs
         assert calls == [[1000, 1001, 1002, 1003]]
 
+    def test_observed_pass_reuses_that_tarjan(self, monkeypatch):
+        """At obs_level 1 the granularity verdicts come from the knot
+        test's own decomposition: still one Tarjan per pass."""
+        import repro.core.detector as detector
+
+        calls = []
+        real = detector.strongly_connected_components
+
+        def counting(adjacency):
+            calls.append(sorted(adjacency))
+            return real(adjacency)
+
+        monkeypatch.setattr(detector, "strongly_connected_components", counting)
+        sim = make_sim(routing="dor", recovery="none", obs_level=1)
+        force_cycle_deadlock(sim)
+        sim.detector.detect(sim)
+        assert calls == [[1000, 1001, 1002, 1003]]
+        counters = sim.obs.registry.snapshot()["counters"]
+        assert counters["detector/passes_cwg_knot"] == 1
+        assert counters["detector/passes_pwfg_knot"] == 1
+
+    def test_every_pass_is_observed(self):
+        """Short-circuited passes land in the per-pass histograms and
+        re-book the verdicts of the full pass they reuse."""
+        sim = make_sim(routing="dor", load=0.05, detection_interval=5, obs_level=1)
+        sim.run()
+        stats = sim.detector.cache_stats()
+        assert stats["shortcircuit_passes"] > 0
+        passes = stats["full_passes"] + stats["shortcircuit_passes"]
+        snap = sim.obs.snapshot()
+        for name in ("detector/blocked_per_pass", "detector/knots_per_pass"):
+            assert snap["histograms"][name]["count"] == passes, name
+        blocked = sum(r.blocked_messages for r in sim.detector.records)
+        assert snap["histograms"]["detector/blocked_per_pass"]["total"] == blocked
+        cyclic = snap["counters"]["detector/passes_pwfg_cycle"]
+        assert 0 <= cyclic <= passes
+
     def test_default_run_counts_full_passes_only(self):
         sim = make_sim(
             routing="tfar", load=1.0, warmup_cycles=100, measure_cycles=200
@@ -168,14 +205,16 @@ class TestDependentClassification:
         # m5: one alternative inside, one free -> transient
         g.add_ownership_chain(5, ["e"])
         g.add_request(5, ["b", "free-vc"])
-        deps, transients = DeadlockDetector._dependents(g, frozenset({1, 2}))
+        deps, transients = DeadlockDetector._dependents(
+            worm_graph(g), frozenset({1, 2})
+        )
         assert deps == {3, 4}
         assert transients == {5}
 
     def test_no_dependents_without_blocked_messages(self):
         g = ChannelWaitForGraph()
         g.add_ownership_chain(1, ["a"])
-        deps, transients = DeadlockDetector._dependents(g, frozenset({1}))
+        deps, transients = DeadlockDetector._dependents(worm_graph(g), frozenset({1}))
         assert deps == frozenset() and transients == frozenset()
 
 
@@ -212,7 +251,7 @@ def _naive_dependents(g, deadlock_set):
 def test_dependents_figure2():
     g = figure2_cwg()
     deadlock_set = frozenset({1, 2, 3, 4})
-    deps, transients = DeadlockDetector._dependents(g, deadlock_set)
+    deps, transients = DeadlockDetector._dependents(worm_graph(g), deadlock_set)
     assert deps == frozenset({6})
     assert transients == frozenset()
     assert (deps, transients) == _naive_dependents(g, deadlock_set)
@@ -226,7 +265,7 @@ def test_dependents_chain_of_waiters():
     g.add_ownership_chain(3, ["c"])
     g.add_request(2, ["a"])
     g.add_request(3, ["b"])
-    deps, transients = DeadlockDetector._dependents(g, frozenset({1}))
+    deps, transients = DeadlockDetector._dependents(worm_graph(g), frozenset({1}))
     assert deps == frozenset({2, 3})
     assert transients == frozenset()
 
@@ -236,7 +275,7 @@ def test_dependents_free_alternative_is_transient_at_most():
     g.add_ownership_chain(1, ["a"])
     g.add_ownership_chain(2, ["b"])
     g.add_request(2, ["a", "free"])  # one alternative is unowned
-    deps, transients = DeadlockDetector._dependents(g, frozenset({1}))
+    deps, transients = DeadlockDetector._dependents(worm_graph(g), frozenset({1}))
     assert deps == frozenset()
     assert transients == frozenset({2})
 
@@ -246,7 +285,7 @@ def test_dependents_self_wait_never_joins():
     g.add_ownership_chain(1, ["a"])
     g.add_ownership_chain(2, ["b", "c"])
     g.add_request(2, ["a", "b"])  # waits on the deadlock AND on itself
-    deps, transients = DeadlockDetector._dependents(g, frozenset({1}))
+    deps, transients = DeadlockDetector._dependents(worm_graph(g), frozenset({1}))
     assert deps == frozenset()
     assert transients == frozenset({2})
 
@@ -270,7 +309,7 @@ def test_dependents_matches_naive_randomized():
             m for m in range(n_msgs) if rng.random() < 0.3
         )
         assert DeadlockDetector._dependents(
-            g, deadlock_set
+            worm_graph(g), deadlock_set
         ) == _naive_dependents(g, deadlock_set), (
             dict(g.chains),
             dict(g.requests),

@@ -1,23 +1,13 @@
-"""Tests for packet wait-for graphs and the connectivity premise."""
+"""Tests for packet wait-for graphs: the projection of the worm graph."""
 
-from repro.core.cwg import ChannelWaitForGraph
-from repro.core.gallery import figure1_cwg, figure2_cwg, figure4_cwg
-from repro.core.knots import find_knots
-from repro.core.pwfg import (
-    is_connected_routing,
-    packet_wait_for_graph,
-    pwfg_cycle_count,
-    pwfg_knots,
-)
-from repro.network.channels import ChannelPool
-from repro.network.topology import KAryNCube, Mesh
-from repro.routing import (
-    DatelineDOR,
-    DimensionOrderRouting,
-    DuatoProtocolRouting,
-    NegativeFirstRouting,
-    TrueFullyAdaptiveRouting,
-)
+import random
+
+from repro.core.cwg import ChannelWaitForGraph, packet_wait_for_graph, worm_graph
+from repro.core.cycles import count_simple_cycles
+from repro.core.detector import granularity_verdicts
+from repro.core.gallery import figure1_cwg, figure2_cwg, figure3_cwg, figure4_cwg
+from repro.core.knots import find_knots, strongly_connected_components
+from tests.core.test_worm_pipeline import _random_rings, _random_worm_cwg
 
 
 class TestPWFGConstruction:
@@ -51,48 +41,89 @@ class TestPaperClaim:
         """The paper's §2.3 point: packet-wait-for cycles without deadlock,
         so forbidding PWFG cycles is overly restrictive."""
         g = figure4_cwg()
-        assert pwfg_cycle_count(g).count >= 1  # message-level cycles exist
+        # message-level cycles exist
+        assert count_simple_cycles(packet_wait_for_graph(g)).count >= 1
         assert find_knots(g.adjacency()) == []  # yet no channel-level knot
 
     def test_figure1_pwfg_knot_matches_deadlock(self):
         g = figure1_cwg()
-        knots = pwfg_knots(g)
+        knots = find_knots(packet_wait_for_graph(g))
         assert knots == [frozenset({1, 3, 5})]  # the true deadlock set
 
-    def test_pwfg_is_coarser_than_cwg(self):
-        """Figure 4 again: the PWFG may even contain a knot while the CWG
-        (the exact criterion) does not — message granularity cannot see
-        unexhausted routing alternatives."""
-        g = figure4_cwg()
-        # regardless of whether the PWFG has a knot here, the CWG verdict
-        # (no deadlock) is the authoritative one
-        assert find_knots(g.adjacency()) == []
+
+def _pwfg_walk(cwg):
+    """The packet wait-for graph walked directly off the CWG: the oracle
+    the projection must reproduce."""
+    adj = {m: [] for m in cwg.chains}
+    for requester, targets in cwg.requests.items():
+        for t in targets:
+            owner = cwg.owner.get(t)
+            if owner is not None and owner != requester:
+                if owner not in adj[requester]:
+                    adj[requester].append(owner)
+    return adj
 
 
-class TestConnectivity:
-    def test_all_builtin_torus_routers_connected(self):
-        torus = KAryNCube(4, 2)
-        for routing, vcs in (
-            (DimensionOrderRouting(), 1),
-            (TrueFullyAdaptiveRouting(), 1),
-            (DatelineDOR(), 2),
-            (DuatoProtocolRouting(), 3),
-        ):
-            pool = ChannelPool(torus, vcs, 2)
-            assert is_connected_routing(routing, torus, pool), routing.name
+def _attribution_graphs():
+    rng = random.Random(2024)
+    gallery = [figure1_cwg(), figure2_cwg(), figure3_cwg(), figure4_cwg()]
+    return gallery + [_random_worm_cwg(rng) for _ in range(400)] + [
+        _random_rings(rng) for _ in range(100)
+    ]
 
-    def test_turn_model_connected_on_mesh(self):
-        mesh = Mesh(4, 2)
-        pool = ChannelPool(mesh, 1, 2)
-        assert is_connected_routing(NegativeFirstRouting(), mesh, pool)
 
-    def test_disconnected_relation_detected(self):
-        class BrokenRouting(DimensionOrderRouting):
-            def candidates(self, message, node, topology, pool):
-                if node == 5:
-                    return []  # drops candidates at node 5
-                return super().candidates(message, node, topology, pool)
+def _attribute(g):
+    """Check every §3.1 identity on ``g``; returns the disagreement causes."""
+    w = worm_graph(g)
+    pwfg = packet_wait_for_graph(g)
+    assert pwfg == _pwfg_walk(g)
 
-        torus = KAryNCube(4, 2)
-        pool = ChannelPool(torus, 1, 2)
-        assert not is_connected_routing(BrokenRouting(), torus, pool)
+    cwg_knots = find_knots(g.adjacency())
+    cwg_sets = {frozenset(g.messages_owning(k)) for k in cwg_knots}
+    pwfg_knots = set(find_knots(pwfg))
+    free_wait = pwfg_knots - cwg_sets
+    for knot in free_wait:
+        assert any(None in w[m] for m in knot), knot
+    self_wait = cwg_sets - pwfg_knots
+    for owners in self_wait:
+        (m,) = owners
+        assert w[m] and all(o == m for o in w[m]), owners
+
+    sccs = strongly_connected_components(w)
+    pwfg_cyclic = count_simple_cycles(pwfg, limit=1).count > 0
+    assert pwfg_cyclic == any(len(c) >= 2 for c in sccs)
+
+    limit = 100_000
+    pwfg_census = count_simple_cycles(pwfg, limit=limit)
+    w_census = count_simple_cycles(g.adjacency(), limit=limit)
+    assert not w_census.saturated
+    assert pwfg_census.count <= w_census.count
+    owned = {m: [o for o in arcs if o is not None] for m, arcs in w.items()}
+    if all(len(set(o)) == len(o) and m not in o for m, o in owned.items()):
+        assert pwfg_census == w_census
+
+    # the detector reads the same verdicts off the same decomposition
+    assert granularity_verdicts(w, sccs, len(cwg_knots)) == {
+        "detector/passes_cwg_knot": int(bool(cwg_knots)),
+        "detector/passes_pwfg_knot": int(bool(pwfg_knots)),
+        "detector/passes_pwfg_cycle": int(pwfg_cyclic),
+        "detector/passes_pwfg_cycle_no_knot": int(pwfg_cyclic and not cwg_knots),
+        "detector/passes_verdicts_differ": int(bool(cwg_knots) != bool(pwfg_knots)),
+        "detector/pwfg_knots_free_wait": len(free_wait),
+        "detector/cwg_knots_self_wait": len(self_wait),
+    }
+    return len(free_wait), len(self_wait)
+
+
+def test_pwfg_disagreements_are_attributed():
+    """THEORY.md §3.1: the PWFG is the worm graph ``W`` without ⊥ arcs,
+    self-waits and parallel arcs, so each of its disagreements with the
+    exact CWG verdict has exactly one of those causes.  A PWFG knot that
+    is no CWG knot's owner set waits on a free channel; a CWG knot the
+    PWFG misses is one message waiting on itself; the census gap comes
+    from parallel arcs and self-loops only."""
+    causes = [_attribute(g) for g in _attribution_graphs()]
+    # the sample exercises both causes, so the identities are not vacuous
+    assert any(free for free, _ in causes)
+    assert any(own for _, own in causes)
+

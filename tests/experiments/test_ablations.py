@@ -1,10 +1,18 @@
 """Smoke + shape tests for the design-choice ablations (tiny scale)."""
 
+from collections import Counter
+
 import pytest
 
 from repro.campaign import CampaignRunner
+from repro.config import tiny_default
+from repro.core.cwg import packet_wait_for_graph
+from repro.core.cycles import count_simple_cycles
+from repro.core.detector import DeadlockDetector
+from repro.core.knots import find_knots
 from repro.experiments import ablations
 from repro.experiments.base import set_campaign_runner
+from repro.network.simulator import NetworkSimulator
 
 SHORT = dict(measure_cycles=1000, warmup_cycles=150)
 
@@ -17,8 +25,9 @@ SHORT = dict(measure_cycles=1000, warmup_cycles=150)
         (ablations.run_message_length, dict(load=0.9, lengths=(2, 8)), 2),
         (ablations.run_faults, dict(load=0.8, fault_counts=(0, 2)), 2),
         (ablations.run_arbitration, dict(load=1.0), 3),
+        (ablations.run_granularity, dict(load=1.0), 1),
     ],
-    ids=["interval", "timeout", "length", "faults", "arbitration"],
+    ids=["interval", "timeout", "length", "faults", "arbitration", "granularity"],
 )
 def test_fixed_load_points_run_through_an_installed_campaign(
     tmp_path, run, kwargs, points
@@ -114,22 +123,69 @@ class TestMessageLengthAblation:
         )
 
 
-class TestGranularityAblation:
-    def test_runs_and_reports(self):
-        from repro.experiments import ablations
+def _reference_verdicts(monkeypatch):
+    """Tally every detection pass's verdicts from scratch on its CWG,
+    before the pass (and the recovery after it) runs."""
+    tally = Counter()
+    detect = DeadlockDetector.detect
 
-        res = ablations.run_granularity(scale="tiny", load=1.0, **SHORT)
-        obs = res.observations
-        assert obs["detections"] > 0
-        assert 0.0 <= obs["verdict_agreement_rate"] <= 1.0
-        # PWFG knots can only over-report relative to truth
-        assert (
-            obs["pwfg_knotted_detections"]
-            >= obs["true_deadlocked_detections"]
-            or obs["pwfg_knotted_detections"] == 0
+    def probed(self, sim):
+        g = DeadlockDetector.build_cwg(sim)
+        pwfg = packet_wait_for_graph(g)
+        cwg_sets = {
+            frozenset(g.messages_owning(k)) for k in find_knots(g.adjacency())
+        }
+        pwfg_knots = set(find_knots(pwfg))
+        cyclic = count_simple_cycles(pwfg, limit=1).count > 0
+        tally["detections"] += 1
+        tally["true_deadlocked_detections"] += bool(cwg_sets)
+        tally["pwfg_knotted_detections"] += bool(pwfg_knots)
+        tally["pwfg_cyclic_detections"] += cyclic
+        tally["pwfg_cyclic_no_knot_detections"] += cyclic and not cwg_sets
+        tally["pwfg_free_wait_knots"] += len(pwfg_knots - cwg_sets)
+        tally["cwg_self_wait_knots"] += len(cwg_sets - pwfg_knots)
+        tally["agreements"] += bool(cwg_sets) == bool(pwfg_knots)
+        return detect(self, sim)
+
+    monkeypatch.setattr(DeadlockDetector, "detect", probed)
+    return tally
+
+
+#: a unidirectional 4-ary TFAR ring at saturation: wedges on most passes
+WEDGING = dict(
+    bidirectional=False, warmup_cycles=50, measure_cycles=300,
+    detection_interval=25,
+)
+
+
+class TestGranularityAblation:
+    def test_runs_and_reports(self, monkeypatch):
+        """Every observation is the per-pass verdict count a from-scratch
+        reference reads at the detection instant."""
+        tally = _reference_verdicts(monkeypatch)
+        obs = dict(
+            ablations.run_granularity(scale="tiny", load=1.0, **WEDGING).observations
         )
-        # message-level cycles appear at least as often as true deadlocks
-        assert obs["pwfg_cyclic_detections"] >= obs["true_deadlocked_detections"]
+        assert tally["true_deadlocked_detections"] > 0
+        agreement = tally.pop("agreements") / tally["detections"]
+        assert obs.pop("verdict_agreement_rate") == pytest.approx(agreement)
+        assert obs == {name: float(n) for name, n in tally.items()}
+
+    def test_counts_the_detector_deadlocks(self):
+        """Every pass whose record holds a deadlock is a CWG-knotted
+        detection, on either detector pass."""
+        sim = NetworkSimulator(tiny_default(routing="tfar", load=1.0, **WEDGING))
+        sim.run()
+        knotted = sum(1 for r in sim.detector.records if r.events)
+        assert knotted > 0
+        cached, reference = (
+            ablations.run_granularity(
+                scale="tiny", load=1.0, detector_caching=caching, **WEDGING
+            ).observations
+            for caching in (True, False)
+        )
+        assert cached["true_deadlocked_detections"] == knotted
+        assert cached == reference
 
 
 class TestFaultAblation:

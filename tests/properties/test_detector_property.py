@@ -8,10 +8,9 @@ variants (no knot at all).
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.cwg import ChannelWaitForGraph
+from repro.core.cwg import ChannelWaitForGraph, packet_wait_for_graph
 from repro.core.cycles import count_simple_cycles
 from repro.core.knots import find_knots
-from repro.core.pwfg import packet_wait_for_graph
 
 
 def build_ring(num_messages, chain_len, escape=False):

@@ -7,6 +7,7 @@ from repro.network.topology import KAryNCube, Mesh
 from repro.routing import (
     DatelineDOR,
     DimensionOrderRouting,
+    DuatoProtocolRouting,
     NegativeFirstRouting,
     TrueFullyAdaptiveRouting,
 )
@@ -15,6 +16,7 @@ from repro.routing.analysis import (
     channel_dependency_graph,
     dependency_cycles,
     is_acyclic,
+    is_connected_routing,
 )
 
 
@@ -118,3 +120,32 @@ class TestCertification:
             tiny_default(routing="dor", num_vcs=1, **stress)
         ).run()
         assert result.deadlocks > 0
+
+
+class TestConnectivity:
+    def test_all_builtin_torus_routers_connected(self):
+        torus = KAryNCube(4, 2)
+        for routing, vcs in (
+            (DimensionOrderRouting(), 1),
+            (TrueFullyAdaptiveRouting(), 1),
+            (DatelineDOR(), 2),
+            (DuatoProtocolRouting(), 3),
+        ):
+            pool = ChannelPool(torus, vcs, 2)
+            assert is_connected_routing(routing, torus, pool), routing.name
+
+    def test_turn_model_connected_on_mesh(self):
+        mesh = Mesh(4, 2)
+        pool = ChannelPool(mesh, 1, 2)
+        assert is_connected_routing(NegativeFirstRouting(), mesh, pool)
+
+    def test_disconnected_relation_detected(self):
+        class BrokenRouting(DimensionOrderRouting):
+            def candidates(self, message, node, topology, pool):
+                if node == 5:
+                    return []  # drops candidates at node 5
+                return super().candidates(message, node, topology, pool)
+
+        torus = KAryNCube(4, 2)
+        pool = ChannelPool(torus, 1, 2)
+        assert not is_connected_routing(BrokenRouting(), torus, pool)
