@@ -20,7 +20,8 @@
 #    visible at a glance;
 # 4. runs the observability smoke gate: a pinned traced scenario whose
 #    exported Chrome/JSONL traces must parse with the expected span names,
-#    plus the <=10% overhead bound for obs_level=1 and the <=100% phase
+#    plus the <=10% overhead bound for obs_level=1 (median CPU-time ratio
+#    over 15 lockstep reps) and the <=100% phase
 #    share check, which also requires the default config's profile to carry
 #    the detector's detect/knots + detect/census phases
 #    (scripts/obs_smoke.py);
@@ -48,8 +49,10 @@
 #    docs/API.md must resolve against the live package, every relative
 #    markdown link in the repo must point at an existing file, and every
 #    Topology subclass / CLI --topology choice must be documented in
-#    docs/TOPOLOGIES.md, and docs/API.md's SimulationConfig table must
-#    list every field exactly as rendered from the config's field table.
+#    docs/TOPOLOGIES.md, docs/API.md's SimulationConfig table must
+#    list every field exactly as rendered from the config's field table,
+#    and EXPERIMENTS.md's reproduction summary must be the claims table
+#    as rendered on the committed bench observations.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

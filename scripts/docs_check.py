@@ -16,7 +16,12 @@ script does — it is part of ``scripts/ci_check.sh``:
    cannot land without its reference entry;
 4. the ``SimulationConfig`` table in ``docs/API.md`` must list every field
    and match what :func:`render_config_table` renders from the config's
-   field table (``--write`` regenerates it in place).
+   field table;
+5. the "Summary of reproduction status" table in ``EXPERIMENTS.md`` must
+   match what :func:`render_claims_summary` renders from the claims table
+   evaluated on the committed bench observations.
+
+``--write`` regenerates both generated blocks in place.
 
 Exit status is the number of problems (0 = clean).
 """
@@ -32,6 +37,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 API_DOC = REPO_ROOT / "docs" / "API.md"
+SUMMARY_DOC = REPO_ROOT / "EXPERIMENTS.md"
 TOPOLOGY_DOC = REPO_ROOT / "docs" / "TOPOLOGIES.md"
 
 #: a dotted repro.* path: the package name plus at least one attribute
@@ -183,9 +189,9 @@ def render_config_table() -> str:
     return "\n".join([TABLE_BEGIN, *rows, TABLE_END])
 
 
-def _config_table_span(text: str) -> tuple[int, int]:
-    start = text.index(TABLE_BEGIN)
-    return start, text.index(TABLE_END, start) + len(TABLE_END)
+def _span(text: str, begin: str, end: str) -> tuple[int, int]:
+    start = text.index(begin)
+    return start, text.index(end, start) + len(end)
 
 
 def check_config_table() -> list[str]:
@@ -194,7 +200,7 @@ def check_config_table() -> list[str]:
 
     text = API_DOC.read_text()
     try:
-        start, end = _config_table_span(text)
+        start, end = _span(text, TABLE_BEGIN, TABLE_END)
     except ValueError:
         return ["docs/API.md: the generated SimulationConfig table is missing"]
     block = text[start:end]
@@ -213,18 +219,66 @@ def check_config_table() -> list[str]:
     return problems
 
 
-def write_config_table() -> None:
-    text = API_DOC.read_text()
-    start, end = _config_table_span(text)
-    API_DOC.write_text(text[:start] + render_config_table() + text[end:])
+#: the generated block of EXPERIMENTS.md
+SUMMARY_BEGIN = "<!-- claims-summary: generated by scripts/docs_check.py --write -->"
+SUMMARY_END = "<!-- claims-summary: end -->"
+
+
+def render_claims_summary() -> str:
+    """EXPERIMENTS.md's reproduction summary: every claim's verdict on the
+    committed bench observations."""
+    from repro.experiments.claims import CLAIMS, committed_observations, evaluate
+
+    committed = committed_observations()
+    rows = [
+        "| id | must hold at | claim (paper or DESIGN.md §6) | committed bench data |",
+        "|---|---|---|---|",
+    ]
+    for claim in CLAIMS:
+        verdict = evaluate(claim, committed[claim.experiment])
+        rows.append(
+            f"| `{claim.id}` | {', '.join(claim.scales)} | {claim.paper} | "
+            f"{verdict} |"
+        )
+    return "\n".join([SUMMARY_BEGIN, *rows, SUMMARY_END])
+
+
+def check_claims_summary() -> list[str]:
+    """EXPERIMENTS.md's summary must be the claims table's current render."""
+    text = SUMMARY_DOC.read_text()
+    try:
+        start, end = _span(text, SUMMARY_BEGIN, SUMMARY_END)
+    except ValueError:
+        return ["EXPERIMENTS.md: the generated claims summary is missing"]
+    print("docs_check: EXPERIMENTS.md summary checked against the claims table")
+    if text[start:end] != render_claims_summary():
+        return [
+            "EXPERIMENTS.md: the claims summary is stale; regenerate it with "
+            "`python scripts/docs_check.py --write`"
+        ]
+    return []
+
+
+#: (document, begin marker, end marker, renderer) of every generated block
+GENERATED = (
+    (API_DOC, TABLE_BEGIN, TABLE_END, render_config_table),
+    (SUMMARY_DOC, SUMMARY_BEGIN, SUMMARY_END, render_claims_summary),
+)
+
+
+def write_generated() -> None:
+    for doc, begin, end, render in GENERATED:
+        text = doc.read_text()
+        start, stop = _span(text, begin, end)
+        doc.write_text(text[:start] + render() + text[stop:])
 
 
 def main() -> int:
     if sys.argv[1:] == ["--write"]:
-        write_config_table()
+        write_generated()
     problems = (
         check_api_symbols() + check_markdown_links() + check_topology_docs()
-        + check_config_table()
+        + check_config_table() + check_claims_summary()
     )
     for problem in problems:
         print(f"DOCS: {problem}")

@@ -2,24 +2,30 @@
 """Regenerate every experiment table/chart backing EXPERIMENTS.md.
 
 Runs all registered experiments at the chosen scale, prints the tables,
-and writes one consolidated CSV — the reproducible pipeline behind the
-bench-scale numbers quoted in EXPERIMENTS.md.  (The paper-scale rows come
-from ``scripts/paper_scale_spot_checks.py``: 21 points of 9,000 cycles,
-about 7 minutes on the default engine, most of it one deep-saturation
-virtual cut-through point.)
+and writes two consolidated CSVs: the sweep rows (``--csv``) and every
+run's observations next to it (``<stem>_observations.csv``, the data the
+claims table in :mod:`repro.experiments.claims` is checked against) — the
+reproducible pipeline behind the bench-scale numbers quoted in
+EXPERIMENTS.md.  (The paper-scale rows come from
+``scripts/paper_scale_spot_checks.py``: 21 points of 9,000 cycles, about 7
+minutes on the default engine, most of it one deep-saturation virtual
+cut-through point.)
 
 Usage::
 
     python scripts/generate_experiments_data.py [--scale bench] [--csv out.csv]
+
+``--csv data/experiments_bench.csv`` regenerates the committed bench data.
 """
 
 from __future__ import annotations
 
 import argparse
 import time
+from pathlib import Path
 
 from repro.experiments import ALL_EXPERIMENTS
-from repro.experiments.report import render_figure, sweep_csv
+from repro.experiments.report import experiment_csv, observations_csv, render_figure
 
 
 def main() -> None:
@@ -33,7 +39,7 @@ def main() -> None:
     args = parser.parse_args()
 
     wanted = args.only.split(",") if args.only else list(ALL_EXPERIMENTS)
-    csv_parts = []
+    results = []
     grand_start = time.time()
     for exp_id in wanted:
         t0 = time.time()
@@ -43,15 +49,15 @@ def main() -> None:
         if args.charts:
             print()
             print(render_figure(result, "norm_deadlocks"))
-        csv_parts.append(sweep_csv(result))
+        results.append(result)
         print(f"[{exp_id}: {time.time() - t0:.1f}s]")
         print()
-    if csv_parts:
-        header = csv_parts[0].splitlines()[0]
-        body = [ln for part in csv_parts for ln in part.splitlines()[1:]]
-        with open(args.csv, "w") as fh:
-            fh.write("\n".join([header, *body]) + "\n")
-        print(f"consolidated CSV: {args.csv}")
+    if results:
+        rows = Path(args.csv)
+        observations = rows.with_name(f"{rows.stem}_observations.csv")
+        rows.write_text(experiment_csv(results))
+        observations.write_text(observations_csv(results))
+        print(f"consolidated CSVs: {rows}, {observations}")
     print(f"total: {time.time() - grand_start:.0f}s at scale={args.scale}")
 
 

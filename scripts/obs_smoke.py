@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Observability smoke gate (used by ``scripts/ci_check.sh``).
 
-Two checks, both deterministic apart from wall-clock noise:
+Four checks, all deterministic apart from timing noise:
 
 1. **Trace validity** — runs a pinned small scenario (4-ary 2-cube, DOR,
    saturated) at ``obs_level=2``, exports the cycle-level trace as both
@@ -11,10 +11,11 @@ Two checks, both deterministic apart from wall-clock noise:
    and that the expected span/instant names are present (the four engine
    phases plus ``block``/``wake`` instants at saturation).
 
-2. **Overhead gate** — times the bench smoke scenario (8-ary 2-cube,
-   moderate load) at ``obs_level=0`` and ``obs_level=1`` with interleaved
-   best-of-reps timing, and fails when enabled observability costs more
-   than 10% in cycles/sec.  This is the bound that keeps ``--obs-level 1``
+2. **Overhead gate** — steps the bench smoke scenario (8-ary 2-cube,
+   moderate load) at ``obs_level=0`` and ``obs_level=1`` in lockstep, 15
+   reps of the same 400-cycle window each in alternating order, and fails
+   when the median per-rep CPU-time ratio says enabled observability
+   costs more than 10%.  This is the bound that keeps ``--obs-level 1``
    safe to leave on for real sweeps.
 
 3. **Phase-share sanity** — recomputes the benchmark's ``phase_breakdown``
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 import tempfile
 import time
@@ -153,36 +155,40 @@ def _bench_sim(obs_level: int, warm: int) -> NetworkSimulator:
 
 
 def check_overhead(
-    warm: int = 200, cycles: int = 600, reps: int = 4, verbose: bool = True
+    warm: int = 200, cycles: int = 400, reps: int = 15, verbose: bool = True
 ) -> list[str]:
-    """Gate: obs_level=1 may cost at most ``OVERHEAD_LIMIT`` in cycles/sec.
+    """Gate: obs_level=1 may cost at most ``OVERHEAD_LIMIT`` more CPU time.
 
-    The two configurations are timed in *interleaved* best-of reps — a
-    back-to-back off-block/on-block layout turns any monotonic drift in
-    machine speed (turbo decay after a hot CI stage, background load
-    ramping) into phantom overhead on whichever side ran second.
+    The two simulators run in lockstep (same seed, same warm-up), so each
+    rep times both through the *same* ``cycles``-cycle window, alternating
+    which goes first.  Each side is timed with ``time.process_time`` —
+    this process's CPU time, blind to other load on the host — and the
+    gate reads the median of the per-rep on/off ratios, so a burst of
+    machine noise moves one rep, not the verdict.
     """
     sims = {lvl: _bench_sim(lvl, warm) for lvl in (0, 1)}
-    best = {0: float("inf"), 1: float("inf")}
-    for _ in range(reps):
-        for lvl, sim in sims.items():
-            t0 = time.perf_counter()
+    ratios = []
+    for rep in range(reps):
+        spent = {}
+        for lvl in (0, 1) if rep % 2 == 0 else (1, 0):
+            sim = sims[lvl]
+            t0 = time.process_time()
             for _ in range(cycles):
                 sim.step()
-            best[lvl] = min(best[lvl], time.perf_counter() - t0)
-    off = cycles / best[0]
-    on = cycles / best[1]
-    overhead = off / on - 1.0
+            spent[lvl] = time.process_time() - t0
+        ratios.append(spent[1] / spent[0])
+    overhead = statistics.median(ratios) - 1.0
     if verbose:
         print(
-            f"overhead check: obs off {off:.0f} c/s, obs_level=1 {on:.0f} c/s "
-            f"-> {100 * overhead:+.1f}% (limit {100 * OVERHEAD_LIMIT:.0f}%)"
+            f"overhead check: obs_level=1 / off CPU time, median of {reps} "
+            f"reps x {cycles} cycles -> {100 * overhead:+.1f}% "
+            f"(limit {100 * OVERHEAD_LIMIT:.0f}%)"
         )
     if overhead > OVERHEAD_LIMIT:
         return [
             f"obs_level=1 overhead {100 * overhead:.1f}% exceeds "
-            f"{100 * OVERHEAD_LIMIT:.0f}% limit "
-            f"({off:.0f} -> {on:.0f} cycles/sec)"
+            f"{100 * OVERHEAD_LIMIT:.0f}% limit (median CPU-time ratio over "
+            f"{reps} reps of {cycles} cycles)"
         ]
     return []
 

@@ -70,19 +70,8 @@ EXPERIMENT_ALIASES = {
 }
 
 __all__ = [
-    "ablations",
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig8",
-    "node_degree",
-    "topology_comparison",
-    "traffic_patterns",
-    "avoidance_vs_recovery",
-    "detector_ablation",
-    "ExperimentResult",
-    "format_table",
-    "scaled_config",
-    "ALL_EXPERIMENTS",
-    "EXPERIMENT_ALIASES",
+    "ablations", "fig5", "fig6", "fig7", "fig8", "node_degree",
+    "topology_comparison", "traffic_patterns", "avoidance_vs_recovery",
+    "detector_ablation", "ExperimentResult", "format_table", "scaled_config",
+    "ALL_EXPERIMENTS", "EXPERIMENT_ALIASES",
 ]

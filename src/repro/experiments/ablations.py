@@ -41,7 +41,11 @@ __all__ = [
 def run_teardown(
     scale: str = "bench", loads: Sequence[float] = (0.8, 1.2), **overrides
 ) -> ExperimentResult:
-    """ABL-REC: instant vs flit-by-flit victim teardown."""
+    """ABL-REC: instant vs flit-by-flit victim teardown.
+
+    Flit-by-flit is the paper's literal procedure; instant is the usual
+    simulator shortcut — deadlock counts should be close.
+    """
     base = scaled_config(scale, routing="dor", num_vcs=1, **overrides)
     sweeps = {}
     for mode in ("instant", "flit-by-flit"):
@@ -54,16 +58,8 @@ def run_teardown(
     }
     for mode, s in sweeps.items():
         obs[f"{mode}_peak_throughput"] = max(s.throughputs, default=0.0)
-    return ExperimentResult(
-        experiment_id="ABL-REC",
-        description="Recovery teardown: instant vs flit-by-flit removal",
-        sweeps=sweeps,
-        observations=obs,
-        notes=[
-            "flit-by-flit is the paper's literal procedure; instant is the "
-            "usual simulator shortcut — deadlock counts should be close"
-        ],
-    )
+    description = "Recovery teardown: instant vs flit-by-flit removal"
+    return ExperimentResult("ABL-REC", description, sweeps, obs)
 
 
 def run_selection(
@@ -83,13 +79,9 @@ def run_selection(
         obs[f"{policy}_mean_latency"] = sum(
             r.avg_latency for r in s.results
         ) / len(s.results)
-    return ExperimentResult(
-        experiment_id="ABL-SEL",
-        description="Channel selection policy: straight-through-first "
-        "(paper default) vs uniform random",
-        sweeps=sweeps,
-        observations=obs,
-    )
+    description = ("Channel selection policy: straight-through-first "
+                   "(paper default) vs uniform random")
+    return ExperimentResult("ABL-SEL", description, sweeps, obs)
 
 
 def run_detection_interval(
@@ -98,7 +90,11 @@ def run_detection_interval(
     intervals: Sequence[int] = (10, 50, 200, 1000),
     **overrides,
 ) -> ExperimentResult:
-    """ABL-INT: detection period vs deadlock persistence and throughput."""
+    """ABL-INT: detection period vs deadlock persistence and throughput.
+
+    Long periods leave knots wedged between detections: latency rises and
+    fewer (but longer-lived) deadlocks are counted.
+    """
     base = scaled_config(scale, routing="dor", num_vcs=1, load=load, **overrides)
     sweeps = {}
     obs = {}
@@ -113,17 +109,9 @@ def run_detection_interval(
                 sweep.capacity
             )
             obs[f"i{interval}_latency"] = result.avg_latency
-    return ExperimentResult(
-        experiment_id="ABL-INT",
-        description="Deadlock-detection invocation period (paper: every 50 "
-        "cycles) vs recovery responsiveness",
-        sweeps=sweeps,
-        observations=obs,
-        notes=[
-            "long periods leave knots wedged between detections: latency "
-            "rises and fewer (but longer-lived) deadlocks are counted"
-        ],
-    )
+    description = ("Deadlock-detection invocation period (paper: every 50 "
+                   "cycles) vs recovery responsiveness")
+    return ExperimentResult("ABL-INT", description, sweeps, obs)
 
 
 def run_timeout_mode(
@@ -132,7 +120,12 @@ def run_timeout_mode(
     thresholds: Sequence[int] = (100, 500, 2000),
     **overrides,
 ) -> ExperimentResult:
-    """ABL-TIMEOUT: true-detection recovery vs timeout-heuristic recovery."""
+    """ABL-TIMEOUT: true-detection recovery vs timeout-heuristic recovery.
+
+    Small thresholds recover many merely-congested messages (unnecessary
+    work); large thresholds let true deadlocks wedge the network between
+    firings.
+    """
     base = scaled_config(scale, routing="dor", num_vcs=1, load=load, **overrides)
     sweeps = {}
     obs = {}
@@ -156,18 +149,9 @@ def run_timeout_mode(
             obs[f"t{t}_recoveries"] = float(result.timeout_recoveries)
             obs[f"t{t}_unnecessary"] = float(result.unnecessary_recoveries)
             obs[f"t{t}_true_deadlocks_seen"] = float(result.deadlocks)
-    return ExperimentResult(
-        experiment_id="ABL-TIMEOUT",
-        description="End-to-end: knot-based recovery vs timeout-presumed "
-        "deadlock recovery (the schemes the paper critiques)",
-        sweeps=sweeps,
-        observations=obs,
-        notes=[
-            "small thresholds recover many merely-congested messages "
-            "(unnecessary work); large thresholds let true deadlocks wedge "
-            "the network between firings"
-        ],
-    )
+    description = ("End-to-end: knot-based recovery vs timeout-presumed "
+                   "deadlock recovery (the schemes the paper critiques)")
+    return ExperimentResult("ABL-TIMEOUT", description, sweeps, obs)
 
 
 def run_message_length(
@@ -182,7 +166,9 @@ def run_message_length(
     2-flit buffers held constant, so longer messages hold proportionally
     more channels simultaneously — the same mechanism Figure 8 probes from
     the buffer side.  Load is flit-normalized, so all points offer the
-    same flit rate.
+    same flit rate: longer worms hold more channels each (resource sets
+    grow with length) but fewer worms compete, and the message-normalized
+    deadlock rate reflects both forces.
     """
     base = scaled_config(scale, routing="dor", num_vcs=1, load=load, **overrides)
     sweeps = {}
@@ -196,18 +182,9 @@ def run_message_length(
             obs[f"len{length}_norm_deadlocks"] = result.normalized_deadlocks
             obs[f"len{length}_avg_resource_set"] = result.avg_resource_set_size
             obs[f"len{length}_blocked_pct"] = 100 * result.avg_blocked_fraction
-    return ExperimentResult(
-        experiment_id="EXT-LEN",
-        description="Message length vs deadlock formation (fixed 2-flit "
-        "buffers; flit-normalized load)",
-        sweeps=sweeps,
-        observations=obs,
-        notes=[
-            "longer worms hold more channels each (resource sets grow with "
-            "length) but fewer worms compete at the same flit rate; the "
-            "message-normalized deadlock rate reflects both forces"
-        ],
-    )
+    description = ("Message length vs deadlock formation (fixed 2-flit "
+                   "buffers; flit-normalized load)")
+    return ExperimentResult("EXT-LEN", description, sweeps, obs)
 
 
 def run_granularity(
@@ -223,7 +200,9 @@ def run_granularity(
     paper's §2.3 "overly restrictive" remark.  The detector books both
     verdicts as ``detector/*`` counters at ``obs_level >= 1``
     (:func:`~repro.core.detector.granularity_verdicts`); they are this
-    sweep point's observations.
+    sweep point's observations.  Message-level cycles appear without a
+    true deadlock (``pwfg_cyclic_no_knot_detections``): forbidding them,
+    as some avoidance schemes do, sacrifices routing freedom needlessly.
     """
     base = scaled_config(
         scale, routing="tfar", num_vcs=1, load=load, **overrides
@@ -249,18 +228,9 @@ def run_granularity(
             obs[name] = float(c.get(f"detector/{counter}", 0))
         differ = c.get("detector/passes_verdicts_differ", 0)
         obs["verdict_agreement_rate"] = 1.0 - differ / passes if passes else 1.0
-    return ExperimentResult(
-        experiment_id="EXT-GRAN",
-        description="Exact channel-level (CWG knot) vs message-level "
-        "(packet wait-for graph) deadlock verdicts per detection",
-        sweeps={sweep.label: sweep},
-        observations=obs,
-        notes=[
-            "message-level cycles appear without a true deadlock "
-            "(pwfg_cyclic_no_knot_detections): forbidding them, as some "
-            "avoidance schemes do, sacrifices routing freedom needlessly"
-        ],
-    )
+    description = ("Exact channel-level (CWG knot) vs message-level "
+                   "(packet wait-for graph) deadlock verdicts per detection")
+    return ExperimentResult("EXT-GRAN", description, {sweep.label: sweep}, obs)
 
 
 def run_faults(
@@ -275,8 +245,9 @@ def run_faults(
     fixed-seed shuffle, skipping sets that would disconnect the network)
     and reruns TFAR with one VC at fixed load.  Each removed link deletes
     routing alternatives along its rings — the Figure 2 exhausted-
-    adaptivity mechanism — so blocking and deadlock susceptibility rise as
-    the topology degrades.
+    adaptivity mechanism — so the correlated dependencies a knot needs
+    form more easily, and blocking and deadlock susceptibility rise as the
+    topology degrades.
     """
     import random as _random
 
@@ -304,17 +275,9 @@ def run_faults(
             obs[f"f{count}_norm_deadlocks"] = result.normalized_deadlocks
             obs[f"f{count}_blocked_pct"] = 100 * result.avg_blocked_fraction
             obs[f"f{count}_latency"] = result.avg_latency
-    return ExperimentResult(
-        experiment_id="EXT-FAULT",
-        description="Irregular topology: failed links exhaust adaptivity "
-        "and raise deadlock susceptibility (TFAR, 1 VC)",
-        sweeps=sweeps,
-        observations=obs,
-        notes=[
-            "each failed link removes minimal-path alternatives: the "
-            "correlated dependencies a knot needs form more easily"
-        ],
-    )
+    description = ("Irregular topology: failed links exhaust adaptivity "
+                   "and raise deadlock susceptibility (TFAR, 1 VC)")
+    return ExperimentResult("EXT-FAULT", description, sweeps, obs)
 
 
 def run_arbitration(
@@ -344,10 +307,6 @@ def run_arbitration(
             obs[f"{policy}_throughput"] = result.normalized_throughput(
                 sweep.capacity
             )
-    return ExperimentResult(
-        experiment_id="ABL-ARB",
-        description="Arbitration (service order): random vs oldest-first "
-        "vs round-robin at saturation",
-        sweeps=sweeps,
-        observations=obs,
-    )
+    description = ("Arbitration (service order): random vs oldest-first "
+                   "vs round-robin at saturation")
+    return ExperimentResult("ABL-ARB", description, sweeps, obs)

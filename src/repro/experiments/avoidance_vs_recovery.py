@@ -70,26 +70,5 @@ def run(
         "dateline_total_deadlocks": float(sum(dateline.deadlock_counts)),
         "duato_total_deadlocks": float(sum(duato.deadlock_counts)),
     }
-    notes = []
-    if obs["dateline_total_deadlocks"] == 0 and obs["duato_total_deadlocks"] == 0:
-        notes.append("detector validation OK: avoidance baselines knot-free")
-    if obs["recovery_peak_throughput"] >= obs["dateline_peak_throughput"]:
-        notes.append(
-            "shape OK: unrestricted routing + recovery sustains at least "
-            "dateline-DOR throughput (the paper's viability conclusion)"
-        )
-    return ExperimentResult(
-        experiment_id=EXPERIMENT_ID,
-        description=DESCRIPTION,
-        sweeps={
-            recovery.label: recovery,
-            dateline.label: dateline,
-            duato.label: duato,
-        },
-        observations=obs,
-        notes=notes,
-    )
-
-
-if __name__ == "__main__":  # pragma: no cover - manual driver
-    print(run().format_tables())
+    sweeps = {s.label: s for s in (recovery, dateline, duato)}
+    return ExperimentResult(EXPERIMENT_ID, DESCRIPTION, sweeps, obs)

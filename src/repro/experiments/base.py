@@ -17,10 +17,11 @@ The output of every runner is an :class:`ExperimentResult` whose
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.config import SimulationConfig, bench_default, paper_default, tiny_default
 from repro.errors import ConfigurationError
+from repro.experiments.claims import verdicts
 from repro.metrics.sweep import SweepResult, run_load_sweep
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -97,7 +98,8 @@ def experiment_sweep(
     ``repro experiment --store``, or :func:`set_campaign_runner`), the
     sweep is checkpointed, fault-tolerant and resumable instead.  Points a
     campaign could not complete are recorded on the returned sweep's
-    ``failures`` (and rendered as degraded notes) rather than raised.
+    ``failures`` (rendered as degraded notes, and the experiment's claims
+    are then not evaluated) rather than raised.
     """
     if _CAMPAIGN_RUNNER is None:
         return run_load_sweep(base, loads, label)
@@ -160,6 +162,15 @@ def format_table(
     return "\n".join(lines)
 
 
+#: header -> :meth:`SweepResult.rows` key of each per-sweep table column
+TABLE_COLUMNS = {
+    "load": "load", "thput": "throughput", "dlocks": "deadlocks",
+    "norm_dl": "norm_deadlocks", "dset": "avg_deadlock_set",
+    "rset": "avg_resource_set", "knotcyc": "avg_knot_density",
+    "cycles": "avg_cycles", "blocked%": "blocked_pct",
+}
+
+
 @dataclass
 class ExperimentResult:
     """Sweeps plus derived observations for one paper figure/section."""
@@ -167,28 +178,17 @@ class ExperimentResult:
     experiment_id: str  #: e.g. "FIG5"
     description: str
     sweeps: dict[str, SweepResult]
-    #: named scalar observations used by shape assertions and reports
+    #: named scalar observations the claims table and reports read
     observations: dict[str, float] = field(default_factory=dict)
-    notes: list[str] = field(default_factory=list)
 
     def format_tables(self) -> str:
-        """All series of this experiment as paper-style text tables."""
+        """All series of this experiment as paper-style text tables, then
+        its observations and one verdict line per claim of the experiment
+        (:mod:`repro.experiments.claims`), tagged with the scales the claim
+        must hold at."""
         blocks = [f"{self.experiment_id}: {self.description}", ""]
         for label, sweep in self.sweeps.items():
-            rows = [
-                (
-                    row["load"],
-                    row["throughput"],
-                    row["deadlocks"],
-                    row["norm_deadlocks"],
-                    row["avg_deadlock_set"],
-                    row["avg_resource_set"],
-                    row["avg_knot_density"],
-                    row["avg_cycles"],
-                    row["blocked_pct"],
-                )
-                for row in sweep.rows()
-            ]
+            rows = [[row[k] for k in TABLE_COLUMNS.values()] for row in sweep.rows()]
             sat = sweep.saturation_load
             notes = [f"saturation load ~ {sat}" if sat is not None else "no saturation"]
             for failure in sweep.failures:
@@ -199,20 +199,7 @@ class ExperimentResult:
                 )
             blocks.append(
                 format_table(
-                    f"{self.experiment_id} [{label}]",
-                    (
-                        "load",
-                        "thput",
-                        "dlocks",
-                        "norm_dl",
-                        "dset",
-                        "rset",
-                        "knotcyc",
-                        "cycles",
-                        "blocked%",
-                    ),
-                    rows,
-                    notes,
+                    f"{self.experiment_id} [{label}]", tuple(TABLE_COLUMNS), rows, notes
                 )
             )
             blocks.append("")
@@ -220,6 +207,10 @@ class ExperimentResult:
             blocks.append("Observations:")
             for k, v in self.observations.items():
                 blocks.append(f"  {k} = {v:.4g}" if isinstance(v, float) else f"  {k} = {v}")
-        for n in self.notes:
-            blocks.append(f"  note: {n}")
+        claims = verdicts(self)
+        if claims:
+            blocks.append("Claims:")
+            for claim, verdict in claims:
+                scales = ", ".join(claim.scales)
+                blocks.append(f"  [{verdict}] {claim.id} ({scales}): {claim.paper}")
         return "\n".join(blocks)

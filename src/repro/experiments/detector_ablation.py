@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.experiments.base import ExperimentResult, format_table, scaled_config
+from repro.experiments.base import ExperimentResult, scaled_config
 from repro.metrics.sweep import SweepResult
 from repro.network.simulator import NetworkSimulator
 
@@ -116,38 +116,13 @@ def run(
     for ev in evals:
         obs[f"t{ev.threshold}_precision"] = ev.precision
         obs[f"t{ev.threshold}_recall"] = ev.recall
+        obs[f"t{ev.threshold}_true_positives"] = float(ev.true_positives)
         obs[f"t{ev.threshold}_false_positives"] = float(ev.false_positives)
-
-    rows = [
-        (
-            ev.threshold,
-            ev.true_positives,
-            ev.false_positives,
-            ev.false_negatives,
-            ev.precision,
-            ev.recall,
-        )
-        for ev in evals
-    ]
-    table = format_table(
-        f"{EXPERIMENT_ID}: timeout heuristic vs true (knot) detection @load={load}",
-        ("threshold", "TP", "FP", "FN", "precision", "recall"),
-        rows,
-    )
+        obs[f"t{ev.threshold}_false_negatives"] = float(ev.false_negatives)
     sweep = SweepResult(
         label=f"{routing.upper()} true-detection run",
         loads=[load],
         results=[result],
         capacity=sim.topology.capacity_flits_per_node_cycle,
     )
-    return ExperimentResult(
-        experiment_id=EXPERIMENT_ID,
-        description=DESCRIPTION,
-        sweeps={sweep.label: sweep},
-        observations=obs,
-        notes=[table],
-    )
-
-
-if __name__ == "__main__":  # pragma: no cover - manual driver
-    print(run().format_tables())
+    return ExperimentResult(EXPERIMENT_ID, DESCRIPTION, {sweep.label: sweep}, obs)

@@ -67,23 +67,4 @@ def run(scale: str = "bench", loads: Sequence[float] | None = None, **overrides)
             sum(r.multi_cycle_deadlocks for r in tfar.results)
         ),
     }
-    notes = []
-    if dor_total >= tfar_total:
-        notes.append("shape OK: DOR forms more actual deadlocks than TFAR")
-    else:
-        notes.append("shape MISMATCH: expected more actual deadlocks under DOR")
-    if obs["deadlock_set_ratio_tfar_over_dor"] > 1.0:
-        notes.append("shape OK: TFAR deadlock sets larger than DOR's")
-    if obs["dor_multi_cycle_deadlocks"] == 0:
-        notes.append("shape OK: every DOR deadlock is single-cycle (fan-out 1)")
-    return ExperimentResult(
-        experiment_id=EXPERIMENT_ID,
-        description=DESCRIPTION,
-        sweeps={"DOR": dor, "TFAR": tfar},
-        observations=obs,
-        notes=notes,
-    )
-
-
-if __name__ == "__main__":  # pragma: no cover - manual driver
-    print(run().format_tables())
+    return ExperimentResult(EXPERIMENT_ID, DESCRIPTION, {"DOR": dor, "TFAR": tfar}, obs)

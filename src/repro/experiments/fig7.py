@@ -53,26 +53,7 @@ def run(
             sweep.blocked_fractions, default=0.0
         )
 
-    notes = []
-    for label in (f"DOR{v}" for v in vc_counts if v >= 3):
-        if label in sweeps and obs[f"{label}_total_deadlocks"] == 0:
-            notes.append(f"shape OK: {label} formed no deadlocks")
-    for label in (f"TFAR{v}" for v in vc_counts if v >= 2):
-        if label in sweeps and obs[f"{label}_total_deadlocks"] == 0:
-            notes.append(f"shape OK: {label} formed no deadlocks")
-    if (
-        "DOR1" in sweeps
-        and "DOR2" in sweeps
-        and obs["DOR2_total_deadlocks"] <= obs["DOR1_total_deadlocks"]
-    ):
-        notes.append("shape OK: second VC reduces DOR deadlocks")
-    return ExperimentResult(
-        experiment_id=EXPERIMENT_ID,
-        description=DESCRIPTION,
-        sweeps=sweeps,
-        observations=obs,
-        notes=notes,
-    )
+    return ExperimentResult(EXPERIMENT_ID, DESCRIPTION, sweeps, obs)
 
 
 def cycles_vs_blocked(result: ExperimentResult) -> dict[str, list[tuple[float, float]]]:
@@ -84,7 +65,3 @@ def cycles_vs_blocked(result: ExperimentResult) -> dict[str, list[tuple[float, f
             for r in sweep.results
         ]
     return out
-
-
-if __name__ == "__main__":  # pragma: no cover - manual driver
-    print(run().format_tables())

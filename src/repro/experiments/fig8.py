@@ -72,29 +72,7 @@ def run(
         obs[f"buf{depth}_deadlocks_per_msg_in_net"] = (
             sum(dls) / sum(pops) if sum(pops) else 0.0
         )
-
-    vct = max(depths)
-    shallow = min(depths)
-    notes = []
-    if (
-        obs[f"buf{vct}_deadlocks_per_msg_in_net"]
-        <= obs[f"buf{shallow}_deadlocks_per_msg_in_net"]
-    ):
-        notes.append(
-            "shape OK: per message in the network, cut-through deadlocks "
-            "least and the shallowest wormhole buffers most"
-        )
-    sat_s = obs[f"buf{shallow}_saturation_load"]
-    sat_v = obs[f"buf{vct}_saturation_load"]
-    if sat_v != sat_v or (sat_s == sat_s and sat_v >= sat_s):
-        notes.append("shape OK: deeper buffers saturate at equal or higher load")
-    return ExperimentResult(
-        experiment_id=EXPERIMENT_ID,
-        description=DESCRIPTION,
-        sweeps=sweeps,
-        observations=obs,
-        notes=notes,
-    )
+    return ExperimentResult(EXPERIMENT_ID, DESCRIPTION, sweeps, obs)
 
 
 def deadlocks_vs_population(
@@ -108,7 +86,3 @@ def deadlocks_vs_population(
             for r in sweep.results
         ]
     return out
-
-
-if __name__ == "__main__":  # pragma: no cover - manual driver
-    print(run().format_tables())

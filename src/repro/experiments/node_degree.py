@@ -61,22 +61,5 @@ def run(scale: str = "bench", loads: Sequence[float] | None = None, **overrides)
         ),
         "high_dim_multi_cycle_deadlocks": float(high_multi),
     }
-    notes = []
-    if high_total <= low_total:
-        notes.append(
-            "shape OK: the higher-degree network forms no more deadlocks "
-            "than the lower-degree one"
-        )
-    else:
-        notes.append("shape MISMATCH: expected fewer deadlocks at higher degree")
-    return ExperimentResult(
-        experiment_id=EXPERIMENT_ID,
-        description=DESCRIPTION,
-        sweeps={low.label: low, high.label: high},
-        observations=obs,
-        notes=notes,
-    )
-
-
-if __name__ == "__main__":  # pragma: no cover - manual driver
-    print(run().format_tables())
+    sweeps = {low.label: low, high.label: high}
+    return ExperimentResult(EXPERIMENT_ID, DESCRIPTION, sweeps, obs)

@@ -14,11 +14,12 @@ import math
 import time
 from typing import Mapping, Sequence
 
-from repro.experiments.base import ExperimentResult
+from repro.experiments.base import ExperimentResult, format_table
 
 __all__ = [
     "sweep_csv",
     "experiment_csv",
+    "observations_csv",
     "ascii_chart",
     "render_figure",
     "render_topology_comparison",
@@ -28,59 +29,47 @@ __all__ = [
 ]
 
 
+#: format of each sweep-row column of the CSV export, keyed by its
+#: :meth:`~repro.metrics.sweep.SweepResult.rows` name
+CSV_FORMATS = {
+    "load": "{}", "throughput": "{:.6f}", "delivered": "{}", "deadlocks": "{}",
+    "norm_deadlocks": "{:.6f}", "avg_deadlock_set": "{:.3f}",
+    "avg_resource_set": "{:.3f}", "avg_knot_density": "{:.3f}",
+    "avg_cycles": "{:.3f}", "blocked_pct": "{:.3f}", "in_network": "{:.3f}",
+    "latency": "{:.3f}",
+}
+
+
 def sweep_csv(result: ExperimentResult) -> str:
     """All sweep rows of an experiment as CSV (one row per series x load)."""
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(
-        [
-            "experiment",
-            "series",
-            "load",
-            "throughput",
-            "delivered",
-            "deadlocks",
-            "norm_deadlocks",
-            "avg_deadlock_set",
-            "avg_resource_set",
-            "avg_knot_density",
-            "avg_cycles",
-            "blocked_pct",
-            "in_network",
-            "latency",
-        ]
-    )
+    writer.writerow(["experiment", "series", *CSV_FORMATS])
     for label, sweep in result.sweeps.items():
         for row in sweep.rows():
             writer.writerow(
-                [
-                    result.experiment_id,
-                    label,
-                    row["load"],
-                    f"{row['throughput']:.6f}",
-                    row["delivered"],
-                    row["deadlocks"],
-                    f"{row['norm_deadlocks']:.6f}",
-                    f"{row['avg_deadlock_set']:.3f}",
-                    f"{row['avg_resource_set']:.3f}",
-                    f"{row['avg_knot_density']:.3f}",
-                    f"{row['avg_cycles']:.3f}",
-                    f"{row['blocked_pct']:.3f}",
-                    f"{row['in_network']:.3f}",
-                    f"{row['latency']:.3f}",
-                ]
+                [result.experiment_id, label]
+                + [fmt.format(row[key]) for key, fmt in CSV_FORMATS.items()]
             )
     return buf.getvalue()
 
 
 def experiment_csv(results: Sequence[ExperimentResult]) -> str:
     """Concatenated CSV for several experiments (shared header)."""
-    parts = [sweep_csv(r) for r in results]
-    header, *_ = parts[0].splitlines()
-    body = []
-    for part in parts:
-        body.extend(part.splitlines()[1:])
-    return "\n".join([header, *body]) + "\n"
+    parts = [sweep_csv(r).splitlines() for r in results]
+    return "\n".join([parts[0][0], *(ln for part in parts for ln in part[1:])]) + "\n"
+
+
+def observations_csv(results: Sequence[ExperimentResult]) -> str:
+    """Every observation of several experiments as ``experiment,key,value``
+    CSV, values as ``repr(float)`` so a reader gets them back exactly."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["experiment", "key", "value"])
+    for result in results:
+        for key, value in result.observations.items():
+            writer.writerow([result.experiment_id, key, repr(float(value))])
+    return buf.getvalue()
 
 
 _MARKS = "ox+*#@%&"
@@ -283,8 +272,6 @@ def render_topology_comparison(result: ExperimentResult) -> str:
     over the loads that actually deadlocked.  The per-load detail stays
     in the standard sweep tables; this is the figure-style rollup.
     """
-    from repro.experiments.base import format_table
-
     rows = []
     for label, sweep in result.sweeps.items():
         key = label.split("/", 1)[0].replace("-", "_")

@@ -24,9 +24,10 @@ internode distance, the same normalization the paper and SEC3.5 use), so
 each class is stressed relative to its own capacity; the absolute
 capacities are reported as observations.  Expected shape: the torus
 forms deadlocks readily, the TSV variant no more than the uniform one at
-equal normalized load, the dragonfly forms them through its global
-links, and the full mesh forms none (or almost none) — wealth of paths,
-poverty of cycles.
+equal normalized load (per-dimension latency changes bandwidth, not the
+dependency structure knots need), the dragonfly forms them through
+local->global->local chains rather than rings, and the full mesh forms
+none (or almost none) — wealth of paths, poverty of cycles.
 """
 
 from __future__ import annotations
@@ -116,9 +117,6 @@ def run(
         sweeps[label] = experiment_sweep(config, loads, label=label)
         capacities[label] = build_topology(config).capacity_flits_per_node_cycle
 
-    def total(label: str) -> int:
-        return sum(sweeps[label].deadlock_counts)
-
     def mean_or_zero(values: list[float]) -> float:
         finite = [v for v in values if v > 0]
         return sum(finite) / len(finite) if finite else 0.0
@@ -126,52 +124,11 @@ def run(
     obs = {}
     for label, sweep in sweeps.items():
         key = label.split("/", 1)[0].replace("-", "_")
-        obs[f"{key}_total_deadlocks"] = float(total(label))
+        obs[f"{key}_total_deadlocks"] = float(sum(sweep.deadlock_counts))
         obs[f"{key}_mean_knot_size"] = mean_or_zero(sweep.deadlock_set_sizes)
         obs[f"{key}_mean_cycle_density"] = mean_or_zero(
             [r.avg_knot_cycle_density for r in sweep.results]
         )
         obs[f"{key}_capacity_flits"] = capacities[label]
 
-    notes = [
-        "load is normalized per topology (same grid, each class relative "
-        "to its own capacity); see capacity observations for absolute rates"
-    ]
-    torus_total = total("torus3d/dor")
-    mesh_total = total("fullmesh/fm-2hop")
-    if torus_total > 0 and mesh_total <= torus_total:
-        notes.append(
-            "shape OK: torus forms deadlocks; full mesh forms no more than "
-            "the torus (direct paths starve the knot of cycles)"
-        )
-    elif torus_total == 0:
-        notes.append(
-            "shape MISMATCH: expected the torus to form deadlocks at these "
-            "loads"
-        )
-    else:
-        notes.append(
-            "shape MISMATCH: full mesh out-deadlocked the torus"
-        )
-    if total("torus3d-tsv/dor") > 0:
-        notes.append(
-            "TSV torus deadlocks too: per-dimension latency changes "
-            "bandwidth, not the dependency structure knots need"
-        )
-    if total("dragonfly/df-min") > 0:
-        notes.append(
-            "dragonfly deadlocks under minimal routing: knots close "
-            "through local->global->local chains, not rings"
-        )
-
-    return ExperimentResult(
-        experiment_id=EXPERIMENT_ID,
-        description=DESCRIPTION,
-        sweeps=sweeps,
-        observations=obs,
-        notes=notes,
-    )
-
-
-if __name__ == "__main__":  # pragma: no cover - manual driver
-    print(run().format_tables())
+    return ExperimentResult(EXPERIMENT_ID, DESCRIPTION, sweeps, obs)

@@ -55,18 +55,4 @@ def run(
         obs[f"{pattern}_vs_uniform_ratio"] = (
             total / uniform_total if uniform_total else float("nan")
         )
-    notes = [
-        "permutations that preclude circular overlap suppress DOR "
-        "single-cycle deadlocks (the paper's noted exception)"
-    ]
-    return ExperimentResult(
-        experiment_id=EXPERIMENT_ID,
-        description=DESCRIPTION,
-        sweeps=sweeps,
-        observations=obs,
-        notes=notes,
-    )
-
-
-if __name__ == "__main__":  # pragma: no cover - manual driver
-    print(run().format_tables())
+    return ExperimentResult(EXPERIMENT_ID, DESCRIPTION, sweeps, obs)

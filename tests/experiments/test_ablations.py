@@ -1,4 +1,5 @@
-"""Smoke + shape tests for the design-choice ablations (tiny scale)."""
+"""Smoke + structure tests for the design-choice ablations (tiny scale);
+their shape claims are rows of the claims table (test_claims.py)."""
 
 from collections import Counter
 
@@ -10,34 +11,36 @@ from repro.core.cwg import packet_wait_for_graph
 from repro.core.cycles import count_simple_cycles
 from repro.core.detector import DeadlockDetector
 from repro.core.knots import find_knots
-from repro.experiments import ablations
+from repro.experiments import ALL_EXPERIMENTS, ablations
 from repro.experiments.base import set_campaign_runner
 from repro.network.simulator import NetworkSimulator
 
-SHORT = dict(measure_cycles=1000, warmup_cycles=150)
+from tests.experiments.conftest import TINY_RUNS
 
 
 @pytest.mark.parametrize(
-    "run, kwargs, points",
+    "experiment_id, points",
     [
-        (ablations.run_detection_interval, dict(load=1.0, intervals=(25, 400)), 2),
-        (ablations.run_timeout_mode, dict(load=1.0, thresholds=(75, 600)), 3),
-        (ablations.run_message_length, dict(load=0.9, lengths=(2, 8)), 2),
-        (ablations.run_faults, dict(load=0.8, fault_counts=(0, 2)), 2),
-        (ablations.run_arbitration, dict(load=1.0), 3),
-        (ablations.run_granularity, dict(load=1.0), 1),
+        ("ABL-INT", 2),
+        ("ABL-TIMEOUT", 3),
+        ("EXT-LEN", 2),
+        ("EXT-FAULT", 2),
+        ("ABL-ARB", 3),
+        ("EXT-GRAN", 1),
     ],
     ids=["interval", "timeout", "length", "faults", "arbitration", "granularity"],
 )
 def test_fixed_load_points_run_through_an_installed_campaign(
-    tmp_path, run, kwargs, points
+    tmp_path, tiny, experiment_id, points
 ):
     """Every point is checkpointed by the campaign and merges unchanged."""
-    plain = run(scale="tiny", **kwargs, **SHORT)
+    plain = tiny(experiment_id)
     campaign = CampaignRunner(tmp_path / "store", max_workers=2)
     set_campaign_runner(campaign)
     try:
-        stored = run(scale="tiny", **kwargs, **SHORT)
+        stored = ALL_EXPERIMENTS[experiment_id](
+            scale="tiny", **TINY_RUNS[experiment_id]
+        )
     finally:
         set_campaign_runner(None)
     counters = campaign.registry.snapshot()["counters"]
@@ -47,25 +50,16 @@ def test_fixed_load_points_run_through_an_installed_campaign(
 
 
 class TestTeardownAblation:
-    def test_both_modes_run(self):
-        res = ablations.run_teardown(scale="tiny", loads=[1.0], **SHORT)
+    def test_both_modes_run(self, tiny):
+        res = tiny("ABL-REC")
         assert set(res.sweeps) == {"instant", "flit-by-flit"}
         assert res.observations["instant_peak_throughput"] > 0
         assert res.observations["flit-by-flit_peak_throughput"] > 0
 
-    def test_deadlock_counts_comparable(self):
-        """Teardown fidelity must not change deadlock formation wildly."""
-        res = ablations.run_teardown(scale="tiny", loads=[1.0], **SHORT)
-        a = res.observations["instant_total_deadlocks"]
-        b = res.observations["flit-by-flit_total_deadlocks"]
-        assert a > 0 and b > 0
-        if a + b > 10:
-            assert 0.2 <= (a + 1) / (b + 1) <= 5.0
-
 
 class TestSelectionAblation:
-    def test_runs(self):
-        res = ablations.run_selection(scale="tiny", loads=[0.8], **SHORT)
+    def test_runs(self, tiny):
+        res = tiny("ABL-SEL")
         assert set(res.sweeps) == {"straight", "random"}
         assert res.observations["straight_mean_latency"] > 0
         assert res.observations["straight_peak_throughput"] > 0
@@ -73,54 +67,22 @@ class TestSelectionAblation:
 
 
 class TestDetectionIntervalAblation:
-    def test_interval_sweep(self):
-        res = ablations.run_detection_interval(
-            scale="tiny", load=1.0, intervals=(25, 400), **SHORT
-        )
-        assert set(res.sweeps) == {"interval=25", "interval=400"}
-        # more frequent detection finds (and breaks) at least as many knots
-        assert (
-            res.observations["i25_deadlocks"]
-            >= res.observations["i400_deadlocks"] * 0.3
-        )
-        # breaking knots promptly costs no throughput
-        assert (
-            res.observations["i25_throughput"]
-            >= res.observations["i400_throughput"] - 0.05
-        )
+    def test_interval_sweep(self, tiny):
+        assert set(tiny("ABL-INT").sweeps) == {"interval=25", "interval=400"}
 
 
 class TestTimeoutModeAblation:
-    def test_timeout_end_to_end(self):
-        res = ablations.run_timeout_mode(
-            scale="tiny", load=1.0, thresholds=(75, 600), **SHORT
-        )
-        assert "true-detection" in res.sweeps
-        assert "timeout=75" in res.sweeps
-        obs = res.observations
-        assert obs["true_recoveries"] > 0
-        # aggressive threshold recovers at least as often as patient one
-        assert obs["t75_recoveries"] >= obs["t600_recoveries"]
-        assert obs["t75_recoveries"] >= obs["true_recoveries"] * 0.2
-        # unnecessary recoveries never exceed total recoveries
-        for t in (75, 600):
-            assert obs[f"t{t}_unnecessary"] <= obs[f"t{t}_recoveries"]
+    def test_timeout_end_to_end(self, tiny):
+        assert set(tiny("ABL-TIMEOUT").sweeps) == {
+            "true-detection", "timeout=75", "timeout=600",
+        }
 
 
 class TestMessageLengthAblation:
-    def test_runs_and_reports(self):
-        from repro.experiments import ablations
-
-        res = ablations.run_message_length(
-            scale="tiny", load=0.9, lengths=(2, 8), **SHORT
-        )
+    def test_runs_and_reports(self, tiny):
+        res = tiny("EXT-LEN")
         assert set(res.sweeps) == {"len=2", "len=8"}
         assert "len2_norm_deadlocks" in res.observations
-        # longer worms hold more channels: resource sets grow with length
-        assert (
-            res.observations["len8_avg_resource_set"]
-            >= res.observations["len2_avg_resource_set"]
-        )
 
 
 def _reference_verdicts(monkeypatch):
@@ -189,28 +151,13 @@ class TestGranularityAblation:
 
 
 class TestFaultAblation:
-    def test_runs_with_fault_series(self):
-        from repro.experiments import ablations
-
-        res = ablations.run_faults(
-            scale="tiny", load=0.8, fault_counts=(0, 2), **SHORT
-        )
-        assert "faults=0" in res.sweeps
-        assert "faults=2" in res.sweeps
-        # a degraded topology is at least as congested as the healthy one
-        assert (
-            res.observations["f2_blocked_pct"]
-            >= res.observations["f0_blocked_pct"] - 10.0
-        )
+    def test_runs_with_fault_series(self, tiny):
+        assert set(tiny("EXT-FAULT").sweeps) == {"faults=0", "faults=2"}
 
 
 class TestArbitrationAblation:
-    def test_runs_all_policies(self):
-        from repro.experiments import ablations
-
-        res = ablations.run_arbitration(
-            scale="tiny", load=1.0, **SHORT
-        )
+    def test_runs_all_policies(self, tiny):
+        res = tiny("ABL-ARB")
         policies = ("random", "oldest-first", "round-robin")
         assert set(res.sweeps) == set(policies)
         for policy in policies:

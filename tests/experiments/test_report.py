@@ -5,7 +5,6 @@ import io
 
 import pytest
 
-from repro.experiments import fig5
 from repro.experiments.report import (
     ascii_chart,
     experiment_csv,
@@ -14,10 +13,9 @@ from repro.experiments.report import (
 )
 
 
-@pytest.fixture(scope="module")
-def tiny_fig5():
-    return fig5.run(scale="tiny", loads=[0.5, 1.0], measure_cycles=600,
-                    warmup_cycles=100)
+@pytest.fixture
+def tiny_fig5(tiny):
+    return tiny("FIG5")
 
 
 class TestCSV:
