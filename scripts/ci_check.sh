@@ -25,10 +25,12 @@
 #    share check, which also requires the default config's profile to carry
 #    the detector's detect/knots + detect/census phases
 #    (scripts/obs_smoke.py);
-# 5. runs the legacy / production bit-identity gate: the equivalence
-#    suite (k-ary n-cubes and the topology zoo, post-run RNG state
-#    included) and the golden-trace digests, which both engines must
-#    reproduce verbatim;
+# 5. runs the bit-identity gate: every row of the case table in
+#    tests/integration/bit_identity.py (engine, detector, observability
+#    and deprecated-field rows on k-ary n-cubes and the topology zoo),
+#    each compared through repro.validation.differential.compare on the
+#    result, every detection record and the post-run RNG word, and the
+#    golden-trace digests, which both engines must reproduce verbatim;
 # 6. runs the end-to-end benchmark smoke: the five workloads of the repo
 #    benchmark at tiny sizes on the default engine, every point checked
 #    against the seed-1 digests pinned in benchmarks/e2e;
@@ -38,7 +40,8 @@
 #    inert engine_kernels / engine_vectorized / cwg_maintenance fields
 #    still exist;
 # 8. runs the differential fuzz smoke sweep: 25 seeded random configs
-#    cross-checked on the engine/detector axes under a 90 s budget
+#    cross-checked through the same compare on the engine/detector axes
+#    under a 90 s budget
 #    (deterministic — a CI failure replays locally with the same command);
 # 9. runs the model-checking oracle smoke gate: every configuration class
 #    of the oracle grid enumerated to full closure, the knot detector
@@ -68,9 +71,11 @@ python scripts/bench_baseline.py --check
 echo "== observability smoke (trace schema + overhead gate) =="
 python scripts/obs_smoke.py
 
-echo "== legacy / production bit-identity =="
+echo "== bit-identity (case table + goldens) =="
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -x -q \
     tests/integration/test_fast_path_equivalence.py \
+    tests/integration/test_detector_caching_equivalence.py \
+    tests/integration/test_obs_equivalence.py \
     tests/golden
 
 echo "== end-to-end benchmark smoke (pinned seed-1 digests, default engine) =="

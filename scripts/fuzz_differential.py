@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
 """Differential fuzz harness CLI — cross-check the optimized paths.
 
-Draws seeded random configurations and verifies, for each one, that
+Draws seeded random configurations and verifies, for each one, that the
+run is bit-identical (``repro.validation.differential.compare``: result,
+every detection record, post-run RNG word) to its twin with one axis's
+field toggled:
 
-* the production engine is bit-identical to the legacy engine,
-* the detector's worm-level pipeline is bit-identical to the uncached
+* ``engine`` — the production engine vs the legacy engine,
+* ``detector`` — the detector's worm-level pipeline vs the uncached
   reference pass.
 
 Any mismatch is shrunk to a minimal reproducing configuration and dumped

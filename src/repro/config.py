@@ -236,7 +236,8 @@ class SimulationConfig:
         "--cycles", "measured cycles"))
     #: RNG seed (runs are fully deterministic given the seed)
     seed: int = _run(1, at_least(0), cli=Flag("--seed"))
-    #: run conservation checks every cycle (slow)
+    #: run the invariant battery every cycle, as validation_level=2 does
+    #: (slow)
     check_invariants: bool = _run(False, BOOL, OBSERVATION)
     #: the production engine
     #: (:class:`repro.network.production.ProductionEngine`): activity

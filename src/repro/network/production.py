@@ -75,7 +75,7 @@ from collections import deque
 from typing import Iterable, Optional
 
 from repro.config import SimulationConfig
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
 from repro.faults import active_faults
 from repro.network.message import Message, MessageStatus
 from repro.network.simulator import (
@@ -617,74 +617,3 @@ class ProductionEngine(NetworkSimulator):
             self._all_immobile = True
         self.vec_move_mobile += mobile
         self.vec_immobile_skips += len(order) - mobile
-
-    # -- invariants --------------------------------------------------------------------
-    def check_invariants(self) -> None:
-        super().check_invariants()
-        self._check_activity_state()
-
-    def _check_activity_state(self) -> None:
-        """Maintained flags must agree with the predicates they cache."""
-        for msg in self.active.values():
-            if msg.routable != self.routing_eligible(msg):
-                raise SimulationError(
-                    f"message {msg.id}: routable flag {msg.routable} "
-                    f"disagrees with routing_eligible"
-                )
-            if (msg.blocked_since is not None) != (msg.id in self._waiting):
-                raise SimulationError(
-                    f"message {msg.id}: waiting-set membership disagrees "
-                    f"with blocked_since={msg.blocked_since}"
-                )
-            if msg.stalled:
-                keys = msg.wait_keys
-                if keys is None:
-                    raise SimulationError(
-                        f"message {msg.id} stalled without wait keys"
-                    )
-                for key in keys:
-                    if isinstance(key, tuple):  # ("rx", node)
-                        if self.pool.free_reception(key[1]) is not None:
-                            raise SimulationError(
-                                f"message {msg.id} stalled on free "
-                                f"reception at node {key[1]}"
-                            )
-                    elif self.pool.vcs[key].owner is None:
-                        raise SimulationError(
-                            f"message {msg.id} stalled on free VC {key}"
-                        )
-            if msg.immobile:
-                if msg.is_draining or msg.recovering:
-                    raise SimulationError(
-                        f"message {msg.id} immobile while draining/recovering"
-                    )
-                for vc in msg.vcs:
-                    if vc.occupancy < vc.capacity:
-                        raise SimulationError(
-                            f"message {msg.id} immobile with slack in "
-                            f"VC {vc.index}"
-                        )
-        for mid in self._waiting:
-            if mid not in self.active:
-                raise SimulationError(
-                    f"waiting set retains non-active message {mid}"
-                )
-        if self._all_immobile and not all(
-            m.immobile for m in self.active.values()
-        ):
-            raise SimulationError("_all_immobile raised over a mobile worm")
-        if self._alloc_quiet >= 0:
-            # what the skipped pass would have built: no head to pop, the
-            # same number of requests, every one parked
-            heads = [q[0] for q in self.queues if q]
-            requests = [m for m in heads if m.status is MessageStatus.QUEUED]
-            requests += [m for m in self.active.values() if m.routable]
-            if (
-                len(requests) != self._alloc_quiet
-                or not all(m.stalled for m in requests)
-                or any(m.at_source == 0 for m in heads)
-            ):
-                raise SimulationError(
-                    f"_alloc_quiet={self._alloc_quiet} but the request list "
-                    f"rebuilds to {len(requests)} entries, not all parked"
-                )

@@ -17,7 +17,8 @@ four phases:
    snapshots the CWG, finds knots, and the recovery policy removes victims.
 
 The engine enforces exclusive VC ownership and flit conservation; with
-``check_invariants`` enabled these are asserted every cycle.
+``check_invariants`` (or ``validation_level=2``) the runtime battery of
+:mod:`repro.validation.invariants` asserts these every cycle.
 
 Engines
 -------
@@ -54,7 +55,6 @@ from typing import Iterable, Optional
 from repro.config import SimulationConfig
 from repro.core.detector import DeadlockDetector, DeadlockEvent, DetectionRecord
 from repro.core.recovery import RecoveryPolicy, make_recovery
-from repro.errors import SimulationError
 from repro.metrics.stats import RunResult, StatsCollector
 from repro.network.channels import ChannelPool, VirtualChannel
 from repro.obs import Observer
@@ -176,7 +176,8 @@ class NetworkSimulator:
             caching=config.detector_caching,
         )
         self.stats = StatsCollector(config, self.topology)
-        # runtime invariant checker (repro.validation); None at level 0
+        # runtime invariant checker (repro.validation); None unless
+        # check_invariants or validation_level asks for one
         from repro.validation.invariants import InvariantChecker
 
         self.validation = InvariantChecker.from_config(config)
@@ -595,8 +596,6 @@ class NetworkSimulator:
                 self._phase_move()
             with self._t_detect:
                 self._phase_detect()
-        if self.config.check_invariants:
-            self.check_invariants()
         if self.validation is not None:
             self.validation.maybe_check(self)
 
@@ -636,24 +635,7 @@ class NetworkSimulator:
 
     # -- invariants ------------------------------------------------------------------------
     def check_invariants(self) -> None:
-        """Conservation and exclusivity checks (expensive; for tests/debug)."""
-        self.pool.assert_consistent()
-        owners: dict[int, int] = {}
-        for msg in self.active.values():
-            msg.check_conservation()
-            for vc in msg.vcs:
-                if vc.owner != msg.id:
-                    raise SimulationError(
-                        f"message {msg.id} lists VC {vc.index} it does not own"
-                    )
-                if vc.index in owners:
-                    raise SimulationError(
-                        f"VC {vc.index} claimed by messages "
-                        f"{owners[vc.index]} and {msg.id}"
-                    )
-                owners[vc.index] = msg.id
-        for vc in self.pool.vcs:
-            if vc.owner is not None and vc.owner not in self.active:
-                raise SimulationError(
-                    f"VC {vc.index} owned by non-active message {vc.owner}"
-                )
+        """Run the runtime invariant battery once, now (for tests/debug)."""
+        from repro.validation.invariants import InvariantChecker
+
+        InvariantChecker().check_now(self)

@@ -8,10 +8,11 @@ drift from their ground-truth equivalents:
   ``validation_level`` config flag attaches to the engine, asserting flit
   conservation, channel exclusivity, worm contiguity, activity-flag
   coherence and knot soundness on a sampling schedule;
-* :mod:`repro.validation.differential` — a deterministic fuzz harness that
-  draws seeded random configurations and cross-checks production vs
-  legacy engine and pipeline vs uncached detector, shrinking any mismatch
-  to a minimal reproducing configuration;
+* :mod:`repro.validation.differential` — the bit-identity contract
+  (:func:`compare`: result, detection records, post-run RNG word) and a
+  deterministic fuzz harness that draws seeded random configurations and
+  cross-checks production vs legacy engine and pipeline vs uncached
+  detector, shrinking any mismatch to a minimal reproducing configuration;
 * :mod:`repro.validation.oracle` (with
   :mod:`repro.validation.statespace`) — an exhaustive model checker that
   enumerates **every reachable state** of tiny generation-capped
@@ -29,6 +30,7 @@ from repro.validation.differential import (
     AXES,
     FuzzMismatch,
     check_config,
+    compare,
     dump_artifact,
     load_artifact,
     random_config,
@@ -67,6 +69,7 @@ __all__ = [
     "AXES",
     "FuzzMismatch",
     "check_config",
+    "compare",
     "random_config",
     "run_fuzz",
     "shrink_config",

@@ -1,6 +1,16 @@
-"""Deterministic differential fuzzing of the simulator's optimized paths.
+"""The bit-identity contract, and deterministic differential fuzzing of it.
 
-The repo carries two pairs of independently-implemented equivalents:
+The production engine and the detector's worm-level pipeline count as the
+paper's instrument only because each is bit-identical to its reference.
+This module is the one place that says what "bit-identical" means: a
+run's :func:`fingerprint` is its :class:`RunResult` minus ``config``, its
+full ``detector.records`` list and its post-run ``rng.getrandbits(64)``,
+and :func:`compare` names the first difference between a config's run and
+the same config with one field changed.  Every inert-field A/B test, the
+goldens and the fuzzer go through it.
+
+The fuzzer's :data:`AXES` name the two implementation fields with a
+reference behind them:
 
 * **engine** — the production engine (activity tracking, inline
   arbitration stream, whole-phase quiescence skips, detection
@@ -9,9 +19,7 @@ The repo carries two pairs of independently-implemented equivalents:
 * **detector** — the worm-level pipeline vs the plain global Tarjan +
   uncontracted Johnson reference pass (``detector_caching``).
 
-Each pair is documented bit-identical; the hand-written equivalence suites cover
-a fixed case matrix.  This module covers the space *between* the hand-picked
-cases: :func:`random_config` draws a seeded random configuration across
+:func:`random_config` draws a seeded random configuration across
 topology / routing / VC / buffer / traffic / detection / recovery space,
 :func:`check_config` cross-checks all the axes on it, and
 :func:`shrink_config` greedily minimizes any mismatching configuration to
@@ -32,7 +40,7 @@ import random
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.config import SimulationConfig, config_from_json
 from repro.errors import ConfigurationError, RoutingError
@@ -41,6 +49,9 @@ from repro.network.simulator import NetworkSimulator
 __all__ = [
     "AXES",
     "FuzzMismatch",
+    "result_fields",
+    "fingerprint",
+    "compare",
     "random_config",
     "check_config",
     "shrink_config",
@@ -49,8 +60,9 @@ __all__ = [
     "load_artifact",
 ]
 
-#: the two differential axes, in checking order
-AXES = ("engine", "detector")
+#: the differential axes, in checking order: each names the implementation
+#: field whose toggled run must be bit-identical to the run as configured
+AXES = {"engine": "engine_fast_path", "detector": "detector_caching"}
 
 #: what building a sim raises for a combination the config space does not
 #: support (a routing that needs more VCs, a traffic pattern that needs a
@@ -142,104 +154,94 @@ def _draw_config(rng: random.Random) -> SimulationConfig:
     )
 
 
-# -- fingerprints --------------------------------------------------------------------
-def _result_fingerprint(result) -> dict:
+# -- the contract --------------------------------------------------------------------
+def result_fields(result) -> dict:
+    """A :class:`RunResult` as a field dict, minus ``config`` (which an A/B
+    pair differs in by construction: the toggled field)."""
     fields = dataclasses.asdict(result)
-    fields.pop("config")  # differs by construction (the toggled flag)
+    fields.pop("config")
     return fields
 
 
-def _event_fingerprint(events) -> list:
-    return [
-        (
-            e.cycle,
-            tuple(sorted(e.deadlock_set)),
-            tuple(sorted(e.resource_set, key=str)),
-            tuple(sorted(e.knot, key=str)),
-            e.knot_cycle_density,
-            e.density_saturated,
-            tuple(sorted(e.dependent)),
-            tuple(sorted(e.transient_dependent)),
-        )
-        for e in events
-    ]
+def fingerprint(sim: NetworkSimulator, result) -> dict:
+    """Everything two runs must share to count as bit-identical: the result,
+    every detection record (events, census, blocked listings) and the next
+    word of the shared RNG, which this draws."""
+    return {
+        "result": result_fields(result),
+        "records": sim.detector.records,
+        "rng": sim.rng.getrandbits(64),
+    }
 
 
-def _first_diff(a: dict, b: dict) -> str:
-    """Name and abbreviate the first differing field of two field dicts."""
-    for key in a:
-        if a[key] != b[key]:
-            va, vb = repr(a[key]), repr(b[key])
-            if len(va) > 120:
-                va = va[:120] + "..."
-            if len(vb) > 120:
-                vb = vb[:120] + "..."
-            return f"field {key!r}: {va} != {vb}"
-    return "fingerprints differ"
+def _run_fingerprint(config: SimulationConfig) -> dict:
+    """Run ``config`` to completion and fingerprint it."""
+    sim = NetworkSimulator(config)
+    return fingerprint(sim, sim.run())
 
 
-# -- the axes -------------------------------------------------------------------------
-def compare_engine(config: SimulationConfig) -> Optional[str]:
-    """Production vs legacy engine; None when bit-identical."""
-    outcomes = []
-    for fast_path in (True, False):
-        sim = NetworkSimulator(config.replace(engine_fast_path=fast_path))
-        result = sim.run()
-        outcomes.append(
-            (_result_fingerprint(result), _event_fingerprint(sim.detector.events))
-        )
-    (prod_res, prod_ev), (ref_res, ref_ev) = outcomes
-    if prod_res != ref_res:
-        return f"production engine diverges: {_first_diff(prod_res, ref_res)}"
-    if prod_ev != ref_ev:
-        return (
-            "production engine deadlock events diverge: "
-            f"{len(prod_ev)} production vs {len(ref_ev)} legacy events"
-        )
-    return None
+def _abbrev(value) -> str:
+    text = repr(value)
+    return text[:120] + "..." if len(text) > 120 else text
 
 
-def _detector_records(config: SimulationConfig, **overrides) -> list:
-    sim = NetworkSimulator(config.replace(**overrides))
-    sim.run()
-    return sim.detector.records
-
-
-def compare_detector(config: SimulationConfig) -> Optional[str]:
-    """Contracted pipeline vs the uncached from-scratch pass.
-
-    The as-shipped default (``detector_caching=True``) must equal the
-    reference pass record for record, blocked-listing order included.
-    """
-    rec_c = _detector_records(config, detector_caching=True)
-    rec_u = _detector_records(config, detector_caching=False)
-    if len(rec_c) != len(rec_u):
-        return (
-            f"detector pipeline diverges: {len(rec_c)} pipeline vs "
-            f"{len(rec_u)} reference detection records"
-        )
-    for i, (a, b) in enumerate(zip(rec_c, rec_u)):
-        if a != b:
+def _first_difference(a: dict, b: dict) -> Optional[str]:
+    """Name the first difference between two fingerprints; None if equal."""
+    for key, va in a["result"].items():
+        vb = b["result"][key]
+        if va != vb:
+            return f"result field {key!r}: {_abbrev(va)} != {_abbrev(vb)}"
+    ra, rb = a["records"], b["records"]
+    for i, (x, y) in enumerate(zip(ra, rb)):
+        if x != y:
+            xs, ys = dataclasses.asdict(x), dataclasses.asdict(y)
+            key = next(k for k in xs if xs[k] != ys[k])
             return (
-                f"detector pipeline diverges at record {i} (cycle {a.cycle}): "
-                f"{_first_diff(dataclasses.asdict(a), dataclasses.asdict(b))}"
+                f"record {i} (cycle {x.cycle}) field {key!r}: "
+                f"{_abbrev(xs[key])} != {_abbrev(ys[key])}"
             )
+    if len(ra) != len(rb):
+        return f"{len(ra)} != {len(rb)} detection records"
+    if a["rng"] != b["rng"]:
+        return f"post-run RNG word: {a['rng']:#x} != {b['rng']:#x}"
     return None
 
 
-_AXIS_CHECKS: dict[str, Callable[[SimulationConfig], Optional[str]]] = {
-    "engine": compare_engine,
-    "detector": compare_detector,
-}
+def compare(
+    config: SimulationConfig,
+    field: str,
+    value,
+    base: Optional[dict] = None,
+) -> Optional[str]:
+    """Run ``config`` with ``field`` set to ``value`` and name its first
+    difference from ``config`` itself; None when the two are bit-identical.
+
+    ``base`` is ``config``'s fingerprint when the caller already has it.
+    """
+    if base is None:
+        base = _run_fingerprint(config)
+    other = _run_fingerprint(config.replace(**{field: value}))
+    return _first_difference(base, other)
+
+
+def _check_axis(
+    config: SimulationConfig, axis: str, base: Optional[dict] = None
+) -> Optional[str]:
+    field = AXES[axis]
+    value = not getattr(config, field)
+    detail = compare(config, field, value, base)
+    return None if detail is None else f"{field}={value} diverges: {detail}"
 
 
 def check_config(
-    config: SimulationConfig, axes: Sequence[str] = AXES
+    config: SimulationConfig, axes: Sequence[str] = tuple(AXES)
 ) -> list[FuzzMismatch]:
-    """Cross-check one configuration on the given axes."""
+    """Cross-check one configuration on the given axes: one run as
+    configured, plus one run per axis with that axis's field toggled."""
+    base = _run_fingerprint(config)
     mismatches = []
     for axis in axes:
-        detail = _AXIS_CHECKS[axis](config)
+        detail = _check_axis(config, axis, base)
         if detail is not None:
             mismatches.append(FuzzMismatch(axis, config, detail))
     return mismatches
@@ -284,8 +286,7 @@ def shrink_config(
     Returns the minimized config and its mismatch detail.  The input must
     actually mismatch on ``axis``.
     """
-    check = _AXIS_CHECKS[axis]
-    detail = check(config)
+    detail = _check_axis(config, axis)
     if detail is None:
         raise ValueError("shrink_config called on a non-mismatching config")
     checks = 0
@@ -300,7 +301,7 @@ def shrink_config(
                 candidate = config.replace(**{field_name: value})
                 try:
                     candidate.validate()
-                    new_detail = check(candidate)
+                    new_detail = _check_axis(candidate, axis)
                 except _INVALID_COMBINATION:
                     # the reduced combination is invalid — not a divergence
                     # (a SimulationError is a real engine failure: it raises)
@@ -340,7 +341,7 @@ def load_artifact(path: Path | str) -> tuple[str, SimulationConfig]:
 def run_fuzz(
     num_configs: int,
     seed: int,
-    axes: Sequence[str] = AXES,
+    axes: Sequence[str] = tuple(AXES),
     shrink: bool = True,
     time_budget: Optional[float] = None,
     log: Optional[Callable[[str], None]] = None,
@@ -361,19 +362,15 @@ def run_fuzz(
         config = random_config(rng)
         if log:
             log(f"[{i + 1}/{num_configs}] {config.label()} seed={config.seed}")
-        for axis in axes:
-            detail = _AXIS_CHECKS[axis](config)
-            if detail is None:
-                continue
+        for mismatch in check_config(config, axes):
             if log:
-                log(f"  MISMATCH on {axis}: {detail}")
+                log(f"  MISMATCH on {mismatch.axis}: {mismatch.detail}")
             if shrink:
-                small, small_detail = shrink_config(config, axis)
+                small, small_detail = shrink_config(config, mismatch.axis)
                 if log:
                     log(f"  shrunk to: {small.label()} ({small_detail})")
-                mismatches.append(FuzzMismatch(axis, small, small_detail))
-            else:
-                mismatches.append(FuzzMismatch(axis, config, detail))
+                mismatch = FuzzMismatch(mismatch.axis, small, small_detail)
+            mismatches.append(mismatch)
         checked += 1
         if time_budget is not None and time.monotonic() - started > time_budget:
             if log and checked < num_configs:

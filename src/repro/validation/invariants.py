@@ -8,18 +8,19 @@ schedule controlled by ``SimulationConfig.validation_level``:
 
 * ``0`` — off (the default; sweeps and benchmarks pay nothing),
 * ``1`` — the full battery every ``validation_interval`` cycles,
-* ``2`` — the full battery every cycle.
+* ``2`` — the full battery every cycle (as does ``check_invariants``).
+
+``NetworkSimulator.check_invariants()`` runs the battery once, on demand.
 
 At levels 1–2 every detector-reported deadlock is additionally verified
 against the knot *definition* (closed under reachability, strongly
 connected, every member message truly blocked) at the detection instant —
 before recovery tears the evidence down.
 
-The battery is pluggable: checks live in a named registry so tests can run
-a subset, and projects can :meth:`InvariantChecker.register` new ones
-without touching the engine.  Every check is a pure observer — running the
-battery never mutates simulation state, so a validated run is bit-identical
-to an unvalidated one (asserted by ``tests/validation/``).
+Checks live in a named table so tests can run a subset.  Every check is a
+pure observer — running the battery never mutates simulation state, so a
+validated run is bit-identical to an unvalidated one (asserted through
+:func:`repro.validation.differential.compare` in ``tests/validation/``).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from repro.core.detector import DeadlockDetector, DeadlockEvent, DetectionRecord
 from repro.errors import SimulationError
+from repro.network.message import MessageStatus
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.config import SimulationConfig
@@ -73,8 +75,6 @@ def check_flit_conservation(sim: "NetworkSimulator") -> None:
         )
     # a queue's head may already be ACTIVE (mid-injection); messages behind
     # it are strictly QUEUED and must not own anything yet
-    from repro.network.message import MessageStatus
-
     for q in sim.queues:
         for msg in q:
             if msg.status is MessageStatus.QUEUED and (msg.vcs or msg.ejected):
@@ -166,15 +166,78 @@ def check_worm_contiguity(sim: "NetworkSimulator") -> None:
 def check_activity_coherence(sim: "NetworkSimulator") -> None:
     """Fast-path flags and the wake index agree with a from-scratch rescan.
 
-    Delegates the flag-vs-predicate comparison to the engine's own
-    ``_check_activity_state`` (routable/stalled/immobile/waiting-set), then
-    verifies the wake index both ways: every registered ``wait_keys`` entry
-    is indexed, and every index entry points back at a live waiting message
-    that actually waits on that key.
+    The maintained flags (routable / stalled / immobile, the waiting set,
+    the whole-phase skip flags ``_all_immobile`` and ``_alloc_quiet``) must
+    agree with the predicates they cache, and the wake index must agree
+    both ways: every registered ``wait_keys`` entry is indexed, and every
+    index entry points back at a live waiting message that actually waits
+    on that key.
     """
     if not sim.fast_path:
         return
-    sim._check_activity_state()
+    pool = sim.pool
+    for msg in sim.active_messages():
+        if msg.routable != sim.routing_eligible(msg):
+            raise SimulationError(
+                f"message {msg.id}: routable flag {msg.routable} "
+                f"disagrees with routing_eligible"
+            )
+        if (msg.blocked_since is not None) != (msg.id in sim._waiting):
+            raise SimulationError(
+                f"message {msg.id}: waiting-set membership disagrees "
+                f"with blocked_since={msg.blocked_since}"
+            )
+        if msg.stalled:
+            if msg.wait_keys is None:
+                raise SimulationError(
+                    f"message {msg.id} stalled without wait keys"
+                )
+            for key in msg.wait_keys:
+                if isinstance(key, tuple):  # ("rx", node)
+                    if pool.free_reception(key[1]) is not None:
+                        raise SimulationError(
+                            f"message {msg.id} stalled on free "
+                            f"reception at node {key[1]}"
+                        )
+                elif pool.vcs[key].owner is None:
+                    raise SimulationError(
+                        f"message {msg.id} stalled on free VC {key}"
+                    )
+        if msg.immobile:
+            if msg.is_draining or msg.recovering:
+                raise SimulationError(
+                    f"message {msg.id} immobile while draining/recovering"
+                )
+            for vc in msg.vcs:
+                if vc.occupancy < vc.capacity:
+                    raise SimulationError(
+                        f"message {msg.id} immobile with slack in "
+                        f"VC {vc.index}"
+                    )
+    for mid in sim._waiting:
+        if mid not in sim.active:
+            raise SimulationError(
+                f"waiting set retains non-active message {mid}"
+            )
+    if sim._all_immobile and not all(
+        m.immobile for m in sim.active_messages()
+    ):
+        raise SimulationError("_all_immobile raised over a mobile worm")
+    if sim._alloc_quiet >= 0:
+        # what the skipped pass would have built: no head to pop, the
+        # same number of requests, every one parked
+        heads = [q[0] for q in sim.queues if q]
+        requests = [m for m in heads if m.status is MessageStatus.QUEUED]
+        requests += [m for m in sim.active_messages() if m.routable]
+        if (
+            len(requests) != sim._alloc_quiet
+            or not all(m.stalled for m in requests)
+            or any(m.at_source == 0 for m in heads)
+        ):
+            raise SimulationError(
+                f"_alloc_quiet={sim._alloc_quiet} but the request list "
+                f"rebuilds to {len(requests)} entries, not all parked"
+            )
     index = sim._wake_index
     for msg in sim.active_messages():
         if msg.wait_keys is None:
@@ -243,25 +306,19 @@ class InvariantChecker:
         self.last_checked_cycle = -1
 
     @classmethod
-    def register(cls, name: str, check: Check) -> None:
-        """Add ``check`` to the default battery under ``name``.
-
-        The battery is snapshotted at construction, so registration only
-        affects checkers built afterwards.
-        """
-        if name in DEFAULT_CHECKS:
-            raise ValueError(f"invariant check {name!r} already registered")
-        DEFAULT_CHECKS[name] = check
-
-    @classmethod
     def from_config(
         cls, config: "SimulationConfig"
     ) -> Optional["InvariantChecker"]:
-        """The checker a configuration asks for, or None when disabled."""
-        if config.validation_level == 0:
-            return None
-        interval = 1 if config.validation_level >= 2 else config.validation_interval
-        return cls(interval=interval)
+        """The checker a configuration asks for, or None when disabled.
+
+        ``check_invariants`` asks for the same every-cycle battery as
+        ``validation_level=2``.
+        """
+        if config.check_invariants or config.validation_level == 2:
+            return cls(interval=1)
+        if config.validation_level == 1:
+            return cls(interval=config.validation_interval)
+        return None
 
     # -- entry points called by the engine -----------------------------------------
     def maybe_check(self, sim: "NetworkSimulator") -> None:

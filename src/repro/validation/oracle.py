@@ -1,9 +1,10 @@
 """Exhaustive small-config model-checking oracle for the knot detector.
 
 The differential fuzzer (:mod:`repro.validation.differential`) checks that
-the three engines agree with *each other*; nothing yet checks that what
-they agree on is *correct*.  This module closes that gap for configurations
-small enough to enumerate completely: it explores **every reachable state**
+the production engine and the detector pipeline agree with their
+references; nothing there checks that what they agree on is *correct*.
+This module closes that gap for configurations small enough to enumerate
+completely: it explores **every reachable state**
 of a generation-capped simulation across **all nondeterministic branches**
 (per-node Bernoulli injections, destination draws, arbitration shuffles,
 selection tie-breaks — see :mod:`repro.validation.statespace`), derives

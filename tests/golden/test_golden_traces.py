@@ -18,7 +18,6 @@ do not re-bless; bisect it (``scripts/fuzz_differential.py`` can usually
 minimize a reproduction).
 """
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -28,6 +27,7 @@ import pytest
 
 from repro.config import SimulationConfig
 from repro.network.simulator import NetworkSimulator
+from repro.validation.differential import result_fields
 
 GOLDEN_PATH = Path(__file__).parent / "golden_digests.json"
 BLESS_ENV = "REPRO_BLESS_GOLDEN"
@@ -74,9 +74,8 @@ SCENARIOS = {
 
 
 def canonical_trace(sim, result) -> dict:
-    """JSON-stable projection of everything observable about a run."""
-    fields = dataclasses.asdict(result)
-    fields.pop("config")
+    """JSON-stable projection of a run: its result fields (the one
+    projection of :mod:`repro.validation.differential`) and event stream."""
     events = [
         {
             "cycle": e.cycle,
@@ -90,7 +89,7 @@ def canonical_trace(sim, result) -> dict:
         }
         for e in sim.detector.events
     ]
-    return {"result": fields, "events": events}
+    return {"result": result_fields(result), "events": events}
 
 
 def digest_of(trace: dict) -> str:

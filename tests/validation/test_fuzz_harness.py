@@ -108,7 +108,7 @@ def test_as_shipped_pipeline_is_a_detector_axis_leg(miscounting_census):
     contracted census that miscounts is caught by the detector axis."""
     mismatches = check_config(SATURATED, axes=("detector",))
     assert mismatches and mismatches[0].axis == "detector"
-    assert "detector pipeline diverges" in mismatches[0].detail
+    assert "detector_caching=False diverges" in mismatches[0].detail
 
 
 def test_wait_index_read_is_a_detector_axis_leg(dropped_wait_target):
@@ -117,7 +117,7 @@ def test_wait_index_read_is_a_detector_axis_leg(dropped_wait_target):
     wait-index read that loses one target is caught by the detector axis."""
     mismatches = check_config(SATURATED, axes=("detector",))
     assert mismatches and mismatches[0].axis == "detector"
-    assert "detector pipeline diverges" in mismatches[0].detail
+    assert "detector_caching=False diverges" in mismatches[0].detail
 
 
 def test_unknown_fault_name_rejected(monkeypatch):
@@ -147,15 +147,15 @@ def test_shrink_preserves_mismatch_and_simplifies(monkeypatch):
 
 
 def _building_check(monkeypatch, keep=lambda config: True):
-    """Arm the engine axis with a check that builds the sim and reports a
+    """Arm every axis with a comparison that builds the sim and reports a
     mismatch whenever ``keep(config)`` holds."""
     from repro.validation import differential
 
-    def check(config):
+    def compare(config, field, value, base=None):
         NetworkSimulator(config)
         return "synthetic mismatch" if keep(config) else None
 
-    monkeypatch.setitem(differential._AXIS_CHECKS, "engine", check)
+    monkeypatch.setattr(differential, "compare", compare)
 
 
 @pytest.mark.parametrize(
@@ -174,7 +174,7 @@ def _building_check(monkeypatch, keep=lambda config: True):
 def test_shrink_skips_invalid_reductions(monkeypatch, config, keep):
     _building_check(monkeypatch, keep)
     small, detail = shrink_config(config, "engine")
-    assert detail == "synthetic mismatch"
+    assert detail == "engine_fast_path=False diverges: synthetic mismatch"
     small.validate()
     NetworkSimulator(small)  # the minimum is a buildable config
 
@@ -206,7 +206,61 @@ def test_artifact_roundtrip(tmp_path):
 
 
 def test_axes_are_the_documented_two():
-    assert AXES == ("engine", "detector")
+    assert AXES == {"engine": "engine_fast_path", "detector": "detector_caching"}
+
+
+def test_check_config_builds_one_sim_per_axis_plus_base(monkeypatch):
+    """The as-configured run is shared: a config costs 1 + len(axes) sims."""
+    from repro.validation import differential
+
+    built = []
+
+    def counting(config):
+        built.append(config)
+        return NetworkSimulator(config)
+
+    monkeypatch.setattr(differential, "NetworkSimulator", counting)
+    config = tiny_default(measure_cycles=100)
+    assert check_config(config) == []
+    assert len(built) == 1 + len(AXES)
+
+
+def test_engine_axis_catches_a_record_only_divergence(monkeypatch):
+    """A production engine whose detection records report one CWG arc too
+    many: ``RunResult`` aggregates no arc count, so only a net that
+    compares every record sees it."""
+    from repro.network.production import ProductionEngine
+
+    real = ProductionEngine._phase_detect
+
+    def miscounting(self):
+        record = real(self)
+        if record is not None:
+            self.detector.records[-1] = dataclasses.replace(
+                record, cwg_arcs=record.cwg_arcs + 1
+            )
+        return record
+
+    monkeypatch.setattr(ProductionEngine, "_phase_detect", miscounting)
+    mismatches = check_config(SATURATED, axes=("engine",))
+    assert mismatches and mismatches[0].axis == "engine"
+    assert "record 0 (cycle 25) field 'cwg_arcs'" in mismatches[0].detail
+
+
+def test_engine_axis_catches_an_rng_only_divergence(monkeypatch):
+    """A production engine that draws once more after its last cycle: the
+    result and every record agree, only the post-run RNG word differs."""
+    from repro.network.production import ProductionEngine
+
+    def overdrawing(self, progress_every=0):
+        result = NetworkSimulator.run(self, progress_every)
+        self.rng.random()
+        return result
+
+    monkeypatch.setattr(ProductionEngine, "run", overdrawing)
+    mismatches = check_config(SATURATED, axes=("engine",))
+    assert mismatches and mismatches[0].axis == "engine"
+    assert "post-run RNG word" in mismatches[0].detail
 
 
 def test_skip_immobile_clear_is_caught_by_engine_axis(monkeypatch):
