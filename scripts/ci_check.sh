@@ -29,8 +29,12 @@
 #    tests/integration/bit_identity.py (engine, detector, observability
 #    and deprecated-field rows on k-ary n-cubes and the topology zoo),
 #    each compared through repro.validation.differential.compare on the
-#    result, every detection record and the post-run RNG word, and the
-#    golden-trace digests, which both engines must reproduce verbatim;
+#    result, every detection record and the post-run RNG word, the
+#    golden-trace digests, which both engines must reproduce verbatim, and
+#    the sweep fan-out check: a sweep spread over forked workers must equal
+#    the serial in-process sweep field for field (results and obs rollup),
+#    because the worker count is one more thing that must not change a
+#    result;
 # 6. runs the end-to-end benchmark smoke: the five workloads of the repo
 #    benchmark at tiny sizes on the default engine, every point checked
 #    against the seed-1 digests pinned in benchmarks/e2e;
@@ -71,12 +75,13 @@ python scripts/bench_baseline.py --check
 echo "== observability smoke (trace schema + overhead gate) =="
 python scripts/obs_smoke.py
 
-echo "== bit-identity (case table + goldens) =="
+echo "== bit-identity (case table + goldens + sweep fan-out) =="
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -x -q \
     tests/integration/test_fast_path_equivalence.py \
     tests/integration/test_detector_caching_equivalence.py \
     tests/integration/test_obs_equivalence.py \
-    tests/golden
+    tests/golden \
+    tests/metrics/test_fan_out.py::test_fan_out_matches_the_serial_sweep
 
 echo "== end-to-end benchmark smoke (pinned seed-1 digests, default engine) =="
 python3 benchmarks/e2e/run.py --smoke | grep "^=="

@@ -68,7 +68,7 @@ from repro.faults import (
     point_fault_matches,
 )
 from repro.metrics.stats import RunResult
-from repro.metrics.sweep import SweepResult, obs_rollup
+from repro.metrics.sweep import SweepResult, available_cpus, run_point
 from repro.obs.registry import MetricsRegistry
 
 __all__ = ["CampaignRunner", "CampaignSweep", "SlotPool", "run_sweep"]
@@ -124,11 +124,7 @@ def _point_worker(
     digest = store.digest(config)
     try:
         _apply_point_faults(config)
-        from repro.network.simulator import NetworkSimulator
-
-        sim = NetworkSimulator(config)
-        result = sim.run()
-        store.write(config, result, sim.obs.snapshot())
+        store.write(config, *run_point(config))
     except Exception as exc:  # noqa: BLE001 - shipped to the parent
         store.write_error(
             digest, f"{type(exc).__name__}: {exc}", traceback.format_exc()
@@ -352,31 +348,20 @@ def run_sweep(
     Returns the merged sweep over every completed point; raises only on
     store-level problems (schema mismatch), never on point failures.
     """
-    from repro.network.simulator import build_topology
-
-    capacity = build_topology(base).capacity_flits_per_node_cycle
     configs = [base.replace(load=load) for load in loads]
     out = runner.run_points(configs, progress=progress)
     completed: dict[int, StoredPoint] = out["completed"]
-    done_loads = [loads[i] for i in sorted(completed)]
-    done = [completed[i] for i in sorted(completed)]
-    sweep = SweepResult(
-        label=label or base.label(),
-        loads=done_loads,
-        results=[point.result for point in done],
-        capacity=capacity,
-        obs=obs_rollup(done_loads, [point.obs for point in done]),
-        failures=list(out["failures"]),
+    done = sorted(completed)
+    sweep = SweepResult.from_points(
+        base,
+        [loads[i] for i in done],
+        [(completed[i].result, completed[i].obs) for i in done],
+        label,
+        out["failures"],
     )
     return CampaignSweep(
         sweep, out["failures"], out["resumed"], out["executed"], out["remaining"]
     )
-
-
-def _resolve_workers(max_workers: Optional[int]) -> int:
-    if max_workers is not None:
-        return max(1, max_workers)
-    return max(1, (os.cpu_count() or 2) - 1)
 
 
 class CampaignRunner:
@@ -395,7 +380,9 @@ class CampaignRunner:
         Per-point wall-clock budget; a slot past it is killed and the
         attempt counts as a (retryable) timeout.  ``None`` disables.
     max_workers:
-        Concurrent slot processes (default: cores - 1).
+        Concurrent slot processes (default: every CPU this process may run
+        on — the scheduler blocks on the slot pipes, so it needs no core of
+        its own).
     max_points:
         Stop scheduling after this many fresh point executions — an
         explicit interruption hook (``repro campaign run --max-points``,
@@ -421,7 +408,7 @@ class CampaignRunner:
         self.retries = max(0, retries)
         self.backoff_s = backoff_s
         self.timeout_s = timeout_s
-        self.workers = _resolve_workers(max_workers)
+        self.workers = max(1, max_workers or available_cpus())
         self.max_points = max_points
         self.registry = registry if registry is not None else MetricsRegistry()
 

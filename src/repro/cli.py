@@ -268,8 +268,13 @@ def _add_campaign_run_args(
     parser.add_argument("--timeout", type=float, default=None, metavar="SECS",
                         help="per-point wall-clock budget; a worker past it "
                              "is killed and the attempt retried")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="concurrent worker processes (default: cores-1)")
+    parser.add_argument(
+        "--workers", type=int, default=None,
+        help="concurrent worker processes (default: every CPU this process "
+             "may run on)"
+        + ("" if store_required else "; without --store it caps the "
+           "in-memory fan-out of each sweep's points"),
+    )
     parser.add_argument("--max-points", type=int, default=None,
                         help="stop after N fresh point executions "
                              "(interruption hook used by tests/CI)")
@@ -359,11 +364,12 @@ def _run_experiment(args: argparse.Namespace, runner=None) -> int:
         render_topology_comparison,
         sweep_csv,
     )
+    from repro.metrics.sweep import FanOut
 
     set_default_obs_level(args.obs_level)
     if runner is None:
         runner = _campaign_runner_from_args(args)
-    set_campaign_runner(runner)
+    set_campaign_runner(runner if runner is not None else FanOut(args.workers))
     try:
         exp_id = EXPERIMENT_ALIASES.get(args.id, args.id)
         wanted = list(ALL_EXPERIMENTS) if exp_id == "all" else [exp_id]

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from repro.config import SimulationConfig, bench_default, paper_default, tiny_default
 from repro.errors import ConfigurationError
 from repro.experiments.claims import verdicts
-from repro.metrics.sweep import SweepResult, run_load_sweep
+from repro.metrics.sweep import FanOut, SweepResult
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.campaign.runner import CampaignRunner
@@ -65,6 +65,9 @@ def default_obs_level() -> int:
 #: the per-figure signatures (mirrors :data:`_DEFAULT_OBS_LEVEL`)
 _CAMPAIGN_RUNNER: Optional["CampaignRunner"] = None
 
+#: the runner :func:`experiment_sweep` uses when none is installed
+_FAN_OUT = FanOut()
+
 
 def set_campaign_runner(runner: Optional["CampaignRunner"]) -> None:
     """Install (or clear, with ``None``) the campaign runner sweeps use.
@@ -77,7 +80,8 @@ def set_campaign_runner(runner: Optional["CampaignRunner"]) -> None:
     ServiceRunner` draining points through a distributed campaign service
     (``repro campaign serve``); experiments cannot tell them apart, which
     is the point — distribution is an execution detail, not an experiment
-    concern.
+    concern.  So is :class:`~repro.metrics.sweep.FanOut`, which ``repro
+    experiment --workers N`` installs to cap the default fan-out.
     """
     global _CAMPAIGN_RUNNER
     _CAMPAIGN_RUNNER = runner
@@ -93,17 +97,19 @@ def experiment_sweep(
 ) -> SweepResult:
     """The load sweep every experiment runner goes through.
 
-    Plain serial :func:`~repro.metrics.sweep.run_load_sweep` by default;
-    when a campaign runner is installed (``repro campaign run``,
-    ``repro experiment --store``, or :func:`set_campaign_runner`), the
-    sweep is checkpointed, fault-tolerant and resumable instead.  Points a
-    campaign could not complete are recorded on the returned sweep's
-    ``failures`` (rendered as degraded notes, and the experiment's claims
-    are then not evaluated) rather than raised.
+    By default the points fan out over every available CPU, in memory
+    (:func:`~repro.metrics.sweep.fan_out`); the result equals the serial
+    :func:`~repro.metrics.sweep.run_load_sweep`'s, because each point
+    depends only on its config.  When a campaign runner is installed
+    (``repro campaign run``, ``repro experiment --store``, or
+    :func:`set_campaign_runner`), the sweep is checkpointed, fault-tolerant
+    and resumable instead.  Points a campaign could not complete are
+    recorded on the returned sweep's ``failures`` (rendered as degraded
+    notes, and the experiment's claims are then not evaluated) rather than
+    raised.
     """
-    if _CAMPAIGN_RUNNER is None:
-        return run_load_sweep(base, loads, label)
-    return _CAMPAIGN_RUNNER.run_sweep(base, loads, label).sweep
+    runner = _FAN_OUT if _CAMPAIGN_RUNNER is None else _CAMPAIGN_RUNNER
+    return runner.run_sweep(base, loads, label).sweep
 
 
 def scaled_config(scale: str, **overrides) -> SimulationConfig:

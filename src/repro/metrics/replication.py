@@ -16,6 +16,7 @@ from typing import Callable, Optional, Sequence
 
 from repro.config import SimulationConfig
 from repro.metrics.stats import RunResult
+from repro.metrics.sweep import fan_out
 
 __all__ = ["MetricEstimate", "ReplicatedResult", "replicate"]
 
@@ -107,55 +108,25 @@ def replicate(
     seeds: Sequence[int] = range(5),
     *,
     metrics: Optional[dict[str, Callable[[RunResult], float]]] = None,
-    parallel: bool = False,
     max_workers: Optional[int] = None,
 ) -> ReplicatedResult:
     """Run ``base`` once per seed and aggregate the metrics.
 
     Seeds replace ``base.seed``; all other fields (including the traffic
     stream derivation) follow each run's own seed, so replicas are fully
-    independent.
-
-    With ``parallel=True`` the seeds run on ``max_workers`` campaign slot
-    processes (:class:`~repro.campaign.runner.CampaignRunner` over a
-    throwaway store, no retries); the runs are identical to the serial
-    path's.  If any seed fails, one :class:`~repro.errors.SimulationError`
-    names every failed seed and its error; no partial result is returned.
+    independent.  The seeds fan out over at most ``max_workers`` processes
+    (default: every available CPU; :func:`~repro.metrics.sweep.fan_out`),
+    which changes where a run happens, never its result.  A failing seed
+    raises its own error; no partial result is returned.
     """
     seeds = list(seeds)
     if not seeds:
         raise ValueError("at least one seed is required")
-    configs = [base.replace(seed=s) for s in seeds]
-    if parallel:
-        runs = _run_on_slots(configs, max_workers)
-    else:
-        from repro.network.simulator import NetworkSimulator
-
-        runs = [NetworkSimulator(cfg).run() for cfg in configs]
+    points = fan_out([base.replace(seed=s) for s in seeds], max_workers)
+    runs = [result for result, _ in points]
     metrics = metrics or DEFAULT_METRICS
     estimates = {
         name: MetricEstimate(name, tuple(fn(r) for r in runs))
         for name, fn in metrics.items()
     }
     return ReplicatedResult(config=base, runs=tuple(runs), estimates=estimates)
-
-
-def _run_on_slots(
-    configs: list[SimulationConfig], max_workers: Optional[int]
-) -> list[RunResult]:
-    import tempfile
-
-    from repro.campaign.runner import CampaignRunner
-    from repro.errors import SimulationError
-
-    with tempfile.TemporaryDirectory(prefix="repro-replicate-") as tmp:
-        runner = CampaignRunner(tmp, max_workers=max_workers, retries=0)
-        out = runner.run_points(configs)
-    if out["failures"]:
-        raise SimulationError(
-            f"{len(out['failures'])} replicated seed(s) failed:\n"
-            + "\n".join(
-                f"  {f.label} seed={f.seed}: {f.error}" for f in out["failures"]
-            )
-        )
-    return [out["completed"][i].result for i in range(len(configs))]

@@ -51,6 +51,11 @@ class InvariantViolation(SimulationError):
         self.detail = detail
         super().__init__(f"[{check} @ cycle {cycle}] {detail}")
 
+    def __reduce__(self):
+        # ``args`` holds only the rendered message, which ``__init__``
+        # cannot take back: rebuild from the three fields instead
+        return type(self), (self.check, self.cycle, self.detail)
+
 
 Check = Callable[["NetworkSimulator"], None]
 

@@ -1,10 +1,11 @@
-"""Tests for multi-seed replication, serial and on campaign slots."""
+"""Tests for multi-seed replication, its seeds fanned out over workers."""
 
 import pytest
 
 from repro.config import tiny_default
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError
 from repro.metrics.replication import MetricEstimate, replicate
+from repro.metrics.sweep import run_point
 
 FAST = dict(measure_cycles=400, warmup_cycles=50)
 
@@ -55,19 +56,13 @@ class TestReplicate:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_parallel_replication_matches_serial(self, workers):
         cfg = tiny_default(load=0.5, **FAST)
-        serial = replicate(cfg, seeds=[7, 8, 9])
-        parallel = replicate(
-            cfg, seeds=[7, 8, 9], parallel=True, max_workers=workers
-        )
-        assert parallel.runs == serial.runs
-        assert parallel.estimates == serial.estimates
+        serial = [run_point(cfg.replace(seed=s))[0] for s in (7, 8, 9)]
+        parallel = replicate(cfg, seeds=[7, 8, 9], max_workers=workers)
+        assert parallel.runs == tuple(serial)
+        assert parallel.estimates == replicate(cfg, seeds=[7, 8, 9]).estimates
 
-    def test_failed_seed_raises_naming_it(self):
-        # num_vcs=0 passes replace() but fails validation in the slot
+    def test_failed_seed_raises_its_own_error(self):
+        # num_vcs=0 passes replace() but fails validation when the run starts
         bad = tiny_default(load=0.5, **FAST).replace(num_vcs=0)
-        with pytest.raises(SimulationError) as excinfo:
-            replicate(bad, seeds=[3, 4], parallel=True, max_workers=2)
-        message = str(excinfo.value)
-        assert bad.label() in message
-        assert "num_vcs" in message
-        assert "seed=3" in message and "seed=4" in message
+        with pytest.raises(ConfigurationError, match="num_vcs must be >= 1"):
+            replicate(bad, seeds=[3, 4], max_workers=2)
