@@ -4,24 +4,21 @@
 Builds the channel wait-for graphs of the paper's Figures 1-4 and runs the
 knot detector and cycle counter over each, printing the full
 characterization: knot, deadlock set, resource set, knot cycle density,
-classification, and dependent messages.  Also emits Graphviz DOT for each
-CWG so the figures can be rendered.
+classification, and dependent messages.
 
 Usage::
 
-    python examples/classification_gallery.py [--dot]
+    python examples/classification_gallery.py
 """
 
 from __future__ import annotations
-
-import sys
 
 from repro.core.cycles import count_simple_cycles
 from repro.core.gallery import figure1_cwg, figure2_cwg, figure3_cwg, figure4_cwg
 from repro.core.knots import find_knots
 
 
-def analyze(name: str, title: str, g, show_dot: bool) -> None:
+def analyze(name: str, title: str, g) -> None:
     adjacency = g.adjacency()
     knots = find_knots(adjacency)
     total_cycles = count_simple_cycles(adjacency)
@@ -44,7 +41,7 @@ def analyze(name: str, title: str, g, show_dot: bool) -> None:
         print(f"    resource set size : {len(resource_set)}")
         print(f"    knot cycle density: {density} => {kind} deadlock")
         # fan-out of each blocked deadlock-set message
-        fans = {m: g.fan_out(m) for m in sorted(deadlock_set)}
+        fans = {m: len(g.requests.get(m, ())) for m in sorted(deadlock_set)}
         print(f"    routing fan-outs  : {fans}")
         deps = [
             m for m in g.blocked_messages()
@@ -54,38 +51,30 @@ def analyze(name: str, title: str, g, show_dot: bool) -> None:
         if deps:
             print(f"    dependent msgs    : m{sorted(deps)} "
                   "(blocked by the deadlock, but removing them cannot fix it)")
-    if show_dot:
-        print()
-        print(g.to_dot())
     print()
 
 
 def main() -> None:
-    show_dot = "--dot" in sys.argv[1:]
     analyze(
         "Figure 1",
         "single-cycle deadlock, DOR with 1 VC (static routing, fan-out 1)",
         figure1_cwg(),
-        show_dot,
     )
     analyze(
         "Figure 2",
         "single-cycle deadlock, minimal adaptive routing with exhausted "
         "adaptivity (plus a dependent message)",
         figure2_cwg(),
-        show_dot,
     )
     analyze(
         "Figure 3",
         "multi-cycle deadlock, adaptive routing with 2 VCs (fan-out 2)",
         figure3_cwg(),
-        show_dot,
     )
     analyze(
         "Figure 4",
         "cyclic NON-deadlock: cycles without a knot (escape channel exists)",
         figure4_cwg(),
-        show_dot,
     )
 
 

@@ -45,8 +45,8 @@ def main() -> None:
     print(f"  average latency (cycles)  : {result.avg_latency:.1f}")
     cap = sim.topology.capacity_flits_per_node_cycle
     print(f"  normalized throughput     : {result.normalized_throughput(cap):.3f}")
-    print(f"  avg blocked messages      : {result.avg_blocked_messages:.1f} "
-          f"({100 * result.avg_blocked_fraction:.1f}% of those in flight)")
+    print(f"  blocked messages          : "
+          f"{100 * result.avg_blocked_fraction:.1f}% of those in flight")
     print()
     print("deadlock characterization")
     print("-------------------------")

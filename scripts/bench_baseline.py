@@ -464,10 +464,14 @@ def _phase_breakdown() -> dict:
     sim = NetworkSimulator(cfg)
     for _ in range(spec["warm"]):
         sim.step()
-    sim.obs.profiler.reset()
+    warm = sim.obs.profiler.snapshot()
     for _ in range(spec["cycles"]):
         sim.step()
-    snap = sim.obs.profiler.snapshot()
+    zero = {"total_s": 0.0, "calls": 0}
+    snap = {  # the timed cycles only: the warmup's totals subtracted
+        name: {key: row[key] - warm.get(name, zero)[key] for key in zero}
+        for name, row in sim.obs.profiler.snapshot().items()
+    }
     return {
         "scenario": ACCEPTANCE_SCENARIO,
         "timed_cycles": spec["cycles"],

@@ -58,8 +58,19 @@
 #    Topology subclass / CLI --topology choice must be documented in
 #    docs/TOPOLOGIES.md, docs/API.md's SimulationConfig table must
 #    list every field exactly as rendered from the config's field table,
-#    and EXPERIMENTS.md's reproduction summary must be the claims table
-#    as rendered on the committed bench observations.
+#    EXPERIMENTS.md's reproduction summary must be the claims table as
+#    rendered on the committed bench observations, and every repo path
+#    under examples/, scripts/, src/, tests/ or data/ that a markdown file
+#    names in code must exist;
+# 11. runs the reachability audit (scripts/reach.py --check): every tiny
+#    experiment with its claims, one invocation per non-service CLI verb
+#    and the nets (oracle grid and teeth, fuzz smoke and teeth, a
+#    validation_level=2 run) execute under sys.setprofile, and the stage
+#    fails when a function of src/repro is reached by none of them and is
+#    not on the script's short allowlist with one of its fixed reasons,
+#    when an allowlist entry no longer matches an unreached function, or
+#    when docs/TESTING.md's per-module table is stale.  Every line of
+#    src/ serves a claim, a net or a verb, or says why not.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -95,7 +106,10 @@ python scripts/fuzz_differential.py --smoke --quiet
 echo "== model-checking oracle smoke (exhaustive detector verification) =="
 python scripts/oracle_smoke.py
 
-echo "== docs drift (API symbols, markdown links, topology coverage, config table) =="
+echo "== docs drift (API symbols, markdown links, code paths, topology coverage, config table, claims summary) =="
 python scripts/docs_check.py
+
+echo "== reachability audit (every src/ function reached by a claim, a net or a verb) =="
+python scripts/reach.py --check
 
 echo "ci_check: OK"

@@ -19,7 +19,14 @@ script does — it is part of ``scripts/ci_check.sh``:
    field table;
 5. the "Summary of reproduction status" table in ``EXPERIMENTS.md`` must
    match what :func:`render_claims_summary` renders from the claims table
-   evaluated on the committed bench observations.
+   evaluated on the committed bench observations;
+6. every repo path under ``examples/``, ``scripts/``, ``src/``, ``tests/``
+   or ``data/`` that a markdown file names in code (an inline code span or
+   a fenced block) must exist — so a command like ``python scripts/x.py``
+   or a table of example files cannot outlive the file.  At the top level
+   only the project's own documentation (:data:`PATH_CHECKED_TOP`) is
+   checked: the history, plan and reference documents there name deleted,
+   planned or foreign files by design.
 
 ``--write`` regenerates both generated blocks in place.
 
@@ -49,10 +56,20 @@ LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 #: directories never scanned for markdown
 SKIP_DIRS = {".git", "__pycache__", ".pytest_cache", "node_modules"}
 
+#: an inline code span or a fenced code block
+CODE_RE = re.compile(r"```.*?```|`[^`\n]+`", re.S)
 
-def iter_markdown_files() -> list[Path]:
+#: a path under one of the checked repo directories, as a code token
+PATH_RE = re.compile(r"(?<![\w./-])(?:examples|scripts|src|tests|data)/[^\s`'\"(),;:]*")
+
+#: the top-level documents whose code paths are checked; every markdown file
+#: below the top level is checked too
+PATH_CHECKED_TOP = {"README.md", "DESIGN.md", "EXPERIMENTS.md"}
+
+
+def iter_markdown_files(root: Path = REPO_ROOT) -> list[Path]:
     out = []
-    for path in sorted(REPO_ROOT.rglob("*.md")):
+    for path in sorted(root.rglob("*.md")):
         if not any(part in SKIP_DIRS for part in path.parts):
             out.append(path)
     return out
@@ -102,7 +119,8 @@ def check_markdown_links() -> list[str]:
     problems = []
     checked = 0
     for md in iter_markdown_files():
-        for match in LINK_RE.finditer(md.read_text()):
+        # a link inside a code span or block is literal text, not a link
+        for match in LINK_RE.finditer(CODE_RE.sub("", md.read_text())):
             target = match.group(1)
             if target.startswith(("http://", "https://", "mailto:", "#")):
                 continue
@@ -116,6 +134,27 @@ def check_markdown_links() -> list[str]:
                     f"{md.relative_to(REPO_ROOT)}: broken link -> {target}"
                 )
     print(f"docs_check: {checked} intra-repo links checked")
+    return problems
+
+
+def check_code_paths(root: Path = REPO_ROOT) -> list[str]:
+    """Every repo path a markdown file names in code must exist."""
+    problems = []
+    checked = 0
+    for md in iter_markdown_files(root):
+        if md.parent == root and md.name not in PATH_CHECKED_TOP:
+            continue
+        for code in CODE_RE.findall(md.read_text()):
+            for path in PATH_RE.findall(code):
+                path = path.rstrip(".")
+                if any(c in path for c in "{}*?<>[]"):
+                    continue  # a pattern, not a path
+                checked += 1
+                if not (root / path).exists():
+                    problems.append(
+                        f"{md.relative_to(root)}: names missing path `{path}`"
+                    )
+    print(f"docs_check: {checked} repo paths named in code checked")
     return problems
 
 
@@ -277,8 +316,8 @@ def main() -> int:
     if sys.argv[1:] == ["--write"]:
         write_generated()
     problems = (
-        check_api_symbols() + check_markdown_links() + check_topology_docs()
-        + check_config_table() + check_claims_summary()
+        check_api_symbols() + check_markdown_links() + check_code_paths()
+        + check_topology_docs() + check_config_table() + check_claims_summary()
     )
     for problem in problems:
         print(f"DOCS: {problem}")

@@ -34,7 +34,7 @@ from repro.errors import (
     SimulationError,
     TopologyError,
 )
-from repro.metrics import RunResult, SweepResult, default_loads, run_load_sweep
+from repro.metrics import RunResult, SweepResult, run_load_sweep
 from repro.network import (
     IrregularTorus,
     KAryNCube,
@@ -59,7 +59,6 @@ __all__ = [
     "RunResult",
     "SweepResult",
     "run_load_sweep",
-    "default_loads",
     "ChannelWaitForGraph",
     "DeadlockDetector",
     "DeadlockEvent",

@@ -108,10 +108,6 @@ class PointFailure:
     def to_json(self) -> dict:
         return dataclasses.asdict(self)
 
-    @classmethod
-    def from_json(cls, data: dict) -> "PointFailure":
-        return cls(**data)
-
 
 @dataclass
 class StoredPoint:

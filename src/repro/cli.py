@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from repro.config import FIELDS, SimulationConfig, bench_default
 
@@ -244,7 +245,9 @@ def _add_experiment_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("id", choices=EXPERIMENT_IDS)
     parser.add_argument("--scale", default="bench",
                         choices=["tiny", "bench", "paper"])
-    parser.add_argument("--csv", metavar="PATH", help="also write CSV rows")
+    parser.add_argument("--csv", metavar="PATH",
+                        help="also write the sweep rows as CSV, and every "
+                             "observation to <stem>_observations.csv beside it")
     parser.add_argument("--chart", action="store_true",
                         help="render ASCII charts of the figure series")
     parser.add_argument("--obs-level", type=int, default=0,
@@ -361,8 +364,9 @@ def _run_experiment(args: argparse.Namespace, runner=None) -> int:
     from repro.experiments.report import (
         render_figure,
         render_obs_rollup,
+        experiment_csv,
+        observations_csv,
         render_topology_comparison,
-        sweep_csv,
     )
     from repro.metrics.sweep import FanOut
 
@@ -373,7 +377,7 @@ def _run_experiment(args: argparse.Namespace, runner=None) -> int:
     try:
         exp_id = EXPERIMENT_ALIASES.get(args.id, args.id)
         wanted = list(ALL_EXPERIMENTS) if exp_id == "all" else [exp_id]
-        csv_parts = []
+        results = []
         for exp_id in wanted:
             result = ALL_EXPERIMENTS[exp_id](scale=args.scale)
             print(result.format_tables())
@@ -390,15 +394,14 @@ def _run_experiment(args: argparse.Namespace, runner=None) -> int:
                 print(render_figure(result, "norm_deadlocks"))
                 print()
                 print(render_figure(result, "throughput"))
-            if args.csv:
-                csv_parts.append(sweep_csv(result))
+            results.append(result)
             print()
-        if args.csv and csv_parts:
-            header = csv_parts[0].splitlines()[0]
-            body = [ln for part in csv_parts for ln in part.splitlines()[1:]]
-            with open(args.csv, "w") as fh:
-                fh.write("\n".join([header, *body]) + "\n")
-            print(f"CSV written to {args.csv}")
+        if args.csv:
+            rows = Path(args.csv)
+            observations = rows.with_name(f"{rows.stem}_observations.csv")
+            rows.write_text(experiment_csv(results))
+            observations.write_text(observations_csv(results))
+            print(f"CSV written to {rows} and {observations}")
         if runner is not None:
             _print_campaign_summary(runner)
     finally:
@@ -434,88 +437,18 @@ def _run_campaign(args: argparse.Namespace) -> int:
             + (f"; {corrupt} corrupt artifact(s) dropped" if corrupt else "")
         )
         return 0
-    if args.campaign_command == "serve":
-        return _run_campaign_serve(args)
-    if args.campaign_command == "worker":
-        return _run_campaign_worker(args)
-    if args.campaign_command == "watch":
-        return _run_campaign_watch(args)
+    if args.campaign_command in ("serve", "worker", "watch"):
+        from repro.campaign.service import verbs
+
+        if args.campaign_command == "serve":
+            return verbs.serve(args, _run_experiment)
+        return getattr(verbs, args.campaign_command)(args)
     # run / resume: identical semantics — resume is run with a store that
     # already holds completed points
     return _run_experiment(args)
 
 
-def _parse_endpoint(value: str) -> tuple[str, int]:
-    host, sep, port = value.rpartition(":")
-    if not sep or not port.isdigit():
-        raise SystemExit(f"--connect expects HOST:PORT, got {value!r}")
-    return host or "127.0.0.1", int(port)
-
-
-def _run_campaign_serve(args: argparse.Namespace) -> int:
-    from repro.campaign.service import CampaignService, ServiceRunner
-
-    service = CampaignService(
-        args.store,
-        host=args.host,
-        port=args.port,
-        status_port=args.status_port,
-        lease_ttl=args.lease_ttl,
-        requeue_limit=args.requeue_limit,
-        local_workers=args.local_workers,
-        retries=args.retries,
-        timeout_s=args.timeout,
-    )
-    with service:
-        print(
-            f"campaign service on {service.host}:{service.port} "
-            f"(store {service.store.root}, {args.local_workers} local "
-            f"slot(s); attach more with "
-            f"`repro campaign worker --connect {service.host}:{service.port}`)"
-        )
-        if service.status_port is not None:
-            print(
-                f"live status on http://{service.host}:{service.status_port}"
-                f"/status (SSE: /events; "
-                f"`repro campaign watch --connect "
-                f"{service.host}:{service.status_port}`)"
-            )
-        return _run_experiment(args, runner=ServiceRunner(service))
-
-
-def _run_campaign_worker(args: argparse.Namespace) -> int:
-    from repro.campaign.service import run_worker
-
-    host, port = _parse_endpoint(args.connect)
-    stats = run_worker(
-        host,
-        port,
-        worker_id=args.worker_id,
-        retries=args.retries,
-        timeout_s=args.timeout,
-        max_points=args.max_points,
-        exit_when_done=not args.stay,
-    )
-    print(
-        f"worker drained: {stats['points_done']} point(s) done, "
-        f"{stats['points_failed']} failed, {stats['claims']} lease(s)"
-    )
-    return 0
-
-
-def _run_campaign_watch(args: argparse.Namespace) -> int:
-    from repro.campaign.service.status import watch
-
-    host, port = _parse_endpoint(args.connect)
-    failed = watch(
-        host, port, interval_s=args.interval, max_updates=args.max_updates
-    )
-    return 1 if failed else 0
-
-
 def _run_oracle(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from repro.validation import oracle as orc
 
     if args.oracle_command == "list":

@@ -268,8 +268,8 @@ class SimulationConfig:
     validation_interval: int = _validation(100, at_least(1), OBSERVATION)
 
     # -- observability --------------------------------------------------------------
-    #: observability (:mod:`repro.obs`): 0 = off (the default — instrumented
-    #: call sites cost one attribute lookup against a no-op singleton),
+    #: observability (:mod:`repro.obs`): 0 = off (the default — no registry,
+    #: profiler or tracer; instrumented call sites test one ``None``),
     #: 1 = metrics registry + per-phase profiler, 2 = level 1 plus the
     #: cycle-level trace ring buffer (exportable as JSONL / Chrome trace).
     #: Pure observation at every level: simulation results are bit-identical
@@ -384,11 +384,6 @@ class SimulationConfig:
             return self.dims[0]
         return self.k**self.n
 
-    @property
-    def is_cut_through(self) -> bool:
-        """Virtual cut-through: a buffer can hold an entire message."""
-        return self.buffer_depth >= self.message_length
-
     def label(self) -> str:
         """Short human-readable tag used in experiment tables."""
         if self.topology in ("mesh3d", "torus3d"):
@@ -455,14 +450,14 @@ def bench_default(**overrides) -> SimulationConfig:
     multiplicity) is preserved while a load-sweep point runs in seconds
     rather than hours of pure-Python simulation.
     """
-    return SimulationConfig(
+    return paper_default(
         k=8, n=2, message_length=16, warmup_cycles=500, measure_cycles=4_000
     ).replace(**overrides)
 
 
 def tiny_default(**overrides) -> SimulationConfig:
     """Minimal configuration for unit/integration tests."""
-    return SimulationConfig(
+    return paper_default(
         k=4, n=2, message_length=8, warmup_cycles=100, measure_cycles=1_000,
         max_queued_per_node=16,
     ).replace(**overrides)

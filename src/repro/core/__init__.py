@@ -14,7 +14,6 @@ from repro.core.detector import (
     DeadlockDetector,
     DeadlockEvent,
     DetectionRecord,
-    classify_event,
 )
 from repro.core.knots import (
     find_knots,
@@ -46,7 +45,6 @@ __all__ = [
     "DeadlockDetector",
     "DeadlockEvent",
     "DetectionRecord",
-    "classify_event",
     "find_knots",
     "knot_of_vertex",
     "strongly_connected_components",

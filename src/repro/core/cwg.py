@@ -47,16 +47,6 @@ class ChannelWaitForGraph:
         self.request_from: dict[int, Vertex] = {}
 
     # -- construction ---------------------------------------------------------------
-    def add_vertex(self, vertex: Vertex, owner: int | None = None) -> None:
-        """Register a vertex, optionally with an owner but no chain arcs."""
-        if vertex in self.owner and self.owner[vertex] is not None:
-            if owner is not None and self.owner[vertex] != owner:
-                raise SimulationError(
-                    f"vertex {vertex!r} already owned by {self.owner[vertex]}"
-                )
-            return
-        self.owner[vertex] = owner
-
     def add_ownership_chain(self, message: int, chain: Iterable[Vertex]) -> None:
         """Record the solid-arc chain of ``message`` (acquisition order)."""
         chain = list(chain)
@@ -97,10 +87,6 @@ class ChannelWaitForGraph:
 
     # -- queries ----------------------------------------------------------------------
     @property
-    def vertices(self) -> list[Vertex]:
-        return list(self.owner)
-
-    @property
     def num_vertices(self) -> int:
         return len(self.owner)
 
@@ -113,14 +99,6 @@ class ChannelWaitForGraph:
     def blocked_messages(self) -> list[int]:
         """Messages with outstanding dashed arcs."""
         return list(self.requests)
-
-    def fan_out(self, message: int) -> int:
-        """Number of alternatives a blocked message waits on (dashed arcs).
-
-        The paper observes that vertex fan-out — set by routing adaptivity
-        and the VC count — governs how many unique cycles can form.
-        """
-        return len(self.requests.get(message, ()))
 
     def messages_owning(self, vertices: Iterable[Vertex]) -> set[int]:
         """Distinct owners of the given vertices (ignoring free vertices)."""
@@ -148,34 +126,6 @@ class ChannelWaitForGraph:
             src = self.request_from[message]
             adj[src].extend(targets)
         return adj
-
-    def solid_arcs(self) -> list[tuple[Vertex, Vertex, int]]:
-        """(u, v, owner) triples for every solid arc."""
-        out = []
-        for message, chain in self.chains.items():
-            out.extend((u, v, message) for u, v in zip(chain, chain[1:]))
-        return out
-
-    def dashed_arcs(self) -> list[tuple[Vertex, Vertex, int]]:
-        """(u, v, requester) triples for every dashed arc."""
-        out = []
-        for message, targets in self.requests.items():
-            src = self.request_from[message]
-            out.extend((src, t, message) for t in targets)
-        return out
-
-    def to_dot(self) -> str:
-        """Graphviz rendering (solid vs dashed arcs), for documentation."""
-        lines = ["digraph CWG {", "  rankdir=LR;"]
-        for v, o in self.owner.items():
-            label = f"{v}" + (f"\\n(m{o})" if o is not None else "")
-            lines.append(f'  "{v}" [label="{label}"];')
-        for u, v, m in self.solid_arcs():
-            lines.append(f'  "{u}" -> "{v}" [label="m{m}"];')
-        for u, v, m in self.dashed_arcs():
-            lines.append(f'  "{u}" -> "{v}" [style=dashed, label="m{m}"];')
-        lines.append("}")
-        return "\n".join(lines)
 
 
 def worm_graph(cwg: ChannelWaitForGraph) -> dict[int, list]:

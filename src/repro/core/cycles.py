@@ -72,9 +72,6 @@ class CycleCount:
     count: int
     saturated: bool  #: True when the cap stopped enumeration early
 
-    def __int__(self) -> int:
-        return self.count
-
 
 class _Budget:
     __slots__ = ("left",)

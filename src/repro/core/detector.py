@@ -94,7 +94,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.network.simulator import NetworkSimulator
 
 __all__ = [
-    "DeadlockEvent", "DetectionRecord", "DeadlockDetector", "classify_event",
+    "DeadlockEvent", "DetectionRecord", "DeadlockDetector",
     "granularity_verdicts",
 ]
 
@@ -247,11 +247,6 @@ class DeadlockEvent:
         return len(self.resource_set)
 
 
-def classify_event(event: DeadlockEvent) -> str:
-    """Single- vs multi-cycle classification (Section 2.2 of the paper)."""
-    return event.classification
-
-
 @dataclass
 class DetectionRecord:
     """Everything one detector invocation observed."""
@@ -266,14 +261,9 @@ class DetectionRecord:
     #: (message id, cycles spent blocked, in a deadlock set?) per blocked
     #: message — raw material for timeout-heuristic comparisons.
     blocked_durations: list[tuple[int, int, bool]] = field(default_factory=list)
-    #: in timeout mode: ids of the engine-blocked messages at this instant
-    #: (``sim.blocked_messages()`` equivalent), so the recovery step reuses
-    #: the detector's enumeration instead of rescanning the population
+    #: in timeout mode: ids of the engine-blocked messages at this instant,
+    #: the pool the timeout recovery step draws its victims from
     blocked_ids: Optional[tuple[int, ...]] = None
-
-    @property
-    def has_deadlock(self) -> bool:
-        return bool(self.events)
 
 
 class DeadlockDetector:
@@ -428,9 +418,8 @@ class DeadlockDetector:
 
         blocked_ids: Optional[tuple[int, ...]] = None
         if sim.config.detection_mode == "timeout":
-            # The engine's blocked_messages() additionally drops a message
-            # whose awaited reception channel freed after its last attempt;
-            # apply the same filter so recovery sees an identical pool.
+            # A message whose awaited reception channel freed after its
+            # last attempt is not engine-blocked: drop it from the pool.
             ids = []
             for mid in blocked_list:
                 msg = sim.message_by_id(mid)

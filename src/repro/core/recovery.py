@@ -29,17 +29,15 @@ __all__ = [
 
 
 class RecoveryPolicy:
-    """Chooses which deadlock-set messages to remove, and how."""
+    """Chooses which deadlock-set messages to remove, and how.
+
+    Subclasses implement ``victims(deadlock_set, rng) -> list[Message]``,
+    the messages to remove for one detected knot.
+    """
 
     name = "base"
     #: recovered messages reach their destination (Disha semantics)?
     delivers_victim = True
-
-    def victims(
-        self, deadlock_set: Sequence["Message"], rng: random.Random
-    ) -> list["Message"]:
-        """The messages to remove for one detected knot."""
-        raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"

@@ -32,11 +32,9 @@ __all__ = [
     "scaled_loads",
     "experiment_sweep",
     "set_campaign_runner",
-    "campaign_runner",
     "ExperimentResult",
     "format_table",
     "set_default_obs_level",
-    "default_obs_level",
 ]
 
 #: observability level applied by :func:`scaled_config` when the caller does
@@ -52,11 +50,6 @@ def set_default_obs_level(level: int) -> None:
     if level not in (0, 1, 2):
         raise ConfigurationError(f"obs_level must be 0, 1 or 2, got {level}")
     _DEFAULT_OBS_LEVEL = level
-
-
-def default_obs_level() -> int:
-    """The ``obs_level`` currently applied by :func:`scaled_config`."""
-    return _DEFAULT_OBS_LEVEL
 
 
 #: active campaign runner applied by :func:`experiment_sweep` — how
@@ -85,11 +78,6 @@ def set_campaign_runner(runner: Optional["CampaignRunner"]) -> None:
     """
     global _CAMPAIGN_RUNNER
     _CAMPAIGN_RUNNER = runner
-
-
-def campaign_runner() -> Optional["CampaignRunner"]:
-    """The campaign runner currently applied by :func:`experiment_sweep`."""
-    return _CAMPAIGN_RUNNER
 
 
 def experiment_sweep(

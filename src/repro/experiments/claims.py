@@ -10,8 +10,9 @@ a predicate over an :class:`~repro.experiments.base.ExperimentResult`'s
 * ``tiny`` — the reduced runs ``tests/experiments`` makes (4-ary 2-cube,
   one or two loads);
 * ``bench`` — the committed bench grid,
-  ``data/experiments_bench_observations.csv`` (written by
-  ``scripts/generate_experiments_data.py``).
+  ``data/experiments_bench_observations.csv`` (written next to the sweep
+  rows by ``python -m repro experiment all --scale bench --csv
+  data/experiments_bench.csv``).
 
 Tier-1 checks both.  :meth:`ExperimentResult.format_tables` prints one
 :func:`verdicts` line per claim of its experiment, and

@@ -59,11 +59,6 @@ class TimeoutEvaluation:
         actual = self.true_positives + self.false_negatives
         return self.true_positives / actual if actual else 1.0
 
-    @property
-    def false_positive_rate(self) -> float:
-        negatives = self.false_positives + self.true_negatives
-        return self.false_positives / negatives if negatives else 0.0
-
 
 def evaluate_thresholds(
     sim: NetworkSimulator, thresholds: Sequence[int]

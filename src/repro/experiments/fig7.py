@@ -54,14 +54,3 @@ def run(
         )
 
     return ExperimentResult(EXPERIMENT_ID, DESCRIPTION, sweeps, obs)
-
-
-def cycles_vs_blocked(result: ExperimentResult) -> dict[str, list[tuple[float, float]]]:
-    """The Figure 7b series: (percent blocked, cycle count) per sweep point."""
-    out: dict[str, list[tuple[float, float]]] = {}
-    for label, sweep in result.sweeps.items():
-        out[label] = [
-            (100.0 * r.avg_blocked_fraction, r.avg_cycle_count)
-            for r in sweep.results
-        ]
-    return out

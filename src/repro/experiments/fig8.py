@@ -73,16 +73,3 @@ def run(
             sum(dls) / sum(pops) if sum(pops) else 0.0
         )
     return ExperimentResult(EXPERIMENT_ID, DESCRIPTION, sweeps, obs)
-
-
-def deadlocks_vs_population(
-    result: ExperimentResult,
-) -> dict[str, list[tuple[float, float]]]:
-    """The Figure 8b series: (messages in network, normalized deadlocks)."""
-    out: dict[str, list[tuple[float, float]]] = {}
-    for label, sweep in result.sweeps.items():
-        out[label] = [
-            (r.avg_messages_in_network, r.normalized_deadlocks)
-            for r in sweep.results
-        ]
-    return out

@@ -20,20 +20,30 @@ from repro.metrics.sweep import fan_out
 
 __all__ = ["MetricEstimate", "ReplicatedResult", "replicate"]
 
-# Two-sided 95% Student-t critical values by degrees of freedom (1..30).
+# Two-sided 95% Student-t critical values by degrees of freedom: every df
+# up to 30, then the classic table rows 40, 60 and 120.
 _T95 = {
     1: 12.706, 2: 4.303, 3: 3.182, 4: 2.776, 5: 2.571, 6: 2.447, 7: 2.365,
     8: 2.306, 9: 2.262, 10: 2.228, 11: 2.201, 12: 2.179, 13: 2.160,
     14: 2.145, 15: 2.131, 16: 2.120, 17: 2.110, 18: 2.101, 19: 2.093,
     20: 2.086, 21: 2.080, 22: 2.074, 23: 2.069, 24: 2.064, 25: 2.060,
     26: 2.056, 27: 2.052, 28: 2.048, 29: 2.045, 30: 2.042,
+    40: 2.021, 60: 2.000, 120: 1.980,
 }
+_Z95 = 1.960  #: the normal limit, as df -> infinity
 
 
 def _t95(df: int) -> float:
     if df <= 0:
         return float("inf")
-    return _T95.get(df, 1.96)  # normal approximation past 30 dof
+    if df in _T95:
+        return _T95[df]
+    # between table rows (and past 120, toward the normal limit) the
+    # critical value is close to linear in 1/df
+    lo = max(d for d in _T95 if d < df)
+    hi = min((d for d in _T95 if d > df), default=math.inf)
+    t_lo, t_hi = _T95[lo], _T95.get(hi, _Z95)
+    return t_lo + (t_hi - t_lo) * (1 / lo - 1 / df) / (1 / lo - 1 / hi)
 
 
 @dataclass(frozen=True)

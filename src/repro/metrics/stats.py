@@ -89,32 +89,16 @@ class RunResult:
         return self.deadlocks / self.delivered_total
 
     @property
-    def deadlocks_per_kilo_delivered(self) -> float:
-        return 1000.0 * self.normalized_deadlocks
-
-    @property
     def avg_deadlock_set_size(self) -> float:
         return _mean(self.deadlock_set_sizes)
-
-    @property
-    def max_deadlock_set_size(self) -> int:
-        return max(self.deadlock_set_sizes, default=0)
 
     @property
     def avg_resource_set_size(self) -> float:
         return _mean(self.resource_set_sizes)
 
     @property
-    def max_resource_set_size(self) -> int:
-        return max(self.resource_set_sizes, default=0)
-
-    @property
     def avg_knot_cycle_density(self) -> float:
         return _mean(self.knot_cycle_densities)
-
-    @property
-    def max_knot_cycle_density(self) -> int:
-        return max(self.knot_cycle_densities, default=0)
 
     @property
     def avg_cycle_count(self) -> float:
@@ -123,10 +107,6 @@ class RunResult:
     @property
     def max_cycle_count(self) -> int:
         return max(self.cycle_counts, default=0)
-
-    @property
-    def avg_blocked_messages(self) -> float:
-        return _mean(self.blocked_samples)
 
     @property
     def avg_blocked_fraction(self) -> float:
@@ -155,15 +135,6 @@ class RunResult:
         if capacity <= 0:
             return 0.0
         return self.throughput_flits_per_node_cycle / capacity
-
-    @property
-    def normalized_deadlocks_per_message_in_network(self) -> float:
-        """Deadlocks normalized by average network population (Figure 8b)."""
-        pop = self.avg_messages_in_network
-        if pop <= 0:
-            return float("inf") if self.deadlocks else 0.0
-        # Rate per message-cycle of exposure, scaled to per-message terms.
-        return self.deadlocks / pop
 
     def summary(self) -> str:
         """A compact single-line report used by examples and experiments."""

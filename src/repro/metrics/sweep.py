@@ -27,7 +27,7 @@ from repro.metrics.stats import RunResult
 from repro.obs.registry import merge_snapshots
 
 __all__ = [
-    "SweepResult", "run_load_sweep", "default_loads", "obs_rollup",
+    "SweepResult", "run_load_sweep", "obs_rollup",
     "run_point", "fan_out", "FanOut", "available_cpus",
 ]
 
@@ -57,19 +57,6 @@ def obs_rollup(
         "sweep": merge_snapshots([s for _, s in kept]),
         "points": {f"{load:g}": s for load, s in kept},
     }
-
-
-def default_loads(*, dense: bool = False) -> list[float]:
-    """The load grid used by the experiment runners.
-
-    Spans from light load well into deep saturation, like the paper's
-    figures, which are plotted "up to full network capacity or until the
-    network saturates with respect to the number of resource dependency
-    cycles".
-    """
-    if dense:
-        return [round(0.05 * i, 2) for i in range(1, 21)]
-    return [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
 
 
 @dataclass
@@ -110,10 +97,6 @@ class SweepResult:
         )
 
     @property
-    def normalized_deadlocks(self) -> list[float]:
-        return [r.normalized_deadlocks for r in self.results]
-
-    @property
     def deadlock_counts(self) -> list[int]:
         return [r.deadlocks for r in self.results]
 
@@ -124,10 +107,6 @@ class SweepResult:
     @property
     def resource_set_sizes(self) -> list[float]:
         return [r.avg_resource_set_size for r in self.results]
-
-    @property
-    def cycle_counts(self) -> list[float]:
-        return [r.avg_cycle_count for r in self.results]
 
     @property
     def blocked_fractions(self) -> list[float]:

@@ -59,10 +59,6 @@ class VirtualChannel:
         self.owner: Optional[int] = None  # owning message id, or None if free
 
     @property
-    def is_free(self) -> bool:
-        return self.owner is None
-
-    @property
     def src(self) -> int:
         return self.link.src
 
@@ -113,10 +109,6 @@ class ReceptionChannel:
         self.node = node
         self.index = index
         self.owner: Optional[int] = None
-
-    @property
-    def is_free(self) -> bool:
-        return self.owner is None
 
     def acquire(self, message_id: int) -> None:
         if self.owner is not None:
@@ -172,11 +164,6 @@ class ChannelPool:
             for node in range(topology.num_nodes)
         ]
 
-    @property
-    def reception(self) -> list[ReceptionChannel]:
-        """First reception channel per node (the common 1-channel view)."""
-        return [group[0] for group in self.reception_groups]
-
     def free_reception(self, node: int) -> Optional[ReceptionChannel]:
         """A free reception channel at ``node``, if any."""
         for rx in self.reception_groups[node]:
@@ -186,17 +173,6 @@ class ChannelPool:
 
     def vcs_of_link(self, link: PhysicalLink) -> list[VirtualChannel]:
         return self._link_vcs[link.index]
-
-    def free_vcs_of_link(self, link: PhysicalLink) -> list[VirtualChannel]:
-        return [vc for vc in self._link_vcs[link.index] if vc.is_free]
-
-    @property
-    def total_vcs(self) -> int:
-        return len(self.vcs)
-
-    def owned_vcs(self) -> list[VirtualChannel]:
-        """All VCs currently owned by some message (CWG vertex set)."""
-        return [vc for vc in self.vcs if vc.owner is not None]
 
     def assert_consistent(self) -> None:
         """Cheap structural sanity checks used by tests and debug runs."""

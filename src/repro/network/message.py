@@ -97,10 +97,6 @@ class Message:
 
     # -- position & status queries ------------------------------------------------
     @property
-    def in_network(self) -> bool:
-        return self.status is MessageStatus.ACTIVE
-
-    @property
     def is_done(self) -> bool:
         return self.status in (
             MessageStatus.DELIVERED,

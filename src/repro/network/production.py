@@ -103,8 +103,8 @@ def _by_index(vc) -> int:
 class ProductionEngine(NetworkSimulator):
     """Activity-tracked default engine; see the module docstring."""
 
-    def __init__(self, config: SimulationConfig, trace=None) -> None:
-        super().__init__(config, trace)
+    def __init__(self, config: SimulationConfig) -> None:
+        super().__init__(config)
         if not self.fast_path:
             raise ConfigurationError(
                 f"{type(self).__name__} requires engine_fast_path=True"
@@ -138,23 +138,12 @@ class ProductionEngine(NetworkSimulator):
         # generator.tick() before any queue mutation of the cycle, so a
         # live-maintained copy equals the reference's per-cycle listcomp
         self._qlens = [0] * len(self.queues)
-        # cumulative phase counters (cheap ints; see vec_stats())
+        # cumulative phase counters (cheap ints, read by the tests)
         self.vec_alloc_requests = 0
         self.vec_alloc_serves = 0
         self.vec_stall_skips = 0
         self.vec_move_mobile = 0
         self.vec_immobile_skips = 0
-
-    def vec_stats(self) -> dict[str, int]:
-        """Cumulative engine counters."""
-        return {
-            "alloc_requests": self.vec_alloc_requests,
-            "alloc_serves": self.vec_alloc_serves,
-            "stall_skips": self.vec_stall_skips,
-            "move_mobile": self.vec_move_mobile,
-            "immobile_skips": self.vec_immobile_skips,
-            "candidate_table_entries": len(self._cands),
-        }
 
     # -- queries ------------------------------------------------------------------------
     def waiting_messages(self) -> Iterable[Message]:

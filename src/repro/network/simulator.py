@@ -107,11 +107,6 @@ def build_topology(config: SimulationConfig) -> Topology:
 class NetworkSimulator:
     """One network instance plus its workload, detector and recovery.
 
-    ``trace`` substitutes a :class:`~repro.traffic.trace.TraceGenerator`
-    replaying the given trace for the default Bernoulli source (the
-    paper's "program-driven simulation" extension); ``config.load`` and
-    ``config.traffic`` are then ignored.
-
     Construction dispatches on ``config.engine_fast_path`` (see the module
     docstring), so call sites keep instantiating ``NetworkSimulator``
     regardless of engine choice; instantiated as itself
@@ -119,14 +114,14 @@ class NetworkSimulator:
     engines are bit-identical given the same seed.
     """
 
-    def __new__(cls, config: SimulationConfig = None, trace=None):
+    def __new__(cls, config: SimulationConfig = None):
         if cls is NetworkSimulator and getattr(config, "engine_fast_path", False):
             from repro.network.production import ProductionEngine
 
             return object.__new__(ProductionEngine)
         return object.__new__(cls)
 
-    def __init__(self, config: SimulationConfig, trace=None) -> None:
+    def __init__(self, config: SimulationConfig) -> None:
         config.validate()
         self.config = config
         self.topology = build_topology(config)
@@ -149,26 +144,18 @@ class NetworkSimulator:
             pattern_kwargs["fraction"] = config.hotspot_fraction
         elif config.traffic == "hybrid":
             pattern_kwargs["components"] = list(config.traffic_mix)
-        if trace is not None:
-            from repro.traffic.trace import TraceGenerator
-
-            self.pattern = None
-            self.generator = TraceGenerator(self.topology, trace)
-        else:
-            self.pattern = make_pattern(
-                config.traffic, self.topology, **pattern_kwargs
-            )
-            lengths = LengthMix(config.length_mix) if config.length_mix else None
-            self.generator = MessageGenerator(
-                self.topology,
-                self.pattern,
-                config.load,
-                config.message_length,
-                traffic_rng,
-                config.max_queued_per_node,
-                lengths=lengths,
-                max_messages=config.max_messages,
-            )
+        self.pattern = make_pattern(config.traffic, self.topology, **pattern_kwargs)
+        lengths = LengthMix(config.length_mix) if config.length_mix else None
+        self.generator = MessageGenerator(
+            self.topology,
+            self.pattern,
+            config.load,
+            config.message_length,
+            traffic_rng,
+            config.max_queued_per_node,
+            lengths=lengths,
+            max_messages=config.max_messages,
+        )
         self.detector = DeadlockDetector(
             count_cycles=config.count_cycles,
             max_cycles_counted=config.max_cycles_counted,
@@ -238,11 +225,6 @@ class NetworkSimulator:
     def message_by_id(self, message_id: int) -> Message:
         return self._live[message_id]
 
-    def cwg_snapshot(self):
-        """The current channel wait-for graph, rebuilt from live state by
-        :meth:`DeadlockDetector.build_cwg`."""
-        return DeadlockDetector.build_cwg(self)
-
     def route_candidates(self, message: Message) -> list[VirtualChannel]:
         """The routing relation's candidate VCs for a message's next hop.
 
@@ -263,10 +245,6 @@ class NetworkSimulator:
     def messages_in_network(self) -> int:
         return len(self.active)
 
-    @property
-    def flits_in_network(self) -> int:
-        return sum(m.flits_in_network for m in self.active.values())
-
     def routing_eligible(self, message: Message) -> bool:
         """Header ready to request its next resource (pipeline delay served).
 
@@ -284,18 +262,6 @@ class NetworkSimulator:
             if arrived is None or self.cycle - arrived < delay:
                 return False
         return True
-
-    def blocked_messages(self) -> list[Message]:
-        """Active messages whose header is blocked awaiting a resource."""
-        out = []
-        for m in self.active.values():
-            if not m.vcs or not self.routing_eligible(m):
-                continue
-            if m.needs_next_vc:
-                out.append(m)
-            elif m.needs_reception and self.pool.free_reception(m.dest) is None:
-                out.append(m)
-        return out
 
     def waiting_messages(self) -> Iterable[Message]:
         """Active messages with a failed allocation outstanding.
@@ -529,12 +495,9 @@ class NetworkSimulator:
             for mid in event.deadlock_set:
                 self._live[mid].deadlock_count += 1
         threshold = self.config.timeout_threshold
-        if record.blocked_ids is not None:
-            # the detector enumerated the blocked set this same pass —
-            # reuse it instead of rescanning the population
-            pool = [self._live[mid] for mid in record.blocked_ids]
-        else:
-            pool = self.blocked_messages()
+        # in timeout mode the detector books the engine-blocked set of
+        # this same pass; reuse it instead of rescanning the population
+        pool = [self._live[mid] for mid in record.blocked_ids]
         candidates = [
             m
             for m in pool
@@ -614,28 +577,3 @@ class NetworkSimulator:
                 )
         self.obs.finalize(self)
         return self.stats.finalize(self)
-
-    def run_to_drain(self, max_cycles: int = 100_000) -> RunResult:
-        """Run until every generated message has completed (trace replay).
-
-        Stops early at ``max_cycles`` — e.g. when an unrecovered deadlock
-        wedges part of the trace permanently.
-        """
-        self.stats.measure_start = 0
-        while self.cycle < max_cycles:
-            self.step()
-            if (
-                getattr(self.generator, "exhausted", False)
-                and not self.active
-                and all(not q for q in self.queues)
-            ):
-                break
-        self.obs.finalize(self)
-        return self.stats.finalize(self)
-
-    # -- invariants ------------------------------------------------------------------------
-    def check_invariants(self) -> None:
-        """Run the runtime invariant battery once, now (for tests/debug)."""
-        from repro.validation.invariants import InvariantChecker
-
-        InvariantChecker().check_now(self)

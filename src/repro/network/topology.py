@@ -31,7 +31,6 @@ it busy for ``L`` cycles) in the scalar engines.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from functools import cached_property
 from math import prod
@@ -90,7 +89,11 @@ class PhysicalLink:
 class Topology:
     """Base class for static network structure.
 
-    Subclasses populate :attr:`links` and implement coordinate geometry.
+    Subclasses populate :attr:`links` and implement the geometry:
+    ``min_distance(a, b)``, the hop length of a shortest path, and
+    ``productive_links(node, dest)``, the outgoing links that lie on some
+    minimal path to ``dest`` (taking one strictly reduces the remaining hop
+    distance) — the geometric core of minimal routing.
     """
 
     num_nodes: int
@@ -99,7 +102,6 @@ class Topology:
     def __init__(self) -> None:
         self.links = []
         self._out: dict[int, list[PhysicalLink]] = {}
-        self._in: dict[int, list[PhysicalLink]] = {}
         self._by_pair: dict[tuple[int, int], PhysicalLink] = {}
 
     # -- construction helpers -------------------------------------------------
@@ -113,7 +115,6 @@ class Topology:
         link = PhysicalLink(len(self.links), src, dst, dim, direction, latency)
         self.links.append(link)
         self._out.setdefault(src, []).append(link)
-        self._in.setdefault(dst, []).append(link)
         self._by_pair[(src, dst)] = link
         return link
 
@@ -126,11 +127,6 @@ class Topology:
         """Physical channels leaving ``node``."""
         self._check_node(node)
         return self._out.get(node, [])
-
-    def in_links(self, node: int) -> list[PhysicalLink]:
-        """Physical channels entering ``node``."""
-        self._check_node(node)
-        return self._in.get(node, [])
 
     def link_between(self, src: int, dst: int) -> PhysicalLink:
         try:
@@ -145,82 +141,18 @@ class Topology:
         if not 0 <= node < self.num_nodes:
             raise TopologyError(f"node {node} out of range [0, {self.num_nodes})")
 
-    # -- geometry (implemented by subclasses) -----------------------------------
-    def coords(self, node: int) -> tuple[int, ...]:
-        raise NotImplementedError
-
-    def node_at(self, coords: Sequence[int]) -> int:
-        raise NotImplementedError
-
-    def min_distance(self, a: int, b: int) -> int:
-        """Length of a shortest path from ``a`` to ``b`` in hops."""
-        raise NotImplementedError
-
-    def productive_links(self, node: int, dest: int) -> list[PhysicalLink]:
-        """Outgoing links of ``node`` that lie on some minimal path to ``dest``.
-
-        This is the geometric core of minimal routing: a link is *productive*
-        when taking it strictly reduces the remaining hop distance to
-        ``dest``.
-        """
-        raise NotImplementedError
-
     # -- latency-aware geometry ---------------------------------------------------
     @cached_property
     def uniform_latency(self) -> bool:
         """True when every physical channel has latency 1 (the paper's model)."""
         return all(link.latency == 1 for link in self.links)
 
-    @cached_property
-    def max_link_latency(self) -> int:
-        return max((link.latency for link in self.links), default=1)
-
-    def min_latency(self, a: int, b: int) -> int:
-        """Latency of a cheapest path from ``a`` to ``b`` in cycles.
-
-        Each hop costs its link's :attr:`PhysicalLink.latency`.  With
-        uniform unit latency this equals :meth:`min_distance`.  The generic
-        implementation runs Dijkstra over the link graph; grid subclasses
-        override it with a closed form.
-        """
-        if self.uniform_latency:
-            return self.min_distance(a, b)
-        return self._weighted_distances(a)[b]
-
-    def _weighted_distances(self, start: int) -> list[int]:
-        """Single-source latency-weighted shortest paths (Dijkstra)."""
-        self._check_node(start)
-        cache = getattr(self, "_wdist_cache", None)
-        if cache is None:
-            cache = self._wdist_cache = {}
-        row = cache.get(start)
-        if row is not None:
-            return row
-        inf = sum(link.latency for link in self.links) + 1
-        dist = [inf] * self.num_nodes
-        dist[start] = 0
-        heap = [(0, start)]
-        while heap:
-            d, u = heapq.heappop(heap)
-            if d > dist[u]:
-                continue
-            for link in self.out_links(u):
-                nd = d + link.latency
-                if nd < dist[link.dst]:
-                    dist[link.dst] = nd
-                    heapq.heappush(heap, (nd, link.dst))
-        if max(dist) >= inf:
-            raise TopologyError("network is not strongly connected")
-        cache[start] = dist
-        return dist
-
     # -- derived metrics ---------------------------------------------------------
     @cached_property
     def average_internode_distance(self) -> float:
         """Mean :meth:`min_distance` over all ordered pairs of distinct nodes.
 
-        This is a *hop* count: link latencies do not enter (see
-        :attr:`average_internode_latency` for the latency-weighted mean).
+        This is a *hop* count: link latencies do not enter.
         The paper normalizes offered load "based on total link bandwidth
         and average internode distance"; both quantities are combined in
         :attr:`capacity_flits_per_node_cycle`.
@@ -229,25 +161,6 @@ class Topology:
         total = sum(
             self.min_distance(a, b) for a in range(n) for b in range(n) if a != b
         )
-        return total / (n * (n - 1))
-
-    @cached_property
-    def average_internode_latency(self) -> float:
-        """Mean :meth:`min_latency` over all ordered pairs of distinct nodes.
-
-        Equals :attr:`average_internode_distance` when every link has unit
-        latency; with a per-dimension latency model (e.g. a TSV penalty)
-        it is the latency-weighted mean path cost — the average number of
-        link-busy cycles a flit's journey consumes, which is what the
-        engine's channel-occupancy model charges for it.
-        """
-        if self.uniform_latency:
-            return self.average_internode_distance
-        n = self.num_nodes
-        total = 0
-        for a in range(n):
-            row = self._weighted_distances(a)
-            total += sum(row) - row[a]
         return total / (n * (n - 1))
 
     @cached_property
@@ -416,16 +329,6 @@ class KAryNCube(Topology):
             self._dim_distance(x, y, dim) for dim, (x, y) in enumerate(zip(ca, cb))
         )
 
-    def min_latency(self, a: int, b: int) -> int:
-        # Per-dimension latencies: minimal-hop paths are also
-        # latency-minimal (every dimension must be traversed its own
-        # minimal number of hops regardless of the cost of the others).
-        ca, cb = self.coords(a), self.coords(b)
-        return sum(
-            self._dim_distance(x, y, dim) * self.dim_latencies[dim]
-            for dim, (x, y) in enumerate(zip(ca, cb))
-        )
-
     def productive_directions(self, node: int, dest: int) -> list[tuple[int, int]]:
         """``(dim, direction)`` pairs that reduce the distance to ``dest``.
 
@@ -486,15 +389,6 @@ class KAryNCube(Topology):
         ring_sum = sum(self._per_ring_mean(kd) for kd in self.dims)
         total_pairs = self.num_nodes * (self.num_nodes - 1)
         # Sum over ordered node pairs including self-pairs is N^2 * ring_sum.
-        return (self.num_nodes**2 * ring_sum) / total_pairs
-
-    @cached_property
-    def average_internode_latency(self) -> float:
-        ring_sum = sum(
-            self._per_ring_mean(kd) * lat
-            for kd, lat in zip(self.dims, self.dim_latencies)
-        )
-        total_pairs = self.num_nodes * (self.num_nodes - 1)
         return (self.num_nodes**2 * ring_sum) / total_pairs
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -660,17 +554,6 @@ class _TableGeometry(Topology):
             link for link in self.out_links(node) if self._dist[link.dst][dest] == d - 1
         ]
 
-    # Shadow any closed-form grid overrides further down the MRO: table
-    # geometries must derive latency metrics from the actual link graph.
-    def min_latency(self, a: int, b: int) -> int:
-        if self.uniform_latency:
-            return self.min_distance(a, b)
-        return self._weighted_distances(a)[b]
-
-    @cached_property
-    def average_internode_latency(self) -> float:
-        return Topology.average_internode_latency.func(self)  # type: ignore[attr-defined]
-
 
 class IrregularTorus(_TableGeometry, KAryNCube):
     """A bidirectional torus with a set of failed (removed) links.
@@ -697,7 +580,6 @@ class IrregularTorus(_TableGeometry, KAryNCube):
                 raise TopologyError(f"failed links not present: {sorted(missing)}")
             self.links = []
             self._out.clear()
-            self._in.clear()
             self._by_pair.clear()
             for l in keep:
                 self._add_link(l.src, l.dst, l.dim, l.direction, l.latency)
@@ -802,19 +684,6 @@ class Dragonfly(_TableGeometry):
         self._check_node(node)
         return node // self.a
 
-    def coords(self, node: int) -> tuple[int, ...]:
-        """``(group, router_within_group)``."""
-        self._check_node(node)
-        return (node // self.a, node % self.a)
-
-    def node_at(self, coords: Sequence[int]) -> int:
-        if len(coords) != 2:
-            raise TopologyError(f"expected (group, router), got {tuple(coords)}")
-        g, i = coords
-        if not (0 <= g < self.groups and 0 <= i < self.a):
-            raise TopologyError(f"coords {tuple(coords)} out of range")
-        return g * self.a + i
-
     def global_links(self, node: int) -> list[PhysicalLink]:
         """Outgoing global (inter-group) channels of ``node``."""
         return [link for link in self.out_links(node) if link.dim == 1]
@@ -845,21 +714,6 @@ class FullMesh(_TableGeometry):
                 if src != dst:
                     self._add_link(src, dst, 0, 0, latency)
         self._build_distance_table()
-
-    def coords(self, node: int) -> tuple[int, ...]:
-        self._check_node(node)
-        return (node,)
-
-    def node_at(self, coords: Sequence[int]) -> int:
-        if len(coords) != 1:
-            raise TopologyError(f"expected (node,), got {tuple(coords)}")
-        self._check_node(coords[0])
-        return coords[0]
-
-    def min_distance(self, a: int, b: int) -> int:
-        self._check_node(a)
-        self._check_node(b)
-        return 0 if a == b else 1
 
     @cached_property
     def average_internode_distance(self) -> float:

@@ -11,8 +11,7 @@ configuration knobs:
 Pieces (see each module's docstring and ``docs/OBSERVABILITY.md``):
 
 * :mod:`repro.obs.registry` — counters / gauges / fixed-bucket histograms
-  with a process-global no-op singleton and mergeable snapshots for
-  cross-process sweep rollups;
+  with mergeable snapshots for cross-process sweep rollups;
 * :mod:`repro.obs.profiler` — scoped wall-clock timers around the
   engine's per-cycle phases and the detector's region pipeline;
 * :mod:`repro.obs.trace` — bounded ring buffer of cycle-stamped events,
@@ -26,12 +25,10 @@ from repro.obs.observer import NULL_OBSERVER, NullObserver, Observer
 from repro.obs.profiler import PhaseProfiler, PhaseTimer
 from repro.obs.registry import (
     DEFAULT_BUCKETS,
-    NULL_REGISTRY,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
-    NullRegistry,
     merge_snapshots,
 )
 from repro.obs.trace import TraceRecorder
@@ -41,8 +38,6 @@ __all__ = [
     "NullObserver",
     "NULL_OBSERVER",
     "MetricsRegistry",
-    "NullRegistry",
-    "NULL_REGISTRY",
     "Counter",
     "Gauge",
     "Histogram",

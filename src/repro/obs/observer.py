@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from repro.obs.profiler import PhaseProfiler
-from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
+from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import TraceRecorder
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -97,7 +97,7 @@ class NullObserver:
 
     enabled = False
     level = 0
-    registry = NULL_REGISTRY
+    registry = None
     profiler = None
     tracer = None
 
@@ -106,9 +106,6 @@ class NullObserver:
 
     def snapshot(self) -> None:
         return None
-
-    def phase_table(self, title: str = "phase profile") -> str:
-        return f"{title}\n  (observability disabled; set obs_level >= 1)"
 
 
 #: the process-global no-op observer (see module docstring)

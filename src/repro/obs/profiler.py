@@ -70,17 +70,6 @@ class PhaseProfiler:
         t.total += seconds
         t.calls += calls
 
-    def reset(self) -> None:
-        """Zero all accumulated times/counts (timer objects stay bound).
-
-        Lets a benchmark discard warmup cycles: the engine's pre-bound
-        :class:`PhaseTimer` references remain valid, only their totals
-        restart.
-        """
-        for t in self.timers.values():
-            t.total = 0.0
-            t.calls = 0
-
     def snapshot(self) -> dict[str, dict]:
         """``{name: {"total_s": ..., "calls": ...}}`` for every phase."""
         return {

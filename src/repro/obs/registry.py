@@ -1,11 +1,9 @@
 """Metrics registry: counters, gauges and fixed-bucket histograms.
 
-The registry is the always-available accounting surface of the
-observability subsystem (:mod:`repro.obs`).  Instrumented call sites never
-branch on a level flag themselves — they hold a reference to either a live
-:class:`MetricsRegistry` or the process-global :data:`NULL_REGISTRY`, whose
-instruments are shared no-op singletons.  A disabled call site therefore
-costs one attribute lookup and one no-op call, and nothing allocates.
+The registry is the accounting surface of the observability subsystem
+(:mod:`repro.obs`): a run at ``obs_level >= 1`` holds a live
+:class:`MetricsRegistry`; at level 0 there is none, and instrumented call
+sites check ``sim.obs.enabled`` first.
 
 Snapshots are plain JSON-able dicts so slot processes can persist them
 beside each point's result (:mod:`repro.campaign.store`), and a sweep
@@ -27,8 +25,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NullRegistry",
-    "NULL_REGISTRY",
     "merge_snapshots",
     "merge_into",
     "DEFAULT_BUCKETS",
@@ -65,10 +61,6 @@ class Gauge:
     def set(self, value: float) -> None:
         self.value = value
 
-    def set_max(self, value: float) -> None:
-        if value > self.value:
-            self.value = value
-
 
 class Histogram:
     """Fixed-bucket histogram: counts per upper bound plus an overflow bin.
@@ -99,34 +91,6 @@ class Histogram:
         self.counts[bisect.bisect_left(self.bounds, value)] += 1
         self.total += value
         self.count += 1
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-
-class _NullCounter(Counter):
-    __slots__ = ()
-
-    def inc(self, amount: int = 1) -> None:
-        pass
-
-
-class _NullGauge(Gauge):
-    __slots__ = ()
-
-    def set(self, value: float) -> None:
-        pass
-
-    def set_max(self, value: float) -> None:
-        pass
-
-
-class _NullHistogram(Histogram):
-    __slots__ = ()
-
-    def observe(self, value: float) -> None:
-        pass
 
 
 class MetricsRegistry:
@@ -184,44 +148,6 @@ class MetricsRegistry:
                 for n, h in sorted(self.histograms.items())
             },
         }
-
-
-class NullRegistry(MetricsRegistry):
-    """No-op registry handed out when ``obs_level=0``.
-
-    Every accessor returns a shared no-op instrument, so instrumented code
-    paths stay branch-free and allocation-free when observability is off.
-    """
-
-    enabled = False
-
-    _COUNTER = _NullCounter()
-    _GAUGE = _NullGauge()
-    _HISTOGRAM = _NullHistogram()
-
-    def __init__(self) -> None:
-        super().__init__()
-
-    def counter(self, name: str) -> Counter:
-        return self._COUNTER
-
-    def gauge(self, name: str) -> Gauge:
-        return self._GAUGE
-
-    def histogram(
-        self, name: str, bounds: Sequence[float] = DEFAULT_BUCKETS
-    ) -> Histogram:
-        return self._HISTOGRAM
-
-    def set_counters(self, values: dict[str, int], prefix: str = "") -> None:
-        pass
-
-    def snapshot(self) -> dict:
-        return {"counters": {}, "gauges": {}, "histograms": {}}
-
-
-#: the process-global no-op registry (see module docstring)
-NULL_REGISTRY = NullRegistry()
 
 
 def _merge_histogram(into: dict, frm: dict, name: str) -> None:

@@ -51,9 +51,6 @@ class TraceRecorder:
         self.cycle = 0
         self._t0 = perf_counter()
 
-    def __len__(self) -> int:
-        return len(self.events)
-
     def _push(self, event: tuple) -> None:
         if len(self.events) == self.capacity:
             self.dropped += 1

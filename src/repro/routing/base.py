@@ -28,10 +28,14 @@ __all__ = ["RoutingFunction"]
 class RoutingFunction:
     """Base class for routing relations.
 
-    Subclasses implement :meth:`candidates`.  A routing function must be
-    *connected*: for every (node, destination) pair with remaining distance,
-    it supplies at least one candidate VC.  Connectivity is what makes the
-    knot criterion exact (Warnakulasuriya & Pinkston, TR CENG 97-05).
+    Subclasses implement ``candidates(message, node, topology, pool) ->
+    list[VirtualChannel]``: all VCs the message may legally acquire at
+    ``node``.  The list includes busy VCs — the caller filters for free ones
+    when allocating, and uses the busy ones as wait-for arcs when blocked.
+    A routing function must be *connected*: for every (node, destination)
+    pair with remaining distance, it supplies at least one candidate VC.
+    Connectivity is what makes the knot criterion exact (Warnakulasuriya &
+    Pinkston, TR CENG 97-05).
     """
 
     #: short name used in reports and experiment labels
@@ -40,20 +44,6 @@ class RoutingFunction:
     deadlock_free: bool = False
     #: minimum virtual channels per physical channel the algorithm requires
     min_vcs: int = 1
-
-    def candidates(
-        self,
-        message: Message,
-        node: int,
-        topology: Topology,
-        pool: ChannelPool,
-    ) -> list[VirtualChannel]:
-        """All VCs the message may legally acquire at ``node``.
-
-        The list includes busy VCs — the caller filters for free ones when
-        allocating, and uses the busy ones as wait-for arcs when blocked.
-        """
-        raise NotImplementedError
 
     def cache_key(self, message: Message, node: int):
         """Hashable key under which :meth:`candidates` may be memoized.

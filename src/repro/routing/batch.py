@@ -49,9 +49,6 @@ class CandidateTable:
         #: directly to spare a call per request
         self.table: dict = {}
 
-    def __len__(self) -> int:
-        return len(self.table)
-
     def lookup(self, message: "Message", node: int) -> Optional[tuple]:
         """``(candidates, index_tuple)`` for the message's position.
 

@@ -24,17 +24,13 @@ __all__ = [
 
 
 class SelectionPolicy:
-    """Chooses one free VC from a routing candidate list."""
+    """Chooses one free VC from a routing candidate list.
+
+    Subclasses implement ``choose(message, free, rng) -> VirtualChannel |
+    None`` over the non-empty list ``free`` of the candidates now free.
+    """
 
     name = "base"
-
-    def choose(
-        self,
-        message: Message,
-        free: Sequence[VirtualChannel],
-        rng: random.Random,
-    ) -> Optional[VirtualChannel]:
-        raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"

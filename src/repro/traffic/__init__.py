@@ -5,7 +5,6 @@ from repro.traffic.lengths import (
     FixedLength,
     LengthMix,
     LengthSampler,
-    UniformLengthRange,
 )
 from repro.traffic.patterns import (
     BitComplementTraffic,
@@ -35,5 +34,4 @@ __all__ = [
     "LengthSampler",
     "FixedLength",
     "LengthMix",
-    "UniformLengthRange",
 ]

@@ -2,9 +2,9 @@
 
 The paper's evaluation fixes message length at 32 flits; its future-work
 section proposes studying *hybrid message lengths*.  This module supplies
-length samplers: fixed (the paper's setting), a discrete mix (e.g. 80%
+length samplers: fixed (the paper's setting) and a discrete mix (e.g. 80%
 short control packets + 20% long data messages, the classic bimodal
-multicomputer workload), and a uniform range.
+multicomputer workload).
 
 A sampler is a callable ``(random.Random) -> int`` with a ``mean``
 attribute; the generator uses the mean to normalize offered load so that a
@@ -14,20 +14,18 @@ given load level injects the same *flit* rate regardless of the mix.
 from __future__ import annotations
 
 import random
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.errors import ConfigurationError
 
-__all__ = ["LengthSampler", "FixedLength", "LengthMix", "UniformLengthRange"]
+__all__ = ["LengthSampler", "FixedLength", "LengthMix"]
 
 
 class LengthSampler:
-    """Base class: draws the flit length of each new message."""
+    """Base class: ``sampler(rng) -> int`` draws the flit length of each
+    new message."""
 
     mean: float
-
-    def __call__(self, rng: random.Random) -> int:
-        raise NotImplementedError
 
 
 class FixedLength(LengthSampler):
@@ -76,19 +74,3 @@ class LengthMix(LengthSampler):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"LengthMix({list(zip(self.lengths, self.weights))})"
-
-
-class UniformLengthRange(LengthSampler):
-    """Lengths drawn uniformly from ``[lo, hi]`` inclusive."""
-
-    def __init__(self, lo: int, hi: int) -> None:
-        if lo < 1 or hi < lo:
-            raise ConfigurationError(f"invalid length range [{lo}, {hi}]")
-        self.lo, self.hi = lo, hi
-        self.mean = (lo + hi) / 2
-
-    def __call__(self, rng: random.Random) -> int:
-        return rng.randint(self.lo, self.hi)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"UniformLengthRange({self.lo}, {self.hi})"

@@ -34,15 +34,16 @@ __all__ = [
 
 
 class TrafficPattern:
-    """Maps a source node to the destination of its next message."""
+    """Maps a source node to the destination of its next message.
+
+    Subclasses implement ``dest_for(src, rng) -> int | None`` (``None``:
+    this source sends nothing, e.g. a fixed point of a permutation).
+    """
 
     name = "base"
 
     def __init__(self, topology: Topology) -> None:
         self.topology = topology
-
-    def dest_for(self, src: int, rng: random.Random) -> Optional[int]:
-        raise NotImplementedError
 
     # -- helpers -----------------------------------------------------------------
     def _require_power_of_two(self) -> int:

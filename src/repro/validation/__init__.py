@@ -58,7 +58,6 @@ from repro.validation.statespace import (
     ORACLE_PINS,
     CanonicalState,
     oracle_config,
-    restore_sim,
     snapshot_state,
     successors,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "make_wake_witness",
     "oracle_config",
     "replay_witness",
-    "restore_sim",
     "run_teeth",
     "snapshot_state",
     "successors",

@@ -78,9 +78,6 @@ class FuzzMismatch:
     config: SimulationConfig  #: a configuration reproducing the divergence
     detail: str  #: human-readable description of the first difference
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"[{self.axis}] {self.detail}\n  config: {self.config.label()}"
-
 
 # -- configuration generation --------------------------------------------------------
 def random_config(rng: random.Random) -> SimulationConfig:

@@ -10,7 +10,7 @@ schedule controlled by ``SimulationConfig.validation_level``:
 * ``1`` — the full battery every ``validation_interval`` cycles,
 * ``2`` — the full battery every cycle (as does ``check_invariants``).
 
-``NetworkSimulator.check_invariants()`` runs the battery once, on demand.
+``InvariantChecker().check_now(sim)`` runs the battery once, on demand.
 
 At levels 1–2 every detector-reported deadlock is additionally verified
 against the knot *definition* (closed under reachability, strongly

@@ -52,7 +52,6 @@ __all__ = [
     "snapshot_state",
     "clear_state",
     "load_state",
-    "restore_sim",
     "step_with_script",
     "successors",
 ]
@@ -254,11 +253,6 @@ class CanonicalState:
             rec[0] for rec in self.messages if rec[4] == MessageStatus.ACTIVE.value
         )
 
-    def delivered_ids(self) -> tuple[int, ...]:
-        """Messages that existed and left the system (delivery-only pins)."""
-        live = set(self.live_ids())
-        return tuple(i for i in range(self.next_id) if i not in live)
-
     # -- serialization ---------------------------------------------------------------
     def to_json(self) -> dict:
         return {
@@ -272,23 +266,6 @@ class CanonicalState:
                 for rec in self.messages
             ],
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "CanonicalState":
-        return cls(
-            next_id=int(data["next_id"]),
-            queues=tuple(tuple(int(i) for i in q) for q in data["queues"]),
-            messages=tuple(
-                (
-                    int(r[0]), int(r[1]), int(r[2]), int(r[3]), str(r[4]),
-                    int(r[5]), int(r[6]),
-                    tuple((int(v), int(o)) for v, o in r[7]),
-                    None if r[8] is None else int(r[8]),
-                    bool(r[9]), bool(r[10]),
-                )
-                for r in data["messages"]
-            ),
-        )
 
     def digest(self) -> str:
         """A short stable content hash, used by witness traces."""
@@ -410,22 +387,6 @@ def load_state(sim: NetworkSimulator, state: CanonicalState) -> None:
     for node, ids in enumerate(state.queues):
         for mid in ids:
             sim.queues[node].append(by_id[mid])
-
-
-def restore_sim(
-    config: SimulationConfig, state: CanonicalState
-) -> NetworkSimulator:
-    """Build a live legacy-engine simulator in exactly ``state``.
-
-    ``config`` is pinned through :func:`oracle_config` first, so a
-    production-engine configuration restores onto the (bit-identical)
-    legacy scalar engine.  The restored simulator passes ``check_invariants`` and
-    satisfies ``snapshot_state(restore_sim(c, s)) == s``.
-    """
-    sim = NetworkSimulator(oracle_config(config))
-    load_state(sim, state)
-    sim.check_invariants()
-    return sim
 
 
 # -- scripted stepping ---------------------------------------------------------------

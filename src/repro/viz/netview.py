@@ -39,7 +39,12 @@ def render_occupancy(sim: "NetworkSimulator") -> str:
     flits = [0] * topo.num_nodes
     for vc in sim.pool.vcs:
         flits[vc.dst] += vc.occupancy
-    blocked_at = {m.head_node for m in sim.blocked_messages()}
+    from repro.core.detector import DeadlockDetector
+
+    blocked_at = {
+        sim.message_by_id(mid).head_node
+        for mid in DeadlockDetector.build_cwg(sim).blocked_messages()
+    }
     width = max(3, len(str(max(flits, default=0))) + 1)
     lines = [
         f"cycle {sim.cycle}: {sim.messages_in_network} msgs in flight, "

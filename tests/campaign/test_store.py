@@ -92,7 +92,7 @@ class TestRoundTrip:
             label="x", digest="d", load=0.6, seed=1,
             error="boom", attempts=3, kind="timeout",
         )
-        assert PointFailure.from_json(failure.to_json()) == failure
+        assert PointFailure(**failure.to_json()) == failure
 
 
 class TestStore:

@@ -18,8 +18,8 @@ def test_single_chain_solid_arcs():
     g = ChannelWaitForGraph()
     g.add_ownership_chain(1, ["a", "b", "c"])
     assert g.num_vertices == 3
-    assert g.solid_arcs() == [("a", "b", 1), ("b", "c", 1)]
-    assert g.dashed_arcs() == []
+    assert g.adjacency() == {"a": ["b"], "b": ["c"], "c": []}
+    assert g.num_arcs == 2 and g.requests == {}
     assert g.owner["a"] == 1 and g.owner["c"] == 1
 
 
@@ -36,7 +36,7 @@ def test_request_arcs_originate_at_newest_owned_vertex():
     g.add_ownership_chain(2, ["x"])
     g.add_request(1, ["x", "y"])
     assert g.request_from[1] == "b"
-    assert sorted(g.dashed_arcs()) == [("b", "x", 1), ("b", "y", 1)]
+    assert g.adjacency()["b"] == ["x", "y"]
     # y was never owned: a free vertex in the graph
     assert g.owner["y"] is None
 
@@ -93,14 +93,6 @@ def test_adjacency_combines_solid_and_dashed():
     assert adj["c"] == []
 
 
-def test_fan_out_counts_alternatives():
-    g = ChannelWaitForGraph()
-    g.add_ownership_chain(1, ["a"])
-    g.add_request(1, ["b", "c", "d"])
-    assert g.fan_out(1) == 3
-    assert g.fan_out(99) == 0  # unknown message: no requests
-
-
 def test_messages_owning_and_resources_of():
     g = ChannelWaitForGraph()
     g.add_ownership_chain(1, ["a", "b"])
@@ -126,29 +118,3 @@ def test_blocked_messages_lists_requesters_only():
     g.add_ownership_chain(2, ["b"])
     g.add_request(1, ["b"])
     assert g.blocked_messages() == [1]
-
-
-def test_add_vertex_registers_free_vertex():
-    g = ChannelWaitForGraph()
-    g.add_vertex("v")
-    assert g.owner["v"] is None
-    g.add_vertex("v", owner=3)  # upgrading a free vertex is allowed
-    assert g.owner["v"] == 3
-
-
-def test_add_vertex_conflicting_owner_rejected():
-    g = ChannelWaitForGraph()
-    g.add_vertex("v", owner=1)
-    with pytest.raises(SimulationError):
-        g.add_vertex("v", owner=2)
-
-
-def test_to_dot_mentions_all_arcs():
-    g = ChannelWaitForGraph()
-    g.add_ownership_chain(1, ["a", "b"])
-    g.add_ownership_chain(2, ["c"])
-    g.add_request(1, ["c"])
-    dot = g.to_dot()
-    assert '"a" -> "b"' in dot
-    assert "style=dashed" in dot
-    assert dot.startswith("digraph")

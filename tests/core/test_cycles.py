@@ -1,6 +1,6 @@
 """Unit tests for bounded simple-cycle enumeration."""
 
-from repro.core.cycles import CycleCount, count_simple_cycles, enumerate_simple_cycles
+from repro.core.cycles import count_simple_cycles, enumerate_simple_cycles
 
 
 def test_empty_graph():
@@ -101,7 +101,3 @@ def test_cycles_only_within_sccs():
     # bridge between two cycles adds no cycles
     adj = {1: [2], 2: [1, 3], 3: [4], 4: [3]}
     assert count_simple_cycles(adj).count == 2
-
-
-def test_cyclecount_int_conversion():
-    assert int(CycleCount(7, False)) == 7

@@ -77,7 +77,7 @@ class TestDetect:
         sim = make_sim(routing="dor", recovery="none")
         msgs, vcs = force_cycle_deadlock(sim)
         record = sim.detector.detect(sim)
-        assert record.has_deadlock
+        assert record.events
         event = record.events[0]
         assert event.deadlock_set == {1000, 1001, 1002, 1003}
         assert event.knot_cycle_density == 1
@@ -86,7 +86,7 @@ class TestDetect:
     def test_no_deadlock_in_fresh_network(self):
         sim = make_sim()
         record = sim.detector.detect(sim)
-        assert not record.has_deadlock
+        assert not record.events
         assert record.blocked_messages == 0
         assert record.cycle_count is not None
         assert record.cycle_count.count == 0
@@ -135,7 +135,7 @@ class TestDefaultPipeline:
         assert sim.detector.caching
         force_cycle_deadlock(sim)
         record = sim.detector.detect(sim)
-        assert record.has_deadlock and record.cycle_count.count == 1
+        assert record.events and record.cycle_count.count == 1
         # one Tarjan, whose nodes are the worms (message ids), not VCs
         assert calls == [[1000, 1001, 1002, 1003]]
 

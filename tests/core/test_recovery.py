@@ -82,7 +82,7 @@ class TestRemoveFromNetwork:
         vc.occupancy = 2
         m.at_source = 2
         m.remove_from_network(100, delivered=True)
-        assert vc.is_free
+        assert vc.owner is None
         assert vc.occupancy == 0
         assert m.status is MessageStatus.RECOVERED
         assert m.completed_cycle == 100
@@ -100,4 +100,4 @@ class TestRemoveFromNetwork:
         rx = ReceptionChannel(1)
         m.acquire_reception(rx)
         m.remove_from_network(5, delivered=True)
-        assert rx.is_free
+        assert rx.owner is None

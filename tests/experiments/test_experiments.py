@@ -3,7 +3,7 @@ scale); their shape claims are rows of the claims table (test_claims.py)."""
 
 import pytest
 
-from repro.experiments import ALL_EXPERIMENTS, fig7, fig8, topology_comparison, traffic_patterns
+from repro.experiments import ALL_EXPERIMENTS, fig8, topology_comparison, traffic_patterns
 from repro.experiments.base import format_table, scaled_config, scaled_loads
 from repro.experiments.claims import verdicts
 from repro.errors import ConfigurationError
@@ -63,10 +63,8 @@ class TestFig7:
         assert set(res.sweeps) == {
             f"{routing}{vcs}" for routing in ("DOR", "TFAR") for vcs in (1, 2, 3, 4)
         }
-        series = fig7.cycles_vs_blocked(res)
-        assert set(series) == set(res.sweeps)
-        for points in series.values():
-            assert len(points) == 1
+        for sweep in res.sweeps.values():
+            assert len(sweep.results) == 1
 
 
 class TestFig8:
@@ -76,8 +74,6 @@ class TestFig8:
     def test_buffer_sweep(self, tiny):
         res = tiny("FIG8")
         assert set(res.sweeps) == {"buffer=1", "buffer=8"}
-        pop_series = fig8.deadlocks_vs_population(res)
-        assert set(pop_series) == set(res.sweeps)
 
 
 class TestNodeDegree:
@@ -139,4 +135,3 @@ class TestDetectorAblation:
         assert ev.precision == 1.0 and ev.recall == 1.0
         ev = TimeoutEvaluation(10, 2, 2, 0, 6)
         assert ev.precision == 0.5
-        assert ev.false_positive_rate == pytest.approx(0.25)

@@ -29,9 +29,9 @@ def test_fast_path_bit_identical(name):
 
 @pytest.mark.parametrize("name", sorted(ZOO))
 def test_zoo_production_bit_identical(name):
-    stats = run_case(ZOO[name]).vec_stats()
+    sim = run_case(ZOO[name])
     # the maintained activity state was actually in play
-    assert stats["stall_skips"] > 0 and stats["immobile_skips"] > 0
+    assert sim.vec_stall_skips > 0 and sim.vec_immobile_skips > 0
 
 
 def test_fast_path_identical_across_seeds():

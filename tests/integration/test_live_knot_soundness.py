@@ -54,7 +54,7 @@ def test_deadlock_set_fully_stuck(seed):
         candidates = sim.route_candidates(msg)
         assert candidates
         for vc in candidates:
-            assert not vc.is_free, "deadlocked message has a free way out"
+            assert vc.owner is not None, "deadlocked message has a free way out"
             assert vc.index in owned_by_set, (
                 "deadlocked message waits outside the deadlock set"
             )

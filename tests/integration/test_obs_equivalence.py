@@ -29,7 +29,7 @@ def test_obs_bit_identical(name):
 def test_obs_ring_wraparound_actually_happened():
     tracer = run_case(OBS["tiny_trace_ring_wraps"]).obs.tracer
     assert tracer.dropped > 0, "capacity 64 should wrap on a 1300-cycle run"
-    assert len(tracer) == 64
+    assert len(tracer.events) == 64
 
 
 @pytest.mark.parametrize("name", sorted(OBS_GOLDEN))

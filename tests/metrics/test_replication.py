@@ -4,7 +4,7 @@ import pytest
 
 from repro.config import tiny_default
 from repro.errors import ConfigurationError
-from repro.metrics.replication import MetricEstimate, replicate
+from repro.metrics.replication import MetricEstimate, _t95, replicate
 from repro.metrics.sweep import run_point
 
 FAST = dict(measure_cycles=400, warmup_cycles=50)
@@ -29,6 +29,17 @@ class TestMetricEstimate:
     def test_zero_variance(self):
         e = MetricEstimate("m", (4.0, 4.0, 4.0))
         assert e.ci95 == (4.0, 4.0)
+
+    def test_student_t_past_30_degrees_of_freedom(self):
+        assert _t95(30) == 2.042  # the dense table is unchanged
+        assert _t95(40) == 2.021 and _t95(60) == 2.000
+        # linear in 1/df between rows: Student-t at df 31 is 2.0395
+        assert _t95(31) == pytest.approx(2.0395, abs=1e-3)
+        assert 1.960 < _t95(1000) < _t95(120) == 1.980
+        # so a 41-sample interval is wider than the normal one
+        e = MetricEstimate("m", tuple(float(i % 3) for i in range(41)))
+        lo, hi = e.ci95
+        assert (hi - lo) / 2 == pytest.approx(2.021 * e.stderr)
 
 
 class TestReplicate:

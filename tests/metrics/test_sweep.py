@@ -4,7 +4,7 @@ import pytest
 
 from repro.config import tiny_default
 from repro.metrics.stats import RunResult
-from repro.metrics.sweep import SweepResult, default_loads, run_load_sweep
+from repro.metrics.sweep import SweepResult, run_load_sweep
 
 
 def fake_result(load, throughput, deadlocks=0, delivered=100):
@@ -24,12 +24,6 @@ def make_sweep(points):
     return SweepResult("test", loads, results, capacity=1.0)
 
 
-def test_default_loads_monotone():
-    loads = default_loads()
-    assert loads == sorted(loads)
-    assert default_loads(dense=True)[0] < loads[0] + 1e-9
-
-
 def test_saturation_detection():
     sweep = make_sweep([(0.2, 0.2), (0.4, 0.4), (0.6, 0.45), (0.8, 0.45)])
     assert sweep.saturation_load == 0.6
@@ -43,7 +37,7 @@ def test_no_saturation():
 def test_series_accessors():
     sweep = make_sweep([(0.2, 0.2, 1), (0.4, 0.4, 3)])
     assert sweep.deadlock_counts == [1, 3]
-    assert sweep.normalized_deadlocks == [0.01, 0.03]
+    assert [r.normalized_deadlocks for r in sweep.results] == [0.01, 0.03]
     assert len(sweep.rows()) == 2
     assert sweep.at_load(0.4).deadlocks == 3
 

@@ -15,12 +15,12 @@ def pool():
 class TestVirtualChannel:
     def test_acquire_release_cycle(self, pool):
         vc = pool.vcs[0]
-        assert vc.is_free
+        assert vc.owner is None
         vc.acquire(7)
         assert vc.owner == 7
-        assert not vc.is_free
+        assert vc.owner is not None
         vc.release(7)
-        assert vc.is_free
+        assert vc.owner is None
 
     def test_double_acquire_rejected(self, pool):
         vc = pool.vcs[0]
@@ -51,9 +51,9 @@ class TestReceptionChannel:
     def test_acquire_release(self):
         rx = ReceptionChannel(3)
         rx.acquire(1)
-        assert not rx.is_free
+        assert rx.owner is not None
         rx.release(1)
-        assert rx.is_free
+        assert rx.owner is None
 
     def test_exclusive(self):
         rx = ReceptionChannel(3)
@@ -70,11 +70,11 @@ class TestReceptionChannel:
 
 class TestChannelPool:
     def test_vc_count(self, pool):
-        assert pool.total_vcs == pool.topology.num_links * 2
+        assert len(pool.vcs) == pool.topology.num_links * 2
 
     def test_one_reception_channel_per_node(self, pool):
-        assert len(pool.reception) == 16
-        assert pool.reception[5].node == 5
+        assert len(pool.reception_groups) == 16
+        assert [rx.node for rx in pool.reception_groups[5]] == [5]
 
     def test_vcs_of_link_grouping(self, pool):
         link = pool.topology.links[3]
@@ -85,19 +85,7 @@ class TestChannelPool:
 
     def test_global_vc_indices_dense_and_unique(self, pool):
         indices = [vc.index for vc in pool.vcs]
-        assert indices == list(range(pool.total_vcs))
-
-    def test_free_vcs_of_link(self, pool):
-        link = pool.topology.links[0]
-        group = pool.vcs_of_link(link)
-        assert pool.free_vcs_of_link(link) == group
-        group[0].acquire(1)
-        assert pool.free_vcs_of_link(link) == [group[1]]
-
-    def test_owned_vcs(self, pool):
-        assert pool.owned_vcs() == []
-        pool.vcs[4].acquire(9)
-        assert pool.owned_vcs() == [pool.vcs[4]]
+        assert indices == list(range(len(pool.vcs)))
 
     def test_buffer_capacity_configured(self, pool):
         assert all(vc.capacity == 3 for vc in pool.vcs)

@@ -23,7 +23,6 @@ class TestConstruction:
         assert m.status is MessageStatus.QUEUED
         assert m.at_source == 8
         assert m.head_node == 0
-        assert not m.in_network
         m.check_conservation()
 
     def test_self_addressed_rejected(self):
@@ -97,7 +96,7 @@ class TestTailRelease:
         vc12.occupancy = 2
         m.release_drained_tail()
         assert m.vcs == [vc12]
-        assert vc01.is_free
+        assert vc01.owner is None
 
     def test_interior_bubble_not_released(self, pool):
         m = Message(1, src=0, dest=3, length=4, created_cycle=0)
@@ -124,7 +123,7 @@ class TestDeliveryAndRemoval:
         m.finish_delivery(50)
         assert m.status is MessageStatus.DELIVERED
         assert m.latency == 50
-        assert rx.is_free
+        assert rx.owner is None
 
     def test_finish_delivery_incomplete_rejected(self):
         m = Message(1, src=0, dest=1, length=4, created_cycle=0)

@@ -1,27 +1,9 @@
-"""Tests for the drain-driven run mode and engine edge cases."""
+"""Engine edge cases: stepping past a run, an empty network, wraparound
+neighbours and the source-queue cap."""
 
 from repro.config import tiny_default
 from repro.network.message import Message
 from repro.network.simulator import NetworkSimulator
-
-
-def test_run_to_drain_with_bernoulli_source_stops_at_cap():
-    """The Bernoulli generator never exhausts; the cap bounds the run."""
-    cfg = tiny_default(load=0.3)
-    sim = NetworkSimulator(cfg)
-    sim.run_to_drain(max_cycles=300)
-    assert sim.cycle == 300
-
-
-def test_run_to_drain_counts_from_cycle_zero():
-    from repro.network.topology import KAryNCube
-    from repro.traffic.trace import Trace, TraceRecord
-
-    cfg = tiny_default()
-    trace = Trace([TraceRecord(0, 0, 1, 4)])
-    sim = NetworkSimulator(cfg, trace=trace)
-    result = sim.run_to_drain(max_cycles=500)
-    assert result.delivered == 1  # no warmup exclusion in drain mode
 
 
 def test_step_is_reentrant_after_run():

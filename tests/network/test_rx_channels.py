@@ -14,7 +14,7 @@ class TestPool:
     def test_groups_created(self):
         pool = ChannelPool(KAryNCube(4, 2), 1, 2, rx_channels=3)
         assert all(len(g) == 3 for g in pool.reception_groups)
-        assert pool.reception[5].index == 0  # back-compat view
+        assert [rx.index for rx in pool.reception_groups[5]] == [0, 1, 2]
 
     def test_free_reception_picks_first_free(self):
         pool = ChannelPool(KAryNCube(4, 2), 1, 2, rx_channels=2)

@@ -62,10 +62,10 @@ class TestSingleMessageTransit:
     def test_all_resources_released_after_delivery(self):
         sim, m = self._run_single(0, 5, length=8)
         for vc in sim.pool.vcs:
-            assert vc.is_free
+            assert vc.owner is None
             assert vc.occupancy == 0
-        for rx in sim.pool.reception:
-            assert rx.is_free
+        for group in sim.pool.reception_groups:
+            assert all(rx.owner is None for rx in group)
 
     def test_latency_lower_bound(self):
         # latency >= distance + message length (pipelined transfer)

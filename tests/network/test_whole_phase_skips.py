@@ -13,8 +13,8 @@ import pytest
 
 from repro.config import SimulationConfig
 from repro.network.production import ProductionEngine
+from repro.network.message import Message
 from repro.network.simulator import _PHASE_ALLOC, _PHASE_MOVE, NetworkSimulator
-from repro.traffic.trace import Trace, TraceRecord
 
 #: a unidirectional 4-ring under DOR wedges globally within ~30 cycles; with
 #: the detection interval beyond the run nothing ever unwedges it
@@ -34,11 +34,33 @@ RING = SimulationConfig(
 )
 
 
-def _pair(cfg, trace=None):
-    production = NetworkSimulator(cfg, trace=trace)
-    legacy = NetworkSimulator(cfg.replace(engine_fast_path=False), trace=trace)
+class _Scripted:
+    """Injects ``(cycle, src, dest, length)`` worms at their cycle and
+    nothing else: a stand-in for the Bernoulli source, which both engines
+    read from ``sim.generator`` every cycle."""
+
+    def __init__(self, worms):
+        self.worms = sorted(worms)
+        self.generated = 0
+        self.suppressed = 0
+
+    def tick(self, cycle, queue_lengths):
+        out = []
+        while self.generated < len(self.worms) and self.worms[self.generated][0] <= cycle:
+            _, src, dest, length = self.worms[self.generated]
+            out.append(Message(self.generated, src, dest, length, cycle))
+            self.generated += 1
+        return out
+
+
+def _pair(cfg, worms=None):
+    production = NetworkSimulator(cfg)
+    legacy = NetworkSimulator(cfg.replace(engine_fast_path=False))
     assert type(production) is ProductionEngine
     assert type(legacy) is NetworkSimulator
+    if worms is not None:
+        production.generator = _Scripted(worms)
+        legacy.generator = _Scripted(worms)
     return production, legacy
 
 
@@ -65,7 +87,11 @@ def _lockstep(production, legacy, cycles=1):
         assert production.rng.getstate() == legacy.rng.getstate()
         assert production._rr_counters == legacy._rr_counters
         assert production.blocked_epoch == legacy.blocked_epoch
-        assert production.flits_in_network == legacy.flits_in_network
+        assert _flits(production) == _flits(legacy)
+
+
+def _flits(sim):
+    return sum(m.flits_in_network for m in sim.active.values())
 
 
 def _frozen(sim):
@@ -127,13 +153,12 @@ def test_victim_removal_forces_both_full_passes(teardown):
 
 #: two worms that deadlock the ring from nodes 0 and 2, each fully
 #: compressed from its first hop on (one-flit buffers)
-TWO_WORMS = [TraceRecord(0, 0, 3, 4), TraceRecord(0, 2, 1, 4)]
+TWO_WORMS = [(0, 0, 3, 4), (0, 2, 1, 4)]
 
 
 def test_generate_into_empty_queue_forces_a_full_allocate_pass():
     # node 1 has sent nothing when its first message arrives at cycle 60
-    trace = Trace(TWO_WORMS + [TraceRecord(60, 1, 2, 4)])
-    production, legacy = _pair(RING, trace=trace)
+    production, legacy = _pair(RING, worms=TWO_WORMS + [(60, 1, 2, 4)])
     skips = _spy(production, "_skip_order")
     assert _run_until_frozen(production, legacy) < 50
     quiet = production._alloc_quiet
@@ -153,7 +178,7 @@ def test_pending_router_delay_header_forces_the_full_allocate_pass():
     # while both headers sit out the router pipeline nothing requests and
     # nothing moves, so both flags go up — with the headers still due
     production, legacy = _pair(
-        RING.replace(router_delay=4), trace=Trace(TWO_WORMS)
+        RING.replace(router_delay=4), worms=TWO_WORMS
     )
     skips = _spy(production, "_skip_order")
     pending_cycles = 0

@@ -25,25 +25,13 @@ def test_add_manual_accounting():
     assert snap["detect/census"]["calls"] == 5
 
 
-def test_reset_zeroes_but_keeps_timer_objects():
-    prof = PhaseProfiler()
-    t = prof.timer("engine/move")
-    with t:
-        pass
-    prof.add("detect/knots", 1.0)
-    prof.reset()
-    assert prof.timer("engine/move") is t
-    assert t.total == 0.0 and t.calls == 0
-    assert prof.snapshot()["detect/knots"] == {"total_s": 0.0, "calls": 0}
-
-
 def test_timer_exit_emits_trace_span():
     tracer = TraceRecorder(capacity=16)
     prof = PhaseProfiler(tracer)
     tracer.cycle = 42
     with prof.timer("engine/allocate"):
         pass
-    assert len(tracer) == 1
+    assert len(tracer.events) == 1
     kind, name, cycle, _ts, _dur, _args = tracer.events[0]
     assert (kind, name, cycle) == ("X", "engine/allocate", 42)
 
@@ -52,7 +40,7 @@ def test_add_does_not_emit_span():
     tracer = TraceRecorder(capacity=16)
     prof = PhaseProfiler(tracer)
     prof.add("detect/knots", 0.1)
-    assert len(tracer) == 0
+    assert len(tracer.events) == 0
 
 
 def test_table_renders_every_recorded_phase():

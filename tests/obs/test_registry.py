@@ -7,12 +7,10 @@ import pytest
 
 from repro.obs.registry import (
     DEFAULT_BUCKETS,
-    NULL_REGISTRY,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
-    NullRegistry,
     merge_snapshots,
 )
 
@@ -29,7 +27,6 @@ class TestHistogramBucketing:
         assert h.counts == [2, 2, 1, 1]
         assert h.count == 6
         assert h.total == 26
-        assert h.mean == pytest.approx(26 / 6)
 
     def test_overflow_bin_exists_beyond_last_bound(self):
         h = Histogram(bounds=(10,))
@@ -48,9 +45,6 @@ class TestHistogramBucketing:
         with pytest.raises(ValueError):
             Histogram(bounds=(5, 1))
 
-    def test_empty_histogram_mean_is_zero(self):
-        assert Histogram().mean == 0.0
-
 
 class TestInstruments:
     def test_counter_increments(self):
@@ -59,13 +53,11 @@ class TestInstruments:
         c.inc(4)
         assert c.value == 5
 
-    def test_gauge_set_and_set_max(self):
+    def test_gauge_set(self):
         g = Gauge()
         g.set(3.0)
-        g.set_max(2.0)
-        assert g.value == 3.0
-        g.set_max(7.0)
-        assert g.value == 7.0
+        g.set(2.0)
+        assert g.value == 2.0
 
     def test_registry_instruments_are_stable(self):
         reg = MetricsRegistry()
@@ -89,29 +81,6 @@ class TestInstruments:
         assert restored["counters"] == {"c": 1}
         assert restored["gauges"] == {"g": 2.5}
         assert restored["histograms"]["h"]["count"] == 1
-
-
-class TestNullRegistry:
-    def test_shared_noop_instruments(self):
-        assert NULL_REGISTRY.enabled is False
-        assert NULL_REGISTRY.counter("x") is NULL_REGISTRY.counter("y")
-        NULL_REGISTRY.counter("x").inc(100)
-        assert NULL_REGISTRY.counter("x").value == 0
-        NULL_REGISTRY.gauge("g").set(9)
-        NULL_REGISTRY.gauge("g").set_max(9)
-        assert NULL_REGISTRY.gauge("g").value == 0.0
-        NULL_REGISTRY.histogram("h").observe(5)
-        assert NULL_REGISTRY.histogram("h").count == 0
-        NULL_REGISTRY.set_counters({"a": 1})
-        assert NULL_REGISTRY.snapshot() == {
-            "counters": {},
-            "gauges": {},
-            "histograms": {},
-        }
-
-    def test_null_registry_is_a_registry(self):
-        assert isinstance(NULL_REGISTRY, MetricsRegistry)
-        assert isinstance(NullRegistry(), MetricsRegistry)
 
 
 def _random_snapshot(rng):

@@ -11,7 +11,7 @@ def test_ring_buffer_bounds_and_dropped_counter():
     tr = TraceRecorder(capacity=4)
     for i in range(7):
         tr.instant("block", msg=i)
-    assert len(tr) == 4
+    assert len(tr.events) == 4
     assert tr.dropped == 3
     assert tr.stats() == {"events": 4, "dropped": 3}
     # oldest events fell off the front: the survivors are the last four

@@ -61,9 +61,10 @@ def test_short_run_preserves_all_invariants(params):
         if vc.owner is not None:
             assert vc.owner in sim.active
     # reception channels owned only by draining active messages
-    for rx in sim.pool.reception:
-        if rx.owner is not None:
-            assert rx.owner in sim.active
+    for group in sim.pool.reception_groups:
+        for rx in group:
+            if rx.owner is not None:
+                assert rx.owner in sim.active
 
 
 @given(configs)

@@ -19,12 +19,13 @@ import pytest
 from repro.config import SimulationConfig
 from repro.network.simulator import NetworkSimulator
 from repro.validation.statespace import (
-    CanonicalState,
     oracle_config,
     snapshot_state,
     step_with_script,
     successors,
 )
+
+from tests.validation.conftest import state_from_json
 
 #: engine flag sets, mirroring the differential fuzzer's engine axis
 TIERS = {
@@ -191,7 +192,7 @@ def test_successor_sets_are_path_independent():
     for _ in range(3):
         sim.step()
     state = snapshot_state(sim)
-    reloaded = CanonicalState.from_json(state.to_json())
+    reloaded = state_from_json(state.to_json())
     assert reloaded == state and hash(reloaded) == hash(state)
     first = {s for _, s in successors(base, state)}
     again = {s for _, s in successors(base, reloaded)}

@@ -3,9 +3,7 @@
 The same geometric invariants the k-ary n-cube family guarantees must
 hold for every zoo class: neighbour symmetry (all zoo topologies are
 bidirectional), the triangle inequality on hop distance, and productive
-links that strictly decrease distance — plus the latency metrics layered
-on top (``min_latency`` bounded below by hop distance, exact equality
-under uniform latency).
+links that strictly decrease distance.
 """
 
 from hypothesis import given, settings
@@ -58,7 +56,7 @@ def test_zoo_neighbour_symmetry(data):
     node = data.draw(st.integers(min_value=0, max_value=t.num_nodes - 1))
     for link in t.out_links(node):
         assert t.has_link(link.dst, node)
-    assert {l.dst for l in t.out_links(node)} == {l.src for l in t.in_links(node)}
+    assert {l.dst for l in t.out_links(node)} == {l.src for l in t.links if l.dst == node}
 
 
 @given(st.data())
@@ -90,30 +88,13 @@ def test_zoo_productive_links_strictly_reduce_distance(data):
 
 
 @given(st.data())
-@settings(max_examples=60, deadline=None)
-def test_zoo_min_latency_bounds(data):
-    """Latency-weighted distance: >= hop distance always (latency >= 1 per
-    hop), == hop distance when every link has latency 1, symmetric on
-    these bidirectional classes."""
-    t = build_zoo(data)
-    nodes = st.integers(min_value=0, max_value=t.num_nodes - 1)
-    a, b = data.draw(nodes), data.draw(nodes)
-    assert t.min_latency(a, b) >= t.min_distance(a, b)
-    assert t.min_latency(a, b) == t.min_latency(b, a)
-    if t.uniform_latency:
-        assert t.min_latency(a, b) == t.min_distance(a, b)
-
-
-@given(st.data())
 @settings(max_examples=30, deadline=None)
 def test_zoo_average_metrics_match_bruteforce(data):
     t = build_zoo(data)
     nn = t.num_nodes
     pairs = [(a, b) for a in range(nn) for b in range(nn) if a != b]
     brute_dist = sum(t.min_distance(a, b) for a, b in pairs) / len(pairs)
-    brute_lat = sum(t.min_latency(a, b) for a, b in pairs) / len(pairs)
     assert abs(t.average_internode_distance - brute_dist) < 1e-9
-    assert abs(t.average_internode_latency - brute_lat) < 1e-9
 
 
 @given(dims3, latencies3)

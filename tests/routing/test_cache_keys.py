@@ -92,7 +92,7 @@ def test_candidate_table_wraparound_matches_fresh():
                 f"node {src} -> dest {dest}"
             )
             assert cached == fresh
-    assert len(table) > 0
+    assert len(table.table) > 0
 
 
 def test_candidate_table_dateline_wrap_distinct_entries():
@@ -116,7 +116,7 @@ def test_candidate_table_dateline_wrap_distinct_entries():
     local = Message(1, 0, 1, 4, 0)
     _, idx_wrapped = table.lookup(wrapped, 0)
     _, idx_local = table.lookup(local, 0)
-    assert len(table) == 2, "wrap/non-wrap positions collided on one key"
+    assert len(table.table) == 2, "wrap/non-wrap positions collided on one key"
     assert idx_wrapped != idx_local, (
         "dateline classes lost: wrapped and local messages memoized the "
         "same candidate VCs"

@@ -49,11 +49,6 @@ def test_num_nodes():
     assert SimulationConfig(k=4, n=3).num_nodes == 64
 
 
-def test_is_cut_through():
-    assert SimulationConfig(buffer_depth=32, message_length=32).is_cut_through
-    assert not SimulationConfig(buffer_depth=2, message_length=32).is_cut_through
-
-
 def test_label_mentions_key_fields():
     label = SimulationConfig(k=8, n=2, routing="dor", num_vcs=2).label()
     assert "8-ary" in label and "DOR2" in label

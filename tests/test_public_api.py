@@ -46,10 +46,9 @@ def test_headline_names_importable():
 def test_subpackage_api():
     from repro.core import ChannelWaitForGraph, packet_wait_for_graph  # noqa: F401
     from repro.experiments import ALL_EXPERIMENTS
-    from repro.metrics import analyze_records, replicate  # noqa: F401
+    from repro.metrics import replicate  # noqa: F401
     from repro.obs import Observer, TraceRecorder, merge_snapshots  # noqa: F401
     from repro.routing import certify_deadlock_free  # noqa: F401
-    from repro.traffic.trace import Trace  # noqa: F401
     from repro.viz import render_occupancy  # noqa: F401
 
     assert len(ALL_EXPERIMENTS) == 17

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.traffic.lengths import FixedLength, LengthMix, UniformLengthRange
+from repro.traffic.lengths import FixedLength, LengthMix
 
 
 class TestFixed:
@@ -49,25 +49,6 @@ class TestMix:
             LengthMix([(0, 1.0)])
         with pytest.raises(ConfigurationError):
             LengthMix([(4, 0.0)])
-
-
-class TestRange:
-    def test_bounds_inclusive(self):
-        r = UniformLengthRange(3, 5)
-        rng = random.Random(3)
-        drawn = {r(rng) for _ in range(500)}
-        assert drawn == {3, 4, 5}
-        assert r.mean == 4.0
-
-    def test_degenerate_range(self):
-        r = UniformLengthRange(4, 4)
-        assert r(random.Random(0)) == 4
-
-    def test_invalid(self):
-        with pytest.raises(ConfigurationError):
-            UniformLengthRange(0, 5)
-        with pytest.raises(ConfigurationError):
-            UniformLengthRange(5, 3)
 
 
 class TestGeneratorIntegration:

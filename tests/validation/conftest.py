@@ -1,4 +1,41 @@
+"""Fixtures that arm faults in the detector's pipeline, and the two
+state-space helpers the oracle's own tests need: decoding a canonical
+state back from a witness's JSON, and restoring a live simulator into one.
+"""
+
 import pytest
+
+from repro.config import SimulationConfig
+from repro.network.simulator import NetworkSimulator
+from repro.validation.invariants import InvariantChecker
+from repro.validation.statespace import CanonicalState, load_state, oracle_config
+
+
+def state_from_json(data: dict) -> CanonicalState:
+    """The inverse of :meth:`CanonicalState.to_json`."""
+    return CanonicalState(
+        next_id=int(data["next_id"]),
+        queues=tuple(tuple(int(i) for i in q) for q in data["queues"]),
+        messages=tuple(
+            (
+                int(r[0]), int(r[1]), int(r[2]), int(r[3]), str(r[4]),
+                int(r[5]), int(r[6]),
+                tuple((int(v), int(o)) for v, o in r[7]),
+                None if r[8] is None else int(r[8]),
+                bool(r[9]), bool(r[10]),
+            )
+            for r in data["messages"]
+        ),
+    )
+
+
+def restore_sim(config: SimulationConfig, state: CanonicalState) -> NetworkSimulator:
+    """A live legacy-engine simulator in exactly ``state``, checked by the
+    invariant battery (``config`` is pinned through ``oracle_config``)."""
+    sim = NetworkSimulator(oracle_config(config))
+    load_state(sim, state)
+    InvariantChecker().check_now(sim)
+    return sim
 
 
 @pytest.fixture

@@ -65,10 +65,10 @@ def test_deadlock_witness_ends_in_a_flagged_deadlock(graph):
 def test_wake_witness_traverses_a_wake_edge(graph):
     """The wake witness's defining property: its last step unblocks (or
     delivers) a message that was blocked in the preceding state."""
-    from repro.validation.statespace import CanonicalState
+    from tests.validation.conftest import state_from_json
 
     witness = make_wake_witness(CASE, graph=graph)
-    final = CanonicalState.from_json(witness["final_state"])
+    final = state_from_json(witness["final_state"])
     # replay all but the last step on the oracle engine to recover the
     # penultimate state, then compare blocked sets
     import dataclasses
