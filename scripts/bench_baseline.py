@@ -25,6 +25,9 @@ it:
   (``obs_level=1`` profiler): where the engine's time goes, including the
   detector's share of a cycle against its ≤ 25% target.  Recorded for
   diagnosis and printed by ``--check`` when a gate fails, not gated;
+* ``obs_overhead`` — the **CPU-time cost of ``obs_level=1``** over
+  observability off on the moderate 8-ary scenario: the median of 15
+  lockstep per-rep ratios, gated at ≤ 1.10×;
 * ``campaign_fanout`` — the **campaign layer's per-point cost** where it
   dominates: 48 points of ~20 ms run direct-serial, cold-drained at 1
   and 2 workers and service-drained on 1 and 2 local slots in one
@@ -56,6 +59,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.config import bench_default, paper_default, tiny_default  # noqa: E402
 from repro.core.detector import DeadlockDetector  # noqa: E402
 from repro.network.simulator import NetworkSimulator  # noqa: E402
+from repro.obs.profiler import phase_rows, phase_table, share_pct  # noqa: E402
 
 BASELINE_PATH = REPO_ROOT / "BENCH_core.json"
 
@@ -364,77 +368,6 @@ def format_campaign_fanout(record: dict) -> str:
     )
 
 
-def _share_pct(part_s: float, total_s: float) -> float:
-    """Percentage share rounded to 1 decimal, never collapsed to zero.
-
-    Sub-permille phases (a cheap stage inside a heavy engine total) used
-    to round to 0.0%, which reads as "never ran"; instead keep adding a
-    decimal until the share survives rounding, so a 0.004% phase reports
-    as 0.004 rather than 0.0.
-    """
-    if part_s <= 0.0 or total_s <= 0.0:
-        return 0.0
-    pct = 100.0 * part_s / total_s
-    for decimals in range(1, 10):
-        rounded = round(pct, decimals)
-        if rounded:
-            return rounded
-    return pct
-
-
-#: nested phase-name prefix -> the enclosing top-level phase.  The detector
-#: accounts its pipeline stages under ``detect/*`` while it runs *inside*
-#: the engine's ``engine/detect`` timer, so a child's wall-clock is counted
-#: twice in a raw snapshot.
-_NESTED_UNDER = {"detect/": "engine/detect"}
-
-
-def _exclusive_times(snap: dict) -> dict[str, float]:
-    """Exclusive (self) seconds per phase: parents minus their nested children.
-
-    The raw profiler snapshot is inclusive — ``engine/detect`` contains the
-    time the detector also books under ``detect/*`` — so summing shares over
-    a raw snapshot exceeds 100%.  Subtracting each child group from its
-    parent makes the rows disjoint: they add up to the engine total (and
-    their shares to at most 100%).  Clamped at zero so timer jitter on a
-    near-empty parent can't go negative.
-    """
-    exclusive = {name: rec["total_s"] for name, rec in snap.items()}
-    for prefix, parent in _NESTED_UNDER.items():
-        if parent not in exclusive:
-            continue
-        nested = sum(
-            rec["total_s"]
-            for name, rec in snap.items()
-            if name.startswith(prefix)
-        )
-        exclusive[parent] = max(0.0, exclusive[parent] - nested)
-    return exclusive
-
-
-def _engine_total_s(snap: dict) -> float:
-    return sum(
-        rec["total_s"] for name, rec in snap.items() if name.startswith("engine/")
-    )
-
-
-def _phase_rows(snap: dict) -> dict:
-    """Per-phase rows of a profiler snapshot: inclusive total, exclusive
-    self-time, calls, and the self-time's share of the engine total."""
-    exclusive = _exclusive_times(snap)
-    engine_total = _engine_total_s(snap)
-    return {
-        name: {
-            "total_ms": round(1e3 * rec["total_s"], 2),
-            "self_ms": round(1e3 * exclusive[name], 2),
-            "calls": rec["calls"],
-            "share_pct": _share_pct(exclusive[name], engine_total),
-        }
-        for name, rec in snap.items()
-        if rec["calls"]
-    }
-
-
 #: the detector's target share of a saturated cycle (reported, not gated)
 DETECTOR_SHARE_TARGET_PCT = 25.0
 
@@ -445,12 +378,12 @@ def _phase_breakdown() -> dict:
     Runs the saturated 16-ary scenario once with ``obs_level=1`` (phase
     profiler on), discards the warmup cycles, and records where the engine's
     time goes — generate / allocate / move / detect, plus the detector's
-    knot and census stages.  Each row reports its *exclusive*
-    self-time (``self_ms``: nested ``detect/*`` children subtracted from
-    ``engine/detect``) next to the raw inclusive total; shares are computed
-    from the exclusive times so they sum to at most 100%.  Shares are ratios
-    and transfer across machines; they are recorded for diagnosis (printed
-    when the benchmark gate fails), not gated themselves.
+    knot and census stages, as :func:`~repro.obs.profiler.phase_rows`
+    rows (self time next to the inclusive total, shares of the top-level
+    total that sum to 100%).  ``detector_share_pct`` is ``engine/detect``'s
+    inclusive time over that total.  Shares are ratios and transfer across
+    machines; they are recorded for diagnosis (printed when the benchmark
+    gate fails), not gated themselves.
     """
     spec = ENGINE_SCENARIOS[ACCEPTANCE_SCENARIO]
     cfg = spec["factory"](
@@ -472,37 +405,70 @@ def _phase_breakdown() -> dict:
         name: {key: row[key] - warm.get(name, zero)[key] for key in zero}
         for name, row in sim.obs.profiler.snapshot().items()
     }
+    phases = phase_rows(snap)
     return {
         "scenario": ACCEPTANCE_SCENARIO,
         "timed_cycles": spec["cycles"],
-        "phases": _phase_rows(snap),
-        # engine/detect is inclusive of the detector's nested stages
-        "detector_share_pct": _share_pct(
-            snap["engine/detect"]["total_s"], _engine_total_s(snap)
+        "phases": phases,
+        # the self times partition the top-level total
+        "detector_share_pct": share_pct(
+            phases["engine/detect"]["total_ms"],
+            sum(row["self_ms"] for row in phases.values()),
         ),
         "detector_share_target_pct": DETECTOR_SHARE_TARGET_PCT,
     }
 
 
-def format_phase_breakdown(breakdown: dict) -> str:
-    """Printable view of a ``phase_breakdown`` record."""
-    lines = [
-        f"phase breakdown ({breakdown['scenario']}, "
-        f"{breakdown['timed_cycles']} cycles):"
-    ]
-    phases = breakdown["phases"]
-    for name in sorted(phases, key=lambda n: -phases[n]["total_ms"]):
-        rec = phases[name]
-        lines.append(
-            f"  {name:<22} {rec['self_ms']:>9.2f} ms self  "
-            f"({rec['total_ms']:>9.2f} ms incl)  "
-            f"{rec['calls']:>7} calls  {rec['share_pct']:>5.1f}%"
+#: the bar on obs_level=1's CPU-time cost over obs_level=0 (see _obs_overhead)
+OBS_OVERHEAD_MAX_RATIO = 1.10
+
+
+def _obs_overhead(warm: int = 200, cycles: int = 400, reps: int = 15) -> dict:
+    """CPU-time cost of ``obs_level=1`` over observability off.
+
+    Two simulators of the moderate 8-ary scenario, one per level, step in
+    lockstep (same seed, same warm-up), so each rep times both through the
+    *same* ``cycles``-cycle window, alternating which goes first.  Each
+    side is timed with ``time.process_time`` (this process's CPU time,
+    blind to other load on the host) and the ratio is the median of the
+    per-rep on/off ratios, so a burst of machine noise moves one rep, not
+    the verdict.  The bar keeps ``--obs-level 1`` safe to leave on for
+    real sweeps.
+    """
+    sims = {}
+    for level in (0, 1):
+        sims[level] = NetworkSimulator(
+            bench_default(
+                routing="dor",
+                num_vcs=1,
+                load=0.4,
+                warmup_cycles=0,
+                measure_cycles=1,
+                seed=1,
+                obs_level=level,
+                validation_level=0,
+            )
         )
-    lines.append(
-        f"  detector share of the cycle {breakdown['detector_share_pct']}% "
-        f"(target <= {breakdown['detector_share_target_pct']:.0f}%)"
-    )
-    return "\n".join(lines)
+        for _ in range(warm):
+            sims[level].step()
+    ratios = []
+    for rep in range(reps):
+        spent = {}
+        for level in (0, 1) if rep % 2 == 0 else (1, 0):
+            sim = sims[level]
+            t0 = time.process_time()
+            for _ in range(cycles):
+                sim.step()
+            spent[level] = time.process_time() - t0
+        ratios.append(spent[1] / spent[0])
+    return {
+        "scenario": "bench_8ary_dor_load0.4",
+        "warm_cycles": warm,
+        "cycles": cycles,
+        "reps": reps,
+        "ratio": round(statistics.median(ratios), 3),
+        "required_max_ratio": OBS_OVERHEAD_MAX_RATIO,
+    }
 
 
 def measure() -> dict:
@@ -523,6 +489,7 @@ def measure() -> dict:
         },
         "detector_by_size": _detector_by_size(),
         "phase_breakdown": _phase_breakdown(),
+        "obs_overhead": _obs_overhead(),
         "campaign_fanout": _campaign_fanout(),
     }
 
@@ -549,6 +516,11 @@ BAR_GATES = (
         ("scenarios", ACCEPTANCE_SCENARIO, "speedup"),
         ("acceptance", "required_speedup"),
         True,
+    ),
+    (
+        ("obs_overhead", "ratio"),
+        ("obs_overhead", "required_max_ratio"),
+        False,
     ),
     (
         ("campaign_fanout", "cold_w1_over_direct"),
@@ -622,6 +594,12 @@ def main() -> int:
         f"{breakdown['detector_share_pct']}% "
         f"(target <= {breakdown['detector_share_target_pct']:.0f}%)"
     )
+    overhead = fresh["obs_overhead"]
+    print(
+        f"obs_level=1 / off CPU time: {overhead['ratio']:.3f}x, median of "
+        f"{overhead['reps']} reps x {overhead['cycles']} cycles "
+        f"(bar <= {overhead['required_max_ratio']:.2f}x)"
+    )
     print(format_campaign_fanout(fresh["campaign_fanout"]))
 
     if not args.check:
@@ -643,10 +621,12 @@ def main() -> int:
             print(f"REGRESSION: {p}")
         # the fresh split says *where* the regression lives; the
         # committed one is the shape to compare against
-        print()
-        print("fresh " + format_phase_breakdown(breakdown))
-        print()
-        print("committed " + format_phase_breakdown(baseline["phase_breakdown"]))
+        for label, record in (
+            ("fresh", breakdown),
+            ("committed", baseline["phase_breakdown"]),
+        ):
+            print()
+            print(phase_table(record["phases"], f"{label} phase breakdown"))
         return 1
     print("benchmark check passed (every gate of the committed baseline holds)")
     return 0

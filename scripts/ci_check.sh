@@ -15,17 +15,12 @@
 #    20% below the committed one; or the campaign layer's fan-out regime
 #    (48 tiny points) reading a cold drain at one worker above 1.35x the
 #    direct serial run, or a service drain on two slots above 1.5x the
-#    cold drain at two workers.  On failure the per-phase time breakdown
-#    is printed alongside the committed one so the regressing phase is
-#    visible at a glance;
-# 4. runs the observability smoke gate: a pinned traced scenario whose
-#    exported Chrome/JSONL traces must parse with the expected span names,
-#    plus the <=10% overhead bound for obs_level=1 (median CPU-time ratio
-#    over 15 lockstep reps) and the <=100% phase
-#    share check, which also requires the default config's profile to carry
-#    the detector's detect/knots + detect/census phases
-#    (scripts/obs_smoke.py);
-# 5. runs the bit-identity gate: every row of the case table in
+#    cold drain at two workers; or obs_level=1 costing more than 1.10x the
+#    CPU time of observability off (median per-rep ratio over 15 lockstep
+#    reps of the moderate 8-ary scenario).  On failure the per-phase time
+#    breakdown is printed alongside the committed one so the regressing
+#    phase is visible at a glance;
+# 4. runs the bit-identity gate: every row of the case table in
 #    tests/integration/bit_identity.py (engine, detector, observability
 #    and deprecated-field rows on k-ary n-cubes and the topology zoo),
 #    each compared through repro.validation.differential.compare on the
@@ -35,24 +30,24 @@
 #    the serial in-process sweep field for field (results and obs rollup),
 #    because the worker count is one more thing that must not change a
 #    result;
-# 6. runs the end-to-end benchmark smoke: the five workloads of the repo
+# 5. runs the end-to-end benchmark smoke: the five workloads of the repo
 #    benchmark at tiny sizes on the default engine, every point checked
 #    against the seed-1 digests pinned in benchmarks/e2e;
-# 7. runs the benchmark harness's own tests (benchmarks/e2e is outside
+# 6. runs the benchmark harness's own tests (benchmarks/e2e is outside
 #    pytest's testpaths): among them the one that reads the
 #    implementation-selection config fields by name — the reason the three
 #    inert engine_kernels / engine_vectorized / cwg_maintenance fields
 #    still exist;
-# 8. runs the differential fuzz smoke sweep: 25 seeded random configs
+# 7. runs the differential fuzz smoke sweep: 25 seeded random configs
 #    cross-checked through the same compare on the engine/detector axes
 #    under a 90 s budget
 #    (deterministic — a CI failure replays locally with the same command);
-# 9. runs the model-checking oracle smoke gate: every configuration class
+# 8. runs the model-checking oracle smoke gate: every configuration class
 #    of the oracle grid enumerated to full closure, the knot detector
 #    cross-checked against reachability ground truth at every reachable
 #    state, closure sizes pinned against drift, and the fault-injection
 #    teeth battery proven to bite (scripts/oracle_smoke.py);
-# 10. runs the documentation drift gate: every repro.* symbol named in
+# 9. runs the documentation drift gate: every repro.* symbol named in
 #    docs/API.md must resolve against the live package, every relative
 #    markdown link in the repo must point at an existing file, and every
 #    Topology subclass / CLI --topology choice must be documented in
@@ -62,7 +57,7 @@
 #    rendered on the committed bench observations, and every repo path
 #    under examples/, scripts/, src/, tests/ or data/ that a markdown file
 #    names in code must exist;
-# 11. runs the reachability audit (scripts/reach.py --check): every tiny
+# 10. runs the reachability audit (scripts/reach.py --check): every tiny
 #    experiment with its claims, one invocation per non-service CLI verb
 #    and the nets (oracle grid and teeth, fuzz smoke and teeth, a
 #    validation_level=2 run) execute under sys.setprofile, and the stage
@@ -82,9 +77,6 @@ PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -x -q -m slow
 
 echo "== benchmark smoke (vs committed BENCH_core.json) =="
 python scripts/bench_baseline.py --check
-
-echo "== observability smoke (trace schema + overhead gate) =="
-python scripts/obs_smoke.py
 
 echo "== bit-identity (case table + goldens + sweep fan-out) =="
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -x -q \

@@ -5,7 +5,7 @@ Deadlock frequencies below saturation are rare-event estimates: the paper
 ran 30,000 cycles per point; tighter confidence needs longer.  This script
 runs one configuration for a wall-clock budget, checkpointing cumulative
 statistics to CSV every ``--checkpoint`` simulated cycles so partial runs
-are never wasted, and prints a final rate with a Poisson 95% interval.
+are never wasted, and prints a final rate with an exact Poisson 95% interval.
 
 Example::
 
@@ -23,14 +23,41 @@ import time
 from repro import NetworkSimulator, SimulationConfig
 
 
+def _poisson_cdf(k: int, mean: float) -> float:
+    """P(X <= k) for X ~ Poisson(mean), each term taken in log space so a
+    large mean does not underflow ``exp(-mean)``."""
+    if mean <= 0.0:
+        return 1.0
+    log_mean = math.log(mean)
+    return math.fsum(
+        math.exp(i * log_mean - mean - math.lgamma(i + 1)) for i in range(k + 1)
+    )
+
+
+def _mean_at(k: int, cdf: float) -> float:
+    """The Poisson mean at which P(X <= k) = ``cdf``, by bisection (the CDF
+    falls as the mean grows)."""
+    lo, hi = 0.0, k + 10.0 * math.sqrt(k) + 10.0
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if _poisson_cdf(k, mid) > cdf:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def poisson_ci95(events: int, exposure: float) -> tuple[float, float]:
-    """Approximate 95% CI for an event rate (per unit exposure)."""
+    """Exact (Garwood) two-sided 95% CI for an event rate per unit exposure.
+
+    The lower bound is the mean under which ``events`` or more occur with
+    probability 2.5%, the upper the mean under which ``events`` or fewer
+    do; at zero events the lower bound is 0.
+    """
     if exposure <= 0:
         return (0.0, float("inf"))
-    if events == 0:
-        return (0.0, 3.0 / exposure)  # rule of three
-    half = 1.96 * math.sqrt(events)
-    return (max(0.0, events - half) / exposure, (events + half) / exposure)
+    lower = _mean_at(events - 1, 0.975) if events else 0.0
+    return (lower / exposure, _mean_at(events, 0.025) / exposure)
 
 
 def main() -> None:

@@ -239,7 +239,7 @@ def drive_cli() -> None:
         # their first attempts hang: killed at the timeout, then retried
         with armed(REPRO_INJECT_FAULT="hang-point", REPRO_FAULT_MATCH="L=0.30",
                    REPRO_FAULT_DIR=tmp):
-            run("campaign", "resume", *fig5, *store, "--timeout", "3")
+            run("campaign", "run", *fig5, *store, "--timeout", "3")
         run("campaign", "rebuild", *store)
         run("campaign", "clean", *store, "--all")
         run("oracle", "list")

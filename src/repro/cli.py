@@ -15,14 +15,12 @@ characterization.  ``experiment`` regenerates one of the paper's
 figures/tables (FIG5, FIG6, FIG7, FIG8, SEC3.5, SEC3.6, TAB-AVOID,
 ABL-DET, ... or the cross-topology TOPO-CMP study, alias
 ``topology-comparison``) and prints the paper-style tables, optionally
-with CSV export and ASCII charts; with ``--store`` the sweeps run as a
-checkpointed campaign.
+with CSV export and ASCII charts.
 ``campaign`` manages durable sweep campaigns (:mod:`repro.campaign`):
 ``run`` executes an experiment against a result store with per-point
-retry/timeout fault tolerance, ``resume`` is the same invocation spelled
-to make intent explicit (completed points are always skipped), ``status``
-renders the store manifest, ``clean`` drops failed entries (or, with
-``--all``, the whole store) so they run again.  The distributed tier
+retry/timeout fault tolerance (re-invoking it skips the completed
+points), ``status`` renders the store manifest, ``clean`` drops failed
+entries (or, with ``--all``, the whole store) so they run again.  The distributed tier
 (:mod:`repro.campaign.service`): ``serve`` runs an experiment as a
 campaign *service* — an asyncio lease scheduler that local fork slots and
 remote machines drain cooperatively — ``worker --connect HOST:PORT``
@@ -72,19 +70,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     exp = sub.add_parser("experiment", help="regenerate a paper figure/table")
     _add_experiment_args(exp)
-    _add_campaign_run_args(exp, store_required=False)
+    exp.add_argument("--workers", type=int, default=None,
+                     help="worker processes each sweep's points fan out "
+                          "over (default: every CPU this process may run on)")
 
     camp = sub.add_parser(
         "campaign", help="checkpointed, resumable experiment campaigns"
     )
     camp_sub = camp.add_subparsers(dest="campaign_command", required=True)
-    for verb, blurb in (
-        ("run", "run an experiment as a durable campaign"),
-        ("resume", "re-invoke a campaign: completed points are skipped"),
-    ):
-        crun = camp_sub.add_parser(verb, help=blurb)
-        _add_experiment_args(crun)
-        _add_campaign_run_args(crun, store_required=True)
+    crun = camp_sub.add_parser(
+        "run", help="run an experiment as a durable campaign (re-invoke "
+                    "to resume: completed points are skipped)"
+    )
+    _add_experiment_args(crun)
+    _add_campaign_run_args(crun)
     cstatus = camp_sub.add_parser(
         "status", help="render a store's manifest (done/failed/counters)"
     )
@@ -256,15 +255,12 @@ def _add_experiment_args(parser: argparse.ArgumentParser) -> None:
                              "point and print per-series rollups (default 0)")
 
 
-def _add_campaign_run_args(
-    parser: argparse.ArgumentParser, *, store_required: bool
-) -> None:
-    """The campaign-execution knobs shared by `experiment` and `campaign`."""
+def _add_campaign_run_args(parser: argparse.ArgumentParser) -> None:
+    """The campaign-execution knobs of `campaign run`."""
     parser.add_argument(
-        "--store", required=store_required, metavar="DIR",
+        "--store", required=True, metavar="DIR",
         help="result-store directory; completed points are checkpointed "
-             "there and skipped on re-invocation"
-        + ("" if store_required else " (omitting it runs plain sweeps)"),
+             "there and skipped on re-invocation",
     )
     parser.add_argument("--retries", type=int, default=2,
                         help="re-attempts per failed point (default 2)")
@@ -274,9 +270,7 @@ def _add_campaign_run_args(
     parser.add_argument(
         "--workers", type=int, default=None,
         help="concurrent worker processes (default: every CPU this process "
-             "may run on)"
-        + ("" if store_required else "; without --store it caps the "
-           "in-memory fan-out of each sweep's points"),
+             "may run on)",
     )
     parser.add_argument("--max-points", type=int, default=None,
                         help="stop after N fresh point executions "
@@ -328,9 +322,7 @@ def _run_simulate(args: argparse.Namespace) -> int:
 
 
 def _campaign_runner_from_args(args: argparse.Namespace):
-    """Build the CampaignRunner an invocation asked for (None without --store)."""
-    if not getattr(args, "store", None):
-        return None
+    """The CampaignRunner a `campaign run` invocation asked for."""
     from repro.campaign import CampaignRunner, ResultStore
 
     return CampaignRunner(
@@ -360,7 +352,7 @@ def _print_campaign_summary(runner) -> None:
 
 def _run_experiment(args: argparse.Namespace, runner=None) -> int:
     from repro.experiments import ALL_EXPERIMENTS, EXPERIMENT_ALIASES
-    from repro.experiments.base import set_campaign_runner, set_default_obs_level
+    from repro.experiments.base import set_campaign_runner
     from repro.experiments.report import (
         render_figure,
         render_obs_rollup,
@@ -370,16 +362,15 @@ def _run_experiment(args: argparse.Namespace, runner=None) -> int:
     )
     from repro.metrics.sweep import FanOut
 
-    set_default_obs_level(args.obs_level)
-    if runner is None:
-        runner = _campaign_runner_from_args(args)
     set_campaign_runner(runner if runner is not None else FanOut(args.workers))
     try:
         exp_id = EXPERIMENT_ALIASES.get(args.id, args.id)
         wanted = list(ALL_EXPERIMENTS) if exp_id == "all" else [exp_id]
         results = []
         for exp_id in wanted:
-            result = ALL_EXPERIMENTS[exp_id](scale=args.scale)
+            result = ALL_EXPERIMENTS[exp_id](
+                scale=args.scale, obs_level=args.obs_level
+            )
             print(result.format_tables())
             if exp_id == "TOPO-CMP":
                 print()
@@ -443,9 +434,8 @@ def _run_campaign(args: argparse.Namespace) -> int:
         if args.campaign_command == "serve":
             return verbs.serve(args, _run_experiment)
         return getattr(verbs, args.campaign_command)(args)
-    # run / resume: identical semantics — resume is run with a store that
-    # already holds completed points
-    return _run_experiment(args)
+    # run: a store that already holds completed points resumes
+    return _run_experiment(args, _campaign_runner_from_args(args))
 
 
 def _run_oracle(args: argparse.Namespace) -> int:

@@ -34,28 +34,12 @@ __all__ = [
     "set_campaign_runner",
     "ExperimentResult",
     "format_table",
-    "set_default_obs_level",
 ]
 
-#: observability level applied by :func:`scaled_config` when the caller does
-#: not pass ``obs_level`` explicitly — how ``repro experiment --obs-level``
-#: reaches every config an experiment runner builds without threading a new
-#: parameter through all of them
-_DEFAULT_OBS_LEVEL = 0
-
-
-def set_default_obs_level(level: int) -> None:
-    """Set the ``obs_level`` that :func:`scaled_config` applies by default."""
-    global _DEFAULT_OBS_LEVEL
-    if level not in (0, 1, 2):
-        raise ConfigurationError(f"obs_level must be 0, 1 or 2, got {level}")
-    _DEFAULT_OBS_LEVEL = level
-
-
 #: active campaign runner applied by :func:`experiment_sweep` — how
-#: ``repro campaign run`` / ``repro experiment --store`` make every sweep
-#: of every experiment checkpointed without threading a runner through all
-#: the per-figure signatures (mirrors :data:`_DEFAULT_OBS_LEVEL`)
+#: ``repro campaign run`` makes every sweep of every experiment
+#: checkpointed without threading a runner through all the per-figure
+#: signatures
 _CAMPAIGN_RUNNER: Optional["CampaignRunner"] = None
 
 #: the runner :func:`experiment_sweep` uses when none is installed
@@ -89,7 +73,7 @@ def experiment_sweep(
     (:func:`~repro.metrics.sweep.fan_out`); the result equals the serial
     :func:`~repro.metrics.sweep.run_load_sweep`'s, because each point
     depends only on its config.  When a campaign runner is installed
-    (``repro campaign run``, ``repro experiment --store``, or
+    (``repro campaign run``, ``repro campaign serve`` or
     :func:`set_campaign_runner`), the sweep is checkpointed, fault-tolerant
     and resumable instead.  Points a campaign could not complete are
     recorded on the returned sweep's ``failures`` (rendered as degraded
@@ -107,7 +91,6 @@ def scaled_config(scale: str, **overrides) -> SimulationConfig:
         "bench": bench_default,
         "tiny": tiny_default,
     }
-    overrides.setdefault("obs_level", _DEFAULT_OBS_LEVEL)
     try:
         return factories[scale](**overrides)
     except KeyError:

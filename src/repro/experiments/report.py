@@ -15,6 +15,7 @@ import time
 from typing import Mapping, Sequence
 
 from repro.experiments.base import ExperimentResult, format_table
+from repro.obs.profiler import phase_rows, phase_table
 
 __all__ = [
     "sweep_csv",
@@ -137,29 +138,11 @@ def format_obs_snapshot(snapshot: Mapping, title: str = "observability") -> str:
     ``snapshot`` is the mapping produced by
     :meth:`repro.obs.observer.Observer.snapshot` or by
     :func:`repro.obs.registry.merge_snapshots` over several of them:
-    phase wall-clock times (summed CPU seconds when merged across pool
-    workers), counters, gauges, and histogram summaries.
+    the phase table (:func:`~repro.obs.profiler.phase_rows`; wall-clock
+    summed over points when merged), counters, gauges, and histogram
+    summaries.
     """
-    lines = [title, "-" * len(title)]
-    phases = snapshot.get("phases") or {}
-    if phases:
-        # top-level engine phases (no "/" beyond the leading component
-        # grouping) carry the whole-step time; sub-phases nest inside them
-        total = sum(
-            rec["total_s"]
-            for name, rec in phases.items()
-            if name.startswith("engine/")
-        )
-        lines.append(f"  {'phase':<22} {'total ms':>10} {'calls':>9} "
-                     f"{'us/call':>9} {'share':>6}")
-        for name in sorted(phases, key=lambda n: -phases[n]["total_s"]):
-            rec = phases[name]
-            per = 1e6 * rec["total_s"] / rec["calls"] if rec["calls"] else 0.0
-            share = 100 * rec["total_s"] / total if total else 0.0
-            lines.append(
-                f"  {name:<22} {1e3 * rec['total_s']:>10.2f} "
-                f"{rec['calls']:>9} {per:>9.1f} {share:>5.1f}%"
-            )
+    lines = [phase_table(phase_rows(snapshot.get("phases") or {}), title)]
     counters = snapshot.get("counters") or {}
     if counters:
         lines.append("  counters:")

@@ -301,7 +301,7 @@ class FanOut:
     """The sweep runner surface over :func:`fan_out` (see
     :func:`~repro.experiments.base.set_campaign_runner`): how an experiment
     sweep runs when no campaign is installed.  ``max_workers`` caps the
-    worker count (``repro experiment --workers N`` without ``--store``)."""
+    worker count (``repro experiment --workers N``)."""
 
     store = None
     registry = None

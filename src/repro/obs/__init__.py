@@ -13,7 +13,8 @@ Pieces (see each module's docstring and ``docs/OBSERVABILITY.md``):
 * :mod:`repro.obs.registry` — counters / gauges / fixed-bucket histograms
   with mergeable snapshots for cross-process sweep rollups;
 * :mod:`repro.obs.profiler` — scoped wall-clock timers around the
-  engine's per-cycle phases and the detector's region pipeline;
+  engine's per-cycle phases and the detector's region pipeline, and the
+  one nesting rule that turns their snapshot into self-time rows;
 * :mod:`repro.obs.trace` — bounded ring buffer of cycle-stamped events,
   exported as JSONL or Chrome-trace JSON (``chrome://tracing`` /
   Perfetto);
@@ -22,7 +23,12 @@ Pieces (see each module's docstring and ``docs/OBSERVABILITY.md``):
 """
 
 from repro.obs.observer import NULL_OBSERVER, NullObserver, Observer
-from repro.obs.profiler import PhaseProfiler, PhaseTimer
+from repro.obs.profiler import (
+    PhaseProfiler,
+    PhaseTimer,
+    phase_rows,
+    phase_table,
+)
 from repro.obs.registry import (
     DEFAULT_BUCKETS,
     Counter,
@@ -45,5 +51,7 @@ __all__ = [
     "merge_snapshots",
     "PhaseProfiler",
     "PhaseTimer",
+    "phase_rows",
+    "phase_table",
     "TraceRecorder",
 ]

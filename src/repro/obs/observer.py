@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from repro.obs.profiler import PhaseProfiler
+from repro.obs.profiler import PhaseProfiler, phase_rows, phase_table
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import TraceRecorder
 
@@ -87,9 +87,7 @@ class Observer:
         return snap
 
     def phase_table(self, title: str = "phase profile") -> str:
-        if self.profiler is None:
-            return f"{title}\n  (profiler disabled)"
-        return self.profiler.table(title)
+        return phase_table(phase_rows(self.profiler.snapshot()), title)
 
 
 class NullObserver:

@@ -12,6 +12,12 @@ Timers are plain non-reentrant context managers reused across cycles
 :class:`~repro.obs.trace.TraceRecorder` is attached, every timer exit also
 emits a span event, which is what puts the phase lanes on the Chrome-trace
 timeline.
+
+:func:`phase_rows` is the one place phase nesting is resolved: a raw
+snapshot is inclusive (``engine/detect`` contains the time the detector
+also books under ``detect/*`` and the engine under ``engine/recover``), so
+it subtracts each nested phase from its enclosing one and takes every
+share of the top-level total.  :func:`phase_table` renders those rows.
 """
 
 from __future__ import annotations
@@ -22,7 +28,13 @@ from typing import TYPE_CHECKING, Optional
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.trace import TraceRecorder
 
-__all__ = ["PhaseProfiler", "PhaseTimer"]
+__all__ = [
+    "PhaseProfiler",
+    "PhaseTimer",
+    "phase_rows",
+    "phase_table",
+    "share_pct",
+]
 
 
 class PhaseTimer:
@@ -77,26 +89,78 @@ class PhaseProfiler:
             for name, t in sorted(self.timers.items())
         }
 
-    def table(self, title: str = "phase profile") -> str:
-        """A printable per-phase time table, widest share first."""
-        rows = [
-            (name, t.total, t.calls)
-            for name, t in self.timers.items()
-            if t.calls
-        ]
-        if not rows:
-            return f"{title}\n  (no phases recorded)"
-        rows.sort(key=lambda r: -r[1])
-        total = sum(r[1] for r in rows if "/" not in r[0]) or sum(
-            r[1] for r in rows
+
+#: nested phase-name prefix -> the phase whose timer runs around it.  The
+#: detector books its pipeline stages under ``detect/*`` and the engine
+#: times recovery as ``engine/recover``, both inside ``engine/detect``.
+NESTED_UNDER = {"detect/": "engine/detect", "engine/recover": "engine/detect"}
+
+
+def share_pct(part_s: float, total_s: float) -> float:
+    """Percentage share rounded to 1 decimal, never collapsed to zero.
+
+    A sub-permille phase (a cheap stage inside a heavy engine total) would
+    round to 0.0%, which reads as "never ran"; instead keep adding a
+    decimal until the share survives rounding, so a 0.004% phase reports
+    as 0.004 rather than 0.0.
+    """
+    if part_s <= 0.0 or total_s <= 0.0:
+        return 0.0
+    pct = 100.0 * part_s / total_s
+    for decimals in range(1, 10):
+        rounded = round(pct, decimals)
+        if rounded:
+            return rounded
+    return pct
+
+
+def phase_rows(phases: dict) -> dict[str, dict]:
+    """``{name: {total_ms, self_ms, calls, share_pct}}`` per recorded phase.
+
+    ``phases`` is a ``{name: {"total_s", "calls"}}`` table
+    (:meth:`PhaseProfiler.snapshot`, or several merged).  ``total_ms`` is
+    inclusive; ``self_ms`` subtracts the phases nested inside it
+    (:data:`NESTED_UNDER`), clamped at zero against timer jitter.  Self
+    times are disjoint and add up to the top-level total, and each
+    ``share_pct`` is a self time's share of that total, so the shares sum
+    to 100%.
+    """
+    self_s = {name: rec["total_s"] for name, rec in phases.items()}
+    for name, rec in phases.items():
+        for prefix, parent in NESTED_UNDER.items():
+            if name.startswith(prefix) and parent in self_s:
+                self_s[parent] -= rec["total_s"]
+    self_s = {name: max(0.0, s) for name, s in self_s.items()}
+    total_s = sum(self_s.values())
+    return {
+        name: {
+            "total_ms": round(1e3 * rec["total_s"], 2),
+            "self_ms": round(1e3 * self_s[name], 2),
+            "calls": rec["calls"],
+            "share_pct": share_pct(self_s[name], total_s),
+        }
+        for name, rec in sorted(phases.items())
+        if rec["calls"]
+    }
+
+
+def phase_table(rows: dict, title: str = "phase profile") -> str:
+    """A printable table of :func:`phase_rows` output, widest total first."""
+    if not rows:
+        return f"{title}\n  (no phases recorded)"
+    width = max(len(name) for name in rows)
+    lines = [
+        title,
+        "-" * len(title),
+        f"  {'phase'.ljust(width)}  {'self ms':>10}  {'total ms':>10}  "
+        f"{'calls':>9}  {'us/call':>9}  {'share':>6}",
+    ]
+    for name in sorted(rows, key=lambda n: -rows[n]["total_ms"]):
+        row = rows[name]
+        per_call_us = 1e3 * row["total_ms"] / row["calls"]
+        lines.append(
+            f"  {name.ljust(width)}  {row['self_ms']:10.2f}  "
+            f"{row['total_ms']:10.2f}  {row['calls']:>9}  "
+            f"{per_call_us:9.1f}  {row['share_pct']:>5}%"
         )
-        width = max(len(r[0]) for r in rows)
-        lines = [title, "-" * len(title)]
-        for name, seconds, calls in rows:
-            avg_us = 1e6 * seconds / calls
-            share = 100.0 * seconds / total if total else 0.0
-            lines.append(
-                f"  {name.ljust(width)}  {seconds * 1e3:10.2f} ms  "
-                f"{calls:>9} calls  {avg_us:10.1f} us/call  {share:5.1f}%"
-            )
-        return "\n".join(lines)
+    return "\n".join(lines)

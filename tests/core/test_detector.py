@@ -176,6 +176,34 @@ class TestDefaultPipeline:
         cyclic = snap["counters"]["detector/passes_pwfg_cycle"]
         assert 0 <= cyclic <= passes
 
+    def test_knotted_passes_are_observed_once(self):
+        """On a run that deadlocks, ``detector/passes_cwg_knot`` counts
+        exactly the knotted passes, and no per-pass instrument counts more
+        passes than the detector ran."""
+        sim = make_sim(
+            routing="dor", bidirectional=False, load=1.0, warmup_cycles=100,
+            measure_cycles=600, seed=7, obs_level=1,
+        )
+        sim.run()
+        stats = sim.detector.cache_stats()
+        passes = stats["full_passes"] + stats["shortcircuit_passes"]
+        snap = sim.obs.snapshot()
+        counts = {
+            name: value
+            for name, value in snap["counters"].items()
+            if name.startswith("detector/passes_")
+        }
+        counts.update(
+            (name, hist["count"])
+            for name, hist in snap["histograms"].items()
+            if name.endswith("_per_pass")
+        )
+        assert len(counts) > 2
+        assert all(value <= passes for value in counts.values()), counts
+        knotted = sum(1 for r in sim.detector.records if r.events)
+        assert knotted > 0
+        assert counts["detector/passes_cwg_knot"] == knotted
+
     def test_default_run_counts_full_passes_only(self):
         sim = make_sim(
             routing="tfar", load=1.0, warmup_cycles=100, measure_cycles=200

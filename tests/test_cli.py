@@ -1,8 +1,44 @@
 """Tests for the command-line interface."""
 
+import json
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
+
+
+def _phase_shares(out: str) -> list[list[float]]:
+    """The share column of every phase table printed in ``out``."""
+    tables = []
+    for line in out.splitlines():
+        if line.split()[:1] == ["phase"] and line.endswith("share"):
+            tables.append([])
+        elif tables and re.match(r"  (engine|detect)/", line):
+            tables[-1].append(float(line.split()[-1].rstrip("%")))
+    return tables
+
+
+def _assert_shares_sum_to_100(out: str) -> None:
+    tables = _phase_shares(out)
+    assert tables and all(tables)
+    for shares in tables:
+        # each share is rounded to 1 decimal
+        assert abs(sum(shares) - 100.0) <= 0.05 * len(shares), shares
+
+
+#: what a saturated traced run records: the engine's phase spans and the
+#: cycle-level instants
+TRACE_NAMES = {
+    "engine/generate", "engine/allocate", "engine/move", "engine/detect",
+    "block", "wake",
+}
+
+#: a saturated 4-ary run, short enough for the fast test set
+SATURATED = [
+    "simulate", "--k", "4", "--length", "8", "--load", "1.0",
+    "--warmup", "50", "--cycles", "300",
+]
 
 
 class TestParser:
@@ -155,51 +191,44 @@ class TestMain:
         out = capsys.readouterr().out
         assert "phase profile" in out
         assert "engine/allocate" in out
+        _assert_shares_sum_to_100(out)
 
     def test_simulate_trace_out_writes_chrome_trace(self, capsys, tmp_path):
-        import json
-
         trace_path = tmp_path / "trace.json"
-        rc = main(
-            [
-                "simulate", "--k", "4", "--length", "8", "--load", "1.0",
-                "--warmup", "50", "--cycles", "300",
-                "--trace-out", str(trace_path),  # implies --obs-level 2
-            ]
-        )
+        # --trace-out implies --obs-level 2
+        rc = main([*SATURATED, "--trace-out", str(trace_path)])
         assert rc == 0
         assert "trace written to" in capsys.readouterr().out
-        doc = json.loads(trace_path.read_text())
-        names = {ev["name"] for ev in doc["traceEvents"]}
-        assert "engine/allocate" in names
+        events = json.loads(trace_path.read_text())["traceEvents"]
+        for ev in events:
+            assert isinstance(ev["name"], str) and ev["ph"] in ("X", "i")
+            assert isinstance(ev["ts"], (int, float))
+            if ev["ph"] == "X":
+                assert isinstance(ev["dur"], (int, float))
+        assert TRACE_NAMES <= {ev["name"] for ev in events}
 
     def test_simulate_trace_out_jsonl(self, tmp_path):
-        import json
-
-        trace_path = tmp_path / "trace.jsonl"
-        rc = main(
-            [
-                "simulate", "--k", "4", "--length", "8", "--load", "0.6",
-                "--warmup", "50", "--cycles", "300",
-                "--trace-out", str(trace_path),
-            ]
-        )
-        assert rc == 0
-        rows = [
-            json.loads(line)
-            for line in trace_path.read_text().splitlines()
+        """The JSONL export holds one row per Chrome-trace event of the
+        same run, in the same order."""
+        exported = {}
+        for suffix in ("json", "jsonl"):
+            trace_path = tmp_path / f"trace.{suffix}"
+            assert main([*SATURATED, "--trace-out", str(trace_path)]) == 0
+            exported[suffix] = trace_path.read_text()
+        chrome = json.loads(exported["json"])["traceEvents"]
+        rows = [json.loads(line) for line in exported["jsonl"].splitlines()]
+        assert TRACE_NAMES <= {row["name"] for row in rows}
+        assert [(r["name"], r["ph"], r["args"]) for r in rows] == [
+            (ev["name"], ev["ph"], ev["args"]) for ev in chrome
         ]
-        assert rows and all("name" in r for r in rows)
 
     def test_experiment_obs_level_prints_rollup(self, capsys, monkeypatch):
-        import repro.experiments.base as base_mod
-        import repro.experiments.fig5 as fig5_mod
+        import repro.experiments.fig6 as fig6_mod
 
-        monkeypatch.setattr(fig5_mod, "scaled_loads", lambda scale: [0.8])
-        rc = main(["experiment", "FIG5", "--scale", "tiny", "--obs-level", "1"])
+        monkeypatch.setattr(fig6_mod, "scaled_loads", lambda scale: [0.6, 1.2])
+        rc = main(["experiment", "FIG6", "--scale", "tiny", "--obs-level", "1"])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "observability rollup" in out
+        assert out.count("observability rollup") == 2  # DOR and TFAR
         assert "engine/allocate" in out
-        # the CLI leaves the default obs level set; reset for other tests
-        base_mod.set_default_obs_level(0)
+        _assert_shares_sum_to_100(out)
