@@ -43,10 +43,12 @@
 #    under a 90 s budget
 #    (deterministic — a CI failure replays locally with the same command);
 # 8. runs the model-checking oracle smoke gate: every configuration class
-#    of the oracle grid enumerated to full closure, the knot detector
-#    cross-checked against reachability ground truth at every reachable
-#    state, closure sizes pinned against drift, and the fault-injection
-#    teeth battery proven to bite (scripts/oracle_smoke.py);
+#    of the oracle grid enumerated to full closure on the production
+#    engine, the knot detector cross-checked against reachability ground
+#    truth at every reachable state, closure sizes pinned against drift,
+#    every class enumerated again on the reference engine and its state
+#    graph required equal to production's, and the fault-injection teeth
+#    battery proven to bite (scripts/oracle_smoke.py);
 # 9. runs the documentation drift gate: every repro.* symbol named in
 #    docs/API.md must resolve against the live package, every relative
 #    markdown link in the repo must point at an existing file, and every

@@ -2,12 +2,14 @@
 """Model-checking oracle CI gate — exhaustive detector verification.
 
 Enumerates every configuration class of the oracle grid
-(:data:`repro.validation.oracle.ORACLE_GRID`) to full closure, derives
-ground-truth deadlock labels by reachability, and cross-checks the knot
-detector's verdict at **every reachable state**; then runs the teeth
-battery, which arms the ``skip-wake`` and ``skip-block-epoch`` bookkeeping
-faults and demands each produces a replayable counterexample on the
-production engine with the detector's worm-level pipeline.
+(:data:`repro.validation.oracle.ORACLE_GRID`) to full closure on the
+production engine, derives ground-truth deadlock labels by reachability,
+and cross-checks the knot detector's verdict at **every reachable state**;
+enumerates every case again on the reference engine and demands the same
+state graph; then runs the teeth battery, which arms the
+:data:`~repro.validation.oracle.TEETH_FAULTS` bookkeeping faults and
+demands each produces a replayable counterexample on the production engine
+with the detector's worm-level pipeline.
 
 The gate fails when:
 
@@ -16,6 +18,8 @@ The gate fails when:
 * any closure drifts from its pinned state/terminal/deadlock counts — a
   changed branch point or RNG draw silently reshapes the verified space,
   and that must be a loud, reviewed event;
+* the reference engine's state graph (states, successors and choice
+  scripts) differs from the production engine's;
 * any armed teeth fault goes uncaught (the oracle has lost its teeth);
 * the whole run exceeds its wall-clock budget (the grid is sized for CI).
 
@@ -42,16 +46,18 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.validation.oracle import (  # noqa: E402
     ORACLE_GRID,
+    TEETH_CASE,
     TEETH_FAULTS,
     build_witness,
     check_case,
     dump_witness,
+    explore,
     get_case,
     run_teeth,
+    teeth_candidates,
 )
 
 BUDGET_SECONDS = 90.0
-TEETH_CASE = "ring-deadlock"  # smallest closure containing a true deadlock
 ARTIFACT_DIR = REPO_ROOT / "oracle_artifacts"
 
 
@@ -66,6 +72,7 @@ def main(argv: list[str] | None = None) -> int:
 
     started = time.monotonic()
     failures = 0
+    graphs = {}
 
     for case in ORACLE_GRID:
         report = check_case(case, log=log, keep_graph=True)
@@ -85,10 +92,20 @@ def main(argv: list[str] | None = None) -> int:
                       f"-{violation.state_index}.json",
                 )
                 print(f"  witness: {path}")
+        graph = graphs[case.name] = report.graph
+        reference = explore(case.config.replace(engine_fast_path=False))
+        if (reference.index, reference.succ, reference.scripts) != (
+            graph.index, graph.succ, graph.scripts
+        ):
+            failures += 1
+            print(f"  the reference engine's state graph ({len(reference)} "
+                  f"states) differs from production's")
 
     print(f"teeth battery on {TEETH_CASE!r} "
           f"(faults: {', '.join(TEETH_FAULTS)})")
-    for outcome in run_teeth(get_case(TEETH_CASE)):
+    case = get_case(TEETH_CASE)
+    candidates = teeth_candidates(case, graph=graphs[TEETH_CASE])
+    for outcome in run_teeth(case, candidates=candidates):
         if outcome.caught:
             print(f"  {outcome.fault}: caught by the "
                   f"{outcome.witness_kind!r} witness "

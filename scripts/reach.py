@@ -96,8 +96,6 @@ ALLOWLIST = {
     "campaign/store.py::ResultStore.read_artifact": "service",
     "campaign/store.py::ResultStore.write_artifact": "service",
     "traffic/patterns.py::BitComplementTraffic.*": "undrawn",
-    "traffic/patterns.py::HybridTraffic.*": "undrawn",
-    "traffic/lengths.py::LengthMix.*": "undrawn",
     "routing/hierarchical.py::DragonflyValiant.*": "undrawn",
     "viz/*": "viz",
     "metrics/replication.py::*": "replicate",

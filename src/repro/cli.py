@@ -175,11 +175,12 @@ def build_parser() -> argparse.ArgumentParser:
     orep.add_argument("artifact", metavar="PATH")
     orep.add_argument("--production", action="store_true",
                       help="replay on the production engine with the "
-                           "detector's worm-level pipeline")
+                           "detector's worm-level pipeline (default: the "
+                           "reference engine and detector)")
     oteeth = orc_sub.add_parser(
         "teeth", help="prove armed faults are caught with counterexamples"
     )
-    oteeth.add_argument("case", nargs="?", default="ring-deadlock",
+    oteeth.add_argument("case", nargs="?", default="fullmesh-2hop-idle",
                         metavar="CASE")
     oteeth.add_argument("--witness-dir", metavar="DIR",
                         help="write each fault's catching witness here")
@@ -482,7 +483,7 @@ def _run_oracle(args: argparse.Namespace) -> int:
     if args.oracle_command == "replay":
         payload = orc.load_witness(args.artifact)
         result = orc.replay_witness(payload, production=args.production)
-        engine = "production" if args.production else "oracle"
+        engine = "production" if args.production else "reference"
         if result.ok:
             print(f"replay OK on the {engine} engine: "
                   f"{len(payload['steps'])} steps reproduced, final state "

@@ -13,7 +13,6 @@ cycles) resolves the remainder, exactly as in the paper's methodology.
 
 from __future__ import annotations
 
-import random
 from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -31,7 +30,7 @@ __all__ = [
 class RecoveryPolicy:
     """Chooses which deadlock-set messages to remove, and how.
 
-    Subclasses implement ``victims(deadlock_set, rng) -> list[Message]``,
+    Subclasses implement ``victims(deadlock_set) -> list[Message]``,
     the messages to remove for one detected knot.
     """
 
@@ -54,9 +53,7 @@ class DishaRecovery(RecoveryPolicy):
     name = "disha"
     delivers_victim = True
 
-    def victims(
-        self, deadlock_set: Sequence["Message"], rng: random.Random
-    ) -> list["Message"]:
+    def victims(self, deadlock_set: Sequence["Message"]) -> list["Message"]:
         def key(m: "Message") -> tuple[int, int]:
             since = m.blocked_since if m.blocked_since is not None else 1 << 60
             return (since, m.id)
@@ -74,9 +71,7 @@ class AbortAllRecovery(RecoveryPolicy):
     name = "abort-all"
     delivers_victim = False
 
-    def victims(
-        self, deadlock_set: Sequence["Message"], rng: random.Random
-    ) -> list["Message"]:
+    def victims(self, deadlock_set: Sequence["Message"]) -> list["Message"]:
         return list(deadlock_set)
 
 
@@ -90,9 +85,7 @@ class NoRecovery(RecoveryPolicy):
     name = "none"
     delivers_victim = False
 
-    def victims(
-        self, deadlock_set: Sequence["Message"], rng: random.Random
-    ) -> list["Message"]:
+    def victims(self, deadlock_set: Sequence["Message"]) -> list["Message"]:
         return []
 
 

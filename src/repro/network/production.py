@@ -3,8 +3,9 @@
 :class:`ProductionEngine` is what ``NetworkSimulator(config)`` builds by
 default (``engine_fast_path=True``).  It replaces the reference engine's
 per-cycle full rescans with live activity state maintained at resource
-transitions, and its interpreter-bound arbitration with an inline stream
-over the C-backed ``Random.getrandbits``:
+transitions, and draws through :class:`~repro.network.draws.FastDraws`,
+the reference's word stream made straight from the C-backed
+``Random.getrandbits``:
 
 * every message carries a ``routable`` flag mirroring
   :meth:`routing_eligible`, updated when its header crosses into a new VC,
@@ -31,7 +32,8 @@ over the C-backed ``Random.getrandbits``:
 * the serve loop reads the shared position-keyed candidate table
   (:class:`~repro.routing.batch.CandidateTable`) directly, whose entries
   carry the candidate indices as a ready-made tuple for wait-key
-  registration;
+  registration, and calls the selection policy only when a candidate is
+  free;
 * two maintained facts skip a whole phase of a frozen network, the state
   a deadlocked run sits in between detections: ``_all_immobile`` (the last
   move pass skipped every worm; lowered by any acquisition or victim
@@ -40,53 +42,37 @@ over the C-backed ``Random.getrandbits``:
   move pass that runs, a victim removal or a message generated into an
   empty queue, ignored while a ``router_delay`` header is pending) from
   the allocate phase — each after replaying only the *ordering* side
-  effects of the service list nobody would have read: Fisher–Yates word
-  consumption (a function of the list length alone), one round-robin
-  counter bump, nothing for oldest-first.
+  effects of the service list nobody would have read:
+  ``draws.permute_unread`` (a function of the list length alone), one
+  round-robin counter bump, nothing for oldest-first.
 
 **Bit-identical by construction.**  Messages skipped by a flag are still
-placed in the per-phase service-order lists, so arbitration consumes an
-identical RNG stream, and every inlined draw replays CPython's own:
-
-* ``_shuffle_inline`` is ``Random.shuffle`` (Fisher–Yates over
-  ``_randbelow_with_getrandbits``, including the rejection loop and its
-  word-consumption pattern) with the per-step ``bit_length`` hoisted
-  behind a descending power-of-two boundary;
-* the inlined selection replays ``StraightThroughFirst`` /
-  ``RandomSelection`` draw for draw (``rng.choice`` =
-  ``seq[_randbelow(len(seq))]``, whose ``n == 1`` case still consumes
-  words until a zero arrives);
-* for a *routable* active message, ``needs_reception`` reduces to
-  ``vcs[-1].dst == dest`` (the routable invariant rules out draining,
-  recovering and done states and guarantees the header has arrived), and
-  a queue head always takes the VC branch.
-
-The inline draws — and, under random arbitration, the whole-phase skips —
-are taken only when ``type(self.rng) is random.Random``.  Any other RNG —
-the model-checking oracle swaps in a scripted ``ChoiceRandom`` per step —
-goes through ``rng.shuffle`` and ``selection.choose`` unchanged, so
-scripted choice streams replay on this engine exactly as on the reference.
+placed in the per-phase service-order lists, so arbitration makes the
+same draws; every draw goes through the same seam as the reference's
+(:mod:`repro.network.draws`), and ``FastDraws`` makes ``Draws``' words;
+for a *routable* active message, ``needs_reception`` reduces to
+``vcs[-1].dst == dest`` (the routable invariant rules out draining,
+recovering and done states and guarantees the header has arrived), and a
+queue head always takes the VC branch.  The loops never ask which draw
+source they hold, so the oracle's scripted source enumerates this engine,
+whole-phase skips included, after :meth:`ProductionEngine.rebuild_activity`
+derives the activity state of a restored snapshot.
 """
 
 from __future__ import annotations
 
-import random
 from collections import deque
 from typing import Iterable, Optional
 
 from repro.config import SimulationConfig
 from repro.errors import ConfigurationError
 from repro.faults import active_faults
+from repro.network.draws import FastDraws
 from repro.network.message import Message, MessageStatus
 from repro.network.simulator import (
     _PHASE_ALLOC,
     _PHASE_MOVE,
     NetworkSimulator,
-)
-from repro.routing.selection import (
-    LowestIndexFirst,
-    RandomSelection,
-    StraightThroughFirst,
 )
 from repro.traffic.injection import MessageGenerator
 
@@ -96,12 +82,10 @@ __all__ = ["ProductionEngine"]
 _NO_QLENS: list[int] = []
 
 
-def _by_index(vc) -> int:
-    return vc.index
-
-
 class ProductionEngine(NetworkSimulator):
     """Activity-tracked default engine; see the module docstring."""
+
+    draws_class = FastDraws
 
     def __init__(self, config: SimulationConfig) -> None:
         super().__init__(config)
@@ -117,18 +101,11 @@ class ProductionEngine(NetworkSimulator):
         self._waiting: dict[int, Message] = {}  # blocked_since set, by id
         self._wake_index: dict = {}  # resource key -> set of waiting ids
         self._delay_due: deque[tuple[int, Message]] = deque()  # router_delay
-        self._vc_dim = self._cands.vc_dim
         self._arb_random = config.arbitration == "random"
         self._arb_rr = config.arbitration == "round-robin"
         # whole-phase skips (module docstring); -1 = allocate not quiet
         self._all_immobile = False
         self._alloc_quiet = -1
-        # exact-type checks: the inlined draws replay these specific
-        # policies; any other (or subclassed) policy goes through its own
-        # choose() unmodified
-        self._sel_straight = type(self.selection) is StraightThroughFirst
-        self._sel_random = type(self.selection) is RandomSelection
-        self._sel_lowest = type(self.selection) is LowestIndexFirst
         # generate-phase qlens snapshot is only read by capped generators
         self._gen_needs_qlens = not (
             type(self.generator) is MessageGenerator
@@ -138,65 +115,44 @@ class ProductionEngine(NetworkSimulator):
         # generator.tick() before any queue mutation of the cycle, so a
         # live-maintained copy equals the reference's per-cycle listcomp
         self._qlens = [0] * len(self.queues)
-        # cumulative phase counters (cheap ints, read by the tests)
-        self.vec_alloc_requests = 0
-        self.vec_alloc_serves = 0
+        # cumulative skip counters (cheap ints, read by the tests)
         self.vec_stall_skips = 0
-        self.vec_move_mobile = 0
         self.vec_immobile_skips = 0
 
     # -- queries ------------------------------------------------------------------------
     def waiting_messages(self) -> Iterable[Message]:
         return self._waiting.values()
 
-    # -- inline arbitration stream ---------------------------------------------------
-    def _shuffle_inline(self, x: list) -> None:
-        """Bit-exact ``self.rng.shuffle(x)`` via direct getrandbits calls.
-
-        Identical word stream: ``_randbelow(m)`` draws ``getrandbits(k)``
-        with ``k = m.bit_length()`` and rejects until ``r < m``.  ``m``
-        descends by one per step, so ``k`` is maintained against a falling
-        power-of-two boundary instead of recomputed.
-        """
-        n = len(x)
-        hi = n
-        k = n.bit_length()
-        getrandbits = self.rng.getrandbits
-        # k == m.bit_length() for every threshold m in n..2, so the descent
-        # runs per constant-k block with range supplying the thresholds —
-        # no per-draw boundary check or decrement (m == i + 1 throughout)
-        while hi > 1:
-            # hi > 1 forces k >= 2, so lo - 1 >= 1 and the range never
-            # descends past the final threshold m == 2
-            lo = 1 << (k - 1)
-            for m in range(hi, lo - 1, -1):
-                r = getrandbits(k)
-                while r >= m:
-                    r = getrandbits(k)
-                i = m - 1
-                x[i], x[r] = x[r], x[i]
-            hi = lo - 1
-            k -= 1
-
     def _skip_order(self, n: int, phase: int) -> None:
         """The side effects of ordering an ``n``-long service list that no
-        one will read: ``_shuffle_inline``'s draws minus the swaps (widths
-        and rejection redraws depend on ``n`` alone), or the round-robin
-        bump of a non-empty phase."""
+        one will read: the permutation's draws, or the round-robin bump of
+        a non-empty phase."""
         if self._arb_random:
-            hi = n
-            k = n.bit_length()
-            getrandbits = self.rng.getrandbits
-            while hi > 1:
-                lo = 1 << (k - 1)
-                for m in range(hi, lo - 1, -1):
-                    r = getrandbits(k)
-                    while r >= m:
-                        r = getrandbits(k)
-                hi = lo - 1
-                k -= 1
+            self.draws.permute_unread(n)
         elif n and self._arb_rr:
             self._rr_counters[phase] += 1
+
+    def rebuild_activity(self) -> None:
+        """Derive the activity state of a restored snapshot (the oracle's
+        ``load_state``) from the object model, claiming nothing the next
+        pass must prove: headers routable per :meth:`routing_eligible`, none
+        stalled or keyed in the wake index, a worm immobile when every owned
+        buffer is full and it is neither draining nor recovering, the
+        allocate phase not quiet."""
+        active = self.active.values()
+        self._waiting = {m.id: m for m in active if m.blocked_since is not None}
+        self._wake_index = {}
+        self._delay_due.clear()
+        self._qlens = [len(q) for q in self.queues]
+        for msg in active:
+            msg.routable = self.routing_eligible(msg)
+            msg.stalled = False
+            msg.wait_keys = None
+            msg.immobile = bool(msg.vcs) and not (
+                msg.is_draining or msg.recovering
+            ) and all(vc.occupancy >= vc.capacity for vc in msg.vcs)
+        self._all_immobile = bool(active) and all(m.immobile for m in active)
+        self._alloc_quiet = -1
 
     # -- activity bookkeeping ----------------------------------------------------------
     def _begin_wait(self, msg: Message, keys: Optional[tuple]) -> None:
@@ -306,18 +262,11 @@ class ProductionEngine(NetworkSimulator):
             self.stats.on_generated(self.cycle)
 
     def _phase_allocate(self) -> None:
-        # the inline draws replay random.Random's word stream; a scripted
-        # stand-in (the oracle's ChoiceRandom) takes the generic calls
-        rng = self.rng
-        inline = type(rng) is random.Random
         quiet = self._alloc_quiet
-        if quiet >= 0 and not self._delay_due and (
-            inline or not self._arb_random
-        ):
+        if quiet >= 0 and not self._delay_due:
             # same requests as last pass, every one still parked: no pop,
             # no serve — only the ordering of the list would be observable
             self._skip_order(quiet, _PHASE_ALLOC)
-            self.vec_alloc_requests += quiet
             self.vec_stall_skips += quiet
             return
         queued = MessageStatus.QUEUED
@@ -347,10 +296,7 @@ class ProductionEngine(NetworkSimulator):
         for m in self.active.values():
             if m.routable:
                 append(m)
-        if inline and self._arb_random:
-            self._shuffle_inline(requests)
-        else:
-            requests = self._service_order(requests, _PHASE_ALLOC)
+        requests = self._service_order(requests, _PHASE_ALLOC)
 
         tracer = self._obs_tracer
         cycle = self.cycle
@@ -359,11 +305,8 @@ class ProductionEngine(NetworkSimulator):
         topology = self.topology
         cand_table = self._cands.table
         cache_key = routing.cache_key
-        vc_dim = self._vc_dim
-        sel_straight = inline and self._sel_straight
-        sel_random = inline and self._sel_random
-        sel_lowest = self._sel_lowest
-        getrandbits = rng.getrandbits if inline else None
+        choose = self.selection.choose
+        draws = self.draws
         waiting_pop = self._waiting.pop
         # what an acquisition leaves in _all_immobile: False, unless the
         # skip-immobile-clear fault keeps a raised flag up
@@ -418,32 +361,7 @@ class ProductionEngine(NetworkSimulator):
                 else:
                     cands, idxs = entry
             free = [vc for vc in cands if vc.owner is None]
-            if not free:
-                choice = None
-            elif sel_straight:
-                pick = free
-                if vcs:
-                    cur = vc_dim[vcs[-1].index]
-                    straight = [vc for vc in free if vc_dim[vc.index] == cur]
-                    if straight:
-                        pick = straight
-                n = len(pick)
-                k = n.bit_length()
-                r = getrandbits(k)
-                while r >= n:
-                    r = getrandbits(k)
-                choice = pick[r]
-            elif sel_random:
-                n = len(free)
-                k = n.bit_length()
-                r = getrandbits(k)
-                while r >= n:
-                    r = getrandbits(k)
-                choice = free[r]
-            elif sel_lowest:
-                choice = min(free, key=_by_index)
-            else:
-                choice = self.selection.choose(msg, free, rng)
+            choice = choose(msg, free, draws) if free else None
             if choice is not None:
                 was_queued = msg.status is queued
                 if tracer is not None and msg.blocked_since is not None:
@@ -484,13 +402,10 @@ class ProductionEngine(NetworkSimulator):
                     self._register_wait_keys(msg, idxs)
                     msg.stalled = True
         self._alloc_quiet = -1 if serves else len(requests)
-        self.vec_alloc_requests += len(requests)
-        self.vec_alloc_serves += serves
         self.vec_stall_skips += len(requests) - serves
 
     def _phase_move(self) -> None:
-        inline = type(self.rng) is random.Random
-        if self._all_immobile and (inline or not self._arb_random):
+        if self._all_immobile:
             # no worm can move a flit, and active cannot have changed,
             # until an acquisition or a victim removal lowers the flag
             n = len(self.active)
@@ -506,11 +421,7 @@ class ProductionEngine(NetworkSimulator):
         latency = self._link_latency
         cycle = self.cycle
         delay = self._router_delay
-        order = list(self.active.values())
-        if self._arb_random and inline:
-            self._shuffle_inline(order)
-        else:
-            order = self._service_order(order, _PHASE_MOVE)
+        order = self._service_order(list(self.active.values()), _PHASE_MOVE)
         finished: list[Message] = []
         torn_down: list[Message] = []
         mobile = 0
@@ -604,5 +515,4 @@ class ProductionEngine(NetworkSimulator):
             self.stats.on_recovered(msg, cycle)
         if order and not mobile:
             self._all_immobile = True
-        self.vec_move_mobile += mobile
         self.vec_immobile_skips += len(order) - mobile

@@ -26,9 +26,9 @@ Engines
 This module holds what every engine shares — construction, queries, the
 detection phase and recovery — plus the **legacy reference** phase loops:
 a full rescan of ``self.active`` every cycle, no maintained activity
-state, ``rng.shuffle`` / ``selection.choose`` for every draw.  It is the
-ground truth the other engines are specified against and the engine the
-model-checking oracle enumerates on (``engine_fast_path=False``).
+state, every draw through CPython's own ``random.Random`` methods
+(:class:`~repro.network.draws.Draws`).  It is the ground truth the
+production engine is specified against.
 
 ``NetworkSimulator(config)`` dispatches on the config, so call sites
 never name an engine class: ``engine_fast_path`` (the default) builds
@@ -57,6 +57,7 @@ from repro.core.detector import DeadlockDetector, DeadlockEvent, DetectionRecord
 from repro.core.recovery import RecoveryPolicy, make_recovery
 from repro.metrics.stats import RunResult, StatsCollector
 from repro.network.channels import ChannelPool, VirtualChannel
+from repro.network.draws import Draws
 from repro.obs import Observer
 from repro.network.message import Message, MessageStatus
 from repro.network.topology import (
@@ -114,6 +115,9 @@ class NetworkSimulator:
     engines are bit-identical given the same seed.
     """
 
+    #: the draw source (repro.network.draws) both RNG streams go through
+    draws_class = Draws
+
     def __new__(cls, config: SimulationConfig = None):
         if cls is NetworkSimulator and getattr(config, "engine_fast_path", False):
             from repro.network.production import ProductionEngine
@@ -136,9 +140,7 @@ class NetworkSimulator:
         self.selection = make_selection(config.selection)
         self.recovery: RecoveryPolicy = make_recovery(config.recovery)
         self.rng = random.Random(config.seed)
-        # Traffic uses an independent stream so two simulations that differ
-        # only in routing/recovery see the *same* offered workload.
-        traffic_rng = random.Random(config.seed + 0x5EED)
+        self.draws = self.draws_class(self.rng)
         pattern_kwargs = {}
         if config.traffic == "hot-spot":
             pattern_kwargs["fraction"] = config.hotspot_fraction
@@ -151,7 +153,9 @@ class NetworkSimulator:
             self.pattern,
             config.load,
             config.message_length,
-            traffic_rng,
+            # an independent stream, so two simulations that differ only in
+            # routing/recovery see the *same* offered workload
+            self.draws_class(random.Random(config.seed + 0x5EED)),
             config.max_queued_per_node,
             lengths=lengths,
             max_messages=config.max_messages,
@@ -295,7 +299,7 @@ class NetworkSimulator:
             self._rr_counters[phase] += 1
             offset = self._rr_counters[phase] % len(ordered)
             return ordered[offset:] + ordered[:offset]
-        self.rng.shuffle(messages)
+        self.draws.permute(messages)
         return messages
 
     # -- the four phases (legacy reference loops) ---------------------------------------
@@ -349,7 +353,7 @@ class NetworkSimulator:
                 continue
             candidates = self.route_candidates(msg)
             free = [vc for vc in candidates if vc.owner is None]
-            choice = self.selection.choose(msg, free, self.rng)
+            choice = self.selection.choose(msg, free, self.draws)
             if choice is not None:
                 was_queued = msg.status is MessageStatus.QUEUED
                 if tracer is not None and msg.blocked_since is not None:
@@ -477,7 +481,7 @@ class NetworkSimulator:
         members = [self._live[mid] for mid in sorted(event.deadlock_set)]
         for msg in members:
             msg.deadlock_count += 1
-        victims = self.recovery.victims(members, self.rng)
+        victims = self.recovery.victims(members)
         for victim in victims:
             self._remove_victim(victim)
 

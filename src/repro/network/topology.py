@@ -11,7 +11,7 @@ A *physical channel* is a unidirectional link ``src -> dst``.  A
 "bidirectional" network simply has a physical channel in each direction
 between adjacent nodes, as in the paper.
 
-Beyond the paper's grids, the zoo adds (ROADMAP item 1):
+Beyond the paper's grids, the topology zoo (``docs/TOPOLOGIES.md``) adds:
 
 * :class:`Torus3D` / :class:`Mesh3D` — mixed-radix 3D grids with a
   per-dimension link latency, modelling the TSV (through-silicon via)

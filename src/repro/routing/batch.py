@@ -42,9 +42,6 @@ class CandidateTable:
         self.routing = routing
         self.topology = topology
         self.pool = pool
-        #: per-VC link dimension (the straight-through selection collapse),
-        #: plain list for scalar hot-path reads
-        self.vc_dim: list[int] = [vc.link.dim for vc in pool.vcs]
         #: the memo itself; the engines' serve loops read and fill it
         #: directly to spare a call per request
         self.table: dict = {}

@@ -8,10 +8,10 @@ continuing routing in the current dimension over turning"
 
 from __future__ import annotations
 
-import random
 from typing import Optional, Sequence
 
 from repro.network.channels import VirtualChannel
+from repro.network.draws import Draws
 from repro.network.message import Message
 
 __all__ = [
@@ -26,8 +26,9 @@ __all__ = [
 class SelectionPolicy:
     """Chooses one free VC from a routing candidate list.
 
-    Subclasses implement ``choose(message, free, rng) -> VirtualChannel |
-    None`` over the non-empty list ``free`` of the candidates now free.
+    Subclasses implement ``choose(message, free, draws) -> VirtualChannel |
+    None`` over the list ``free`` of the candidates now free (None when it
+    is empty).
     """
 
     name = "base"
@@ -50,16 +51,16 @@ class StraightThroughFirst(SelectionPolicy):
         self,
         message: Message,
         free: Sequence[VirtualChannel],
-        rng: random.Random,
+        draws: Draws,
     ) -> Optional[VirtualChannel]:
         if not free:
             return None
-        current_dim = message.vcs[-1].link.dim if message.vcs else None
-        if current_dim is not None:
-            straight = [vc for vc in free if vc.link.dim == current_dim]
+        if message.vcs:
+            dim = message.vcs[-1].link.dim
+            straight = [vc for vc in free if vc.link.dim == dim]
             if straight:
-                return rng.choice(straight)
-        return rng.choice(list(free))
+                return straight[draws.below(len(straight))]
+        return free[draws.below(len(free))]
 
 
 class RandomSelection(SelectionPolicy):
@@ -71,9 +72,9 @@ class RandomSelection(SelectionPolicy):
         self,
         message: Message,
         free: Sequence[VirtualChannel],
-        rng: random.Random,
+        draws: Draws,
     ) -> Optional[VirtualChannel]:
-        return rng.choice(list(free)) if free else None
+        return free[draws.below(len(free))] if free else None
 
 
 class LowestIndexFirst(SelectionPolicy):
@@ -85,7 +86,7 @@ class LowestIndexFirst(SelectionPolicy):
         self,
         message: Message,
         free: Sequence[VirtualChannel],
-        rng: random.Random,
+        draws: Draws,
     ) -> Optional[VirtualChannel]:
         return min(free, key=lambda vc: vc.index) if free else None
 

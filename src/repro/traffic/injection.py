@@ -16,10 +16,10 @@ saturation so that offered load stays meaningful.
 
 from __future__ import annotations
 
-import random
 from typing import Optional
 
 from repro.errors import ConfigurationError
+from repro.network.draws import Draws
 from repro.network.message import Message
 from repro.network.topology import Topology
 from repro.traffic.lengths import FixedLength, LengthSampler
@@ -37,7 +37,7 @@ class MessageGenerator:
         pattern: TrafficPattern,
         load: float,
         message_length: int,
-        rng: random.Random,
+        draws: Draws,
         max_queued_per_node: Optional[int] = None,
         lengths: Optional[LengthSampler] = None,
         max_messages: Optional[int] = None,
@@ -53,7 +53,7 @@ class MessageGenerator:
         self.load = load
         self.message_length = message_length
         self.lengths = lengths if lengths is not None else FixedLength(message_length)
-        self.rng = rng
+        self.draws = draws
         self.max_queued_per_node = max_queued_per_node
         # total-generation cap (None = unbounded): once this many messages
         # exist the sources fall silent and consume no further RNG — the
@@ -82,21 +82,19 @@ class MessageGenerator:
         total_cap = self.max_messages
         if total_cap is not None and self.generated >= total_cap:
             return out
-        rng = self.rng
+        draws = self.draws
         cap = self.max_queued_per_node
-        for node in range(self.topology.num_nodes):
-            if total_cap is not None and self.generated >= total_cap:
-                break  # sources fall silent mid-cycle: no further draws
-            if rng.random() >= p:
-                continue
+        for node in draws.bernoulli(p, self.topology.num_nodes):
             if cap is not None and queue_lengths[node] >= cap:
                 self.suppressed += 1
                 continue
-            dest = self.pattern.dest_for(node, rng)
+            dest = self.pattern.dest_for(node, draws)
             if dest is None:
                 continue
-            msg = Message(self._next_id, node, dest, self.lengths(rng), cycle)
+            msg = Message(self._next_id, node, dest, self.lengths(draws), cycle)
             self._next_id += 1
             self.generated += 1
             out.append(msg)
+            if total_cap is not None and self.generated >= total_cap:
+                break  # sources fall silent mid-cycle: no further draws
         return out

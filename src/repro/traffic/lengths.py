@@ -6,23 +6,23 @@ length samplers: fixed (the paper's setting) and a discrete mix (e.g. 80%
 short control packets + 20% long data messages, the classic bimodal
 multicomputer workload).
 
-A sampler is a callable ``(random.Random) -> int`` with a ``mean``
+A sampler is a callable ``(draws) -> int`` with a ``mean``
 attribute; the generator uses the mean to normalize offered load so that a
 given load level injects the same *flit* rate regardless of the mix.
 """
 
 from __future__ import annotations
 
-import random
 from typing import Sequence
 
 from repro.errors import ConfigurationError
+from repro.network.draws import Draws
 
 __all__ = ["LengthSampler", "FixedLength", "LengthMix"]
 
 
 class LengthSampler:
-    """Base class: ``sampler(rng) -> int`` draws the flit length of each
+    """Base class: ``sampler(draws) -> int`` draws the flit length of each
     new message."""
 
     mean: float
@@ -37,7 +37,7 @@ class FixedLength(LengthSampler):
         self.length = length
         self.mean = float(length)
 
-    def __call__(self, rng: random.Random) -> int:
+    def __call__(self, draws: Draws) -> int:
         return self.length
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -65,12 +65,8 @@ class LengthMix(LengthSampler):
             self.cumulative.append(acc)
         self.mean = sum(l * w for l, w in zip(self.lengths, self.weights))
 
-    def __call__(self, rng: random.Random) -> int:
-        x = rng.random()
-        for length, edge in zip(self.lengths, self.cumulative):
-            if x < edge:
-                return length
-        return self.lengths[-1]
+    def __call__(self, draws: Draws) -> int:
+        return self.lengths[draws.categorical(self.cumulative)]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"LengthMix({list(zip(self.lengths, self.weights))})"

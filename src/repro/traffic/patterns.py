@@ -13,10 +13,10 @@ permutations).  Bit-oriented permutations require a power-of-two node count.
 
 from __future__ import annotations
 
-import random
 from typing import Optional
 
 from repro.errors import ConfigurationError
+from repro.network.draws import Draws
 from repro.network.topology import KAryNCube, Topology
 
 __all__ = [
@@ -36,7 +36,7 @@ __all__ = [
 class TrafficPattern:
     """Maps a source node to the destination of its next message.
 
-    Subclasses implement ``dest_for(src, rng) -> int | None`` (``None``:
+    Subclasses implement ``dest_for(src, draws) -> int | None`` (``None``:
     this source sends nothing, e.g. a fixed point of a permutation).
     """
 
@@ -63,9 +63,9 @@ class UniformTraffic(TrafficPattern):
 
     name = "uniform"
 
-    def dest_for(self, src: int, rng: random.Random) -> Optional[int]:
+    def dest_for(self, src: int, draws: Draws) -> Optional[int]:
         n = self.topology.num_nodes
-        dest = rng.randrange(n - 1)
+        dest = draws.below(n - 1)
         return dest + 1 if dest >= src else dest
 
 
@@ -82,7 +82,7 @@ class BitReversalTraffic(TrafficPattern):
             for src in range(topology.num_nodes)
         ]
 
-    def dest_for(self, src: int, rng: random.Random) -> Optional[int]:
+    def dest_for(self, src: int, draws: Draws) -> Optional[int]:
         dest = self._map[src]
         return None if dest == src else dest
 
@@ -110,7 +110,7 @@ class TransposeTraffic(TrafficPattern):
             for src in range(topology.num_nodes)
         ]
 
-    def dest_for(self, src: int, rng: random.Random) -> Optional[int]:
+    def dest_for(self, src: int, draws: Draws) -> Optional[int]:
         dest = self._map[src]
         return None if dest == src else dest
 
@@ -130,7 +130,7 @@ class PerfectShuffleTraffic(TrafficPattern):
             for src in range(topology.num_nodes)
         ]
 
-    def dest_for(self, src: int, rng: random.Random) -> Optional[int]:
+    def dest_for(self, src: int, draws: Draws) -> Optional[int]:
         dest = self._map[src]
         return None if dest == src else dest
 
@@ -144,7 +144,7 @@ class BitComplementTraffic(TrafficPattern):
         super().__init__(topology)
         self._require_power_of_two()
 
-    def dest_for(self, src: int, rng: random.Random) -> Optional[int]:
+    def dest_for(self, src: int, draws: Draws) -> Optional[int]:
         dest = (self.topology.num_nodes - 1) ^ src
         return None if dest == src else dest
 
@@ -163,7 +163,7 @@ class TornadoTraffic(TrafficPattern):
         if not isinstance(topology, KAryNCube):
             raise ConfigurationError("tornado traffic requires a k-ary n-cube")
 
-    def dest_for(self, src: int, rng: random.Random) -> Optional[int]:
+    def dest_for(self, src: int, draws: Draws) -> Optional[int]:
         topo = self.topology
         assert isinstance(topo, KAryNCube)
         coords = [
@@ -196,12 +196,13 @@ class HotSpotTraffic(TrafficPattern):
         if not 0 <= self.hotspot < topology.num_nodes:
             raise ConfigurationError(f"hot-spot node {self.hotspot} out of range")
         self.fraction = fraction
+        self._split = (fraction, 1.0)  # categorical 0: the hot spot
         self._uniform = UniformTraffic(topology)
 
-    def dest_for(self, src: int, rng: random.Random) -> Optional[int]:
-        if rng.random() < self.fraction and src != self.hotspot:
+    def dest_for(self, src: int, draws: Draws) -> Optional[int]:
+        if draws.categorical(self._split) == 0 and src != self.hotspot:
             return self.hotspot
-        return self._uniform.dest_for(src, rng)
+        return self._uniform.dest_for(src, draws)
 
 
 class HybridTraffic(TrafficPattern):
@@ -240,12 +241,9 @@ class HybridTraffic(TrafficPattern):
             acc += w / total
             self.cumulative.append(acc)
 
-    def dest_for(self, src: int, rng: random.Random) -> Optional[int]:
-        x = rng.random()
-        for pattern, edge in zip(self.components, self.cumulative):
-            if x < edge:
-                return pattern.dest_for(src, rng)
-        return self.components[-1].dest_for(src, rng)
+    def dest_for(self, src: int, draws: Draws) -> Optional[int]:
+        pattern = self.components[draws.categorical(self.cumulative)]
+        return pattern.dest_for(src, draws)
 
 
 _PATTERNS = {

@@ -86,10 +86,12 @@ __all__ = [
     "replay_witness",
     "make_deadlock_witness",
     "make_wake_witness",
+    "make_immobile_witness",
     "TeethOutcome",
     "teeth_candidates",
     "run_teeth",
     "TEETH_FAULTS",
+    "TEETH_CASE",
     "cwg_doomed_messages",
 ]
 
@@ -212,6 +214,25 @@ ORACLE_GRID: tuple[OracleCase, ...] = (
         topology="fullmesh", dims=(3,), bidirectional=True,
         routing="fm-2hop", selection="random", max_messages=3,
     ),
+    _case(
+        "fullmesh-2hop-idle",
+        "the same mesh, 4 one-flit messages injected with probability "
+        "1/2: a 4th message can inject after idle cycles while three "
+        "deadlocked worms sit immobile",
+        expected=3799, terminals=5, deadlocked=4,
+        topology="fullmesh", dims=(3,), bidirectional=True,
+        routing="fm-2hop", selection="random", max_messages=4,
+        load=0.25, message_length=1,
+    ),
+    _case(
+        "ring-hybrid-mix",
+        "the 3-ary ring under hybrid tornado/uniform traffic and a 1/2-flit "
+        "length mix, every trial injecting: categorical branch points",
+        expected=156, terminals=9, deadlocked=8,
+        k=3, max_messages=3, load=3.0, traffic="hybrid",
+        traffic_mix=(("tornado", 0.5), ("uniform", 0.5)),
+        length_mix=((1, 0.5), (2, 0.5)),
+    ),
 )
 
 
@@ -290,6 +311,14 @@ class StateGraph:
         return steps
 
 
+def _stepper(config: SimulationConfig) -> NetworkSimulator:
+    """A simulator for single steps from restored states.  Each steps cycle
+    0 to 1, so an interval of 2 spares it a detector pass nobody reads:
+    under the pins detection only observes, and check_case runs the
+    detector on every state itself."""
+    return NetworkSimulator(config.replace(detection_interval=2))
+
+
 def explore(
     config: SimulationConfig,
     max_states: int = 500_000,
@@ -306,7 +335,7 @@ def explore(
     """
     pinned = oracle_config(config)
     graph = StateGraph(pinned)
-    sim = NetworkSimulator(pinned)
+    sim = _stepper(pinned)
     initial = snapshot_state(sim)
     graph.intern(initial)
     frontier = [0]
@@ -449,27 +478,6 @@ def _fresh_detector() -> DeadlockDetector:
     return DeadlockDetector(count_cycles=False, caching=False)
 
 
-def _load_production_view(prod: NetworkSimulator, state: CanonicalState) -> None:
-    """Restore ``state`` onto a production engine, as its detector sees it.
-
-    Restoration rebuilds the object model only.  The one piece of the
-    production engine's activity state the detector reads is the wait
-    index: each blocked header's ``wait_keys``, registered at its first
-    failed attempt as the candidate VC indices or ``("rx", dest)``.
-    Re-register them, so the pipeline check covers the wait-index read.
-    The engine is never stepped from here.
-    """
-    clear_state(prod)
-    load_state(prod, state)
-    for msg in prod.active.values():
-        if msg.blocked_since is None or not prod.routing_eligible(msg):
-            continue
-        if msg.needs_reception:
-            msg.wait_keys = (("rx", msg.dest),)
-        else:
-            msg.wait_keys = tuple(vc.index for vc in prod.route_candidates(msg))
-
-
 def _pipeline_census_mismatch(
     sim: NetworkSimulator,
     record: DetectionRecord,
@@ -477,8 +485,7 @@ def _pipeline_census_mismatch(
 ) -> Optional[str]:
     """The as-shipped worm-level pipeline against from-scratch counts.
 
-    ``sim`` is the production view of the state (see
-    :func:`_load_production_view`).  Runs a fresh caching detector with
+    ``sim`` holds the restored state.  Runs a fresh caching detector with
     the census on (one whole-CWG pipeline pass) and compares its events
     and CWG size to the reference pass's, its census to plain
     :func:`count_simple_cycles` over the CWG, and every knot's cycle
@@ -519,6 +526,18 @@ def _pipeline_census_mismatch(
     return None
 
 
+def _arrive(sim: NetworkSimulator, graph: StateGraph, idx: int) -> None:
+    """Put ``sim`` in state ``idx`` by replaying its discovering step, so
+    the wait index the detector reads is the engine's own."""
+    clear_state(sim)
+    parent = graph.parent[idx]
+    if parent is None:
+        load_state(sim, graph.index[idx])
+    else:
+        load_state(sim, graph.index[parent[0]])
+        step_with_script(sim, parent[1])
+
+
 def _flagged_sets(record: DetectionRecord) -> tuple[set[int], set[int]]:
     """(deadlocked ∪ dependent, transient-dependent) over a record's events."""
     hard: set[int] = set()
@@ -545,17 +564,17 @@ def check_case(
     events, cycle census and knot densities against the reference pass and
     from-scratch :func:`~repro.core.cycles.count_simple_cycles`, and — at
     terminal states with active messages — completeness of the reported
-    event coverage.
+    event coverage.  Each state is reached by its discovering step
+    (:func:`_arrive`), so the pipeline reads the wait index the engine
+    registered.
     """
     started = time.perf_counter()
     graph = explore(case.config, log=log)
     truth = analyze(graph)
-    sim = NetworkSimulator(graph.config)
-    prod = NetworkSimulator(graph.config.replace(**_PRODUCTION_OVERRIDES))
+    sim = _stepper(graph.config)
     violations: list[OracleViolation] = []
     for idx, state in enumerate(graph.index):
-        clear_state(sim)
-        load_state(sim, state)
+        _arrive(sim, graph, idx)
         record = _fresh_detector().detect(sim)
         hard, transient = _flagged_sets(record)
         doomed = truth.doomed[idx]
@@ -564,18 +583,14 @@ def check_case(
         # is exactly what "transient" asserts)
         false_pos = hard - doomed
         if false_pos:
-            violations.append(
-                OracleViolation(
-                    "false-positive",
-                    idx,
-                    f"detector flags {sorted(false_pos)} as deadlocked/"
-                    f"dependent but reachability shows they can still be "
-                    f"delivered (doomed set: {sorted(doomed)})",
-                )
-            )
+            violations.append(OracleViolation(
+                "false-positive", idx,
+                f"detector flags {sorted(false_pos)} as deadlocked/dependent "
+                f"but reachability shows they can still be delivered "
+                f"(doomed set: {sorted(doomed)})",
+            ))
         adjacency = DeadlockDetector.build_cwg(sim).adjacency()
-        _load_production_view(prod, state)
-        mismatch = _pipeline_census_mismatch(prod, record, adjacency)
+        mismatch = _pipeline_census_mismatch(sim, record, adjacency)
         if mismatch:
             violations.append(OracleViolation("pipeline-census", idx, mismatch))
         # the reported knots must satisfy the knot definition on the CWG
@@ -583,41 +598,29 @@ def check_case(
             probe = min(event.knot, key=repr)
             definitional = knot_of_vertex(adjacency, probe)
             if definitional != event.knot:
-                violations.append(
-                    OracleViolation(
-                        "knot-definition",
-                        idx,
-                        f"event knot {sorted(map(repr, event.knot))} is not "
-                        f"the definitional knot of vertex {probe!r}",
-                    )
-                )
+                violations.append(OracleViolation(
+                    "knot-definition", idx,
+                    f"event knot {sorted(map(repr, event.knot))} is not the "
+                    f"definitional knot of vertex {probe!r}",
+                ))
         # completeness at terminal states: stuck active messages must be
         # reported, and the event sets must cover all of them
         if graph.is_terminal(idx):
             active = set(state.active_ids())
             if active:
                 if not record.events:
-                    violations.append(
-                        OracleViolation(
-                            "missed-deadlock",
-                            idx,
-                            f"terminal state holds stuck active messages "
-                            f"{sorted(active)} but the detector reports no "
-                            f"deadlock",
-                        )
-                    )
-                else:
-                    uncovered = active - hard - transient
-                    if uncovered:
-                        violations.append(
-                            OracleViolation(
-                                "uncovered-terminal",
-                                idx,
-                                f"stuck messages {sorted(uncovered)} missing "
-                                f"from every event's deadlock/dependent/"
-                                f"transient sets",
-                            )
-                        )
+                    violations.append(OracleViolation(
+                        "missed-deadlock", idx,
+                        f"terminal state holds stuck active messages "
+                        f"{sorted(active)} but the detector reports no deadlock",
+                    ))
+                elif active - hard - transient:
+                    violations.append(OracleViolation(
+                        "uncovered-terminal", idx,
+                        f"stuck messages {sorted(active - hard - transient)} "
+                        f"missing from every event's deadlock/dependent/"
+                        f"transient sets",
+                    ))
     report = OracleReport(
         case=case,
         num_states=len(graph),
@@ -629,18 +632,14 @@ def check_case(
         truth=truth if keep_graph else None,
     )
     if not report.counts_match:
-        report.violations.append(
-            OracleViolation(
-                "state-count",
-                -1,
-                f"closure drifted from its regression pin: "
-                f"{report.num_states}/{report.num_terminals}/"
-                f"{report.num_deadlocked_terminals} states/terminals/"
-                f"deadlocked vs expected {case.expected_states}/"
-                f"{case.expected_terminals}/"
-                f"{case.expected_deadlocked_terminals}",
-            )
-        )
+        violations.append(OracleViolation(
+            "state-count", -1,
+            f"closure drifted from its regression pin: {report.num_states}/"
+            f"{report.num_terminals}/{report.num_deadlocked_terminals} "
+            f"states/terminals/deadlocked vs expected "
+            f"{case.expected_states}/{case.expected_terminals}/"
+            f"{case.expected_deadlocked_terminals}",
+        ))
     if log:
         log(report.summary())
     return report
@@ -652,17 +651,13 @@ def _organic_scripts(
 ) -> list[list[int]]:
     """Choice scripts that walk a *live* simulator through ``path_states``.
 
-    The state graph's edge scripts are recorded against the canonical
-    restoration order (:func:`~repro.validation.statespace.load_state`
-    inserts messages by sorted id), but a simulator evolved organically
-    from the empty network visits its service lists in *arrival* order —
-    the successor **sets** are identical (shuffles cover every
-    permutation), the per-script labels are not.  Witnesses must replay on
-    organically-evolved simulators (the production fast path cannot be
-    re-normalized mid-run), so this search re-derives, per path edge, the
-    script that takes the live simulator to the same canonical successor:
-    depth-first over the organic choice tree, restarting from the root per
-    candidate (paths are shortest, so the quadratic restart cost is tiny).
+    Graph edge scripts are recorded against the canonical restoration order
+    (``load_state`` inserts messages by sorted id); a run from the empty
+    network visits its service lists in *arrival* order, so the same
+    successor sets carry different script labels.  Witnesses replay as one
+    run, so this re-derives, per path edge, the script that takes the live
+    simulator to the same canonical successor: depth-first, restarting from
+    the root per candidate (paths are shortest, so restarts are cheap).
     """
     pinned = oracle_config(config)
     scripts: list[list[int]] = []
@@ -687,19 +682,23 @@ def _organic_scripts(
     return scripts
 
 
+def _verdict(record: Optional[DetectionRecord]) -> dict:
+    """A detection record as a witness step records it (None: no pass)."""
+    hard, transient = _flagged_sets(record) if record else (set(), set())
+    return {
+        "has_deadlock": bool(record and record.events),
+        "flagged": sorted(hard),
+        "transient": sorted(transient),
+    }
+
+
 def _reference_verdict(
     sim: NetworkSimulator, state: CanonicalState
 ) -> dict:
     """The uncached full-pass verdict at ``state`` (restored canonically)."""
     clear_state(sim)
     load_state(sim, state)
-    record = _fresh_detector().detect(sim)
-    hard, transient = _flagged_sets(record)
-    return {
-        "has_deadlock": bool(record.events),
-        "flagged": sorted(hard),
-        "transient": sorted(transient),
-    }
+    return _verdict(_fresh_detector().detect(sim))
 
 
 def build_witness(
@@ -757,14 +756,12 @@ def load_witness(path: Path | str) -> dict:
 
 
 #: production-shape overrides for witness replay: every implementation
-#: field at its default, i.e. the production engine (wake index, detection
-#: short-circuit on the blocked epoch) with the detector's worm-level
-#: pipeline — the exact machinery the oracle pins *out* of enumeration,
-#: exercised here against recorded oracle truth.
-#: The production loops inline ``random.Random``'s word stream only when
-#: the RNG is exactly that type, so under the scripted ``ChoiceRandom``
-#: they follow the recorded choice stream through ``rng.shuffle`` /
-#: ``selection.choose``.
+#: field at its default, i.e. the production engine with the detector's
+#: worm-level pipeline and its short-circuit on the blocked epoch — the
+#: detector machinery the oracle pins *out* of enumeration, exercised here
+#: against recorded oracle truth.  Both engines draw through the same seam
+#: (:mod:`repro.network.draws`), so the scripted source walks either one
+#: down the recorded choices.
 _PRODUCTION_OVERRIDES = defaults_of(IMPLEMENTATION)
 
 
@@ -782,20 +779,21 @@ class ReplayResult:
 def replay_witness(payload: dict, production: bool = False) -> ReplayResult:
     """Replay a witness's choice scripts and compare against its recording.
 
-    ``production=False`` replays on the oracle's pinned legacy engine —
-    this must reproduce the recorded digests exactly (it is the engine the
-    witness was derived on).  ``production=True`` replays on the production
-    engine with the detector's worm-level pipeline:
+    ``production=False`` replays on the reference engine with the
+    reference detector — this must reproduce the recorded digests exactly
+    and runs none of the machinery the bookkeeping faults break.
+    ``production=True`` replays on the production engine with the
+    detector's worm-level pipeline:
     the state digests must still match cycle-for-cycle (the engines are
     bit-identical) and the replay engine's *own* detector verdict must
     match the recorded full-pass reference at every step — this is the
     teeth-mode subject, where an armed bookkeeping fault surfaces as a
     localized state or verdict divergence.
     """
-    config = oracle_config(config_from_json(payload["config"]))
-    if production:
-        config = config.replace(**_PRODUCTION_OVERRIDES)
-        config.validate()
+    config = oracle_config(config_from_json(payload["config"])).replace(
+        **(_PRODUCTION_OVERRIDES if production else {"engine_fast_path": False})
+    )
+    config.validate()
     sim = NetworkSimulator(config)
     digest = ""
     for step_index, step in enumerate(payload["steps"]):
@@ -826,28 +824,15 @@ def replay_witness(payload: dict, production: bool = False) -> ReplayResult:
         # verdict from the replay engine's own detector (the pipeline and
         # its epoch short-circuit in production mode) vs the recorded
         # uncached full-pass reference
-        record = sim.detector.records[-1] if sim.detector.records else None
-        has_deadlock = bool(record.events) if record is not None else False
-        hard, transient = (
-            _flagged_sets(record) if record is not None else (set(), set())
-        )
-        recorded = step["verdict"]
-        if (
-            has_deadlock != recorded["has_deadlock"]
-            or sorted(hard) != list(recorded["flagged"])
-            or sorted(transient) != list(recorded["transient"])
-        ):
+        got = _verdict(sim.detector.records[-1] if sim.detector.records else None)
+        if got != step["verdict"]:
             return ReplayResult(
                 ok=False,
                 diverged_at=step_index,
                 divergence="verdict",
                 detail=(
                     f"detector verdict diverged at step {step_index}: "
-                    f"replay engine flags {sorted(hard)} / transient "
-                    f"{sorted(transient)} (has_deadlock={has_deadlock}), "
-                    f"reference recorded {recorded['flagged']} / "
-                    f"{recorded['transient']} "
-                    f"(has_deadlock={recorded['has_deadlock']})"
+                    f"replay engine {got}, reference recorded {step['verdict']}"
                 ),
                 final_digest=digest,
             )
@@ -927,17 +912,46 @@ def make_wake_witness(case: OracleCase, graph: Optional[StateGraph] = None) -> d
     )
 
 
+def make_immobile_witness(
+    case: OracleCase, graph: Optional[StateGraph] = None
+) -> dict:
+    """The shortest path that idles a frozen network two cycles, then
+    injects: the idle cycles raise the production engine's all-immobile
+    flag and the injection must lower it — what ``skip-immobile-clear``
+    stops."""
+    if graph is None:
+        graph = explore(case.config)
+    sim = NetworkSimulator(graph.config)
+    for idx, state in enumerate(graph.index):  # BFS order: shortest first
+        clear_state(sim)
+        load_state(sim, state)
+        moves = [
+            j for j in graph.succ[idx]
+            if graph.index[j].active_ids() != state.active_ids()
+        ]
+        if sim._all_immobile and idx in graph.succ[idx] and moves:
+            idle = (graph.scripts[idx][idx], idx)
+            inject = (graph.scripts[idx][moves[0]], moves[0])
+            path = graph.path_to(idx) + [idle, idle, inject]
+            return build_witness(graph, moves[0], kind="immobile", path=path)
+    raise SimulationError(
+        f"oracle case {case.name!r} never injects into a frozen network"
+    )
+
+
 # -- teeth: armed faults must produce counterexamples --------------------------------
 #: the bookkeeping faults the oracle must catch via production replay.
 #: ``skip-wake`` breaks the fast path's wake index (stalled messages sleep
 #: forever → the replayed trajectory leaves the recorded one at the first
-#: wake) and ``skip-block-epoch`` hides a header's first block from the
+#: wake), ``skip-block-epoch`` hides a header's first block from the
 #: blocked epoch (states still match, the detector's short-circuit reuses
-#: a stale "no deadlock" verdict).  ``skip-immobile-clear`` is *not*
-#: caught here: replaying the witnesses of every ``ORACLE_GRID`` case
-#: with it armed diverges nowhere (measured), so the differential
-#: fuzzer's engine axis covers it.
-TEETH_FAULTS = ("skip-wake", "skip-block-epoch")
+#: a stale "no deadlock" verdict) and ``skip-immobile-clear`` keeps the
+#: all-immobile flag up through an acquisition (the injected worm never
+#: moves: the immobile witness diverges at its injection step).
+TEETH_FAULTS = ("skip-wake", "skip-block-epoch", "skip-immobile-clear")
+
+#: the case the teeth battery runs on: it has every witness shape
+TEETH_CASE = "fullmesh-2hop-idle"
 
 
 @dataclass
@@ -961,18 +975,21 @@ def teeth_candidates(
     Different faults manifest on different trajectories: a stale blocked
     epoch needs a path whose *verdict* the short-circuit can get wrong
     (the deadlock witness), a severed wake index needs a path where a
-    blocked message actually wakes (the wake witness).  The battery holds every
-    witness shape the case supports.
+    blocked message actually wakes (the wake witness), a stuck
+    all-immobile flag a path that injects into a frozen network (the
+    immobile witness).  The battery holds every witness shape the case
+    supports.
     """
     if graph is None:
         graph = explore(case.config)
     candidates: list[dict] = []
     if graph.deadlocked_terminal_indices():
         candidates.append(make_deadlock_witness(case, graph))
-    try:
-        candidates.append(make_wake_witness(case, graph))
-    except SimulationError:
-        pass
+    for make in (make_wake_witness, make_immobile_witness):
+        try:
+            candidates.append(make(case, graph))
+        except SimulationError:
+            pass
     if not candidates:
         raise SimulationError(
             f"oracle case {case.name!r} yields no teeth witnesses"
@@ -1010,23 +1027,14 @@ def run_teeth(
         for fault in faults:
             os.environ["REPRO_INJECT_FAULT"] = fault
             outcome = TeethOutcome(
-                fault=fault,
-                caught=False,
-                divergence="",
-                diverged_at=None,
-                detail="no candidate witness diverged",
+                fault, False, "", None, "no candidate witness diverged"
             )
             for payload in candidates:
                 result = replay_witness(payload, production=True)
                 if not result.ok:
                     outcome = TeethOutcome(
-                        fault=fault,
-                        caught=True,
-                        divergence=result.divergence,
-                        diverged_at=result.diverged_at,
-                        detail=result.detail,
-                        witness_kind=payload["kind"],
-                        witness=payload,
+                        fault, True, result.divergence, result.diverged_at,
+                        result.detail, payload["kind"], payload,
                     )
                     break
             outcomes.append(outcome)

@@ -8,26 +8,25 @@ two capabilities the engines themselves never expose:
   ownership, reception-channel ownership, injection-queue contents and the
   blocked/arrived wait bits — such that two runs reaching the same physical
   state produce *equal* snapshots regardless of the path taken, and any
-  snapshot can be **restored** into a live legacy-engine simulator; and
+  snapshot can be **restored** into a live simulator of either engine; and
 
-* a way to replace every RNG draw of a simulation step with an explicit
+* a way to replace every draw of a simulation step with an explicit
   **branch point**, so the full nondeterministic choice tree of one cycle
-  (per-node Bernoulli injections, traffic destination draws, arbitration
-  shuffles, selection tie-breaks) can be enumerated or replayed from a
-  recorded script.
+  (per-node Bernoulli injections, destination and length draws,
+  arbitration permutations, selection tie-breaks) can be enumerated or
+  replayed from a recorded script: :class:`ScriptedDraws` is a draw source
+  of the engines' one seam (:mod:`repro.network.draws`).
 
 Canonicality relies on the *oracle pins* (:func:`oracle_config`): knot-mode
-detection every cycle, no recovery, no router pipeline delay, and the
-legacy scalar engine.  Under those pins the absolute cycle number carries
-no behavioural information — only the *None-ness* of ``blocked_since`` and
-``head_arrival`` matters — so snapshots store booleans and the reachable
-state space of a generation-capped configuration is finite.
+detection every cycle, no recovery and no router pipeline delay.  Under
+those pins the absolute cycle number carries no behavioural information —
+only the *None-ness* of ``blocked_since`` and ``head_arrival`` matters — so
+snapshots store booleans and the reachable state space of a
+generation-capped configuration is finite.
 
-Restoration always targets the legacy engine (``engine_fast_path=False``):
-it derives eligibility and waiting state by scanning, so a restored
-simulator needs no reconstruction of the fast path's wake index or
-activity flags.  Because the two engines are bit-identical, successor
-sets enumerated on the legacy engine are ground truth for both.
+Restoration rebuilds the object model, and on the production engine
+:meth:`~repro.network.production.ProductionEngine.rebuild_activity` its
+activity state, so the oracle enumerates the engine that ships.
 """
 
 from __future__ import annotations
@@ -39,6 +38,7 @@ from typing import Optional, Sequence
 
 from repro.config import OBSERVATION, SimulationConfig, defaults_of
 from repro.errors import ConfigurationError, SimulationError
+from repro.network.draws import Draws
 from repro.network.message import Message, MessageStatus
 from repro.network.simulator import NetworkSimulator
 
@@ -46,7 +46,7 @@ __all__ = [
     "ORACLE_PINS",
     "oracle_config",
     "ChoiceController",
-    "ChoiceRandom",
+    "ScriptedDraws",
     "next_script",
     "CanonicalState",
     "snapshot_state",
@@ -62,8 +62,6 @@ __all__ = [
 #: of behavioural dependence on the absolute cycle number or on state the
 #: snapshot does not carry:
 #:
-#: * legacy scalar engine — restoration does not rebuild wake-index /
-#:   activity-flag state (and the engines are bit-identical anyway);
 #: * ``detection_interval=1`` — the detection phase fires every cycle, so
 #:   ``cycle % interval`` carries no information;
 #: * ``detection_mode="knot"`` + ``recovery="none"`` — the detector is a
@@ -74,7 +72,6 @@ __all__ = [
 #: * every observation field at its default — enumeration runs no invariant
 #:   checker, profiler or trace buffer.
 ORACLE_PINS = dict(
-    engine_fast_path=False,
     detector_caching=False,
     recovery="none",
     recovery_teardown="instant",
@@ -93,9 +90,8 @@ def oracle_config(config: SimulationConfig) -> SimulationConfig:
 
     Raises :class:`~repro.errors.ConfigurationError` for configurations the
     oracle cannot enumerate: an unbounded message supply (no finite state
-    space), round-robin arbitration (its monotone rotation counter is
-    unbounded, so states never close), and the stochastic workload mixes
-    whose draws a two-way Bernoulli branch cannot cover.
+    space) and round-robin arbitration (its monotone rotation counter is
+    unbounded, so states never close).
     """
     cfg = config.replace(**ORACLE_PINS)
     if cfg.max_messages is None:
@@ -107,12 +103,6 @@ def oracle_config(config: SimulationConfig) -> SimulationConfig:
         raise ConfigurationError(
             "round-robin arbitration carries an unbounded rotation counter; "
             "the oracle supports 'random' and 'oldest-first'"
-        )
-    if cfg.length_mix or cfg.traffic == "hybrid":
-        raise ConfigurationError(
-            "length_mix / hybrid traffic draw cumulative-weight uniforms; "
-            "the oracle's branch points cover Bernoulli, randrange, choice "
-            "and shuffle draws only"
         )
     cfg.validate()
     return cfg
@@ -173,25 +163,14 @@ def next_script(trail: Sequence[tuple[int, int]]) -> Optional[list[int]]:
     return None
 
 
-#: the supremum of random.random(): the largest double below 1.0.  Returned
-#: for the "high" Bernoulli branch so that a threshold of exactly 1.0
-#: (message_probability saturates at 1.0) still takes the inject path on
-#: both branches, matching the real generator which injects always.
-_MAX_RANDOM = 1.0 - 2.0**-53
+class ScriptedDraws(Draws):
+    """A draw source whose every draw is a branch point of a controller.
 
-
-class ChoiceRandom:
-    """A ``random.Random`` lookalike that turns draws into branch points.
-
-    Implements exactly the methods the simulator's pinned configurations
-    consume — ``random`` (Bernoulli injection), ``randrange`` (uniform
-    destinations), ``choice`` (selection tie-breaks) and ``shuffle``
-    (random arbitration) — so any *other* draw fails loudly with an
-    ``AttributeError`` instead of silently collapsing a branch dimension.
-
-    ``shuffle`` branches per Fisher–Yates step (``n-1`` decisions of widths
-    ``n .. 2``) rather than as one ``n!``-way decision, so enumeration
-    shares prefixes between permutations and scripts stay short.
+    ``bernoulli`` branches per trial, hit first, unless ``p`` makes it
+    certain; ``categorical`` once per draw over its entries of positive
+    weight; ``permute`` per Fisher–Yates step (widths ``n .. 2``), so
+    enumeration shares prefixes between permutations.  ``permute_unread``
+    is ``Draws``': the same branch points on a list nobody reads.
     """
 
     __slots__ = ("_controller",)
@@ -199,23 +178,26 @@ class ChoiceRandom:
     def __init__(self, controller: ChoiceController) -> None:
         self._controller = controller
 
-    def random(self) -> float:
-        return _MAX_RANDOM if self._controller.branch(2) else 0.0
+    def bernoulli(self, p: float, n: int):
+        branch = self._controller.branch
+        for i in range(n):
+            if p >= 1.0 or (p > 0.0 and not branch(2)):
+                yield i
 
-    def randrange(self, n: int) -> int:
+    def below(self, n: int) -> int:
         if n <= 0:
-            raise ValueError(f"empty range for randrange({n})")
+            raise ValueError(f"empty range for below({n})")
         return self._controller.branch(n)
 
-    def choice(self, seq):
-        seq = list(seq)
-        if not seq:
-            raise IndexError("cannot choose from an empty sequence")
-        return seq[self._controller.branch(len(seq))]
+    def categorical(self, cumulative) -> int:
+        edges = (0.0, *cumulative[:-1], 1.0)
+        live = [i for i in range(len(cumulative)) if edges[i + 1] > edges[i]]
+        return live[self._controller.branch(len(live))]
 
-    def shuffle(self, seq: list) -> None:
+    def permute(self, seq: list) -> None:
+        branch = self._controller.branch
         for i in range(len(seq) - 1, 0, -1):
-            j = self._controller.branch(i + 1)
+            j = branch(i + 1)
             seq[i], seq[j] = seq[j], seq[i]
 
 
@@ -319,7 +301,7 @@ def snapshot_state(sim: NetworkSimulator) -> CanonicalState:
 
 
 def clear_state(sim: NetworkSimulator) -> None:
-    """Return a legacy-engine simulator to the empty cycle-0 state.
+    """Return a simulator to the empty cycle-0 state.
 
     Together with :func:`load_state` this lets enumeration reuse one
     simulator across thousands of restores instead of reconstructing
@@ -342,9 +324,11 @@ def clear_state(sim: NetworkSimulator) -> None:
     gen.generated = 0
     gen.suppressed = 0
     # the detector and statistics accumulate per-pass records; drop them so
-    # long enumerations stay flat in memory
+    # long enumerations stay flat in memory, and carry no short-circuit
+    # verdict across a restore
     sim.detector.records.clear()
     sim.detector.events.clear()
+    sim.detector._sc_record = None
     from repro.metrics.stats import StatsCollector
 
     sim.stats = StatsCollector(sim.config, sim.topology)
@@ -387,24 +371,24 @@ def load_state(sim: NetworkSimulator, state: CanonicalState) -> None:
     for node, ids in enumerate(state.queues):
         for mid in ids:
             sim.queues[node].append(by_id[mid])
+    if sim.fast_path:
+        sim.rebuild_activity()
 
 
 # -- scripted stepping ---------------------------------------------------------------
 def step_with_script(
     sim: NetworkSimulator, script: Sequence[int] = ()
 ) -> ChoiceController:
-    """Advance ``sim`` one cycle with every RNG draw scripted.
+    """Advance ``sim`` one cycle with every draw scripted.
 
-    Both the arbitration/selection stream (``sim.rng``) and the traffic
-    stream (``sim.generator.rng``) are pointed at one shared controller:
+    Both the arbitration/selection stream (``sim.draws``) and the traffic
+    stream (``sim.generator.draws``) are pointed at one shared controller:
     the phases run in a fixed order, so a single sequential trail captures
     the step's entire decision sequence.  Returns the controller (its
     ``trail`` records the decision points actually encountered).
     """
     controller = ChoiceController(script)
-    rng = ChoiceRandom(controller)
-    sim.rng = rng
-    sim.generator.rng = rng
+    sim.draws = sim.generator.draws = ScriptedDraws(controller)
     sim.step()
     return controller
 

@@ -1,6 +1,5 @@
 """Unit tests for recovery policies and victim removal."""
 
-import random
 
 import pytest
 
@@ -25,17 +24,17 @@ def make_messages(n=3, blocked_since=None):
 class TestDisha:
     def test_picks_exactly_one_victim(self):
         msgs = make_messages(5)
-        victims = DishaRecovery().victims(msgs, random.Random(0))
+        victims = DishaRecovery().victims(msgs)
         assert len(victims) == 1
 
     def test_picks_longest_blocked(self):
         msgs = make_messages(3, blocked_since=[30, 10, 20])
-        victims = DishaRecovery().victims(msgs, random.Random(0))
+        victims = DishaRecovery().victims(msgs)
         assert victims[0].id == 1  # blocked since cycle 10 = longest wait
 
     def test_tie_breaks_by_id(self):
         msgs = make_messages(3, blocked_since=[10, 10, 10])
-        victims = DishaRecovery().victims(msgs, random.Random(0))
+        victims = DishaRecovery().victims(msgs)
         assert victims[0].id == 0
 
     def test_delivers_victim(self):
@@ -45,7 +44,7 @@ class TestDisha:
 class TestAbortAll:
     def test_removes_everything(self):
         msgs = make_messages(4)
-        victims = AbortAllRecovery().victims(msgs, random.Random(0))
+        victims = AbortAllRecovery().victims(msgs)
         assert victims == msgs
 
     def test_does_not_deliver(self):
@@ -55,7 +54,7 @@ class TestAbortAll:
 class TestNoRecovery:
     def test_removes_nothing(self):
         msgs = make_messages(4)
-        assert NoRecovery().victims(msgs, random.Random(0)) == []
+        assert NoRecovery().victims(msgs) == []
 
 
 class TestFactory:

@@ -119,7 +119,7 @@ def _run_until_frozen(production, legacy, every_queue_fed=False, limit=100):
 @pytest.mark.parametrize("arbitration", ["random", "round-robin", "oldest-first"])
 def test_frozen_ring_orders_nothing_and_stays_exact(arbitration):
     production, legacy = _pair(RING.replace(arbitration=arbitration))
-    orderings = _spy(production, "_shuffle_inline", "_service_order")
+    orderings = _spy(production, "_service_order")
     skips = _spy(production, "_skip_order")
     frozen_at = _run_until_frozen(production, legacy, every_queue_fed=True)
     before = (legacy.rng.getstate(), list(legacy._rr_counters))

@@ -91,13 +91,9 @@ def test_real_trajectory_is_a_path_in_the_state_graph(
 
 @pytest.mark.parametrize("tier", sorted(TIERS))
 def test_all_tiers_agree_on_the_trajectory(tier):
-    """Bit-identity restated in snapshot space, for the oracle's benefit.
-
-    The oracle enumerates on the legacy engine only; this pins that a
-    capped-generation tiny config follows the *same* canonical state
-    sequence on both engines (the property that makes legacy-enumerated
-    graphs ground truth for production).
-    """
+    """Bit-identity restated in snapshot space, for the oracle's benefit:
+    a capped-generation tiny config follows the *same* canonical state
+    sequence on both engines."""
     base = CONFIGS["ring"].replace(seed=11)
     run_config = oracle_config(base).replace(**TIERS[tier])
     run_config.validate()
@@ -106,7 +102,7 @@ def test_all_tiers_agree_on_the_trajectory(tier):
     for _ in range(TRAJECTORY_CYCLES):
         sim.step()
         trajectory.append(snapshot_state(sim))
-    legacy = NetworkSimulator(oracle_config(base))
+    legacy = NetworkSimulator(oracle_config(base).replace(**TIERS["legacy"]))
     for _ in range(TRAJECTORY_CYCLES):
         legacy.step()
     reference = snapshot_state(legacy)
@@ -118,11 +114,10 @@ def test_scripted_trajectory_on_production_matches_legacy(selection):
     """A scripted choice stream drives the production engine through the
     same states as the legacy reference, digest for digest.
 
-    The production loops inline ``random.Random``'s word stream only when
-    the RNG *is* a ``random.Random``; under the oracle's ``ChoiceRandom``
-    they must take ``rng.shuffle`` / ``selection.choose`` and hit the same
-    decision points in the same order (equal trails), or witness replay on
-    the production engine would follow a different branch than recorded.
+    Both engines draw through one seam, so under the oracle's
+    ``ScriptedDraws`` they must hit the same decision points in the same
+    order (equal trails), or the two engines' enumerated state graphs
+    would differ.
     """
     from repro.network.production import ProductionEngine
 
@@ -131,8 +126,8 @@ def test_scripted_trajectory_on_production_matches_legacy(selection):
             num_vcs=2, selection=selection, max_messages=8
         )
     )
-    legacy = NetworkSimulator(base)
-    production = NetworkSimulator(base.replace(engine_fast_path=True))
+    legacy = NetworkSimulator(base.replace(**TIERS["legacy"]))
+    production = NetworkSimulator(base)
     assert type(legacy) is NetworkSimulator
     assert type(production) is ProductionEngine
     script_rng = random.Random(5)
@@ -151,16 +146,15 @@ def test_scripted_trajectory_on_production_matches_legacy(selection):
     assert decisions > 30, "scripts never reached a real branch point"
 
 
-def test_scripted_steps_never_take_a_whole_phase_skip():
-    """Under random arbitration a scripted ``ChoiceRandom`` keeps walking
-    ``rng.shuffle`` on a frozen network: the production engine's
-    whole-phase skips replay ``random.Random``'s word stream, which a
-    scripted RNG does not have — skipping would drop the shuffles' branch
-    points from the trail."""
+def test_scripted_steps_take_the_whole_phase_skips():
+    """Under random arbitration a scripted ``ScriptedDraws`` walks the
+    production engine's whole-phase skips on a frozen network:
+    ``permute_unread`` records the branch points of the permutations the
+    reference builds, so trails and states stay equal."""
     # seed 0 deadlocks the ring (3 worms, generation budget spent) by cycle 13
     base = oracle_config(CONFIGS["ring-random-arb"].replace(max_messages=8))
-    legacy = NetworkSimulator(base)
-    production = NetworkSimulator(base.replace(engine_fast_path=True))
+    legacy = NetworkSimulator(base.replace(**TIERS["legacy"]))
+    production = NetworkSimulator(base)
     skips = []
     skip_order = production._skip_order
     production._skip_order = lambda n, phase: (
@@ -177,7 +171,7 @@ def test_scripted_steps_never_take_a_whole_phase_skip():
         assert len(trail) == 4  # two Fisher-Yates walks over three messages
         assert step_with_script(production).trail == trail
         assert snapshot_state(production) == snapshot_state(legacy)
-    assert skips == []
+    assert skips == [0, 1] * 5
 
 
 def test_successor_sets_are_path_independent():

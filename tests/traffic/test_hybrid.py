@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.network.draws import Draws
 from repro.network.topology import KAryNCube
 from repro.traffic.patterns import HybridTraffic, TransposeTraffic, make_pattern
 
@@ -21,7 +22,7 @@ def test_components_by_name(torus):
 
 def test_components_by_instance(torus):
     h = HybridTraffic(torus, [(TransposeTraffic(torus), 1.0)])
-    rng = random.Random(0)
+    rng = Draws(random.Random(0))
     # pure transpose through the hybrid wrapper
     for src in range(16):
         x, y = torus.coords(src)
@@ -31,7 +32,7 @@ def test_components_by_instance(torus):
 
 def test_mixture_draws_from_both(torus):
     h = HybridTraffic(torus, [("uniform", 0.5), ("bit-complement", 0.5)])
-    rng = random.Random(1)
+    rng = Draws(random.Random(1))
     complement_hits = 0
     trials = 2000
     for _ in range(trials):
@@ -44,7 +45,7 @@ def test_mixture_draws_from_both(torus):
 
 def test_weights_respected(torus):
     h = HybridTraffic(torus, [("uniform", 0.9), ("bit-complement", 0.1)])
-    rng = random.Random(2)
+    rng = Draws(random.Random(2))
     hits = sum(1 for _ in range(4000) if h.dest_for(3, rng) == 12)
     assert hits / 4000 < 0.25
 

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.network.draws import Draws
 from repro.network.topology import KAryNCube
 from repro.traffic.injection import MessageGenerator
 from repro.traffic.patterns import UniformTraffic
@@ -17,7 +18,7 @@ def torus():
 
 def make_gen(torus, load=0.5, length=8, cap=None, seed=0):
     return MessageGenerator(
-        torus, UniformTraffic(torus), load, length, random.Random(seed), cap
+        torus, UniformTraffic(torus), load, length, Draws(random.Random(seed)), cap
     )
 
 
@@ -76,7 +77,7 @@ def test_invalid_parameters(torus):
         make_gen(torus, load=-0.5)
     with pytest.raises(ConfigurationError):
         MessageGenerator(
-            torus, UniformTraffic(torus), 0.5, 0, random.Random(0), None
+            torus, UniformTraffic(torus), 0.5, 0, Draws(random.Random(0)), None
         )
 
 

@@ -5,13 +5,14 @@ import random
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.network.draws import Draws
 from repro.traffic.lengths import FixedLength, LengthMix
 
 
 class TestFixed:
     def test_constant(self):
         f = FixedLength(7)
-        rng = random.Random(0)
+        rng = Draws(random.Random(0))
         assert all(f(rng) == 7 for _ in range(20))
         assert f.mean == 7.0
 
@@ -31,13 +32,13 @@ class TestMix:
 
     def test_only_listed_lengths_drawn(self):
         mix = LengthMix([(2, 0.3), (8, 0.7)])
-        rng = random.Random(1)
+        rng = Draws(random.Random(1))
         drawn = {mix(rng) for _ in range(500)}
         assert drawn == {2, 8}
 
     def test_frequencies_respect_weights(self):
         mix = LengthMix([(2, 0.8), (32, 0.2)])
-        rng = random.Random(2)
+        rng = Draws(random.Random(2))
         n = 8000
         short = sum(1 for _ in range(n) if mix(rng) == 2)
         assert short / n == pytest.approx(0.8, abs=0.03)
@@ -60,14 +61,14 @@ class TestGeneratorIntegration:
 
         topo = KAryNCube(4, 2)
         fixed = MessageGenerator(
-            topo, UniformTraffic(topo), 0.5, 8, random.Random(0)
+            topo, UniformTraffic(topo), 0.5, 8, Draws(random.Random(0))
         )
         mixed = MessageGenerator(
             topo,
             UniformTraffic(topo),
             0.5,
             8,
-            random.Random(0),
+            Draws(random.Random(0)),
             lengths=LengthMix([(4, 0.5), (12, 0.5)]),  # mean 8
         )
         assert mixed.message_probability == pytest.approx(

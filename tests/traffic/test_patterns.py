@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.network.draws import Draws
 from repro.network.topology import KAryNCube
 from repro.traffic.patterns import (
     BitComplementTraffic,
@@ -26,20 +27,20 @@ def torus():
 class TestUniform:
     def test_never_self(self, torus):
         p = UniformTraffic(torus)
-        rng = random.Random(1)
+        rng = Draws(random.Random(1))
         for src in range(torus.num_nodes):
             for _ in range(50):
                 assert p.dest_for(src, rng) != src
 
     def test_covers_all_destinations(self, torus):
         p = UniformTraffic(torus)
-        rng = random.Random(2)
+        rng = Draws(random.Random(2))
         seen = {p.dest_for(0, rng) for _ in range(2000)}
         assert seen == set(range(1, 16))
 
     def test_roughly_uniform(self, torus):
         p = UniformTraffic(torus)
-        rng = random.Random(3)
+        rng = Draws(random.Random(3))
         counts = [0] * 16
         n = 6000
         for _ in range(n):
@@ -55,20 +56,20 @@ class TestUniform:
 class TestPermutations:
     def test_bit_reversal_fixed_points_return_none(self, torus):
         p = BitReversalTraffic(torus)
-        rng = random.Random(0)
+        rng = Draws(random.Random(0))
         # 0b0000 and 0b1001 etc. are palindromic: no traffic
         assert p.dest_for(0, rng) is None
         assert p.dest_for(0b1001, rng) is None
 
     def test_bit_reversal_mapping(self, torus):
         p = BitReversalTraffic(torus)
-        rng = random.Random(0)
+        rng = Draws(random.Random(0))
         assert p.dest_for(0b0001, rng) == 0b1000
         assert p.dest_for(0b0011, rng) == 0b1100
 
     def test_bit_reversal_is_involution(self, torus):
         p = BitReversalTraffic(torus)
-        rng = random.Random(0)
+        rng = Draws(random.Random(0))
         for src in range(16):
             dest = p.dest_for(src, rng)
             if dest is not None:
@@ -76,7 +77,7 @@ class TestPermutations:
 
     def test_transpose_swaps_coordinates(self, torus):
         p = TransposeTraffic(torus)
-        rng = random.Random(0)
+        rng = Draws(random.Random(0))
         for src in range(16):
             dest = p.dest_for(src, rng)
             x, y = torus.coords(src)
@@ -87,14 +88,14 @@ class TestPermutations:
 
     def test_perfect_shuffle_rotates_bits(self, torus):
         p = PerfectShuffleTraffic(torus)
-        rng = random.Random(0)
+        rng = Draws(random.Random(0))
         assert p.dest_for(0b0001, rng) == 0b0010
         assert p.dest_for(0b1000, rng) == 0b0001
         assert p.dest_for(0b1111, rng) is None  # fixed point
 
     def test_bit_complement(self, torus):
         p = BitComplementTraffic(torus)
-        rng = random.Random(0)
+        rng = Draws(random.Random(0))
         assert p.dest_for(0, rng) == 15
         assert p.dest_for(0b0101, rng) == 0b1010
 
@@ -112,14 +113,14 @@ class TestPermutations:
 class TestTornado:
     def test_halfway_shift(self, torus):
         p = TornadoTraffic(torus)
-        rng = random.Random(0)
+        rng = Draws(random.Random(0))
         dest = p.dest_for(0, rng)
         # k=4: shift (k-1)//2 = 1 in each dimension
         assert torus.coords(dest) == (1, 1)
 
     def test_constant_distance(self, torus):
         p = TornadoTraffic(torus)
-        rng = random.Random(0)
+        rng = Draws(random.Random(0))
         dists = {
             torus.min_distance(s, p.dest_for(s, rng))
             for s in range(torus.num_nodes)
@@ -130,7 +131,7 @@ class TestTornado:
 class TestHotSpot:
     def test_hotspot_receives_excess_traffic(self, torus):
         p = HotSpotTraffic(torus, hotspot=5, fraction=0.3)
-        rng = random.Random(4)
+        rng = Draws(random.Random(4))
         counts = [0] * 16
         for _ in range(4000):
             counts[p.dest_for(0, rng)] += 1
@@ -139,7 +140,7 @@ class TestHotSpot:
 
     def test_hotspot_node_itself_sends_uniform(self, torus):
         p = HotSpotTraffic(torus, hotspot=5, fraction=1.0)
-        rng = random.Random(4)
+        rng = Draws(random.Random(4))
         for _ in range(100):
             assert p.dest_for(5, rng) != 5
 

@@ -30,8 +30,8 @@ def state_from_json(data: dict) -> CanonicalState:
 
 
 def restore_sim(config: SimulationConfig, state: CanonicalState) -> NetworkSimulator:
-    """A live legacy-engine simulator in exactly ``state``, checked by the
-    invariant battery (``config`` is pinned through ``oracle_config``)."""
+    """A live production-engine simulator in exactly ``state``, checked by
+    the invariant battery (``config`` is pinned through ``oracle_config``)."""
     sim = NetworkSimulator(oracle_config(config))
     load_state(sim, state)
     InvariantChecker().check_now(sim)

@@ -117,16 +117,34 @@ def test_oracle_config_rejects_round_robin_arbitration():
         oracle_config(RING.replace(arbitration="round-robin"))
 
 
-def test_oracle_config_rejects_stochastic_mixes():
-    with pytest.raises(ConfigurationError, match="length_mix"):
-        oracle_config(RING.replace(length_mix=((2, 0.5), (4, 0.5))))
+def test_oracle_pins_keep_the_shipped_engine():
+    from repro.network.production import ProductionEngine
+    from repro.validation.statespace import ORACLE_PINS
 
-
-def test_oracle_pins_force_the_legacy_engine():
-    pinned = oracle_config(RING.replace(engine_fast_path=True))
-    assert not pinned.engine_fast_path
+    assert "engine_fast_path" not in ORACLE_PINS
+    pinned = oracle_config(RING)
+    assert type(NetworkSimulator(pinned)) is ProductionEngine
     assert pinned.detection_interval == 1
     assert pinned.recovery == "none"
+
+
+def test_hybrid_length_mix_case_checks_clean_to_closure():
+    """Hybrid traffic and a length mix draw through ``categorical``, which
+    the scripted source branches on like any other draw."""
+    case = get_case("ring-hybrid-mix")
+    assert case.config.traffic == "hybrid" and case.config.length_mix
+    report = check_case(case)
+    assert report.ok, [v.detail for v in report.violations]
+    assert (report.num_states, report.num_deadlocked_terminals) == (156, 8)
+
+
+def test_reference_and_production_state_graphs_are_equal():
+    case = get_case("ring-deadlock")
+    production = explore(case.config)
+    reference = explore(case.config.replace(engine_fast_path=False))
+    assert reference.index == production.index
+    assert reference.succ == production.succ
+    assert reference.scripts == production.scripts
 
 
 # -- choice-tree enumeration laws ----------------------------------------------------
@@ -237,27 +255,25 @@ def test_pipeline_census_drift_is_a_violation(miscounting_census):
 
 
 def test_pipeline_wait_index_drift_is_a_violation(dropped_wait_target):
-    """The pipeline check runs on a production-engine view of each state,
-    so a wait-index read that loses a target is a ``pipeline-census``
-    violation too."""
+    """The pipeline check runs on each state as the production engine's
+    step left it, so a wait-index read that loses a target is a
+    ``pipeline-census`` violation too."""
     report = check_case(get_case("ring-deadlock"))
     assert any(v.kind == "pipeline-census" for v in report.violations)
 
 
 def test_pipeline_check_reads_the_wait_index():
-    """The production view registers a wait key for every blocked header,
-    and the pipeline reads exactly what ``build_cwg`` derives."""
+    """Reached by its discovering step, a state holds the wait keys the
+    engine registered, and the pipeline reads exactly what ``build_cwg``
+    derives."""
     from repro.core.detector import DeadlockDetector, _pipeline_cwg
-    from repro.validation.oracle import (
-        _PRODUCTION_OVERRIDES,
-        _load_production_view,
-    )
+    from repro.validation.oracle import _arrive
 
     graph = explore(get_case("ring-deadlock").config)
-    prod = NetworkSimulator(graph.config.replace(**_PRODUCTION_OVERRIDES))
+    prod = NetworkSimulator(graph.config)
     keyed = 0
-    for state in graph.index:
-        _load_production_view(prod, state)
+    for idx in range(len(graph)):
+        _arrive(prod, graph, idx)
         got = _pipeline_cwg(prod)
         assert got.requests == DeadlockDetector.build_cwg(prod).requests
         keyed += sum(1 for mid in got.requests if prod._live[mid].wait_keys)

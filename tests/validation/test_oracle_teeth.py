@@ -15,6 +15,7 @@ import pytest
 
 from repro.faults import ENV_VAR
 from repro.validation.oracle import (
+    TEETH_CASE,
     TEETH_FAULTS,
     dump_witness,
     explore,
@@ -27,12 +28,12 @@ from repro.validation.oracle import (
     teeth_candidates,
 )
 
-CASE = get_case("ring-deadlock")
+CASE = get_case(TEETH_CASE)
 
 
 @pytest.fixture(scope="module")
 def graph():
-    """One shared closure for the whole module (819 states, ~0.3 s)."""
+    """One shared closure for the whole module (3,799 states, ~1 s)."""
     return explore(CASE.config)
 
 
@@ -106,11 +107,13 @@ def test_run_teeth_catches_every_armed_fault():
         assert outcome.divergence in ("state", "verdict")
         assert outcome.diverged_at is not None
         assert outcome.witness is not None, "catch must be replayable"
-        assert outcome.witness_kind in ("deadlock", "wake")
+        assert outcome.witness_kind in ("deadlock", "wake", "immobile")
     # a stale blocked epoch leaves every state intact: only the
     # short-circuited detector's verdict can go wrong
     by_fault = {o.fault: o for o in outcomes}
     assert by_fault["skip-block-epoch"].divergence == "verdict"
+    # a stuck all-immobile flag shows only where a frozen network injects
+    assert by_fault["skip-immobile-clear"].witness_kind == "immobile"
 
 
 def test_armed_fault_diverges_and_unarmed_replay_stays_clean(
@@ -126,14 +129,13 @@ def test_armed_fault_diverges_and_unarmed_replay_stays_clean(
         assert replay_witness(witness, production=True).ok
 
 
-def test_faults_only_bite_the_production_machinery(monkeypatch):
-    """Oracle-engine replay pins the legacy path: the wake-index and
-    blocked-epoch faults live in machinery the pinned engine never runs,
-    so the same armed fault must NOT diverge there."""
-    witnesses = (make_wake_witness(CASE), make_deadlock_witness(CASE))
+def test_faults_only_bite_the_production_machinery(candidates, monkeypatch):
+    """Reference replay runs the legacy engine and the reference detector:
+    the bookkeeping faults live in machinery it never runs, so the same
+    armed fault must NOT diverge there."""
     for fault in TEETH_FAULTS:
         monkeypatch.setenv(ENV_VAR, fault)
-        for witness in witnesses:
+        for witness in candidates:
             assert replay_witness(witness, production=False).ok, fault
 
 
@@ -149,5 +151,5 @@ def test_witness_round_trips_through_disk(candidates, tmp_path):
 
 
 # -- the battery ---------------------------------------------------------------------
-def test_teeth_faults_are_the_two_catchable_bookkeeping_lies():
-    assert TEETH_FAULTS == ("skip-wake", "skip-block-epoch")
+def test_teeth_faults_are_the_three_catchable_bookkeeping_lies():
+    assert TEETH_FAULTS == ("skip-wake", "skip-block-epoch", "skip-immobile-clear")
