@@ -26,10 +26,11 @@
 #    each compared through repro.validation.differential.compare on the
 #    result, every detection record and the post-run RNG word, the
 #    golden-trace digests, which both engines must reproduce verbatim, and
-#    the sweep fan-out check: a sweep spread over forked workers must equal
-#    the serial in-process sweep field for field (results and obs rollup),
-#    because the worker count is one more thing that must not change a
-#    result;
+#    one check for each user of the one slot process (SlotPool): a sweep
+#    fanned out over slots must equal the serial in-process sweep field
+#    for field (results and obs rollup), and one campaign slot running
+#    points in either order must write the same artifact bytes as a fresh
+#    process per point — where a point runs must not change a result;
 # 5. runs the end-to-end benchmark smoke: the five workloads of the repo
 #    benchmark at tiny sizes on the default engine, every point checked
 #    against the seed-1 digests pinned in benchmarks/e2e;
@@ -80,13 +81,14 @@ PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -x -q -m slow
 echo "== benchmark smoke (vs committed BENCH_core.json) =="
 python scripts/bench_baseline.py --check
 
-echo "== bit-identity (case table + goldens + sweep fan-out) =="
+echo "== bit-identity (case table + goldens + sweep fan-out + campaign slot) =="
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -x -q \
     tests/integration/test_fast_path_equivalence.py \
     tests/integration/test_detector_caching_equivalence.py \
     tests/integration/test_obs_equivalence.py \
     tests/golden \
-    tests/metrics/test_fan_out.py::test_fan_out_matches_the_serial_sweep
+    tests/metrics/test_fan_out.py::test_fan_out_matches_the_serial_sweep \
+    tests/campaign/test_slots.py::TestOrderIndependence::test_one_slot_any_order_equals_fresh_processes
 
 echo "== end-to-end benchmark smoke (pinned seed-1 digests, default engine) =="
 python3 benchmarks/e2e/run.py --smoke | grep "^=="

@@ -81,14 +81,13 @@ ALLOWLIST = {
     "validation/oracle.py::cwg_doomed_messages": "reference",
     # the static CDG verdicts examples/static_certification.py stresses
     "routing/analysis.py::*": "reference",
-    "metrics/sweep.py::_stripe_child": "fork",
-    "campaign/runner.py::_slot_main": "fork",
+    "metrics/sweep.py::_slot_main": "fork",
+    "metrics/sweep.py::_stripe": "fork",
     "campaign/runner.py::_point_worker": "fork",
     "campaign/runner.py::_apply_point_faults": "fork",
     "faults.py::first_trigger": "fork",
     "faults.py::point_fault_matches": "fork",
     "campaign/store.py::ResultStore.write": "fork",
-    "campaign/store.py::ResultStore.write_error": "fork",
     "campaign/store.py::result_to_json": "fork",
     "validation/invariants.py::InvariantViolation.__reduce__": "fork",
     "campaign/service/*": "service",

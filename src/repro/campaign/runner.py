@@ -9,11 +9,9 @@ the durability a multi-hundred-point figure regeneration needs:
 * each point runs in a killable **slot** process with a configurable
   **wall-clock timeout** — a hung simulation is terminated and its slot
   replaced instead of wedging the whole sweep.  Slots are persistent
-  (:class:`SlotPool`): forked lazily on the first job, then fed point
-  after point over a pipe, so a campaign pays one fork and one process
-  teardown per worker rather than per point; a slot is retired by kill
-  only on a timeout or when its process dies, which costs that one
-  attempt and nothing else;
+  (:class:`~repro.metrics.sweep.SlotPool`), fed point after point, so a
+  campaign pays one fork per worker; a kill on a timeout or a slot's
+  death costs that one attempt and nothing else;
 * failures **retry with exponential backoff**, and a point that exhausts
   its retries degrades to a structured
   :class:`~repro.campaign.store.PointFailure` in the manifest while every
@@ -39,18 +37,16 @@ store.ResultStore.fold`), so ``manifest_rebuild`` restores all of it.
 The one slot implementation serves every backend: :meth:`CampaignRunner.
 run_points` owns a pool for the call, and the campaign service's local
 slots and TCP workers (:mod:`repro.campaign.service`) each hold one for
-their lifetime and lend it to ``run_points(..., pool=...)``.
+their lifetime and lend it to ``run_points(..., pool=...)``.  A slot runs
+:func:`_point_worker`, which replies ``None`` or the point's error.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 import time
-import traceback
 from collections import deque
 from dataclasses import dataclass, field
-from multiprocessing import get_context
 from multiprocessing.connection import wait as _connection_wait
 from typing import Callable, Optional, Sequence
 
@@ -68,30 +64,21 @@ from repro.faults import (
     point_fault_matches,
 )
 from repro.metrics.stats import RunResult
-from repro.metrics.sweep import SweepResult, available_cpus, run_point
+from repro.metrics.sweep import SlotPool, SweepResult, available_cpus, run_point
 from repro.obs.registry import MetricsRegistry
 
-__all__ = ["CampaignRunner", "CampaignSweep", "SlotPool", "run_sweep"]
+__all__ = ["CampaignRunner", "CampaignSweep", "run_sweep"]
 
 #: how long a hang-point fault sleeps — far past any sane per-point timeout
 _HANG_SECONDS = 3600.0
 
 #: upper bound on one scheduler wait; the real wake signal is the slot pipes
-#: (zero-CPU blocking wait, instant wake on a verdict or a slot's death),
+#: (zero-CPU blocking wait, instant wake on a reply or a slot's death),
 #: this only caps how stale a timeout/backoff deadline check can get
 _MAX_WAIT_SECONDS = 0.25
 
-#: every job carries these, so a slot forked before a test armed a fault
-#: still honours it
+#: the fault variables every job carries (see :func:`_point_worker`)
 _FAULT_ENV = (ENV_VAR, MATCH_ENV_VAR, DIR_ENV_VAR)
-
-#: the parent-side pipe end of every live slot of this process, whichever
-#: pool owns it: a forked slot copies them all and must close them all, or
-#: it keeps a sibling's pipe open and hides this process's death (EOF) from
-#: that sibling.  The lock serializes pipe creation + fork across pools, so
-#: no slot is forked while a sibling's pipe is half set up.
-_PARENT_ENDS: set = set()
-_FORK_LOCK = threading.Lock()
 
 
 def _apply_point_faults(config: SimulationConfig) -> None:
@@ -111,191 +98,30 @@ def _apply_point_faults(config: SimulationConfig) -> None:
 
 
 def _point_worker(
-    store_root: str, schema_version: int, config: SimulationConfig
-) -> bool:
+    store_root: str, schema_version: int, config: SimulationConfig,
+    fault_env: dict,
+) -> Optional[str]:
     """Run one point to completion and persist it (slot-process side).
 
+    ``fault_env`` are the fault variables as the parent had them at submit
+    time, so a slot forked before a test armed a fault still honours it.
     The slot writes the artifact itself — atomically — so the result is
-    durable even if the parent dies before collecting it.  Failures land in
-    a sidecar error file the parent consumes to label the retry.  Returns
-    whether the artifact was written.
+    durable even if the parent dies before collecting it.  Returns
+    ``None``, or the failure as ``"Type: message"``.
     """
-    store = ResultStore(store_root, schema_version=schema_version)
-    digest = store.digest(config)
+    for name, value in fault_env.items():
+        if value is None:
+            os.environ.pop(name, None)
+        else:
+            os.environ[name] = value
     try:
         _apply_point_faults(config)
-        store.write(config, *run_point(config))
-    except Exception as exc:  # noqa: BLE001 - shipped to the parent
-        store.write_error(
-            digest, f"{type(exc).__name__}: {exc}", traceback.format_exc()
+        ResultStore(store_root, schema_version=schema_version).write(
+            config, *run_point(config)
         )
-        return False
-    return True
-
-
-def _slot_main(conn, inherited) -> None:
-    """Slot-process entry: recv job → run the point → send the verdict.
-
-    ``inherited`` are the parent-side pipe ends this fork copied (its own
-    and every sibling's).  Closing them first means a SIGKILLed parent
-    reads as EOF on every slot's pipe, so none outlives the campaign.
-    """
-    for end in inherited:
-        end.close()
-    try:
-        while True:
-            try:
-                store_root, schema_version, config, fault_env = conn.recv()
-            except EOFError:  # pool closed, or the parent is gone
-                return
-            for name, value in fault_env.items():
-                if value is None:
-                    os.environ.pop(name, None)
-                else:
-                    os.environ[name] = value
-            verdict = _point_worker(store_root, schema_version, config)
-            try:
-                conn.send(verdict)
-            except OSError:  # the parent died while the point ran
-                return
-    except KeyboardInterrupt:
-        return  # ^C reaches the whole process group; the parent reports it
-
-
-class _Slot:
-    """One long-lived point process and the parent's end of its pipe."""
-
-    def __init__(self, ctx) -> None:
-        with _FORK_LOCK:
-            self.conn, child_end = ctx.Pipe()
-            _PARENT_ENDS.add(self.conn)
-            inherited = (
-                list(_PARENT_ENDS) if ctx.get_start_method() == "fork" else []
-            )
-            self.process = ctx.Process(
-                target=_slot_main, args=(child_end, inherited), daemon=True
-            )
-            self.process.start()
-            child_end.close()
-
-    def submit(self, store: ResultStore, config: SimulationConfig) -> None:
-        fault_env = {name: os.environ.get(name) for name in _FAULT_ENV}
-        try:
-            self.conn.send(
-                (str(store.root), store.schema_version, config, fault_env)
-            )
-        except OSError:
-            pass  # died while idle: poll() reports it
-
-    def poll(self) -> Optional[bool]:
-        """``None`` while the point runs, ``True`` once the slot reported a
-        verdict, ``False`` when its process died without one."""
-        try:
-            if self.conn.poll():
-                self.conn.recv()
-                return True
-        except (EOFError, OSError):
-            return False
-        return None if self.process.is_alive() else False
-
-    def reap(self) -> Optional[int]:
-        """Close the pipe (an idle slot exits on the EOF), make sure the
-        process is gone, and return its exit code."""
-        self.conn.close()
-        with _FORK_LOCK:
-            _PARENT_ENDS.discard(self.conn)
-        self.process.join(0.5)
-        if self.process.is_alive():
-            self.process.kill()
-            self.process.join()
-        return self.process.exitcode
-
-
-class SlotPool:
-    """Persistent point-worker processes, reused across points.
-
-    A slot is forked lazily — on the first :meth:`acquire` that finds no
-    idle live slot — and then loops over jobs, so a campaign pays one fork
-    and one process teardown per *worker*, not per point.  A slot stays
-    individually killable: :meth:`retire` terminates one that overran its
-    timeout (or collects one that died) without touching its siblings.
-    ``forks`` counts the processes started so far.
-
-    Like any fork, a slot also copies every other descriptor its parent
-    has open and keeps it until the slot exits — now for the pool's
-    lifetime, not one point's — so close the pool before a socket whose
-    peer should see it closed (:class:`~repro.campaign.service.worker.
-    WorkerSession` does).
-
-    Thread-safe: the campaign service closes a pool from its event loop
-    while an executor thread may still be driving a point through it;
-    :meth:`close` then kills the busy slot, and the thread's next
-    :meth:`acquire` raises instead of forking into a closed pool.
-    """
-
-    def __init__(self) -> None:
-        # fork keeps slot start cheap; spawn is the portable fallback
-        try:
-            self._ctx = get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX fallback
-            self._ctx = get_context()
-        self._lock = threading.Lock()
-        self._idle: list[_Slot] = []
-        self._busy: set[_Slot] = set()
-        self._closed = False
-        self.forks = 0
-
-    def __enter__(self) -> "SlotPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def acquire(self) -> _Slot:
-        """An idle live slot, or a freshly forked one."""
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("slot pool is closed")
-            while self._idle:
-                slot = self._idle.pop()
-                if slot.process.is_alive():
-                    break
-                slot.reap()  # died while idle
-            else:
-                slot = _Slot(self._ctx)
-                self.forks += 1
-            self._busy.add(slot)
-            return slot
-
-    def release(self, slot: _Slot) -> None:
-        """Hand back a slot whose point reported; it idles for the next job."""
-        with self._lock:
-            self._busy.discard(slot)
-            if not self._closed:
-                self._idle.append(slot)
-                return
-        slot.reap()
-
-    def retire(self, slot: _Slot) -> Optional[int]:
-        """Kill a slot past its timeout, or collect one that died; returns
-        the exit code.  The next :meth:`acquire` forks its replacement."""
-        with self._lock:
-            self._busy.discard(slot)
-        slot.process.terminate()
-        return slot.reap()
-
-    def close(self) -> None:
-        """Stop every slot: idle ones exit on EOF, busy ones are killed."""
-        with self._lock:
-            self._closed = True
-            idle, busy = self._idle, list(self._busy)
-            self._idle, self._busy = [], set()
-        for slot in idle:
-            slot.conn.close()  # all at once, so they exit in parallel
-        for slot in busy:
-            slot.process.terminate()
-        for slot in (*idle, *busy):
-            slot.reap()
+    except Exception as exc:  # noqa: BLE001 - reported to the parent
+        return f"{type(exc).__name__}: {exc}"
+    return None
 
 
 @dataclass
@@ -518,13 +344,11 @@ class CampaignRunner:
             now = time.monotonic()
             for entry in list(running):
                 task, slot = entry.task, entry.slot
-                reported = slot.poll()
-                if reported is None:
+                if not slot.poll():
                     if entry.deadline is not None and now >= entry.deadline:
                         pool.retire(slot)
                         running.remove(entry)
                         progressed = True
-                        self.store.read_error(task.digest)  # drop stale sidecar
                         self._record_attempt_failure(
                             task,
                             error=(
@@ -538,17 +362,18 @@ class CampaignRunner:
                         )
                     continue
                 exitcode = None
-                if reported:
-                    pool.release(slot)
+                try:
+                    error = slot.reply()
+                except ChildProcessError:
+                    error, exitcode = None, pool.retire(slot)
                 else:
-                    exitcode = pool.retire(slot)
+                    pool.release(slot)
                 running.remove(entry)
                 progressed = True
                 # the freed slot starts its next point before this one is
                 # loaded back and recorded, so the two overlap
                 dispatch()
                 if self.store.has(task.config):
-                    self.store.read_error(task.digest)  # drop stale sidecar
                     point = self.store.load(task.config)
                     completed[task.index] = point
                     executed += 1
@@ -557,15 +382,12 @@ class CampaignRunner:
                     if progress is not None:
                         progress(task.config, point.result)
                 else:
-                    err = self.store.read_error(task.digest) or {}
-                    message = err.get(
-                        "error",
-                        f"worker exited with code {exitcode} "
-                        f"without writing a result",
-                    )
                     self._record_attempt_failure(
                         task,
-                        error=message,
+                        error=error or (
+                            f"worker exited with code {exitcode} "
+                            f"without writing a result"
+                        ),
                         kind="error",
                         record=record,
                         tasks=waiting,
@@ -610,7 +432,10 @@ class CampaignRunner:
         if pool.forks != forks:
             self.registry.counter("campaign/slot_forks").inc()
             record(count_record("slot_forks"), save=False)
-        slot.submit(self.store, task.config)
+        slot.submit(
+            _point_worker, str(self.store.root), self.store.schema_version,
+            task.config, {name: os.environ.get(name) for name in _FAULT_ENV},
+        )
         deadline = (
             time.monotonic() + self.timeout_s
             if self.timeout_s is not None

@@ -6,7 +6,7 @@ TCP worker (:mod:`repro.campaign.service.worker`) — funnel through
 :class:`~repro.campaign.runner.CampaignRunner` verbatim: a killable slot
 process, retry with exponential backoff, a per-point wall-clock timeout,
 and the injected point faults (``crash-point`` / ``flaky-point`` /
-``hang-point``).  The slot comes from a :class:`~repro.campaign.runner.
+``hang-point``).  The slot comes from a :class:`~repro.metrics.sweep.
 SlotPool` the backend holds for its lifetime, so a lease costs no fork:
 the process that ran the last point runs the next one.  The point runs
 against a private throwaway :class:`~repro.campaign.store.ResultStore`,
@@ -28,8 +28,9 @@ import functools
 import tempfile
 from typing import Optional
 
-from repro.campaign.runner import CampaignRunner, SlotPool
+from repro.campaign.runner import CampaignRunner
 from repro.campaign.store import ResultStore, config_from_json
+from repro.metrics.sweep import SlotPool
 
 __all__ = ["execute_point", "LocalForkExecutor"]
 
@@ -94,7 +95,7 @@ class LocalForkExecutor:
     report against the service's scheduler directly (no sockets), running
     the blocking submit/wait machinery on the default thread-pool executor
     so the event loop stays responsive.  Each slot owns one
-    :class:`~repro.campaign.runner.SlotPool` — hence one reused point
+    :class:`~repro.metrics.sweep.SlotPool` — hence one reused point
     process — for its lifetime.  While a point runs, the slot heartbeats
     its lease from the event-loop side — the same liveness contract
     remote workers honour.  A point whose execution raises is reported

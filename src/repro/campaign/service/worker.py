@@ -7,7 +7,7 @@ same slot-process / retry / timeout machinery a single-host campaign
 uses (:func:`~repro.campaign.service.executor.execute_point`), so the
 artifact a remote worker ships back is byte-identical to what the
 service's host would have written itself.  The session holds one
-:class:`~repro.campaign.runner.SlotPool` from connect to disconnect: every
+:class:`~repro.metrics.sweep.SlotPool` from connect to disconnect: every
 lease runs on the same reused point process unless a timeout or a crash
 retires it.
 
@@ -28,12 +28,12 @@ import threading
 import time
 from typing import Optional
 
-from repro.campaign.runner import SlotPool
 from repro.campaign.service import protocol
 from repro.campaign.service.executor import execute_point
 from repro.campaign.store import SCHEMA_VERSION
 from repro.errors import ReproError
 from repro.faults import active_faults, point_fault_matches
+from repro.metrics.sweep import SlotPool
 
 __all__ = ["WorkerSession", "run_worker", "WorkerError"]
 

@@ -247,7 +247,6 @@ class ResultStore:
 
         <root>/manifest.json          index: done points, failures, counters
         <root>/points/<digest>.json   one artifact per completed config
-        <root>/points/<digest>.err.json   last worker error (transient)
         <root>/journal/<writer>.jsonl append-only per-writer event journal
 
     Safe for one writer per artifact (digests are disjoint across points)
@@ -272,9 +271,6 @@ class ResultStore:
 
     def point_path(self, digest: str) -> Path:
         return self.points_dir / f"{digest}.json"
-
-    def error_path(self, digest: str) -> Path:
-        return self.points_dir / f"{digest}.err.json"
 
     def has(self, config: SimulationConfig) -> bool:
         """Is a schema-compatible artifact present for this config?"""
@@ -358,22 +354,6 @@ class ResultStore:
             )
         _atomic_write_json(self.point_path(digest), payload)
         return digest
-
-    def write_error(self, digest: str, error: str, trace: str) -> None:
-        """Record a worker-side failure for the parent to pick up."""
-        _atomic_write_json(
-            self.error_path(digest), {"error": error, "trace": trace}
-        )
-
-    def read_error(self, digest: str) -> Optional[dict]:
-        """The last recorded worker error for a point, consumed on read."""
-        path = self.error_path(digest)
-        try:
-            data = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            return None
-        path.unlink(missing_ok=True)
-        return data
 
     @staticmethod
     def _read_artifact(path: Path) -> dict:
@@ -512,8 +492,6 @@ class ResultStore:
         stored = {}
         corrupt = 0
         for path in sorted(self.points_dir.glob("*.json")):
-            if path.name.endswith(".err.json"):
-                continue
             try:
                 data = json.loads(path.read_text())
                 if data.get("schema_version") != self.schema_version:

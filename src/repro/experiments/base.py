@@ -49,9 +49,9 @@ _FAN_OUT = FanOut()
 def set_campaign_runner(runner: Optional["CampaignRunner"]) -> None:
     """Install (or clear, with ``None``) the campaign runner sweeps use.
 
-    Anything with the runner surface works — ``run_sweep(base, loads,
-    label)`` returning a :class:`~repro.campaign.runner.CampaignSweep`,
-    plus ``store`` and ``registry`` attributes.  In practice that is a
+    Anything with the runner surface works: ``run_sweep(base, loads,
+    label)``, returning an object whose ``.sweep`` is the
+    :class:`~repro.metrics.sweep.SweepResult`.  In practice that is a
     :class:`~repro.campaign.runner.CampaignRunner` (single-host, ``repro
     campaign run``) or a :class:`~repro.campaign.service.runner.
     ServiceRunner` draining points through a distributed campaign service

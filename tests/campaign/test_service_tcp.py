@@ -47,11 +47,7 @@ def reference_store(tmp_path, configs, name="reference"):
 
 
 def artifact_bytes(store):
-    return {
-        p.name: p.read_bytes()
-        for p in store.points_dir.glob("*.json")
-        if not p.name.endswith(".err.json")
-    }
+    return {p.name: p.read_bytes() for p in store.points_dir.glob("*.json")}
 
 
 def assert_bit_identical(store, reference):

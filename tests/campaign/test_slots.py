@@ -1,7 +1,7 @@
 """Persistent point slots: reused across points, still individually killable.
 
 A slot is a long-lived forked process looping over jobs
-(:class:`repro.campaign.runner.SlotPool`).  These tests pin the three
+(:class:`repro.metrics.sweep.SlotPool`).  These tests pin the three
 things that could go wrong when a process outlives its point: slots not
 being reused (or multiplying), a dead or hung slot taking more than its
 own attempt with it, and state leaking from one point into the next.
@@ -21,9 +21,9 @@ import repro
 from repro import faults
 from repro.campaign import CampaignRunner, ResultStore
 from repro.campaign import runner as runner_module
-from repro.campaign.runner import SlotPool
 from repro.config import SimulationConfig, tiny_default
 from repro.experiments.report import render_campaign_status
+from repro.metrics.sweep import SlotPool
 
 SRC = str(pathlib.Path(repro.__file__).parents[1])
 FAST = dict(measure_cycles=300, warmup_cycles=50)
@@ -34,11 +34,7 @@ def counters(runner):
 
 
 def artifact_bytes(store):
-    return {
-        p.name: p.read_bytes()
-        for p in store.points_dir.glob("*.json")
-        if not p.name.endswith(".err.json")
-    }
+    return {p.name: p.read_bytes() for p in store.points_dir.glob("*.json")}
 
 
 def arm(monkeypatch, tmp_path, fault, match=None):
@@ -165,6 +161,26 @@ class TestSlotDeath:
         stats = counters(runner)
         assert stats["campaign/retries"] == 1
         assert stats["campaign/slot_forks"] == 2
+
+
+    def test_an_unpicklable_failure_is_recorded_as_type_and_message(
+        self, tmp_path, monkeypatch
+    ):
+        class Unpicklable(Exception):
+            """Local to this test, so pickle cannot name it."""
+
+        def apply(config):
+            if config.load == 0.6:
+                raise Unpicklable("boom")
+
+        monkeypatch.setattr(runner_module, "_apply_point_faults", apply)
+        base = tiny_default(**FAST)
+        runner = CampaignRunner(tmp_path / "store", retries=0, max_workers=1)
+        out = runner.run_points([base.replace(load=l) for l in self.LOADS])
+        assert sorted(out["completed"]) == [0, 2]
+        (failure,) = out["failures"]
+        assert failure.error == "Unpicklable: boom"
+        assert counters(runner)["campaign/slot_forks"] == 1  # the slot lived
 
 
 class TestOrderIndependence:

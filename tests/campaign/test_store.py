@@ -120,12 +120,6 @@ class TestStore:
         assert not list(store.points_dir.glob(".*.tmp"))
         assert not list(store.root.glob(".*.tmp"))
 
-    def test_error_sidecar_consumed_on_read(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        store.write_error("abc", "RuntimeError: boom", "trace...")
-        assert store.read_error("abc")["error"] == "RuntimeError: boom"
-        assert store.read_error("abc") is None
-
 
 class TestSchemaGuard:
     def test_mismatched_artifact_refused(self, tmp_path):

@@ -10,6 +10,7 @@ deliberately mangled manifest and artifact must be survived, detected and
 counted, not trusted.
 """
 
+import json
 import time
 
 from repro import faults
@@ -138,6 +139,20 @@ class TestManifestRebuild:
         # load_manifest works again and the missing point re-runs
         out = CampaignRunner(store, max_workers=1).run_points(configs)
         assert out["resumed"] == 1 and out["executed"] == 1
+
+    def test_leftover_error_sidecar_is_not_an_artifact(self, tmp_path):
+        """A ``<digest>.err.json`` sidecar, as older code could leave behind
+        after a parent crash, fails the schema check: the rebuild skips it
+        without counting it corrupt, and ``clean()`` removes it."""
+        store, configs = self._campaign(tmp_path)
+        sidecar = store.points_dir / f"{store.digest(configs[0])}.err.json"
+        sidecar.write_text(json.dumps({"error": "RuntimeError: boom", "trace": ""}))
+        rebuilt = store.manifest_rebuild()
+        assert "corrupt_artifacts" not in rebuilt["counters"]
+        assert set(rebuilt["points"]) == {store.digest(c) for c in configs}
+        assert {p["status"] for p in rebuilt["points"].values()} == {"done"}
+        store.clean()
+        assert not sidecar.exists()
 
     def test_rebuild_replays_journal_detail_on_top(self, tmp_path):
         store, configs = self._campaign(tmp_path)

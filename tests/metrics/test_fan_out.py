@@ -140,6 +140,26 @@ def test_a_worker_that_dies_without_a_result_is_an_error(monkeypatch, forks):
     _assert_reaped(forks)
 
 
+def test_an_unpicklable_failure_in_a_slot_names_its_type(monkeypatch, forks):
+    class Unpicklable(Exception):
+        """Local to this test, so pickle cannot name it."""
+
+    real_run_point = sweep_mod.run_point
+
+    def failing(config):
+        if config.load == LOADS[1]:
+            raise Unpicklable("boom")
+        return real_run_point(config)
+
+    monkeypatch.setattr(sweep_mod, "run_point", failing)
+    with pytest.raises(RuntimeError, match="^Unpicklable: boom$") as fanned:
+        fan_out(_with_bad([]), max_workers=2)
+    trace = str(fanned.value.__cause__)
+    assert "Unpicklable" in trace and "in failing" in trace
+    assert len(forks) == 1
+    _assert_reaped(forks)
+
+
 def _counted_detect_passes(monkeypatch):
     passes = []
     detect = DeadlockDetector.detect
