@@ -127,11 +127,11 @@ def _pipeline_cwg(sim: "NetworkSimulator") -> ChannelWaitForGraph:
     """The pipeline's CWG: :meth:`DeadlockDetector.build_cwg` in one walk.
 
     Same chains, requests and request order as ``build_cwg``.  A blocked
-    header on the production engine (position-pure routing) already holds
-    its awaited set as ``wait_keys``: the candidate VC indices, or
-    ``("rx", dest)`` for every reception channel of ``dest``.  Everything
-    else — the legacy engine, keys dropped by a tail release — takes
-    ``build_cwg``'s generic derivation.
+    header on the production engine already holds its awaited set as
+    ``wait_keys``: the candidate VC indices, or ``("rx", dest)`` for every
+    reception channel of ``dest``.  A header without them — every header
+    on the reference engine, which never sets them, and keys dropped by a
+    tail release — takes ``build_cwg``'s generic derivation.
     """
     g = ChannelWaitForGraph()
     owner = g.owner
@@ -139,7 +139,6 @@ def _pipeline_cwg(sim: "NetworkSimulator") -> ChannelWaitForGraph:
     requests = g.requests
     request_from = g.request_from
     rx_range = range(sim.pool.rx_channels)
-    use_keys = sim.fast_path and not sim._uncacheable_routing
     owned = 0
     for msg in sim.active.values():
         vcs = msg.vcs
@@ -155,7 +154,7 @@ def _pipeline_cwg(sim: "NetworkSimulator") -> ChannelWaitForGraph:
         chains[mid] = chain
         if msg.blocked_since is None or not vcs:
             continue
-        keys = msg.wait_keys if use_keys else None
+        keys = msg.wait_keys
         if keys:
             if type(keys[0]) is tuple:
                 targets = [("rx", msg.dest, i) for i in rx_range]
@@ -383,15 +382,13 @@ class DeadlockDetector:
             self._sc_record is not None
             and not self._sc_record.events
             and self._sc_sim() is sim
-            and getattr(sim, "fast_path", False)
-            and not getattr(sim, "_uncacheable_routing", True)
+            and sim.fast_path
             and sim.blocked_epoch == self._sc_epoch
         ):
             self.shortcircuit_passes += 1
             return self._detect_unchanged(sim, cycle)
 
-        obs = getattr(sim, "obs", None)
-        self._obs = obs if obs is not None and obs.enabled else None
+        self._obs = sim.obs if sim.obs.enabled else None
 
         self.full_passes += 1
         if self.caching:
@@ -445,7 +442,7 @@ class DeadlockDetector:
         self.records.append(record)
         self.events.extend(events)
         self._sc_sim = weakref.ref(sim)
-        self._sc_epoch = getattr(sim, "blocked_epoch", -1)
+        self._sc_epoch = sim.blocked_epoch
         self._sc_record = record
         self._sc_blocked = blocked_list
         return record

@@ -12,15 +12,15 @@ the reference's word stream made straight from the C-backed
   when it acquires a resource, and when recovery touches it — the
   allocation phase builds its request list from the flag instead of
   re-deriving eligibility per message per cycle;
-* a blocked header whose candidate set is position-pure registers in a
-  *wake index* (resource key → waiting message ids) and is marked
-  ``stalled``; its allocation attempt is skipped entirely until one of the
-  awaited resources is released, which provably cannot change the outcome
-  (an all-owned candidate set yields no free VC and consumes no RNG).  A
-  *queue head* whose candidate VCs are all owned parks the same way —
-  ``blocked_since`` and the waiting set stay untouched, since those belong
-  to active messages and the reference engine never sets them for queued
-  heads;
+* a blocked header registers its candidate set — a pure function of the
+  relation's ``cache_key`` — in a *wake index* (resource key → waiting
+  message ids) and is marked ``stalled``; its allocation attempt is
+  skipped entirely until one of the awaited resources is released, which
+  provably cannot change the outcome (an all-owned candidate set yields no
+  free VC and consumes no RNG).  A *queue head* whose candidate VCs are
+  all owned parks the same way — ``blocked_since`` and the waiting set
+  stay untouched, since those belong to active messages and the reference
+  engine never sets them for queued heads;
 * a fully-compressed worm (every owned edge buffer full, header blocked)
   is marked ``immobile`` and skipped by the movement phase until it
   acquires a new resource — no flit of such a worm can move;
@@ -62,7 +62,7 @@ derives the activity state of a restored snapshot.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Optional
+from typing import Iterable
 
 from repro.config import SimulationConfig
 from repro.errors import ConfigurationError
@@ -155,20 +155,18 @@ class ProductionEngine(NetworkSimulator):
         self._alloc_quiet = -1
 
     # -- activity bookkeeping ----------------------------------------------------------
-    def _begin_wait(self, msg: Message, keys: Optional[tuple]) -> None:
+    def _begin_wait(self, msg: Message, keys: tuple) -> None:
         """Record a failed allocation attempt in the activity state.
 
-        ``keys`` carries the awaited resource keys on the *first* failure at
-        this position (None when the candidate set is not position-pure);
-        later failures find the registration already in place.  A message
-        with registered keys is marked ``stalled`` and skipped by the
-        allocation phase until one of them is released.
+        The first failure at a position registers the awaited resource
+        ``keys``; later failures find the registration already in place.
+        The message is marked ``stalled`` and skipped by the allocation
+        phase until one of them is released.
         """
         self._waiting[msg.id] = msg
-        if keys is not None and msg.wait_keys is None:
+        if msg.wait_keys is None:
             self._register_wait_keys(msg, keys)
-        if msg.wait_keys is not None:
-            msg.stalled = True
+        msg.stalled = True
 
     def _register_wait_keys(self, msg: Message, keys: tuple) -> None:
         msg.wait_keys = keys
@@ -301,10 +299,9 @@ class ProductionEngine(NetworkSimulator):
         tracer = self._obs_tracer
         cycle = self.cycle
         pool = self.pool
-        routing = self.routing
-        topology = self.topology
         cand_table = self._cands.table
-        cache_key = routing.cache_key
+        cache_key = self.routing.cache_key
+        lookup = self._cands.lookup
         choose = self.selection.choose
         draws = self.draws
         waiting_pop = self._waiting.pop
@@ -347,19 +344,10 @@ class ProductionEngine(NetworkSimulator):
                 continue
             # -- VC branch (routable active mid-route, or queue head) -----
             node = vcs[-1].dst if vcs else msg.src
-            key = cache_key(msg, node)
-            if key is None:
-                self._uncacheable_routing = True
-                cands = routing.candidates(msg, node, topology, pool)
-                idxs = None
-            else:
-                entry = cand_table.get(key)
-                if entry is None:
-                    cands = routing.candidates(msg, node, topology, pool)
-                    idxs = tuple(vc.index for vc in cands)
-                    cand_table[key] = (cands, idxs)
-                else:
-                    cands, idxs = entry
+            entry = cand_table.get(cache_key(msg, node))
+            if entry is None:
+                entry = lookup(msg, node)
+            cands, idxs = entry
             free = [vc for vc in cands if vc.owner is None]
             choice = choose(msg, free, draws) if free else None
             if choice is not None:
@@ -384,10 +372,7 @@ class ProductionEngine(NetworkSimulator):
                         self.blocked_epoch += 1
                     if tracer is not None:
                         tracer.instant("block", msg=msg.id, node=node)
-                keys = None
-                if msg.wait_keys is None and not self._uncacheable_routing:
-                    keys = idxs
-                self._begin_wait(msg, keys)
+                self._begin_wait(msg, idxs)
             else:
                 # Queue-head injection failed: every candidate VC at the
                 # source is owned.  The attempt consumed no RNG and mutated
@@ -396,11 +381,9 @@ class ProductionEngine(NetworkSimulator):
                 # (blocked_since and the waiting set stay untouched: those
                 # are active-message state the reference never sets for
                 # queue heads).
-                if msg.wait_keys is not None:
-                    msg.stalled = True
-                elif idxs is not None and not self._uncacheable_routing:
+                if msg.wait_keys is None:
                     self._register_wait_keys(msg, idxs)
-                    msg.stalled = True
+                msg.stalled = True
         self._alloc_quiet = -1 if serves else len(requests)
         self.vec_stall_skips += len(requests) - serves
 

@@ -136,6 +136,7 @@ class NetworkSimulator:
             rx_channels=config.rx_channels,
         )
         self.routing = make_routing(config.routing)
+        # the routing contract's one check: a pair it refuses never runs
         self.routing.validate(self.topology, self.pool)
         self.selection = make_selection(config.selection)
         self.recovery: RecoveryPolicy = make_recovery(config.recovery)
@@ -217,10 +218,6 @@ class NetworkSimulator:
         #: monotone counter of ownership / blocked-set transitions; the
         #: detector short-circuits a pass when it has not advanced
         self.blocked_epoch = 0
-        #: set True the first time the routing relation declines memoization
-        #: (cache_key None); disables stall-skipping and detector
-        #: short-circuiting, whose proofs rely on position-pure candidates
-        self._uncacheable_routing = False
 
     # -- queries used by the detector and tests -----------------------------------
     def active_messages(self) -> Iterable[Message]:
@@ -234,16 +231,11 @@ class NetworkSimulator:
 
         Memoized by the relation's :meth:`cache_key` in the shared
         :class:`~repro.routing.batch.CandidateTable`: a blocked header
-        requests the same set every cycle, and the candidate set is a pure
-        function of position for every built-in relation (the profile
-        showed candidate recomputation dominating saturated runs).
+        requests the same set every cycle, and the key names everything the
+        candidate set reads (the profile showed candidate recomputation
+        dominating saturated runs).
         """
-        node = message.head_node
-        entry = self._cands.lookup(message, node)
-        if entry is None:
-            self._uncacheable_routing = True
-            return self.routing.candidates(message, node, self.topology, self.pool)
-        return entry[0]
+        return self._cands.lookup(message, message.head_node)[0]
 
     @property
     def messages_in_network(self) -> int:

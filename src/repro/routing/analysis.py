@@ -62,8 +62,10 @@ def channel_dependency_graph(
     message travelling src→dest may occupy ``u`` at some hop and ``v`` is a
     candidate for its next hop.  All candidate branches are explored
     (breadth-first over (node, held-VC) states), so adaptive relations are
-    covered exactly.
+    covered exactly.  A pair the relation is not defined for raises
+    :class:`~repro.errors.RoutingError` (:meth:`RoutingFunction.validate`).
     """
+    routing.validate(topology, pool)
     if max_hops is None:
         max_hops = 4 * topology.num_nodes  # generous loop guard
     arcs: set[tuple[int, int]] = set()
@@ -194,8 +196,13 @@ def is_connected_routing(
     progress possible (the CWG-knot equivalence assumes blocked messages
     always have *some* requestable resource).  Routing functions in this
     package raise :class:`~repro.errors.RoutingError` on empty candidate
-    sets, so this checker doubles as an exhaustive probe of that guard.
+    sets, so this checker doubles as an exhaustive probe of that guard.  A
+    pair :meth:`RoutingFunction.validate` refuses is not connected either.
     """
+    try:
+        routing.validate(topology, pool)
+    except RoutingError:
+        return False
     probe = Message(0, 0, 1, 2, 0)
     for src in range(topology.num_nodes):
         for dest in range(topology.num_nodes):

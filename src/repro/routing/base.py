@@ -36,6 +36,12 @@ class RoutingFunction:
     pair with remaining distance, it supplies at least one candidate VC.
     Connectivity is what makes the knot criterion exact (Warnakulasuriya &
     Pinkston, TR CENG 97-05).
+
+    The contract is two declarations, both enforced once by
+    :meth:`validate` when the simulator is built: :attr:`topology_class`,
+    the topologies the relation routes, and :meth:`cache_key`, which names
+    everything ``candidates`` reads.  ``candidates`` itself may then assume
+    a topology of its class.
     """
 
     #: short name used in reports and experiment labels
@@ -44,25 +50,37 @@ class RoutingFunction:
     deadlock_free: bool = False
     #: minimum virtual channels per physical channel the algorithm requires
     min_vcs: int = 1
+    #: the topology class the relation routes; :meth:`validate` refuses others
+    topology_class: type[Topology] = Topology
 
     def cache_key(self, message: Message, node: int):
-        """Hashable key under which :meth:`candidates` may be memoized.
+        """Hashable key naming everything :meth:`candidates` reads.
 
-        Candidate sets are pure functions of the message's position and
-        destination for most relations, so the engine caches them (a
-        blocked header re-requests the same set every cycle).  Relations
-        whose candidates depend on more state override this; returning
-        ``None`` disables caching.
+        The engines memoize candidate sets under it (a blocked header
+        re-requests the same set every cycle), and both engines and the
+        detector read that one memo, so two positions with equal keys must
+        have equal candidate sets.  Relations whose candidates read more
+        than the node and the destination override this to add it.
         """
         return (node, message.dest)
 
     def validate(self, topology: Topology, pool: ChannelPool) -> None:
-        """Reject configurations the algorithm is not defined for."""
-        if pool.num_vcs < self.min_vcs:
+        """Refuse a topology or VC count the relation is not defined for."""
+        if not isinstance(topology, self.topology_class):
             raise RoutingError(
-                f"{self.name} requires >= {self.min_vcs} virtual channels, "
-                f"got {pool.num_vcs}"
+                f"{self.name} is defined for {self.topology_class.__name__} "
+                f"topologies, got {type(topology).__name__}"
             )
+        required = self.vcs_required(topology)
+        if pool.num_vcs < required:
+            raise RoutingError(
+                f"{self.name} requires >= {required} virtual channels on "
+                f"this topology, got {pool.num_vcs}"
+            )
+
+    def vcs_required(self, topology: Topology) -> int:
+        """Virtual channels per physical channel needed on ``topology``."""
+        return self.min_vcs
 
     # -- helpers shared by subclasses ------------------------------------------
     @staticmethod

@@ -1,12 +1,11 @@
-"""The engine's candidate memo for position-pure routing relations.
+"""The engine's candidate memo, keyed by each relation's ``cache_key``.
 
-Every built-in relation (DOR, TFAR and friends) exposes a
-:meth:`~repro.routing.base.RoutingRelation.cache_key` making its candidate
-set a pure function of message position.  :class:`CandidateTable` is the
-one memo every consumer shares — the allocate loops,
-:meth:`NetworkSimulator.route_candidates` and through it the detector's
-CWG rebuild — so a position is routed once per run, not once per reader.
-Per key it holds:
+Every relation names in :meth:`~repro.routing.base.RoutingFunction.cache_key`
+everything its ``candidates`` reads, so a candidate set is a pure function
+of that key.  :class:`CandidateTable` is the one memo every consumer
+shares — the allocate loops, :meth:`NetworkSimulator.route_candidates` and
+through it the detector's CWG rebuild — so a position is routed once per
+run, not once per reader.  Per key it holds:
 
 * the candidate VC objects (for the serve loop), and
 * their global indices as a ready-made tuple (the production engine's
@@ -19,13 +18,13 @@ so contents equal an unmemoized query by construction.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.network.channels import ChannelPool
     from repro.network.message import Message
     from repro.network.topology import Topology
-    from repro.routing.base import RoutingRelation
+    from repro.routing.base import RoutingFunction
 
 __all__ = ["CandidateTable"]
 
@@ -35,7 +34,7 @@ class CandidateTable:
 
     def __init__(
         self,
-        routing: "RoutingRelation",
+        routing: "RoutingFunction",
         topology: "Topology",
         pool: "ChannelPool",
     ) -> None:
@@ -46,15 +45,9 @@ class CandidateTable:
         #: directly to spare a call per request
         self.table: dict = {}
 
-    def lookup(self, message: "Message", node: int) -> Optional[tuple]:
-        """``(candidates, index_tuple)`` for the message's position.
-
-        Returns None when the relation declines memoization (``cache_key``
-        None) — the caller falls back to a direct relation call.
-        """
+    def lookup(self, message: "Message", node: int) -> tuple:
+        """``(candidates, index_tuple)`` for the message's position."""
         key = self.routing.cache_key(message, node)
-        if key is None:
-            return None
         entry = self.table.get(key)
         if entry is None:
             cands = self.routing.candidates(

@@ -16,7 +16,7 @@ from __future__ import annotations
 from repro.errors import RoutingError
 from repro.network.channels import ChannelPool, VirtualChannel
 from repro.network.message import Message
-from repro.network.topology import KAryNCube, Topology
+from repro.network.topology import IrregularTorus, KAryNCube, Topology
 from repro.routing.base import RoutingFunction
 
 __all__ = ["DimensionOrderRouting"]
@@ -27,20 +27,29 @@ class DimensionOrderRouting(RoutingFunction):
 
     name = "DOR"
     deadlock_free = False
+    topology_class = KAryNCube
+
+    def validate(self, topology: Topology, pool: ChannelPool) -> None:
+        super().validate(topology, pool)
+        if isinstance(topology, IrregularTorus):
+            raise RoutingError(
+                "the DOR family (dor, dor-dateline, duato's escape) routes one "
+                "path per pair, with no detour around a failed link; route a "
+                "failed-link torus with tfar or tfar-mis"
+            )
 
     def candidates(
         self,
         message: Message,
         node: int,
-        topology: Topology,
+        topology: KAryNCube,
         pool: ChannelPool,
     ) -> list[VirtualChannel]:
-        if not isinstance(topology, KAryNCube):
-            raise RoutingError("DOR is defined for k-ary n-cube topologies")
         link = self._next_link(message, node, topology)
         return self._require_progress(message, node, pool.vcs_of_link(link))
 
-    def _next_link(self, message: Message, node: int, topology: KAryNCube):
+    @staticmethod
+    def _next_link(message: Message, node: int, topology: KAryNCube):
         productive = topology.productive_directions(node, message.dest)
         if not productive:
             raise RoutingError(

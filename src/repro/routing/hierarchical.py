@@ -28,7 +28,7 @@ from __future__ import annotations
 from repro.errors import RoutingError
 from repro.network.channels import ChannelPool, VirtualChannel
 from repro.network.message import Message
-from repro.network.topology import Dragonfly, FullMesh, Topology
+from repro.network.topology import Dragonfly, FullMesh
 from repro.routing.base import RoutingFunction
 
 __all__ = [
@@ -57,11 +57,7 @@ class DragonflyMinimal(RoutingFunction):
 
     name = "df-min"
     deadlock_free = False
-
-    def validate(self, topology: Topology, pool: ChannelPool) -> None:
-        super().validate(topology, pool)
-        if not isinstance(topology, Dragonfly):
-            raise RoutingError(f"{self.name} is defined for dragonfly topologies")
+    topology_class = Dragonfly
 
     def _minimal_links(self, dest: int, node: int, topology: Dragonfly):
         g = topology.group_of(node)
@@ -95,11 +91,9 @@ class DragonflyMinimal(RoutingFunction):
         self,
         message: Message,
         node: int,
-        topology: Topology,
+        topology: Dragonfly,
         pool: ChannelPool,
     ) -> list[VirtualChannel]:
-        if not isinstance(topology, Dragonfly):
-            raise RoutingError(f"{self.name} is defined for dragonfly topologies")
         out: list[VirtualChannel] = []
         for link in self._minimal_links(message.dest, node, topology):
             out.extend(pool.vcs_of_link(link))
@@ -130,11 +124,9 @@ class DragonflyValiant(DragonflyMinimal):
         self,
         message: Message,
         node: int,
-        topology: Topology,
+        topology: Dragonfly,
         pool: ChannelPool,
     ) -> list[VirtualChannel]:
-        if not isinstance(topology, Dragonfly):
-            raise RoutingError(f"{self.name} is defined for dragonfly topologies")
         g = topology.group_of(node)
         gd = topology.group_of(message.dest)
         gs = topology.group_of(message.src)
@@ -165,21 +157,15 @@ class FullMeshDirect(RoutingFunction):
 
     name = "fm-direct"
     deadlock_free = True
-
-    def validate(self, topology: Topology, pool: ChannelPool) -> None:
-        super().validate(topology, pool)
-        if not isinstance(topology, FullMesh):
-            raise RoutingError(f"{self.name} is defined for full-mesh topologies")
+    topology_class = FullMesh
 
     def candidates(
         self,
         message: Message,
         node: int,
-        topology: Topology,
+        topology: FullMesh,
         pool: ChannelPool,
     ) -> list[VirtualChannel]:
-        if not isinstance(topology, FullMesh):
-            raise RoutingError(f"{self.name} is defined for full-mesh topologies")
         if node == message.dest:
             raise RoutingError(
                 f"message {message.id} routed at its destination node {node}"
@@ -211,11 +197,9 @@ class FullMeshMisroute(FullMeshDirect):
         self,
         message: Message,
         node: int,
-        topology: Topology,
+        topology: FullMesh,
         pool: ChannelPool,
     ) -> list[VirtualChannel]:
-        if not isinstance(topology, FullMesh):
-            raise RoutingError(f"{self.name} is defined for full-mesh topologies")
         if node == message.dest:
             raise RoutingError(
                 f"message {message.id} routed at its destination node {node}"

@@ -13,10 +13,9 @@ Defined for meshes only (wraparound links would reintroduce ring cycles).
 
 from __future__ import annotations
 
-from repro.errors import RoutingError
 from repro.network.channels import ChannelPool, VirtualChannel
 from repro.network.message import Message
-from repro.network.topology import Mesh, Topology
+from repro.network.topology import Mesh
 from repro.routing.base import RoutingFunction
 
 __all__ = ["NegativeFirstRouting"]
@@ -27,22 +26,15 @@ class NegativeFirstRouting(RoutingFunction):
 
     name = "negative-first"
     deadlock_free = True
-    min_vcs = 1
-
-    def validate(self, topology: Topology, pool: ChannelPool) -> None:
-        if not isinstance(topology, Mesh):
-            raise RoutingError("the turn model is defined for meshes only")
-        super().validate(topology, pool)
+    topology_class = Mesh
 
     def candidates(
         self,
         message: Message,
         node: int,
-        topology: Topology,
+        topology: Mesh,
         pool: ChannelPool,
     ) -> list[VirtualChannel]:
-        if not isinstance(topology, Mesh):
-            raise RoutingError("the turn model is defined for meshes only")
         productive = topology.productive_directions(node, message.dest)
         negative = [(d, s) for d, s in productive if s < 0]
         phase = negative if negative else productive

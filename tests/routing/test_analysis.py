@@ -2,11 +2,13 @@
 
 import pytest
 
+from repro.errors import RoutingError
 from repro.network.channels import ChannelPool
-from repro.network.topology import KAryNCube, Mesh
+from repro.network.topology import FullMesh, IrregularTorus, KAryNCube, Mesh
 from repro.routing import (
     DatelineDOR,
     DimensionOrderRouting,
+    DragonflyMinimal,
     DuatoProtocolRouting,
     NegativeFirstRouting,
     TrueFullyAdaptiveRouting,
@@ -149,3 +151,33 @@ class TestConnectivity:
         torus = KAryNCube(4, 2)
         pool = ChannelPool(torus, 1, 2)
         assert not is_connected_routing(BrokenRouting(), torus, pool)
+
+
+class TestMismatchedPairs:
+    """The analysis entry points refuse a relation on a topology it is not
+    defined for, as the simulator does when it is built."""
+
+    @pytest.fixture(
+        params=[
+            (NegativeFirstRouting, lambda: KAryNCube(4, 2)),
+            (DimensionOrderRouting, lambda: FullMesh(6)),
+            (DragonflyMinimal, lambda: Mesh(3, 2)),
+            (DimensionOrderRouting, lambda: IrregularTorus(4, 2, [(0, 1)])),
+        ],
+        ids=["nf-torus", "dor-fullmesh", "dfmin-mesh", "dor-failed-links"],
+    )
+    def pair(self, request):
+        routing_cls, make_topology = request.param
+        topology = make_topology()
+        return routing_cls(), topology, ChannelPool(topology, 1, 2)
+
+    def test_cdg_raises(self, pair):
+        with pytest.raises(RoutingError):
+            channel_dependency_graph(*pair)
+
+    def test_certification_raises(self, pair):
+        with pytest.raises(RoutingError):
+            certify_deadlock_free(*pair)
+
+    def test_not_connected(self, pair):
+        assert not is_connected_routing(*pair)

@@ -67,11 +67,10 @@ def dropped_wait_target(monkeypatch):
 
     def dropping(sim):
         g = real(sim)
-        if sim.fast_path and not sim._uncacheable_routing:
-            for mid, targets in g.requests.items():
-                if sim.message_by_id(mid).wait_keys:
-                    g.requests[mid] = targets[:-1]
-                    break
+        for mid, targets in g.requests.items():
+            if sim.message_by_id(mid).wait_keys:
+                g.requests[mid] = targets[:-1]
+                break
         return g
 
     monkeypatch.setattr(detector, "_pipeline_cwg", dropping)
