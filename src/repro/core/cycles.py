@@ -27,6 +27,18 @@ summing yields the exact same ``CycleCount`` as one global enumeration.
 The same order independence lets :func:`count_cycles_contracted` visit
 SCCs in its own order and still return the identical ``CycleCount``.
 
+The order of Johnson's *start vertices* is free for the same reason: the
+count does not depend on it, but the running time does, by up to a few
+times on a saturated network's SCCs — both the time to reach the cap and,
+below it, the total search.  :func:`count_cycles_contracted` starts at
+the hubs: descending in-degree × out-degree within the re-contracted SCC
+(:func:`_hubs_first`), which on the saturated 16-ary census passes and on
+a FIG8 virtual cut-through snapshot beat both the natural order and
+either degree alone (docs/PERFORMANCE.md).  :func:`count_simple_cycles`
+keeps ascending vertex order, so the two sides of every differential net
+search in different orders and an order-dependent fault in the shared
+kernel shows as a mismatch.
+
 :func:`count_cycles_contracted` counts the cycles of a multigraph that
 stands for a larger graph (a :class:`ContractedGraph`): every original
 simple cycle corresponds 1:1 to a multigraph cycle (parallel arcs
@@ -88,11 +100,8 @@ def _johnson_scc(
 ) -> int:
     """Count simple cycles within one SCC (vertices already pre-restricted).
 
-    Iterative Johnson: each explicit frame is ``[vertex, successor index,
-    found-a-cycle flag]``, mirroring the recursive formulation exactly —
-    the enumeration order (and therefore any ``collect`` output) is
-    identical to the recursive algorithm's.  ``vertices`` is the order
-    start vertices are processed in; the *count* does not depend on it.
+    ``vertices`` is the order start vertices are processed in; the *count*
+    does not depend on it, the running time does (module docstring).
 
     ``adj`` may be a multigraph (duplicate successors): parallel arcs into
     the start vertex each close a distinct cycle, and parallel arcs
@@ -104,65 +113,93 @@ def _johnson_scc(
     # by one start vertex per round.
     allowed = set(vertices)
     count = 0
-
     for s in vertices:
         if budget.left <= 0:
             break
-        blocked = {s}
-        blist: dict[Vertex, set[Vertex]] = {}
-        path: list[Vertex] = [s]
-        stack: list[list] = [[s, 0, False]]
-
-        while stack:
-            frame = stack[-1]
-            v = frame[0]
-            succs = adj.get(v, ())
-            descended = False
-            while frame[1] < len(succs):
-                w = succs[frame[1]]
-                frame[1] += 1
-                if w not in allowed or w == v:
-                    continue  # self-loops are counted separately
-                if w == s:
-                    count += 1
-                    budget.left -= 1
-                    if collect is not None:
-                        collect.append(list(path))
-                    frame[2] = True
-                    if budget.left <= 0:
-                        return count  # cap hit: abandon all bookkeeping
-                elif w not in blocked:
-                    stack.append([w, 0, False])
-                    path.append(w)
-                    blocked.add(w)
-                    descended = True
-                    break
-            if descended:
-                continue
-            # Frame exhausted: retire it, propagating the found flag.
-            if frame[2]:
-                unstack = [v]
-                while unstack:
-                    u = unstack.pop()
-                    if u in blocked:
-                        blocked.discard(u)
-                        waiting = blist.pop(u, None)
-                        if waiting:
-                            unstack.extend(waiting)
-            else:
-                for w in succs:
-                    if w in allowed:
-                        waiting = blist.get(w)
-                        if waiting is None:
-                            blist[w] = {v}
-                        else:
-                            waiting.add(v)
-            path.pop()
-            stack.pop()
-            if stack and frame[2]:
-                stack[-1][2] = True
+        count += _johnson_round(adj, s, allowed, budget, collect)
         allowed.discard(s)
     return count
+
+
+def _johnson_round(
+    adj: Mapping[Vertex, Sequence[Vertex]],
+    s: Vertex,
+    allowed: set[Vertex],
+    budget: _Budget,
+    collect: list[list[Vertex]] | None,
+) -> int:
+    """One round of Johnson: the cycles through ``s`` within ``allowed``.
+
+    Iterative: each explicit frame is ``[vertex, successor index,
+    found-a-cycle flag]``, mirroring the recursive formulation exactly —
+    the enumeration order (and therefore any ``collect`` output) is
+    identical to the recursive algorithm's.
+    """
+    count = 0
+    blocked = {s}
+    blist: dict[Vertex, set[Vertex]] = {}
+    path: list[Vertex] = [s]
+    stack: list[list] = [[s, 0, False]]
+
+    while stack:
+        frame = stack[-1]
+        v = frame[0]
+        succs = adj.get(v, ())
+        descended = False
+        while frame[1] < len(succs):
+            w = succs[frame[1]]
+            frame[1] += 1
+            if w not in allowed or w == v:
+                continue  # self-loops are counted separately
+            if w == s:
+                count += 1
+                budget.left -= 1
+                if collect is not None:
+                    collect.append(list(path))
+                frame[2] = True
+                if budget.left <= 0:
+                    return count  # cap hit: abandon all bookkeeping
+            elif w not in blocked:
+                stack.append([w, 0, False])
+                path.append(w)
+                blocked.add(w)
+                descended = True
+                break
+        if descended:
+            continue
+        # Frame exhausted: retire it, propagating the found flag.
+        if frame[2]:
+            unstack = [v]
+            while unstack:
+                u = unstack.pop()
+                if u in blocked:
+                    blocked.discard(u)
+                    waiting = blist.pop(u, None)
+                    if waiting:
+                        unstack.extend(waiting)
+        else:
+            for w in succs:
+                if w in allowed:
+                    waiting = blist.get(w)
+                    if waiting is None:
+                        blist[w] = {v}
+                    else:
+                        waiting.add(v)
+        path.pop()
+        stack.pop()
+        if stack and frame[2]:
+            stack[-1][2] = True
+    return count
+
+
+def _hubs_first(succ: Mapping[Vertex, Sequence[Vertex]]) -> list[Vertex]:
+    """Johnson's start order for a contracted SCC: in-degree × out-degree,
+    descending, ties in ``succ``'s own order (``sorted`` is stable)."""
+    indeg = dict.fromkeys(succ, 0)
+    for targets in succ.values():
+        for w in targets:
+            indeg[w] += 1
+    return sorted(succ, key=lambda v: -indeg[v] * len(succ[v]))
 
 
 def _count(
@@ -327,7 +364,8 @@ def count_cycles_contracted(
     Every other cycle lies inside one non-trivial SCC; restricting the
     adjacency to that component deletes the arcs leaving it, which turns
     most members back into pass-through vertices, so the component is
-    contracted *again* and Johnson walks only what still branches.
+    contracted *again* and Johnson walks only what still branches,
+    starting at its hubs (module docstring).
     """
     if limit < 1:
         return CycleCount(0, True)
@@ -349,5 +387,5 @@ def count_cycles_contracted(
         inner = contract_graph(sub)
         _charge_whole_cycles(inner, budget)
         if len(inner.succ) > 1:
-            _johnson_scc(inner.succ, list(inner.succ), budget, None)
+            _johnson_scc(inner.succ, _hubs_first(inner.succ), budget, None)
     return CycleCount(limit - budget.left, budget.left <= 0)

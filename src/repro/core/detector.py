@@ -19,11 +19,14 @@ With ``detector_caching`` on (the default) every pass runs
 the CWG, :func:`~repro.core.cwg.worm_graph`, rather than on its vertices:
 one node per message that owns resources, one arc ``m -> owner(t)`` per
 request target ``t`` of a blocked ``m``, and ``None`` for a free target.
-A saturated 16-ary CWG has ~900 vertices
-but only ~210 worms, and its front end (:func:`_pipeline_cwg`) fills the
-CWG in one walk over the active messages, reading each blocked header's
-awaited set from the production engine's wait index instead of asking the
-routing relation again.
+A saturated 16-ary CWG has ~900 vertices but only ~210 worms, and the
+front end (:func:`_worm_snapshot`) never builds the vertex-level graph:
+one walk over the active messages reads each blocked header's awaited set
+from the production engine's wait index (instead of asking the routing
+relation again) and each arc's owner straight off the channel object
+(``pool.vcs[t].owner``, or the reception channel's), with no owner dict
+in between.  It counts the CWG's vertices and arcs on the way, and builds
+a message's chain only when a knot or a resource set asks for it.
 
 Why the quotient is exact.  In a CWG a non-head vertex has exactly one
 arc (the solid arc to the next VC of its chain), and dashed arcs leave
@@ -77,7 +80,9 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import TYPE_CHECKING, Hashable, Mapping, Optional, Sequence
+from typing import (
+    TYPE_CHECKING, Callable, Hashable, Mapping, Optional, Sequence,
+)
 
 from repro.core.cwg import ChannelWaitForGraph, worm_graph
 from repro.core.cycles import (
@@ -123,64 +128,113 @@ def _knot_key(knot: frozenset[Vertex]):
     return min(map(_vertex_key, knot))
 
 
-def _pipeline_cwg(sim: "NetworkSimulator") -> ChannelWaitForGraph:
-    """The pipeline's CWG: :meth:`DeadlockDetector.build_cwg` in one walk.
+@dataclass
+class WormSnapshot:
+    """What a pipeline pass reads of the network: the worm multigraph
+    (module docstring) plus the CWG's sizes, with no vertex-level graph.
 
-    Same chains, requests and request order as ``build_cwg``.  A blocked
-    header on the production engine already holds its awaited set as
-    ``wait_keys``: the candidate VC indices, or ``("rx", dest)`` for every
-    reception channel of ``dest``.  A header without them — every header
-    on the reference engine, which never sets them, and keys dropped by a
-    tail release — takes ``build_cwg``'s generic derivation.
+    ``succ`` equals :func:`~repro.core.cwg.worm_graph` of the pass's CWG and
+    ``requests`` its ``requests``, both in ``build_cwg``'s order.  Chains
+    are built by ``chain`` only for the messages a knot or a resource set
+    asks for.
     """
-    g = ChannelWaitForGraph()
-    owner = g.owner
-    chains = g.chains
-    requests = g.requests
-    request_from = g.request_from
-    rx_range = range(sim.pool.rx_channels)
-    owned = 0
-    for msg in sim.active.values():
+
+    succ: dict[int, Sequence]  #: message -> owners of its targets (None: free)
+    requests: dict[int, list]  #: blocked message -> its targets, in order
+    chain: Callable[[int], list]  #: message -> its owned chain, tail to head
+    vertices: int  #: CWG vertices: owned ones plus distinct free targets
+    arcs: int  #: CWG arcs: solid plus dashed
+
+
+def _chain_of(msg) -> list:
+    """``msg``'s owned chain as ``build_cwg`` lists it, tail to head."""
+    chain: list[Vertex] = [vc.index for vc in msg.vcs]
+    rx = msg.reception
+    if rx is not None:
+        chain.append(("rx", msg.dest, rx.index))
+    return chain
+
+
+def _worm_snapshot(sim: "NetworkSimulator") -> WormSnapshot:
+    """The pipeline's front end: the worm multigraph in one walk over the
+    active messages, each arc's owner read off the channel object itself.
+
+    Same arcs, requests and request order as ``worm_graph(build_cwg(sim))``.
+    A blocked header on the production engine already holds its awaited
+    set as ``wait_keys``: the candidate VC indices, or ``("rx", dest)`` for
+    every reception channel of ``dest``.  A header without them — every
+    header on the reference engine, which never sets them, and keys
+    dropped by a tail release — takes ``build_cwg``'s generic derivation.
+    """
+    pool = sim.pool
+    vc_table = pool.vcs
+    rx_groups = pool.reception_groups
+    rx_range = range(pool.rx_channels)
+    active = sim.active
+    succ: dict[int, Sequence] = {}
+    requests: dict[int, list] = {}
+    free: set[Vertex] = set()
+    foreign = None  # a channel listed in a chain it is not owned by
+    owned = dashed = 0
+    for msg in active.values():
         vcs = msg.vcs
-        chain: list[Vertex] = [vc.index for vc in vcs]
         rx = msg.reception
-        if rx is not None:
-            chain.append(("rx", msg.dest, rx.index))
-        if not chain:
-            continue
         mid = msg.id
-        owner.update(dict.fromkeys(chain, mid))
-        owned += len(chain)
-        chains[mid] = chain
+        for vc in vcs:
+            if vc.owner != mid:
+                foreign = vc
+        if rx is not None:
+            if rx.owner != mid:
+                foreign = rx
+            owned += 1
+        elif not vcs:
+            continue
+        owned += len(vcs)
+        succ[mid] = ()
         if msg.blocked_since is None or not vcs:
             continue
         keys = msg.wait_keys
         if keys:
             if type(keys[0]) is tuple:
-                targets = [("rx", msg.dest, i) for i in rx_range]
+                dest = msg.dest
+                targets = [("rx", dest, i) for i in rx_range]
+                arcs = [ch.owner for ch in rx_groups[dest]]
             else:
                 targets = list(keys)
+                arcs = [vc_table[t].owner for t in keys]
         elif not sim.routing_eligible(msg):
             continue
         elif msg.needs_next_vc:
-            targets = [vc.index for vc in sim.route_candidates(msg)]
+            cands = sim.route_candidates(msg)
+            targets = [vc.index for vc in cands]
+            arcs = [vc.owner for vc in cands]
         elif msg.needs_reception:
-            targets = [("rx", msg.dest, i) for i in rx_range]
+            dest = msg.dest
+            targets = [("rx", dest, i) for i in rx_range]
+            arcs = [ch.owner for ch in rx_groups[dest]]
         else:
             continue
         if not targets:
             raise SimulationError(f"blocked message {mid} waits on nothing")
         requests[mid] = targets
-        request_from[mid] = chain[-1]
-    if len(owner) != owned:
-        # two chains share a vertex: build_cwg names the offending pair
+        succ[mid] = arcs
+        dashed += len(targets)
+        if None in arcs:
+            free.update([t for t, o in zip(targets, arcs) if o is None])
+    if foreign is not None:
+        # build_cwg names the pair when two chains share the channel
         DeadlockDetector.build_cwg(sim)
-        raise SimulationError("an ownership chain repeats a vertex")
-    for targets in requests.values():
-        for t in targets:
-            if t not in owner:
-                owner[t] = None
-    return g
+        raise SimulationError(
+            f"{foreign!r} sits in a chain it is not owned by: "
+            "exclusive ownership violated"
+        )
+    return WormSnapshot(
+        succ=succ,
+        requests=requests,
+        chain=lambda m: _chain_of(active[m]),
+        vertices=owned + len(free),
+        arcs=owned - len(succ) + dashed,
+    )
 
 
 def granularity_verdicts(
@@ -392,17 +446,20 @@ class DeadlockDetector:
 
         self.full_passes += 1
         if self.caching:
-            g = _pipeline_cwg(sim)
-            events, cycle_count = self._analyze_pipeline(g, cycle)
+            snap = _worm_snapshot(sim)
+            events, cycle_count = self._analyze_pipeline(snap, cycle)
+            blocked_list = list(snap.requests)
+            vertices, arcs = snap.vertices, snap.arcs
         else:
             g = self.build_cwg(sim)
             events, cycle_count = self._analyze_reference(g, cycle)
+            blocked_list = g.blocked_messages()
+            vertices, arcs = g.num_vertices, g.num_arcs
 
         all_deadlocked: set[int] = set()
         for event in events:
             all_deadlocked.update(event.deadlock_set)
 
-        blocked_list = g.blocked_messages()
         if self._obs is not None:
             self._observe_pass(len(blocked_list), len(events))
         blocked_durations: list[tuple[int, int, bool]] = []
@@ -431,8 +488,8 @@ class DeadlockDetector:
         record = DetectionRecord(
             cycle=cycle,
             events=events,
-            cwg_vertices=g.num_vertices,
-            cwg_arcs=g.num_arcs,
+            cwg_vertices=vertices,
+            cwg_arcs=arcs,
             blocked_messages=len(blocked_list),
             messages_in_network=sim.messages_in_network,
             cycle_count=cycle_count,
@@ -493,10 +550,10 @@ class DeadlockDetector:
     # -- analysis ---------------------------------------------------------------------
     def _knot_event(
         self,
-        g: ChannelWaitForGraph,
         succ: Mapping[int, Sequence],
         knot: frozenset[Vertex],
         deadlock_set: frozenset[int],
+        resource_set: frozenset[Vertex],
         density: CycleCount,
         cycle: int,
     ) -> DeadlockEvent:
@@ -506,7 +563,7 @@ class DeadlockDetector:
             cycle=cycle,
             knot=knot,
             deadlock_set=deadlock_set,
-            resource_set=frozenset(g.resources_of(deadlock_set)),
+            resource_set=resource_set,
             knot_cycle_density=density.count,
             density_saturated=density.saturated,
             dependent=deps,
@@ -527,7 +584,12 @@ class DeadlockDetector:
             deadlock_set = frozenset(g.messages_owning(knot))
             events.append(
                 self._knot_event(
-                    g, succ, knot, deadlock_set, self._knot_density(sub), cycle
+                    succ,
+                    knot,
+                    deadlock_set,
+                    frozenset(g.resources_of(deadlock_set)),
+                    self._knot_density(sub),
+                    cycle,
                 )
             )
         if self._obs is not None:
@@ -542,7 +604,7 @@ class DeadlockDetector:
         return events, census
 
     def _analyze_pipeline(
-        self, g: ChannelWaitForGraph, cycle: int
+        self, snap: WormSnapshot, cycle: int
     ) -> tuple[list[DeadlockEvent], Optional[CycleCount]]:
         """Events and census on the worm multigraph (module docstring).
 
@@ -554,9 +616,9 @@ class DeadlockDetector:
         obs = self._obs
         prof = obs.profiler if obs is not None else None
         t0 = perf_counter() if prof is not None else 0.0
-        chains = g.chains
-        requests = g.requests
-        succ = worm_graph(g)
+        requests = snap.requests
+        chain_of = snap.chain
+        succ = snap.succ
         sccs = strongly_connected_components(succ)
         knots = []
         for comp in sccs:
@@ -569,30 +631,41 @@ class DeadlockDetector:
                 members = set(comp)
                 if not all(w in members for m in comp for w in succ[m]):
                     continue
-            # the knot enters each member chain at its earliest targeted VC
+            # the knot enters each member chain at its earliest targeted
+            # VC; every member is targeted, so ``chains`` ends up holding
+            # exactly the deadlock set's chains
+            chains: dict[int, list] = {}
             first: dict[int, int] = {}
             for m in comp:
                 for t, o in zip(requests[m], succ[m]):
-                    p = chains[o].index(t)
+                    chain = chains.get(o)
+                    if chain is None:
+                        chains[o] = chain = chain_of(o)
+                    p = chain.index(t)
                     if p < first.get(o, p + 1):
                         first[o] = p
             knot: set[Vertex] = set()
+            resources: set[Vertex] = set()
             for m, p in first.items():
-                knot.update(chains[m][p:])
+                chain = chains[m]
+                knot.update(chain[p:])
+                resources.update(chain)
             # frozen from sets: a frozenset copied from a set is sized to
             # it, and every record keeps its events for the whole run
-            knots.append((frozenset(knot), frozenset(members), comp))
+            knots.append(
+                (frozenset(knot), frozenset(members), frozenset(resources), comp)
+            )
         knots.sort(key=lambda k: _knot_key(k[0]))
         events = [
             self._knot_event(
-                g,
                 succ,
                 knot,
                 deadlock_set,
+                resource_set,
                 self._worm_density(succ, comp, len(knot)),
                 cycle,
             )
-            for knot, deadlock_set, comp in knots
+            for knot, deadlock_set, resource_set, comp in knots
         ]
         if obs is not None:
             self._verdicts = granularity_verdicts(succ, sccs, len(events))

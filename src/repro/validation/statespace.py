@@ -284,18 +284,13 @@ def snapshot_state(sim: NetworkSimulator) -> CanonicalState:
                 msg.head_arrival is not None,
             )
         )
-    queues = []
-    for q in sim.queues:
-        entries = list(q)
-        # canonical form of the engine's lazy queue-head collection: done or
-        # fully-injected heads are popped at the next allocation phase
-        # before any behavioural effect, so drop them here
-        while entries and (entries[0].is_done or entries[0].at_source == 0):
-            entries.pop(0)
-        queues.append(tuple(m.id for m in entries))
+    # every queued message as the queue holds it: a head that finished
+    # injecting this cycle stays until the next allocation phase pops it,
+    # and the generator's per-node queue cap counts it until then (no head
+    # is delivered before that pop, so none is done here)
     return CanonicalState(
         next_id=sim.generator._next_id,
-        queues=tuple(queues),
+        queues=tuple(tuple(m.id for m in q) for q in sim.queues),
         messages=tuple(records),
     )
 

@@ -21,15 +21,27 @@ import random
 import pytest
 
 from repro.config import tiny_default
-from repro.core.cwg import ChannelWaitForGraph
+from repro.core.cwg import ChannelWaitForGraph, worm_graph
 from repro.core.cycles import count_simple_cycles
-from repro.core.detector import DeadlockDetector, _pipeline_cwg
+from repro.core.detector import DeadlockDetector, WormSnapshot, _worm_snapshot
 from repro.core.gallery import figure1_cwg, figure2_cwg, figure3_cwg, figure4_cwg
 from repro.errors import SimulationError
 from repro.network.simulator import NetworkSimulator
 from tests.core.test_detector import force_cycle_deadlock
 
 LIMITS = (1, 2, 3, 7, 10_000)
+
+
+def snapshot_of(g):
+    """The pipeline's input for a hand-built CWG: what the front end
+    reads off a live network in that state."""
+    return WormSnapshot(
+        succ=worm_graph(g),
+        requests=g.requests,
+        chain=g.chains.__getitem__,
+        vertices=g.num_vertices,
+        arcs=g.num_arcs,
+    )
 
 
 def _assert_quotient_exact(g):
@@ -40,7 +52,7 @@ def _assert_quotient_exact(g):
                 knot_density_cap=limit,
                 knot_size_enumeration_limit=enumeration_limit,
             )
-            got = det._analyze_pipeline(g, 0)
+            got = det._analyze_pipeline(snapshot_of(g), 0)
             assert got == det._analyze_reference(g, 0), (
                 dict(g.chains),
                 dict(g.requests),
@@ -151,7 +163,7 @@ def test_own_chain_request_is_one_self_loop_knot():
     g.add_ownership_chain(1, ["a", "b", "c"])
     g.add_request(1, ["b"])
     det = DeadlockDetector()
-    [event], census = det._analyze_pipeline(g, 0)
+    [event], census = det._analyze_pipeline(snapshot_of(g), 0)
     assert event.knot == {"b", "c"}
     assert event.resource_set == {"a", "b", "c"}
     assert census.count == 1
@@ -159,11 +171,32 @@ def test_own_chain_request_is_one_self_loop_knot():
 
 
 def test_shared_vertex_raises_the_exclusive_ownership_error():
-    """Two worms claiming one VC is a corrupted network: the one-walk
-    builder reports it exactly as ``build_cwg`` does."""
+    """Two worms claiming one VC is a corrupted network: the front end
+    reports it exactly as ``build_cwg`` does."""
     sim = NetworkSimulator(tiny_default(routing="dor", recovery="none"))
     msgs, vcs = force_cycle_deadlock(sim)
     msgs[1].vcs.insert(0, vcs[0])  # m1 also "owns" m0's VC
+    with pytest.raises(SimulationError, match="exclusive ownership violated"):
+        sim.detector.detect(sim)
+
+
+def _head_listed_twice(msgs, vcs):
+    msgs[0].vcs.append(vcs[1])  # m0's head is m1's VC
+
+
+def _stale_owner(msgs, vcs):
+    vcs[0].owner = msgs[1].id  # listed by m0 only, owned by m1
+
+
+@pytest.mark.parametrize("corrupt", [_head_listed_twice, _stale_owner])
+def test_every_chain_channel_must_be_owned_by_its_chain(corrupt):
+    """Stricter than a vertex count: the front end checks ``owner`` on
+    every channel of every chain, so a VC listed twice is refused also as
+    the first-walked message's head, and a stale owner field is refused
+    although no two chains share a vertex (``build_cwg`` accepts it)."""
+    sim = NetworkSimulator(tiny_default(routing="dor", recovery="none"))
+    msgs, vcs = force_cycle_deadlock(sim)
+    corrupt(msgs, vcs)
     with pytest.raises(SimulationError, match="exclusive ownership violated"):
         sim.detector.detect(sim)
 
@@ -179,9 +212,10 @@ def test_shared_vertex_raises_the_exclusive_ownership_error():
     ids=["tfar-2vc", "dor-multi-rx", "router-delay", "legacy"],
 )
 def test_pipeline_cwg_equals_build_cwg_on_live_runs(overrides):
-    """The one-walk builder (wait-index read on production) reproduces
-    ``build_cwg`` exactly — chains, requests and their order — at every
-    cycle of a saturated run."""
+    """The front end (wait-index read on production, arcs read off the
+    channel owners) reproduces ``worm_graph(build_cwg(sim))`` exactly —
+    arcs, requests and their order, chains, sizes and the blocked list —
+    at every cycle of a saturated run."""
     sim = NetworkSimulator(
         tiny_default(
             warmup_cycles=0, measure_cycles=300, recovery="none", **overrides
@@ -191,11 +225,13 @@ def test_pipeline_cwg_equals_build_cwg_on_live_runs(overrides):
     for _ in range(300):
         sim.step()
         want = DeadlockDetector.build_cwg(sim)
-        got = _pipeline_cwg(sim)
-        assert got.owner == want.owner
-        assert list(got.chains.items()) == list(want.chains.items())
+        got = _worm_snapshot(sim)
+        assert list(got.succ.items()) == list(worm_graph(want).items())
         assert list(got.requests.items()) == list(want.requests.items())
-        assert got.request_from == want.request_from
+        assert all(got.chain(m) == c for m, c in want.chains.items())
+        assert got.vertices == want.num_vertices
+        assert got.arcs == want.num_arcs
+        assert list(got.requests) == want.blocked_messages()
         checked += len(got.requests)
         from_wait_index += sum(
             1 for mid in got.requests if sim.message_by_id(mid).wait_keys

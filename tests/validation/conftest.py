@@ -58,19 +58,47 @@ def miscounting_census(monkeypatch):
 @pytest.fixture
 def dropped_wait_target(monkeypatch):
     """Break the pipeline's wait-index read: in every pass, the first
-    request taken from a header's ``wait_keys`` loses its last target.
-    The nets that compare the pipeline with the generic ``build_cwg``
-    derivation must notice."""
+    request the front end takes from a header's ``wait_keys`` loses its
+    last target (and with it its arc).  The nets that compare the pipeline
+    with the generic ``build_cwg`` derivation must notice."""
     import repro.core.detector as detector
 
-    real = detector._pipeline_cwg
+    real = detector._worm_snapshot
 
     def dropping(sim):
-        g = real(sim)
-        for mid, targets in g.requests.items():
+        snap = real(sim)
+        for mid, targets in snap.requests.items():
             if sim.message_by_id(mid).wait_keys:
-                g.requests[mid] = targets[:-1]
+                snap.requests[mid] = targets[:-1]
+                snap.succ[mid] = snap.succ[mid][:-1]
+                snap.arcs -= 1
                 break
-        return g
+        return snap
 
-    monkeypatch.setattr(detector, "_pipeline_cwg", dropping)
+    monkeypatch.setattr(detector, "_worm_snapshot", dropping)
+
+
+@pytest.fixture
+def order_dependent_johnson(monkeypatch):
+    """Plant a start-order fault in Johnson's kernel, shared by the
+    contracted pipeline and the plain reference: a round that closes no
+    cycle ends the enumeration, as if no later start could close one.
+    The count then depends on the start order, and the two sides search
+    in different orders (hubs first vs ascending), so the nets that
+    compare them must notice."""
+    from repro.core import cycles
+
+    def early_exit(adj, vertices, budget, collect):
+        allowed = set(vertices)
+        count = 0
+        for s in vertices:
+            if budget.left <= 0:
+                break
+            found = cycles._johnson_round(adj, s, allowed, budget, collect)
+            if not found:
+                break
+            count += found
+            allowed.discard(s)
+        return count
+
+    monkeypatch.setattr(cycles, "_johnson_scc", early_exit)

@@ -10,6 +10,8 @@ here.
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 
 from repro.config import SimulationConfig
@@ -34,6 +36,7 @@ from repro.validation.statespace import (
     next_script,
     oracle_config,
     snapshot_state,
+    step_with_script,
     successors,
 )
 
@@ -104,6 +107,43 @@ def test_derived_views_partition_the_id_space():
         assert live.isdisjoint(delivered)
         assert live | delivered == set(range(state.next_id))
         assert set(state.active_ids()) <= live
+
+
+def _organic_successors(sim):
+    """Every one-step successor of a live simulator, each stepped from a
+    deep copy of it: no snapshot is restored on the way."""
+    out = {}
+    script: list[int] = []
+    while True:
+        twin = copy.deepcopy(sim)
+        controller = step_with_script(twin, script)
+        out.setdefault(snapshot_state(twin), twin)
+        script = next_script(controller.trail)
+        if script is None:
+            return out
+
+
+@pytest.mark.parametrize("name", ["ring-deadlock", "tornado-free"])
+def test_snapshot_successors_equal_the_live_states_successors(name):
+    """A canonical state stands for every live simulator that snapshots to
+    it: over the closure reached by stepping live simulators from the
+    empty network, each live state's successors equal ``successors()`` of
+    its snapshot — the source queues keep every message the queue cap
+    counts."""
+    config = get_case(name).config
+    start = NetworkSimulator(oracle_config(config))
+    seen = {snapshot_state(start)}
+    frontier = [start]
+    while frontier:
+        sim = frontier.pop()
+        organic = _organic_successors(sim)
+        restored = {s for _, s in successors(config, snapshot_state(sim))}
+        assert set(organic) == restored, snapshot_state(sim).to_json()
+        for state, twin in organic.items():
+            if state not in seen:
+                seen.add(state)
+                frontier.append(twin)
+    assert len(seen) == get_case(name).expected_states
 
 
 # -- pinned-configuration guards -----------------------------------------------------
@@ -204,7 +244,7 @@ def test_grid_covers_at_least_three_classes_with_both_polarities():
 def test_ring_deadlock_case_checks_clean_to_closure():
     report = check_case(get_case("ring-deadlock"))
     assert report.ok, [v.detail for v in report.violations]
-    assert report.num_states == 819
+    assert report.num_states == 807
     assert report.num_deadlocked_terminals == 1
 
 
@@ -266,7 +306,7 @@ def test_pipeline_check_reads_the_wait_index():
     """Reached by its discovering step, a state holds the wait keys the
     engine registered, and the pipeline reads exactly what ``build_cwg``
     derives."""
-    from repro.core.detector import DeadlockDetector, _pipeline_cwg
+    from repro.core.detector import DeadlockDetector, _worm_snapshot
     from repro.validation.oracle import _arrive
 
     graph = explore(get_case("ring-deadlock").config)
@@ -274,7 +314,7 @@ def test_pipeline_check_reads_the_wait_index():
     keyed = 0
     for idx in range(len(graph)):
         _arrive(prod, graph, idx)
-        got = _pipeline_cwg(prod)
+        got = _worm_snapshot(prod)
         assert got.requests == DeadlockDetector.build_cwg(prod).requests
         keyed += sum(1 for mid in got.requests if prod._live[mid].wait_keys)
     assert keyed
