@@ -34,6 +34,15 @@ Known fault names:
     detector's short-circuit reuses a stale "no deadlock" record and
     reports a knot late, diverging from the legacy reference.
 
+``steady-drain-gap``
+    :class:`~repro.network.production.ProductionEngine` raises a draining
+    worm's ``steady`` flag on any channel pool, not only on one with a
+    single VC per link and unit link latency.  Where a sibling VC's worm
+    takes a shared link, or a slow link is still busy, the reference opens
+    a gap (an owned VC left empty) in the draining worm, while the faulty
+    engine keeps draining it one flit per cycle and never marks the links
+    it crosses, diverging from the legacy reference.
+
 ``crash-point``
     A campaign worker (:mod:`repro.campaign.runner`) raises before running
     its simulation — every attempt, so the point exhausts its retries and
@@ -82,6 +91,7 @@ KNOWN_FAULTS = frozenset(
         "skip-wake",
         "skip-immobile-clear",
         "skip-block-epoch",
+        "steady-drain-gap",
         "crash-point",
         "flaky-point",
         "hang-point",

@@ -57,6 +57,7 @@ class Message:
         "routable",
         "stalled",
         "immobile",
+        "steady",
         "wait_keys",
     )
 
@@ -88,11 +89,14 @@ class Message:
         # boundaries; ``stalled`` marks a blocked header none of whose awaited
         # resources has freed since its last failed allocation attempt;
         # ``immobile`` marks a fully-compressed worm that provably cannot
-        # move a flit until it acquires a new resource; ``wait_keys`` lists
+        # move a flit until it acquires a new resource; ``steady`` marks a
+        # draining worm whose every owned VC holds a flit, so each move pass
+        # only ejects a flit and drains the tail end; ``wait_keys`` lists
         # the resource keys this message is registered as waiting on.
         self.routable = False
         self.stalled = False
         self.immobile = False
+        self.steady = False
         self.wait_keys: Optional[tuple] = None
 
     # -- position & status queries ------------------------------------------------

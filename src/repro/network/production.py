@@ -24,6 +24,21 @@ the reference's word stream made straight from the C-backed
 * a fully-compressed worm (every owned edge buffer full, header blocked)
   is marked ``immobile`` and skipped by the movement phase until it
   acquires a new resource — no flit of such a worm can move;
+* a draining, non-recovering worm whose move pass leaves a flit in every
+  owned VC is marked ``steady``, on a pool with one VC per physical link
+  and uniform unit link latency only (``_steady_pool``).  There no other
+  worm can take one of its links and no link is busy past the cycle, so
+  every later pass ejects one flit at the head and moves one flit across
+  every boundary: each VC keeps its count except the tail VC, which
+  refills from the source or, once the source is empty, loses a flit and
+  is released when it empties.  The move phase applies exactly that in
+  O(1) — no hop loop, and no ``link_used`` marks, which only the owner of
+  a link's single VC would read — at the worm's place in the service
+  order, so the draws and the delivery order stay the reference's.  A
+  victim removal and :meth:`ProductionEngine.rebuild_activity` clear the
+  flag; the other mobile worms take one boundary pass each, which calls
+  ``release_drained_tail`` only when the tail VC is empty and the source
+  drained;
 * queue depths feed the traffic generator from maintained counters
   (``+1`` on append, ``-1`` on dequeue) instead of a per-cycle list
   comprehension, and the dequeue scan pops on ``at_source == 0`` alone —
@@ -98,6 +113,11 @@ class ProductionEngine(NetworkSimulator):
         self._fault_skip_wake = "skip-wake" in faults
         self._fault_skip_immobile_clear = "skip-immobile-clear" in faults
         self._fault_skip_block_epoch = "skip-block-epoch" in faults
+        # steady drains (module docstring) are exact only where no sibling
+        # VC shares a link and no link is slow; the fault drops the gate
+        self._steady_pool = "steady-drain-gap" in faults or (
+            self.pool.num_vcs == 1 and self._link_free_at is None
+        )
         self._waiting: dict[int, Message] = {}  # blocked_since set, by id
         self._wake_index: dict = {}  # resource key -> set of waiting ids
         self._delay_due: deque[tuple[int, Message]] = deque()  # router_delay
@@ -115,13 +135,27 @@ class ProductionEngine(NetworkSimulator):
         # generator.tick() before any queue mutation of the cycle, so a
         # live-maintained copy equals the reference's per-cycle listcomp
         self._qlens = [0] * len(self.queues)
-        # cumulative skip counters (cheap ints, read by the tests)
+        # cumulative activity counters (cheap ints, read by the tests and
+        # booked by the observer): requests skipped stalled, worm-cycles
+        # skipped immobile, taken as steady drains, and moved at all
         self.vec_stall_skips = 0
         self.vec_immobile_skips = 0
+        self.vec_steady_drains = 0
+        self.vec_mobile_cycles = 0
 
     # -- queries ------------------------------------------------------------------------
     def waiting_messages(self) -> Iterable[Message]:
         return self._waiting.values()
+
+    def activity_counters(self) -> dict[str, int]:
+        """Cumulative counts of the work the activity tracking skipped or
+        shortened, and of the worm-cycles the move phase visited."""
+        return {
+            "stall_skips": self.vec_stall_skips,
+            "immobile_skips": self.vec_immobile_skips,
+            "steady_drains": self.vec_steady_drains,
+            "mobile_worm_cycles": self.vec_mobile_cycles,
+        }
 
     def _skip_order(self, n: int, phase: int) -> None:
         """The side effects of ordering an ``n``-long service list that no
@@ -137,8 +171,8 @@ class ProductionEngine(NetworkSimulator):
         ``load_state``) from the object model, claiming nothing the next
         pass must prove: headers routable per :meth:`routing_eligible`, none
         stalled or keyed in the wake index, a worm immobile when every owned
-        buffer is full and it is neither draining nor recovering, the
-        allocate phase not quiet."""
+        buffer is full and it is neither draining nor recovering, none
+        steady, the allocate phase not quiet."""
         active = self.active.values()
         self._waiting = {m.id: m for m in active if m.blocked_since is not None}
         self._wake_index = {}
@@ -151,6 +185,7 @@ class ProductionEngine(NetworkSimulator):
             msg.immobile = bool(msg.vcs) and not (
                 msg.is_draining or msg.recovering
             ) and all(vc.occupancy >= vc.capacity for vc in msg.vcs)
+            msg.steady = False
         self._all_immobile = bool(active) and all(m.immobile for m in active)
         self._alloc_quiet = -1
 
@@ -234,6 +269,7 @@ class ProductionEngine(NetworkSimulator):
         super()._remove_victim(victim)
         victim.routable = False
         victim.immobile = False
+        victim.steady = False
         if not self._fault_skip_immobile_clear:
             self._all_immobile = False
         self._alloc_quiet = -1
@@ -404,10 +440,12 @@ class ProductionEngine(NetworkSimulator):
         latency = self._link_latency
         cycle = self.cycle
         delay = self._router_delay
+        steady_pool = self._steady_pool
         order = self._service_order(list(self.active.values()), _PHASE_MOVE)
         finished: list[Message] = []
         torn_down: list[Message] = []
         mobile = 0
+        steady = 0
         for msg in order:
             if msg.immobile:
                 # fully-compressed blocked worm: every owned buffer is full,
@@ -415,15 +453,37 @@ class ProductionEngine(NetworkSimulator):
                 continue
             mobile += 1
             vcs = msg.vcs
+            if msg.steady:
+                # steady drain (module docstring): the pass would eject one
+                # flit and shift one flit up every boundary, so only the
+                # tail end changes
+                steady += 1
+                msg.ejected += 1
+                if msg.at_source:
+                    msg.at_source -= 1
+                else:
+                    tail = vcs[0]
+                    tail.occupancy -= 1
+                    if not tail.occupancy:
+                        del vcs[0]
+                        tail.release(msg.id)
+                        self.blocked_epoch += 1
+                        self._wake(tail.index)
+                        if msg.ejected == msg.length:
+                            finished.append(msg)
+                continue
+            n = len(vcs)
+            draining = msg.reception is not None
+            recovering = msg.recovering
             moved = False
-            if msg.recovering:
+            if recovering:
                 msg.teardown_step()  # one flit into the recovery lane
-            elif msg.is_draining and vcs and vcs[-1].occupancy > 0:
+            elif draining and n and vcs[-1].occupancy > 0:
                 vcs[-1].occupancy -= 1
                 msg.ejected += 1
                 moved = True
             # Head-to-tail boundary pass: each flit advances at most one hop.
-            for i in range(len(vcs) - 1, -1, -1):
+            for i in range(n - 1, -1, -1):
                 dst = vcs[i]
                 if dst.occupancy >= dst.capacity:
                     continue
@@ -447,29 +507,39 @@ class ProductionEngine(NetworkSimulator):
                 if free_at is not None:
                     free_at[li] = cycle + latency[li]
                 moved = True
-                if i == len(vcs) - 1 and msg.head_arrival is None:
+                if i == n - 1 and msg.head_arrival is None:
                     msg.head_arrival = cycle  # header reached a new node
-                    if not msg.recovering:
+                    if not recovering:
                         if delay == 0:
                             msg.routable = True
                         else:
                             self._delay_due.append((cycle + delay, msg))
-            released = msg.release_drained_tail()
-            if released:
-                self.blocked_epoch += 1
-                for vc in released:
-                    self._wake(vc.index)
-                if msg.wait_keys is not None:
-                    # the chain shortened: candidate keys that include the
-                    # hop count (misrouting budgets) may now differ, so the
-                    # next attempt must re-derive the awaited set
-                    self._drop_wait_keys(msg)
-            if msg.recovering:
-                if msg.teardown_complete and not msg.vcs:
+            if n and msg.at_source == 0 and vcs[0].occupancy == 0:
+                released = msg.release_drained_tail()
+                if released:
+                    self.blocked_epoch += 1
+                    for vc in released:
+                        self._wake(vc.index)
+                    if msg.wait_keys is not None:
+                        # the chain shortened: candidate keys that include
+                        # the hop count (misrouting budgets) may now differ,
+                        # so the next attempt must re-derive the awaited set
+                        self._drop_wait_keys(msg)
+            if recovering:
+                if msg.teardown_complete and not vcs:
                     torn_down.append(msg)
-            elif msg.ejected == msg.length and msg.is_draining:
-                finished.append(msg)
-            elif not moved and not msg.is_draining and vcs:
+            elif draining:
+                if msg.ejected == msg.length:
+                    finished.append(msg)
+                elif steady_pool:
+                    # every owned VC holds a flit: from the next pass on,
+                    # the worm drains in steady state
+                    for vc in vcs:
+                        if not vc.occupancy:
+                            break
+                    else:
+                        msg.steady = True
+            elif not moved and vcs:
                 # Nothing moved: if every owned buffer is also full, the worm
                 # is fully compressed and provably immobile until it acquires
                 # a new resource (which clears the flag).
@@ -499,3 +569,5 @@ class ProductionEngine(NetworkSimulator):
         if order and not mobile:
             self._all_immobile = True
         self.vec_immobile_skips += len(order) - mobile
+        self.vec_steady_drains += steady
+        self.vec_mobile_cycles += mobile

@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from time import perf_counter
 from typing import Iterable, Optional
 
 from repro.config import SimulationConfig
@@ -542,19 +543,25 @@ class NetworkSimulator:
             self._phase_move()
             self._phase_detect()
         else:
-            # profiled path: identical phase sequence, each stage wrapped in
-            # its pre-bound scoped timer (pure observation — see repro.obs)
+            # profiled path: identical phase sequence, each stage's interval
+            # booked on its pre-bound timer (pure observation — see
+            # repro.obs).  The intervals share their boundary readings, so
+            # booking one stage is timed with the next.
             tracer = self._obs_tracer
             if tracer is not None:
                 tracer.cycle = self.cycle
-            with self._t_generate:
-                self._phase_generate()
-            with self._t_allocate:
-                self._phase_allocate()
-            with self._t_move:
-                self._phase_move()
-            with self._t_detect:
-                self._phase_detect()
+            t0 = perf_counter()
+            self._phase_generate()
+            t1 = perf_counter()
+            self._t_generate.book(t0, t1)
+            self._phase_allocate()
+            t2 = perf_counter()
+            self._t_allocate.book(t1, t2)
+            self._phase_move()
+            t3 = perf_counter()
+            self._t_move.book(t2, t3)
+            self._phase_detect()
+            self._t_detect.book(t3, perf_counter())
         if self.validation is not None:
             self.validation.maybe_check(self)
 

@@ -69,6 +69,8 @@ class Observer:
         reg.gauge("engine/cycles").set(sim.cycle)
         reg.gauge("engine/blocked_epoch").set(sim.blocked_epoch)
         reg.gauge("engine/messages_in_network").set(sim.messages_in_network)
+        if sim.fast_path:  # the reference engine tracks no activity
+            reg.set_counters(sim.activity_counters(), prefix="engine/")
         reg.set_counters(sim.detector.cache_stats(), prefix="detector/")
 
     def snapshot(self) -> dict:

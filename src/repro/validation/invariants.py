@@ -171,12 +171,12 @@ def check_worm_contiguity(sim: "NetworkSimulator") -> None:
 def check_activity_coherence(sim: "NetworkSimulator") -> None:
     """Fast-path flags and the wake index agree with a from-scratch rescan.
 
-    The maintained flags (routable / stalled / immobile, the waiting set,
-    the whole-phase skip flags ``_all_immobile`` and ``_alloc_quiet``) must
-    agree with the predicates they cache, and the wake index must agree
-    both ways: every registered ``wait_keys`` entry is indexed, and every
-    index entry points back at a live waiting message that actually waits
-    on that key.
+    The maintained flags (routable / stalled / immobile / steady, the
+    waiting set, the whole-phase skip flags ``_all_immobile`` and
+    ``_alloc_quiet``) must agree with the predicates they cache, and the
+    wake index must agree both ways: every registered ``wait_keys`` entry
+    is indexed, and every index entry points back at a live waiting
+    message that actually waits on that key.
     """
     if not sim.fast_path:
         return
@@ -218,6 +218,22 @@ def check_activity_coherence(sim: "NetworkSimulator") -> None:
                     raise SimulationError(
                         f"message {msg.id} immobile with slack in "
                         f"VC {vc.index}"
+                    )
+        if msg.steady:
+            if not msg.is_draining or msg.recovering:
+                raise SimulationError(
+                    f"message {msg.id} steady while not draining or "
+                    "while recovering"
+                )
+            if pool.num_vcs != 1 or sim._link_free_at is not None:
+                raise SimulationError(
+                    f"message {msg.id} steady on a pool with sibling VCs "
+                    "or slow links"
+                )
+            for vc in msg.vcs:
+                if not vc.occupancy:
+                    raise SimulationError(
+                        f"message {msg.id} steady with empty VC {vc.index}"
                     )
     for mid in sim._waiting:
         if mid not in sim.active:

@@ -17,7 +17,7 @@ styles, persistent knots, the census on, off and capped, router pipeline
 delay, multiple reception channels, all three arbitration policies, both
 engines under the detector and observability, a wrapping trace ring, and
 the topology zoo (3D torus with a slow TSV dimension, 3D mesh, dragonfly,
-full mesh).  Several rows run with ``check_invariants=True`` and the zoo
+full mesh), and light and moderate loads where most worms drain.  Several rows run with ``check_invariants=True`` and the zoo
 rows at ``validation_level=2``, so the runtime invariant battery also
 holds every cycle.
 
@@ -170,6 +170,41 @@ ZOO = _group("engine_fast_path", False, partial(SimulationConfig, **ZOO_COMMON),
         arbitration="round-robin",
     ),
 })
+
+#: light and moderate loads on pools with one VC per link and unit link
+#: latency, where most mobile worms drain: the production engine's steady
+#: drains (``vec_steady_drains``) carry these runs
+STEADY = {
+    **_group("engine_fast_path", False, _tiny, {
+        "dor_light": dict(routing="dor", load=0.3, num_vcs=1),
+        "tfar_moderate": dict(
+            routing="tfar", load=0.6, num_vcs=1, check_invariants=True
+        ),
+        "cut_through_moderate": dict(
+            routing="dor", load=0.5, num_vcs=1, buffer_depth=8,
+            message_length=8, check_invariants=True,
+        ),
+        "flit_by_flit_moderate": dict(
+            routing="dor", load=0.6, num_vcs=1,
+            recovery_teardown="flit-by-flit", check_invariants=True,
+        ),
+    }),
+    **_group(
+        "engine_fast_path", False, partial(SimulationConfig, **ZOO_COMMON), {
+            "dragonfly_moderate": dict(
+                topology="dragonfly", dims=(3, 1, 1), routing="df-min",
+                load=0.5,
+            ),
+            "fullmesh_moderate": dict(
+                topology="fullmesh", dims=(8,), routing="fm-2hop", load=0.5
+            ),
+        },
+    ),
+}
+
+#: rows on pools with sibling VCs or slow links, where no worm may drain
+#: steady
+NO_STEADY_POOL = ("tfar_four_vcs", "torus3d_tsv", "torus3d_tsv_router_delay")
 
 #: the deprecated engine_kernels / engine_vectorized / cwg_maintenance
 #: fields select nothing; they survive only inside stored result digests

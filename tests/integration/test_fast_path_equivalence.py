@@ -2,8 +2,8 @@
 
 The production engine (``engine_fast_path``, the default) restructures the
 hot loops around incrementally-maintained activity state (routable flags, a
-stalled-message wake index, immobile-worm skipping, whole-phase quiescence
-skips, detection short-circuiting on the blocked epoch), a position-keyed
+stalled-message wake index, immobile-worm skipping, steady drains,
+whole-phase quiescence skips, detection short-circuiting on the blocked epoch), a position-keyed
 candidate table and an inline arbitration RNG stream.  All of it is pure
 optimization; the rows of :mod:`tests.integration.bit_identity` hold it to
 the legacy reference on k-ary n-cubes and on the topology zoo.
@@ -17,6 +17,8 @@ from tests.integration.bit_identity import (
     DEPRECATED,
     FAST_PATH,
     FAST_PATH_SEEDS,
+    NO_STEADY_POOL,
+    STEADY,
     ZOO,
     run_case,
 )
@@ -24,7 +26,9 @@ from tests.integration.bit_identity import (
 
 @pytest.mark.parametrize("name", sorted(FAST_PATH))
 def test_fast_path_bit_identical(name):
-    run_case(FAST_PATH[name])
+    sim = run_case(FAST_PATH[name])
+    if name in NO_STEADY_POOL:
+        assert sim.vec_steady_drains == 0
 
 
 @pytest.mark.parametrize("name", sorted(ZOO))
@@ -32,6 +36,16 @@ def test_zoo_production_bit_identical(name):
     sim = run_case(ZOO[name])
     # the maintained activity state was actually in play
     assert sim.vec_stall_skips > 0 and sim.vec_immobile_skips > 0
+    if name in NO_STEADY_POOL:
+        assert sim.vec_steady_drains == 0
+
+
+@pytest.mark.parametrize("name", sorted(STEADY))
+def test_steady_drain_bit_identical(name):
+    sim = run_case(STEADY[name])
+    # the O(1) drain path carried the run, not only the boundary pass
+    assert sim.vec_steady_drains > 0
+    assert sim.vec_steady_drains < sim.vec_mobile_cycles
 
 
 def test_fast_path_identical_across_seeds():

@@ -14,6 +14,10 @@ import pytest
 
 from tests.integration.bit_identity import OBS, OBS_GOLDEN, run_case
 
+ENGINE_COUNTERS = (
+    "stall_skips", "immobile_skips", "steady_drains", "mobile_worm_cycles"
+)
+
 
 @pytest.mark.parametrize("name", sorted(OBS))
 def test_obs_bit_identical(name):
@@ -24,6 +28,16 @@ def test_obs_bit_identical(name):
     assert snap["phases"]["engine/allocate"]["calls"] > 0
     if case.config.obs_level >= 2:
         assert snap["trace"]["events"] > 0
+    # the production engine books its activity counters, the reference none
+    booked = {
+        name for name in snap["counters"]
+        if name.startswith("engine/")
+    }
+    if case.config.engine_fast_path:
+        assert booked == {f"engine/{name}" for name in ENGINE_COUNTERS}
+        assert snap["counters"]["engine/mobile_worm_cycles"] > 0
+    else:
+        assert booked == set()
 
 
 def test_obs_ring_wraparound_actually_happened():

@@ -129,7 +129,7 @@ def test_unknown_fault_name_rejected(monkeypatch):
 def test_known_faults_registry():
     assert KNOWN_FAULTS == {
         "skip-wake", "skip-immobile-clear", "skip-block-epoch",
-        "crash-point", "flaky-point", "hang-point",
+        "steady-drain-gap", "crash-point", "flaky-point", "hang-point",
         "drop-lease-heartbeat",
     }
 
@@ -290,3 +290,34 @@ def test_skip_immobile_clear_does_not_trip_other_axes(monkeypatch):
         "skip-immobile-clear leaked into the non-engine axes: "
         f"{[m.axis for m in mismatches]}"
     )
+
+
+def test_steady_drain_gap_is_caught_by_engine_axis(monkeypatch):
+    """A production engine that drains worms in steady state on a pool
+    with sibling VCs: where another worm takes a draining worm's link,
+    the reference leaves an owned VC empty while the faulty engine drains
+    on — the engine axis must report that divergence."""
+    monkeypatch.setenv(ENV_VAR, "steady-drain-gap")
+    mismatches = check_config(SATURATED.replace(num_vcs=2), axes=("engine",))
+    assert mismatches, (
+        "steady-drain-gap fault was not detected: the engine axis has no "
+        "teeth for the steady drains"
+    )
+    assert mismatches[0].axis == "engine"
+
+
+def test_steady_drain_gap_does_not_trip_other_axes(monkeypatch):
+    """Both legs of the detector axis run the same faulty engine."""
+    monkeypatch.setenv(ENV_VAR, "steady-drain-gap")
+    mismatches = check_config(SATURATED.replace(num_vcs=2), axes=("detector",))
+    assert mismatches == [], (
+        "steady-drain-gap leaked into the non-engine axes: "
+        f"{[m.axis for m in mismatches]}"
+    )
+
+
+def test_steady_drain_gap_is_inert_on_a_steady_pool(monkeypatch):
+    """With one VC per link and unit latency the gate the fault drops
+    holds anyway, so the faulty engine stays bit-identical there."""
+    monkeypatch.setenv(ENV_VAR, "steady-drain-gap")
+    assert check_config(SATURATED, axes=("engine",)) == []
