@@ -84,9 +84,11 @@ ENGINE_SCENARIOS = {
         # wall-clock is spent in that deep regime — warm past the transient
         # so the recorded rates (and speedup ratios) describe the state a
         # sweep actually pays for.  The transient itself is covered by the
-        # two moderate scenarios below.
+        # two moderate scenarios below.  The timed window is long enough
+        # that each round's production side runs >= 0.5 s: at 400 cycles
+        # (~70 ms) the host's scheduling noise moved the ratio by 25%.
         warm=2550,
-        cycles=400,
+        cycles=6000,
     ),
     "engine_moderate_8ary": dict(
         factory=bench_default,

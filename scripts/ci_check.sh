@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 gate: full test suite, benchmark smoke, differential fuzz smoke.
+# Tier-1 gate: full test suite, benchmark smoke, differential fuzz smoke,
+# committed bench data.
 # The campaign layer's interrupt / resume and worker-crash scenarios run in
 # the test suite (tests/campaign/test_runner.py, test_service_tcp.py).
 #
@@ -63,10 +64,16 @@
 #    docs/TOPOLOGIES.md, docs/API.md's SimulationConfig table must
 #    list every field exactly as rendered from the config's field table,
 #    EXPERIMENTS.md's reproduction summary must be the claims table as
-#    rendered on the committed bench observations, and every repo path
+#    rendered on the committed bench observations, every repo path
 #    under examples/, scripts/, src/, tests/ or data/ that a markdown file
-#    names in code must exist;
-# 10. runs the reachability audit (scripts/reach.py --check): every tiny
+#    names in code must exist, and roadmap work must be cited by name, not
+#    by item number;
+# 10. regenerates the committed bench data: `repro experiment all --scale
+#    bench --csv` into a temporary directory, both files compared byte for
+#    byte with data/experiments_bench.csv and
+#    data/experiments_bench_observations.csv (~70 s on 2 CPUs), so the
+#    claims' bench rows read what the code produces;
+# 11. runs the reachability audit (scripts/reach.py --check): every tiny
 #    experiment with its claims, one invocation per non-service CLI verb
 #    and the nets (oracle grid and teeth, fuzz smoke and teeth, a
 #    validation_level=2 run) execute under sys.setprofile, and the stage
@@ -109,8 +116,16 @@ python scripts/fuzz_differential.py --smoke --quiet
 echo "== model-checking oracle smoke (exhaustive detector verification) =="
 python scripts/oracle_smoke.py
 
-echo "== docs drift (API symbols, markdown links, code paths, topology coverage, config table, claims summary) =="
+echo "== docs drift (API symbols, markdown links, code paths, topology coverage, config table, claims summary, roadmap citations) =="
 python scripts/docs_check.py
+
+echo "== committed bench data (regenerated, byte for byte) =="
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m repro experiment all \
+    --scale bench --csv "$tmp/b.csv" > /dev/null
+cmp "$tmp/b.csv" data/experiments_bench.csv
+cmp "$tmp/b_observations.csv" data/experiments_bench_observations.csv
 
 echo "== reachability audit (every src/ function reached by a claim, a net or a verb) =="
 python scripts/reach.py --check

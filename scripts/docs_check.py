@@ -28,6 +28,13 @@ script does — it is part of ``scripts/ci_check.sh``:
    checked: the history, plan and reference documents there name deleted,
    planned or foreign files by design.
 
+7. roadmap work is cited by name, not by item number, in the code and the
+   project's own documentation (the scope of 6, plus ``*.py`` and ``*.sh``
+   files): item numbers change whenever the plan is re-anchored.  Only
+   ``scripts/reach.py``'s ``REASONS`` and the table rendered from them in
+   ``docs/TESTING.md`` may cite one, and :data:`CITE_EXEMPT` names the
+   files that are mended elsewhere.
+
 ``--write`` regenerates both generated blocks in place.
 
 Exit status is the number of problems (0 = clean).
@@ -65,6 +72,19 @@ PATH_RE = re.compile(r"(?<![\w./-])(?:examples|scripts|src|tests|data)/[^\s`'\"(
 #: the top-level documents whose code paths are checked; every markdown file
 #: below the top level is checked too
 PATH_CHECKED_TOP = {"README.md", "DESIGN.md", "EXPERIMENTS.md"}
+
+
+#: a roadmap item cited by its number
+ROADMAP_CITE_RE = re.compile(r"ROADMAP items? \d+")
+
+#: the trees whose code and documents :func:`check_roadmap_citations` reads
+CITE_CHECKED_DIRS = ("benchmarks", "docs", "examples", "scripts", "src", "tests")
+
+#: files that may still cite a roadmap item by number
+CITE_EXEMPT = {
+    # benchmarks/e2e/ changes only together with the benchmark it defines
+    "benchmarks/e2e/README.md",
+}
 
 
 def iter_markdown_files(root: Path = REPO_ROOT) -> list[Path]:
@@ -298,6 +318,38 @@ def check_claims_summary() -> list[str]:
     return []
 
 
+def check_roadmap_citations(root: Path = REPO_ROOT) -> list[str]:
+    """No ``ROADMAP item N`` outside reach.py's reasons and their table."""
+    sys.path.insert(0, str(root / "scripts"))
+    import reach
+
+    files = [root / name for name in sorted(PATH_CHECKED_TOP)]
+    for top in CITE_CHECKED_DIRS:
+        files += sorted(
+            path for path in (root / top).rglob("*")
+            if path.suffix in (".md", ".py", ".sh")
+            and not any(part in SKIP_DIRS for part in path.parts)
+        )
+    problems = []
+    for path in files:
+        rel = path.relative_to(root).as_posix()
+        if rel in CITE_EXEMPT:
+            continue
+        text = path.read_text()
+        if rel == "scripts/reach.py":
+            for reason in reach.REASONS.values():
+                text = text.replace(reason, "")
+        elif path == reach.DOC:
+            start, end = _span(text, reach.BEGIN, reach.END)
+            text = text[:start] + text[end:]
+        for match in ROADMAP_CITE_RE.finditer(text):
+            problems.append(
+                f"{rel}: cites `{match[0]}`; name the roadmap work instead"
+            )
+    print(f"docs_check: {len(files)} files checked for roadmap item numbers")
+    return problems
+
+
 #: (document, begin marker, end marker, renderer) of every generated block
 GENERATED = (
     (API_DOC, TABLE_BEGIN, TABLE_END, render_config_table),
@@ -318,6 +370,7 @@ def main() -> int:
     problems = (
         check_api_symbols() + check_markdown_links() + check_code_paths()
         + check_topology_docs() + check_config_table() + check_claims_summary()
+        + check_roadmap_citations()
     )
     for problem in problems:
         print(f"DOCS: {problem}")

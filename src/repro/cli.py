@@ -352,7 +352,7 @@ def _print_campaign_summary(runner) -> None:
 
 
 def _run_experiment(args: argparse.Namespace, runner=None) -> int:
-    from repro.experiments import ALL_EXPERIMENTS, EXPERIMENT_ALIASES
+    from repro.experiments import ALL_EXPERIMENTS, EXPERIMENT_ALIASES, run_experiment
     from repro.experiments.base import set_campaign_runner
     from repro.experiments.report import (
         render_figure,
@@ -369,9 +369,7 @@ def _run_experiment(args: argparse.Namespace, runner=None) -> int:
         wanted = list(ALL_EXPERIMENTS) if exp_id == "all" else [exp_id]
         results = []
         for exp_id in wanted:
-            result = ALL_EXPERIMENTS[exp_id](
-                scale=args.scale, obs_level=args.obs_level
-            )
+            result = run_experiment(exp_id, args.scale, obs_level=args.obs_level)
             print(result.format_tables())
             if exp_id == "TOPO-CMP":
                 print()

@@ -22,46 +22,17 @@ TOPO-CMP     deadlock character across topology classes (torus3d,
              dragonfly, full mesh); alias ``topology-comparison``
 ===========  ==========================================================
 
-Each runner is ``run(scale=..., ...) -> ExperimentResult`` and is also
-reachable as ``python -m repro experiment <id>``.  Every runner except
-ABL-DET puts each point through
-:func:`~repro.experiments.base.experiment_sweep`, so ``repro campaign run``
-checkpoints and resumes it.
+Each is one declaration of the experiment table
+(:mod:`repro.experiments.table`): base overrides, series and load grid per
+scale, and an ``observe`` function.  ``ALL_EXPERIMENTS[id](scale="bench",
+loads=None, **overrides) -> ExperimentResult`` runs one, as does ``python
+-m repro experiment <id>``.  Every experiment except ABL-DET puts each
+series through :func:`~repro.experiments.base.experiment_sweep`, so
+``repro campaign run`` checkpoints and resumes it.
 """
 
-from repro.experiments import (
-    ablations,
-    avoidance_vs_recovery,
-    detector_ablation,
-    fig5,
-    fig6,
-    fig7,
-    fig8,
-    node_degree,
-    topology_comparison,
-    traffic_patterns,
-)
 from repro.experiments.base import ExperimentResult, format_table, scaled_config
-
-ALL_EXPERIMENTS = {
-    "FIG5": fig5.run,
-    "FIG6": fig6.run,
-    "FIG7": fig7.run,
-    "FIG8": fig8.run,
-    "SEC3.5": node_degree.run,
-    "SEC3.6": traffic_patterns.run,
-    "TAB-AVOID": avoidance_vs_recovery.run,
-    "ABL-DET": detector_ablation.run,
-    "ABL-REC": ablations.run_teardown,
-    "ABL-SEL": ablations.run_selection,
-    "ABL-INT": ablations.run_detection_interval,
-    "ABL-TIMEOUT": ablations.run_timeout_mode,
-    "EXT-LEN": ablations.run_message_length,
-    "EXT-GRAN": ablations.run_granularity,
-    "EXT-FAULT": ablations.run_faults,
-    "ABL-ARB": ablations.run_arbitration,
-    "TOPO-CMP": topology_comparison.run,
-}
+from repro.experiments.table import ALL_EXPERIMENTS, Experiment, run_experiment
 
 #: human-friendly spellings accepted by the CLI (resolved before lookup,
 #: never iterated by ``experiment all`` — no double runs)
@@ -70,8 +41,6 @@ EXPERIMENT_ALIASES = {
 }
 
 __all__ = [
-    "ablations", "fig5", "fig6", "fig7", "fig8", "node_degree",
-    "topology_comparison", "traffic_patterns", "avoidance_vs_recovery",
-    "detector_ablation", "ExperimentResult", "format_table", "scaled_config",
-    "ALL_EXPERIMENTS", "EXPERIMENT_ALIASES",
+    "ExperimentResult", "Experiment", "format_table", "scaled_config",
+    "run_experiment", "ALL_EXPERIMENTS", "EXPERIMENT_ALIASES",
 ]

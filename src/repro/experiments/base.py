@@ -1,7 +1,7 @@
-"""Shared infrastructure for the per-figure experiment runners.
+"""Shared infrastructure of the experiment table.
 
-Each experiment module reproduces one figure or section of the paper's
-evaluation.  Runners accept a ``scale``:
+Each declaration of :mod:`repro.experiments.table` reproduces one figure
+or section of the paper's evaluation, at a ``scale``:
 
 * ``"paper"`` — the paper's 16-ary 2-cube, 32-flit messages, 30k measured
   cycles.  Faithful but slow in pure Python (hours per figure).
@@ -10,7 +10,7 @@ evaluation.  Runners accept a ``scale``:
   each figure regenerates in about a minute.  Used by the benchmark harness.
 * ``"tiny"``  — 4-ary 2-cube for smoke tests.
 
-The output of every runner is an :class:`ExperimentResult` whose
+The output of every experiment is an :class:`ExperimentResult` whose
 ``format_table`` renders the same rows/series the paper plots.
 """
 
@@ -28,8 +28,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.campaign.runner import CampaignRunner
 
 __all__ = [
+    "SCALES",
+    "LOAD_GRID",
     "scaled_config",
-    "scaled_loads",
     "experiment_sweep",
     "set_campaign_runner",
     "ExperimentResult",
@@ -38,8 +39,7 @@ __all__ = [
 
 #: active campaign runner applied by :func:`experiment_sweep` — how
 #: ``repro campaign run`` makes every sweep of every experiment
-#: checkpointed without threading a runner through all the per-figure
-#: signatures
+#: checkpointed without threading a runner through the experiment table
 _CAMPAIGN_RUNNER: Optional["CampaignRunner"] = None
 
 #: the runner :func:`experiment_sweep` uses when none is installed
@@ -67,7 +67,7 @@ def set_campaign_runner(runner: Optional["CampaignRunner"]) -> None:
 def experiment_sweep(
     base: SimulationConfig, loads: Sequence[float], label: str = ""
 ) -> SweepResult:
-    """The load sweep every experiment runner goes through.
+    """The load sweep every series of the experiment table goes through.
 
     By default the points fan out over every available CPU, in memory
     (:func:`~repro.metrics.sweep.fan_out`); the result equals the serial
@@ -84,28 +84,27 @@ def experiment_sweep(
     return runner.run_sweep(base, loads, label).sweep
 
 
+#: scale -> its default configuration
+SCALE_DEFAULTS = {"paper": paper_default, "bench": bench_default, "tiny": tiny_default}
+SCALES = tuple(SCALE_DEFAULTS)
+
+#: the default load grid per scale: denser for the faithful paper runs
+LOAD_GRID = {
+    "paper": [round(0.1 * i, 1) for i in range(1, 13)],
+    "bench": [0.2, 0.4, 0.6, 0.8, 1.0, 1.2],
+    "tiny": [0.3, 0.6, 0.9, 1.2],
+}
+
+
 def scaled_config(scale: str, **overrides) -> SimulationConfig:
     """Base configuration for the requested scale."""
-    factories = {
-        "paper": paper_default,
-        "bench": bench_default,
-        "tiny": tiny_default,
-    }
     try:
-        return factories[scale](**overrides)
+        factory = SCALE_DEFAULTS[scale]
     except KeyError:
         raise ConfigurationError(
-            f"unknown scale {scale!r}; choose from {sorted(factories)}"
+            f"unknown scale {scale!r}; choose from {sorted(SCALE_DEFAULTS)}"
         ) from None
-
-
-def scaled_loads(scale: str) -> list[float]:
-    """Load grid per scale: denser for the faithful paper runs."""
-    if scale == "paper":
-        return [round(0.1 * i, 1) for i in range(1, 13)]
-    if scale == "bench":
-        return [0.2, 0.4, 0.6, 0.8, 1.0, 1.2]
-    return [0.3, 0.6, 0.9, 1.2]
+    return factory(**overrides)
 
 
 def format_table(

@@ -11,7 +11,7 @@ from repro.core.cwg import packet_wait_for_graph
 from repro.core.cycles import count_simple_cycles
 from repro.core.detector import DeadlockDetector
 from repro.core.knots import find_knots
-from repro.experiments import ALL_EXPERIMENTS, ablations
+from repro.experiments import ALL_EXPERIMENTS
 from repro.experiments.base import set_campaign_runner
 from repro.network.simulator import NetworkSimulator
 
@@ -126,7 +126,7 @@ class TestGranularityAblation:
         reference reads at the detection instant."""
         tally = _reference_verdicts(monkeypatch)
         obs = dict(
-            ablations.run_granularity(scale="tiny", load=1.0, **WEDGING).observations
+            ALL_EXPERIMENTS["EXT-GRAN"](scale="tiny", loads=[1.0], **WEDGING).observations
         )
         assert tally["true_deadlocked_detections"] > 0
         agreement = tally.pop("agreements") / tally["detections"]
@@ -141,8 +141,8 @@ class TestGranularityAblation:
         knotted = sum(1 for r in sim.detector.records if r.events)
         assert knotted > 0
         cached, reference = (
-            ablations.run_granularity(
-                scale="tiny", load=1.0, detector_caching=caching, **WEDGING
+            ALL_EXPERIMENTS["EXT-GRAN"](
+                scale="tiny", loads=[1.0], detector_caching=caching, **WEDGING
             ).observations
             for caching in (True, False)
         )

@@ -6,7 +6,7 @@ import pytest
 
 from repro import faults
 from repro.campaign import CampaignRunner
-from repro.experiments import ALL_EXPERIMENTS, fig5
+from repro.experiments import ALL_EXPERIMENTS
 from repro.experiments.base import set_campaign_runner
 from repro.experiments.claims import (
     BENCH_OBSERVATIONS,
@@ -71,8 +71,9 @@ def test_degraded_result_is_not_evaluated(tmp_path, monkeypatch):
         CampaignRunner(tmp_path / "store", retries=0, backoff_s=0.01, max_workers=1)
     )
     try:
-        result = fig5.run(scale="tiny", loads=[1.0], measure_cycles=300,
-                          warmup_cycles=50)
+        result = ALL_EXPERIMENTS["FIG5"](
+            scale="tiny", loads=[1.0], measure_cycles=300, warmup_cycles=50
+        )
     finally:
         set_campaign_runner(None)
     assert result.sweeps["uni-directional"].failures

@@ -1,12 +1,16 @@
-"""Smoke + structure tests for the per-figure experiment runners (tiny
-scale); their shape claims are rows of the claims table (test_claims.py)."""
+"""Smoke + structure tests for the experiment table (tiny scale); the
+shape claims are rows of the claims table (test_claims.py)."""
+
+import csv
 
 import pytest
 
-from repro.experiments import ALL_EXPERIMENTS, fig8, topology_comparison, traffic_patterns
-from repro.experiments.base import format_table, scaled_config, scaled_loads
-from repro.experiments.claims import verdicts
+from repro.experiments import ALL_EXPERIMENTS
+from repro.experiments.base import LOAD_GRID, SCALES, format_table, scaled_config
+from repro.experiments.claims import BENCH_OBSERVATIONS, verdicts
+from repro.experiments.table import TimeoutEvaluation, evaluate_thresholds
 from repro.errors import ConfigurationError
+from repro.network.simulator import NetworkSimulator
 
 SHORT = dict(measure_cycles=1200, warmup_cycles=150)
 
@@ -22,8 +26,8 @@ class TestBase:
             scaled_config("galactic")
 
     def test_scaled_loads_monotone(self):
-        for scale in ("paper", "bench", "tiny"):
-            loads = scaled_loads(scale)
+        for scale in SCALES:
+            loads = LOAD_GRID[scale]
             assert loads == sorted(loads)
 
     def test_format_table_alignment(self):
@@ -40,6 +44,41 @@ class TestBase:
             "ABL-TIMEOUT", "EXT-LEN", "EXT-GRAN", "EXT-FAULT", "ABL-ARB",
             "TOPO-CMP",
         }
+
+
+def _series(experiment_id, scale):
+    """``(label, config)`` of each series ``experiment_id`` declares at
+    ``scale``, without running anything."""
+    exp = ALL_EXPERIMENTS[experiment_id]
+    return exp.series_for(scale, scaled_config(scale, **exp.base))
+
+
+class TestTable:
+    def test_bench_grid_is_the_committed_rows(self):
+        """The bench declarations enumerate exactly the committed sweep rows,
+        in order: a dropped, renamed or reordered series fails here."""
+        declared = [
+            (exp_id, label, str(load))
+            for exp_id, exp in ALL_EXPERIMENTS.items()
+            for label, _ in _series(exp_id, "bench")
+            for load in exp.loads["bench"]
+        ]
+        with open(BENCH_OBSERVATIONS.with_name("experiments_bench.csv"), newline="") as fh:
+            committed = [
+                (row["experiment"], row["series"], row["load"])
+                for row in csv.DictReader(fh)
+            ]
+        assert declared == committed
+
+    @pytest.mark.parametrize("scale", ["tiny", "bench"])
+    def test_every_declared_config_validates(self, scale):
+        for exp_id in ALL_EXPERIMENTS:
+            for _label, config in _series(exp_id, scale):
+                config.validate()
+
+    def test_unknown_scale(self):
+        with pytest.raises(ConfigurationError):
+            ALL_EXPERIMENTS["FIG5"](scale="galactic")
 
 
 class TestFig5:
@@ -69,7 +108,13 @@ class TestFig7:
 
 class TestFig8:
     def test_depths_for_paper_message(self):
-        assert fig8.buffer_depths_for(32) == [2, 4, 6, 8, 16, 32]
+        """The paper's depths (2..32 flits of a 32-flit message) and the same
+        fractions of the bench scale's 16-flit messages."""
+        for scale, depths in (("paper", [2, 4, 6, 8, 16, 32]),
+                              ("bench", [1, 2, 3, 4, 8, 16])):
+            series = _series("FIG8", scale)
+            assert [config.buffer_depth for _, config in series] == depths
+            assert {config.message_length for _, config in series} == {depths[-1]}
 
     def test_buffer_sweep(self, tiny):
         res = tiny("FIG8")
@@ -89,25 +134,24 @@ class TestTopologyComparison:
         }
 
     def test_series_specs_cover_every_scale(self):
-        for scale in ("tiny", "bench", "paper"):
-            labels = [label for label, _ in topology_comparison.series_specs(scale)]
-            assert len(labels) == 4
-        with pytest.raises(ConfigurationError):
-            topology_comparison.series_specs("galactic")
+        for scale in SCALES:
+            labels = [label for label, _ in _series("TOPO-CMP", scale)]
+            assert labels == [
+                "torus3d/dor", "torus3d-tsv/dor", "dragonfly/df-min", "fullmesh/fm-2hop",
+            ]
 
 
 class TestTrafficPatterns:
     def test_patterns_run(self, tiny):
         res = tiny("SEC3.6")
-        assert set(res.sweeps) == set(traffic_patterns.PATTERNS)
+        assert list(res.sweeps) == [
+            "uniform", "bit-reversal", "transpose", "perfect-shuffle", "hot-spot",
+        ]
         assert "transpose_vs_uniform_ratio" in res.observations
 
 
 class TestDetectorAblation:
     def test_evaluation_counts_are_consistent(self):
-        from repro.experiments.detector_ablation import evaluate_thresholds
-        from repro.network.simulator import NetworkSimulator
-
         cfg = scaled_config(
             "tiny", routing="dor", num_vcs=1, load=1.0,
             record_blocked_durations=True, **SHORT,
@@ -129,8 +173,6 @@ class TestDetectorAblation:
         )
 
     def test_precision_recall_edge_cases(self):
-        from repro.experiments.detector_ablation import TimeoutEvaluation
-
         ev = TimeoutEvaluation(10, 0, 0, 0, 0)
         assert ev.precision == 1.0 and ev.recall == 1.0
         ev = TimeoutEvaluation(10, 2, 2, 0, 6)

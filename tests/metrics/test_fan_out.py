@@ -4,6 +4,7 @@ Each point depends only on its config, so spreading a sweep over forked
 workers may change where a point runs and nothing else.
 """
 
+import dataclasses
 import os
 import threading
 
@@ -233,9 +234,10 @@ def test_campaign_runner_defaults_to_every_cpu(monkeypatch, tmp_path):
 
 
 def test_experiment_workers_flag_caps_the_fan_out(monkeypatch, capsys):
-    import repro.experiments.fig5 as fig5_mod
+    from repro.experiments import ALL_EXPERIMENTS
 
-    monkeypatch.setattr(fig5_mod, "scaled_loads", lambda scale: [0.6, 0.8])
+    fig5 = dataclasses.replace(ALL_EXPERIMENTS["FIG5"], loads={"tiny": [0.6, 0.8]})
+    monkeypatch.setitem(ALL_EXPERIMENTS, "FIG5", fig5)
     _cpus(monkeypatch, 4)
     _no_fork(monkeypatch)
     assert main(["experiment", "FIG5", "--scale", "tiny", "--workers", "1"]) == 0

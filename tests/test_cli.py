@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import dataclasses
 import json
 import re
 
@@ -17,6 +18,14 @@ def _phase_shares(out: str) -> list[list[float]]:
         elif tables and re.match(r"  (engine|detect)/", line):
             tables[-1].append(float(line.split()[-1].rstrip("%")))
     return tables
+
+
+def _pin_loads(monkeypatch, experiment_id: str, loads: list[float]) -> None:
+    """Declare ``loads`` as ``experiment_id``'s tiny load grid."""
+    from repro.experiments import ALL_EXPERIMENTS
+
+    pinned = dataclasses.replace(ALL_EXPERIMENTS[experiment_id], loads={"tiny": loads})
+    monkeypatch.setitem(ALL_EXPERIMENTS, experiment_id, pinned)
 
 
 def _assert_shares_sum_to_100(out: str) -> None:
@@ -163,10 +172,8 @@ class TestMain:
         assert "deadlocks: 0" in capsys.readouterr().out
 
     def test_experiment_with_csv_and_chart(self, capsys, tmp_path, monkeypatch):
-        # shrink the tiny scale further for test speed via loads monkeypatch
-        import repro.experiments.fig5 as fig5_mod
-
-        monkeypatch.setattr(fig5_mod, "scaled_loads", lambda scale: [0.8])
+        # shrink the tiny scale further for test speed: one load
+        _pin_loads(monkeypatch, "FIG5", [0.8])
         csv_path = tmp_path / "out.csv"
         rc = main(
             ["experiment", "FIG5", "--scale", "tiny", "--csv", str(csv_path),
@@ -223,9 +230,7 @@ class TestMain:
         ]
 
     def test_experiment_obs_level_prints_rollup(self, capsys, monkeypatch):
-        import repro.experiments.fig6 as fig6_mod
-
-        monkeypatch.setattr(fig6_mod, "scaled_loads", lambda scale: [0.6, 1.2])
+        _pin_loads(monkeypatch, "FIG6", [0.6, 1.2])
         rc = main(["experiment", "FIG6", "--scale", "tiny", "--obs-level", "1"])
         assert rc == 0
         out = capsys.readouterr().out
