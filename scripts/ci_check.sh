@@ -29,9 +29,13 @@
 #    golden-trace digests, which both engines must reproduce verbatim, and
 #    one check for each user of the one slot process (SlotPool): a sweep
 #    fanned out over slots must equal the serial in-process sweep field
-#    for field (results and obs rollup), and one campaign slot running
+#    for field (results and obs rollup), one campaign slot running
 #    points in either order must write the same artifact bytes as a fresh
-#    process per point — where a point runs must not change a result; and
+#    process per point, and a service drain on two local slots, whose
+#    leases run the runner's point job straight into the service's
+#    store, must leave points/ byte-identical to a cold runner drain
+#    without the service writing any artifact itself — where a point runs
+#    must not change a result; and
 #    the relation x topology matrix of tests/routing/test_cache_keys.py:
 #    both engines read one candidate memo, so bit-identity cannot see a
 #    cache_key that misses state the candidates read; the matrix runs
@@ -94,7 +98,7 @@ PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -x -q -m slow
 echo "== benchmark smoke (vs committed BENCH_core.json) =="
 python scripts/bench_baseline.py --check
 
-echo "== bit-identity (case table + goldens + sweep fan-out + campaign slot + candidate memo) =="
+echo "== bit-identity (case table + goldens + sweep fan-out + campaign slot + service lease + candidate memo) =="
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -x -q \
     tests/integration/test_fast_path_equivalence.py \
     tests/integration/test_detector_caching_equivalence.py \
@@ -102,6 +106,7 @@ PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -x -q \
     tests/golden \
     tests/metrics/test_fan_out.py::test_fan_out_matches_the_serial_sweep \
     tests/campaign/test_slots.py::TestOrderIndependence::test_one_slot_any_order_equals_fresh_processes \
+    tests/campaign/test_service_slots.py::TestStoreBytes::test_two_local_slots_write_the_cold_drain_bytes_in_place \
     tests/routing/test_cache_keys.py::test_cached_candidates_match_fresh
 
 echo "== end-to-end benchmark smoke (pinned seed-1 digests, default engine) =="

@@ -34,11 +34,14 @@ Each drain changes the manifest only by journal records under its own
 writer id, folded with the store's one rule set (:meth:`~repro.campaign.
 store.ResultStore.fold`), so ``manifest_rebuild`` restores all of it.
 
-The one slot implementation serves every backend: :meth:`CampaignRunner.
-run_points` owns a pool for the call, and the campaign service's local
-slots and TCP workers (:mod:`repro.campaign.service`) each hold one for
-their lifetime and lend it to ``run_points(..., pool=...)``.  A slot runs
-:func:`_point_worker`, which replies ``None`` or the point's error.
+One point job and one retry rule serve every backend: :func:`drive` runs
+:func:`_point_worker` (which replies ``None`` or the point's error) on a
+pool's slots straight into a store, and applies the timeout kill, the
+backoff and the give-up decision.  :meth:`CampaignRunner.run_points` drives
+a batch on a pool it owns for the call (or one lent through ``pool=``); the
+campaign service's local slots and TCP workers (:mod:`repro.campaign.
+service`) each hold a pool for their lifetime and drive one leased point at
+a time (:func:`~repro.campaign.service.executor.run_lease`).
 """
 
 from __future__ import annotations
@@ -67,7 +70,7 @@ from repro.metrics.stats import RunResult
 from repro.metrics.sweep import SlotPool, SweepResult, available_cpus, run_point
 from repro.obs.registry import MetricsRegistry
 
-__all__ = ["CampaignRunner", "CampaignSweep", "run_sweep"]
+__all__ = ["CampaignRunner", "CampaignSweep", "drive", "run_sweep"]
 
 #: how long a hang-point fault sleeps — far past any sane per-point timeout
 _HANG_SECONDS = 3600.0
@@ -131,6 +134,8 @@ class _Task:
     digest: str
     attempts: int = 0
     eligible_at: float = 0.0  #: monotonic time before which it must not run
+    error: Optional[str] = None  #: why the last attempt failed
+    kind: str = "error"  #: "error" (raised or died) or "timeout" (killed)
 
     @property
     def identity(self) -> tuple:
@@ -143,6 +148,142 @@ class _Running:
     task: _Task
     slot: _Slot
     deadline: Optional[float]
+
+
+def drive(
+    policy,
+    store: ResultStore,
+    pool: SlotPool,
+    tasks: deque[_Task],
+    note: Callable[[str, _Task], None],
+    *,
+    workers: int = 1,
+    budget: Optional[int] = None,
+) -> int:
+    """Run ``tasks`` through :func:`_point_worker` on ``pool``'s slots,
+    writing into ``store``: the one retry rule of every campaign backend.
+
+    ``policy`` carries ``retries``, ``backoff_s`` and ``timeout_s`` (see
+    :class:`CampaignRunner`).  An attempt past ``timeout_s`` has its slot
+    killed; a failed attempt *n* waits ``backoff_s * 2**(n-1)`` and runs
+    again while *n* ≤ ``retries``, after which the point gives up.  At
+    most ``workers`` attempts run at once, and only ``budget`` fresh points
+    start (``None``: all).  ``note(event, task)`` hears ``slot_forks``,
+    ``timeouts``, ``retries``, ``done`` and ``failed`` (``task.error`` and
+    ``task.kind`` say why).  Returns how many points were not attempted.
+    """
+    running: list[_Running] = []
+    waiting: list[_Task] = []
+    skipped = started = 0
+
+    def dispatch() -> None:
+        nonlocal skipped, started
+        while tasks and len(running) < workers:
+            task = tasks.popleft()
+            if task.attempts == 0:
+                # retries always finish; only *fresh* points consume the
+                # interruption budget
+                if budget is not None and started >= budget:
+                    skipped += 1
+                    continue
+                started += 1
+            task.attempts += 1
+            forks = pool.forks
+            slot = pool.acquire()
+            if pool.forks != forks:
+                note("slot_forks", task)
+            slot.submit(
+                _point_worker, str(store.root), store.schema_version,
+                task.config, {name: os.environ.get(name) for name in _FAULT_ENV},
+            )
+            deadline = (
+                None if policy.timeout_s is None
+                else time.monotonic() + policy.timeout_s
+            )
+            running.append(_Running(task=task, slot=slot, deadline=deadline))
+
+    def failed(task: _Task, error: str, kind: str) -> None:
+        task.error, task.kind = error, kind
+        if kind == "timeout":
+            note("timeouts", task)
+        if task.attempts <= policy.retries:
+            note("retries", task)
+            task.eligible_at = time.monotonic() + policy.backoff_s * (
+                2 ** (task.attempts - 1)
+            )
+            waiting.append(task)
+        else:
+            note("failed", task)
+
+    while tasks or waiting or running:
+        now = time.monotonic()
+        still_waiting = []
+        for task in waiting:
+            if now >= task.eligible_at:
+                tasks.append(task)
+            else:
+                still_waiting.append(task)
+        waiting = still_waiting
+
+        dispatch()
+
+        if not running:
+            if waiting:
+                # everything left is backing off: sleep to the deadline
+                time.sleep(max(0.0, min(t.eligible_at for t in waiting) - now))
+                continue
+            break
+
+        progressed = False
+        now = time.monotonic()
+        for entry in list(running):
+            task, slot = entry.task, entry.slot
+            if not slot.poll():
+                if entry.deadline is not None and now >= entry.deadline:
+                    pool.retire(slot)
+                    running.remove(entry)
+                    progressed = True
+                    failed(
+                        task,
+                        f"point exceeded {policy.timeout_s:g}s wall-clock "
+                        f"timeout; worker killed",
+                        "timeout",
+                    )
+                continue
+            try:
+                error = slot.reply()
+            except ChildProcessError:
+                error = (
+                    f"worker exited with code {pool.retire(slot)} "
+                    f"without writing a result"
+                )
+            else:
+                pool.release(slot)
+            running.remove(entry)
+            progressed = True
+            # the freed slot starts its next point before this one is
+            # loaded back and recorded, so the two overlap
+            dispatch()
+            if error is None:
+                task.error = None
+                note("done", task)
+            else:
+                failed(task, error, "error")
+        if not progressed:
+            # block until a slot reports (pipe readable) or dies (EOF /
+            # sentinel), or the next deadline — timeout or backoff
+            # eligibility — comes due; no polling, so an idle parent
+            # costs no worker CPU
+            now = time.monotonic()
+            due = [_MAX_WAIT_SECONDS]
+            due.extend(e.deadline - now for e in running if e.deadline is not None)
+            due.extend(t.eligible_at - now for t in waiting)
+            _connection_wait(
+                [e.slot.conn for e in running]
+                + [e.slot.process.sentinel for e in running],
+                timeout=max(0.0, min(due)),
+            )
+    return len(tasks) + len(waiting) + skipped
 
 
 @dataclass
@@ -286,8 +427,9 @@ class CampaignRunner:
         for index, config in enumerate(configs):
             task = _Task(index=index, config=config, digest=self.store.digest(config))
             listed = manifest["points"].get(task.digest, {}).get("status") == "done"
-            if self.store.has(config):
-                completed[index] = self.store.load(config)
+            point = self.store.find(config, task.digest)
+            if point is not None:
+                completed[index] = point
                 if not listed:
                     record(done_record(*task.identity, resumed=True), save=False)
             else:
@@ -300,180 +442,35 @@ class CampaignRunner:
             record(count_record("resumed", resumed), save=False)
         self.store.save_manifest(manifest)
 
-        executed = 0
-        started = 0
-        running: list[_Running] = []
-        waiting: list[_Task] = []
-        skipped: list[_Task] = []  # fresh points beyond the max_points budget
-
-        def dispatch() -> None:
-            nonlocal started
-            while tasks and len(running) < self.workers:
-                task = tasks.popleft()
-                if task.attempts == 0:
-                    # retries always finish; only *fresh* points consume the
-                    # interruption budget
-                    if self.max_points is not None and started >= self.max_points:
-                        skipped.append(task)
-                        continue
-                    started += 1
-                running.append(self._spawn(task, pool, record))
-
-        while tasks or waiting or running:
-            now = time.monotonic()
-            still_waiting = []
-            for task in waiting:
-                if now >= task.eligible_at:
-                    tasks.append(task)
-                else:
-                    still_waiting.append(task)
-            waiting = still_waiting
-
-            dispatch()
-
-            if not running:
-                if waiting:
-                    # everything left is backing off: sleep to the deadline
-                    time.sleep(
-                        max(0.0, min(t.eligible_at for t in waiting) - now)
-                    )
-                    continue
-                break
-
-            progressed = False
-            now = time.monotonic()
-            for entry in list(running):
-                task, slot = entry.task, entry.slot
-                if not slot.poll():
-                    if entry.deadline is not None and now >= entry.deadline:
-                        pool.retire(slot)
-                        running.remove(entry)
-                        progressed = True
-                        self._record_attempt_failure(
-                            task,
-                            error=(
-                                f"point exceeded {self.timeout_s:g}s "
-                                f"wall-clock timeout; worker killed"
-                            ),
-                            kind="timeout",
-                            record=record,
-                            tasks=waiting,
-                            failures=failures,
-                        )
-                    continue
-                exitcode = None
-                try:
-                    error = slot.reply()
-                except ChildProcessError:
-                    error, exitcode = None, pool.retire(slot)
-                else:
-                    pool.release(slot)
-                running.remove(entry)
-                progressed = True
-                # the freed slot starts its next point before this one is
-                # loaded back and recorded, so the two overlap
-                dispatch()
-                if self.store.has(task.config):
-                    point = self.store.load(task.config)
-                    completed[task.index] = point
-                    executed += 1
-                    self.registry.counter("campaign/points_executed").inc()
-                    record(done_record(*task.identity, attempts=task.attempts))
-                    if progress is not None:
-                        progress(task.config, point.result)
-                else:
-                    self._record_attempt_failure(
-                        task,
-                        error=error or (
-                            f"worker exited with code {exitcode} "
-                            f"without writing a result"
-                        ),
-                        kind="error",
-                        record=record,
-                        tasks=waiting,
-                        failures=failures,
-                    )
-            if not progressed:
-                # block until a slot reports (pipe readable) or dies (EOF /
-                # sentinel), or the next deadline — timeout or backoff
-                # eligibility — comes due; no polling, so an idle parent
-                # costs no worker CPU
-                now = time.monotonic()
-                due = [_MAX_WAIT_SECONDS]
-                due.extend(
-                    e.deadline - now
-                    for e in running
-                    if e.deadline is not None
+        def note(event: str, task: _Task) -> None:
+            if event == "done":
+                point = self.store.load(task.config, task.digest)
+                completed[task.index] = point
+                self.registry.counter("campaign/points_executed").inc()
+                record(done_record(*task.identity, attempts=task.attempts))
+                if progress is not None:
+                    progress(task.config, point.result)
+            elif event == "failed":
+                digest, label, load, seed = task.identity
+                failure = PointFailure(
+                    label, digest, load, seed, task.error, task.attempts, task.kind
                 )
-                due.extend(t.eligible_at - now for t in waiting)
-                _connection_wait(
-                    [e.slot.conn for e in running]
-                    + [e.slot.process.sentinel for e in running],
-                    timeout=max(0.0, min(due)),
-                )
+                failures.append(failure)
+                self.registry.counter("campaign/failures").inc()
+                record(failed_record(**failure.to_json()))
+            else:  # slot_forks / timeouts / retries
+                self.registry.counter(f"campaign/{event}").inc()
+                record(count_record(event), save=event == "retries")
 
-        remaining = len(tasks) + len(waiting) + len(skipped)
+        remaining = drive(
+            self, self.store, pool, tasks, note,
+            workers=self.workers, budget=self.max_points,
+        )
         self.store.save_manifest(manifest)
         return {
             "completed": completed,
             "failures": failures,
             "resumed": resumed,
-            "executed": executed,
+            "executed": len(completed) - resumed,
             "remaining": remaining,
         }
-
-    # -- internals ---------------------------------------------------------------
-    def _spawn(
-        self, task: _Task, pool: SlotPool, record: Callable[..., None]
-    ) -> _Running:
-        task.attempts += 1
-        forks = pool.forks
-        slot = pool.acquire()
-        if pool.forks != forks:
-            self.registry.counter("campaign/slot_forks").inc()
-            record(count_record("slot_forks"), save=False)
-        slot.submit(
-            _point_worker, str(self.store.root), self.store.schema_version,
-            task.config, {name: os.environ.get(name) for name in _FAULT_ENV},
-        )
-        deadline = (
-            time.monotonic() + self.timeout_s
-            if self.timeout_s is not None
-            else None
-        )
-        return _Running(task=task, slot=slot, deadline=deadline)
-
-    def _record_attempt_failure(
-        self,
-        task: _Task,
-        *,
-        error: str,
-        kind: str,
-        record: Callable[..., None],
-        tasks: list[_Task],
-        failures: list[PointFailure],
-    ) -> None:
-        """Route a failed attempt to backoff-retry or terminal degradation."""
-        if kind == "timeout":
-            self.registry.counter("campaign/timeouts").inc()
-            record(count_record("timeouts"), save=False)
-        if task.attempts <= self.retries:
-            self.registry.counter("campaign/retries").inc()
-            record(count_record("retries"))
-            task.eligible_at = time.monotonic() + self.backoff_s * (
-                2 ** (task.attempts - 1)
-            )
-            tasks.append(task)
-            return
-        failure = PointFailure(
-            label=task.config.label(),
-            digest=task.digest,
-            load=task.config.load,
-            seed=task.config.seed,
-            error=error,
-            attempts=task.attempts,
-            kind=kind,
-        )
-        failures.append(failure)
-        self.registry.counter("campaign/failures").inc()
-        record(failed_record(**failure.to_json()))

@@ -12,8 +12,9 @@ same sweep run locally:
 * :mod:`~repro.campaign.service.server` — :class:`CampaignService`, the
   asyncio facade tying scheduler + executors + store together, including
   journal-fed single-writer manifest compaction;
-* :mod:`~repro.campaign.service.executor` — the shared per-point
-  execution path and the in-process :class:`LocalForkExecutor` backend;
+* :mod:`~repro.campaign.service.executor` — :func:`run_lease`, the one
+  point job every backend runs a lease through, and the in-process
+  :class:`LocalForkExecutor` backend;
 * :mod:`~repro.campaign.service.worker` — the remote TCP worker
   (``repro campaign worker --connect``) and its LDJSON protocol
   (:mod:`~repro.campaign.service.protocol`);
@@ -24,7 +25,7 @@ same sweep run locally:
   use to drain their sweeps through a service.
 """
 
-from repro.campaign.service.executor import LocalForkExecutor, execute_point
+from repro.campaign.service.executor import LocalForkExecutor, run_lease
 from repro.campaign.service.runner import ServiceRunner
 from repro.campaign.service.scheduler import Lease, LeaseScheduler, SchedulerPoint
 from repro.campaign.service.server import CampaignService, ServiceError
@@ -37,7 +38,7 @@ __all__ = [
     "SchedulerPoint",
     "Lease",
     "LocalForkExecutor",
-    "execute_point",
+    "run_lease",
     "WorkerSession",
     "WorkerError",
     "run_worker",

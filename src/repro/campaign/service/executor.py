@@ -1,19 +1,18 @@
-"""Pluggable point-execution backends for the campaign service.
+"""Point execution for the campaign service: one lease, one point job.
 
 Both backends — the in-process :class:`LocalForkExecutor` and the remote
-TCP worker (:mod:`repro.campaign.service.worker`) — funnel through
-:func:`execute_point`, which reuses the *existing* per-point machinery of
-:class:`~repro.campaign.runner.CampaignRunner` verbatim: a killable slot
-process, retry with exponential backoff, a per-point wall-clock timeout,
-and the injected point faults (``crash-point`` / ``flaky-point`` /
-``hang-point``).  The slot comes from a :class:`~repro.metrics.sweep.
-SlotPool` the backend holds for its lifetime, so a lease costs no fork:
-the process that ran the last point runs the next one.  The point runs
-against a private throwaway :class:`~repro.campaign.store.ResultStore`,
-and the raw artifact JSON is lifted out of it — so a point executed by
-any backend on any machine produces byte-identical artifact payloads
-(simulations are deterministic given their config; JSON serialization is
-canonical).
+TCP worker (:mod:`repro.campaign.service.worker`) — run a lease through
+:func:`run_lease`: the runner's own point job on a slot of a
+:class:`~repro.metrics.sweep.SlotPool` the backend holds for its lifetime
+(so a lease costs no fork), under the runner's one retry rule
+(:func:`~repro.campaign.runner.drive`: retry with exponential backoff, the
+per-point wall-clock timeout kill, the injected point faults).  The slot
+writes the artifact into the store the caller names — a local slot into
+the service's own store, once and in its final place; a remote worker into
+one store of its own for the session, from which it ships the artifact.
+Simulations are deterministic given their config and the JSON is
+canonical, so every backend on any machine writes byte-identical
+artifacts.
 
 Local slots do not poll: an idle one waits on the service's
 ``work_ready`` event, set whenever a point may have become claimable
@@ -25,67 +24,37 @@ from __future__ import annotations
 
 import asyncio
 import functools
-import tempfile
+from collections import deque
 from typing import Optional
 
-from repro.campaign.runner import CampaignRunner
+from repro.campaign.runner import _Task, drive
 from repro.campaign.store import ResultStore, config_from_json
 from repro.metrics.sweep import SlotPool
 
-__all__ = ["execute_point", "LocalForkExecutor"]
+__all__ = ["run_lease", "LocalForkExecutor"]
 
 
-def execute_point(
-    config_json: dict,
-    pool: SlotPool,
-    *,
-    schema_version: int,
-    retries: int = 2,
-    backoff_s: float = 0.25,
-    timeout_s: Optional[float] = None,
-) -> dict:
-    """Run one point through the slot/retry/timeout machinery.
+def run_lease(lease: dict, pool: SlotPool, store: ResultStore, policy) -> dict:
+    """Run one leased point on ``pool``'s slot, writing into ``store``.
 
-    The point runs on a slot of the caller's ``pool``, which the caller
-    keeps open across points so leases stop costing a fork each.
-
-    Returns ``{"ok": True, "artifact": payload, "attempts": n,
-    "slot_forks": f}`` on success — ``payload`` being the exact artifact
-    JSON a single-host campaign would have written, ``f`` the slot
-    processes this point had to start — or ``{"ok": False, "error": ...,
-    "kind": ..., "attempts": n, "slot_forks": f}`` after retries are
+    ``policy`` carries ``retries``, ``backoff_s`` and ``timeout_s``.
+    Returns ``{"ok": True, "attempts": n, "slot_forks": f}`` once the
+    artifact is at ``store.point_path(lease["digest"])`` — ``f`` being the
+    slot processes this point had to start — or ``{"ok": False, "error":
+    ..., "kind": ..., "attempts": n, "slot_forks": f}`` after retries are
     exhausted.
     """
-    config = config_from_json(config_json)
-    with tempfile.TemporaryDirectory(prefix="repro-point-") as tmp:
-        store = ResultStore(tmp, schema_version=schema_version)
-        runner = CampaignRunner(
-            store,
-            retries=retries,
-            backoff_s=backoff_s,
-            timeout_s=timeout_s,
-            max_workers=1,
-        )
-        forks_before = pool.forks
-        out = runner.run_points([config], pool=pool)
-        slot_forks = pool.forks - forks_before
-        if out["completed"]:
-            digest = store.digest(config)
-            manifest_entry = store.load_manifest()["points"].get(digest, {})
-            return {
-                "ok": True,
-                "artifact": store.read_artifact(digest),
-                "attempts": manifest_entry.get("attempts", 1),
-                "slot_forks": slot_forks,
-            }
-        failure = out["failures"][0]
-        return {
-            "ok": False,
-            "error": failure.error,
-            "kind": failure.kind,
-            "attempts": failure.attempts,
-            "slot_forks": slot_forks,
-        }
+    task = _Task(0, config_from_json(lease["config"]), lease["digest"])
+    events = []
+    drive(policy, store, pool, deque([task]), lambda event, _: events.append(event))
+    outcome = {
+        "ok": task.error is None,
+        "attempts": task.attempts,
+        "slot_forks": events.count("slot_forks"),
+    }
+    if task.error is not None:
+        outcome.update(error=task.error, kind=task.kind)
+    return outcome
 
 
 class LocalForkExecutor:
@@ -93,13 +62,14 @@ class LocalForkExecutor:
 
     The local twin of a remote TCP worker: each slot loops claim → run →
     report against the service's scheduler directly (no sockets), running
-    the blocking submit/wait machinery on the default thread-pool executor
-    so the event loop stays responsive.  Each slot owns one
+    the blocking :func:`run_lease` on the default thread-pool executor so
+    the event loop stays responsive.  Each slot owns one
     :class:`~repro.metrics.sweep.SlotPool` — hence one reused point
-    process — for its lifetime.  While a point runs, the slot heartbeats
-    its lease from the event-loop side — the same liveness contract
-    remote workers honour.  A point whose execution raises is reported
-    failed and the slot keeps looping.
+    process — for its lifetime, and its point process writes each artifact
+    straight into the service's store.  While a point runs, the slot
+    heartbeats its lease from the event-loop side — the same liveness
+    contract remote workers honour.  A point whose execution raises is
+    reported failed and the slot keeps looping.
     """
 
     def __init__(
@@ -145,10 +115,20 @@ class LocalForkExecutor:
         service.scheduler.connect_worker(worker)
         loop = asyncio.get_running_loop()
         heartbeat_s = service.scheduler.lease_ttl / 3.0
+        finished = None  # (digest, outcome) of the lease not yet reported
         # closing kills a point still in flight on the executor thread
         with SlotPool() as pool:
             while not self._stopping.is_set():
                 lease = service.scheduler.claim(worker)
+                if lease is not None:
+                    run = loop.run_in_executor(
+                        None,
+                        functools.partial(run_lease, lease, pool, service.store, self),
+                    )
+                if finished is not None:
+                    # reported once the next lease runs, so the two overlap
+                    service.finish_point(worker, *finished)
+                    finished = None
                 if lease is None:
                     # woken the moment work may have appeared; the poll is
                     # only the fallback
@@ -160,18 +140,6 @@ class LocalForkExecutor:
                     except asyncio.TimeoutError:
                         pass
                     continue
-                run = loop.run_in_executor(
-                    None,
-                    functools.partial(
-                        execute_point,
-                        lease["config"],
-                        pool,
-                        schema_version=service.store.schema_version,
-                        retries=self.retries,
-                        backoff_s=self.backoff_s,
-                        timeout_s=self.timeout_s,
-                    ),
-                )
                 while True:
                     done, _ = await asyncio.wait([run], timeout=heartbeat_s)
                     if done:
@@ -186,4 +154,6 @@ class LocalForkExecutor:
                         "kind": "error",
                         "attempts": 1,
                     }
-                service.finish_point(worker, lease["digest"], outcome)
+                finished = lease["digest"], outcome
+        if finished is not None:
+            service.finish_point(worker, *finished)

@@ -83,7 +83,7 @@ class ServiceRunner:
             digest = submitted["digests"][index]
             status = statuses[digest]
             if status["status"] == "done":
-                point = self.store.load(config)
+                point = self.store.load(config, digest)
                 completed[index] = point
                 if not status.get("resumed"):
                     executed += 1

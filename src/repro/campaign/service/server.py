@@ -28,9 +28,12 @@ On the loop live:
 The core invariant — a campaign drained by any mix of local slots and
 remote workers is bit-identical (artifact-for-artifact, digest-for-digest)
 to a single-host :class:`~repro.campaign.runner.CampaignRunner` run — is
-enforced by construction: every backend runs points through the same
-slot-process machinery and ships the canonical artifact JSON, and the
-service writes artifacts through the same atomic store path.
+enforced by construction: every backend runs the runner's own point job
+under its one retry rule (:func:`~repro.campaign.service.executor.
+run_lease`).  A local slot's point process writes the artifact straight
+into the service's store, once, through the same atomic store path a
+runner uses; a remote worker ships the canonical artifact JSON, which the
+service checks (schema, digest) before it writes it.
 """
 
 from __future__ import annotations
@@ -270,7 +273,7 @@ class CampaignService:
                     config.label(),
                     config.load,
                     config.seed,
-                    self.store.has(config),
+                    self.store.find(config, digest) is not None,
                 )
             )
         return self._run(self._a_submit(prepared))
@@ -365,11 +368,13 @@ class CampaignService:
     def finish_point(self, worker: str, digest: str, outcome: dict) -> str:
         """Fold one executed point back in: store, journal, scheduler.
 
-        Called by every backend with an :func:`~repro.campaign.service.
-        executor.execute_point` outcome.  Success writes the artifact
-        atomically and journals a ``done`` record (the manifest itself is
-        only ever written by the compactor); terminal failure journals a
-        ``failed`` record.  Returns the scheduler verdict.
+        Called by every backend with a :func:`~repro.campaign.service.
+        executor.run_lease` outcome.  A local slot already wrote the
+        artifact into this store; a remote worker's shipped one
+        (``outcome["artifact"]``) is checked and written here.  Success
+        journals a ``done`` record (the manifest itself is only ever written
+        by the compactor); terminal failure journals a ``failed`` record.
+        Returns the scheduler verdict.
         """
         point = self.scheduler.points.get(digest)
         if outcome.get("slot_forks"):
@@ -379,7 +384,12 @@ class CampaignService:
         if outcome.get("ok"):
             verdict = self.scheduler.complete(worker, digest)
             if verdict in ("ok", "stale") and point is not None:
-                self.store.write_artifact(outcome["artifact"])
+                artifact = outcome.get("artifact")
+                if artifact is not None:
+                    self.store.write_artifact(artifact)
+                elif point.config.get("obs_level", 0) >= 1:
+                    # only an observed point has a snapshot worth reading back
+                    artifact = self.store.read_artifact(digest)
                 self.store.journal_append(
                     self.writer_id,
                     done_record(
@@ -387,7 +397,7 @@ class CampaignService:
                         attempts=outcome.get("attempts", 1), worker=worker,
                     ),
                 )
-                obs = outcome["artifact"].get("obs")
+                obs = (artifact or {}).get("obs")
                 if obs is not None:
                     self.obs_merged = merge_into(self.obs_merged, obs)
         else:

@@ -2,14 +2,15 @@
 
 ``repro campaign worker --connect HOST:PORT`` runs :func:`run_worker`,
 which connects a :class:`WorkerSession` to a campaign service and drains
-points until the service says ``done``.  Points execute through the exact
-same slot-process / retry / timeout machinery a single-host campaign
-uses (:func:`~repro.campaign.service.executor.execute_point`), so the
-artifact a remote worker ships back is byte-identical to what the
-service's host would have written itself.  The session holds one
-:class:`~repro.metrics.sweep.SlotPool` from connect to disconnect: every
-lease runs on the same reused point process unless a timeout or a crash
-retires it.
+points until the service says ``done``.  Points run the runner's own
+point job under its one retry / timeout rule (:func:`~repro.campaign.
+service.executor.run_lease`), so the artifact a remote worker ships back
+is byte-identical to what the service's host would have written itself.
+The session holds one :class:`~repro.metrics.sweep.SlotPool` and one
+scratch :class:`~repro.campaign.store.ResultStore` from connect to
+disconnect: every lease runs on the same reused point process unless a
+timeout or a crash retires it, writes its artifact into that store, and
+the session reads it back once to ship it.
 
 While the main thread is blocked inside a point, a side thread heartbeats
 the lease so the scheduler knows the worker is alive (heartbeats are
@@ -24,13 +25,14 @@ from __future__ import annotations
 
 import os
 import socket
+import tempfile
 import threading
 import time
 from typing import Optional
 
 from repro.campaign.service import protocol
-from repro.campaign.service.executor import execute_point
-from repro.campaign.store import SCHEMA_VERSION
+from repro.campaign.service.executor import run_lease
+from repro.campaign.store import SCHEMA_VERSION, ResultStore
 from repro.errors import ReproError
 from repro.faults import active_faults, point_fault_matches
 from repro.metrics.sweep import SlotPool
@@ -91,6 +93,7 @@ class WorkerSession:
         self._fh = None
         self._send_lock = threading.Lock()
         self._pool: Optional[SlotPool] = None
+        self._store: Optional[ResultStore] = None
 
     # -- wire helpers ------------------------------------------------------------
     def _send(self, message: dict) -> None:
@@ -112,6 +115,8 @@ class WorkerSession:
         self._sock.settimeout(None)
         self._fh = self._sock.makefile("rb")
         self._pool = SlotPool()  # one slot process for the whole session
+        scratch = tempfile.TemporaryDirectory(prefix="repro-worker-")
+        self._store = ResultStore(scratch.name, schema_version=self.schema_version)
         try:
             self._send(
                 {
@@ -152,6 +157,7 @@ class WorkerSession:
                 pass
         finally:
             self._pool.close()
+            scratch.cleanup()
             try:
                 self._fh.close()
                 self._sock.close()
@@ -175,14 +181,7 @@ class WorkerSession:
         )
         beater.start()
         try:
-            outcome = execute_point(
-                lease["config"],
-                self._pool,
-                schema_version=self.schema_version,
-                retries=self.retries,
-                backoff_s=self.backoff_s,
-                timeout_s=self.timeout_s,
-            )
+            outcome = run_lease(lease, self._pool, self._store, self)
         finally:
             stop.set()
             beater.join(timeout=5.0)
@@ -191,7 +190,7 @@ class WorkerSession:
                 {
                     "type": "result",
                     "digest": digest,
-                    "artifact": outcome["artifact"],
+                    "artifact": self._store.read_artifact(digest),
                     "attempts": outcome["attempts"],
                     "slot_forks": outcome["slot_forks"],
                 }

@@ -120,8 +120,11 @@ class StoredPoint:
 
 
 def result_to_json(result: RunResult) -> dict:
-    """JSON-able form of a run result (config nested in canonical form)."""
-    payload = dataclasses.asdict(result)
+    """JSON-able form of a run result (config nested in canonical form).
+
+    Read off the fields, not ``dataclasses.asdict``: that deep-copies the
+    config only for it to be replaced, and the fields are plain values."""
+    payload = {f.name: getattr(result, f.name) for f in dataclasses.fields(result)}
     payload["config"] = config_to_json(result.config)
     return payload
 
@@ -249,10 +252,13 @@ class ResultStore:
         <root>/points/<digest>.json   one artifact per completed config
         <root>/journal/<writer>.jsonl append-only per-writer event journal
 
-    Safe for one writer per artifact (digests are disjoint across points)
-    plus any number of readers; all writes are atomic rename.  Concurrent
-    manifest updates go through the journal + single-writer compaction
-    (see the module docstring).
+    Safe for any number of artifact writers and readers: distinct points
+    have distinct digests, and two writers of one artifact (a reclaimed
+    lease finishing beside its replacement) write the same bytes, because
+    a point's result is deterministic and its JSON canonical, each through
+    its own temp file named by pid and renamed into place atomically.
+    Concurrent manifest updates go through the journal + single-writer
+    compaction (see the module docstring).
     """
 
     def __init__(
@@ -272,19 +278,23 @@ class ResultStore:
     def point_path(self, digest: str) -> Path:
         return self.points_dir / f"{digest}.json"
 
-    def has(self, config: SimulationConfig) -> bool:
-        """Is a schema-compatible artifact present for this config?"""
-        path = self.point_path(self.digest(config))
-        if not path.exists():
-            return False
+    def find(
+        self, config: SimulationConfig, digest: Optional[str] = None
+    ) -> Optional[StoredPoint]:
+        """The completed point, or ``None`` when no schema-compatible
+        artifact is readable (absent, torn by hand, or another schema's)."""
         try:
-            return self._read_artifact(path)["schema_version"] == self.schema_version
-        except (json.JSONDecodeError, KeyError, OSError):
-            return False
+            return self.load(config, digest)
+        except (StoreSchemaError, json.JSONDecodeError, KeyError, OSError):
+            return None
 
-    def load(self, config: SimulationConfig) -> StoredPoint:
-        """Load a completed point; refuses schema-incompatible artifacts."""
-        digest = self.digest(config)
+    def load(
+        self, config: SimulationConfig, digest: Optional[str] = None
+    ) -> StoredPoint:
+        """Load a completed point; refuses schema-incompatible artifacts.
+
+        ``digest``, when the caller holds it, saves recomputing it."""
+        digest = digest or self.digest(config)
         data = self._read_artifact(self.point_path(digest))
         found = data.get("schema_version")
         if found != self.schema_version:

@@ -1,5 +1,6 @@
 """The service's local slots: woken by events, robust to a failing point,
-and leaving no process behind.
+retrying and killing points by the runner's rule, writing the runner's
+bytes straight into the store, and leaving no process behind.
 
 Local slots idle on :attr:`CampaignService.work_ready` with
 ``idle_poll_s`` only as a fallback.  The wake-up tests stretch that
@@ -15,6 +16,7 @@ import time
 import pytest
 
 from repro import faults
+from repro.campaign import CampaignRunner, ResultStore
 from repro.campaign.service import (
     CampaignService,
     LocalForkExecutor,
@@ -24,9 +26,14 @@ from repro.campaign.service import (
 from repro.campaign.service import executor as executor_module
 from repro.campaign.service import server as server_module
 from repro.config import tiny_default
+from repro.obs.registry import merge_into
 
 FAST = dict(measure_cycles=300, warmup_cycles=50)
 LOADS = [0.3, 0.6, 0.9, 1.2]
+
+
+def artifact_bytes(store):
+    return {p.name: p.read_bytes() for p in store.points_dir.glob("*.json")}
 
 
 def wait_for(predicate, timeout_s=10.0, interval_s=0.02):
@@ -107,10 +114,10 @@ class TestWakeUp:
 
 
 class TestSlotSurvivesAFailingPoint:
-    def test_exception_from_execute_point_fails_the_point_not_the_slot(
+    def test_exception_from_run_lease_fails_the_point_not_the_slot(
         self, tmp_path, monkeypatch
     ):
-        real = executor_module.execute_point
+        real = executor_module.run_lease
         calls = []
 
         def disk_full_once(*args, **kwargs):
@@ -119,7 +126,7 @@ class TestSlotSurvivesAFailingPoint:
                 raise OSError("disk full")
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(executor_module, "execute_point", disk_full_once)
+        monkeypatch.setattr(executor_module, "run_lease", disk_full_once)
         base = tiny_default(**FAST)
         svc = CampaignService(tmp_path / "store", local_workers=1).start()
         try:
@@ -133,6 +140,104 @@ class TestSlotSurvivesAFailingPoint:
             assert out["executed"] == 1 and not out["failures"]
         finally:
             svc.stop()  # returns cleanly: no slot task died
+
+
+#: one point fault per row: the knobs both backends run it under, and the
+#: manifest entry it must leave for the faulted point (L=0.30); the point
+#: after it (L=0.60) must still complete
+FAULT_TABLE = [
+    ("flaky-point", dict(retries=2, backoff_s=0.01), dict(status="done", attempts=2)),
+    (
+        "crash-point",
+        dict(retries=1, backoff_s=0.01),
+        dict(
+            status="failed", kind="error", attempts=2,
+            error="RuntimeError: injected crash-point for {label}",
+        ),
+    ),
+    (
+        "hang-point",
+        dict(retries=0, timeout_s=0.5),
+        dict(
+            status="failed", kind="timeout", attempts=1,
+            error="point exceeded 0.5s wall-clock timeout; worker killed",
+        ),
+    ),
+]
+
+
+def _entries(store, digests):
+    """The manifest fields a fault decides, per digest."""
+    points = store.load_manifest()["points"]
+    return [
+        {key: points[d].get(key) for key in ("status", "kind", "attempts", "error")}
+        for d in digests
+    ]
+
+
+class TestLocalSlotFailurePath:
+    """Local slots retry, back off and kill hung points through the same
+    rule as :class:`CampaignRunner`, and record the same outcome."""
+
+    @pytest.mark.parametrize("fault,knobs,expected", FAULT_TABLE)
+    def test_same_fault_same_manifest_entry(
+        self, tmp_path, monkeypatch, fault, knobs, expected
+    ):
+        base = tiny_default(**FAST)
+        configs = [base.replace(load=0.3), base.replace(load=0.6)]
+        monkeypatch.setenv(faults.ENV_VAR, fault)
+        monkeypatch.setenv(faults.MATCH_ENV_VAR, "L=0.30")
+        stores = {}
+        for backend in ("runner", "service"):
+            # first-attempt markers are per backend, so each sees the fault
+            markers = tmp_path / f"markers-{backend}"
+            markers.mkdir()
+            monkeypatch.setenv(faults.DIR_ENV_VAR, str(markers))
+            store = stores[backend] = ResultStore(tmp_path / backend)
+            if backend == "runner":
+                CampaignRunner(store, max_workers=1, **knobs).run_points(configs)
+            else:
+                with CampaignService(store, local_workers=1, **knobs) as svc:
+                    ServiceRunner(svc, wait_timeout_s=30.0).run_points(configs)
+        digests = [stores["runner"].digest(c) for c in configs]
+        entry = {"kind": None, "error": None, **expected}
+        if entry["error"] is not None:
+            entry["error"] = entry["error"].format(label=configs[0].label())
+        after = dict(status="done", kind=None, attempts=1, error=None)
+        assert _entries(stores["runner"], digests) == [entry, after]
+        assert _entries(stores["service"], digests) == [entry, after]
+
+
+class TestStoreBytes:
+    def test_two_local_slots_write_the_cold_drain_bytes_in_place(
+        self, tmp_path, monkeypatch
+    ):
+        """Local slots write each artifact straight into the service's
+        store: the bytes are a cold runner drain's, and the service's
+        check-and-write path for shipped artifacts is never taken."""
+        base = tiny_default(**FAST)
+        configs = [
+            base.replace(load=load, seed=seed) for seed in (1, 2) for load in LOADS
+        ]
+        cold = ResultStore(tmp_path / "cold")
+        CampaignRunner(cold, max_workers=2).run_points(configs)
+        shipped = []
+        monkeypatch.setattr(
+            ResultStore, "write_artifact", lambda store, payload: shipped.append(1)
+        )
+        with CampaignService(tmp_path / "service", local_workers=2) as svc:
+            out = ServiceRunner(svc, wait_timeout_s=30.0).run_points(configs)
+            assert svc.status_snapshot()["obs"] is None  # nothing observed
+        assert out["executed"] == len(configs) and not out["failures"]
+        assert shipped == []
+        assert artifact_bytes(svc.store) == artifact_bytes(cold)
+
+    def test_an_observed_point_reaches_the_merged_snapshot(self, tmp_path):
+        config = tiny_default(obs_level=1, **FAST)
+        with CampaignService(tmp_path / "store", local_workers=1) as svc:
+            ServiceRunner(svc, wait_timeout_s=30.0).run_points([config])
+            merged = svc.status_snapshot()["obs"]
+        assert merged == merge_into(None, svc.store.load(config).obs)
 
 
 class TestNoProcessLeftBehind:

@@ -1,6 +1,7 @@
 """Content-addressed result store: digests, round-trips, schema guard."""
 
 import json
+import pathlib
 
 import pytest
 
@@ -16,9 +17,15 @@ from repro.campaign.store import (
     result_to_json,
 )
 from repro.config import tiny_default
+from repro.metrics.sweep import run_point
 from repro.network.simulator import NetworkSimulator
 
 FAST = dict(measure_cycles=300, warmup_cycles=50)
+
+#: one point's artifact as committed, so no change to how a result is
+#: serialized moves a stored byte unnoticed; seed 3 at load 1.2
+#: deadlocks once, so every list field of the result is non-empty
+GOLDEN = pathlib.Path(__file__).with_name("golden_artifact.json")
 
 
 class TestDigest:
@@ -102,15 +109,21 @@ class TestStore:
         sim = NetworkSimulator(cfg)
         result = sim.run()
         digest = store.write(cfg, result, sim.obs.snapshot())
-        assert store.has(cfg)
+        assert store.find(cfg) is not None
         point = store.load(cfg)
         assert point.digest == digest
         assert point.config == cfg
         assert point.result == result
 
+    def test_fresh_artifact_matches_the_committed_bytes(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        cfg = tiny_default(load=1.2, seed=3, **FAST)
+        digest = store.write(cfg, *run_point(cfg))
+        assert store.point_path(digest).read_bytes() == GOLDEN.read_bytes()
+
     def test_missing_point(self, tmp_path):
         store = ResultStore(tmp_path / "store")
-        assert not store.has(tiny_default(**FAST))
+        assert store.find(tiny_default(**FAST)) is None
 
     def test_writes_leave_no_temp_files(self, tmp_path):
         store = ResultStore(tmp_path / "store")
@@ -130,7 +143,7 @@ class TestSchemaGuard:
             tmp_path / "store", schema_version=SCHEMA_VERSION + 1
         )
         # different schema -> different digest -> simply not found
-        assert not new.has(cfg)
+        assert new.find(cfg) is None
 
     def test_artifact_written_under_other_schema_refused(self, tmp_path):
         """Same digest on disk but wrong recorded schema must not load."""
@@ -141,7 +154,7 @@ class TestSchemaGuard:
         data = json.loads(artifact.read_text())
         data["schema_version"] = SCHEMA_VERSION + 1
         artifact.write_text(json.dumps(data))
-        assert not store.has(cfg)
+        assert store.find(cfg) is None
         with pytest.raises(StoreSchemaError):
             store.load(cfg)
 
@@ -167,7 +180,7 @@ class TestClean:
         assert summary == {"failed_dropped": 1, "artifacts_dropped": 0}
         points = store.load_manifest()["points"]
         assert digest in points and "deadbeef" not in points
-        assert store.has(cfg)
+        assert store.find(cfg) is not None
 
     def test_clean_all_empties_the_store(self, tmp_path):
         store = ResultStore(tmp_path / "store")
@@ -175,7 +188,7 @@ class TestClean:
         store.write(cfg, NetworkSimulator(cfg).run())
         summary = store.clean(all_points=True)
         assert summary["artifacts_dropped"] == 1
-        assert not store.has(cfg)
+        assert store.find(cfg) is None
         assert store.load_manifest() == {
             "schema_version": SCHEMA_VERSION,
             "points": {},
