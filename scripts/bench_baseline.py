@@ -63,6 +63,7 @@ from repro.config import bench_default, paper_default, tiny_default  # noqa: E40
 from repro.core.detector import DeadlockDetector  # noqa: E402
 from repro.network.simulator import NetworkSimulator  # noqa: E402
 from repro.obs.profiler import phase_rows, phase_table, share_pct  # noqa: E402
+from repro.validation.reference import ReferenceDetector, ReferenceEngine  # noqa: E402
 
 BASELINE_PATH = REPO_ROOT / "BENCH_core.json"
 
@@ -109,11 +110,8 @@ ENGINE_SCENARIOS = {
 ACCEPTANCE_SCENARIO = "engine_saturated_16ary"
 ACCEPTANCE_REQUIRED_SPEEDUP = 5.0
 
-#: engine name -> config flag overrides
-ENGINE_FLAGS = {
-    "legacy": dict(engine_fast_path=False),
-    "production": dict(engine_fast_path=True),
-}
+#: engine name -> the class that builds it
+ENGINES = {"legacy": ReferenceEngine, "production": NetworkSimulator}
 
 
 def _timed_engines(spec: dict, reps: int = 5) -> dict[str, list[float]]:
@@ -125,19 +123,16 @@ def _timed_engines(spec: dict, reps: int = 5) -> dict[str, list[float]]:
     A slow spell of the host lands inside one round, so it moves one
     per-round ratio (:func:`_median_ratio`), not one side of every ratio.
     """
-    sims = {}
-    for name, flags in ENGINE_FLAGS.items():
-        cfg = spec["factory"](
-            warmup_cycles=0,
-            measure_cycles=1,
-            seed=1,
-            # benchmarks time the engine, never the correctness net: pin
-            # the runtime invariant checker off even if the project
-            # default changes
-            validation_level=0,
-            **{**spec["overrides"], **flags},
-        )
-        sims[name] = NetworkSimulator(cfg)
+    cfg = spec["factory"](
+        warmup_cycles=0,
+        measure_cycles=1,
+        seed=1,
+        # benchmarks time the engine, never the correctness net: pin the
+        # runtime invariant checker off even if the project default changes
+        validation_level=0,
+        **spec["overrides"],
+    )
+    sims = {name: engine(cfg) for name, engine in ENGINES.items()}
     for sim in sims.values():
         for _ in range(spec["warm"]):
             sim.step()
@@ -203,12 +198,12 @@ DETECTOR_SIZES = {
     ),
 }
 
-#: detector constructor arguments per timed mode of a size row
+#: the detector of each timed mode of a size row: (class, census on?)
 DETECTOR_MODES = {
-    "as_shipped": dict(count_cycles=False),
-    "reference": dict(count_cycles=False, caching=False),
-    "as_shipped_census": dict(count_cycles=True),
-    "reference_census": dict(count_cycles=True, caching=False),
+    "as_shipped": (DeadlockDetector, False),
+    "reference": (ReferenceDetector, False),
+    "as_shipped_census": (DeadlockDetector, True),
+    "reference_census": (ReferenceDetector, True),
 }
 
 
@@ -235,8 +230,8 @@ def _detector_by_size(rounds: int = 5) -> dict:
         g = DeadlockDetector.build_cwg(sim)
         us: dict[str, list[float]] = {mode: [] for mode in DETECTOR_MODES}
         for _ in range(rounds):
-            for mode, kwargs in DETECTOR_MODES.items():
-                detector = DeadlockDetector(**kwargs)
+            for mode, (detector_class, census) in DETECTOR_MODES.items():
+                detector = detector_class(count_cycles=census)
                 t0 = time.perf_counter()
                 for _ in range(spec["passes"]):
                     sim.blocked_epoch += 1

@@ -22,9 +22,9 @@
 #    breakdown is printed alongside the committed one so the regressing
 #    phase is visible at a glance;
 # 4. runs the bit-identity gate: every row of the case table in
-#    tests/integration/bit_identity.py (engine, detector, observability
-#    and deprecated-field rows on k-ary n-cubes and the topology zoo),
-#    each compared through repro.validation.differential.compare on the
+#    tests/integration/bit_identity.py (engine, detector and observability
+#    rows on k-ary n-cubes and the topology zoo, each reference built from
+#    its class in repro.validation.reference), each compared through repro.validation.differential.compare on the
 #    result, every detection record and the post-run RNG word, the
 #    golden-trace digests, which both engines must reproduce verbatim, and
 #    one check for each user of the one slot process (SlotPool): a sweep
@@ -47,9 +47,9 @@
 #    against the seed-1 digests pinned in benchmarks/e2e;
 # 6. runs the benchmark harness's own tests (benchmarks/e2e is outside
 #    pytest's testpaths): among them the one that reads the
-#    implementation-selection config fields by name — the reason the three
-#    inert engine_kernels / engine_vectorized / cwg_maintenance fields
-#    still exist;
+#    implementation-selection config fields by name — with the stored
+#    result digests, the reason those six single-valued fields still
+#    exist;
 # 7. runs the differential fuzz smoke sweep: 25 seeded random configs
 #    cross-checked through the same compare on the engine/detector axes
 #    under a 90 s budget

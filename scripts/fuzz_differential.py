@@ -3,12 +3,13 @@
 
 Draws seeded random configurations and verifies, for each one, that the
 run is bit-identical (``repro.validation.differential.compare``: result,
-every detection record, post-run RNG word) to its twin with one axis's
-field toggled:
+every detection record, post-run RNG word) to each axis's reference, a
+class of ``repro.validation.reference``:
 
-* ``engine`` — the production engine vs the legacy engine,
-* ``detector`` — the detector's worm-level pipeline vs the uncached
-  reference pass.
+* ``engine`` — the production engine vs ``ReferenceEngine``, the
+  full-rescan reference engine,
+* ``detector`` — the detector's worm-level pipeline vs the vertex-level
+  reference pass (``reference_pass``).
 
 Any mismatch is shrunk to a minimal reproducing configuration and dumped
 as a replayable JSON artifact under ``fuzz_artifacts/``.
@@ -64,7 +65,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--axes",
         default=",".join(AXES),
-        help=f"comma-separated axes to check (default: {','.join(AXES)})",
+        help="comma-separated axes to check: engine (the production engine "
+        "vs ReferenceEngine), detector (the worm-level pipeline vs the "
+        f"reference pass); default {','.join(AXES)}",
     )
     parser.add_argument(
         "--budget",

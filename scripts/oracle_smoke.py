@@ -56,6 +56,7 @@ from repro.validation.oracle import (  # noqa: E402
     run_teeth,
     teeth_candidates,
 )
+from repro.validation.reference import ReferenceEngine  # noqa: E402
 
 BUDGET_SECONDS = 90.0
 ARTIFACT_DIR = REPO_ROOT / "oracle_artifacts"
@@ -93,7 +94,7 @@ def main(argv: list[str] | None = None) -> int:
                 )
                 print(f"  witness: {path}")
         graph = graphs[case.name] = report.graph
-        reference = explore(case.config.replace(engine_fast_path=False))
+        reference = explore(case.config, engine=ReferenceEngine)
         if (reference.index, reference.succ, reference.scripts) != (
             graph.index, graph.succ, graph.scripts
         ):

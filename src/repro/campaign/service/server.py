@@ -371,10 +371,12 @@ class CampaignService:
         Called by every backend with a :func:`~repro.campaign.service.
         executor.run_lease` outcome.  A local slot already wrote the
         artifact into this store; a remote worker's shipped one
-        (``outcome["artifact"]``) is checked and written here.  Success
-        journals a ``done`` record (the manifest itself is only ever written
-        by the compactor); terminal failure journals a ``failed`` record.
-        Returns the scheduler verdict.
+        (``outcome["artifact"]``) is checked and written here before the
+        point completes, and a refused one raises
+        :class:`~repro.campaign.store.StoreSchemaError` with the point still
+        leased.  Success journals a ``done`` record (the manifest itself is
+        only ever written by the compactor); terminal failure journals a
+        ``failed`` record.  Returns the scheduler verdict.
         """
         point = self.scheduler.points.get(digest)
         if outcome.get("slot_forks"):
@@ -382,12 +384,19 @@ class CampaignService:
                 self.writer_id, count_record("slot_forks", outcome["slot_forks"])
             )
         if outcome.get("ok"):
+            artifact = outcome.get("artifact")
+            if artifact is not None and point and point.status != "done":
+                # a refused shipment raises before the point completes: the
+                # lease is left to expire, and the point requeues
+                if artifact.get("digest") != digest:
+                    raise StoreSchemaError(
+                        f"shipped artifact {artifact.get('digest')!r} is not "
+                        f"the leased point {digest!r}"
+                    )
+                self.store.write_artifact(artifact)
             verdict = self.scheduler.complete(worker, digest)
             if verdict in ("ok", "stale") and point is not None:
-                artifact = outcome.get("artifact")
-                if artifact is not None:
-                    self.store.write_artifact(artifact)
-                elif point.config.get("obs_level", 0) >= 1:
+                if artifact is None and point.config.get("obs_level", 0) >= 1:
                     # only an observed point has a snapshot worth reading back
                     artifact = self.store.read_artifact(digest)
                 self.store.journal_append(

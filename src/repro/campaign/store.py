@@ -424,8 +424,10 @@ class ResultStore:
             return []
         return sorted(p.stem for p in self.journal_dir.glob("*.jsonl"))
 
-    def journal_records(self, writer: str) -> list[dict]:
-        """All intact records of one writer's journal, in append order.
+    def journal_records(self, writer: str, start: int = 0) -> list[dict]:
+        """The intact records of one writer's journal, in append order,
+        from record ``start`` on (records the caller already read whole:
+        their lines are skipped unparsed).
 
         Parsing stops at the first undecodable line: only the tail of an
         append-only file can be torn (a crash mid-write), and a writer id
@@ -437,7 +439,7 @@ class ResultStore:
         except OSError:
             return []
         records = []
-        for line in text.splitlines():
+        for line in text.splitlines()[start:]:
             try:
                 records.append(json.loads(line))
             except json.JSONDecodeError:
@@ -470,11 +472,11 @@ class ResultStore:
         manifest = self.load_manifest()
         offsets = manifest.setdefault("journal_offsets", {})
         for writer in self.journal_writers():
-            records = self.journal_records(writer)
             start = offsets.get(writer, 0)
-            for record in records[start:]:
+            records = self.journal_records(writer, start)
+            for record in records:
                 _apply_record(manifest, record)
-            offsets[writer] = max(start, len(records))
+            offsets[writer] = start + len(records)
         self.save_manifest(manifest)
         return manifest
 

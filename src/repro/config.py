@@ -103,6 +103,15 @@ NAME = Domain(
 BOOL = one_of(False, True)
 
 
+def only(default, replacement: str) -> Domain:
+    """Its default alone; the error for another value names the replacement."""
+    return Domain(
+        f"{default!r} (its only value; {replacement})",
+        lambda value: type(value) is type(default) and value == default,
+        lambda: (default,),
+    )
+
+
 class Flag(NamedTuple):
     """A field's ``repro simulate`` option."""
 
@@ -203,11 +212,11 @@ class SimulationConfig:
     detection_interval: int = _deadlock(50, at_least(1))  #: cycles between passes
     #: "knot" (true detection) or "timeout"
     detection_mode: str = _deadlock("knot", one_of("knot", "timeout"))
-    #: deprecated and inert: "rebuild" and "incremental" both run the
-    #: detector's per-pass CWG rebuild.  Kept, and still validated, only
-    #: because stored result digests embed every config field.
-    cwg_maintenance: str = _deadlock(
-        "rebuild", one_of("rebuild", "incremental"), IMPLEMENTATION)
+    #: single-valued, like detector_caching, check_invariants and engine_*:
+    #: kept only because stored result digests (campaign stores, the e2e
+    #: benchmark's) embed every config field, until the next re-pin
+    cwg_maintenance: str = _deadlock("rebuild", only(
+        "rebuild", "every detector pass rebuilds the CWG"), IMPLEMENTATION)
     #: blocked-cycles threshold for timeout mode
     timeout_threshold: int = _deadlock(500, at_least(1))
     #: recovery policy short name
@@ -218,13 +227,9 @@ class SimulationConfig:
     count_cycles: bool = _deadlock(True, BOOL)
     #: cap on cycle enumeration per detection
     max_cycles_counted: int = _deadlock(50_000, at_least(1))
-    #: the detector's worm-level pipeline: analyse the CWG's quotient with
-    #: one node per message (requests read from the engine's wait index),
-    #: one SCC decomposition shared by the knot test and the cycle census,
-    #: once per pass over the whole CWG.  Bit-identical records to the
-    #: uncached pass; off selects the plain vertex-level global Tarjan +
-    #: uncontracted Johnson reference for A/B tests.
-    detector_caching: bool = _deadlock(True, BOOL, IMPLEMENTATION)
+    detector_caching: bool = _deadlock(True, only(
+        True, "the reference pass is repro.validation.reference_pass(config)"
+    ), IMPLEMENTATION)
     #: keep per-message blocked times
     record_blocked_durations: bool = _deadlock(False, BOOL)
 
@@ -236,25 +241,15 @@ class SimulationConfig:
         "--cycles", "measured cycles"))
     #: RNG seed (runs are fully deterministic given the seed)
     seed: int = _run(1, at_least(0), cli=Flag("--seed"))
-    #: run the invariant battery every cycle, as validation_level=2 does
-    #: (slow)
-    check_invariants: bool = _run(False, BOOL, OBSERVATION)
-    #: the production engine
-    #: (:class:`repro.network.production.ProductionEngine`): activity
-    #: tracking in the hot loops, an inline C-backed arbitration stream and
-    #: detection short-circuiting, on every topology.  Bit-identical to the
-    #: legacy full-rescan reference (same seed -> same RunResult and
-    #: deadlock-event stream); off selects the reference for A/B tests and
-    #: the model-checking oracle.
-    engine_fast_path: bool = _run(True, BOOL, IMPLEMENTATION)
-    #: deprecated and inert: the engine tiers these two selected are gone
-    #: (their loops and whole-phase skips live in the production engine) and
-    #: every engine was bit-identical, so ignoring them changes no result.
-    #: They stay only because stored result digests embed every config
-    #: field (``benchmarks/e2e/expected_digests.json``, campaign stores);
-    #: the PR that next re-pins those deletes them.
-    engine_vectorized: bool = _run(False, BOOL, IMPLEMENTATION)
-    engine_kernels: bool = _run(False, BOOL, IMPLEMENTATION)
+    check_invariants: bool = _run(False, only(
+        False, "use validation_level=2"), OBSERVATION)
+    engine_fast_path: bool = _run(True, only(
+        True, "the reference engine is repro.validation.ReferenceEngine"
+    ), IMPLEMENTATION)
+    engine_vectorized: bool = _run(False, only(
+        False, "the production engine runs that tier's loops"), IMPLEMENTATION)
+    engine_kernels: bool = _run(False, only(
+        False, "the production engine runs that tier's loops"), IMPLEMENTATION)
 
     # -- validation -----------------------------------------------------------------
     #: runtime invariant checker (:mod:`repro.validation.invariants`):

@@ -14,11 +14,11 @@ simulation engine.
 The worm-level pipeline
 -----------------------
 
-With ``detector_caching`` on (the default) every pass runs
-:meth:`DeadlockDetector._analyze_pipeline` on the **worm multigraph** of
-the CWG, :func:`~repro.core.cwg.worm_graph`, rather than on its vertices:
-one node per message that owns resources, one arc ``m -> owner(t)`` per
-request target ``t`` of a blocked ``m``, and ``None`` for a free target.
+Every full pass runs :meth:`DeadlockDetector._analyze_pipeline` on the
+**worm multigraph** of the CWG, :func:`~repro.core.cwg.worm_graph`, rather
+than on its vertices: one node per message that owns resources, one arc
+``m -> owner(t)`` per request target ``t`` of a blocked ``m``, and
+``None`` for a free target.
 A saturated 16-ary CWG has ~900 vertices but only ~210 worms, and the
 front end (:func:`_worm_snapshot`) never builds the vertex-level graph:
 one walk over the active messages reads each blocked header's awaited set
@@ -64,14 +64,15 @@ on, the same decomposition also yields the pass's packet-wait-for-graph
 verdicts (:func:`granularity_verdicts`), booked as ``detector/*``
 counters for EXT-GRAN; the reference pass books identical ones.
 
-``detector_caching=False`` selects the from-scratch reference instead —
+The from-scratch reference the differential fuzzer and the oracle compare
+the pipeline against is a subclass the correctness nets construct,
+:class:`repro.validation.reference.ReferenceDetector`:
 :meth:`DeadlockDetector.build_cwg`, global Tarjan in
 :func:`~repro.core.knots.find_knots`, then uncontracted Johnson in
-:func:`~repro.core.cycles.count_simple_cycles` — which the differential
-fuzzer and the oracle compare the pipeline against.  Both emit deadlock
-events in one canonical order (knots sorted by their least vertex),
-making pipeline passes **bit-identical** to reference passes — asserted
-over randomized runs by
+:func:`~repro.core.cycles.count_simple_cycles`.  Both emit deadlock events
+in one canonical order (knots sorted by their least vertex), making
+pipeline passes **bit-identical** to reference passes, asserted over
+randomized runs by
 ``tests/integration/test_detector_caching_equivalence.py``.
 """
 
@@ -84,15 +85,9 @@ from typing import (
     TYPE_CHECKING, Callable, Hashable, Mapping, Optional, Sequence,
 )
 
-from repro.core.cwg import ChannelWaitForGraph, worm_graph
-from repro.core.cycles import (
-    ContractedGraph,
-    CycleCount,
-    contract_graph,
-    count_cycles_contracted,
-    count_simple_cycles,
-)
-from repro.core.knots import find_knots, strongly_connected_components
+from repro.core.cwg import ChannelWaitForGraph
+from repro.core.cycles import ContractedGraph, CycleCount, count_cycles_contracted
+from repro.core.knots import strongly_connected_components
 from repro.errors import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -329,16 +324,12 @@ class DeadlockDetector:
         knot_density_cap: int = 10_000,
         knot_size_enumeration_limit: int = 200,
         record_blocked_durations: bool = False,
-        caching: bool = True,
     ) -> None:
         self.count_cycles = count_cycles
         self.max_cycles_counted = max_cycles_counted
         self.knot_density_cap = knot_density_cap
         self.knot_size_enumeration_limit = knot_size_enumeration_limit
         self.record_blocked_durations = record_blocked_durations
-        #: enables the worm-level pipeline; off selects the from-scratch
-        #: reference pass
-        self.caching = caching
         self.records: list[DetectionRecord] = []
         self.events: list[DeadlockEvent] = []
         # short-circuit cache: last full pass and the blocked epoch it saw.
@@ -361,9 +352,9 @@ class DeadlockDetector:
     def cache_stats(self) -> dict[str, int]:
         """Pass accounting, cumulative over the detector's lifetime.
 
-        ``full_passes`` analysed the CWG (the pipeline or the uncached
-        reference); ``shortcircuit_passes`` reused the previous record
-        because the blocked epoch had not advanced (see :meth:`detect`).
+        ``full_passes`` analysed the CWG; ``shortcircuit_passes`` reused the
+        previous record because the blocked epoch had not advanced (see
+        :meth:`detect`).
         """
         return {
             "full_passes": self.full_passes,
@@ -426,10 +417,8 @@ class DeadlockDetector:
         short-circuited: a persisting knot must be re-reported every
         interval, exactly as the full pass would.
 
-        Otherwise the pass rebuilds the CWG and analyses all of it (a
-        **full** pass): with ``caching`` set through the worm-level
-        pipeline (see the module docstring), with ``caching`` off through
-        the from-scratch reference.  Both produce identical records.
+        Otherwise the pass analyses the whole CWG (a **full** pass, see
+        :meth:`_analyze`).
         """
         cycle = sim.cycle
         if (
@@ -445,16 +434,9 @@ class DeadlockDetector:
         self._obs = sim.obs if sim.obs.enabled else None
 
         self.full_passes += 1
-        if self.caching:
-            snap = _worm_snapshot(sim)
-            events, cycle_count = self._analyze_pipeline(snap, cycle)
-            blocked_list = list(snap.requests)
-            vertices, arcs = snap.vertices, snap.arcs
-        else:
-            g = self.build_cwg(sim)
-            events, cycle_count = self._analyze_reference(g, cycle)
-            blocked_list = g.blocked_messages()
-            vertices, arcs = g.num_vertices, g.num_arcs
+        events, cycle_count, blocked_list, vertices, arcs = self._analyze(
+            sim, cycle
+        )
 
         all_deadlocked: set[int] = set()
         for event in events:
@@ -570,38 +552,15 @@ class DeadlockDetector:
             transient_dependent=transients,
         )
 
-    def _analyze_reference(
-        self, g: ChannelWaitForGraph, cycle: int
-    ) -> tuple[list[DeadlockEvent], Optional[CycleCount]]:
-        """Events and census of the from-scratch reference the fuzzer and
-        the oracle compare the pipeline against: vertex-level global Tarjan
-        + uncontracted Johnson."""
-        adjacency = g.adjacency()
-        succ = worm_graph(g)
-        events = []
-        for knot in sorted(find_knots(adjacency), key=_knot_key):
-            sub = {v: [w for w in adjacency[v] if w in knot] for v in knot}
-            deadlock_set = frozenset(g.messages_owning(knot))
-            events.append(
-                self._knot_event(
-                    succ,
-                    knot,
-                    deadlock_set,
-                    frozenset(g.resources_of(deadlock_set)),
-                    self._knot_density(sub),
-                    cycle,
-                )
-            )
-        if self._obs is not None:
-            self._verdicts = granularity_verdicts(
-                succ, strongly_connected_components(succ), len(events)
-            )
-        census = (
-            count_simple_cycles(adjacency, limit=self.max_cycles_counted)
-            if self.count_cycles
-            else None
-        )
-        return events, census
+    def _analyze(self, sim: "NetworkSimulator", cycle: int) -> tuple[
+        list[DeadlockEvent], Optional[CycleCount], list[int], int, int
+    ]:
+        """One full pass: its events, its census, the blocked message ids
+        and the CWG's vertex and arc counts, through the worm-level
+        pipeline (module docstring)."""
+        snap = _worm_snapshot(sim)
+        events, census = self._analyze_pipeline(snap, cycle)
+        return events, census, list(snap.requests), snap.vertices, snap.arcs
 
     def _analyze_pipeline(
         self, snap: WormSnapshot, cycle: int
@@ -687,12 +646,21 @@ class DeadlockDetector:
     def _worm_density(
         self, succ: Mapping[int, Sequence], members: list[int], knot_size: int
     ) -> CycleCount:
-        """:meth:`_knot_density` from the knot's worm-level SCC.
+        """Simple-cycle count within a knot, from its worm-level SCC.
+
+        * Fan-out 1 at every member is one Hamiltonian cycle: density
+          exactly 1, no enumeration (the common single-cycle deadlock).
+        * A knot larger than ``knot_size_enumeration_limit`` (the
+          whole-network tangles of deep saturation) reports its
+          cyclomatic number ``E - V + 1``, a lower bound on its simple
+          cycles, with the saturated flag set.
+        * Anything else is the exact bounded count on the knot's
+          sub-multigraph.
 
         Every member has at least one arc, all inside the SCC, and the
         knot's arcs are its ``knot_size - len(members)`` solid arcs plus
-        the members' fan-outs — so the same three cases read off counts
-        and the knot's sub-multigraph, never its vertices.
+        the members' fan-outs, so all three cases read off counts and
+        the sub-multigraph, never the knot's vertices.
         """
         fan_out = sum(len(succ[m]) for m in members)
         if fan_out == len(members):
@@ -702,38 +670,6 @@ class DeadlockDetector:
         sub = ContractedGraph(succ={m: succ[m] for m in members})
         return count_cycles_contracted(
             sub, self.knot_density_cap, sccs=[members]
-        )
-
-    def _knot_density(self, sub: dict) -> CycleCount:
-        """Simple-cycle count within a knot, with structural shortcuts.
-
-        * Every vertex of a strongly connected component with internal
-          out-degree exactly 1 lies on one Hamiltonian cycle of the
-          component: density is exactly 1, no enumeration needed.  This is
-          the overwhelmingly common case (single-cycle deadlocks).
-        * Huge multi-cycle knots (the whole-network tangles of deep
-          saturation) would take minutes to enumerate; for knots larger
-          than ``knot_size_enumeration_limit`` the cyclomatic number
-          ``E - V + 1`` — the exact count of *independent* cycles and a
-          lower bound on simple cycles in a strongly connected graph — is
-          reported with the saturated flag set.
-        * Everything else gets the exact bounded Johnson enumeration, run
-          on the chain-contracted multigraph: knots are mostly unbranched
-          ownership chains, so contraction shrinks the enumeration graph
-          several-fold with provably identical bounded counts (cycle
-          counts are enumeration-order independent, see
-          :mod:`repro.core.cycles`).
-        """
-        vertices = len(sub)
-        arcs = sum(len(v) for v in sub.values())
-        if arcs == vertices and all(len(v) == 1 for v in sub.values()):
-            return CycleCount(1, False)
-        if vertices > self.knot_size_enumeration_limit:
-            return CycleCount(max(2, arcs - vertices + 1), True)
-        contracted = contract_graph(sub)
-        # a knot is strongly connected, so its kept vertices are one SCC
-        return count_cycles_contracted(
-            contracted, self.knot_density_cap, sccs=[list(contracted.succ)]
         )
 
     @staticmethod

@@ -1,11 +1,11 @@
 """The production engine: activity-tracked hot loops on every topology.
 
-:class:`ProductionEngine` is what ``NetworkSimulator(config)`` builds by
-default (``engine_fast_path=True``).  It replaces the reference engine's
-per-cycle full rescans with live activity state maintained at resource
-transitions, and draws through :class:`~repro.network.draws.FastDraws`,
-the reference's word stream made straight from the C-backed
-``Random.getrandbits``:
+:class:`ProductionEngine` is what ``NetworkSimulator(config)`` builds.
+It replaces the per-cycle full rescans of the reference engine
+(:class:`repro.validation.reference.ReferenceEngine`) with live activity
+state maintained at resource transitions, and draws through
+:class:`~repro.network.draws.FastDraws`, the reference's word stream made
+straight from the C-backed ``Random.getrandbits``:
 
 * every message carries a ``routable`` flag mirroring
   :meth:`routing_eligible`, updated when its header crosses into a new VC,
@@ -80,7 +80,6 @@ from collections import deque
 from typing import Iterable
 
 from repro.config import SimulationConfig
-from repro.errors import ConfigurationError
 from repro.faults import active_faults
 from repro.network.draws import FastDraws
 from repro.network.message import Message, MessageStatus
@@ -101,13 +100,10 @@ class ProductionEngine(NetworkSimulator):
     """Activity-tracked default engine; see the module docstring."""
 
     draws_class = FastDraws
+    fast_path = True
 
     def __init__(self, config: SimulationConfig) -> None:
         super().__init__(config)
-        if not self.fast_path:
-            raise ConfigurationError(
-                f"{type(self).__name__} requires engine_fast_path=True"
-            )
         # test-only fault injection (repro.faults), sampled once
         faults = active_faults()
         self._fault_skip_wake = "skip-wake" in faults

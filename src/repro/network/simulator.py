@@ -17,33 +17,21 @@ four phases:
    snapshots the CWG, finds knots, and the recovery policy removes victims.
 
 The engine enforces exclusive VC ownership and flit conservation; with
-``check_invariants`` (or ``validation_level=2``) the runtime battery of
+``validation_level=2`` the runtime battery of
 :mod:`repro.validation.invariants` asserts these every cycle.
 
 Engines
 -------
 
-This module holds what every engine shares — construction, queries, the
-detection phase and recovery — plus the **legacy reference** phase loops:
-a full rescan of ``self.active`` every cycle, no maintained activity
-state, every draw through CPython's own ``random.Random`` methods
-(:class:`~repro.network.draws.Draws`).  It is the ground truth the
-production engine is specified against.
-
-``NetworkSimulator(config)`` dispatches on the config, so call sites
-never name an engine class: ``engine_fast_path`` (the default) builds
-:class:`~repro.network.production.ProductionEngine`, the activity-tracked
-hot loops, on every topology; off, this class, the reference.
-
-The two are bit-identical: the same seed produces the same
-:class:`~repro.metrics.stats.RunResult` and the same deadlock event
-sequence (asserted by ``tests/integration/test_fast_path_equivalence.py``,
-the golden digests and the differential fuzzer).
-
+This module holds what every engine shares: construction, queries, the
+detection phase, recovery and the driving loop; the generate, allocate
+and move phases belong to the engine classes.  ``NetworkSimulator(config)``
+always builds :class:`~repro.network.production.ProductionEngine`.  The
+correctness nets hold it bit-identical (same seed, same
+:class:`~repro.metrics.stats.RunResult` and deadlock event sequence) to
+the full-rescan :class:`repro.validation.reference.ReferenceEngine`.
 Neither engine maintains a wait-for graph: the detector rebuilds the CWG
 from live state at each pass (:meth:`DeadlockDetector.build_cwg`).
-``cwg_maintenance`` is an inert field kept for stored-result digests;
-both of its values run this same code.
 """
 
 from __future__ import annotations
@@ -60,7 +48,7 @@ from repro.metrics.stats import RunResult, StatsCollector
 from repro.network.channels import ChannelPool, VirtualChannel
 from repro.network.draws import Draws
 from repro.obs import Observer
-from repro.network.message import Message, MessageStatus
+from repro.network.message import Message
 from repro.network.topology import (
     Dragonfly,
     FullMesh,
@@ -107,23 +95,20 @@ def build_topology(config: SimulationConfig) -> Topology:
 
 
 class NetworkSimulator:
-    """One network instance plus its workload, detector and recovery.
-
-    Construction dispatches on ``config.engine_fast_path`` (see the module
-    docstring), so call sites keep instantiating ``NetworkSimulator``
-    regardless of engine choice; instantiated as itself
-    (``engine_fast_path=False``) this class is the legacy reference.  Both
-    engines are bit-identical given the same seed.
-    """
+    """One network instance plus its workload, detector and recovery;
+    ``NetworkSimulator(config)`` builds the production engine, a subclass
+    named directly builds itself."""
 
     #: the draw source (repro.network.draws) both RNG streams go through
     draws_class = Draws
+    #: True on the production engine: activity state is maintained
+    fast_path: bool
 
     def __new__(cls, config: SimulationConfig = None):
-        if cls is NetworkSimulator and getattr(config, "engine_fast_path", False):
+        if cls is NetworkSimulator:
             from repro.network.production import ProductionEngine
 
-            return object.__new__(ProductionEngine)
+            cls = ProductionEngine
         return object.__new__(cls)
 
     def __init__(self, config: SimulationConfig) -> None:
@@ -166,11 +151,10 @@ class NetworkSimulator:
             count_cycles=config.count_cycles,
             max_cycles_counted=config.max_cycles_counted,
             record_blocked_durations=config.record_blocked_durations,
-            caching=config.detector_caching,
         )
         self.stats = StatsCollector(config, self.topology)
         # runtime invariant checker (repro.validation); None unless
-        # check_invariants or validation_level asks for one
+        # validation_level asks for one
         from repro.validation.invariants import InvariantChecker
 
         self.validation = InvariantChecker.from_config(config)
@@ -213,9 +197,6 @@ class NetworkSimulator:
         #: (through it) the detector's CWG rebuild all share it
         self._cands = CandidateTable(self.routing, self.topology, self.pool)
         self._router_delay = config.router_delay
-        #: True on the activity-tracked production engine; the detector and
-        #: the invariant checker key their fast-path-only reasoning off it
-        self.fast_path = bool(config.engine_fast_path)
         #: monotone counter of ownership / blocked-set transitions; the
         #: detector short-circuits a pass when it has not advanced
         self.blocked_epoch = 0
@@ -260,15 +241,6 @@ class NetworkSimulator:
                 return False
         return True
 
-    def waiting_messages(self) -> Iterable[Message]:
-        """Active messages with a failed allocation outstanding.
-
-        Exactly the messages whose ``blocked_since`` is set.  The reference
-        engine derives it by scanning; the production engine maintains the
-        set at state transitions.  Used by statistics (starvation tracking).
-        """
-        return [m for m in self.active.values() if m.blocked_since is not None]
-
     def _service_order(
         self, messages: list[Message], phase: int = _PHASE_ALLOC
     ) -> list[Message]:
@@ -295,140 +267,7 @@ class NetworkSimulator:
         self.draws.permute(messages)
         return messages
 
-    # -- the four phases (legacy reference loops) ---------------------------------------
-    def _phase_generate(self) -> None:
-        qlens = [len(q) for q in self.queues]
-        for msg in self.generator.tick(self.cycle, qlens):
-            self.queues[msg.src].append(msg)
-            self._live[msg.id] = msg
-            self.stats.on_generated(self.cycle)
-
-    def _phase_allocate(self) -> None:
-        queued = MessageStatus.QUEUED
-        requests: list[Message] = []
-        for q in self.queues:
-            if not q:
-                continue
-            head = q[0]
-            # Common case: the head is still waiting to inject — a queued
-            # message is never done and always has flits at the source.
-            if head.status is queued:
-                requests.append(head)
-                continue
-            # Let the next queued message start once its predecessor has
-            # fully left the source (one injection channel per node).
-            while q and (q[0].is_done or q[0].at_source == 0):
-                done = q.popleft()
-                if done.is_done:
-                    self._live.pop(done.id, None)
-            if q and q[0].status is queued:
-                requests.append(q[0])
-        for m in self.active.values():
-            if self.routing_eligible(m):
-                requests.append(m)
-        requests = self._service_order(requests, _PHASE_ALLOC)
-        tracer = self._obs_tracer
-        cycle = self.cycle
-        for msg in requests:
-            if msg.needs_reception:
-                rx = self.pool.free_reception(msg.dest)
-                if rx is not None:
-                    if tracer is not None and msg.blocked_since is not None:
-                        tracer.instant("wake", msg=msg.id)
-                    msg.acquire_reception(rx)
-                    self.blocked_epoch += 1
-                else:
-                    if msg.blocked_since is None:
-                        msg.blocked_since = cycle
-                        self.blocked_epoch += 1
-                        if tracer is not None:
-                            tracer.instant("block", msg=msg.id, node=msg.dest)
-                continue
-            candidates = self.route_candidates(msg)
-            free = [vc for vc in candidates if vc.owner is None]
-            choice = self.selection.choose(msg, free, self.draws)
-            if choice is not None:
-                was_queued = msg.status is MessageStatus.QUEUED
-                if tracer is not None and msg.blocked_since is not None:
-                    tracer.instant("wake", msg=msg.id)
-                msg.acquire_vc(choice, cycle)
-                self.blocked_epoch += 1
-                if was_queued:
-                    self.active[msg.id] = msg
-                    self.stats.on_injected(cycle)
-            elif msg.vcs:
-                if msg.blocked_since is None:
-                    msg.blocked_since = cycle
-                    self.blocked_epoch += 1
-                    if tracer is not None:
-                        tracer.instant(
-                            "block", msg=msg.id, node=msg.head_node
-                        )
-
-    def _phase_move(self) -> None:
-        link_used = self._link_used
-        link_used[:] = self._zero_links
-        free_at = self._link_free_at  # None on uniform unit-latency topologies
-        latency = self._link_latency
-        cycle = self.cycle
-        order = self._service_order(list(self.active.values()), _PHASE_MOVE)
-        finished: list[Message] = []
-        torn_down: list[Message] = []
-        for msg in order:
-            vcs = msg.vcs
-            if msg.recovering:
-                msg.teardown_step()  # one flit into the recovery lane
-            elif msg.is_draining and vcs and vcs[-1].occupancy > 0:
-                vcs[-1].occupancy -= 1
-                msg.ejected += 1
-            # Head-to-tail boundary pass: each flit advances at most one hop.
-            for i in range(len(vcs) - 1, -1, -1):
-                dst = vcs[i]
-                if dst.occupancy >= dst.capacity:
-                    continue
-                li = dst.link_index
-                if link_used[li]:
-                    continue
-                if free_at is not None and free_at[li] > cycle:
-                    # latency-L channel still busy with an earlier flit
-                    continue
-                if i > 0:
-                    src = vcs[i - 1]
-                    if src.occupancy == 0:
-                        continue
-                    src.occupancy -= 1
-                else:
-                    if msg.at_source == 0:
-                        continue
-                    msg.at_source -= 1
-                dst.occupancy += 1
-                link_used[li] = 1
-                if free_at is not None:
-                    free_at[li] = cycle + latency[li]
-                if i == len(vcs) - 1 and msg.head_arrival is None:
-                    msg.head_arrival = cycle  # header reached a new node
-            if msg.release_drained_tail():
-                self.blocked_epoch += 1
-            if msg.recovering:
-                if msg.teardown_complete and not msg.vcs:
-                    torn_down.append(msg)
-            elif msg.ejected == msg.length and msg.is_draining:
-                finished.append(msg)
-        for msg in finished:
-            msg.finish_delivery(cycle)
-            self.active.pop(msg.id)
-            self._live.pop(msg.id, None)
-            self.blocked_epoch += 1
-            self.stats.on_delivered(msg, cycle)
-        for msg in torn_down:
-            msg.remove_from_network(
-                cycle, delivered=self.recovery.delivers_victim
-            )
-            self.active.pop(msg.id)
-            self._live.pop(msg.id, None)
-            self.blocked_epoch += 1
-            self.stats.on_recovered(msg, cycle)
-
+    # -- detection and recovery (shared) -----------------------------------------------
     def _phase_detect(self) -> Optional[DetectionRecord]:
         if self.cycle % self.config.detection_interval != 0:
             return None

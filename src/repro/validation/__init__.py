@@ -2,7 +2,8 @@
 
 Three layers defend the simulator's optimized paths (the activity-tracked
 production engine and the detector's worm-level pipeline) against silent
-drift from their ground-truth equivalents:
+drift from their ground-truth equivalents, classes the nets build
+(:mod:`repro.validation.reference`):
 
 * :mod:`repro.validation.invariants` — a pluggable runtime checker a
   ``validation_level`` config flag attaches to the engine, asserting flit
@@ -11,8 +12,8 @@ drift from their ground-truth equivalents:
 * :mod:`repro.validation.differential` — the bit-identity contract
   (:func:`compare`: result, detection records, post-run RNG word) and a
   deterministic fuzz harness that draws seeded random configurations and
-  cross-checks production vs legacy engine and pipeline vs uncached
-  detector, shrinking any mismatch to a minimal reproducing configuration;
+  cross-checks each path against its reference, shrinking any mismatch
+  to a minimal reproducing configuration;
 * :mod:`repro.validation.oracle` (with
   :mod:`repro.validation.statespace`) — an exhaustive model checker that
   enumerates **every reachable state** of tiny generation-capped
@@ -54,6 +55,7 @@ from repro.validation.oracle import (
     replay_witness,
     run_teeth,
 )
+from repro.validation.reference import ReferenceDetector, ReferenceEngine, reference_pass
 from repro.validation.statespace import (
     ORACLE_PINS,
     CanonicalState,
@@ -93,4 +95,7 @@ __all__ = [
     "run_teeth",
     "snapshot_state",
     "successors",
+    "ReferenceEngine",
+    "ReferenceDetector",
+    "reference_pass",
 ]

@@ -6,18 +6,18 @@ This module is the one place that says what "bit-identical" means: a
 run's :func:`fingerprint` is its :class:`RunResult` minus ``config``, its
 full ``detector.records`` list and its post-run ``rng.getrandbits(64)``,
 and :func:`compare` names the first difference between a config's run and
-the same config with one field changed.  Every inert-field A/B test, the
-goldens and the fuzzer go through it.
+its twin: the same config with one field changed, or a reference built
+from it.  Every inert-field A/B test, the goldens and the fuzzer go
+through it.
 
-The fuzzer's :data:`AXES` name the two implementation fields with a
-reference behind them:
+The fuzzer's :data:`AXES` build the two references of
+:mod:`repro.validation.reference`:
 
 * **engine** — the production engine (activity tracking, inline
   arbitration stream, whole-phase quiescence skips, detection
-  short-circuiting) vs the legacy full-rescan reference
-  (``engine_fast_path``),
+  short-circuiting) vs the full-rescan :class:`ReferenceEngine`,
 * **detector** — the worm-level pipeline vs the plain global Tarjan +
-  uncontracted Johnson reference pass (``detector_caching``).
+  uncontracted Johnson reference pass (:func:`reference_pass`).
 
 :func:`random_config` draws a seeded random configuration across
 topology / routing / VC / buffer / traffic / detection / recovery space,
@@ -40,11 +40,12 @@ import random
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 from repro.config import SimulationConfig, config_from_json
 from repro.errors import ConfigurationError, RoutingError
 from repro.network.simulator import NetworkSimulator
+from repro.validation.reference import ReferenceEngine, reference_pass
 
 __all__ = [
     "AXES",
@@ -60,9 +61,9 @@ __all__ = [
     "load_artifact",
 ]
 
-#: the differential axes, in checking order: each names the implementation
-#: field whose toggled run must be bit-identical to the run as configured
-AXES = {"engine": "engine_fast_path", "detector": "detector_caching"}
+#: the differential axes, in checking order: each builds the reference
+#: whose run must be bit-identical to the run as configured
+AXES: dict[str, Callable] = {"engine": ReferenceEngine, "detector": reference_pass}
 
 #: what building a sim raises for a combination the config space does not
 #: support (a routing that needs more VCs, a traffic pattern that needs a
@@ -153,8 +154,8 @@ def _draw_config(rng: random.Random) -> SimulationConfig:
 
 # -- the contract --------------------------------------------------------------------
 def result_fields(result) -> dict:
-    """A :class:`RunResult` as a field dict, minus ``config`` (which an A/B
-    pair differs in by construction: the toggled field)."""
+    """A :class:`RunResult` as a field dict, minus ``config`` (which a pair
+    differing in one field differs in by construction)."""
     fields = dataclasses.asdict(result)
     fields.pop("config")
     return fields
@@ -206,35 +207,34 @@ def _first_difference(a: dict, b: dict) -> Optional[str]:
 
 def compare(
     config: SimulationConfig,
-    field: str,
-    value,
+    twin: Union[SimulationConfig, Callable],
     base: Optional[dict] = None,
 ) -> Optional[str]:
-    """Run ``config`` with ``field`` set to ``value`` and name its first
-    difference from ``config`` itself; None when the two are bit-identical.
+    """Run ``config`` and its ``twin`` and name their first difference;
+    None when the two are bit-identical.
 
-    ``base`` is ``config``'s fingerprint when the caller already has it.
+    ``twin`` is a changed config, built like ``config``, or a builder
+    called with ``config`` (a reference, see :data:`AXES`).  ``base`` is
+    ``config``'s fingerprint when the caller already has it.
     """
     if base is None:
         base = _run_fingerprint(config)
-    other = _run_fingerprint(config.replace(**{field: value}))
-    return _first_difference(base, other)
+    sim = NetworkSimulator(twin) if isinstance(twin, SimulationConfig) else twin(config)
+    return _first_difference(base, fingerprint(sim, sim.run()))
 
 
 def _check_axis(
     config: SimulationConfig, axis: str, base: Optional[dict] = None
 ) -> Optional[str]:
-    field = AXES[axis]
-    value = not getattr(config, field)
-    detail = compare(config, field, value, base)
-    return None if detail is None else f"{field}={value} diverges: {detail}"
+    detail = compare(config, AXES[axis], base)
+    return None if detail is None else f"the {axis} reference diverges: {detail}"
 
 
 def check_config(
     config: SimulationConfig, axes: Sequence[str] = tuple(AXES)
 ) -> list[FuzzMismatch]:
     """Cross-check one configuration on the given axes: one run as
-    configured, plus one run per axis with that axis's field toggled."""
+    configured, plus one run of each axis's reference."""
     base = _run_fingerprint(config)
     mismatches = []
     for axis in axes:

@@ -8,7 +8,7 @@ schedule controlled by ``SimulationConfig.validation_level``:
 
 * ``0`` — off (the default; sweeps and benchmarks pay nothing),
 * ``1`` — the full battery every ``validation_interval`` cycles,
-* ``2`` — the full battery every cycle (as does ``check_invariants``).
+* ``2`` — the full battery every cycle.
 
 ``InvariantChecker().check_now(sim)`` runs the battery once, on demand.
 
@@ -330,12 +330,8 @@ class InvariantChecker:
     def from_config(
         cls, config: "SimulationConfig"
     ) -> Optional["InvariantChecker"]:
-        """The checker a configuration asks for, or None when disabled.
-
-        ``check_invariants`` asks for the same every-cycle battery as
-        ``validation_level=2``.
-        """
-        if config.check_invariants or config.validation_level == 2:
+        """The checker a configuration asks for, or None when disabled."""
+        if config.validation_level == 2:
             return cls(interval=1)
         if config.validation_level == 1:
             return cls(interval=config.validation_interval)

@@ -45,18 +45,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
-from repro.config import (
-    IMPLEMENTATION,
-    SimulationConfig,
-    config_from_json,
-    defaults_of,
-)
+from repro.config import SimulationConfig, config_from_json
 from repro.core.cwg import ChannelWaitForGraph
 from repro.core.cycles import count_simple_cycles
 from repro.core.detector import DeadlockDetector, DetectionRecord
 from repro.core.knots import knot_of_vertex
 from repro.errors import SimulationError
 from repro.network.simulator import NetworkSimulator
+from repro.validation.reference import ReferenceDetector, ReferenceEngine, reference_pass
 from repro.validation.statespace import (
     CanonicalState,
     clear_state,
@@ -311,12 +307,12 @@ class StateGraph:
         return steps
 
 
-def _stepper(config: SimulationConfig) -> NetworkSimulator:
-    """A simulator for single steps from restored states.  Each steps cycle
-    0 to 1, so an interval of 2 spares it a detector pass nobody reads:
-    under the pins detection only observes, and check_case runs the
+def _stepper(config: SimulationConfig, engine: Callable = NetworkSimulator):
+    """An ``engine`` for single steps from restored states.  Each steps
+    cycle 0 to 1, so an interval of 2 spares it a detector pass nobody
+    reads: under the pins detection only observes, and check_case runs the
     detector on every state itself."""
-    return NetworkSimulator(config.replace(detection_interval=2))
+    return engine(config.replace(detection_interval=2))
 
 
 def explore(
@@ -324,9 +320,12 @@ def explore(
     max_states: int = 500_000,
     max_leaves_per_state: int = 100_000,
     log: Optional[Callable[[str], None]] = None,
+    engine: Callable = NetworkSimulator,
 ) -> StateGraph:
     """Enumerate the configuration's full reachable state graph (BFS).
 
+    ``engine`` builds the stepping simulator (the graph of
+    :class:`~repro.validation.reference.ReferenceEngine` must be the same).
     Exhausts the state space to closure; ``max_states`` is a safety rail
     against mis-pinned configurations (raises
     :class:`~repro.errors.SimulationError` rather than returning a
@@ -335,7 +334,7 @@ def explore(
     """
     pinned = oracle_config(config)
     graph = StateGraph(pinned)
-    sim = _stepper(pinned)
+    sim = _stepper(pinned, engine)
     initial = snapshot_state(sim)
     graph.intern(initial)
     frontier = [0]
@@ -474,8 +473,8 @@ class OracleReport:
 
 
 def _fresh_detector() -> DeadlockDetector:
-    """An uncached full-pass detector (the *subject under test*)."""
-    return DeadlockDetector(count_cycles=False, caching=False)
+    """A reference full-pass detector (the *subject under test*)."""
+    return ReferenceDetector(count_cycles=False)
 
 
 def _pipeline_census_mismatch(
@@ -485,14 +484,14 @@ def _pipeline_census_mismatch(
 ) -> Optional[str]:
     """The as-shipped worm-level pipeline against from-scratch counts.
 
-    ``sim`` holds the restored state.  Runs a fresh caching detector with
+    ``sim`` holds the restored state.  Runs a fresh pipeline detector with
     the census on (one whole-CWG pipeline pass) and compares its events
     and CWG size to the reference pass's, its census to plain
     :func:`count_simple_cycles` over the CWG, and every knot's cycle
     density to plain :func:`count_simple_cycles` over the knot's induced
     subgraph.  Returns a description of the first disagreement, or None.
     """
-    pipeline = DeadlockDetector(count_cycles=True, caching=True)
+    pipeline = DeadlockDetector(count_cycles=True)
     got = pipeline.detect(sim)
     size = (got.cwg_vertices, got.cwg_arcs, got.blocked_messages)
     want = (record.cwg_vertices, record.cwg_arcs, record.blocked_messages)
@@ -695,7 +694,7 @@ def _verdict(record: Optional[DetectionRecord]) -> dict:
 def _reference_verdict(
     sim: NetworkSimulator, state: CanonicalState
 ) -> dict:
-    """The uncached full-pass verdict at ``state`` (restored canonically)."""
+    """The reference full-pass verdict at ``state`` (restored canonically)."""
     clear_state(sim)
     load_state(sim, state)
     return _verdict(_fresh_detector().detect(sim))
@@ -755,16 +754,6 @@ def load_witness(path: Path | str) -> dict:
     return payload
 
 
-#: production-shape overrides for witness replay: every implementation
-#: field at its default, i.e. the production engine with the detector's
-#: worm-level pipeline and its short-circuit on the blocked epoch — the
-#: detector machinery the oracle pins *out* of enumeration, exercised here
-#: against recorded oracle truth.  Both engines draw through the same seam
-#: (:mod:`repro.network.draws`), so the scripted source walks either one
-#: down the recorded choices.
-_PRODUCTION_OVERRIDES = defaults_of(IMPLEMENTATION)
-
-
 @dataclass
 class ReplayResult:
     """The outcome of replaying a witness path."""
@@ -783,18 +772,20 @@ def replay_witness(payload: dict, production: bool = False) -> ReplayResult:
     reference detector — this must reproduce the recorded digests exactly
     and runs none of the machinery the bookkeeping faults break.
     ``production=True`` replays on the production engine with the
-    detector's worm-level pipeline:
+    detector's worm-level pipeline and its short-circuit on the blocked
+    epoch, the detector machinery the enumeration steps without:
     the state digests must still match cycle-for-cycle (the engines are
     bit-identical) and the replay engine's *own* detector verdict must
     match the recorded full-pass reference at every step — this is the
     teeth-mode subject, where an armed bookkeeping fault surfaces as a
-    localized state or verdict divergence.
+    localized state or verdict divergence.  Both engines draw through the
+    same seam (:mod:`repro.network.draws`), so the scripted source walks
+    either one down the recorded choices.
     """
-    config = oracle_config(config_from_json(payload["config"])).replace(
-        **(_PRODUCTION_OVERRIDES if production else {"engine_fast_path": False})
+    config = oracle_config(config_from_json(payload["config"]))
+    sim = NetworkSimulator(config) if production else reference_pass(
+        config, ReferenceEngine
     )
-    config.validate()
-    sim = NetworkSimulator(config)
     digest = ""
     for step_index, step in enumerate(payload["steps"]):
         try:
@@ -823,7 +814,7 @@ def replay_witness(payload: dict, production: bool = False) -> ReplayResult:
             )
         # verdict from the replay engine's own detector (the pipeline and
         # its epoch short-circuit in production mode) vs the recorded
-        # uncached full-pass reference
+        # reference full-pass verdict
         got = _verdict(sim.detector.records[-1] if sim.detector.records else None)
         if got != step["verdict"]:
             return ReplayResult(

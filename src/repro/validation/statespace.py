@@ -72,7 +72,6 @@ __all__ = [
 #: * every observation field at its default — enumeration runs no invariant
 #:   checker, profiler or trace buffer.
 ORACLE_PINS = dict(
-    detector_caching=False,
     recovery="none",
     recovery_teardown="instant",
     detection_mode="knot",

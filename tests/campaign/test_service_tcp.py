@@ -8,9 +8,11 @@ single-host :class:`CampaignRunner`.  Workers here are real subprocesses
 on real TCP connections; nothing is mocked.
 """
 
+import json
 import os
 import pathlib
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -27,6 +29,7 @@ from repro.campaign.service import (
     WorkerError,
     WorkerSession,
 )
+from repro.campaign.service import protocol
 from repro.campaign.service.status import (
     fetch_status,
     iter_status_events,
@@ -152,6 +155,63 @@ class TestDistributedDrain:
         with CampaignService(tmp_path / "store", local_workers=0) as svc:
             with pytest.raises(ServiceError, match="never-submitted"):
                 svc.wait_points(["feedfacefeedfacefeedface"], timeout=5)
+
+
+class TestRefusedShipment:
+    def test_refused_shipment_requeues_the_point(self, tmp_path):
+        """A worker ships an artifact whose recorded digest is not its
+        config's: the service refuses it without completing the point,
+        the lease expires, and an honest worker's slot completes the point
+        with the cold runner's bytes."""
+        config = tiny_default(load=0.6, **FAST)
+        reference = reference_store(tmp_path, [config])
+        (honest,) = reference.points_dir.glob("*.json")
+        forged = json.loads(honest.read_text())
+        forged["config"]["seed"] += 1  # the recorded digest no longer fits
+        with CampaignService(
+            tmp_path / "store", local_workers=0, lease_ttl=0.5
+        ) as svc:
+            (digest,) = svc.submit_points([config])["digests"]
+            rogue = socket.create_connection(("127.0.0.1", svc.port), timeout=30)
+            replies = rogue.makefile("rb")
+            try:
+                protocol.send_line(rogue, {
+                    "type": "hello", "worker": "rogue",
+                    "schema_version": svc.store.schema_version,
+                    "protocol_version": protocol.PROTOCOL_VERSION,
+                })
+                assert protocol.recv_line(replies)["type"] == "welcome"
+                protocol.send_line(rogue, {"type": "claim"})
+                lease = protocol.recv_line(replies)
+                assert (lease["type"], lease["digest"]) == ("lease", digest)
+                protocol.send_line(rogue, {
+                    "type": "result", "digest": digest, "artifact": forged,
+                })
+                ack = protocol.recv_line(replies)
+                assert ack["status"].startswith("refused:"), ack
+                # the rogue stays connected and silent: only the lease TTL
+                # can free the point, and no worker is there to take it
+                with pytest.raises(TimeoutError):
+                    svc.wait_points([digest], timeout=1.5)
+                assert svc.scheduler.counters["leases_reclaimed"] >= 1
+                done = [
+                    record
+                    for writer in svc.store.journal_writers()
+                    for record in svc.store.journal_records(writer)
+                    if record["op"] == "done"
+                ]
+                assert done == []
+                assert not svc.store.point_path(digest).exists()
+                stats = WorkerSession(
+                    "127.0.0.1", svc.port, worker_id="honest", max_points=1
+                ).run()
+                assert stats["points_done"] == 1
+                statuses = svc.wait_points([digest], timeout=60)
+                assert statuses[digest]["status"] == "done"
+            finally:
+                replies.close()
+                rogue.close()
+        assert_bit_identical(svc.store, reference)
 
 
 class TestStatusEndpoint:

@@ -83,6 +83,37 @@ class TestCompaction:
         assert manifest["counters"]["executed"] == 2
         assert manifest["journal_offsets"] == {"w1": 2}
 
+    def test_folded_lines_are_skipped_unparsed(self, tmp_path):
+        """Compaction reads a writer's journal from its folded offset on:
+        a folded line is never parsed again, so even an unreadable one
+        hides nothing appended after it."""
+        store = ResultStore(tmp_path / "s")
+        store.journal_append("w1", done("d1"))
+        store.journal_append("w1", done("d2"))
+        store.compact_manifest()
+        path = store.journal_dir / "w1.jsonl"
+        folded = path.read_text().splitlines(keepends=True)
+        path.write_text("not json\n" + "".join(folded[1:]))
+        store.journal_append("w1", done("d3"))
+        assert [r["digest"] for r in store.journal_records("w1", 2)] == ["d3"]
+        manifest = store.compact_manifest()
+        assert manifest["journal_offsets"] == {"w1": 3}
+        assert manifest["points"]["d3"]["status"] == "done"
+        assert manifest["counters"]["executed"] == 3
+
+    def test_torn_tail_after_the_folded_offset_is_absent(self, tmp_path):
+        store = ResultStore(tmp_path / "s")
+        store.journal_append("w1", done("d1"))
+        store.journal_append("w1", done("d2"))
+        store.compact_manifest()
+        path = store.journal_dir / "w1.jsonl"
+        path.write_text(path.read_text() + '{"op": "done", "dig')
+        assert store.journal_records("w1", 2) == []
+        manifest = store.compact_manifest()
+        assert manifest["journal_offsets"] == {"w1": 2}
+        assert manifest["counters"]["executed"] == 2
+        assert set(manifest["points"]) == {"d1", "d2"}
+
     def test_two_writers_merge_into_one_index(self, tmp_path):
         store = ResultStore(tmp_path / "s")
         store.journal_append("w1", done("d1", worker="w1"))

@@ -114,8 +114,8 @@ class TestDetect:
 
 
 class TestDefaultPipeline:
-    """The as-shipped config (``detector_caching=True``) runs the
-    worm-level pipeline once over the whole CWG."""
+    """The as-shipped detector runs the worm-level pipeline once over the
+    whole CWG."""
 
     def test_default_pass_runs_tarjan_once(self, monkeypatch):
         import repro.core.cycles as cycles
@@ -132,7 +132,7 @@ class TestDefaultPipeline:
         for module in (cycles, detector, knots):
             monkeypatch.setattr(module, "strongly_connected_components", counting)
         sim = make_sim(routing="dor", recovery="none")
-        assert sim.detector.caching
+        assert type(sim.detector) is DeadlockDetector
         force_cycle_deadlock(sim)
         record = sim.detector.detect(sim)
         assert record.events and record.cycle_count.count == 1

@@ -1,7 +1,8 @@
-"""Tests for the detector's knot-density shortcuts."""
+"""Tests for the knot-density shortcuts of the reference pass (the
+pipeline's own are pinned equal to them by tests/core/test_worm_pipeline.py)."""
 
 from repro.core.cycles import count_simple_cycles
-from repro.core.detector import DeadlockDetector
+from repro.validation.reference import ReferenceDetector
 
 
 def ring(n):
@@ -10,13 +11,13 @@ def ring(n):
 
 class TestDensityShortcuts:
     def test_pure_ring_is_exactly_one_without_enumeration(self):
-        det = DeadlockDetector(knot_density_cap=0)  # enumeration would cap
+        det = ReferenceDetector(knot_density_cap=0)  # enumeration would cap
         result = det._knot_density(ring(50))
         assert result.count == 1
         assert not result.saturated
 
     def test_small_multi_cycle_uses_exact_enumeration(self):
-        det = DeadlockDetector()
+        det = ReferenceDetector()
         sub = ring(8)
         sub[0] = [1, 4]
         sub[4] = [5, 0]
@@ -25,7 +26,7 @@ class TestDensityShortcuts:
         assert not result.saturated
 
     def test_huge_knot_reports_cyclomatic_lower_bound(self):
-        det = DeadlockDetector(knot_size_enumeration_limit=10)
+        det = ReferenceDetector(knot_size_enumeration_limit=10)
         sub = ring(40)
         sub[0] = [1, 20]
         sub[20] = [21, 0]
@@ -37,7 +38,7 @@ class TestDensityShortcuts:
         assert result.count <= count_simple_cycles(sub).count
 
     def test_shortcut_agrees_with_enumeration_on_rings(self):
-        det = DeadlockDetector()
+        det = ReferenceDetector()
         for n in (2, 3, 7, 19):
             shortcut = det._knot_density(ring(n))
             exact = count_simple_cycles(ring(n))
@@ -45,7 +46,7 @@ class TestDensityShortcuts:
 
     def test_classification_boundary(self):
         """Density 1 => single-cycle; shortcut must not misclassify."""
-        det = DeadlockDetector()
+        det = ReferenceDetector()
         sub = ring(5)
         assert det._knot_density(sub).count == 1
         sub[2] = [3, 0]  # one chord: now multi-cycle

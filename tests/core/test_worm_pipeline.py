@@ -27,6 +27,7 @@ from repro.core.detector import DeadlockDetector, WormSnapshot, _worm_snapshot
 from repro.core.gallery import figure1_cwg, figure2_cwg, figure3_cwg, figure4_cwg
 from repro.errors import SimulationError
 from repro.network.simulator import NetworkSimulator
+from repro.validation.reference import ReferenceDetector, ReferenceEngine
 from tests.core.test_detector import force_cycle_deadlock
 
 LIMITS = (1, 2, 3, 7, 10_000)
@@ -47,7 +48,7 @@ def snapshot_of(g):
 def _assert_quotient_exact(g):
     for limit in LIMITS:
         for enumeration_limit in (3, 10_000):
-            det = DeadlockDetector(
+            det = ReferenceDetector(
                 max_cycles_counted=limit,
                 knot_density_cap=limit,
                 knot_size_enumeration_limit=enumeration_limit,
@@ -202,21 +203,21 @@ def test_every_chain_channel_must_be_owned_by_its_chain(corrupt):
 
 
 @pytest.mark.parametrize(
-    "overrides",
+    "overrides,build",
     [
-        dict(routing="tfar", num_vcs=2, load=1.2),
-        dict(routing="dor", num_vcs=1, load=1.0, rx_channels=2),
-        dict(routing="tfar", num_vcs=1, load=1.0, router_delay=1),
-        dict(routing="tfar", num_vcs=1, load=1.0, engine_fast_path=False),
+        (dict(routing="tfar", num_vcs=2, load=1.2), NetworkSimulator),
+        (dict(routing="dor", num_vcs=1, load=1.0, rx_channels=2), NetworkSimulator),
+        (dict(routing="tfar", num_vcs=1, load=1.0, router_delay=1), NetworkSimulator),
+        (dict(routing="tfar", num_vcs=1, load=1.0), ReferenceEngine),
     ],
     ids=["tfar-2vc", "dor-multi-rx", "router-delay", "legacy"],
 )
-def test_pipeline_cwg_equals_build_cwg_on_live_runs(overrides):
+def test_pipeline_cwg_equals_build_cwg_on_live_runs(overrides, build):
     """The front end (wait-index read on production, arcs read off the
     channel owners) reproduces ``worm_graph(build_cwg(sim))`` exactly —
     arcs, requests and their order, chains, sizes and the blocked list —
     at every cycle of a saturated run."""
-    sim = NetworkSimulator(
+    sim = build(
         tiny_default(
             warmup_cycles=0, measure_cycles=300, recovery="none", **overrides
         )

@@ -13,7 +13,9 @@ from repro.core.detector import DeadlockDetector
 from repro.core.knots import find_knots
 from repro.experiments import ALL_EXPERIMENTS
 from repro.experiments.base import set_campaign_runner
+from repro.network import simulator
 from repro.network.simulator import NetworkSimulator
+from repro.validation.reference import ReferenceDetector
 
 from tests.experiments.conftest import TINY_RUNS
 
@@ -133,19 +135,23 @@ class TestGranularityAblation:
         assert obs.pop("verdict_agreement_rate") == pytest.approx(agreement)
         assert obs == {name: float(n) for name, n in tally.items()}
 
-    def test_counts_the_detector_deadlocks(self):
+    def test_counts_the_detector_deadlocks(self, monkeypatch):
         """Every pass whose record holds a deadlock is a CWG-knotted
         detection, on either detector pass."""
         sim = NetworkSimulator(tiny_default(routing="tfar", load=1.0, **WEDGING))
         sim.run()
         knotted = sum(1 for r in sim.detector.records if r.events)
         assert knotted > 0
-        cached, reference = (
-            ALL_EXPERIMENTS["EXT-GRAN"](
-                scale="tiny", loads=[1.0], detector_caching=caching, **WEDGING
+
+        def gran():
+            return ALL_EXPERIMENTS["EXT-GRAN"](
+                scale="tiny", loads=[1.0], **WEDGING
             ).observations
-            for caching in (True, False)
-        )
+
+        cached = gran()
+        # the same experiment with every simulator on the reference pass
+        monkeypatch.setattr(simulator, "DeadlockDetector", ReferenceDetector)
+        reference = gran()
         assert cached["true_deadlocked_detections"] == knotted
         assert cached == reference
 

@@ -27,6 +27,7 @@ import pytest
 
 from repro.config import SimulationConfig
 from repro.network.simulator import NetworkSimulator
+from repro.validation.reference import ReferenceEngine
 from repro.validation.differential import result_fields
 
 GOLDEN_PATH = Path(__file__).parent / "golden_digests.json"
@@ -153,8 +154,7 @@ def test_golden_trace_legacy_engine(name):
     goldens = load_goldens()
     if os.environ.get(BLESS_ENV) == "1" or name not in goldens:
         pytest.skip("no committed golden (blessing runs the default engine)")
-    cfg = SCENARIOS[name].replace(engine_fast_path=False)
-    sim = NetworkSimulator(cfg)
+    sim = ReferenceEngine(SCENARIOS[name])
     result = sim.run()
     digest = digest_of(canonical_trace(sim, result))
     assert digest == goldens[name]["digest"], (

@@ -20,6 +20,7 @@ import pytest
 
 from repro.config import SimulationConfig
 from repro.network.simulator import NetworkSimulator
+from repro.validation.reference import ReferenceEngine
 from tests.golden.test_golden_traces import BLESS_ENV, canonical_trace, digest_of
 
 GOLDEN_PATH = Path(__file__).parent / "topology_golden_digests.json"
@@ -71,8 +72,8 @@ SCENARIOS = {
 }
 
 
-def run_scenario(name: str, **flags) -> tuple[str, dict]:
-    sim = NetworkSimulator(SCENARIOS[name].replace(**flags))
+def run_scenario(name: str, build=NetworkSimulator) -> tuple[str, dict]:
+    sim = build(SCENARIOS[name])
     result = sim.run()
     trace = canonical_trace(sim, result)
     return digest_of(trace), trace
@@ -121,7 +122,7 @@ def test_topology_golden_trace_legacy_engine(name):
     goldens = load_goldens()
     if os.environ.get(BLESS_ENV) == "1" or name not in goldens:
         pytest.skip("no committed golden (blessing runs the default engine)")
-    digest, _ = run_scenario(name, engine_fast_path=False)
+    digest, _ = run_scenario(name, ReferenceEngine)
     assert digest == goldens[name]["digest"], (
         f"legacy engine diverged from topology golden {name!r}: "
         f"{digest[:16]}… != committed {goldens[name]['digest'][:16]}…"

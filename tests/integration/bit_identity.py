@@ -1,15 +1,17 @@
-"""The case table behind every inert-field A/B test.
+"""The case table behind every reference and inert-field A/B test.
 
-The production engine (``engine_fast_path``), the detector's worm-level
-pipeline (``detector_caching``) and observability (``obs_level``) are pure
-optimization or pure observation: with the same seed, a run must be
-bit-identical to its reference twin.  "Bit-identical" is defined once, by
+The production engine, the detector's worm-level pipeline and
+observability (``obs_level``) are pure optimization or pure observation:
+with the same seed, a run must be bit-identical to its twin, a reference
+class of :mod:`repro.validation.reference` or the run with observability
+off.  "Bit-identical" is defined once, by
 :func:`repro.validation.differential.compare`: the same ``RunResult``
 fields, the same detection records (events, census counts and saturation
 flags, blocked durations and listings) and the same post-run RNG word.
 
-Each row is a configuration plus the field to change and its other value.
-The rows cover what the engine and detector branch on: DOR/TFAR (plus the
+Each row is a configuration, the twin it is compared with (a changed
+config or a builder called with the row's config) and the builder of the
+row's own run.  The rows cover what the engine and detector branch on: DOR/TFAR (plus the
 misrouting variant whose candidate sets change as a blocked message's
 tail drains), uni- and bidirectional tori, 1–4 VCs, wormhole and virtual
 cut-through switching, knot and timeout detection, both recovery teardown
@@ -17,39 +19,44 @@ styles, persistent knots, the census on, off and capped, router pipeline
 delay, multiple reception channels, all three arbitration policies, both
 engines under the detector and observability, a wrapping trace ring, and
 the topology zoo (3D torus with a slow TSV dimension, 3D mesh, dragonfly,
-full mesh), and light and moderate loads where most worms drain.  Several rows run with ``check_invariants=True`` and the zoo
-rows at ``validation_level=2``, so the runtime invariant battery also
-holds every cycle.
+full mesh), and light and moderate loads where most worms drain.  Several
+rows, the zoo rows among them, run at ``validation_level=2``, so the
+runtime invariant battery also holds every cycle.
 
 ``tests/integration/test_{fast_path,detector_caching,obs}_equivalence.py``
 run the groups through :func:`run_case`.
 """
 
 from functools import partial
-from typing import NamedTuple
+from typing import Callable, NamedTuple, Union
 
 from repro.config import SimulationConfig, tiny_default
 from repro.network.simulator import NetworkSimulator
 from repro.validation.differential import compare, fingerprint
+from repro.validation.reference import ReferenceEngine, reference_pass
 from tests.golden.test_golden_traces import SCENARIOS as GOLDEN_SCENARIOS
 
 
 class Case(NamedTuple):
     config: SimulationConfig
-    field: str
-    value: object
+    twin: Union[SimulationConfig, Callable]  #: see differential.compare
+    build: Callable = NetworkSimulator  #: builds the row's own run
 
 
-def _group(field, value, make, rows) -> dict[str, Case]:
-    return {name: Case(make(**row), field, value) for name, row in rows.items()}
+def _group(twin, make, rows, build=NetworkSimulator) -> dict[str, Case]:
+    return {name: Case(make(**row), twin, build) for name, row in rows.items()}
+
+
+def _reference_pass_on_reference_engine(config):
+    return reference_pass(config, ReferenceEngine)
 
 
 def run_case(case: Case) -> NetworkSimulator:
-    """Run a row as configured, assert that its twin with the field
-    changed is bit-identical, and return the as-configured simulator."""
-    sim = NetworkSimulator(case.config)
+    """Run a row as built, assert that its twin is bit-identical, and
+    return the row's own simulator."""
+    sim = case.build(case.config)
     result = sim.run()
-    detail = compare(*case, base=fingerprint(sim, result))
+    detail = compare(case.config, case.twin, base=fingerprint(sim, result))
     assert detail is None, detail
     assert result.delivered > 0, "the workload must exercise the engine"
     return sim
@@ -58,10 +65,10 @@ def run_case(case: Case) -> NetworkSimulator:
 _tiny = partial(tiny_default, measure_cycles=1500, warmup_cycles=100, seed=7)
 _TIMEOUT = dict(detection_mode="timeout", timeout_threshold=100)
 
-FAST_PATH = _group("engine_fast_path", False, _tiny, {
+FAST_PATH = _group(ReferenceEngine, _tiny, {
     # -- routing × topology × VCs
     "tfar_saturated": dict(
-        routing="tfar", load=1.0, num_vcs=1, check_invariants=True
+        routing="tfar", load=1.0, num_vcs=1, validation_level=2
     ),
     "dor_unrecovered": dict(
         routing="dor", load=1.0, num_vcs=1, recovery="none"
@@ -71,7 +78,7 @@ FAST_PATH = _group("engine_fast_path", False, _tiny, {
         routing="tfar", load=1.0, bidirectional=False, num_vcs=2
     ),
     "tfar_misrouting": dict(
-        routing="tfar-mis", load=1.0, num_vcs=2, check_invariants=True
+        routing="tfar-mis", load=1.0, num_vcs=2, validation_level=2
     ),
     "duato_three_vcs": dict(routing="duato", load=1.0, num_vcs=3),
     "dateline_torus": dict(routing="dor-dateline", load=1.0, num_vcs=2),
@@ -81,13 +88,13 @@ FAST_PATH = _group("engine_fast_path", False, _tiny, {
     # -- switching
     "cut_through": dict(
         routing="dor", load=0.9, buffer_depth=8, message_length=8,
-        check_invariants=True,
+        validation_level=2,
     ),
     # -- detection / recovery modes
     "timeout_recovery": dict(routing="tfar", load=1.0, **_TIMEOUT),
     "timeout_teardown": dict(
         routing="tfar", load=1.0, recovery_teardown="flit-by-flit",
-        check_invariants=True, **_TIMEOUT,
+        validation_level=2, **_TIMEOUT,
     ),
     "flit_by_flit_teardown": dict(
         routing="tfar", load=1.0, recovery_teardown="flit-by-flit"
@@ -100,7 +107,7 @@ FAST_PATH = _group("engine_fast_path", False, _tiny, {
     ),
     # -- router / node structure
     "router_delay": dict(
-        routing="tfar", load=1.0, router_delay=2, check_invariants=True
+        routing="tfar", load=1.0, router_delay=2, validation_level=2
     ),
     "two_rx_channels": dict(routing="tfar", load=1.0, rx_channels=2),
     # -- arbitration
@@ -112,7 +119,7 @@ FAST_PATH = _group("engine_fast_path", False, _tiny, {
     ),
 })
 
-FAST_PATH_SEEDS = _group("engine_fast_path", False, _tiny, {
+FAST_PATH_SEEDS = _group(ReferenceEngine, _tiny, {
     f"seed{seed}": dict(
         routing="dor", load=1.0, num_vcs=1, seed=seed, measure_cycles=1000
     )
@@ -130,7 +137,7 @@ ZOO_COMMON = dict(
     validation_level=2,
 )
 
-ZOO = _group("engine_fast_path", False, partial(SimulationConfig, **ZOO_COMMON), {
+ZOO = _group(ReferenceEngine, partial(SimulationConfig, **ZOO_COMMON), {
     "torus3d_tsv": dict(
         topology="torus3d",
         dims=(4, 3, 2),
@@ -175,22 +182,22 @@ ZOO = _group("engine_fast_path", False, partial(SimulationConfig, **ZOO_COMMON),
 #: latency, where most mobile worms drain: the production engine's steady
 #: drains (``vec_steady_drains``) carry these runs
 STEADY = {
-    **_group("engine_fast_path", False, _tiny, {
+    **_group(ReferenceEngine, _tiny, {
         "dor_light": dict(routing="dor", load=0.3, num_vcs=1),
         "tfar_moderate": dict(
-            routing="tfar", load=0.6, num_vcs=1, check_invariants=True
+            routing="tfar", load=0.6, num_vcs=1, validation_level=2
         ),
         "cut_through_moderate": dict(
             routing="dor", load=0.5, num_vcs=1, buffer_depth=8,
-            message_length=8, check_invariants=True,
+            message_length=8, validation_level=2,
         ),
         "flit_by_flit_moderate": dict(
             routing="dor", load=0.6, num_vcs=1,
-            recovery_teardown="flit-by-flit", check_invariants=True,
+            recovery_teardown="flit-by-flit", validation_level=2,
         ),
     }),
     **_group(
-        "engine_fast_path", False, partial(SimulationConfig, **ZOO_COMMON), {
+        ReferenceEngine, partial(SimulationConfig, **ZOO_COMMON), {
             "dragonfly_moderate": dict(
                 topology="dragonfly", dims=(3, 1, 1), routing="df-min",
                 load=0.5,
@@ -206,99 +213,75 @@ STEADY = {
 #: steady
 NO_STEADY_POOL = ("tfar_four_vcs", "torus3d_tsv", "torus3d_tsv_router_delay")
 
-#: the deprecated engine_kernels / engine_vectorized / cwg_maintenance
-#: fields select nothing; they survive only inside stored result digests
-DEPRECATED = {
-    "vectorized": Case(tiny_default(measure_cycles=300), "engine_vectorized", True),
-    # a zoo / non-unit-latency config, which the kernel tier used to reject
-    "kernels_zoo": Case(ZOO["torus3d_tsv"].config, "engine_kernels", True),
-    **{
-        f"incremental_cwg_{engine}": Case(
-            _tiny(
-                routing="tfar", load=1.0, record_blocked_durations=True,
-                engine_fast_path=fast_path, measure_cycles=800, **_TIMEOUT,
-            ),
-            "cwg_maintenance",
-            "incremental",
-        )
-        for engine, fast_path in (("production", True), ("legacy", False))
-    },
-}
-
 _census = partial(_tiny, count_cycles=True)
 
-DETECTOR = _group("detector_caching", False, _census, {
-    # -- routing × VCs at saturation
-    "dor_saturated_1vc": dict(routing="dor", load=1.0, num_vcs=1),
-    "tfar_saturated_1vc": dict(routing="tfar", load=1.0, num_vcs=1),
-    "tfar_saturated_2vc": dict(routing="tfar", load=1.0, num_vcs=2),
-    "dor_saturated_3vc": dict(routing="dor", load=1.0, num_vcs=3),
-    "tfar_saturated_4vc": dict(routing="tfar", load=1.0, num_vcs=4),
-    "tfar_misrouting": dict(routing="tfar-mis", load=1.0, num_vcs=2),
-    # -- moderate loads
-    "dor_moderate": dict(routing="dor", load=0.45, num_vcs=2),
-    "tfar_moderate": dict(routing="tfar", load=0.5, num_vcs=1),
-    # -- switching
-    "vct_saturated": dict(
-        routing="dor", load=0.9, buffer_depth=8, message_length=8
-    ),
-    # -- persistent knots (regions stable across passes)
-    "unrecovered_knots": dict(
-        routing="dor", load=0.95, num_vcs=1, recovery="none"
-    ),
-    # -- detection / recovery modes
-    "timeout_mode": dict(
-        routing="tfar", load=1.0, record_blocked_durations=True, **_TIMEOUT
-    ),
-    "flit_by_flit_teardown": dict(
-        routing="tfar", load=1.0, recovery_teardown="flit-by-flit"
-    ),
-    # -- census saturation (a tiny cap forces the saturated flag on)
-    "census_cap_hit": dict(
-        routing="tfar", load=1.0, max_cycles_counted=10
-    ),
-    "census_disabled": dict(routing="tfar", load=1.0, count_cycles=False),
-    # -- census off: knots only
-    "no_census_unrecovered_knots": dict(
-        routing="dor",
-        load=0.95,
-        num_vcs=1,
-        recovery="none",
-        count_cycles=False,
-    ),
-    "no_census_legacy_engine": dict(
-        routing="dor",
-        load=1.0,
-        num_vcs=1,
-        count_cycles=False,
-        engine_fast_path=False,
-    ),
-    "no_census_timeout_mode": dict(
-        routing="tfar", load=1.0, count_cycles=False, **_TIMEOUT
-    ),
-    # -- engine paths
-    "legacy_engine": dict(routing="tfar", load=1.0, engine_fast_path=False),
-    # the census16_tfar1 benchmark shape: a persistent saturated 16-ary CWG
-    # whose census exhausts a small budget on most passes
-    "rebuild_saturated_16ary_census": dict(
-        k=16,
-        message_length=32,
-        routing="tfar",
-        load=1.0,
-        max_cycles_counted=30,
-        detection_interval=8,
-        warmup_cycles=300,
-        measure_cycles=200,
-    ),
-    "rebuild_legacy_engine_4vc": dict(
-        routing="tfar",
-        load=1.0,
-        num_vcs=4,
-        engine_fast_path=False,
-    ),
-})
+DETECTOR = {
+    **_group(reference_pass, _census, {
+        # -- routing × VCs at saturation
+        "dor_saturated_1vc": dict(routing="dor", load=1.0, num_vcs=1),
+        "tfar_saturated_1vc": dict(routing="tfar", load=1.0, num_vcs=1),
+        "tfar_saturated_2vc": dict(routing="tfar", load=1.0, num_vcs=2),
+        "dor_saturated_3vc": dict(routing="dor", load=1.0, num_vcs=3),
+        "tfar_saturated_4vc": dict(routing="tfar", load=1.0, num_vcs=4),
+        "tfar_misrouting": dict(routing="tfar-mis", load=1.0, num_vcs=2),
+        # -- moderate loads
+        "dor_moderate": dict(routing="dor", load=0.45, num_vcs=2),
+        "tfar_moderate": dict(routing="tfar", load=0.5, num_vcs=1),
+        # -- switching
+        "vct_saturated": dict(
+            routing="dor", load=0.9, buffer_depth=8, message_length=8
+        ),
+        # -- persistent knots (regions stable across passes)
+        "unrecovered_knots": dict(
+            routing="dor", load=0.95, num_vcs=1, recovery="none"
+        ),
+        # -- detection / recovery modes
+        "timeout_mode": dict(
+            routing="tfar", load=1.0, record_blocked_durations=True, **_TIMEOUT
+        ),
+        "flit_by_flit_teardown": dict(
+            routing="tfar", load=1.0, recovery_teardown="flit-by-flit"
+        ),
+        # -- census saturation (a tiny cap forces the saturated flag on)
+        "census_cap_hit": dict(
+            routing="tfar", load=1.0, max_cycles_counted=10
+        ),
+        "census_disabled": dict(routing="tfar", load=1.0, count_cycles=False),
+        # -- census off: knots only
+        "no_census_unrecovered_knots": dict(
+            routing="dor",
+            load=0.95,
+            num_vcs=1,
+            recovery="none",
+            count_cycles=False,
+        ),
+        "no_census_timeout_mode": dict(
+            routing="tfar", load=1.0, count_cycles=False, **_TIMEOUT
+        ),
+        # the census16_tfar1 benchmark shape: a persistent saturated 16-ary
+        # CWG whose census exhausts a small budget on most passes
+        "rebuild_saturated_16ary_census": dict(
+            k=16,
+            message_length=32,
+            routing="tfar",
+            load=1.0,
+            max_cycles_counted=30,
+            detection_interval=8,
+            warmup_cycles=300,
+            measure_cycles=200,
+        ),
+    }),
+    # -- engine paths: both passes on the reference engine
+    **_group(_reference_pass_on_reference_engine, _census, {
+        "no_census_legacy_engine": dict(
+            routing="dor", load=1.0, num_vcs=1, count_cycles=False
+        ),
+        "legacy_engine": dict(routing="tfar", load=1.0),
+        "rebuild_legacy_engine_4vc": dict(routing="tfar", load=1.0, num_vcs=4),
+    }, build=ReferenceEngine),
+}
 
-DETECTOR_SEEDS = _group("detector_caching", False, _census, {
+DETECTOR_SEEDS = _group(reference_pass, _census, {
     f"seed{seed}": dict(
         routing="dor",
         load=1.0,
@@ -310,28 +293,40 @@ DETECTOR_SEEDS = _group("detector_caching", False, _census, {
     for seed in (1, 2, 3, 4)
 })
 
-OBS = _group("obs_level", 0, partial(_tiny, measure_cycles=1200, obs_level=2), {
-    "dor_saturated": dict(routing="dor", load=1.0, num_vcs=1),
-    "tfar_saturated": dict(routing="tfar", load=1.0, num_vcs=1),
-    # the pipeline's detect/knots + detect/census timers over a branching
-    # multi-VC CWG
-    "cached_detector": dict(
-        routing="tfar", load=1.0, num_vcs=2, count_cycles=True
-    ),
-    "legacy_engine": dict(routing="tfar", load=1.0, engine_fast_path=False),
-    "unrecovered_knots": dict(
-        routing="dor", load=0.95, num_vcs=1, recovery="none"
-    ),
-    "metrics_only_level1": dict(
-        routing="dor", load=1.0, num_vcs=1, obs_level=1
-    ),
-    "tiny_trace_ring_wraps": dict(
-        routing="dor", load=1.0, num_vcs=1, obs_trace_capacity=64
-    ),
-})
+
+def _unobserved(build):
+    """The twin of an observed row: ``build`` with observability off."""
+    return lambda config: build(config.replace(obs_level=0))
+
+
+_observed = partial(_tiny, measure_cycles=1200, obs_level=2)
+
+OBS = {
+    **_group(_unobserved(NetworkSimulator), _observed, {
+        "dor_saturated": dict(routing="dor", load=1.0, num_vcs=1),
+        "tfar_saturated": dict(routing="tfar", load=1.0, num_vcs=1),
+        # the pipeline's detect/knots + detect/census timers over a
+        # branching multi-VC CWG
+        "cached_detector": dict(
+            routing="tfar", load=1.0, num_vcs=2, count_cycles=True
+        ),
+        "unrecovered_knots": dict(
+            routing="dor", load=0.95, num_vcs=1, recovery="none"
+        ),
+        "metrics_only_level1": dict(
+            routing="dor", load=1.0, num_vcs=1, obs_level=1
+        ),
+        "tiny_trace_ring_wraps": dict(
+            routing="dor", load=1.0, num_vcs=1, obs_trace_capacity=64
+        ),
+    }),
+    **_group(_unobserved(ReferenceEngine), _observed, {
+        "legacy_engine": dict(routing="tfar", load=1.0),
+    }, build=ReferenceEngine),
+}
 
 #: the golden scenarios under full tracing
 OBS_GOLDEN = {
-    name: Case(config.replace(obs_level=2), "obs_level", 0)
+    name: Case(config.replace(obs_level=2), config)
     for name, config in GOLDEN_SCENARIOS.items()
 }

@@ -1,18 +1,20 @@
 """A/B equivalence: the detector's contracted pipeline is bit-identical.
 
-``detector_caching`` (the default) runs every pass through the contracted
-pipeline — chain contraction, one Tarjan decomposition shared by the knot
-test and the cycle census, each SCC re-contracted before Johnson
-enumerates — instead of the plain reference (global Tarjan + knot test +
-uncontracted Johnson over the whole CWG).  All of it is pure
-optimization; the rows of :mod:`tests.integration.bit_identity` hold it to
-the reference record for record.
+Every full pass runs the contracted pipeline — chain contraction, one
+Tarjan decomposition shared by the knot test and the cycle census, each
+SCC re-contracted before Johnson enumerates — instead of the plain
+reference (global Tarjan + knot test + uncontracted Johnson over the whole
+CWG), :class:`~repro.validation.reference.ReferenceDetector`.  All of it
+is pure optimization; the rows of :mod:`tests.integration.bit_identity`
+hold it to the reference record for record.
 """
 
 import pytest
 
 from repro.config import tiny_default
+from repro.core.detector import DeadlockDetector
 from repro.network.simulator import NetworkSimulator
+from repro.validation.reference import ReferenceDetector, reference_pass
 from tests.integration.bit_identity import DETECTOR, DETECTOR_SEEDS, run_case
 
 
@@ -29,10 +31,14 @@ def test_detector_caching_identical_across_seeds():
 
 
 def test_detector_caching_is_default():
-    cfg = tiny_default()
-    assert cfg.detector_caching is True
+    """Every simulator runs the pipeline; the reference pass is built by
+    naming its class, with the pipeline's parameters."""
+    cfg = tiny_default(max_cycles_counted=123, record_blocked_durations=True)
     sim = NetworkSimulator(cfg)
-    assert sim.detector.caching is True
+    assert type(sim.detector) is DeadlockDetector
+    reference = reference_pass(cfg).detector
+    assert type(reference) is ReferenceDetector
+    assert vars(reference) == vars(sim.detector)
 
 
 def test_cache_stats_accessor_and_repeat_pass_hits():
@@ -84,12 +90,11 @@ def test_cache_stats_uncached_detector_counts_full_passes():
         routing="dor",
         load=1.0,
         num_vcs=1,
-        detector_caching=False,
         measure_cycles=600,
         warmup_cycles=100,
         seed=3,
     )
-    sim = NetworkSimulator(cfg)
+    sim = reference_pass(cfg)
     sim.run()
     stats = sim.detector.cache_stats()
     assert stats["full_passes"] > 0

@@ -34,7 +34,7 @@ class TestDeliveryAcrossRouters:
             load=0.15,
             measure_cycles=1500,
             warmup_cycles=300,
-            check_invariants=True,
+            validation_level=2,
         )
         assert result.delivered > 0
         thr = result.normalized_throughput(
@@ -153,7 +153,7 @@ class TestTrafficPatterns:
     def test_all_patterns_run_clean(self, traffic):
         _, result = run(
             traffic=traffic, load=0.4, measure_cycles=1200,
-            check_invariants=True,
+            validation_level=2,
         )
         # permutations route fine; some (sparse senders) deliver less
         assert result.measured_cycles == 1200

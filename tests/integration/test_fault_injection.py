@@ -20,7 +20,7 @@ class TestFaultyLinks:
             routing="tfar",
             load=0.3,
             measure_cycles=1500,
-            check_invariants=True,
+            validation_level=2,
         )
         assert result.delivered > 0
 

@@ -12,6 +12,7 @@ import pytest
 from repro.config import SimulationConfig
 from repro.core.detector import DeadlockDetector
 from repro.network.simulator import NetworkSimulator
+from repro.validation.reference import ReferenceDetector
 
 
 def kitchen_sink_config(**overrides):
@@ -35,7 +36,7 @@ def kitchen_sink_config(**overrides):
         warmup_cycles=0,
         measure_cycles=1500,
         max_queued_per_node=8,
-        check_invariants=True,
+        validation_level=2,
         seed=5,
     )
     params.update(overrides)
@@ -49,7 +50,7 @@ def test_everything_at_once_stays_consistent():
     # the contracted pipeline still agrees with the reference pass under
     # full feature load
     pipeline = DeadlockDetector().detect(sim)
-    reference = DeadlockDetector(caching=False).detect(sim)
+    reference = ReferenceDetector().detect(sim)
     assert pipeline == reference
 
 

@@ -22,7 +22,8 @@ ENGINE_COUNTERS = (
 @pytest.mark.parametrize("name", sorted(OBS))
 def test_obs_bit_identical(name):
     case = OBS[name]
-    snap = run_case(case).obs.snapshot()
+    sim = run_case(case)
+    snap = sim.obs.snapshot()
     # sanity on the observed side: the snapshot is well-formed and non-empty
     assert snap["level"] == case.config.obs_level
     assert snap["phases"]["engine/allocate"]["calls"] > 0
@@ -33,7 +34,7 @@ def test_obs_bit_identical(name):
         name for name in snap["counters"]
         if name.startswith("engine/")
     }
-    if case.config.engine_fast_path:
+    if sim.fast_path:
         assert booked == {f"engine/{name}" for name in ENGINE_COUNTERS}
         assert snap["counters"]["engine/mobile_worm_cycles"] > 0
     else:

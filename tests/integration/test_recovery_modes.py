@@ -50,7 +50,7 @@ class TestFlitByFlitRecovery:
             load=1.0,
             recovery_teardown="flit-by-flit",
             measure_cycles=3000,
-            check_invariants=True,
+            validation_level=2,
             seed=3,
         )
         sim = NetworkSimulator(cfg)

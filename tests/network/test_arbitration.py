@@ -14,7 +14,7 @@ def run(arbitration, seed=1, **overrides):
         measure_cycles=1200,
         warmup_cycles=100,
         seed=seed,
-        check_invariants=True,
+        validation_level=2,
     )
     params.update(overrides)
     return NetworkSimulator(tiny_default(**params)).run()

@@ -9,7 +9,7 @@ from repro.network.simulator import NetworkSimulator
 
 def transit_latency(router_delay, src=0, dest=10, length=4):
     cfg = tiny_default(load=0.0, routing="dor", router_delay=router_delay,
-                       check_invariants=True)
+                       validation_level=2)
     sim = NetworkSimulator(cfg)
     m = Message(0, src, dest, length, created_cycle=0)
     sim.queues[src].append(m)

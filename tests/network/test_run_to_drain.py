@@ -9,7 +9,7 @@ from repro.network.simulator import NetworkSimulator
 def test_step_is_reentrant_after_run():
     """Stepping past run() keeps the engine consistent."""
     cfg = tiny_default(load=0.4, measure_cycles=200, warmup_cycles=0,
-                       check_invariants=True)
+                       validation_level=2)
     sim = NetworkSimulator(cfg)
     sim.run()
     for _ in range(100):

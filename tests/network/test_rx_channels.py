@@ -35,7 +35,7 @@ class TestConcurrentEjection:
     def _race(self, rx_channels):
         """Two messages arrive at the same destination simultaneously."""
         cfg = tiny_default(load=0.0, routing="dor", rx_channels=rx_channels,
-                           check_invariants=True)
+                           validation_level=2)
         sim = NetworkSimulator(cfg)
         a = Message(0, 1, 0, 8, created_cycle=0)
         b = Message(1, 4, 0, 8, created_cycle=0)
@@ -86,6 +86,7 @@ class TestDetectionWithMultiRx:
         """Reception waits fan out over the whole rx group; the contracted
         pipeline must agree with the reference pass on those arcs."""
         from repro.core.detector import DeadlockDetector
+        from repro.validation.reference import ReferenceDetector
 
         cfg = tiny_default(
             load=1.0, routing="dor", num_vcs=1, rx_channels=2, seed=3,
@@ -96,7 +97,7 @@ class TestDetectionWithMultiRx:
             sim.step()
             if sim.cycle % 50 == 0:
                 pipeline = DeadlockDetector().detect(sim)
-                reference = DeadlockDetector(caching=False).detect(sim)
+                reference = ReferenceDetector().detect(sim)
                 assert pipeline == reference
 
     def test_extra_rx_channels_relieve_ejection_pressure(self):

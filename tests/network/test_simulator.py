@@ -35,7 +35,7 @@ class TestSingleMessageTransit:
     """Drive one hand-injected message through an otherwise idle network."""
 
     def _run_single(self, src, dest, length=4, routing="dor", max_cycles=200):
-        sim = make_sim(routing=routing, load=0.0, check_invariants=True)
+        sim = make_sim(routing=routing, load=0.0, validation_level=2)
         m = Message(0, src, dest, length, created_cycle=0)
         sim.queues[src].append(m)
         sim._live[0] = m
@@ -102,7 +102,7 @@ class TestPipelining:
 class TestContention:
     def test_two_messages_share_reception_channel(self):
         """Both arrive at the same destination; one must wait, then drain."""
-        sim = make_sim(load=0.0, routing="dor", check_invariants=True)
+        sim = make_sim(load=0.0, routing="dor", validation_level=2)
         a = Message(0, 1, 0, 4, created_cycle=0)
         b = Message(1, 4, 0, 4, created_cycle=0)
         sim.queues[1].append(a)

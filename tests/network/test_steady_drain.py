@@ -14,6 +14,7 @@ from repro.config import SimulationConfig, tiny_default
 from repro.network.production import ProductionEngine
 from repro.network.simulator import NetworkSimulator
 from repro.validation.oracle import _stepper, explore, get_case
+from repro.validation.reference import ReferenceEngine
 from repro.validation.statespace import (
     clear_state,
     load_state,
@@ -121,7 +122,7 @@ def test_a_steady_worm_finishes_in_its_cycle():
         seed=5,
     )
     production = NetworkSimulator(config)
-    legacy = NetworkSimulator(config.replace(engine_fast_path=False))
+    legacy = ReferenceEngine(config)
     for _ in range(400):
         production.step()
         legacy.step()

@@ -15,6 +15,7 @@ from repro.config import SimulationConfig
 from repro.network.production import ProductionEngine
 from repro.network.message import Message
 from repro.network.simulator import _PHASE_ALLOC, _PHASE_MOVE, NetworkSimulator
+from repro.validation.reference import ReferenceEngine
 
 #: a unidirectional 4-ring under DOR wedges globally within ~30 cycles; with
 #: the detection interval beyond the run nothing ever unwedges it
@@ -55,9 +56,9 @@ class _Scripted:
 
 def _pair(cfg, worms=None):
     production = NetworkSimulator(cfg)
-    legacy = NetworkSimulator(cfg.replace(engine_fast_path=False))
+    legacy = ReferenceEngine(cfg)
     assert type(production) is ProductionEngine
-    assert type(legacy) is NetworkSimulator
+    assert type(legacy) is ReferenceEngine
     if worms is not None:
         production.generator = _Scripted(worms)
         legacy.generator = _Scripted(worms)

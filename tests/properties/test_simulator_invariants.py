@@ -40,7 +40,7 @@ def test_short_run_preserves_all_invariants(params):
         measure_cycles=250,
         detection_interval=25,
         max_queued_per_node=8,
-        check_invariants=True,
+        validation_level=2,
         **params,
     )
     sim = NetworkSimulator(cfg)

@@ -18,6 +18,7 @@ import pytest
 
 from repro.config import SimulationConfig
 from repro.network.simulator import NetworkSimulator
+from repro.validation.reference import ReferenceEngine
 from repro.validation.statespace import (
     oracle_config,
     snapshot_state,
@@ -27,10 +28,10 @@ from repro.validation.statespace import (
 
 from tests.validation.conftest import state_from_json
 
-#: engine flag sets, mirroring the differential fuzzer's engine axis
+#: engine classes, mirroring the differential fuzzer's engine axis
 TIERS = {
-    "legacy": dict(engine_fast_path=False),
-    "fast-path": dict(engine_fast_path=True),  # the production engine
+    "legacy": ReferenceEngine,
+    "fast-path": NetworkSimulator,  # the production engine
 }
 
 #: tiny configurations with distinct branch-point mixes: deterministic
@@ -68,9 +69,7 @@ def test_real_trajectory_is_a_path_in_the_state_graph(
 ):
     """Each genuinely-random step lands in the enumerated successor set."""
     base = CONFIGS[config_name].replace(seed=seed)
-    run_config = oracle_config(base).replace(**TIERS[tier])
-    run_config.validate()
-    sim = NetworkSimulator(run_config)
+    sim = TIERS[tier](oracle_config(base))
     prev = snapshot_state(sim)
     stationary = 0
     for _ in range(TRAJECTORY_CYCLES):
@@ -95,14 +94,12 @@ def test_all_tiers_agree_on_the_trajectory(tier):
     a capped-generation tiny config follows the *same* canonical state
     sequence on both engines."""
     base = CONFIGS["ring"].replace(seed=11)
-    run_config = oracle_config(base).replace(**TIERS[tier])
-    run_config.validate()
-    sim = NetworkSimulator(run_config)
+    sim = TIERS[tier](oracle_config(base))
     trajectory = []
     for _ in range(TRAJECTORY_CYCLES):
         sim.step()
         trajectory.append(snapshot_state(sim))
-    legacy = NetworkSimulator(oracle_config(base).replace(**TIERS["legacy"]))
+    legacy = ReferenceEngine(oracle_config(base))
     for _ in range(TRAJECTORY_CYCLES):
         legacy.step()
     reference = snapshot_state(legacy)
@@ -126,9 +123,9 @@ def test_scripted_trajectory_on_production_matches_legacy(selection):
             num_vcs=2, selection=selection, max_messages=8
         )
     )
-    legacy = NetworkSimulator(base.replace(**TIERS["legacy"]))
+    legacy = ReferenceEngine(base)
     production = NetworkSimulator(base)
-    assert type(legacy) is NetworkSimulator
+    assert type(legacy) is ReferenceEngine
     assert type(production) is ProductionEngine
     script_rng = random.Random(5)
     decisions = 0
@@ -153,7 +150,7 @@ def test_scripted_steps_take_the_whole_phase_skips():
     reference builds, so trails and states stay equal."""
     # seed 0 deadlocks the ring (3 worms, generation budget spent) by cycle 13
     base = oracle_config(CONFIGS["ring-random-arb"].replace(max_messages=8))
-    legacy = NetworkSimulator(base.replace(**TIERS["legacy"]))
+    legacy = ReferenceEngine(base)
     production = NetworkSimulator(base)
     skips = []
     skip_order = production._skip_order

@@ -8,6 +8,7 @@ import pytest
 
 from repro.config import (
     FIELDS,
+    IMPLEMENTATION,
     KINDS,
     SEMANTIC,
     Domain,
@@ -133,6 +134,48 @@ def test_table_marks_the_documented_fields():
     assert len([f for f in FIELDS if f.metadata["cli"]]) == 18
 
 
+#: the fields that accept their default alone, and the replacement the
+#: error for any other value must name
+REFUSED = {
+    "engine_fast_path": (False, "repro.validation.ReferenceEngine"),
+    "detector_caching": (False, "repro.validation.reference_pass"),
+    "check_invariants": (True, "validation_level=2"),
+    "engine_vectorized": (True, "the production engine"),
+    "engine_kernels": (True, "the production engine"),
+    "cwg_maintenance": ("incremental", "rebuilds the CWG"),
+}
+
+
+def test_no_field_selects_an_implementation():
+    """Every implementation field, and the one alias, is refused."""
+    implementation = {
+        f.name for f in FIELDS if f.metadata["kind"] == IMPLEMENTATION
+    }
+    assert set(REFUSED) == implementation | {"check_invariants"}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED))
+def test_refused_field_names_its_replacement(name):
+    field = next(f for f in FIELDS if f.name == name)
+    tiny_default(**{name: field.default}).validate()
+    assert field.metadata["domain"].choices() == (field.default,)
+    value, replacement = REFUSED[name]
+    with pytest.raises(ConfigurationError, match=name) as refused:
+        tiny_default(**{name: value}).validate()
+    assert replacement in str(refused.value)
+    # a value equal to the default but of another type is no default
+    with pytest.raises(ConfigurationError):
+        tiny_default(**{name: 1 if field.default is True else 0}).validate()
+
+
+def test_refused_fields_keep_every_digest():
+    """The refused fields stay in the field list, so no stored digest
+    moves: the store's pins are the parent commit's."""
+    from repro.campaign.store import config_digest
+
+    assert config_digest(tiny_default()) == "90949b61107460f2ef9a510d"
+
+
 def _other_value(field):
     """A valid non-default value, from the field's domain."""
     choices = field.metadata["domain"].choices()
@@ -143,14 +186,17 @@ def _other_value(field):
 
 @pytest.mark.parametrize(
     "field",
-    [f for f in FIELDS if f.metadata["kind"] != SEMANTIC],
+    [
+        f for f in FIELDS
+        if f.metadata["kind"] != SEMANTIC and f.name not in REFUSED
+    ],
     ids=lambda f: f.name,
 )
 def test_non_semantic_fields_are_inert(field):
-    """Toggling an implementation or observation field leaves the run
-    result, every detection record (the deadlock-event stream included)
-    and the post-run RNG word unchanged; a semantic field misfiled as
-    either kind fails here."""
+    """Toggling an observation field leaves the run result, every
+    detection record (the deadlock-event stream included) and the
+    post-run RNG word unchanged; a semantic field misfiled as one fails
+    here."""
     from repro.network.simulator import NetworkSimulator
     from repro.validation.differential import compare, fingerprint
 
@@ -159,11 +205,12 @@ def test_non_semantic_fields_are_inert(field):
         measure_cycles=300, detection_interval=25,
     )
     value = _other_value(field)
-    base.replace(**{field.name: value}).validate()
+    twin = base.replace(**{field.name: value})
+    twin.validate()
     sim = NetworkSimulator(base)
     result = sim.run()
     assert any(r.events for r in sim.detector.records), "precondition: must deadlock"
-    detail = compare(base, field.name, value, base=fingerprint(sim, result))
+    detail = compare(base, twin, base=fingerprint(sim, result))
     assert detail is None, detail
 
 

@@ -91,7 +91,7 @@ class TestGeneratorIntegration:
             length_mix=((2, 0.7), (16, 0.3)),
             load=0.5,
             measure_cycles=600,
-            check_invariants=True,
+            validation_level=2,
         )
         result = NetworkSimulator(cfg).run()
         assert result.delivered > 0

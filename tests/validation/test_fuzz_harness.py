@@ -108,7 +108,7 @@ def test_as_shipped_pipeline_is_a_detector_axis_leg(miscounting_census):
     contracted census that miscounts is caught by the detector axis."""
     mismatches = check_config(SATURATED, axes=("detector",))
     assert mismatches and mismatches[0].axis == "detector"
-    assert "detector_caching=False diverges" in mismatches[0].detail
+    assert "the detector reference diverges" in mismatches[0].detail
 
 
 def test_wait_index_read_is_a_detector_axis_leg(dropped_wait_target):
@@ -117,7 +117,7 @@ def test_wait_index_read_is_a_detector_axis_leg(dropped_wait_target):
     wait-index read that loses one target is caught by the detector axis."""
     mismatches = check_config(SATURATED, axes=("detector",))
     assert mismatches and mismatches[0].axis == "detector"
-    assert "detector_caching=False diverges" in mismatches[0].detail
+    assert "the detector reference diverges" in mismatches[0].detail
 
 
 def test_unknown_fault_name_rejected(monkeypatch):
@@ -151,7 +151,7 @@ def _building_check(monkeypatch, keep=lambda config: True):
     mismatch whenever ``keep(config)`` holds."""
     from repro.validation import differential
 
-    def compare(config, field, value, base=None):
+    def compare(config, twin, base=None):
         NetworkSimulator(config)
         return "synthetic mismatch" if keep(config) else None
 
@@ -174,7 +174,7 @@ def _building_check(monkeypatch, keep=lambda config: True):
 def test_shrink_skips_invalid_reductions(monkeypatch, config, keep):
     _building_check(monkeypatch, keep)
     small, detail = shrink_config(config, "engine")
-    assert detail == "engine_fast_path=False diverges: synthetic mismatch"
+    assert detail == "the engine reference diverges: synthetic mismatch"
     small.validate()
     NetworkSimulator(small)  # the minimum is a buildable config
 
@@ -206,7 +206,9 @@ def test_artifact_roundtrip(tmp_path):
 
 
 def test_axes_are_the_documented_two():
-    assert AXES == {"engine": "engine_fast_path", "detector": "detector_caching"}
+    from repro.validation.reference import ReferenceEngine, reference_pass
+
+    assert AXES == {"engine": ReferenceEngine, "detector": reference_pass}
 
 
 def test_check_config_builds_one_sim_per_axis_plus_base(monkeypatch):
@@ -215,11 +217,17 @@ def test_check_config_builds_one_sim_per_axis_plus_base(monkeypatch):
 
     built = []
 
-    def counting(config):
-        built.append(config)
-        return NetworkSimulator(config)
+    def counting(build):
+        def counted(config):
+            built.append(config)
+            return build(config)
 
-    monkeypatch.setattr(differential, "NetworkSimulator", counting)
+        return counted
+
+    monkeypatch.setattr(differential, "NetworkSimulator", counting(NetworkSimulator))
+    monkeypatch.setattr(
+        differential, "AXES", {axis: counting(b) for axis, b in AXES.items()}
+    )
     config = tiny_default(measure_cycles=100)
     assert check_config(config) == []
     assert len(built) == 1 + len(AXES)

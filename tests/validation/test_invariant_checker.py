@@ -56,9 +56,9 @@ def test_from_config_levels():
     assert lvl1 is not None and lvl1.interval == 40
     lvl2 = InvariantChecker.from_config(SimulationConfig(validation_level=2))
     assert lvl2 is not None and lvl2.interval == 1
-    # check_invariants asks for the same every-cycle battery
-    checked = InvariantChecker.from_config(SimulationConfig(check_invariants=True))
-    assert checked is not None and checked.interval == 1
+    # the every-cycle battery has one name: its old alias is refused
+    with pytest.raises(ConfigurationError, match="validation_level=2"):
+        SimulationConfig(check_invariants=True).validate()
 
 
 def test_engine_attaches_checker_and_counters_advance():
@@ -84,8 +84,7 @@ def test_sampling_interval_respected():
 def test_validated_run_is_bit_identical():
     """The checker must be a pure observer: level 2 changes nothing."""
     cfg = DEADLOCKING.replace(measure_cycles=150)
-    assert compare(cfg, "validation_level", 2) is None
-    assert compare(cfg, "check_invariants", True) is None
+    assert compare(cfg, cfg.replace(validation_level=2)) is None
 
 
 def test_unknown_check_name_rejected():

@@ -31,6 +31,7 @@ from repro.validation.oracle import (
     explore,
     get_case,
 )
+from repro.validation.reference import ReferenceEngine
 from repro.validation.statespace import (
     ChoiceController,
     next_script,
@@ -161,7 +162,7 @@ def test_oracle_pins_keep_the_shipped_engine():
     from repro.network.production import ProductionEngine
     from repro.validation.statespace import ORACLE_PINS
 
-    assert "engine_fast_path" not in ORACLE_PINS
+    assert not {"engine_fast_path", "detector_caching"} & set(ORACLE_PINS)
     pinned = oracle_config(RING)
     assert type(NetworkSimulator(pinned)) is ProductionEngine
     assert pinned.detection_interval == 1
@@ -181,7 +182,7 @@ def test_hybrid_length_mix_case_checks_clean_to_closure():
 def test_reference_and_production_state_graphs_are_equal():
     case = get_case("ring-deadlock")
     production = explore(case.config)
-    reference = explore(case.config.replace(engine_fast_path=False))
+    reference = explore(case.config, engine=ReferenceEngine)
     assert reference.index == production.index
     assert reference.succ == production.succ
     assert reference.scripts == production.scripts

@@ -41,7 +41,7 @@ def test_start_order_fault_fails_the_property_tests(order_dependent_johnson):
 def test_start_order_fault_is_a_detector_axis_leg(order_dependent_johnson):
     mismatches = check_config(MISROUTING, axes=("detector",))
     assert mismatches and mismatches[0].axis == "detector"
-    assert "detector_caching=False diverges" in mismatches[0].detail
+    assert "the detector reference diverges" in mismatches[0].detail
 
 
 def test_misrouting_scenario_is_clean_without_the_fault():
