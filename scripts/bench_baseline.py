@@ -33,7 +33,12 @@ it:
   dominates: 48 points of ~20 ms run direct-serial, cold-drained at 1
   and 2 workers and service-drained on 1 and 2 local slots in one
   session, ``overhead_ms_per_point`` each, gated on two same-session
-  ratios (cold W=1 ≤ 1.35× direct, service W=2 ≤ 1.5× cold W=2).
+  ratios (cold W=1 ≤ 1.35× direct, service W=2 ≤ 1.5× cold W=2);
+* ``shape_cache`` — **what a warm network shape spares**: the exact
+  ``routing.candidates`` call count of a tiny six-load sweep run twice
+  in one process from a cold shape cache, the second run gated at 0, and
+  the paper-default constructor's cold / warm time ratio (median of
+  per-round ratios), gated within 20% of the committed one.
 
 The committed ``BENCH_core.json`` is this repo's perf trajectory: regenerate
 it with ``python scripts/bench_baseline.py`` after engine work (it measures
@@ -61,8 +66,10 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.config import bench_default, paper_default, tiny_default  # noqa: E402
 from repro.core.detector import DeadlockDetector  # noqa: E402
-from repro.network.simulator import NetworkSimulator  # noqa: E402
+from repro.metrics.sweep import run_load_sweep  # noqa: E402
+from repro.network.simulator import NetworkSimulator, network_shape  # noqa: E402
 from repro.obs.profiler import phase_rows, phase_table, share_pct  # noqa: E402
+from repro.routing import TrueFullyAdaptiveRouting  # noqa: E402
 from repro.validation.reference import ReferenceDetector, ReferenceEngine  # noqa: E402
 
 BASELINE_PATH = REPO_ROOT / "BENCH_core.json"
@@ -500,6 +507,54 @@ def _obs_overhead(warm: int = 200, cycles: int = 400, reps: int = 15) -> dict:
     }
 
 
+#: the shape-cache row's sweep: tiny TFAR, six loads
+SHAPE_SWEEP_LOADS = (0.2, 0.4, 0.6, 0.8, 1.0, 1.2)
+
+
+def _shape_cache(rounds: int = 9) -> dict:
+    """``routing.candidates`` calls and constructor time on warm shapes.
+
+    The tiny sweep runs twice from a cleared shape cache with the
+    relation's ``candidates`` counted at class level: the first run routes
+    every key once, the second finds each in the shapes the first left
+    (so it must read 0).  Each round then times the paper-default 16-ary
+    constructor once on a cleared cache and once warm.
+    """
+    calls = []
+    real = TrueFullyAdaptiveRouting.candidates
+
+    def counted(self, *args):
+        calls[-1] += 1
+        return real(self, *args)
+
+    network_shape.cache_clear()
+    TrueFullyAdaptiveRouting.candidates = counted
+    try:
+        for _ in range(2):
+            calls.append(0)
+            run_load_sweep(tiny_default(routing="tfar"), SHAPE_SWEEP_LOADS)
+    finally:
+        TrueFullyAdaptiveRouting.candidates = real
+    ratios, cold_s, warm_s = [], [], []
+    for _ in range(rounds):
+        network_shape.cache_clear()
+        for side in (cold_s, warm_s):
+            t0 = time.perf_counter()
+            NetworkSimulator(paper_default())
+            side.append(time.perf_counter() - t0)
+        ratios.append(cold_s[-1] / warm_s[-1])
+    return {
+        "sweep": f"tiny_tfar_{len(SHAPE_SWEEP_LOADS)}_loads",
+        "cold_calls": calls[0],
+        "warm_calls": calls[1],
+        "required_max_warm_calls": 0,
+        "construct": "paper_default_16ary",
+        "construct_cold_ms": round(statistics.median(cold_s) * 1e3, 2),
+        "construct_warm_ms": round(statistics.median(warm_s) * 1e3, 2),
+        "construct_cold_over_warm": round(statistics.median(ratios), 3),
+    }
+
+
 def measure() -> dict:
     scenarios = {}
     for name, spec in ENGINE_SCENARIOS.items():
@@ -525,6 +580,7 @@ def measure() -> dict:
         "phase_breakdown": _phase_breakdown(),
         "obs_overhead": _obs_overhead(),
         "campaign_fanout": _campaign_fanout(),
+        "shape_cache": _shape_cache(),
     }
 
 
@@ -543,6 +599,9 @@ RELATIVE_GATES = {
     ),
     ("detector_by_size", "vct_16ary", "speedup_census"): (
         "reference / as-shipped detector pass, census on, cut-through"
+    ),
+    ("shape_cache", "construct_cold_over_warm"): (
+        "paper-default constructor, cold / warm network shape"
     ),
 }
 
@@ -567,6 +626,11 @@ BAR_GATES = (
     (
         ("campaign_fanout", "service_w2_over_cold_w2"),
         ("campaign_fanout", "required_max_service_w2_ratio"),
+        False,
+    ),
+    (
+        ("shape_cache", "warm_calls"),
+        ("shape_cache", "required_max_warm_calls"),
         False,
     ),
 )
@@ -657,6 +721,13 @@ def main() -> int:
         f"(bar <= {overhead['required_max_ratio']:.2f}x)"
     )
     print(format_campaign_fanout(fresh["campaign_fanout"]))
+    shapes = fresh["shape_cache"]
+    print(
+        f"shape cache: {shapes['cold_calls']} / {shapes['warm_calls']} "
+        f"candidate calls (cold / warm sweep); paper-default constructor "
+        f"{shapes['construct_cold_ms']:.1f} / {shapes['construct_warm_ms']:.1f}"
+        f" ms cold / warm ({shapes['construct_cold_over_warm']:.2f}x)"
+    )
 
     if not args.check:
         args.out.write_text(json.dumps(fresh, indent=2, sort_keys=True) + "\n")

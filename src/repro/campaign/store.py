@@ -471,13 +471,16 @@ class ResultStore:
         """
         manifest = self.load_manifest()
         offsets = manifest.setdefault("journal_offsets", {})
+        folded = 0
         for writer in self.journal_writers():
             start = offsets.get(writer, 0)
             records = self.journal_records(writer, start)
             for record in records:
                 _apply_record(manifest, record)
             offsets[writer] = start + len(records)
-        self.save_manifest(manifest)
+            folded += len(records)
+        if folded:  # a no-op leaves manifest.json as it was
+            self.save_manifest(manifest)
         return manifest
 
     def manifest_rebuild(self) -> dict:

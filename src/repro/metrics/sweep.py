@@ -87,13 +87,13 @@ class SweepResult:
         failures: Sequence = (),
     ) -> "SweepResult":
         """The sweep of ``base`` whose point at ``loads[i]`` is ``points[i]``."""
-        from repro.network.simulator import build_topology
+        from repro.network.simulator import network_shape, shape_key
 
         return cls(
             label=label or base.label(),
             loads=list(loads),
             results=[result for result, _ in points],
-            capacity=build_topology(base).capacity_flits_per_node_cycle,
+            capacity=network_shape(shape_key(base))[0].capacity_flits_per_node_cycle,
             obs=obs_rollup(loads, [snapshot for _, snapshot in points]),
             failures=list(failures),
         )

@@ -150,15 +150,17 @@ class ChannelPool:
         self.num_vcs = num_vcs
         self.buffer_depth = buffer_depth
         self.rx_channels = rx_channels
-        self.vcs: list[VirtualChannel] = []
-        self._link_vcs: list[list[VirtualChannel]] = []
-        for link in topology.links:
-            group = [
-                VirtualChannel(len(self.vcs) + i, link, i, buffer_depth)
-                for i in range(num_vcs)
-            ]
-            self.vcs.extend(group)
-            self._link_vcs.append(group)
+        # links are numbered densely in order, so VC ``i`` of a link is
+        # ``link.index * num_vcs + i``
+        self.vcs: list[VirtualChannel] = [
+            VirtualChannel(link.index * num_vcs + i, link, i, buffer_depth)
+            for link in topology.links
+            for i in range(num_vcs)
+        ]
+        self._link_vcs: list[list[VirtualChannel]] = [
+            self.vcs[start : start + num_vcs]
+            for start in range(0, len(self.vcs), num_vcs)
+        ]
         self.reception_groups: list[list[ReceptionChannel]] = [
             [ReceptionChannel(node, i) for i in range(rx_channels)]
             for node in range(topology.num_nodes)

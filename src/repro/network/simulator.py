@@ -38,10 +38,11 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from functools import lru_cache
 from time import perf_counter
 from typing import Iterable, Optional
 
-from repro.config import SimulationConfig
+from repro.config import FIELDS, SimulationConfig
 from repro.core.detector import DeadlockDetector, DeadlockEvent, DetectionRecord
 from repro.core.recovery import RecoveryPolicy, make_recovery
 from repro.metrics.stats import RunResult, StatsCollector
@@ -63,7 +64,7 @@ from repro.routing import make_routing, make_selection
 from repro.routing.batch import CandidateTable
 from repro.traffic import LengthMix, MessageGenerator, make_pattern
 
-__all__ = ["NetworkSimulator", "build_topology"]
+__all__ = ["NetworkSimulator", "build_topology", "network_shape", "shape_key"]
 
 # phase indices for per-phase round-robin arbitration state
 _PHASE_ALLOC = 0
@@ -94,6 +95,29 @@ def build_topology(config: SimulationConfig) -> Topology:
     )
 
 
+#: network shapes one process keeps; the least recently used goes first
+SHAPES_KEPT = 16
+#: what a shape is built from: the topology group, the relation, and the
+#: pool layout that numbers its VCs
+SHAPE_FIELDS = tuple(
+    f.name for f in FIELDS if f.metadata["group"] == "topology"
+) + ("routing", "num_vcs", "rx_channels")
+
+
+def shape_key(config: SimulationConfig) -> tuple:
+    """The values of :data:`SHAPE_FIELDS`: configs with equal keys build
+    equal topologies and route every position alike."""
+    return tuple(getattr(config, name) for name in SHAPE_FIELDS)
+
+
+@lru_cache(maxsize=SHAPES_KEPT)
+def network_shape(key: tuple) -> tuple[Topology, dict]:
+    """The immutable topology and the relation's candidate memo
+    (``cache_key -> VC-index tuple``) every simulator of one
+    :func:`shape_key` shares, built on first use in this process."""
+    return build_topology(SimulationConfig(**dict(zip(SHAPE_FIELDS, key)))), {}
+
+
 class NetworkSimulator:
     """One network instance plus its workload, detector and recovery;
     ``NetworkSimulator(config)`` builds the production engine, a subclass
@@ -114,7 +138,7 @@ class NetworkSimulator:
     def __init__(self, config: SimulationConfig) -> None:
         config.validate()
         self.config = config
-        self.topology = build_topology(config)
+        self.topology, memo = network_shape(shape_key(config))
         self.pool = ChannelPool(
             self.topology,
             config.num_vcs,
@@ -194,8 +218,9 @@ class NetworkSimulator:
         # per-phase monotone round-robin counters (allocation, movement)
         self._rr_counters = [0, 0]
         #: the one candidate memo: the allocate loops, route_candidates and
-        #: (through it) the detector's CWG rebuild all share it
-        self._cands = CandidateTable(self.routing, self.topology, self.pool)
+        #: (through it) the detector's CWG rebuild all share it; it maps
+        #: the shape's index memo onto this simulator's pool
+        self._cands = CandidateTable(self.routing, self.topology, self.pool, memo)
         self._router_delay = config.router_delay
         #: monotone counter of ownership / blocked-set transitions; the
         #: detector short-circuits a pass when it has not advanced

@@ -12,13 +12,17 @@ run, not once per reader.  Per key it holds:
   wait-key registration consumes exactly this tuple, so it is not rebuilt
   per blocked attempt).
 
-Entries are built lazily through the relation's own ``candidates`` call,
-so contents equal an unmemoized query by construction.
+The indices are a function of the key and the network shape alone, so
+they live in an index memo every simulator of one shape shares
+(:func:`repro.network.simulator.network_shape`); a table only maps them
+onto its own pool's VC objects.  Index entries are built lazily through
+the relation's own ``candidates`` call, so contents equal an unmemoized
+query by construction.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.network.channels import ChannelPool
@@ -30,17 +34,20 @@ __all__ = ["CandidateTable"]
 
 
 class CandidateTable:
-    """Lazily-built ``cache_key -> (candidates, indices)`` table."""
+    """Lazily-built ``cache_key -> (candidates, indices)`` table over a
+    ``cache_key -> indices`` memo (a private one unless ``memo`` is given)."""
 
     def __init__(
         self,
         routing: "RoutingFunction",
         topology: "Topology",
         pool: "ChannelPool",
+        memo: Optional[dict] = None,
     ) -> None:
         self.routing = routing
         self.topology = topology
         self.pool = pool
+        self.memo = {} if memo is None else memo
         #: the memo itself; the engines' serve loops read and fill it
         #: directly to spare a call per request
         self.table: dict = {}
@@ -50,9 +57,14 @@ class CandidateTable:
         key = self.routing.cache_key(message, node)
         entry = self.table.get(key)
         if entry is None:
-            cands = self.routing.candidates(
-                message, node, self.topology, self.pool
-            )
-            entry = (cands, tuple(vc.index for vc in cands))
-            self.table[key] = entry
+            idxs = self.memo.get(key)
+            if idxs is None:
+                cands = self.routing.candidates(
+                    message, node, self.topology, self.pool
+                )
+                idxs = self.memo[key] = tuple(vc.index for vc in cands)
+            else:
+                vcs = self.pool.vcs
+                cands = [vcs[i] for i in idxs]
+            entry = self.table[key] = (cands, idxs)
         return entry

@@ -11,6 +11,7 @@ counted, not trusted.
 """
 
 import json
+import os
 import time
 
 from repro import faults
@@ -82,6 +83,17 @@ class TestCompaction:
         manifest = store.compact_manifest()
         assert manifest["counters"]["executed"] == 2
         assert manifest["journal_offsets"] == {"w1": 2}
+
+    def test_noop_compaction_leaves_the_manifest_file_alone(self, tmp_path):
+        store = ResultStore(tmp_path / "s")
+        store.journal_append("w1", done("d1"))
+        store.compact_manifest()
+        before = store.manifest_path.read_bytes()
+        os.utime(store.manifest_path, ns=(0, 0))
+        manifest = store.compact_manifest()
+        assert manifest["journal_offsets"] == {"w1": 1}
+        assert store.manifest_path.read_bytes() == before
+        assert store.manifest_path.stat().st_mtime_ns == 0
 
     def test_folded_lines_are_skipped_unparsed(self, tmp_path):
         """Compaction reads a writer's journal from its folded offset on:
