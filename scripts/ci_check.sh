@@ -18,7 +18,9 @@
 #    direct serial run, or a service drain on two slots above 1.5x the
 #    cold drain at two workers; or obs_level=1 costing more than 1.10x the
 #    CPU time of observability off (median per-rep ratio over 15 lockstep
-#    reps of the moderate 8-ary scenario).  On failure the per-phase time
+#    reps of the moderate 8-ary scenario); or a tiny TFAR sweep run a
+#    second time in one process making any `candidates` call or topology
+#    build, which a warm network shape spares.  On failure the per-phase time
 #    breakdown is printed alongside the committed one so the regressing
 #    phase is visible at a glance;
 # 4. runs the bit-identity gate: every row of the case table in

@@ -102,12 +102,14 @@ SHAPES_KEPT = 16
 SHAPE_FIELDS = tuple(
     f.name for f in FIELDS if f.metadata["group"] == "topology"
 ) + ("routing", "num_vcs", "rx_channels")
+#: each field's decoder where it has one (list -> tuple), so a key hashes
+_DECODE = {f.name: f.metadata["domain"].decode or (lambda v: v) for f in FIELDS}
 
 
 def shape_key(config: SimulationConfig) -> tuple:
-    """The values of :data:`SHAPE_FIELDS`: configs with equal keys build
-    equal topologies and route every position alike."""
-    return tuple(getattr(config, name) for name in SHAPE_FIELDS)
+    """The values of :data:`SHAPE_FIELDS`, as tuples: configs with equal
+    keys build equal topologies and route every position alike."""
+    return tuple(_DECODE[name](getattr(config, name)) for name in SHAPE_FIELDS)
 
 
 @lru_cache(maxsize=SHAPES_KEPT)

@@ -22,7 +22,7 @@ query by construction.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.network.channels import ChannelPool
@@ -30,24 +30,28 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.network.topology import Topology
     from repro.routing.base import RoutingFunction
 
-__all__ = ["CandidateTable"]
+__all__ = ["CandidateTable", "MEMO_KEPT"]
+
+#: index entries one shape's memo takes; past it a table keeps new keys to
+#: itself, so a long-lived process holds at most this many per shape
+MEMO_KEPT = 1 << 16
 
 
 class CandidateTable:
     """Lazily-built ``cache_key -> (candidates, indices)`` table over a
-    ``cache_key -> indices`` memo (a private one unless ``memo`` is given)."""
+    ``cache_key -> indices`` memo."""
 
     def __init__(
         self,
         routing: "RoutingFunction",
         topology: "Topology",
         pool: "ChannelPool",
-        memo: Optional[dict] = None,
+        memo: dict,
     ) -> None:
         self.routing = routing
         self.topology = topology
         self.pool = pool
-        self.memo = {} if memo is None else memo
+        self.memo = memo
         #: the memo itself; the engines' serve loops read and fill it
         #: directly to spare a call per request
         self.table: dict = {}
@@ -62,7 +66,9 @@ class CandidateTable:
                 cands = self.routing.candidates(
                     message, node, self.topology, self.pool
                 )
-                idxs = self.memo[key] = tuple(vc.index for vc in cands)
+                idxs = tuple(vc.index for vc in cands)
+                if len(self.memo) < MEMO_KEPT:
+                    self.memo[key] = idxs
             else:
                 vcs = self.pool.vcs
                 cands = [vcs[i] for i in idxs]

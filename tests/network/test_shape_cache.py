@@ -19,7 +19,7 @@ from repro.network.simulator import (
     build_topology,
     network_shape,
 )
-from repro.routing import _ROUTERS, make_routing
+from repro.routing import _ROUTERS, batch, make_routing
 from repro.validation.differential import fingerprint
 
 from tests.routing.test_cache_keys import ROUTES, TOPOLOGIES
@@ -136,3 +136,32 @@ def test_refused_pair_raises_on_every_construction():
     for _ in range(3):
         with pytest.raises(RoutingError):
             NetworkSimulator(cfg)
+
+
+def test_list_valued_fields_key_the_tuple_shape():
+    """Fields given as lists (as ``validate`` accepts) build, and share the
+    shape of the same values given as tuples."""
+    listed = NetworkSimulator(
+        _config("dor", topology="torus3d", dims=[3, 3, 2], link_latencies=[1, 1, 2])
+    )
+    tupled = NetworkSimulator(
+        _config("dor", topology="torus3d", dims=(3, 3, 2), link_latencies=(1, 1, 2))
+    )
+    assert listed.topology is tupled.topology
+    failed = NetworkSimulator(_config(failed_links=[[0, 1]]))
+    assert failed.topology is NetworkSimulator(_config(failed_links=((0, 1),))).topology
+
+
+def test_a_full_memo_takes_no_more_keys_and_routes_alike(monkeypatch):
+    """Past ``MEMO_KEPT`` entries a table keeps new keys to itself: the
+    shared memo stops growing and the run is unchanged."""
+    network_shape.cache_clear()
+    cfg = _config()
+    free = NetworkSimulator(cfg)
+    before = fingerprint(free, free.run())
+    network_shape.cache_clear()
+    monkeypatch.setattr(batch, "MEMO_KEPT", 5)
+    capped = NetworkSimulator(cfg)
+    after = fingerprint(capped, capped.run())
+    assert len(capped._cands.memo) == 5 < len(capped._cands.table)
+    assert after == before

@@ -114,7 +114,7 @@ def test_candidate_table_wraparound_matches_fresh():
     topo = KAryNCube(4, 2)
     pool = ChannelPool(topo, 1, 2)
     r = DimensionOrderRouting()
-    table = CandidateTable(r, topo, pool)
+    table = CandidateTable(r, topo, pool, {})
     pairs = [
         (src, dest)
         for src in range(topo.num_nodes)
@@ -151,7 +151,7 @@ def test_candidate_table_dateline_wrap_distinct_entries():
     topo = KAryNCube(8, 1)
     pool = ChannelPool(topo, 2, 2)
     r = DatelineDOR()
-    table = CandidateTable(r, topo, pool)
+    table = CandidateTable(r, topo, pool, {})
     # both head at node 0 with dest 1; `wrapped` entered the ring at 6 and
     # crossed the 7 -> 0 dateline to get here, `local` started at 0
     wrapped = Message(0, 6, 1, 4, 0)
